@@ -93,26 +93,43 @@ def quantile(sorted_values: list[float], p: float) -> float:
     return sum(w * x for w, x in zip(weights, sorted_values)) / sum(weights)
 
 
+def mix_rate(result: dict, busy: str = "busy_s") -> float:
+    """Operations per second of busy time at the workload's stated mix: the
+    inverse of the mix-weighted mean latency of the kinds of operation.
+
+    Unlike operations over busy time, it does not depend on where the run
+    happened to stop; on ``cli`` that decides whether one more ``verify
+    all``, some twenty times as long as another command, is counted.  A
+    kind the run never reached (in runs of a few seconds only) is left out.
+    """
+    kinds = result["kinds"]
+    weights = {kind: w for kind, w in result["mix"].items() if kind in kinds}
+    mean = sum(w * kinds[kind][busy] / kinds[kind]["ops"] for kind, w in weights.items())
+    return sum(weights.values()) / mean
+
+
 def end_to_end(result: dict, setup: list[float], raw_setup: list[float]) -> tuple[dict, dict]:
     """Metrics at nominal speed; the details keep the raw timings."""
     lat = sorted(result["latencies"])
     raw = sorted(result["raw_latencies"])
     p90 = quantile(lat, 0.9)
     metrics = {
-        "ops_per_s": (result["ops"] / result["busy_s"], "1/s"),
-        "op_p50_ms": (quantile(lat, 0.5) * 1e3, "ms"),
-        "op_p90_ms": (p90 * 1e3, "ms"),
-        "ok_frac": ((result["ops"] - result["failed"]) / result["ops"], "ratio"),
-        "decided_frac": (result["definite"] / max(result["verdicts"], 1), "ratio"),
-        "peak_rss_mb": (result["maxrss_mb"], "MB"),
-        "setup_s": (statistics.median(setup), "s"),
+        "ops_per_s": mix_rate(result),
+        "op_p50_ms": quantile(lat, 0.5) * 1e3,
+        "op_p90_ms": p90 * 1e3,
+        "ok_frac": (result["ops"] - result["failed"]) / result["ops"],
+        "decided_frac": result["definite"] / max(result["verdicts"], 1),
+        "peak_rss_mb": result["maxrss_mb"],
+        "setup_s": statistics.median(setup),
     }
     details = {
         "samples": len(lat),
         "beyond_p90": sum(x > p90 for x in lat),
         "verdicts": result["verdicts"],
+        "kinds": {kind: {"ops": k["ops"], "busy_share": k["busy_s"] / result["busy_s"]}
+                  for kind, k in sorted(result["kinds"].items())},
         "speed_scale": result["scale"],
-        "raw_ops_per_s": result["ops"] / result["raw_busy_s"],
+        "raw_ops_per_s": mix_rate(result, "raw_busy_s"),
         "raw_op_p50_ms": quantile(raw, 0.5) * 1e3,
         "raw_op_p90_ms": quantile(raw, 0.9) * 1e3,
         "wall_s": result["wall_s"],
@@ -144,6 +161,8 @@ def main() -> int:
         print(f"error: no icosym sources under {SRC}; run from a source checkout",
               file=sys.stderr)
         return 2
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"] + spec["per_layer"]}
     OUT.mkdir(exist_ok=True)
     # every process of the run shares one CPU, so that the speed bursts of a
     # pass measure the CPU that its operations, and CLI children, ran on
@@ -159,16 +178,18 @@ def main() -> int:
         spans_path = OUT / f"spans-{w}-{seed}.json"
         traced = worker("replay", w, seed, "--ops", str(plain["ops"]), "--spans", str(spans_path))
         probes = worker("probe", w, seed)["probes"]
-        metrics = {name: (value, unit_of(name))
-                   for name, value in {**traced["layers"], **probes}.items()}
-        overhead = traced["busy_s"] / plain["busy_s"] - 1
-        metrics["trace.overhead_frac"] = (overhead, "ratio")
+        metrics = {**traced["layers"], **probes}
+        metrics["trace.overhead_frac"] = traced["busy_s"] / plain["busy_s"] - 1
         details = {"replayed_ops": plain["ops"], "spans_file": spans_path.name,
                    "speed_scales": [plain["scale"], traced["scale"]],
                    "timeouts": probes["chartab.sym_power_cold.timeouts"]}
         passes = [plain, traced]
     attempted = sum(p["ops"] for p in passes)
     failed = sum(p["failed"] for p in passes)
+    notes: dict[str, int] = {}
+    for p in passes:
+        for note, count in p["notes"].items():
+            notes[note] = notes.get(note, 0) + count
     record = {
         "workload": w,
         "seed": seed,
@@ -179,8 +200,9 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "machine": " ".join(platform.uname()[i] for i in (0, 2, 4)),
         "failures": [f for p in passes for f in p["failures"]],
+        "notes": notes,
         **details,
-        "metrics": {name: value for name, (value, _) in metrics.items()},
+        "metrics": metrics,
     }
     (OUT / f"result-{w}-{seed}-trace{args.trace}.json").write_text(json.dumps(record, indent=1))
     print(json.dumps(record))
@@ -188,18 +210,9 @@ def main() -> int:
         "correct": failed == 0,
         "attempted": attempted,
         "failed": failed,
-        "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()},
+        "metrics": {name: {"value": value, "unit": units[name]} for name, value in metrics.items()},
     }))
     return 0
-
-
-def unit_of(name: str) -> str:
-    if name.endswith(".calls") or name.endswith("timeouts") or name.endswith("wrong_exit"):
-        return "count"
-    for suffix, unit in (("per_s", "1/s"), ("_s", "s"), ("_ms", "ms"), ("_us", "us")):
-        if name.endswith(suffix) or f"{suffix}." in name:
-            return unit
-    return "ratio"
 
 
 if __name__ == "__main__":

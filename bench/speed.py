@@ -6,13 +6,15 @@ runs are not comparable.  Every pass of the benchmark therefore runs a short
 burst of a fixed loop of Fraction arithmetic (the kind of work icosym does)
 after each measurement, about a tenth as long as the measurement, and
 reports its timings scaled to a nominal speed of the loop.  The loop is the
-benchmark's own code, so a change to icosym moves the scaled timings
-exactly as it moves the raw ones.
+benchmark's own code and runs with the garbage collector off, so that a
+collection of the heap icosym has built up (its caches grow during a run)
+is not charged to it.
 """
 
 from __future__ import annotations
 
 import bisect
+import gc
 import time
 from fractions import Fraction
 
@@ -34,11 +36,17 @@ class Speed:
         """Run the loop for about DUTY * after_s seconds (two units at least)
         right after a measurement of after_s seconds."""
         units = max(2, int(after_s * DUTY / NOMINAL_UNIT_S))
+        # a collection of the measured program's heap must not be charged
+        # to the loop
+        collecting = gc.isenabled()
+        gc.disable()
         t0 = time.perf_counter()
         for _ in range(units):
             for _ in range(50):
                 _A * _B + _C
         end = time.perf_counter()
+        if collecting:
+            gc.enable()
         self.ends.append(end)
         self.seconds.append(self.seconds[-1] + end - t0)
         self.units.append(self.units[-1] + units)

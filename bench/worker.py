@@ -43,8 +43,10 @@ SYM_CAP_S = 2.0  # time cap of each cold symmetric-power probe
 
 def loop(workload, limit_s: float | None, limit_ops: int | None, tracer=None) -> dict:
     failures: list[str] = []
+    notes: dict[str, int] = {}
     verdicts = definite = 0
     spans: list[tuple[float, float]] = []  # (start, end) of each operation
+    kinds: list[str] = []  # the kind of each operation
     speed = Speed()
     start = time.perf_counter()
     for index, op in enumerate(workload.ops()):
@@ -62,11 +64,14 @@ def loop(workload, limit_s: float | None, limit_ops: int | None, tracer=None) ->
         except Exception as err:  # an operation that raises has failed
             problem = f"op {index}: raised {err!r}"
         spans.append((t0, time.perf_counter()))
+        kinds.append(op["kind"] if isinstance(op, dict) else op[0])
         speed.sample(spans[-1][1] - t0)
         if problem is None:
             outcome: Outcome = workload.check(op, out)
             verdicts += outcome.verdicts
             definite += outcome.definite
+            if outcome.note:
+                notes[outcome.note] = notes.get(outcome.note, 0) + 1
             if not outcome.ok:
                 problem = f"op {index}: {outcome.problem}"
         if problem is not None:
@@ -75,6 +80,12 @@ def loop(workload, limit_s: float | None, limit_ops: int | None, tracer=None) ->
         failures += workload.finish()
     raw = [t1 - t0 for t0, t1 in spans]
     scaled = [(t1 - t0) * speed.scale(t0, t1) for t0, t1 in spans]
+    by_kind: dict[str, dict] = {}
+    for kind, seconds, raw_seconds in zip(kinds, scaled, raw):
+        entry = by_kind.setdefault(kind, {"ops": 0, "busy_s": 0.0, "raw_busy_s": 0.0})
+        entry["ops"] += 1
+        entry["busy_s"] += seconds
+        entry["raw_busy_s"] += raw_seconds
     return {
         "ops": len(spans),
         "failed": len(failures),
@@ -82,10 +93,12 @@ def loop(workload, limit_s: float | None, limit_ops: int | None, tracer=None) ->
         "latencies": scaled,
         "raw_latencies": raw,
         "busy_s": sum(scaled),
-        "raw_busy_s": sum(raw),
         "wall_s": time.perf_counter() - start,
         "verdicts": verdicts,
         "definite": definite,
+        "notes": notes,
+        "kinds": by_kind,
+        "mix": dict(workload.MIX),
         "scale": speed.scale(),
     }
 
