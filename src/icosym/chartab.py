@@ -14,6 +14,9 @@ Conventions
   this table are real, so ``conj`` is the identity and the implementation
   multiplies plainly.  (The Galois twist sqrt(5) -> -sqrt(5) is *not*
   complex conjugation; see :meth:`CharacterTable.galois_tau`.)
+* Pairings run in integers: values are scaled to ``(p + q*sqrt 5)/d`` with
+  a common ``d``, the table rows are stored pre-multiplied by class sizes,
+  and each pairing is an integer dot product divided once, by ``120*d``.
 * Symmetric powers of a degree-2 character follow the trace recursion
   ``s[n](c) = s[1](c) s[n-1](c) - det(c) s[n-2](c)`` with the determinant
   character recovered from the squaring class map,
@@ -25,7 +28,9 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .group import GroupTable, build_sl2f5
@@ -73,6 +78,30 @@ class NotACharacterError(ValueError):
 
 def _is_mult(c: Qsqrt5) -> bool:
     return c.is_integer() and c.as_int() >= 0
+
+
+def _integral(values: Iterable[Qsqrt5]) -> tuple[list[tuple[int, int]], int]:
+    """Write *values* as ``(p + q*sqrt 5)/d``: integer pairs ``(p, q)`` over
+    their least common denominator ``d``."""
+    values = list(values)
+    d = lcm(*(x.denominator for v in values for x in (v.a, v.b)))
+    return [
+        (v.a.numerator * (d // v.a.denominator), v.b.numerator * (d // v.b.denominator))
+        for v in values
+    ], d
+
+
+def _dot(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> tuple[int, int]:
+    """``sum x*y`` for values ``p + q*sqrt 5`` given as integer pairs."""
+    a = b = 0
+    for (p, q), (r, s) in zip(xs, ys):
+        a += p * r + 5 * q * s
+        b += p * s + q * r
+    return a, b
+
+
+def _scalar(a: int, b: int, den: int) -> Qsqrt5:
+    return Qsqrt5(Fraction(a, den), Fraction(b, den))
 
 
 @dataclass(frozen=True)
@@ -138,6 +167,15 @@ class CharacterTable:
             name: ClassFunction.of(source[name]) for name in IRREP_NAMES
         }
         self.sizes: tuple[int, ...] = tuple(c.size for c in self.group.classes)
+        # every row times the class sizes, as integers over one denominator
+        weighted, self._den = _integral(
+            v * size for name in IRREP_NAMES
+            for v, size in zip(self.rows[name].values, self.sizes)
+        )
+        self._weighted: dict[str, list[tuple[int, int]]] = {
+            name: weighted[N_CLASSES * i : N_CLASSES * (i + 1)]
+            for i, name in enumerate(IRREP_NAMES)
+        }
         self._sym_cache: dict[tuple[tuple[Qsqrt5, ...], int], ClassFunction] = {}
 
     # -- basic queries ---------------------------------------------------
@@ -158,10 +196,10 @@ class CharacterTable:
 
     def inner_product(self, f: ClassFunction, g: ClassFunction) -> Qsqrt5:
         """Exact ``(1/120) sum_c size(c) f(c) g(c)`` (values are real)."""
-        total = ZERO
-        for size, x, y in zip(self.sizes, f.values, g.values):
-            total = total + x * y * size
-        return total / self.group.order
+        xs, df = _integral(f.values)
+        ys, dg = _integral(g.values)
+        weighted = [(size * r, size * s) for size, (r, s) in zip(self.sizes, ys)]
+        return _scalar(*_dot(xs, weighted), self.group.order * df * dg)
 
     def decompose(self, f: ClassFunction) -> dict[str, int]:
         """Multiplicities of *f* in the irreducible basis.
@@ -171,10 +209,19 @@ class CharacterTable:
         NotACharacterError
             if any multiplicity is negative, fractional or irrational.
         """
-        coeffs = {name: self.inner_product(f, self.row(name)) for name in IRREP_NAMES}
-        if not all(_is_mult(c) for c in coeffs.values()):
-            raise NotACharacterError(coeffs)
-        return {name: c.as_int() for name, c in coeffs.items() if c.as_int()}
+        xs, d = _integral(f.values)
+        den = self.group.order * d * self._den
+        pairings = {name: _dot(xs, row) for name, row in self._weighted.items()}
+        mults = {}
+        for name, (a, b) in pairings.items():
+            m, rest = divmod(a, den)
+            if b or rest or m < 0:
+                raise NotACharacterError(
+                    {name: _scalar(a, b, den) for name, (a, b) in pairings.items()}
+                )
+            if m:
+                mults[name] = m
+        return mults
 
     # -- operations on characters ------------------------------------------
 

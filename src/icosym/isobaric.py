@@ -353,6 +353,9 @@ def _expand_pair(c1: Constituent, c2: Constituent) -> list[Constituent]:
 # the fact ledger
 
 
+_KIND_ORDERS = {"trivial": 1, "quadratic": 2, "cubic": 3}
+
+
 @dataclass(frozen=True)
 class CharInfo:
     order: int | None = None
@@ -378,7 +381,9 @@ class FactLedger:
         self._automorphic: dict[str, bool] = {}
         self._word_kinds: dict[CharWord, str] = {}
         self._self_dual: dict[str, bool] = {}
+        self._orders: dict[str, int] = {}  # kept in step with declare_character
         self._galois_cache: dict[str, ClassFunction | None] = {}
+        self._galois_mults: dict[str, dict[str, int] | None] = {}
 
     # -- declarations ---------------------------------------------------
 
@@ -392,10 +397,16 @@ class FactLedger:
         if order is not None and order < 1:
             raise LedgerError(f"character {name} declared with order {order}")
         self.characters[name] = info
+        order = order or _KIND_ORDERS.get(kind)
+        if order:
+            self._orders[name] = order
 
     def declare_base(self, name: str, typ: str, **tags) -> BaseCusp:
         if typ not in BASE_TYPES:
             raise LedgerError(f"unknown base type {typ!r}; pick from {BASE_TYPES}")
+        row = tags.get("galois_row")
+        if row is not None and row not in ("X'", "X''"):
+            raise LedgerError(f"base {name}: galois_row must be X' or X'', got {row!r}")
         tags.setdefault("omega", f"omega({name})")
         base = BaseCusp(name=name, typ=typ, **tags)
         if typ == "dihedral":
@@ -453,10 +464,10 @@ class FactLedger:
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
         """Record what kind of character a word denotes (trivial, quadratic,
         cubic, non-real ...) beyond what its generators' orders force."""
-        self._word_kinds[word.reduce(self.char_orders())] = kind
+        self._word_kinds[word.reduce(self._orders)] = kind
 
     def word_kind(self, word: CharWord) -> str | None:
-        reduced = word.reduce(self.char_orders())
+        reduced = word.reduce(self._orders)
         kind = self._word_kinds.get(reduced)
         if kind is not None:
             return kind
@@ -478,20 +489,11 @@ class FactLedger:
     # -- facts ------------------------------------------------------------
 
     def char_orders(self) -> dict[str, int]:
-        out = {}
-        for name, info in self.characters.items():
-            if info.order:
-                out[name] = info.order
-            elif info.kind == "trivial":
-                out[name] = 1
-            elif info.kind == "quadratic":
-                out[name] = 2
-            elif info.kind == "cubic":
-                out[name] = 3
-        return out
+        """Known orders: declared ones, else those a declared kind forces."""
+        return dict(self._orders)
 
     def _canon(self, c: Constituent) -> str:
-        return str(Constituent(c.core, c.twist.reduce(self.char_orders())))
+        return str(Constituent(c.core, c.twist.reduce(self._orders)))
 
     def _key(self, c1: Constituent, c2: Constituent) -> frozenset:
         return frozenset((self._canon(c1), self._canon(c2)))
@@ -567,10 +569,16 @@ class FactLedger:
         return None
 
     def galois_rows(self, core: Core) -> frozenset[str] | None:
-        cf = self._galois_cf(core)
-        if cf is None:
-            return None
-        return frozenset(self.tab.decompose(cf))
+        mults = self.galois_decomposition(core)
+        return None if mults is None else frozenset(mults)
+
+    def galois_decomposition(self, core: Core) -> dict[str, int] | None:
+        """Multiplicities of the finite-image restriction; None if untagged."""
+        key = str(core)
+        if key not in self._galois_mults:
+            cf = self._galois_cf(core)
+            self._galois_mults[key] = None if cf is None else self.tab.decompose(cf)
+        return self._galois_mults[key]
 
     def _galois_cf(self, core: Core) -> ClassFunction | None:
         key = str(core)
@@ -604,7 +612,7 @@ class FactLedger:
 
     def char_is_trivial(self, word: CharWord) -> bool:
         """Generically: trivial iff the word reduces to the empty word."""
-        reduced = word.reduce(self.char_orders())
+        reduced = word.reduce(self._orders)
         if reduced.is_empty():
             return True
         for name, _ in reduced.word:

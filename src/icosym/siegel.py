@@ -75,12 +75,11 @@ def sym_power_cuspidal(
     if declared is not None:
         return declared, f"declared: sym^{n}({p.name}) cuspidal is {declared}"
     if p.galois_row is not None:
-        cf = ledger.galois_rows(core)
-        mults = ledger.tab.decompose(ledger.tab.sym_power(ledger.tab.row(p.galois_row), n))
+        mults = ledger.galois_decomposition(core)
         irreducible = len(mults) == 1 and set(mults.values()) == {1}
         return irreducible, (
             f"finite image: sym^{n} restriction is "
-            + ("irreducible" if irreducible else f"reducible ({sorted(cf)})")
+            + ("irreducible" if irreducible else f"reducible ({sorted(mults)})")
         )
     if p.typ == "dihedral":
         return False, "symmetric powers of a dihedral base are never cuspidal"

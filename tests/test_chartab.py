@@ -14,7 +14,7 @@ from icosym.chartab import (
     format_decomposition,
 )
 from icosym.report import all_passed
-from icosym.scalar import Qsqrt5
+from icosym.scalar import GOLDEN, SQRT5, Qsqrt5
 
 DIMS = {"U": 1, "V": 5, "W": 6, "X1": 4, "X2": 4, "W'": 3, "W''": 3, "X'": 2, "X''": 2}
 
@@ -133,6 +133,19 @@ def test_decompose_rejects_fractional_multiplicity(tab):
     f = Fraction(1, 2) * tab.row("U")
     with pytest.raises(NotACharacterError):
         tab.decompose(f)
+
+
+@pytest.mark.parametrize(
+    "scale, name", [(SQRT5, "U"), (GOLDEN, "V")], ids=["sqrt5*U", "golden*V"]
+)
+def test_decompose_rejects_irrational_multiplicity(tab, scale, name):
+    f = scale * tab.row(name)
+    with pytest.raises(NotACharacterError) as exc:
+        tab.decompose(f)
+    want = {n: tab.inner_product(f, tab.row(n)) for n in IRREP_NAMES}
+    assert exc.value.coefficients == want
+    assert want[name] == scale
+    assert all(c == 0 for n, c in want.items() if n != name)
 
 
 def test_decompose_round_trips_random_characters(tab):

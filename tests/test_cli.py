@@ -190,6 +190,20 @@ class TestCuspidality:
         assert code == 2
         assert "cannot read" in err
 
+    def test_unknown_galois_row(self, capsys, tmp_path):
+        path = tmp_path / "bad_row.json"
+        path.write_text(
+            json.dumps(
+                {"bases": [{"name": "pi", "type": "icosahedral", "galois_row": "Q"}]}
+            )
+        )
+        code, _, err = run(
+            capsys, "cuspidality", "--facts", str(path), "--pi", "pi",
+            "--pi-prime", "pi",
+        )
+        assert code == 2
+        assert "galois_row" in err
+
     def test_missing_facts_reported(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(

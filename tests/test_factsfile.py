@@ -86,6 +86,15 @@ class TestBases:
         with pytest.raises(LedgerError, match="unknown base type"):
             load_facts({"bases": [{"name": "pi", "type": "heptahedral"}]})
 
+    @pytest.mark.parametrize(
+        "row", ["Q", "W", 7, ["X'"]], ids=["Q", "W", "int", "list"]
+    )
+    def test_galois_row_must_be_two_dimensional(self, row):
+        with pytest.raises(LedgerError, match="galois_row"):
+            load_facts(
+                {"bases": [{"name": "pi", "type": "icosahedral", "galois_row": row}]}
+            )
+
     def test_base_change_section(self):
         ledger = load_facts(
             {

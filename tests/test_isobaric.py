@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from icosym.chartab import NotACharacterError, default_table
+from icosym.chartab import CharacterTable, NotACharacterError, default_table
 from icosym.isobaric import (
     BaseCusp,
     BoxCusp,
@@ -73,6 +73,20 @@ def test_char_is_trivial():
     assert not ledger.char_is_trivial(CharWord.gen("eta", 2))
     assert not ledger.char_is_trivial(CharWord.gen("chi"))
     assert ledger.char_is_trivial(CharWord())
+
+
+def test_character_declared_after_queries_is_seen():
+    ledger, p, _ = fresh()
+    nu2 = CharWord.gen("nu", 2)
+    twisted = ad(p).twisted(nu2)
+    assert ledger.word_kind(nu2) is None
+    assert ledger.equivalent(ad(p), twisted)[0] is False
+    assert "nu" not in ledger.char_orders()
+    ledger.declare_character("nu", order=2)
+    assert ledger.char_orders()["nu"] == 2
+    assert ledger.word_kind(nu2) == "trivial"
+    assert ledger.char_is_trivial(nu2)
+    assert ledger.equivalent(ad(p), twisted) == (True, "structural equality")
 
 
 # -- constituents, duals -----------------------------------------------------
@@ -248,6 +262,33 @@ def test_pole_order_resolved_by_finite_model():
     e = IsobaricExpr.single(ad(p)) + IsobaricExpr.single(ad(p_tau))
     po = pole_order(e, ledger)
     assert po.exact and po.value() == 2
+
+
+def test_pole_order_decomposes_each_tagged_core_once(monkeypatch):
+    calls = []
+    decompose = CharacterTable.decompose
+
+    def counting(self, f):
+        calls.append(f)
+        return decompose(self, f)
+
+    monkeypatch.setattr(CharacterTable, "decompose", counting)
+    ledger, p, p_tau = standard_icosahedral_pair()
+    terms = [
+        ad(p),
+        ad(p_tau),
+        Constituent(p),
+        Constituent(p_tau),
+        Constituent(SymCusp(p, 3)),
+        Constituent(box_cusp(p, p_tau)),
+    ]
+    twisted = ad(p).twisted(CharWord.gen("chi"))
+    e = IsobaricExpr.of([(c, 1) for c in terms + [twisted]])
+    orders = {str(pole_order(e, ledger)) for _ in range(5)}
+    assert len(orders) == 1
+    assert calls
+    assert len(calls) <= len({c.core for c in terms})
+    assert len(calls) == len(set(calls))
 
 
 def test_pole_order_pair_counts_multiplicity():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from icosym.chartab import CharacterTable
 from icosym.icostruct import scan_trivial
 from icosym.isobaric import (
     CharWord,
@@ -59,6 +60,25 @@ def test_sym_cuspidality_from_finite_image():
     for n in range(2, 31):
         verdict, _ = sym_power_automorphic(p, n, ledger)
         assert verdict is True
+
+
+def test_sym_cuspidality_decomposes_once(monkeypatch):
+    calls = []
+    decompose = CharacterTable.decompose
+
+    def counting(self, f):
+        calls.append(f)
+        return decompose(self, f)
+
+    monkeypatch.setattr(CharacterTable, "decompose", counting)
+    ledger, p, _ = standard_icosahedral_pair()
+    verdicts = [sym_power_cuspidal(p, 6, ledger) for _ in range(3)]
+    assert len(calls) == 1
+    assert verdicts[0][0] is False
+    rows = sorted({"W''", "X2"})
+    assert verdicts[0][1] == f"finite image: sym^6 restriction is reducible ({rows})"
+    assert ledger.galois_rows(SymCusp(p, 6)) == {"W''", "X2"}
+    assert len(calls) == 1
 
 
 def test_sym_cuspidality_from_type():
