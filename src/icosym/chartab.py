@@ -14,9 +14,11 @@ Conventions
   this table are real, so ``conj`` is the identity and the implementation
   multiplies plainly.  (The Galois twist sqrt(5) -> -sqrt(5) is *not*
   complex conjugation; see :meth:`CharacterTable.galois_tau`.)
-* Pairings run in integers: values are scaled to ``(p + q*sqrt 5)/d`` with
-  a common ``d``, the table rows are stored pre-multiplied by class sizes,
-  and each pairing is an integer dot product divided once, by ``120*d``.
+* Pairings run in integers.  Each value is stored as the ints of
+  ``(p + q*sqrt 5)/d`` (see :mod:`icosym.scalar`); a class function is
+  brought to the least common ``d`` of its values, the table rows are stored
+  pre-multiplied by class sizes, and each pairing is an integer dot product
+  divided once, by ``120*d``.
 * Symmetric powers of a degree-2 character follow the trace recursion
   ``s[n](c) = s[1](c) s[n-1](c) - det(c) s[n-2](c)`` with the determinant
   character recovered from the squaring class map,
@@ -28,7 +30,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -84,11 +85,8 @@ def _integral(values: Iterable[Qsqrt5]) -> tuple[list[tuple[int, int]], int]:
     """Write *values* as ``(p + q*sqrt 5)/d``: integer pairs ``(p, q)`` over
     their least common denominator ``d``."""
     values = list(values)
-    d = lcm(*(x.denominator for v in values for x in (v.a, v.b)))
-    return [
-        (v.a.numerator * (d // v.a.denominator), v.b.numerator * (d // v.b.denominator))
-        for v in values
-    ], d
+    d = lcm(*(v.d for v in values))
+    return [(v.p * (d // v.d), v.q * (d // v.d)) for v in values], d
 
 
 def _dot(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> tuple[int, int]:
@@ -100,11 +98,7 @@ def _dot(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> tuple[int, int
     return a, b
 
 
-def _scalar(a: int, b: int, den: int) -> Qsqrt5:
-    return Qsqrt5(Fraction(a, den), Fraction(b, den))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassFunction:
     """A class function on SL2(F5), nine exact values in column order."""
 
@@ -199,7 +193,7 @@ class CharacterTable:
         xs, df = _integral(f.values)
         ys, dg = _integral(g.values)
         weighted = [(size * r, size * s) for size, (r, s) in zip(self.sizes, ys)]
-        return _scalar(*_dot(xs, weighted), self.group.order * df * dg)
+        return Qsqrt5.from_ints(*_dot(xs, weighted), self.group.order * df * dg)
 
     def decompose(self, f: ClassFunction) -> dict[str, int]:
         """Multiplicities of *f* in the irreducible basis.
@@ -217,7 +211,7 @@ class CharacterTable:
             m, rest = divmod(a, den)
             if b or rest or m < 0:
                 raise NotACharacterError(
-                    {name: _scalar(a, b, den) for name, (a, b) in pairings.items()}
+                    {n: Qsqrt5.from_ints(a, b, den) for n, (a, b) in pairings.items()}
                 )
             if m:
                 mults[name] = m

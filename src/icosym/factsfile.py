@@ -70,6 +70,16 @@ def _str_field(entry: dict, key: str, where: str) -> str:
     return value
 
 
+def _entries(doc: dict, section: str):
+    """``(where, entry)`` for each entry of a list section of *doc*."""
+    entries = doc.get(section, [])
+    _require(isinstance(entries, list), section, "must be a list")
+    for i, entry in enumerate(entries):
+        where = f"{section}[{i}]"
+        _require(isinstance(entry, dict), where, "must be an object")
+        yield where, entry
+
+
 # one character-word factor: a generator name with an optional exponent
 _FACTOR = re.compile(r"^([A-Za-z_][A-Za-z0-9_'()@]*)(?:\^(-?\d+))?$")
 _SYM = re.compile(r"^sym\^(\d+)\(([A-Za-z_][A-Za-z0-9_'()@]*)\)$")
@@ -164,12 +174,11 @@ def load_facts(doc: dict) -> FactLedger:
 
     ledger = FactLedger()
 
-    for i, entry in enumerate(doc.get("characters", [])):
-        where = f"characters[{i}]"
+    for where, entry in _entries(doc, "characters"):
         name = _str_field(entry, "name", where)
         order = entry.get("order")
         _require(
-            order is None or (isinstance(order, int) and order >= 1),
+            order is None or (type(order) is int and order >= 1),
             where,
             "order must be a positive integer",
         )
@@ -177,13 +186,13 @@ def load_facts(doc: dict) -> FactLedger:
         properties = entry.get("properties", [])
         if isinstance(properties, str):
             properties = [properties]
+        _require(isinstance(properties, list), where, "properties must be a list")
         for prop in properties:
             _require(prop in _KINDS, where, f"unknown property {prop!r}")
             kind = prop
         ledger.declare_character(name, order=order, kind=kind)
 
-    for i, entry in enumerate(doc.get("bases", [])):
-        where = f"bases[{i}]"
+    for where, entry in _entries(doc, "bases"):
         name = _str_field(entry, "name", where)
         typ = _str_field(entry, "type", where)
         tags = {
@@ -200,18 +209,23 @@ def load_facts(doc: dict) -> FactLedger:
             )
             if key in entry
         }
+        for key, value in tags.items():
+            # the ledger checks galois_row against the table rows itself
+            _require(
+                key == "galois_row" or isinstance(value, str),
+                where,
+                f"{key!r} must be a string",
+            )
         ledger.declare_base(name, typ, **tags)
 
-    for i, entry in enumerate(doc.get("base_changes", [])):
-        where = f"base_changes[{i}]"
+    for where, entry in _entries(doc, "base_changes"):
         of = _lookup_base(_str_field(entry, "of", where), ledger, where)
         extension = _str_field(entry, "extension", where)
         name = _str_field(entry, "name", where)
         typ = _str_field(entry, "type", where)
         ledger.declare_base_change(of, extension, name, typ)
 
-    for i, entry in enumerate(doc.get("facts", [])):
-        where = f"facts[{i}]"
+    for where, entry in _entries(doc, "facts"):
         lhs = parse_symbol(_str_field(entry, "lhs", where), ledger, where)
         rhs = parse_symbol(_str_field(entry, "rhs", where), ledger, where)
         relation = _str_field(entry, "relation", where)
@@ -228,8 +242,7 @@ def load_facts(doc: dict) -> FactLedger:
         ("cuspidal", ledger.declare_cuspidal),
         ("automorphic", ledger.declare_automorphic),
     ):
-        for i, entry in enumerate(doc.get(section, [])):
-            where = f"{section}[{i}]"
+        for where, entry in _entries(doc, section):
             symbol = parse_symbol(_str_field(entry, "symbol", where), ledger, where)
             _require(
                 symbol.core is not None and symbol.twist.is_empty(),
@@ -240,15 +253,13 @@ def load_facts(doc: dict) -> FactLedger:
             _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
             declare(symbol.core, truth)
 
-    for i, entry in enumerate(doc.get("self_dual", [])):
-        where = f"self_dual[{i}]"
+    for where, entry in _entries(doc, "self_dual"):
         symbol = _str_field(entry, "symbol", where)
         truth = entry.get("truth")
         _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
         ledger.declare_self_dual(symbol, truth)
 
-    for i, entry in enumerate(doc.get("word_kinds", [])):
-        where = f"word_kinds[{i}]"
+    for where, entry in _entries(doc, "word_kinds"):
         word = parse_word(_str_field(entry, "word", where), ledger, where)
         kind = _str_field(entry, "kind", where)
         _require(kind in _KINDS, where, f"kind must be one of {_KINDS}")
@@ -256,8 +267,9 @@ def load_facts(doc: dict) -> FactLedger:
 
     siegel = doc.get("siegel", {})
     _require(isinstance(siegel, dict), "siegel", "must be an object")
-    for key in siegel:
+    for key, value in siegel.items():
         _require(key in ("p", "chi"), "siegel", f"unknown key {key!r}")
+        _require(isinstance(value, str), "siegel", f"{key!r} must be a string")
     if "p" in siegel:
         _lookup_base(siegel["p"], ledger, "siegel")
 

@@ -21,6 +21,11 @@ from dataclasses import dataclass, field
 from .chartab import IRREP_NAMES, CharacterTable, ClassFunction, default_table
 
 
+#: deepest nesting of parentheses (bare, after ``sym^n`` or ``dual``) that
+#: parses; deeper input is a ParseError rather than a RecursionError
+MAX_DEPTH = 100
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, text: str, pos: int) -> None:
         line = text.count("\n", 0, pos) + 1
@@ -74,6 +79,18 @@ class Plus:
 Expr = Atom | Sym | Dual | Tensor | Plus
 
 
+def _chain(expr: Tensor | Plus) -> tuple[Expr, list[Expr]]:
+    """A left-nested run of one operator, ``((a op b) op c) ...``, as its
+    first operand and the rest in order.  Long sums and products nest this
+    way, so they are walked in a loop rather than by recursion."""
+    kind = type(expr)
+    rest = []
+    while type(expr) is kind:
+        rest.append(expr.right)
+        expr = expr.left
+    return expr, rest[::-1]
+
+
 def render(expr: Expr) -> str:
     """Canonical text for an AST; reparsing yields an identical tree."""
     if isinstance(expr, Atom):
@@ -83,19 +100,18 @@ def render(expr: Expr) -> str:
     if isinstance(expr, Dual):
         return f"dual({render(expr.arg)})"
     if isinstance(expr, Tensor):
-        left = render(expr.left)
-        if isinstance(expr.left, Plus):
-            left = f"({left})"
-        right = render(expr.right)
-        if isinstance(expr.right, (Plus, Tensor)):
-            right = f"({right})"
-        return f"{left}*{right}"
+        first, rest = _chain(expr)
+        parts = [f"({render(first)})" if isinstance(first, Plus) else render(first)]
+        parts += [
+            f"({render(r)})" if isinstance(r, (Plus, Tensor)) else render(r)
+            for r in rest
+        ]
+        return "*".join(parts)
     if isinstance(expr, Plus):
-        left = render(expr.left)
-        right = render(expr.right)
-        if isinstance(expr.right, Plus):
-            right = f"({right})"
-        return f"{left} + {right}"
+        first, rest = _chain(expr)
+        parts = [render(first)]
+        parts += [f"({render(r)})" if isinstance(r, Plus) else render(r) for r in rest]
+        return " + ".join(parts)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -150,6 +166,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -165,6 +182,18 @@ class _Parser:
             got = repr(tok.text) if tok.kind != "end" else "end of input"
             raise ParseError(f"expected {what}, got {got}", self.text, tok.pos)
         return self.advance()
+
+    def nested(self, opener: _Token) -> Expr:
+        """The expression up to the ``)`` closing one opened at *opener*."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(
+                f"expression nested more than {MAX_DEPTH} deep", self.text, opener.pos
+            )
+        node = self.expr()
+        self.expect("rparen", "')'")
+        self.depth -= 1
+        return node
 
     def parse(self) -> Expr:
         expr = self.expr()
@@ -193,23 +222,17 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "lparen":
             self.advance()
-            node = self.expr()
-            self.expect("rparen", "')'")
-            return node
+            return self.nested(tok)
         if tok.kind == "ident" and tok.text == "sym":
             self.advance()
             self.expect("caret", "'^' after sym")
             power = self.expect("int", "an integer power")
             self.expect("lparen", "'(' after the power")
-            arg = self.expr()
-            self.expect("rparen", "')'")
-            return Sym(int(power.text), arg, pos=tok.pos)
+            return Sym(int(power.text), self.nested(tok), pos=tok.pos)
         if tok.kind == "ident" and tok.text == "dual":
             self.advance()
             self.expect("lparen", "'(' after dual")
-            arg = self.expr()
-            self.expect("rparen", "')'")
-            return Dual(arg, pos=tok.pos)
+            return Dual(self.nested(tok), pos=tok.pos)
         if tok.kind == "ident":
             if tok.text not in IRREP_NAMES:
                 raise ParseError(
@@ -248,10 +271,13 @@ def evaluate(expr: Expr, tab: CharacterTable | None = None) -> ClassFunction:
         return tab.sym_power(inner, expr.n)
     if isinstance(expr, Dual):
         return tab.dual(evaluate(expr.arg, tab))
-    if isinstance(expr, Tensor):
-        return evaluate(expr.left, tab) * evaluate(expr.right, tab)
-    if isinstance(expr, Plus):
-        return evaluate(expr.left, tab) + evaluate(expr.right, tab)
+    if isinstance(expr, (Tensor, Plus)):
+        first, rest = _chain(expr)
+        out = evaluate(first, tab)
+        for r in rest:
+            value = evaluate(r, tab)
+            out = out * value if isinstance(expr, Tensor) else out + value
+        return out
     raise TypeError(f"not an expression node: {expr!r}")
 
 

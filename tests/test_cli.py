@@ -112,6 +112,13 @@ class TestDecompose:
         assert code == 2
         assert "dimension 6" in err
 
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        deep = "(" * 3000 + "U" + ")" * 3000
+        code, out, err = run(capsys, "decompose", "--rep", deep)
+        assert code == 2
+        assert out == ""
+        assert "column 101" in err and "Traceback" not in err
+
     def test_parse_error_reports_position(self, capsys):
         code, _, err = run(capsys, "decompose", "--rep", "U + Q")
         assert code == 2
@@ -203,6 +210,28 @@ class TestCuspidality:
         )
         assert code == 2
         assert "galois_row" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"bases": "pi"},
+            {"bases": [5]},
+            {"characters": {"name": "chi"}},
+            {"facts": [["Ad(pi)", "Ad(pi)"]]},
+            {"characters": [{"name": "chi", "order": True}]},
+        ],
+        ids=["bases-str", "bases-int", "characters-object", "fact-list", "bool-order"],
+    )
+    def test_malformed_facts_exit_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "cuspidality", "--facts", str(path), "--pi", "pi",
+            "--pi-prime", "pi",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_missing_facts_reported(self, capsys, tmp_path):
         path = tmp_path / "bare.json"

@@ -334,6 +334,53 @@ class TestOtherSections:
             load_facts({"lemmas": []})
 
 
+MALFORMED = [
+    ({"bases": "pi"}, "bases: must be a list"),
+    ({"bases": [5]}, r"bases\[0\]: must be an object"),
+    ({"characters": {"name": "chi"}}, "characters: must be a list"),
+    ({"facts": [["Ad(pi)", "Ad(pi)"]]}, r"facts\[0\]: must be an object"),
+    (
+        {
+            "bases": [{"name": "pi", "type": "abstract"}],
+            "cuspidal": [{"symbol": "pi"}, "pi"],
+        },
+        r"cuspidal\[1\]: must be an object",
+    ),
+    ({"word_kinds": None}, "word_kinds: must be a list"),
+    ({"siegel": ["pi"]}, "siegel: must be an object"),
+    ({"siegel": {"p": ["pi"]}}, "'p' must be a string"),
+    ({"siegel": {"chi": 5}}, "'chi' must be a string"),
+    ({"characters": [{"name": "chi", "order": True}]}, "positive integer"),
+    ({"characters": [{"name": "chi", "order": 2.0}]}, "positive integer"),
+    ({"characters": [{"name": "chi", "properties": 5}]}, "must be a list"),
+    (
+        {"bases": [{"name": "pi", "type": "icosahedral", "omega": ["w"]}]},
+        "'omega' must be a string",
+    ),
+    (
+        {
+            "bases": [
+                {
+                    "name": "pi",
+                    "type": "dihedral",
+                    "dihedral_field": "E",
+                    "dihedral_char": {"xi": 1},
+                }
+            ]
+        },
+        "'dihedral_char' must be a string",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,message", MALFORMED, ids=[str(i) for i in range(len(MALFORMED))]
+)
+def test_malformed_shape_is_a_facts_error(doc, message):
+    with pytest.raises(FactsError, match=message):
+        load_facts(doc)
+
+
 class TestSiegelInputs:
     def test_explicit_config(self):
         doc = {

@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icosym.chartab import IRREP_NAMES, default_table
 from icosym.repexpr import (
+    MAX_DEPTH,
     Atom,
     DimensionError,
     Dual,
@@ -99,6 +102,47 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse("")
+
+
+class TestNestingDepth:
+    def test_deepest_nesting_parses(self):
+        expr = parse("(" * MAX_DEPTH + "X'" + ")" * MAX_DEPTH)
+        assert expr == Atom("X'")
+
+    @pytest.mark.parametrize(
+        "opener", ["(", "sym^1(", "dual("], ids=["paren", "sym", "dual"]
+    )
+    def test_one_level_deeper_is_a_parse_error(self, opener):
+        text = opener * (MAX_DEPTH + 1) + "X'" + ")" * (MAX_DEPTH + 1)
+        with pytest.raises(ParseError, match="nested more than") as err:
+            parse(text)
+        assert err.value.pos == MAX_DEPTH * len(opener)
+
+    def test_very_deep_input_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse("(" * 3000 + "U" + ")" * 3000)
+
+    @pytest.mark.parametrize(
+        "text,dim",
+        [
+            (" + ".join(["X'*U"] * 3000), 2 * 3000),
+            ("*".join(["(X' + U)"] * 3000), 3**3000),
+        ],
+        ids=["sum", "product"],
+    )
+    def test_long_chains_evaluate_and_render(self, text, dim):
+        expr = parse(text)
+        assert render(expr) == text
+        assert evaluate(expr, TAB).dim() == dim
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="()()+*^UVWX12'symdual ", max_size=300))
+    def test_any_string_parses_or_is_a_parse_error(self, text):
+        try:
+            expr = parse(text)
+        except ParseError:
+            return
+        assert parse(render(expr)) == expr
 
 
 def random_expr(rng: random.Random, depth: int):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -129,3 +131,104 @@ def test_inverse_and_render_round_trip(x):
     if not x.is_zero():
         assert x * x.inv() == ONE
     assert parse(render(x)) == x
+
+
+# -- the integer representation against a Fraction-pair reference model -----
+
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c + 5 * b * d, a * d + b * c
+
+
+def ref_inv(x):
+    a, b = x
+    n = a * a - 5 * b * b
+    return a / n, -b / n
+
+
+def assert_matches(x: Qsqrt5, ref: tuple[Fraction, Fraction]) -> None:
+    """*x* is in lowest terms and equals the reference pair ``a + b√5``."""
+    assert all(type(v) is int for v in (x.p, x.q, x.d))
+    assert x.d > 0 and gcd(x.p, x.q, x.d) == 1
+    assert (x.a, x.b) == ref
+
+
+pairs = st.tuples(rationals, rationals)
+
+
+@settings(max_examples=200)
+@given(pairs, pairs, rationals, st.integers(-10**6, 10**6), st.integers(-4, 6))
+def test_arithmetic_matches_the_fraction_model(xr, yr, r, k, n):
+    x, y = Qsqrt5(*xr), Qsqrt5(*yr)
+    assert_matches(x, xr)
+    assert_matches(x + y, (xr[0] + yr[0], xr[1] + yr[1]))
+    assert_matches(x - y, (xr[0] - yr[0], xr[1] - yr[1]))
+    assert_matches(x * y, ref_mul(xr, yr))
+    assert_matches(-x, (-xr[0], -xr[1]))
+    assert_matches(x.conj(), (xr[0], -xr[1]))
+    assert x.norm() == xr[0] ** 2 - 5 * xr[1] ** 2
+    if yr != (0, 0):
+        assert_matches(y.inv(), ref_inv(yr))
+        assert_matches(x / y, ref_mul(xr, ref_inv(yr)))
+    for c in (r, k):
+        assert_matches(x + c, (xr[0] + c, xr[1]))
+        assert_matches(c - x, (c - xr[0], -xr[1]))
+        assert_matches(c * x, (c * xr[0], c * xr[1]))
+        if c != 0:
+            assert_matches(x / c, (xr[0] / c, xr[1] / c))
+    if n >= 0 or xr != (0, 0):
+        power = (Fraction(1), Fraction(0))
+        for _ in range(abs(n)):
+            power = ref_mul(power, xr)
+        assert_matches(x**n, ref_inv(power) if n < 0 else power)
+
+
+@settings(max_examples=200)
+@given(pairs, st.integers(min_value=1, max_value=50))
+def test_normal_form_repr_and_parse(xr, k):
+    x = Qsqrt5(*xr)
+    scaled = Qsqrt5.from_ints(-k * x.p, -k * x.q, -k * x.d)
+    assert (scaled.p, scaled.q, scaled.d) == (x.p, x.q, x.d)
+    assert scaled == x and hash(scaled) == hash(x)
+    assert repr(x) == f"Qsqrt5({xr[0]!r}, {xr[1]!r})"
+    assert eval(repr(x), {"Qsqrt5": Qsqrt5, "Fraction": Fraction}) == x
+    assert parse(render(x)) == x
+
+
+@settings(max_examples=200)
+@given(rationals)
+def test_rational_hash_and_equality_agree_with_fraction(r):
+    x = Qsqrt5(r)
+    assert x == r and r == x
+    assert hash(x) == hash(r)
+    if r.denominator == 1:
+        assert x == int(r) and hash(x) == hash(int(r))
+
+
+def test_hash_where_the_denominator_has_no_inverse_modulo_the_hash_prime():
+    modulus = sys.hash_info.modulus
+    for r in (Fraction(3, modulus), Fraction(-5, 2 * modulus)):
+        assert hash(Qsqrt5(r)) == hash(r)
+
+
+def test_from_ints_rejects_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        Qsqrt5.from_ints(1, 1, 0)
+
+
+def test_arithmetic_and_the_tower_build_no_fraction(monkeypatch):
+    from icosym.chartab import CharacterTable, default_table
+
+    group = default_table().group
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    x, y = GOLDEN + 3, SQRT5 - Qsqrt5.from_ints(1, 0, 3)
+    for value in (x + y, x - y, x * y, x / y, 2 / x, x ** 5, y ** -3, x.conj(),
+                  x.inv(), -y, 1 - x):
+        hash(value), value == y
+    tab = CharacterTable(group)
+    assert tab.decompose(tab.sym_power("X'", 60)).get("U") == 2
