@@ -21,12 +21,8 @@ from .icostruct import (
     scan_trivial,
     self_dual_two_dim_report,
 )
-from .isobaric import (
-    LedgerError,
-    decide_cuspidality,
-    decide_cuspidality_via_poles,
-)
-from .repexpr import DimensionError, ParseError, evaluate, parse, render
+from .isobaric import decide_cuspidality, decide_cuspidality_via_poles
+from .repexpr import MAX_POWER, evaluate, parse, render
 from .report import all_passed, format_report
 from .siegel import RULES, siegel_report, siegel_scan
 from .verify import VERIFY_SECTIONS, verify_all
@@ -97,15 +93,10 @@ def cmd_verify(args) -> int:
     if args.target == "all":
         sections = verify_all()
     else:
-        runner = dict(VERIFY_SECTIONS)[
-            {"table": "character table", "identities": "decomposition identities"}[
-                args.target
-            ]
+        name = {"table": "character table", "identities": "decomposition identities"}[
+            args.target
         ]
-        name = (
-            "character table" if args.target == "table" else "decomposition identities"
-        )
-        sections = {name: runner()}
+        sections = {name: dict(VERIFY_SECTIONS)[name]()}
     passed = all(all_passed(results) for results in sections.values())
     if args.json:
         _emit(
@@ -298,6 +289,8 @@ def _scan_range(text: str) -> tuple[int, int]:
 
 
 def cmd_siegel(args) -> int:
+    if args.m is not None and args.m > MAX_POWER:
+        raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
     p = chi = None
     ledger = None
     if args.facts:
@@ -438,9 +431,6 @@ def cmd_dispatch(argv) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (ParseError, DimensionError, FactsError, LedgerError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

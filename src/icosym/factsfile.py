@@ -28,12 +28,14 @@ A facts file is a single JSON object.  Every section is optional::
       "siegel": {"p": "pi", "chi": "chi"}
     }
 
-Symbols in ``lhs``/``rhs``/``symbol`` are ``*``-separated factors.  The
-first factor may be a declared base name, ``Ad(<base>)``, or
-``sym^<n>(<base>)``; every remaining factor is a character generator,
+Symbols in ``lhs``/``rhs``/``symbol`` are ``*``-separated factors.  One
+factor, in any position, may be a declared base name, ``Ad(<base>)``, or
+``sym^<n>(<base>)``; every other factor is a character generator,
 optionally with an integer exponent (``chi^-1``).  A symbol with no cusp
-form part is a plain character.  Character generators not declared in the
-``characters`` section are registered as free characters of unknown order.
+form part is a plain character.  Symbols are matched by structure, not by
+spelling: ``chi*sym^12(pi)`` and ``sym^12(pi) * chi`` are one symbol.
+Character generators not declared in the ``characters`` section are
+registered as free characters of unknown order.
 """
 
 from __future__ import annotations
@@ -125,28 +127,28 @@ def parse_word(text: str, ledger: FactLedger, where: str = "word") -> CharWord:
 
 
 def parse_symbol(text: str, ledger: FactLedger, where: str = "symbol") -> Constituent:
-    """Parse a constituent symbol: optional cusp-form head, then twists."""
-    factors = _split_factors(text.strip(), where)
-    head, rest = factors[0], factors[1:]
-    core = None
-    if (match := _AD.match(head)) is not None:
-        base = _lookup_base(match.group(1), ledger, where)
-        constituent = ad(base)
-        core = constituent.core
-        word = constituent.twist
-    elif (match := _SYM.match(head)) is not None:
+    """Parse a constituent symbol: at most one cusp-form factor, anywhere,
+    and character twists."""
+    factors = [
+        (f, _cusp_factor(f, ledger, where)) for f in _split_factors(text.strip(), where)
+    ]
+    heads = [c for _, c in factors if c is not None]
+    _require(len(heads) <= 1, where, f"more than one cusp-form factor in {text!r}")
+    symbol = heads[0] if heads else Constituent(None)
+    chars = "*".join(f for f, c in factors if c is None)
+    return symbol.twisted(parse_word(chars, ledger, where)) if chars else symbol
+
+
+def _cusp_factor(factor: str, ledger: FactLedger, where: str) -> Constituent | None:
+    """A base name, ``Ad(<base>)`` or ``sym^<n>(<base>)``; None otherwise."""
+    if (match := _AD.match(factor)) is not None:
+        return ad(_lookup_base(match.group(1), ledger, where))
+    if (match := _SYM.match(factor)) is not None:
         base = _lookup_base(match.group(2), ledger, where)
-        core = sym_cusp(base, int(match.group(1)))
-        word = CharWord.of({})
-    elif head in ledger.bases:
-        core = ledger.bases[head]
-        word = CharWord.of({})
-    else:
-        rest = factors
-        word = CharWord.of({})
-    if rest:
-        word = word * parse_word("*".join(rest), ledger, where)
-    return Constituent(core, word)
+        return Constituent(sym_cusp(base, int(match.group(1))))
+    if factor in ledger.bases:
+        return Constituent(ledger.bases[factor])
+    return None
 
 
 def _lookup_base(name: str, ledger: FactLedger, where: str) -> BaseCusp:
@@ -254,7 +256,7 @@ def load_facts(doc: dict) -> FactLedger:
             declare(symbol.core, truth)
 
     for where, entry in _entries(doc, "self_dual"):
-        symbol = _str_field(entry, "symbol", where)
+        symbol = parse_symbol(_str_field(entry, "symbol", where), ledger, where)
         truth = entry.get("truth")
         _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
         ledger.declare_self_dual(symbol, truth)

@@ -369,21 +369,26 @@ class FactLedger:
     A twist-equivalence "lhs = rhs (x) nu" is stored as the equivalence of
     ``lhs`` with ``rhs`` twisted by ``nu``.  Asserting both truth values for
     one fact raises :class:`LedgerError`.
+
+    Identity is structural: facts, cuspidality, automorphy and self-duality
+    are keyed by the frozen symbol dataclasses (constituents with twists
+    reduced modulo the known orders, or bare cores), never by their printed
+    text.  A name is either a base or a character, not both.
     """
 
-    def __init__(self, tab: CharacterTable | None = None) -> None:
-        self.tab = tab or default_table()
+    def __init__(self) -> None:
+        self.tab = default_table()
         self.characters: dict[str, CharInfo] = {}
         self.bases: dict[str, BaseCusp] = {}
         self.base_changes: dict[tuple[str, str], BaseCusp] = {}
-        self._facts: dict[frozenset, bool] = {}
-        self._cuspidal: dict[str, bool] = {}
-        self._automorphic: dict[str, bool] = {}
+        self._facts: dict[frozenset[Constituent], bool] = {}
+        self._cuspidal: dict[Core, bool] = {}
+        self._automorphic: dict[Core, bool] = {}
         self._word_kinds: dict[CharWord, str] = {}
-        self._self_dual: dict[str, bool] = {}
+        self._self_dual: dict[Constituent, bool] = {}
         self._orders: dict[str, int] = {}  # kept in step with declare_character
-        self._galois_cache: dict[str, ClassFunction | None] = {}
-        self._galois_mults: dict[str, dict[str, int] | None] = {}
+        self._galois_cache: dict[Core, ClassFunction | None] = {}
+        self._galois_mults: dict[Core, dict[str, int] | None] = {}
 
     # -- declarations ---------------------------------------------------
 
@@ -396,6 +401,8 @@ class FactLedger:
             raise LedgerError(f"character {name} redeclared as {info}, was {known}")
         if order is not None and order < 1:
             raise LedgerError(f"character {name} declared with order {order}")
+        if name in self.bases:
+            raise LedgerError(f"{name} is declared as a base, not a character")
         self.characters[name] = info
         order = order or _KIND_ORDERS.get(kind)
         if order:
@@ -429,6 +436,8 @@ class FactLedger:
         self.declare_character(base.omega)
         if name in self.bases and self.bases[name] != base:
             raise LedgerError(f"base {name} redeclared differently")
+        if name in self.characters:
+            raise LedgerError(f"{name} is declared as a character, not a base")
         self.bases[name] = base
         return base
 
@@ -447,17 +456,17 @@ class FactLedger:
         return self.base_changes.get((of.name, extension))
 
     def declare_cuspidal(self, core: Core, truth: bool = True) -> None:
-        self._cuspidal[str(core)] = truth
+        self._cuspidal[core] = truth
 
     def declare_automorphic(self, core: Core, truth: bool = True) -> None:
-        self._automorphic[str(core)] = truth
+        self._automorphic[core] = truth
 
     def cuspidal_declared(self, core: Core) -> bool | None:
-        return self._cuspidal.get(str(core))
+        return self._cuspidal.get(core)
 
     def automorphic_declared(self, core: Core) -> bool | None:
-        if self._automorphic.get(str(core)) is not None:
-            return self._automorphic[str(core)]
+        if self._automorphic.get(core) is not None:
+            return self._automorphic[core]
         declared = self.cuspidal_declared(core)  # cuspidal implies automorphic
         return True if declared else None
 
@@ -480,29 +489,25 @@ class FactLedger:
                 return info.kind
         return None
 
-    def declare_self_dual(self, key: str, truth: bool) -> None:
-        self._self_dual[key] = truth
+    def declare_self_dual(self, c: Constituent, truth: bool) -> None:
+        self._self_dual[self._canon(c)] = truth
 
-    def self_dual_declared(self, key: str) -> bool | None:
-        return self._self_dual.get(key)
+    def self_dual_declared(self, c: Constituent) -> bool | None:
+        return self._self_dual.get(self._canon(c))
 
     # -- facts ------------------------------------------------------------
 
-    def char_orders(self) -> dict[str, int]:
-        """Known orders: declared ones, else those a declared kind forces."""
-        return dict(self._orders)
+    def _canon(self, c: Constituent) -> Constituent:
+        return Constituent(c.core, c.twist.reduce(self._orders))
 
-    def _canon(self, c: Constituent) -> str:
-        return str(Constituent(c.core, c.twist.reduce(self._orders)))
-
-    def _key(self, c1: Constituent, c2: Constituent) -> frozenset:
+    def _key(self, c1: Constituent, c2: Constituent) -> frozenset[Constituent]:
         return frozenset((self._canon(c1), self._canon(c2)))
 
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
         key = self._key(c1, c2)
         if key in self._facts and self._facts[key] != truth:
             raise LedgerError(
-                f"contradictory assertions for {set(key)}: "
+                f"contradictory assertions for {set(map(str, key))}: "
                 f"{self._facts[key]} vs {truth}"
             )
         self._facts[key] = truth
@@ -519,10 +524,11 @@ class FactLedger:
 
     def equivalent(self, c1: Constituent, c2: Constituent) -> tuple[bool | None, str]:
         """Resolve equivalence; returns (verdict-or-None, reason/missing-fact)."""
-        fact = self.declared(c1, c2)
+        k1, k2 = self._canon(c1), self._canon(c2)
+        fact = self._facts.get(frozenset((k1, k2)))
         if fact is not None:
-            return fact, f"declared: {self._canon(c1)} ~ {self._canon(c2)} is {fact}"
-        if self._canon(c1) == self._canon(c2):
+            return fact, f"declared: {k1} ~ {k2} is {fact}"
+        if k1 == k2:
             return True, "structural equality"
         if c1.degree != c2.degree:
             return False, f"degrees differ ({c1.degree} vs {c2.degree})"
@@ -530,14 +536,14 @@ class FactLedger:
             return False, "distinct character words are generically distinct"
         if (c1.core is None) != (c2.core is None):
             return False, "a character is never a higher-degree cuspidal"
-        if str(c1.core) == str(c2.core):
-            return self._self_twist_query(c1, c2)
+        if c1.core == c2.core:
+            return self._self_twist_query(k1, k2)
         rows1, rows2 = self.galois_rows(c1.core), self.galois_rows(c2.core)
         if rows1 is not None and rows2 is not None and rows1 != rows2:
             return False, (
                 f"finite-image restrictions differ: {sorted(rows1)} vs {sorted(rows2)}"
             )
-        return None, f"equiv({self._canon(c1)}, {self._canon(c2)})"
+        return None, f"equiv({k1}, {k2})"
 
     def _self_twist_query(
         self, c1: Constituent, c2: Constituent
@@ -547,9 +553,7 @@ class FactLedger:
         possible = self._self_twist_possible(c1.core)
         if possible is False:
             return False, f"{c1.core} admits no self-twist for its declared type"
-        return None, (
-            f"equiv({self._canon(c1)}, {self._canon(c2)}) (potential self-twist)"
-        )
+        return None, f"equiv({c1}, {c2}) (potential self-twist)"
 
     def _self_twist_possible(self, core: Core) -> bool | None:
         sym = _as_sym(core)
@@ -574,17 +578,15 @@ class FactLedger:
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:
         """Multiplicities of the finite-image restriction; None if untagged."""
-        key = str(core)
-        if key not in self._galois_mults:
+        if core not in self._galois_mults:
             cf = self._galois_cf(core)
-            self._galois_mults[key] = None if cf is None else self.tab.decompose(cf)
-        return self._galois_mults[key]
+            self._galois_mults[core] = None if cf is None else self.tab.decompose(cf)
+        return self._galois_mults[core]
 
     def _galois_cf(self, core: Core) -> ClassFunction | None:
-        key = str(core)
-        if key not in self._galois_cache:
-            self._galois_cache[key] = self._galois_cf_uncached(core)
-        return self._galois_cache[key]
+        if core not in self._galois_cache:
+            self._galois_cache[core] = self._galois_cf_uncached(core)
+        return self._galois_cache[core]
 
     def _galois_cf_uncached(self, core: Core) -> ClassFunction | None:
         if isinstance(core, BaseCusp):

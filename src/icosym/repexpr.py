@@ -25,6 +25,10 @@ from .chartab import IRREP_NAMES, CharacterTable, ClassFunction, default_table
 #: parses; deeper input is a ParseError rather than a RecursionError
 MAX_DEPTH = 100
 
+#: largest n that parses in ``sym^n(...)``; the class function of sym^n is
+#: built in O(n) steps, so a larger power is a ParseError rather than a hang
+MAX_POWER = 10_000
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, text: str, pos: int) -> None:
@@ -227,8 +231,15 @@ class _Parser:
             self.advance()
             self.expect("caret", "'^' after sym")
             power = self.expect("int", "an integer power")
+            digits = power.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+                raise ParseError(
+                    f"power above the largest supported, {MAX_POWER}",
+                    self.text,
+                    power.pos,
+                )
             self.expect("lparen", "'(' after the power")
-            return Sym(int(power.text), self.nested(tok), pos=tok.pos)
+            return Sym(int(digits), self.nested(tok), pos=tok.pos)
         if tok.kind == "ident" and tok.text == "dual":
             self.advance()
             self.expect("lparen", "'(' after dual")

@@ -72,6 +72,10 @@ class Qsqrt5:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Qsqrt5 is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through from_ints, not the blocked setattr
+        return (Qsqrt5.from_ints, (self.p, self.q, self.d))
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -344,9 +348,9 @@ def _parse_normalized(normalized: str) -> Qsqrt5:
     raise ValueError(f"not a Q(sqrt 5) literal: {normalized!r}")
 
 
-ZERO = Qsqrt5(0)
-ONE = Qsqrt5(1)
-SQRT5 = Qsqrt5(0, 1)
+ZERO = Qsqrt5.from_ints(0, 0)
+ONE = Qsqrt5.from_ints(1, 0)
+SQRT5 = Qsqrt5.from_ints(0, 1)
 
 #: the golden ratio (1 + sqrt 5)/2, a primitive 10th-root trace
 GOLDEN = Qsqrt5.from_ints(1, 1, 2)

@@ -573,7 +573,7 @@ def siegel_report(
     chi = chi if chi is not None else CharWord.gen("chi")
     target = f"sym^{m}({p.name})*{chi}" if m >= 1 else str(chi)
 
-    if ledger.self_dual_declared(target) is False:
+    if ledger.self_dual_declared(Constituent(sym_cusp(p, m), chi)) is False:
         return SiegelReport(
             m,
             target,

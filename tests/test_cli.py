@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 import icosym.cli as cli
 from icosym.chartab import IRREP_NAMES
 from icosym.cli import cmd_dispatch
+from icosym.repexpr import MAX_POWER
 from icosym.report import CheckResult
 
 ENVELOPE_KEYS = {"command", "inputs", "results", "citations"}
@@ -118,6 +120,15 @@ class TestDecompose:
         assert code == 2
         assert out == ""
         assert "column 101" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("power", [MAX_POWER + 1, 10_000_000])
+    def test_power_above_the_bound_is_a_parse_error(self, capsys, power):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "decompose", "--rep", f"sym^{power}(X')")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "column 5" in err and f"largest supported, {MAX_POWER}" in err
 
     def test_parse_error_reports_position(self, capsys):
         code, _, err = run(capsys, "decompose", "--rep", "U + Q")
@@ -233,6 +244,27 @@ class TestCuspidality:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_name_both_base_and_character_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "collision.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "characters": [{"name": "chi", "order": 2}],
+                    "bases": [
+                        {"name": "chi", "type": "icosahedral"},
+                        {"name": "pi", "type": "icosahedral"},
+                    ],
+                }
+            )
+        )
+        code, out, err = run(
+            capsys, "cuspidality", "--facts", str(path), "--pi", "pi",
+            "--pi-prime", "chi",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: chi is declared as a character, not a base\n"
+
     def test_missing_facts_reported(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(
@@ -296,6 +328,53 @@ class TestSiegel:
         # which rules the exceptional case out
         assert document["results"]["verdict"] == "no-siegel-zero"
         assert document["results"]["target"] == "sym^12(f)*nu"
+
+    @pytest.mark.parametrize(
+        "symbol,verdict",
+        [
+            (None, "exceptional-case"),
+            ("sym^12(pi)*chi", "no-siegel-zero"),
+            ("chi * sym^12(pi)", "no-siegel-zero"),
+            ("sym^12(pi) * chi", "no-siegel-zero"),
+            ("sym^11(pi)*chi", "exceptional-case"),
+            ("sym^12(pi)", "exceptional-case"),
+        ],
+    )
+    def test_self_dual_matched_by_symbol(self, capsys, tmp_path, symbol, verdict):
+        doc = {"bases": [{"name": "pi", "type": "icosahedral", "galois_row": "X'"}]}
+        if symbol is not None:
+            doc["self_dual"] = [{"symbol": symbol, "truth": False}]
+        path = tmp_path / "self_dual.json"
+        path.write_text(json.dumps(doc))
+        code, document, _ = run_json(
+            capsys, "siegel", "--m", "12", "--facts", str(path)
+        )
+        assert code == 0
+        assert document["results"]["verdict"] == verdict
+
+    def test_self_dual_of_an_undeclared_base_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "nobody.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "bases": [{"name": "pi", "type": "icosahedral", "galois_row": "X'"}],
+                    "self_dual": [{"symbol": "sym^12(nobody)*chi", "truth": False}],
+                }
+            )
+        )
+        code, out, err = run(capsys, "siegel", "--m", "12", "--facts", str(path))
+        assert code == 2
+        assert out == ""
+        assert "undeclared base 'nobody'" in err
+
+    @pytest.mark.parametrize("m", [MAX_POWER + 1, 10_000_000])
+    def test_m_above_the_bound(self, capsys, m):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "siegel", "--m", str(m))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --m must be at most {MAX_POWER}, got {m}\n"
 
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "siegel", "--scan", "12")

@@ -16,7 +16,9 @@ from icosym.factsfile import (
 )
 from icosym.isobaric import (
     CharWord,
+    Constituent,
     LedgerError,
+    SymCusp,
     ad,
     decide_cuspidality,
     decide_cuspidality_via_poles,
@@ -149,6 +151,33 @@ class TestWordsAndSymbols:
         assert parse_symbol("pi", ledger).core is ledger.bases["pi"]
         pure = parse_symbol("chi*omega(pi)", ledger)
         assert pure.core is None and pure.degree == 1
+
+    @pytest.mark.parametrize(
+        "text", ["sym^12(pi)*chi", "chi*sym^12(pi)", " sym^12(pi) * chi ", "chi * sym^12(pi)"]
+    )
+    def test_cusp_form_factor_in_any_position(self, text):
+        ledger = load_facts({"bases": [{"name": "pi", "type": "icosahedral"}]})
+        want = Constituent(SymCusp(ledger.bases["pi"], 12), CharWord.gen("chi"))
+        assert parse_symbol(text, ledger) == want
+
+    def test_adjoint_after_a_character(self):
+        ledger = load_facts({"bases": [{"name": "pi", "type": "icosahedral"}]})
+        pi_ad = ad(ledger.bases["pi"])
+        assert parse_symbol("chi*Ad(pi)", ledger) == pi_ad.twisted(CharWord.gen("chi"))
+        assert "Ad(pi)" not in ledger.characters
+
+    @pytest.mark.parametrize("text", ["pi*rho", "Ad(pi)*chi*sym^3(rho)", "sym^0(pi)*pi"])
+    def test_two_cusp_form_factors_rejected(self, text):
+        ledger = load_facts(
+            {
+                "bases": [
+                    {"name": "pi", "type": "icosahedral"},
+                    {"name": "rho", "type": "general"},
+                ]
+            }
+        )
+        with pytest.raises(FactsError, match="more than one cusp-form factor"):
+            parse_symbol(text, ledger)
 
     def test_sym_of_undeclared_base(self):
         with pytest.raises(FactsError, match="undeclared base"):
@@ -322,12 +351,44 @@ class TestOtherSections:
     def test_self_dual_and_word_kinds(self):
         ledger = load_facts(
             {
+                "bases": [{"name": "pi", "type": "icosahedral"}],
                 "self_dual": [{"symbol": "sym^12(pi)*chi", "truth": False}],
                 "word_kinds": [{"word": "chi^3", "kind": "non-real"}],
             }
         )
-        assert ledger.self_dual_declared("sym^12(pi)*chi") is False
+        symbol = Constituent(SymCusp(ledger.bases["pi"], 12), CharWord.gen("chi"))
+        assert ledger.self_dual_declared(symbol) is False
         assert ledger.word_kind(CharWord.of({"chi": 3})) == "non-real"
+
+    def test_self_dual_of_an_undeclared_base_rejected(self):
+        with pytest.raises(FactsError, match="undeclared base 'nobody'"):
+            load_facts({"self_dual": [{"symbol": "sym^12(nobody)*chi", "truth": False}]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {
+                "characters": [{"name": "chi"}],
+                "bases": [{"name": "chi", "type": "general"}],
+            },
+            {
+                "bases": [
+                    {"name": "pi", "type": "general"},
+                    {"name": "omega(pi)", "type": "general"},
+                ]
+            },
+            {
+                "bases": [
+                    {"name": "pi", "type": "general", "omega": "rho"},
+                    {"name": "rho", "type": "general"},
+                ]
+            },
+        ],
+        ids=["character-then-base", "generated-omega", "declared-omega"],
+    )
+    def test_a_name_shared_by_a_base_and_a_character_rejected(self, doc):
+        with pytest.raises(LedgerError, match="declared as a"):
+            load_facts(doc)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(FactsError, match="unknown section"):

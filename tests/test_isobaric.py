@@ -81,9 +81,7 @@ def test_character_declared_after_queries_is_seen():
     twisted = ad(p).twisted(nu2)
     assert ledger.word_kind(nu2) is None
     assert ledger.equivalent(ad(p), twisted)[0] is False
-    assert "nu" not in ledger.char_orders()
     ledger.declare_character("nu", order=2)
-    assert ledger.char_orders()["nu"] == 2
     assert ledger.word_kind(nu2) == "trivial"
     assert ledger.char_is_trivial(nu2)
     assert ledger.equivalent(ad(p), twisted) == (True, "structural equality")
@@ -303,8 +301,73 @@ def test_pole_order_pair_counts_multiplicity():
 def test_contradictory_facts_rejected():
     ledger, p, q = fresh()
     ledger.assert_equiv(ad(p), ad(q), True)
-    with pytest.raises(LedgerError):
+    with pytest.raises(LedgerError) as err:
         ledger.assert_equiv(ad(p), ad(q), False)
+    # the message names the symbols as they print, not as dataclass reprs
+    assert "sym^2(p)*omega(p)^-1" in str(err.value)
+    assert "SymCusp" not in str(err.value)
+
+
+def test_a_base_and_a_character_with_one_name_are_distinct():
+    ledger = FactLedger()
+    base = Constituent(ledger.declare_base("chi", "icosahedral"))
+    word = character(CharWord.gen("chi"))
+    assert str(base) == str(word)
+    assert ledger.equivalent(base, word) == (False, "degrees differ (2 vs 1)")
+    po = pole_order(IsobaricExpr.of([(base, 1), (word, 1)]), ledger)
+    assert po.exact and po.value() == 2
+
+
+def test_facts_are_keyed_by_symbol_not_by_text():
+    ledger, p, q = fresh()
+    stranger = BaseCusp("p", "general")  # prints as p, but is another base
+    ledger.assert_equiv(ad(p), ad(q), True)
+    assert ledger.declared(ad(q), ad(p)) is True
+    assert ledger.declared(ad(stranger), ad(q)) is None
+    ledger.declare_cuspidal(SymCusp(p, 5), False)
+    assert ledger.cuspidal_declared(SymCusp(p, 5)) is False
+    assert ledger.cuspidal_declared(SymCusp(stranger, 5)) is None
+
+
+def test_self_dual_is_matched_modulo_declared_orders():
+    ledger, p, _ = fresh()
+    ledger.declare_character("chi", order=2)
+    chi = CharWord.gen("chi")
+    ledger.declare_self_dual(Constituent(SymCusp(p, 3), chi**3), False)
+    assert ledger.self_dual_declared(Constituent(SymCusp(p, 3), chi)) is False
+    assert ledger.self_dual_declared(Constituent(SymCusp(p, 3))) is None
+    assert ledger.self_dual_declared(Constituent(SymCusp(p, 4), chi)) is None
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        (("character", "chi"), ("base", "chi")),
+        (("base", "chi"), ("character", "chi")),
+        (("base", "pi"), ("base", "omega(pi)")),
+        (("base", "omega(pi)"), ("base", "pi")),
+        (("base", "eta(t)"), ("tetrahedral", "t")),
+        (("base", "mu(o)"), ("octahedral", "o")),
+        (("character", "mu(o)"), ("base", "mu(o)")),
+    ],
+)
+def test_a_name_is_a_base_or_a_character_not_both(first, second):
+    ledger = FactLedger()
+
+    def declare(kind, name):
+        if kind == "character":
+            ledger.declare_character(name)
+        else:
+            ledger.declare_base(name, "icosahedral" if kind == "base" else kind)
+
+    declare(*first)
+    with pytest.raises(LedgerError, match="declared as a"):
+        declare(*second)
+
+
+def test_a_base_whose_central_character_is_its_own_name_is_refused():
+    with pytest.raises(LedgerError, match="declared as a character"):
+        FactLedger().declare_base("pi", "general", omega="pi")
 
 
 # -- the finite-model pole check ---------------------------------------------

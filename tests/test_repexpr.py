@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from icosym.chartab import IRREP_NAMES, default_table
 from icosym.repexpr import (
     MAX_DEPTH,
+    MAX_POWER,
     Atom,
     DimensionError,
     Dual,
@@ -143,6 +144,23 @@ class TestNestingDepth:
         except ParseError:
             return
         assert parse(render(expr)) == expr
+
+
+class TestPowerBound:
+    def test_largest_power_parses(self):
+        assert parse(f"sym^{MAX_POWER}(X')") == Sym(MAX_POWER, Atom("X'"))
+        assert parse("sym^0005(X')") == Sym(5, Atom("X'"))
+
+    @pytest.mark.parametrize(
+        "power",
+        [str(MAX_POWER + 1), "10000000", "9" * 5000, "0" * 5000 + str(MAX_POWER + 1)],
+        ids=["one-over", "ten-million", "5000-digits", "leading-zeros"],
+    )
+    def test_larger_power_is_a_parse_error_at_the_power(self, power):
+        text = f"U + sym^{power}(X')"
+        with pytest.raises(ParseError, match=f"largest supported, {MAX_POWER}") as err:
+            parse(text)
+        assert err.value.pos == text.index(power)
 
 
 def random_expr(rng: random.Random, depth: int):

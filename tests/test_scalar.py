@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 from math import gcd
@@ -71,6 +73,26 @@ def test_equality_and_hash_against_rationals():
 def test_immutability():
     with pytest.raises(AttributeError):
         GOLDEN.a = Fraction(0)  # type: ignore[misc]
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [
+        copy.copy,
+        copy.deepcopy,
+        lambda x: pickle.loads(pickle.dumps(x)),
+        lambda x: pickle.loads(pickle.dumps(x, protocol=0)),
+    ],
+    ids=["copy", "deepcopy", "pickle", "pickle-protocol-0"],
+)
+def test_copy_and_pickle_round_trip(round_trip):
+    for x in (GOLDEN, SQRT5, ZERO, Qsqrt5(Fraction(7, 11), -3), Qsqrt5(10**30, 1)):
+        y = round_trip(x)
+        assert y == x and hash(y) == hash(x)
+        assert (y.p, y.q, y.d) == (x.p, x.q, x.d)
+    # small values come back as the shared instances
+    assert round_trip(GOLDEN) is GOLDEN
+    assert round_trip(ZERO) is ZERO
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from icosym.chartab import CharacterTable
 from icosym.icostruct import scan_trivial
 from icosym.isobaric import (
     CharWord,
+    Constituent,
     FactLedger,
     IsobaricExpr,
     SymCusp,
@@ -246,7 +247,7 @@ def test_declared_non_real_character_unflags():
 
 def test_declared_non_self_dual_short_circuits():
     ledger, p, _ = standard_context()
-    ledger.declare_self_dual("sym^5(pi)*chi", False)
+    ledger.declare_self_dual(Constituent(SymCusp(p, 5), CHI), False)
     rep = siegel_report(5, p, CHI, ledger)
     assert rep.verdict == "no-siegel-zero"
     assert rep.citations == ("non-self-dual",)
