@@ -154,6 +154,8 @@ def cmd_decompose(args) -> int:
 def cmd_irreps(args) -> int:
     if args.m < 1:
         raise ValueError(f"--m must be at least 1, got {args.m}")
+    if args.m > MAX_POWER:
+        raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
     tab = default_table()
     irreps = classify_irreps(args.m, tab)
     report = self_dual_two_dim_report(args.m, tab)
@@ -384,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="classify the irreducibles at level m",
     )
-    irreps.add_argument("--m", type=int, required=True, help="level (at least 1)")
+    irreps.add_argument(
+        "--m", type=int, required=True, help=f"level, 1 to {MAX_POWER}"
+    )
     irreps.set_defaults(func=cmd_irreps)
 
     scan = sub.add_parser(

@@ -110,7 +110,11 @@ def _split_factors(text: str, where: str) -> list[str]:
 
 
 def parse_word(text: str, ledger: FactLedger, where: str = "word") -> CharWord:
-    """Parse a character word like ``chi^-1*xi@theta`` against a ledger."""
+    """Parse a character word like ``chi^-1*xi@theta`` against a ledger.
+
+    A cusp-form factor (a base, ``Ad(<base>)``, ``sym^<n>(<base>)``) is
+    refused; new generators are declared only once the whole word parses.
+    """
     text = text.strip()
     if text in ("", "1"):
         return CharWord.of({})
@@ -120,9 +124,15 @@ def parse_word(text: str, ledger: FactLedger, where: str = "word") -> CharWord:
         _require(match is not None, where, f"bad character factor {factor!r}")
         name, exp = match.group(1), int(match.group(2) or 1)
         _require(name not in ledger.bases, where, f"{name!r} is a base, not a character")
+        _require(
+            _cusp_factor(name, ledger, where) is None,
+            where,
+            f"{name!r} is a cusp form, not a character",
+        )
+        exponents[name] = exponents.get(name, 0) + exp
+    for name in exponents:
         if name not in ledger.characters:
             ledger.declare_character(name)
-        exponents[name] = exponents.get(name, 0) + exp
     return CharWord.of(exponents)
 
 

@@ -395,18 +395,26 @@ class FactLedger:
     def declare_character(
         self, name: str, order: int | None = None, kind: str | None = None
     ) -> None:
-        known = self.characters.get(name)
-        info = CharInfo(order, kind)
-        if known is not None and known != info:
-            raise LedgerError(f"character {name} redeclared as {info}, was {known}")
-        if order is not None and order < 1:
-            raise LedgerError(f"character {name} declared with order {order}")
-        if name in self.bases:
-            raise LedgerError(f"{name} is declared as a base, not a character")
-        self.characters[name] = info
-        order = order or _KIND_ORDERS.get(kind)
-        if order:
-            self._orders[name] = order
+        self._declare_characters([(name, CharInfo(order, kind))])
+
+    def _declare_characters(self, items: list[tuple[str, CharInfo]]) -> None:
+        """Check every declaration first, then make them all: a refused one
+        leaves the ledger unchanged."""
+        pending: dict[str, CharInfo] = {}
+        for name, info in items:
+            known = pending.get(name, self.characters.get(name))
+            if known is not None and known != info:
+                raise LedgerError(f"character {name} redeclared as {info}, was {known}")
+            if info.order is not None and info.order < 1:
+                raise LedgerError(f"character {name} declared with order {info.order}")
+            if name in self.bases:
+                raise LedgerError(f"{name} is declared as a base, not a character")
+            pending[name] = info
+        for name, info in pending.items():
+            self.characters[name] = info
+            order = info.order or _KIND_ORDERS.get(info.kind)
+            if order:
+                self._orders[name] = order
 
     def declare_base(self, name: str, typ: str, **tags) -> BaseCusp:
         if typ not in BASE_TYPES:
@@ -416,15 +424,16 @@ class FactLedger:
             raise LedgerError(f"base {name}: galois_row must be X' or X'', got {row!r}")
         tags.setdefault("omega", f"omega({name})")
         base = BaseCusp(name=name, typ=typ, **tags)
+        companions: list[tuple[str, CharInfo]] = []
         if typ == "dihedral":
             if not (base.dihedral_field and base.dihedral_char):
                 raise LedgerError(
                     f"dihedral base {name} needs dihedral_field and dihedral_char"
                 )
-            self.declare_character(base.dihedral_char)
+            companions.append((base.dihedral_char, CharInfo()))
         if typ == "tetrahedral":
             base = replace(base, cubic_char=base.cubic_char or f"eta({name})")
-            self.declare_character(base.cubic_char, order=3, kind="cubic")
+            companions.append((base.cubic_char, CharInfo(3, "cubic")))
         if typ == "octahedral":
             base = replace(
                 base,
@@ -432,12 +441,13 @@ class FactLedger:
                 induced_field=base.induced_field or f"K({name})",
                 induced_char=base.induced_char or f"chi0({name})",
             )
-            self.declare_character(base.quadratic_char, order=2, kind="quadratic")
-        self.declare_character(base.omega)
+            companions.append((base.quadratic_char, CharInfo(2, "quadratic")))
+        companions.append((base.omega, CharInfo()))
         if name in self.bases and self.bases[name] != base:
             raise LedgerError(f"base {name} redeclared differently")
-        if name in self.characters:
+        if name in self.characters or any(char == name for char, _ in companions):
             raise LedgerError(f"{name} is declared as a character, not a base")
+        self._declare_characters(companions)
         self.bases[name] = base
         return base
 
@@ -524,21 +534,24 @@ class FactLedger:
 
     def equivalent(self, c1: Constituent, c2: Constituent) -> tuple[bool | None, str]:
         """Resolve equivalence; returns (verdict-or-None, reason/missing-fact)."""
-        k1, k2 = self._canon(c1), self._canon(c2)
+        return self._resolve(self._canon(c1), self._canon(c2))
+
+    def _resolve(self, k1: Constituent, k2: Constituent) -> tuple[bool | None, str]:
+        """:meth:`equivalent` on constituents already reduced by :meth:`_canon`."""
         fact = self._facts.get(frozenset((k1, k2)))
         if fact is not None:
             return fact, f"declared: {k1} ~ {k2} is {fact}"
         if k1 == k2:
             return True, "structural equality"
-        if c1.degree != c2.degree:
-            return False, f"degrees differ ({c1.degree} vs {c2.degree})"
-        if c1.core is None and c2.core is None:
+        if k1.degree != k2.degree:
+            return False, f"degrees differ ({k1.degree} vs {k2.degree})"
+        if k1.core is None and k2.core is None:
             return False, "distinct character words are generically distinct"
-        if (c1.core is None) != (c2.core is None):
+        if (k1.core is None) != (k2.core is None):
             return False, "a character is never a higher-degree cuspidal"
-        if c1.core == c2.core:
+        if k1.core == k2.core:
             return self._self_twist_query(k1, k2)
-        rows1, rows2 = self.galois_rows(c1.core), self.galois_rows(c2.core)
+        rows1, rows2 = self.galois_rows(k1.core), self.galois_rows(k2.core)
         if rows1 is not None and rows2 is not None and rows1 != rows2:
             return False, (
                 f"finite-image restrictions differ: {sorted(rows1)} vs {sorted(rows2)}"
@@ -655,19 +668,22 @@ def pole_order(e: IsobaricExpr, ledger: FactLedger) -> PoleOrder:
     """Order of the edge pole of L(s, e x dual(e)): sum of squared
     multiplicities after merging equivalent constituents.
 
-    Pairs the ledger cannot settle widen the result to an interval: the
-    lower end keeps them distinct, the upper end merges every class
-    connected by an undetermined comparison.
+    Each term is reduced modulo the ledger's character orders once; the
+    comparisons on those keys give the verdicts and reasons of
+    :meth:`FactLedger.equivalent`.  Pairs the ledger cannot settle widen the
+    result to an interval: the lower end keeps them distinct, the upper end
+    merges every class connected by an undetermined comparison.
     """
     classes: list[tuple[Constituent, int]] = []
     for c, m in e.terms:
+        key = ledger._canon(c)
         for i, (rep, total) in enumerate(classes):
-            verdict, _ = ledger.equivalent(c, rep)
+            verdict, _ = ledger._resolve(key, rep)
             if verdict is True:
                 classes[i] = (rep, total + m)
                 break
         else:
-            classes.append((c, m))
+            classes.append((key, m))
     lo = sum(total * total for _, total in classes)
 
     missing: list[str] = []
@@ -681,7 +697,7 @@ def pole_order(e: IsobaricExpr, ledger: FactLedger) -> PoleOrder:
 
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            verdict, reason = ledger.equivalent(classes[i][0], classes[j][0])
+            verdict, reason = ledger._resolve(classes[i][0], classes[j][0])
             if verdict is None:
                 missing.append(reason)
                 parent[find(i)] = find(j)
@@ -699,8 +715,9 @@ def pole_order_pair(
     """Order of the edge pole of L(s, e x dual(tau)): multiplicity of tau."""
     lo = hi = 0
     missing = []
+    target = ledger._canon(tau)
     for c, m in e.terms:
-        verdict, reason = ledger.equivalent(c, tau)
+        verdict, reason = ledger._resolve(ledger._canon(c), target)
         if verdict is True:
             lo += m
             hi += m

@@ -155,6 +155,15 @@ class TestIrreps:
         assert code == 2
         assert "at least 1" in err
 
+    @pytest.mark.parametrize("m", [MAX_POWER + 1, 200_000])
+    def test_m_above_the_bound(self, capsys, m):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "irreps", "--m", str(m))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --m must be at most {MAX_POWER}, got {m}\n"
+
 
 class TestScanTrivial:
     def test_spec_example(self, capsys):
@@ -264,6 +273,29 @@ class TestCuspidality:
         assert code == 2
         assert out == ""
         assert err == "error: chi is declared as a character, not a base\n"
+
+    def test_cusp_form_as_twist_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "twist.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "bases": [
+                        {"name": "pi", "type": "icosahedral"},
+                        {"name": "rho", "type": "icosahedral"},
+                    ],
+                    "word_kinds": [{"word": "Ad(pi)", "kind": "quadratic"}],
+                }
+            )
+        )
+        code, out, err = run(
+            capsys, "cuspidality", "--facts", str(path), "--pi", "pi",
+            "--pi-prime", "rho",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: word_kinds[0]: 'Ad(pi)' is a cusp form, not a character\n"
+        )
 
     def test_missing_facts_reported(self, capsys, tmp_path):
         path = tmp_path / "bare.json"

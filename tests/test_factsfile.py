@@ -188,6 +188,44 @@ class TestWordsAndSymbols:
         with pytest.raises(FactsError, match="is a base"):
             parse_word("pi^2", ledger)
 
+    @pytest.mark.parametrize(
+        "text", ["Ad(pi)", "Ad(pi)^2", "chi*Ad(pi)", "Ad(pi)^-1*chi^2"]
+    )
+    def test_cusp_form_factor_in_a_word_rejected(self, text):
+        ledger = load_facts({"bases": [{"name": "pi", "type": "icosahedral"}]})
+        characters = dict(ledger.characters)
+        with pytest.raises(FactsError, match="is a cusp form, not a character"):
+            parse_word(text, ledger)
+        assert ledger.characters == characters
+
+    def test_cusp_form_of_an_undeclared_base_in_a_word_rejected(self):
+        ledger = load_facts({})
+        with pytest.raises(FactsError, match="undeclared base 'nobody'"):
+            parse_word("Ad(nobody)", ledger)
+        assert "Ad(nobody)" not in ledger.characters
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {
+                "facts": [
+                    {
+                        "lhs": "Ad(pi)",
+                        "rhs": "Ad(pi)",
+                        "relation": "twist-equiv-by",
+                        "twist": "Ad(pi)",
+                        "truth": False,
+                    }
+                ]
+            },
+            {"word_kinds": [{"word": "chi*Ad(pi)^3", "kind": "non-real"}]},
+        ],
+    )
+    def test_cusp_form_in_twist_or_word_kind_rejected(self, section):
+        doc = {"bases": [{"name": "pi", "type": "icosahedral"}], **section}
+        with pytest.raises(FactsError, match="is a cusp form, not a character"):
+            load_facts(doc)
+
     def test_unbalanced_parens(self):
         with pytest.raises(FactsError, match="unbalanced"):
             parse_symbol("Ad(pi", load_facts({}))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icosym.chartab import CharacterTable, NotACharacterError, default_table
 from icosym.isobaric import (
@@ -16,6 +18,7 @@ from icosym.isobaric import (
     InducedCusp,
     IsobaricExpr,
     LedgerError,
+    PoleOrder,
     SymCusp,
     TRIVIAL,
     a4,
@@ -298,6 +301,142 @@ def test_pole_order_pair_counts_multiplicity():
     assert po0.exact and po0.value() == 0
 
 
+# pairwise references: every comparison through the public ``equivalent``
+def reference_pole_order(e, ledger):
+    classes = []
+    for c, m in e.terms:
+        for i, (rep, total) in enumerate(classes):
+            if ledger.equivalent(c, rep)[0] is True:
+                classes[i] = (rep, total + m)
+                break
+        else:
+            classes.append((c, m))
+    missing = []
+    parent = list(range(len(classes)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            verdict, reason = ledger.equivalent(classes[i][0], classes[j][0])
+            if verdict is None:
+                missing.append(reason)
+                parent[find(i)] = find(j)
+    merged = {}
+    for i, (_, total) in enumerate(classes):
+        merged[find(i)] = merged.get(find(i), 0) + total
+    return PoleOrder(
+        sum(t * t for _, t in classes),
+        sum(t * t for t in merged.values()),
+        tuple(dict.fromkeys(missing)),
+    )
+
+
+def reference_pole_order_pair(e, tau, ledger):
+    lo = hi = 0
+    missing = []
+    for c, m in e.terms:
+        verdict, reason = ledger.equivalent(c, tau)
+        lo += m if verdict is True else 0
+        hi += m if verdict is not False else 0
+        if verdict is None:
+            missing.append(reason)
+    return PoleOrder(lo, hi, tuple(dict.fromkeys(missing)))
+
+
+def generated_ledger():
+    ledger = FactLedger()
+    for name, order in (("chi", 2), ("psi", 3), ("nu", None)):
+        ledger.declare_character(name, order=order)
+    ledger.declare_base("a", "icosahedral", galois_row="X'")
+    ledger.declare_base("b", "icosahedral", galois_row="X''")
+    for name, typ in (("c", "icosahedral"), ("t", "tetrahedral"), ("o", "octahedral")):
+        ledger.declare_base(name, typ)
+    ledger.declare_base("d", "dihedral", dihedral_field="E", dihedral_char="xi")
+    ledger.declare_base("g", "abstract")
+    return ledger
+
+
+_BASES = st.sampled_from(list(generated_ledger().bases.values()))
+_WORDS = st.dictionaries(
+    st.sampled_from(["chi", "psi", "nu", "xi", "omega(a)", "omega(c)", "omega(t)"]),
+    st.integers(-3, 3),
+    max_size=2,
+).map(CharWord.of)
+_CONSTITUENTS = st.builds(
+    Constituent,
+    st.one_of(
+        st.none(),
+        _BASES,
+        st.builds(SymCusp, _BASES, st.integers(2, 3)),
+        st.builds(box_cusp, _BASES, _BASES),
+    ),
+    _WORDS,
+)
+# extra twists, some of which reduce away modulo the declared orders
+_EXTRA = st.sampled_from(
+    [CharWord(), CharWord.gen("chi", 2), CharWord.gen("psi", -3), CharWord.gen("chi")]
+)
+
+
+@st.composite
+def ledgers_and_sums(draw):
+    """A ledger with random facts over a small pool of constituents, a sum
+    of pool members twisted further, and a pool member as pair target."""
+    ledger = generated_ledger()
+    pool = draw(st.lists(_CONSTITUENTS, min_size=1, max_size=6))
+    member = st.integers(0, len(pool) - 1)
+    for i, j, truth in draw(st.lists(st.tuples(member, member, st.booleans()), max_size=5)):
+        try:
+            ledger.assert_equiv(pool[i], pool[j], truth)
+        except LedgerError:
+            pass  # contradicts an earlier draw
+    terms = draw(st.lists(st.tuples(member, _EXTRA, st.integers(1, 3)), max_size=9))
+    e = IsobaricExpr.of((pool[i].twisted(w), m) for i, w, m in terms)
+    return ledger, e, pool[draw(member)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ledgers_and_sums())
+def test_pole_order_matches_the_pairwise_reference(case):
+    ledger, e, tau = case
+    assert pole_order(e, ledger) == reference_pole_order(e, ledger)
+    assert pole_order_pair(e, tau, ledger) == reference_pole_order_pair(e, tau, ledger)
+
+
+def test_pole_order_reduces_each_term_once(monkeypatch):
+    calls = []
+    canon = FactLedger._canon
+
+    def counting(self, c):
+        calls.append(c)
+        return canon(self, c)
+
+    ledger, p, q = fresh()
+    ledger.declare_character("chi", order=2)
+    chi = CharWord.gen("chi")
+    terms = [
+        ad(p),
+        ad(p).twisted(chi**2),  # merges with ad(p) after reduction
+        ad(q),  # undetermined against ad(p)
+        ad(q).twisted(chi),
+        Constituent(SymCusp(p, 3)),
+        TRIVIAL,
+        character(chi**3),
+    ]
+    e = IsobaricExpr.of([(c, 1) for c in terms])
+    monkeypatch.setattr(FactLedger, "_canon", counting)
+    po = pole_order(e, ledger)
+    assert (po.lo, po.hi) == (9, 19) and len(po.missing) == 2
+    assert len(calls) <= len(e.terms)
+    calls.clear()
+    pole_order_pair(e, ad(q), ledger)
+    assert len(calls) <= len(e.terms) + 1
+
+
 def test_contradictory_facts_rejected():
     ledger, p, q = fresh()
     ledger.assert_equiv(ad(p), ad(q), True)
@@ -363,6 +502,33 @@ def test_a_name_is_a_base_or_a_character_not_both(first, second):
     declare(*first)
     with pytest.raises(LedgerError, match="declared as a"):
         declare(*second)
+
+
+@pytest.mark.parametrize(
+    "taken,refused",
+    [
+        (("character", "pi"), ("pi", "tetrahedral", {})),
+        (("character", "pi"), ("pi", "octahedral", {})),
+        (("base", "pi"), ("pi", "tetrahedral", {})),
+        (("base", "x"), ("o", "octahedral", {"omega": "x"})),
+        (None, ("t", "tetrahedral", {"omega": "k", "cubic_char": "k"})),
+        (None, ("d", "dihedral", {"dihedral_field": "E", "dihedral_char": "d"})),
+    ],
+)
+def test_a_refused_base_declares_no_characters(taken, refused):
+    ledger = FactLedger()
+    ledger.declare_character("chi", order=2)
+    if taken is not None:
+        kind, other = taken
+        if kind == "character":
+            ledger.declare_character(other)
+        else:
+            ledger.declare_base(other, "icosahedral")
+    before = (list(ledger.characters.items()), dict(ledger._orders), dict(ledger.bases))
+    name, typ, tags = refused
+    with pytest.raises(LedgerError):
+        ledger.declare_base(name, typ, **tags)
+    assert (list(ledger.characters.items()), ledger._orders, ledger.bases) == before
 
 
 def test_a_base_whose_central_character_is_its_own_name_is_refused():
