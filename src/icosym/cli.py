@@ -3,6 +3,12 @@
 Every subcommand prints human-readable text by default and a single JSON
 document with ``--json``; exit codes are 0 for success, 1 for a failed
 verification, 2 for usage or parse errors.
+
+Each ``cmd_*`` imports the layers it uses, so a command loads only those:
+``chartab``, ``decompose`` and ``irreps`` never run ``isobaric``,
+``siegel``, ``factsfile`` or ``verify``.  ``verify`` takes ``all``,
+``table``, ``identities``, or one section of ``verify.VERIFY_SECTIONS`` by
+its name with hyphens for spaces (``product-rule``).
 """
 
 from __future__ import annotations
@@ -12,20 +18,7 @@ import json
 import re
 import sys
 
-from .chartab import IRREP_NAMES, default_table, format_decomposition
-from .factsfile import FactsError, load_facts_file, siegel_inputs
-from .icostruct import (
-    classify_irreps,
-    dim_irrep,
-    is_self_dual,
-    scan_trivial,
-    self_dual_two_dim_report,
-)
-from .isobaric import decide_cuspidality, decide_cuspidality_via_poles
-from .repexpr import MAX_POWER, evaluate, parse, render
-from .report import all_passed, format_report
-from .siegel import RULES, siegel_report, siegel_scan
-from .verify import VERIFY_SECTIONS, verify_all
+from .repexpr import MAX_POWER
 
 # -- plumbing ----------------------------------------------------------------
 
@@ -42,6 +35,8 @@ def _emit(args, command: str, inputs: dict, results, citations=()) -> None:
 
 
 def _rule_citations(rule_names) -> list[dict]:
+    from .siegel import RULES
+
     out = []
     for name in dict.fromkeys(rule_names):
         rule = RULES.get(name)
@@ -53,6 +48,8 @@ def _rule_citations(rule_names) -> list[dict]:
 
 
 def cmd_chartab(args) -> int:
+    from .chartab import IRREP_NAMES, default_table
+
     tab = default_table()
     classes = tab.group.classes
     rows = {name: [str(v) for v in tab.row(name).values] for name in IRREP_NAMES}
@@ -90,13 +87,23 @@ def cmd_chartab(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .report import all_passed, format_report
+    from .verify import VERIFY_SECTIONS, verify_all
+
     if args.target == "all":
         sections = verify_all()
     else:
-        name = {"table": "character table", "identities": "decomposition identities"}[
-            args.target
-        ]
-        sections = {name: dict(VERIFY_SECTIONS)[name]()}
+        # a section by its name with hyphens for spaces, e.g. product-rule
+        runs = {name.replace(" ", "-"): (name, run) for name, run in VERIFY_SECTIONS}
+        aliases = {"table": "character-table", "identities": "decomposition-identities"}
+        target = aliases.get(args.target, args.target)
+        if target not in runs:
+            raise ValueError(
+                f"unknown verify target {args.target!r}; pick all, table, "
+                f"identities or one of: {', '.join(runs)}"
+            )
+        name, run = runs[target]
+        sections = {name: run()}
     passed = all(all_passed(results) for results in sections.values())
     if args.json:
         _emit(
@@ -127,6 +134,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .chartab import default_table, format_decomposition
+    from .repexpr import evaluate, parse, render
+
     tab = default_table()
     expr = parse(args.rep)
     f = evaluate(expr, tab)
@@ -152,6 +162,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_irreps(args) -> int:
+    from .chartab import default_table
+    from .icostruct import (
+        classify_irreps,
+        dim_irrep,
+        is_self_dual,
+        self_dual_two_dim_report,
+    )
+
     if args.m < 1:
         raise ValueError(f"--m must be at least 1, got {args.m}")
     if args.m > MAX_POWER:
@@ -205,6 +223,8 @@ def cmd_irreps(args) -> int:
 
 
 def cmd_scan_trivial(args) -> int:
+    from .icostruct import scan_trivial
+
     if args.max < 1:
         raise ValueError(f"--max must be at least 1, got {args.max}")
     scan = scan_trivial(args.max)
@@ -235,6 +255,9 @@ def cmd_scan_trivial(args) -> int:
 
 
 def cmd_cuspidality(args) -> int:
+    from .factsfile import FactsError, load_facts_file
+    from .isobaric import decide_cuspidality, decide_cuspidality_via_poles
+
     ledger, _ = load_facts_file(args.facts)
     for name in (args.pi, args.pi_prime):
         if name not in ledger.bases:
@@ -291,6 +314,9 @@ def _scan_range(text: str) -> tuple[int, int]:
 
 
 def cmd_siegel(args) -> int:
+    from .factsfile import load_facts_file, siegel_inputs
+    from .siegel import RULES, siegel_report, siegel_scan
+
     if args.m is not None and args.m > MAX_POWER:
         raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
     p = chi = None
@@ -366,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "target",
-        choices=("table", "identities", "all"),
-        help="which checks to run",
+        help="all, table, identities, or one section by its name with "
+        "hyphens, e.g. product-rule",
     )
     verify.set_defaults(func=cmd_verify)
 

@@ -431,6 +431,10 @@ class FactLedger:
                     f"dihedral base {name} needs dihedral_field and dihedral_char"
                 )
             companions.append((base.dihedral_char, CharInfo()))
+            # chi o theta, the Galois conjugate the dihedral route twists by
+            theta = f"{base.dihedral_char}@theta"
+            if theta not in self.characters:
+                companions.append((theta, CharInfo()))
         if typ == "tetrahedral":
             base = replace(base, cubic_char=base.cubic_char or f"eta({name})")
             companions.append((base.cubic_char, CharInfo(3, "cubic")))
@@ -895,7 +899,6 @@ def _decide_dihedral_case(
         )
     sym2_bc = Constituent(SymCusp(bc, 2))
     twist = _mackey_twist(p)
-    ledger.declare_character(f"{p.dihedral_char}@theta")
     self_twist, reason = ledger.equivalent(sym2_bc, sym2_bc.twisted(twist))
     if self_twist is True:
         return Verdict("not-cuspidal", route, witnesses=(reason,))

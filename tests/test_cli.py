@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import icosym.cli as cli
 from icosym.chartab import IRREP_NAMES
 from icosym.cli import cmd_dispatch
 from icosym.repexpr import MAX_POWER
 from icosym.report import CheckResult
+from icosym.verify import VERIFY_SECTIONS
 
 ENVELOPE_KEYS = {"command", "inputs", "results", "citations"}
 
@@ -84,8 +89,7 @@ class TestVerify:
 
     def test_failure_maps_to_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli,
-            "verify_all",
+            "icosym.verify.verify_all",
             lambda: {"stub": [CheckResult("forced failure", False, "synthetic")]},
         )
         code, out, _ = run(capsys, "verify", "all")
@@ -95,6 +99,35 @@ class TestVerify:
     def test_bad_target(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")
         assert code == 2
+
+    def test_bad_target_names_the_sections(self, capsys):
+        code, out, err = run(capsys, "verify", "product rule")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown verify target 'product rule'")
+        assert "product-rule" in err and err.count("\n") == 1
+
+    def test_every_section_by_slug(self, capsys):
+        _, everything, _ = run(capsys, "verify", "all")
+        blocks = everything.split("== ")[1:]
+        blocks[-1] = blocks[-1][: blocks[-1].index("overall:")]
+        assert [b.split(" ==")[0] for b in blocks] == [n for n, _ in VERIFY_SECTIONS]
+        for block in blocks:
+            slug = block.split(" ==")[0].replace(" ", "-")
+            code, out, _ = run(capsys, "verify", slug)
+            assert code == 0
+            section, overall = out.split("overall: ")
+            assert section == "== " + block
+            assert overall.endswith("checks passed\n")
+            code, document, _ = run_json(capsys, "verify", slug)
+            assert code == 0 and document["inputs"] == {"target": slug}
+            assert list(document["results"]["sections"]) == [block.split(" ==")[0]]
+
+    @pytest.mark.parametrize(
+        "alias,slug",
+        [("table", "character-table"), ("identities", "decomposition-identities")],
+    )
+    def test_short_targets_name_their_sections(self, capsys, alias, slug):
+        assert run(capsys, "verify", alias) == run(capsys, "verify", slug)
 
 
 class TestDecompose:
@@ -274,6 +307,30 @@ class TestCuspidality:
         assert out == ""
         assert err == "error: chi is declared as a character, not a base\n"
 
+    def test_base_named_like_a_dihedral_conjugate_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "theta.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "bases": [
+                        {"name": "d", "type": "dihedral",
+                         "dihedral_field": "E", "dihedral_char": "xi"},
+                        {"name": "xi@theta", "type": "icosahedral"},
+                        {"name": "r", "type": "icosahedral"},
+                    ],
+                    "base_changes": [
+                        {"of": "r", "extension": "E", "name": "r_E", "type": "tetrahedral"}
+                    ],
+                }
+            )
+        )
+        code, out, err = run(
+            capsys, "cuspidality", "--facts", str(path), "--pi", "d", "--pi-prime", "r"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: xi@theta is declared as a character, not a base\n"
+
     def test_cusp_form_as_twist_exit_2(self, capsys, tmp_path):
         path = tmp_path / "twist.json"
         path.write_text(
@@ -435,3 +492,52 @@ class TestDispatch:
         assert cmd_dispatch(["--help"]) == 0
         out = capsys.readouterr().out
         assert "chartab" in out
+
+
+# -- generated command lines ---------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SUBCOMMANDS = ("chartab", "verify", "decompose", "irreps", "scan-trivial", "cuspidality", "siegel")
+FLAGS = ("--json", "--help", "--rep", "--m", "--max", "--facts", "--pi", "--pi-prime", "--scan")
+WORDS = (
+    "all", "table", "identities", "product-rule", "pi", "rho", "f", "d",
+    "sym^5(X')", "X'*W + dual(U)", "sym^3(W)", "U + Q",
+)
+# no decimal digit, so junk never reads as a (large) number, and no "/",
+# so it never names a device file
+JUNK = st.text(
+    alphabet=st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="/"),
+    max_size=12,
+)
+TOKENS = st.one_of(
+    st.sampled_from(SUBCOMMANDS + FLAGS + WORDS),
+    st.integers(-60, 60).map(str),
+    st.tuples(st.integers(0, 60), st.integers(0, 60)).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    st.sampled_from(("README", "absent")),  # a facts file, good or missing
+    JUNK,
+)
+ARGV = st.tuples(st.sampled_from(SUBCOMMANDS), st.lists(TOKENS, max_size=6)).map(
+    lambda head_tail: [head_tail[0], *head_tail[1]]
+) | st.lists(TOKENS, max_size=4)
+
+
+@pytest.fixture(scope="module")
+def facts_paths(tmp_path_factory):
+    good = tmp_path_factory.mktemp("facts") / "readme.json"
+    text = README.read_text()
+    good.write_text(text[text.index('{\n  "characters"') : text.index("\n}\n```") + 2])
+    return {"README": str(good), "absent": str(good.with_name("absent.json"))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=ARGV)
+def test_dispatch_answers_every_command_line(facts_paths, argv):
+    """Any argv gets exit 0 or a usage error, never a traceback; exit 1
+    (a failed verification) cannot be forced from the command line."""
+    argv = [facts_paths.get(token, token) for token in argv]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        start = time.perf_counter()
+        code = cmd_dispatch(argv)
+    assert code in (0, 2), (argv, sink.getvalue())
+    assert time.perf_counter() - start < 1, argv

@@ -84,6 +84,22 @@ class TestBases:
         assert base.dihedral_field == "E"
         assert "xi" in ledger.characters
 
+    DIHEDRAL = {"name": "p", "type": "dihedral", "dihedral_field": "E", "dihedral_char": "xi"}
+
+    def test_declared_conjugate_character_loads(self):
+        ledger = load_facts(
+            {"characters": [{"name": "xi@theta", "order": 2}], "bases": [self.DIHEDRAL]}
+        )
+        assert ledger.characters["xi@theta"].order == 2
+
+    @pytest.mark.parametrize("dihedral_first", [True, False])
+    def test_base_named_like_the_conjugate_character(self, dihedral_first):
+        bases = [self.DIHEDRAL, {"name": "xi@theta", "type": "icosahedral"}]
+        if not dihedral_first:
+            bases.reverse()
+        with pytest.raises(LedgerError, match="xi@theta is declared as a"):
+            load_facts({"bases": bases})
+
     def test_unknown_type_rejected(self):
         with pytest.raises(LedgerError, match="unknown base type"):
             load_facts({"bases": [{"name": "pi", "type": "heptahedral"}]})

@@ -741,6 +741,20 @@ def test_dihedral_base_change_without_self_twist_capacity():
     assert v.verdict == "cuspidal"
 
 
+@pytest.mark.parametrize("bc_type", ["dihedral", "tetrahedral", "icosahedral", None])
+def test_a_dihedral_decision_leaves_the_characters_unchanged(bc_type):
+    ledger = FactLedger()
+    p = ledger.declare_base("p", "dihedral", dihedral_field="K", dihedral_char="chi")
+    q = ledger.declare_base("q", "icosahedral")
+    if bc_type is not None:
+        ledger.declare_base_change(q, "K", "q_K", bc_type)
+    before = dict(ledger.characters)
+    assert "chi@theta" in before  # reserved when p was declared
+    decide_cuspidality(p, q, ledger)
+    decide_cuspidality(q, p, ledger)
+    assert ledger.characters == before
+
+
 def test_flagship_conjugate_pair_is_cuspidal():
     # the two tagged bases restrict to the two 2-dimensional rows; their
     # adjoints restrict to the two distinct 3-dimensional rows, which
