@@ -73,7 +73,7 @@ _EXPORTS = {
         "sym_power_automorphic",
         "sym_power_cuspidal",
     ),
-    "verify": ("verify_all", "verify_all_passed"),
+    "verify": ("verify_all",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

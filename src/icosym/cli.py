@@ -315,17 +315,19 @@ def _scan_range(text: str) -> tuple[int, int]:
 
 def cmd_siegel(args) -> int:
     from .factsfile import load_facts_file, siegel_inputs
-    from .siegel import RULES, siegel_report, siegel_scan
+    from .siegel import RULES, siegel_report, siegel_scan, standard_context
 
     if args.m is not None and args.m > MAX_POWER:
         raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
-    p = chi = None
-    ledger = None
+    p = chi = ledger = None
     if args.facts:
+        # the ledger is complete before any query: the standard pair when
+        # the file tags no base, and the default twist chi
         ledger, doc = load_facts_file(args.facts)
         p, chi = siegel_inputs(ledger, doc)
-        if p is not None and "chi" not in ledger.characters:
-            ledger.declare_character("chi")
+        if p is None:
+            ledger, p, _ = standard_context(ledger)
+        ledger.declare_character("chi")
     if args.m is not None:
         reports = [siegel_report(args.m, p, chi, ledger)]
     else:

@@ -304,8 +304,9 @@ def siegel_inputs(ledger: FactLedger, doc: dict):
 
     Preference order: the document's ``siegel`` section; otherwise the
     unique icosahedral base tagged with a 2-dimensional restriction row.
-    Returns (None, None) for an empty document so callers fall back to the
-    standard context.
+    ``p`` is None when the document tags no base (the ``siegel`` command
+    then declares the standard pair); ``chi`` is None when the section
+    names none.
     """
     config = doc.get("siegel", {})
     p = None

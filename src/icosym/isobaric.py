@@ -259,9 +259,6 @@ class IsobaricExpr:
     def twisted(self, word: CharWord) -> "IsobaricExpr":
         return IsobaricExpr.of([(c.twisted(word), m) for c, m in self.terms])
 
-    def constituents(self) -> tuple[tuple[Constituent, int], ...]:
-        return self.terms
-
     def __str__(self) -> str:
         return " + ".join(
             str(c) if m == 1 else f"{m}({c})" for c, m in self.terms
@@ -374,6 +371,10 @@ class FactLedger:
     are keyed by the frozen symbol dataclasses (constituents with twists
     reduced modulo the known orders, or bare cores), never by their printed
     text.  A name is either a base or a character, not both.
+
+    A ledger is written only while it is built (the ``declare_*`` and
+    ``assert_*`` methods); queries only read it.  The one thing a query
+    stores is the finite-image memo, a cache of what the tags determine.
     """
 
     def __init__(self) -> None:
@@ -387,8 +388,8 @@ class FactLedger:
         self._word_kinds: dict[CharWord, str] = {}
         self._self_dual: dict[Constituent, bool] = {}
         self._orders: dict[str, int] = {}  # kept in step with declare_character
-        self._galois_cache: dict[Core, ClassFunction | None] = {}
-        self._galois_mults: dict[Core, dict[str, int] | None] = {}
+        # per queried core: its restriction and that restriction's multiplicities
+        self._images: dict[Core, tuple[ClassFunction, dict[str, int]] | None] = {}
 
     # -- declarations ---------------------------------------------------
 
@@ -399,9 +400,13 @@ class FactLedger:
 
     def _declare_characters(self, items: list[tuple[str, CharInfo]]) -> None:
         """Check every declaration first, then make them all: a refused one
-        leaves the ledger unchanged."""
+        leaves the ledger unchanged.  A declaration with neither order nor
+        kind leaves a character already declared as it is; names within one
+        batch must still agree."""
         pending: dict[str, CharInfo] = {}
         for name, info in items:
+            if info == CharInfo() and name in self.characters:
+                continue
             known = pending.get(name, self.characters.get(name))
             if known is not None and known != info:
                 raise LedgerError(f"character {name} redeclared as {info}, was {known}")
@@ -430,11 +435,9 @@ class FactLedger:
                 raise LedgerError(
                     f"dihedral base {name} needs dihedral_field and dihedral_char"
                 )
+            # chi and chi o theta, the Galois conjugate the dihedral route twists by
             companions.append((base.dihedral_char, CharInfo()))
-            # chi o theta, the Galois conjugate the dihedral route twists by
-            theta = f"{base.dihedral_char}@theta"
-            if theta not in self.characters:
-                companions.append((theta, CharInfo()))
+            companions.append((f"{base.dihedral_char}@theta", CharInfo()))
         if typ == "tetrahedral":
             base = replace(base, cubic_char=base.cubic_char or f"eta({name})")
             companions.append((base.cubic_char, CharInfo(3, "cubic")))
@@ -514,11 +517,8 @@ class FactLedger:
     def _canon(self, c: Constituent) -> Constituent:
         return Constituent(c.core, c.twist.reduce(self._orders))
 
-    def _key(self, c1: Constituent, c2: Constituent) -> frozenset[Constituent]:
-        return frozenset((self._canon(c1), self._canon(c2)))
-
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
-        key = self._key(c1, c2)
+        key = frozenset((self._canon(c1), self._canon(c2)))
         if key in self._facts and self._facts[key] != truth:
             raise LedgerError(
                 f"contradictory assertions for {set(map(str, key))}: "
@@ -530,9 +530,6 @@ class FactLedger:
         self, c1: Constituent, c2: Constituent, twist: CharWord, truth: bool
     ) -> None:
         self.assert_equiv(c1, c2.twisted(twist), truth)
-
-    def declared(self, c1: Constituent, c2: Constituent) -> bool | None:
-        return self._facts.get(self._key(c1, c2))
 
     # -- equivalence resolution --------------------------------------------
 
@@ -595,24 +592,24 @@ class FactLedger:
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:
         """Multiplicities of the finite-image restriction; None if untagged."""
-        if core not in self._galois_mults:
-            cf = self._galois_cf(core)
-            self._galois_mults[core] = None if cf is None else self.tab.decompose(cf)
-        return self._galois_mults[core]
+        image = self._image(core)
+        return None if image is None else image[1]
 
-    def _galois_cf(self, core: Core) -> ClassFunction | None:
-        if core not in self._galois_cache:
-            self._galois_cache[core] = self._galois_cf_uncached(core)
-        return self._galois_cache[core]
+    def _image(self, core: Core) -> tuple[ClassFunction, dict[str, int]] | None:
+        """The memo: restrict and decompose each queried core once."""
+        if core not in self._images:
+            cf = self._restrict(core)
+            self._images[core] = None if cf is None else (cf, self.tab.decompose(cf))
+        return self._images[core]
 
-    def _galois_cf_uncached(self, core: Core) -> ClassFunction | None:
+    def _restrict(self, core: Core) -> ClassFunction | None:
         if isinstance(core, BaseCusp):
             return self.tab.row(core.galois_row) if core.galois_row else None
         if isinstance(core, SymCusp):
-            inner = self._galois_cf(core.base)
+            inner = self._restrict(core.base)
             return None if inner is None else self.tab.sym_power(inner, core.n)
         if isinstance(core, BoxCusp):
-            left, right = self._galois_cf(core.left), self._galois_cf(core.right)
+            left, right = self._restrict(core.left), self._restrict(core.right)
             return None if left is None or right is None else left * right
         return None
 
@@ -623,9 +620,10 @@ class FactLedger:
             if c.core is None:
                 cf = self.tab.trivial()
             else:
-                cf = self._galois_cf(c.core)
-                if cf is None:
+                image = self._image(c.core)
+                if image is None:
                     raise LedgerError(f"no finite-image model for {c.core}")
+                cf = image[0]
             total = total + m * cf
         return total
 

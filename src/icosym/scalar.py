@@ -129,9 +129,6 @@ class Qsqrt5:
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
 
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     def is_integer(self) -> bool:
         """True when the element is a rational integer."""
         return self.q == 0 and self.d == 1

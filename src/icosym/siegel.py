@@ -531,6 +531,25 @@ def standard_context(
     return ledger, p, p_tau
 
 
+_PARTNER_ROW = {"X'": "X''", "X''": "X'"}
+
+
+def _galois_partner(p: BaseCusp, ledger: FactLedger) -> BaseCusp:
+    """The conjugate pi^tau of ``p``: the ledger's base carrying the other
+    2-dimensional row, or else an undeclared base ``<p>_tau`` with that row
+    and ``p``'s central character (as in the standard pair).  The ledger is
+    only read; a name ``<p>_tau`` it already uses otherwise is refused."""
+    row = _PARTNER_ROW[p.galois_row]
+    for base in ledger.bases.values():
+        if base.galois_row == row:
+            return base
+    name = f"{p.name}_tau"
+    if name in ledger.bases or name in ledger.characters:
+        what = f"a base without galois_row {row}" if name in ledger.bases else "a character"
+        raise LedgerError(f"{name}, the Galois partner of {p.name}, is declared as {what}")
+    return BaseCusp(name, "icosahedral", omega=p.omega, galois_row=row)
+
+
 def siegel_report(
     m: int,
     p: BaseCusp | None = None,
@@ -544,32 +563,23 @@ def siegel_report(
     constituent (first possible at m = 12) is flagged as the exceptional
     case — reported in both normalizations — unless the ledger knows it is
     not real; undischargeable rule hypotheses make the verdict not-covered
-    rather than a silent pass.
+    rather than a silent pass.  ``p`` and ``ledger`` come together (the
+    ledger is only read) or not at all (the standard context).
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    if p is None or ledger is None:
-        ledger, p, p_tau = standard_context(ledger)
+    if (p is None) != (ledger is None):
+        raise ValueError("pass p and ledger together, or neither")
+    if p is None:
+        ledger, p, p_tau = standard_context()
     else:
-        partner_row = {"X'": "X''", "X''": "X'"}.get(p.galois_row)
-        p_tau = next(
-            (
-                b
-                for b in ledger.bases.values()
-                if b.galois_row == partner_row and b.name != p.name
-            ),
-            None,
-        )
-        if p_tau is None:
-            p_tau = ledger.declare_base(
-                f"{p.name}_tau", "icosahedral", galois_row=partner_row
+        if p.typ != "icosahedral":
+            raise ValueError(f"{p.name} is {p.typ}; the report needs icosahedral type")
+        if p.galois_row not in _PARTNER_ROW:
+            raise ValueError(
+                f"{p.name} needs a 2-dimensional finite-image tag to decompose"
             )
-    if p.typ != "icosahedral":
-        raise ValueError(f"{p.name} is {p.typ}; the report needs icosahedral type")
-    if p.galois_row not in ("X'", "X''"):
-        raise ValueError(
-            f"{p.name} needs a 2-dimensional finite-image tag to decompose"
-        )
+        p_tau = _galois_partner(p, ledger)
     chi = chi if chi is not None else CharWord.gen("chi")
     target = f"sym^{m}({p.name})*{chi}" if m >= 1 else str(chi)
 
@@ -640,6 +650,8 @@ def siegel_report(
             continue
         rule = RULES[ROW_RULES[row]]
         rules_used.append(rule.name)
+        label = f"twist of {family_rows[row]}"
+        detail, k, r, exceptional = "", None, None, False
         if row == "U":
             if m % 2:
                 raise RuntimeError(
@@ -647,70 +659,37 @@ def siegel_report(
                 )
             q_word = CharWord.gen(p.omega, m // 2) * chi
             kind = ledger.word_kind(q_word)
-            # flagged unless the ledger knows the character is not real
-            is_exceptional = kind in (None, "trivial", "quadratic")
+            label = str(q_word)
             detail = (
                 f"character constituent {q_word} "
                 f"(kind: {kind or 'undeclared, cannot be excluded'})"
             )
-            if is_exceptional:
+            # flagged unless the ledger knows the character is not real
+            exceptional = kind in (None, "trivial", "quadratic")
+            if exceptional:
                 exceptional_q = q_word
-            constituents.append(
-                ConstituentReport(
-                    row, str(q_word), mult, rule.name, rule.citations,
-                    detail=detail, exceptional=is_exceptional,
-                )
-            )
-            continue
-        label = family_rows[row]
-        if row in _AUX_DEGREE:
+        elif row in _AUX_DEGREE:
             inner_m = _AUX_DEGREE[row]
             try:
                 fact = expand_aux_square(inner_m, p, chi, ledger)
             except MissingHypothesisError as err:
                 covered = False
-                constituents.append(
-                    ConstituentReport(
-                        row, f"twist of {label}", mult, rule.name,
-                        rule.citations, detail=str(err),
-                    )
-                )
-                continue
-            constituents.append(
-                ConstituentReport(
-                    row,
-                    f"twist of {label}",
-                    mult,
-                    rule.name,
-                    rule.citations,
-                    detail=f"auxiliary expansion at m = {inner_m}",
-                    k=fact.k,
-                    r=fact.r,
-                )
-            )
-            continue
-        if row == "X2":
-            verdict, reason = ledger.equivalent(
-                Constituent(p), Constituent(p_tau)
-            )
-            if verdict is None:
+                detail = str(err)
+            else:
+                detail = f"auxiliary expansion at m = {inner_m}"
+                k, r = fact.k, fact.r
+        elif row == "X2":
+            same, reason = ledger.equivalent(Constituent(p), Constituent(p_tau))
+            if same is None:
                 covered = False
                 detail = f"cannot certify non-twist-equivalence: {reason}"
             else:
                 detail = (
-                    "the pair is neither dihedral nor twist-equivalent: "
-                    + reason
+                    "the pair is neither dihedral nor twist-equivalent: " + reason
                 )
-            constituents.append(
-                ConstituentReport(
-                    row, f"twist of {label}", mult, rule.name,
-                    rule.citations, detail=detail,
-                )
-            )
-            continue
         constituents.append(
             ConstituentReport(
-                row, f"twist of {label}", mult, rule.name, rule.citations
+                row, label, mult, rule.name, rule.citations, detail, k, r, exceptional
             )
         )
 
@@ -728,7 +707,9 @@ def siegel_report(
 
     alt = None
     if exceptional_q is not None:
-        alt = f"omega({p.name})^({m}/2)*chi^({m + 1})"
+        single = len(chi.word) == 1 and chi.word[0][1] == 1
+        twist = str(chi) if single else f"({chi})"
+        alt = f"{p.omega}^({m}/2)*{twist}^({m + 1})"
     return SiegelReport(
         m,
         target,
@@ -750,10 +731,13 @@ def siegel_scan(
     chi: CharWord | None = None,
     ledger: FactLedger | None = None,
 ) -> list[SiegelReport]:
-    """Reports for every m in [lo, hi]."""
+    """Reports for every m in [lo, hi]; ``p`` and ``ledger`` as in
+    :func:`siegel_report`."""
     if lo < 0 or hi < lo:
         raise ValueError(f"bad scan range [{lo}, {hi}]")
-    if p is None or ledger is None:
-        ledger, p, _ = standard_context(ledger)
+    if (p is None) != (ledger is None):
+        raise ValueError("pass p and ledger together, or neither")
+    if p is None:
+        ledger, p, _ = standard_context()
     return [siegel_report(m, p, chi, ledger) for m in range(lo, hi + 1)]
 

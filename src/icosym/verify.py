@@ -27,7 +27,7 @@ from .isobaric import (
     galois_pole_check,
     standard_icosahedral_pair,
 )
-from .report import CheckResult, all_passed
+from .report import CheckResult
 from .siegel import (
     expand_aux_square,
     galois_square_accounting,
@@ -362,14 +362,14 @@ def verify_siegel_criterion() -> list[CheckResult]:
 
 
 VERIFY_SECTIONS = (
-    ("character table", lambda: verify_table()),
-    ("decomposition identities", lambda: verify_identities()),
-    ("product rule", lambda: verify_clebsch_gordan()),
-    ("trivial-constituent scan", lambda: verify_trivial_scan()),
-    ("finite-group classification", lambda: verify_classification()),
+    ("character table", verify_table),
+    ("decomposition identities", verify_identities),
+    ("product rule", verify_clebsch_gordan),
+    ("trivial-constituent scan", verify_trivial_scan),
+    ("finite-group classification", verify_classification),
     ("cuspidality routes", verify_cuspidality),
     ("auxiliary factorizations", verify_auxiliary),
-    ("pole bookkeeping", lambda: verify_pole_identity()),
+    ("pole bookkeeping", verify_pole_identity),
     ("exceptional-zero criterion", verify_siegel_criterion),
     ("rule table", verify_rule_table),
 )
@@ -378,8 +378,3 @@ VERIFY_SECTIONS = (
 def verify_all() -> dict[str, list[CheckResult]]:
     """Every section, in dependency order."""
     return {name: run() for name, run in VERIFY_SECTIONS}
-
-
-def verify_all_passed(sections: dict[str, list[CheckResult]] | None = None) -> bool:
-    sections = sections or verify_all()
-    return all(all_passed(results) for results in sections.values())

@@ -456,6 +456,47 @@ class TestSiegel:
         assert out == ""
         assert "undeclared base 'nobody'" in err
 
+    def test_alternative_normalization_names_the_base_and_twist(self, capsys, tmp_path):
+        path = tmp_path / "alt.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "characters": [{"name": "nu"}],
+                    "bases": [
+                        {"name": "f", "type": "icosahedral", "galois_row": "X'", "omega": "w"}
+                    ],
+                    "siegel": {"p": "f", "chi": "nu"},
+                }
+            )
+        )
+        code, out, _ = run(capsys, "siegel", "--m", "12", "--facts", str(path))
+        assert code == 0
+        assert "(Q = nu*w^6; alternative normalization w^(12/2)*nu^(13);" in out
+
+    def test_chi_declared_with_an_order_and_no_tagged_base(self, capsys, tmp_path):
+        path = tmp_path / "chi.json"
+        path.write_text(json.dumps({"characters": [{"name": "chi", "order": 2}]}))
+        code, out, err = run(capsys, "siegel", "--m", "12", "--facts", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("m = 12: sym^12(pi)*chi -> exceptional-case")
+
+    @pytest.mark.parametrize(
+        "doc,what",
+        [
+            ({"bases": [{"name": "f_tau", "type": "general"}]}, "a base without galois_row X''"),
+            ({"characters": [{"name": "f_tau"}]}, "a character"),
+        ],
+        ids=["base", "character"],
+    )
+    def test_galois_partner_name_clash_exit_2(self, capsys, tmp_path, doc, what):
+        tagged = {"name": "f", "type": "icosahedral", "galois_row": "X'"}
+        doc = {**doc, "bases": [tagged, *doc.get("bases", [])]}
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "siegel", "--m", "12", "--facts", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: f_tau, the Galois partner of f, is declared as {what}\n"
+
     @pytest.mark.parametrize("m", [MAX_POWER + 1, 10_000_000])
     def test_m_above_the_bound(self, capsys, m):
         start = time.perf_counter()

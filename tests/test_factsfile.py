@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from icosym.cli import cmd_dispatch
 from icosym.factsfile import (
     FactsError,
     load_facts,
@@ -91,6 +96,16 @@ class TestBases:
             {"characters": [{"name": "xi@theta", "order": 2}], "bases": [self.DIHEDRAL]}
         )
         assert ledger.characters["xi@theta"].order == 2
+
+    @pytest.mark.parametrize(
+        "base",
+        [DIHEDRAL, {"name": "f", "type": "icosahedral", "omega": "xi"}],
+        ids=["dihedral_char", "omega"],
+    )
+    def test_a_companion_declared_with_an_order_keeps_it(self, base):
+        ledger = load_facts({"characters": [{"name": "xi", "order": 2}], "bases": [base]})
+        assert ledger.characters["xi"].order == 2
+        assert ledger.bases[base["name"]].typ == base["type"]
 
     @pytest.mark.parametrize("dihedral_first", [True, False])
     def test_base_named_like_the_conjugate_character(self, dihedral_first):
@@ -555,3 +570,118 @@ class TestFileIO:
         path.write_text("{not json")
         with pytest.raises(FactsError, match="not valid JSON"):
             load_facts_file(path)
+
+
+# -- generated documents -------------------------------------------------------
+
+_NAMES = st.sampled_from(
+    ["pi", "rho", "f", "d", "chi", "xi", "nu", "omega(pi)", "eta(pi)", "mu(rho)",
+     "xi@theta", "pi_tau", "E", "Ad(pi)"]
+)
+_SYMBOLS = st.one_of(
+    _NAMES,
+    st.sampled_from(
+        ["Ad(rho)", "Ad(nobody)", "sym^3(pi)", "sym^2(pi)*chi", "chi*sym^12(f)",
+         "chi^-1*xi@theta", "pi*rho", "Ad(pi)^2", "nu^3*omega(pi)^-6", "1", "",
+         "chi**nu", "(chi", "chi)", "sym^(pi)", "sym^-2(pi)"]
+    ),
+    st.integers(0, 10**6).map(lambda n: f"sym^{n}(pi)"),
+    st.text(max_size=8),
+)
+_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-5, 10**6), st.floats(), _SYMBOLS
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_VALUES = {
+    "name": _NAMES,
+    "type": st.sampled_from(
+        ["dihedral", "tetrahedral", "octahedral", "icosahedral", "general", "abstract", "cubic"]
+    ),
+    "order": st.integers(-1, 12),
+    "properties": st.lists(st.sampled_from(["quadratic", "cubic", "non-real", "real"]), max_size=2),
+    "galois_row": st.sampled_from(["X'", "X''", "W", "Q"]),
+    "relation": st.sampled_from(["equiv", "twist-equiv-by", "iso"]),
+    "truth": st.booleans(),
+    "kind": st.sampled_from(["trivial", "quadratic", "cubic", "non-real", "real"]),
+    **dict.fromkeys(
+        ["omega", "dihedral_field", "dihedral_char", "cubic_char", "quadratic_char",
+         "induced_field", "induced_char", "of", "extension", "p", "chi"],
+        _NAMES,
+    ),
+    **dict.fromkeys(["lhs", "rhs", "twist", "symbol", "word"], _SYMBOLS),
+}
+
+
+def _mostly(good, bad):
+    """*good* in seven draws of eight, else *bad* (``one_of`` would weigh
+    the two alike)."""
+    return st.integers(0, 7).flatmap(lambda i: good if i < 7 else bad)
+
+
+def _value(key):
+    """Mostly a well-typed value for *key*, sometimes any JSON value."""
+    return _mostly(_VALUES[key], _JSON)
+
+
+def _entries(required, optional=()):
+    """List sections: entries carry their keys, or some of them, or junk."""
+    entry = st.fixed_dictionaries(
+        {key: _value(key) for key in required},
+        optional={key: _value(key) for key in optional},
+    )
+    loose = st.dictionaries(st.sampled_from(sorted(_VALUES)), _JSON, max_size=4)
+    return _mostly(st.lists(_mostly(entry, loose), max_size=4), _JSON)
+
+
+_TAGS = ["omega", "dihedral_field", "dihedral_char", "cubic_char", "quadratic_char",
+         "induced_field", "induced_char", "galois_row"]
+_DOCUMENTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "characters": _entries(["name"], ["order", "properties"]),
+        "bases": _entries(["name", "type"], _TAGS),
+        "base_changes": _entries(["of", "extension", "name", "type"]),
+        "facts": _entries(["lhs", "rhs", "relation", "truth"], ["twist"]),
+        "cuspidal": _entries(["symbol"], ["truth"]),
+        "automorphic": _entries(["symbol"], ["truth"]),
+        "self_dual": _entries(["symbol", "truth"]),
+        "word_kinds": _entries(["word", "kind"]),
+        "siegel": st.one_of(
+            st.fixed_dictionaries({}, optional={"p": _value("p"), "chi": _value("chi")}),
+            _JSON,
+        ),
+    },
+)
+_ANY_DOCUMENT = _mostly(
+    _DOCUMENTS,
+    st.tuples(_DOCUMENTS, st.text(max_size=6), _JSON).map(lambda t: {**t[0], t[1]: t[2]})
+    | _JSON,
+)
+
+
+@pytest.fixture(scope="module")
+def generated_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "facts.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_ANY_DOCUMENT)
+def test_any_json_value_loads_or_raises_a_typed_error(generated_path, doc):
+    """A JSON value gives a ledger, a FactsError or a LedgerError; a
+    document that is refused exits 2 on the command line."""
+    try:
+        load_facts(doc)
+    except (FactsError, LedgerError):
+        pass
+    else:
+        return
+    generated_path.write_text(json.dumps(doc))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cmd_dispatch(["siegel", "--m", "0", "--facts", str(generated_path)])
+    assert code == 2, sink.getvalue()
+    assert sink.getvalue().startswith("error:")

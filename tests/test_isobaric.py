@@ -37,6 +37,7 @@ from icosym.isobaric import (
     standard_icosahedral_pair,
     sym_cusp,
 )
+from icosym.siegel import siegel_report, siegel_scan
 
 IRREP_NAMES = ("U", "V", "W", "X1", "X2", "W'", "W''", "X'", "X''")
 
@@ -347,12 +348,14 @@ def reference_pole_order_pair(e, tau, ledger):
     return PoleOrder(lo, hi, tuple(dict.fromkeys(missing)))
 
 
-def generated_ledger():
+def generated_ledger(partner_row="X''"):
+    """Seven bases of every type; ``a`` is tagged X', and ``b`` is its
+    tagged partner unless *partner_row* is None."""
     ledger = FactLedger()
     for name, order in (("chi", 2), ("psi", 3), ("nu", None)):
         ledger.declare_character(name, order=order)
     ledger.declare_base("a", "icosahedral", galois_row="X'")
-    ledger.declare_base("b", "icosahedral", galois_row="X''")
+    ledger.declare_base("b", "icosahedral", galois_row=partner_row)
     for name, typ in (("c", "icosahedral"), ("t", "tetrahedral"), ("o", "octahedral")):
         ledger.declare_base(name, typ)
     ledger.declare_base("d", "dihedral", dihedral_field="E", dihedral_char="xi")
@@ -383,10 +386,10 @@ _EXTRA = st.sampled_from(
 
 
 @st.composite
-def ledgers_and_sums(draw):
+def ledgers_and_sums(draw, partner_row="X''"):
     """A ledger with random facts over a small pool of constituents, a sum
     of pool members twisted further, and a pool member as pair target."""
-    ledger = generated_ledger()
+    ledger = generated_ledger(partner_row)
     pool = draw(st.lists(_CONSTITUENTS, min_size=1, max_size=6))
     member = st.integers(0, len(pool) - 1)
     for i, j, truth in draw(st.lists(st.tuples(member, member, st.booleans()), max_size=5)):
@@ -405,6 +408,48 @@ def test_pole_order_matches_the_pairwise_reference(case):
     ledger, e, tau = case
     assert pole_order(e, ledger) == reference_pole_order(e, ledger)
     assert pole_order_pair(e, tau, ledger) == reference_pole_order_pair(e, tau, ledger)
+
+
+_STATE = (
+    "characters", "bases", "base_changes", "_facts", "_cuspidal",
+    "_automorphic", "_word_kinds", "_self_dual", "_orders",
+)
+
+
+def ledger_state(ledger):
+    return {name: dict(getattr(ledger, name)) for name in _STATE}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["X''", None]).flatmap(ledgers_and_sums),
+    st.lists(st.sampled_from(list(generated_ledger().bases)), min_size=2, max_size=2),
+    st.integers(0, 14),
+    st.one_of(st.none(), _WORDS),
+)
+def test_queries_leave_the_ledger_unchanged(case, pair, m, chi):
+    """Every query reads its ledger only; tagged icosahedral bases with and
+    without a partner in the ledger are both covered."""
+    ledger, e, tau = case
+    p, q = (ledger.bases[name] for name in pair)
+    tagged = [b for b in ledger.bases.values() if b.galois_row is not None]
+    queries = [
+        lambda: [ledger.equivalent(c, tau) for c, _ in e.terms],
+        lambda: pole_order(e, ledger),
+        lambda: pole_order_pair(e, tau, ledger),
+        lambda: decide_cuspidality(p, q, ledger),
+        lambda: decide_cuspidality_via_poles(p, q, ledger),
+    ]
+    for base in tagged:
+        queries.append(lambda base=base: siegel_report(m, base, chi, ledger))
+        queries.append(lambda base=base: siegel_scan(m, m + 2, base, chi, ledger))
+    before = ledger_state(ledger)
+    for query in queries:
+        try:
+            query()
+        except ValueError:
+            pass  # a refused query (LedgerError is a ValueError) must not write either
+        assert ledger_state(ledger) == before
 
 
 def test_pole_order_reduces_each_term_once(monkeypatch):
@@ -461,8 +506,8 @@ def test_facts_are_keyed_by_symbol_not_by_text():
     ledger, p, q = fresh()
     stranger = BaseCusp("p", "general")  # prints as p, but is another base
     ledger.assert_equiv(ad(p), ad(q), True)
-    assert ledger.declared(ad(q), ad(p)) is True
-    assert ledger.declared(ad(stranger), ad(q)) is None
+    assert ledger.equivalent(ad(q), ad(p))[0] is True
+    assert ledger.equivalent(ad(stranger), ad(q))[0] is None
     ledger.declare_cuspidal(SymCusp(p, 5), False)
     assert ledger.cuspidal_declared(SymCusp(p, 5)) is False
     assert ledger.cuspidal_declared(SymCusp(stranger, 5)) is None

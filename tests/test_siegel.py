@@ -7,10 +7,12 @@ import pytest
 from icosym.chartab import CharacterTable
 from icosym.icostruct import scan_trivial
 from icosym.isobaric import (
+    BaseCusp,
     CharWord,
     Constituent,
     FactLedger,
     IsobaricExpr,
+    LedgerError,
     SymCusp,
     standard_icosahedral_pair,
 )
@@ -272,6 +274,75 @@ def test_report_rejects_bad_inputs():
         siegel_report(3, p, CHI, ledger)
     with pytest.raises(ValueError):
         siegel_scan(5, 3)
+
+
+def test_report_takes_p_and_ledger_together():
+    ledger, p, _ = standard_context()
+    for call in (
+        lambda: siegel_report(12, p),
+        lambda: siegel_report(12, ledger=ledger),
+        lambda: siegel_scan(0, 3, p),
+        lambda: siegel_scan(0, 3, ledger=ledger),
+    ):
+        with pytest.raises(ValueError, match="together"):
+            call()
+
+
+def test_report_checks_the_base_before_the_ledger():
+    ledger = FactLedger()
+    ledger.declare_base("g_tau", "general")  # would clash with g's partner
+    with pytest.raises(ValueError, match="finite-image tag"):
+        siegel_report(12, BaseCusp("g", "icosahedral"), None, ledger)
+    with pytest.raises(ValueError, match="icosahedral type"):
+        siegel_report(12, BaseCusp("g", "general", galois_row="X'"), None, ledger)
+
+
+def tagged_base():
+    ledger = FactLedger()
+    return ledger, ledger.declare_base("f", "icosahedral", galois_row="X'")
+
+
+def test_galois_partner_is_a_value_when_the_ledger_has_none():
+    ledger, f = tagged_base()
+    rep = siegel_report(7, f, None, ledger)
+    assert {c.label for c in rep.constituents} == {"twist of sym^5(pi)", "twist of pi_tau"}
+    assert rep.verdict == "no-siegel-zero"
+    assert list(ledger.bases) == ["f"]
+
+
+def test_galois_partner_is_the_ledger_base_with_the_other_row():
+    ledger, f = tagged_base()
+    g = ledger.declare_base("g", "icosahedral", galois_row="X''")
+    ledger.assert_equiv(Constituent(f), Constituent(g), False)
+    (x2,) = [c for c in siegel_report(6, f, None, ledger).constituents if c.row == "X2"]
+    assert x2.detail.endswith("declared: f ~ g is False")
+
+
+@pytest.mark.parametrize("kind", ["base", "character"])
+def test_galois_partner_name_clash_is_refused(kind):
+    ledger, f = tagged_base()
+    if kind == "base":
+        ledger.declare_base("f_tau", "icosahedral", galois_row="X'")
+    else:
+        ledger.declare_character("f_tau", order=2)
+    before = (dict(ledger.bases), dict(ledger.characters))
+    with pytest.raises(LedgerError, match=f"f_tau, the Galois partner of f, is declared as a {kind}"):
+        siegel_report(12, f, None, ledger)
+    assert (ledger.bases, ledger.characters) == before
+
+
+def test_alternative_normalization_follows_omega_and_the_twist():
+    ledger, p, _ = standard_context()
+    for chi, alt in (
+        (CharWord.gen("nu"), "omega(pi)^(12/2)*nu^(13)"),
+        (CharWord.of({"chi": 1, "nu": 1}), "omega(pi)^(12/2)*(chi*nu)^(13)"),
+        (CharWord.gen("chi", 2), "omega(pi)^(12/2)*(chi^2)^(13)"),
+    ):
+        assert siegel_report(12, p, chi, ledger).exceptional_character_alt == alt
+    ledger, f = tagged_base()
+    ledger.declare_base("h", "icosahedral", omega="w", galois_row="X''")
+    rep = siegel_report(12, ledger.bases["h"], None, ledger)
+    assert rep.exceptional_character_alt == "w^(12/2)*chi^(13)"
 
 
 def test_scan_is_fully_covered():
