@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .group import GroupTable, build_sl2f5
 from .report import CheckResult
-from .scalar import GOLDEN, GOLDEN_CONJ, ONE, ZERO, Qsqrt5, ScalarLike
+from .scalar import GOLDEN, GOLDEN_CONJ, ONE, ZERO, Qsqrt5
 
 IRREP_NAMES: tuple[str, ...] = ("U", "V", "W", "X1", "X2", "W'", "W''", "X'", "X''")
 
@@ -46,7 +46,7 @@ _PHI = GOLDEN
 _PSI = GOLDEN_CONJ
 
 # rows of the classical table; columns follow group.CLASS_REPS
-_TABLE_ROWS: dict[str, tuple[ScalarLike | Qsqrt5, ...]] = {
+_TABLE_ROWS: dict[str, tuple[Qsqrt5 | int, ...]] = {
     "U": (1, 1, 1, 1, 1, 1, 1, 1, 1),
     "V": (5, 5, 0, 0, 0, 0, 1, -1, -1),
     # the 6-dimensional row is a spin representation (A5 has no 6-dimensional
@@ -109,7 +109,7 @@ class ClassFunction:
             raise ValueError(f"need {N_CLASSES} values, got {len(self.values)}")
 
     @classmethod
-    def of(cls, values: Iterable[ScalarLike]) -> "ClassFunction":
+    def of(cls, values: Iterable[Qsqrt5 | int]) -> "ClassFunction":
         return cls(tuple(Qsqrt5.coerce(v) for v in values))
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
@@ -151,7 +151,7 @@ class CharacterTable:
     def __init__(
         self,
         group: GroupTable | None = None,
-        rows: Mapping[str, Sequence[ScalarLike]] | None = None,
+        rows: Mapping[str, Sequence[Qsqrt5 | int]] | None = None,
     ) -> None:
         self.group = group if group is not None else build_sl2f5()
         source = rows if rows is not None else _TABLE_ROWS
@@ -193,7 +193,7 @@ class CharacterTable:
         xs, df = _integral(f.values)
         ys, dg = _integral(g.values)
         weighted = [(size * r, size * s) for size, (r, s) in zip(self.sizes, ys)]
-        return Qsqrt5.from_ints(*_dot(xs, weighted), self.group.order * df * dg)
+        return Qsqrt5(*_dot(xs, weighted), self.group.order * df * dg)
 
     def decompose(self, f: ClassFunction) -> dict[str, int]:
         """Multiplicities of *f* in the irreducible basis.
@@ -211,7 +211,7 @@ class CharacterTable:
             m, rest = divmod(a, den)
             if b or rest or m < 0:
                 raise NotACharacterError(
-                    {n: Qsqrt5.from_ints(a, b, den) for n, (a, b) in pairings.items()}
+                    {n: Qsqrt5(a, b, den) for n, (a, b) in pairings.items()}
                 )
             if m:
                 mults[name] = m

@@ -126,29 +126,3 @@ class GroupTable:
 def build_sl2f5() -> GroupTable:
     return GroupTable()
 
-
-def commutators_closure(elements: list[Mat]) -> set[Mat]:
-    """Subgroup generated by all commutators g h g^-1 h^-1 (brute force)."""
-    gens = {
-        mmul(mmul(g, h), minv(mmul(h, g)))
-        for g in elements
-        for h in elements
-    }
-    closure = set(gens) | {IDENTITY}
-    frontier = list(closure)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mmul(x, g)
-                if y not in closure:
-                    closure.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return closure
-
-
-def center(elements: list[Mat]) -> set[Mat]:
-    return {
-        g for g in elements if all(mmul(g, h) == mmul(h, g) for h in elements)
-    }

@@ -291,9 +291,3 @@ def evaluate(expr: Expr, tab: CharacterTable | None = None) -> ClassFunction:
         return out
     raise TypeError(f"not an expression node: {expr!r}")
 
-
-def decompose_text(text: str, tab: CharacterTable | None = None):
-    """Parse, evaluate, and decompose in one step: (class function, mults)."""
-    tab = tab or default_table()
-    f = evaluate(parse(text), tab)
-    return f, tab.decompose(f)

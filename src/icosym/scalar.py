@@ -7,10 +7,8 @@ ints ``(p, q, d)`` standing for ``(p + q*sqrt 5)/d`` in lowest terms:
 algebraic integers of the field, so ``d`` is 1 or 2 for them, and each
 operation is a few integer products and at most one gcd.  The normal form is
 unique, so equality and hashing compare the three ints.  No floating point
-is used anywhere, and :class:`fractions.Fraction` only at the edges: the
-constructor accepts it, the properties ``a`` and ``b`` return the element as
-``a + b*sqrt(5)``, and :meth:`Qsqrt5.norm`, ``repr`` and :func:`render` are
-written with them.
+is used anywhere: the constructor takes ints only, and :func:`render` and
+:func:`parse` write and read the text form with ints as well.
 
 The field carries one nontrivial automorphism ``tau : sqrt(5) -> -sqrt(5)``
 (:meth:`Qsqrt5.conj`), which swaps the golden ratio with its algebraic
@@ -21,13 +19,8 @@ from __future__ import annotations
 
 import itertools
 import re
-import sys
-from fractions import Fraction
 from math import gcd
-from typing import Union
-
-RationalLike = Union[int, Fraction]
-ScalarLike = Union["Qsqrt5", int, Fraction]
+from operator import index
 
 _SQRT_TOKEN = "√5"  # √5
 
@@ -44,15 +37,12 @@ _RAT_RE = re.compile(rf"^\s*(?P<a>{_RAT})\s*$")
 class Qsqrt5:
     """An element ``(p + q*sqrt(5))/d`` of Q(sqrt 5), in lowest terms.
 
-    Instances are immutable, hashable and support ``+ - * / **`` against
-    other elements, ``int`` and ``Fraction``.  Equality against plain
-    rationals works when ``q == 0``, and so does hash agreement.
-
-    Parameters
-    ----------
-    a, b:
-        Rational and sqrt(5)-coefficients of ``a + b*sqrt(5)``; anything
-        `Fraction` accepts.
+    ``Qsqrt5(p, q, d)`` takes any ints with ``d != 0`` and reduces them, so
+    ``Qsqrt5(2)`` is 2 and ``Qsqrt5(1, 1, 2)`` is the golden ratio; any other
+    argument type raises TypeError.  Instances are immutable, hashable and
+    support ``+ - * / **`` against other elements and ``int``.  Equality
+    against an ``int`` works when the element is a rational integer, and so
+    does hash agreement.
     """
 
     __slots__ = ("p", "q", "d")
@@ -61,60 +51,34 @@ class Qsqrt5:
     q: int
     d: int
 
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0) -> None:
-        an, ad = _ratio_of(a)
-        bn, bd = _ratio_of(b)
-        g = gcd(an * bd, bn * ad, ad * bd)
-        _set_p(self, an * bd // g)
-        _set_q(self, bn * ad // g)
-        _set_d(self, ad * bd // g)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Qsqrt5 is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through from_ints, not the blocked setattr
-        return (Qsqrt5.from_ints, (self.p, self.q, self.d))
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def coerce(cls, value: ScalarLike) -> "Qsqrt5":
-        """Return *value* as a Qsqrt5, accepting int and Fraction."""
-        if isinstance(value, Qsqrt5):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot interpret {value!r} as an element of Q(sqrt 5)")
-
-    @classmethod
-    def from_ints(cls, p: int, q: int, d: int = 1) -> "Qsqrt5":
-        """``(p + q*sqrt 5)/d`` for any ints with ``d != 0``."""
+    def __new__(cls, p: int = 0, q: int = 0, d: int = 1) -> "Qsqrt5":
+        p, q, d = index(p), index(q), index(d)
         if d == 0:
             raise ZeroDivisionError("zero denominator in Q(sqrt 5)")
         if d < 0:
             p, q, d = -p, -q, -d
         return _reduced(p, q, d)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Qsqrt5 is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not the blocked setattr
+        return (Qsqrt5, (self.p, self.q, self.d))
+
+    @classmethod
+    def coerce(cls, value: Qsqrt5 | int) -> "Qsqrt5":
+        """Return *value* as a Qsqrt5, accepting int."""
+        x = _try_coerce(value)
+        if x is None:
+            raise TypeError(f"cannot interpret {value!r} as an element of Q(sqrt 5)")
+        return x
+
     # -- structure ----------------------------------------------------
-
-    @property
-    def a(self) -> Fraction:
-        """The rational part of ``a + b*sqrt(5)``."""
-        return Fraction(self.p, self.d)
-
-    @property
-    def b(self) -> Fraction:
-        """The sqrt(5)-coefficient of ``a + b*sqrt(5)``."""
-        return Fraction(self.q, self.d)
 
     def conj(self) -> "Qsqrt5":
         """Galois conjugate: the automorphism sqrt(5) -> -sqrt(5)."""
         return _make(self.p, -self.q, self.d)
-
-    def norm(self) -> Fraction:
-        """Field norm ``self * self.conj()`` (a rational)."""
-        return Fraction(self.p * self.p - 5 * self.q * self.q, self.d * self.d)
 
     def inv(self) -> "Qsqrt5":
         """Multiplicative inverse; raises ZeroDivisionError at zero."""
@@ -124,7 +88,7 @@ class Qsqrt5:
         n = p * p - 5 * q * q
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 5)")
-        return Qsqrt5.from_ints(d * p, -d * q, n)
+        return Qsqrt5(d * p, -d * q, n)
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
@@ -141,7 +105,7 @@ class Qsqrt5:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: ScalarLike) -> "Qsqrt5":
+    def __add__(self, other: Qsqrt5 | int) -> "Qsqrt5":
         o = _try_coerce(other)
         if o is None:
             return NotImplemented
@@ -150,20 +114,20 @@ class Qsqrt5:
 
     __radd__ = __add__
 
-    def __sub__(self, other: ScalarLike) -> "Qsqrt5":
+    def __sub__(self, other: Qsqrt5 | int) -> "Qsqrt5":
         o = _try_coerce(other)
         if o is None:
             return NotImplemented
         d, e = self.d, o.d
         return _reduced(self.p * e - o.p * d, self.q * e - o.q * d, d * e)
 
-    def __rsub__(self, other: ScalarLike) -> "Qsqrt5":
+    def __rsub__(self, other: Qsqrt5 | int) -> "Qsqrt5":
         o = _try_coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
-    def __mul__(self, other: ScalarLike) -> "Qsqrt5":
+    def __mul__(self, other: Qsqrt5 | int) -> "Qsqrt5":
         o = _try_coerce(other)
         if o is None:
             return NotImplemented
@@ -172,13 +136,13 @@ class Qsqrt5:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: ScalarLike) -> "Qsqrt5":
+    def __truediv__(self, other: Qsqrt5 | int) -> "Qsqrt5":
         o = _try_coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inv()
 
-    def __rtruediv__(self, other: ScalarLike) -> "Qsqrt5":
+    def __rtruediv__(self, other: Qsqrt5 | int) -> "Qsqrt5":
         o = _try_coerce(other)
         if o is None:
             return NotImplemented
@@ -209,18 +173,12 @@ class Qsqrt5:
             return self.p == other.p and self.q == other.q and self.d == other.d
         if isinstance(other, int):
             return self.q == 0 and self.d == 1 and self.p == other
-        if isinstance(other, Fraction):
-            return (
-                self.q == 0
-                and self.p == other.numerator
-                and self.d == other.denominator
-            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        # agree with Fraction/int hashing on rational elements
-        if self.q == 0:
-            return _rational_hash(self.p, self.d)
+        # agree with int hashing on rational integers
+        if self.q == 0 and self.d == 1:
+            return hash(self.p)
         return hash((self.p, self.q, self.d))
 
     def __bool__(self) -> bool:
@@ -232,16 +190,13 @@ class Qsqrt5:
         return render(self)
 
     def __repr__(self) -> str:
-        return f"Qsqrt5({self.a!r}, {self.b!r})"
+        return f"Qsqrt5({self.p}, {self.q}, {self.d})"
 
 
 _new = object.__new__
 _set_p = Qsqrt5.p.__set__
 _set_q = Qsqrt5.q.__set__
 _set_d = Qsqrt5.d.__set__
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
 
 
 def _make(p: int, q: int, d: int) -> Qsqrt5:
@@ -275,46 +230,32 @@ def _reduced(p: int, q: int, d: int) -> Qsqrt5:
     return _make(p, q, d)
 
 
-def _ratio_of(x: RationalLike) -> tuple[int, int]:
-    """Numerator and positive denominator of a rational in lowest terms."""
-    if isinstance(x, int):
-        return int(x), 1
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator, x.denominator
-
-
-def _rational_hash(n: int, d: int) -> int:
-    """``hash(Fraction(n, d))`` for coprime ``n`` and ``d > 0``, computed by
-    the numeric hash rule of the Python reference."""
-    if d == 1:
-        return hash(n)
-    try:
-        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
-    except ValueError:  # d is a multiple of the modulus
-        h = _HASH_INF
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
-
-
 def _try_coerce(value: object) -> Qsqrt5 | None:
     if isinstance(value, Qsqrt5):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Qsqrt5(value)
     return None
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """``n/d`` in lowest terms, written ``n`` when the denominator is 1."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return f"{n}" if d == 1 else f"{n}/{d}"
+
+
 def render(x: Qsqrt5) -> str:
     """Render ``a + b√5`` with rationals as ``p/q``; exact round-trip with parse."""
-    if x.b == 0:
-        return str(x.a)
-    coef = "" if abs(x.b) == 1 else f"{abs(x.b)}"
+    p, q, d = x.p, x.q, x.d
+    if q == 0:
+        return _ratio_text(p, d)
+    coef = "" if abs(q) == d else _ratio_text(abs(q), d)
     surd = f"{coef}{_SQRT_TOKEN}"
-    if x.a == 0:
-        return surd if x.b > 0 else f"-{surd}"
-    sign = "+" if x.b > 0 else "-"
-    return f"{x.a} {sign} {surd}"
+    if p == 0:
+        return surd if q > 0 else f"-{surd}"
+    sign = "+" if q > 0 else "-"
+    return f"{_ratio_text(p, d)} {sign} {surd}"
 
 
 def parse(text: str) -> Qsqrt5:
@@ -329,27 +270,37 @@ def parse(text: str) -> Qsqrt5:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _ratio(text: str | None) -> tuple[int, int]:
+    """Numerator and denominator of a literal ``n`` or ``n/d``; 1 if absent."""
+    if not text:
+        return 1, 1
+    n, _, d = text.partition("/")
+    return int(n), int(d or 1)
+
+
 def _parse_normalized(normalized: str) -> Qsqrt5:
     m = _FULL_RE.match(normalized)
     if m is not None:
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        b = -coef if m.group("op") == "-" else coef
-        return Qsqrt5(Fraction(m.group("a")), b)
+        an, ad = _ratio(m.group("a"))
+        bn, bd = _ratio(m.group("coef"))
+        bn = -bn if m.group("op") == "-" else bn
+        return Qsqrt5(an * bd, bn * ad, ad * bd)
     m = _SURD_RE.match(normalized)
     if m is not None:
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        return Qsqrt5(0, -coef if m.group("sign") == "-" else coef)
+        bn, bd = _ratio(m.group("coef"))
+        return Qsqrt5(0, -bn if m.group("sign") == "-" else bn, bd)
     m = _RAT_RE.match(normalized)
     if m is not None:
-        return Qsqrt5(Fraction(m.group("a")))
+        an, ad = _ratio(m.group("a"))
+        return Qsqrt5(an, 0, ad)
     raise ValueError(f"not a Q(sqrt 5) literal: {normalized!r}")
 
 
-ZERO = Qsqrt5.from_ints(0, 0)
-ONE = Qsqrt5.from_ints(1, 0)
-SQRT5 = Qsqrt5.from_ints(0, 1)
+ZERO = Qsqrt5(0)
+ONE = Qsqrt5(1)
+SQRT5 = Qsqrt5(0, 1)
 
 #: the golden ratio (1 + sqrt 5)/2, a primitive 10th-root trace
-GOLDEN = Qsqrt5.from_ints(1, 1, 2)
+GOLDEN = Qsqrt5(1, 1, 2)
 #: its Galois conjugate (1 - sqrt 5)/2
 GOLDEN_CONJ = GOLDEN.conj()

@@ -679,14 +679,15 @@ def siegel_report(
                 detail = f"auxiliary expansion at m = {inner_m}"
                 k, r = fact.k, fact.r
         elif row == "X2":
+            # only a False verdict certifies the Ramakrishnan-Wang hypothesis
             same, reason = ledger.equivalent(Constituent(p), Constituent(p_tau))
-            if same is None:
-                covered = False
-                detail = f"cannot certify non-twist-equivalence: {reason}"
-            else:
+            if same is False:
                 detail = (
                     "the pair is neither dihedral nor twist-equivalent: " + reason
                 )
+            else:
+                covered = False
+                detail = f"cannot certify non-twist-equivalence: {reason}"
         constituents.append(
             ConstituentReport(
                 row, label, mult, rule.name, rule.citations, detail, k, r, exceptional

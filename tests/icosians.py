@@ -8,7 +8,6 @@ arithmetic itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, product
 
 from icosym.scalar import GOLDEN, Qsqrt5
@@ -16,7 +15,7 @@ from icosym.scalar import GOLDEN, Qsqrt5
 Quat = tuple[Qsqrt5, Qsqrt5, Qsqrt5, Qsqrt5]
 
 _ZERO = Qsqrt5(0)
-_HALF = Qsqrt5(Fraction(1, 2))
+_HALF = Qsqrt5(1, 0, 2)
 _PHI_HALF = GOLDEN * _HALF
 _INV_PHI_HALF = (GOLDEN - 1) * _HALF  # 1/(2 phi) since phi**2 = phi + 1
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -130,7 +129,7 @@ def test_decompose_rejects_negative_multiplicity(tab):
 
 
 def test_decompose_rejects_fractional_multiplicity(tab):
-    f = Fraction(1, 2) * tab.row("U")
+    f = Qsqrt5(1, 0, 2) * tab.row("U")
     with pytest.raises(NotACharacterError):
         tab.decompose(f)
 

@@ -480,6 +480,39 @@ class TestSiegel:
         assert (code, err) == (0, "")
         assert out.startswith("m = 12: sym^12(pi)*chi -> exceptional-case")
 
+    def test_a_true_fact_on_the_pair_is_not_a_certificate(self, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "bases": [
+                        {"name": "f", "type": "icosahedral", "galois_row": "X'"},
+                        {"name": "g", "type": "icosahedral", "galois_row": "X''"},
+                    ],
+                    "facts": [{"lhs": "f", "rhs": "g", "relation": "equiv", "truth": True}],
+                    "siegel": {"p": "f"},
+                }
+            )
+        )
+        code, document, err = run_json(capsys, "siegel", "--m", "6", "--facts", str(path))
+        assert (code, err) == (0, "")
+        results = document["results"]
+        assert results["verdict"] == "not-covered"
+        x2 = results["constituents"][0]
+        assert (x2["row"], x2["constituent"]) == ("X2", "twist of box(f, g)")
+        assert x2["detail"] == "cannot certify non-twist-equivalence: declared: f ~ g is True"
+
+    def test_family_labels_follow_the_tagged_base(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(
+            json.dumps({"bases": [{"name": "f", "type": "icosahedral", "galois_row": "X'"}]})
+        )
+        code, out, _ = run(capsys, "siegel", "--m", "12", "--facts", str(path))
+        assert code == 0
+        assert "  1 x twist of sym^4(f) (V): auxiliary-expansion [k=4 > r=3]\n" in out
+        assert "  1 x twist of box(f, f_tau) (X2): rankin-selberg-pair\n" in out
+        assert "pi" not in out
+
     @pytest.mark.parametrize(
         "doc,what",
         [

@@ -8,9 +8,8 @@ from icosym.group import (
     CLASS_REPS,
     IDENTITY,
     GroupTable,
+    Mat,
     build_sl2f5,
-    center,
-    commutators_closure,
     element_order,
     mdet,
     minv,
@@ -20,6 +19,33 @@ from icosym.group import (
 
 TABLE_SIZES = [1, 1, 12, 12, 12, 12, 30, 20, 20]
 TABLE_ORDERS = [1, 2, 5, 5, 10, 10, 4, 6, 3]
+
+
+def commutators_closure(elements: list[Mat]) -> set[Mat]:
+    """Subgroup generated by all commutators g h g^-1 h^-1 (brute force)."""
+    gens = {
+        mmul(mmul(g, h), minv(mmul(h, g)))
+        for g in elements
+        for h in elements
+    }
+    closure = set(gens) | {IDENTITY}
+    frontier = list(closure)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mmul(x, g)
+                if y not in closure:
+                    closure.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return closure
+
+
+def center(elements: list[Mat]) -> set[Mat]:
+    return {
+        g for g in elements if all(mmul(g, h) == mmul(h, g) for h in elements)
+    }
 
 
 @pytest.fixture(scope="module")

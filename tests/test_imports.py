@@ -60,6 +60,21 @@ def test_verify_runs_the_layers_it_checks():
     assert ran & HEAVY == HEAVY - {"icosym.factsfile"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "all"], ["decompose", "--rep", "sym^5(X')"], ["siegel", "--m", "12"]],
+)
+def test_commands_never_import_fractions(argv):
+    statement = (
+        "import contextlib, io\n"
+        "from icosym.cli import cmd_dispatch\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cmd_dispatch({argv!r}) == 0\n"
+        "assert 'fractions' not in sys.modules, 'fractions was imported'"
+    )
+    assert "icosym.scalar" in modules_run_by(statement)
+
+
 def test_every_public_name_is_its_modules_object():
     assert len(icosym.__all__) == 56
     for name in icosym.__all__:

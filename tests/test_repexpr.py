@@ -19,7 +19,6 @@ from icosym.repexpr import (
     Plus,
     Sym,
     Tensor,
-    decompose_text,
     evaluate,
     parse,
     render,
@@ -237,9 +236,9 @@ class TestEvaluation:
         assert TAB.decompose(f) == {"W'": 1}
 
     def test_decompose_text(self):
-        _, mults = decompose_text("sym^6(X')", TAB)
+        mults = TAB.decompose(evaluate(parse("sym^6(X')"), TAB))
         assert mults == {"W''": 1, "X2": 1}
 
     def test_decompose_text_spec_example(self):
-        _, mults = decompose_text("sym^5(X')", TAB)
+        mults = TAB.decompose(evaluate(parse("sym^5(X')"), TAB))
         assert mults == {"W": 1}

@@ -14,6 +14,7 @@ from icosym.isobaric import (
     IsobaricExpr,
     LedgerError,
     SymCusp,
+    icosahedral_family,
     standard_icosahedral_pair,
 )
 from icosym.siegel import (
@@ -305,7 +306,7 @@ def tagged_base():
 def test_galois_partner_is_a_value_when_the_ledger_has_none():
     ledger, f = tagged_base()
     rep = siegel_report(7, f, None, ledger)
-    assert {c.label for c in rep.constituents} == {"twist of sym^5(pi)", "twist of pi_tau"}
+    assert {c.label for c in rep.constituents} == {"twist of sym^5(f)", "twist of f_tau"}
     assert rep.verdict == "no-siegel-zero"
     assert list(ledger.bases) == ["f"]
 
@@ -316,6 +317,36 @@ def test_galois_partner_is_the_ledger_base_with_the_other_row():
     ledger.assert_equiv(Constituent(f), Constituent(g), False)
     (x2,) = [c for c in siegel_report(6, f, None, ledger).constituents if c.row == "X2"]
     assert x2.detail.endswith("declared: f ~ g is False")
+
+
+def test_a_true_equivalence_of_the_pair_leaves_the_x2_row_uncovered():
+    ledger, f = tagged_base()
+    g = ledger.declare_base("g", "icosahedral", galois_row="X''")
+    ledger.assert_equiv(Constituent(f), Constituent(g), True)
+    rep = siegel_report(6, f, None, ledger)
+    (x2,) = [c for c in rep.constituents if c.row == "X2"]
+    assert rep.verdict == "not-covered"
+    assert x2.detail == "cannot certify non-twist-equivalence: declared: f ~ g is True"
+    assert [r.verdict for r in siegel_scan(0, 14, f, None, ledger) if r.m in (6, 12)] == [
+        "not-covered", "not-covered"
+    ]
+
+
+def test_family_labels_name_the_bases_of_the_report():
+    ledger, f = tagged_base()
+    g = ledger.declare_base("g", "icosahedral", galois_row="X''")
+    labels = [label for label, _, _ in icosahedral_family(ledger, f, g)]
+    assert labels == [
+        "1", "f", "g", "sym^2(f)", "sym^2(g)", "sym^3(f)", "box(f, g)", "sym^4(f)", "sym^5(f)"
+    ]
+    rep = siegel_report(12, f, None, ledger)
+    assert [c.label for c in rep.constituents] == [
+        "chi*omega(f)^6", "twist of sym^4(f)", "twist of box(f, g)", "twist of sym^2(f)"
+    ]
+    standard = [c.label for c in siegel_report(12).constituents]
+    assert standard == [
+        "chi*omega(pi)^6", "twist of sym^4(pi)", "twist of box(pi, pi_tau)", "twist of sym^2(pi)"
+    ]
 
 
 @pytest.mark.parametrize("kind", ["base", "character"])
