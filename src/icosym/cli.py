@@ -2,7 +2,8 @@
 
 Every subcommand prints human-readable text by default and a single JSON
 document with ``--json``; exit codes are 0 for success, 1 for a failed
-verification, 2 for usage or parse errors.
+verification, 2 for usage or parse errors and for a stdout closed before
+the output was complete.
 
 Each ``cmd_*`` imports the layers it uses, so a command loads only those:
 ``chartab``, ``decompose`` and ``irreps`` never run ``isobaric``,
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -137,10 +139,9 @@ def cmd_decompose(args) -> int:
     from .chartab import default_table, format_decomposition
     from .repexpr import evaluate, parse, render
 
-    tab = default_table()
     expr = parse(args.rep)
-    f = evaluate(expr, tab)
-    mults = tab.decompose(f)
+    f = evaluate(expr)
+    mults = default_table().decompose(f)
     if args.json:
         _emit(
             args,
@@ -162,7 +163,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_irreps(args) -> int:
-    from .chartab import default_table
     from .icostruct import (
         classify_irreps,
         dim_irrep,
@@ -174,15 +174,14 @@ def cmd_irreps(args) -> int:
         raise ValueError(f"--m must be at least 1, got {args.m}")
     if args.m > MAX_POWER:
         raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
-    tab = default_table()
-    irreps = classify_irreps(args.m, tab)
-    report = self_dual_two_dim_report(args.m, tab)
+    irreps = classify_irreps(args.m)
+    report = self_dual_two_dim_report(args.m)
     listing = [
         {
             "row": r.base,
             "exponent": r.exponent,
-            "dim": dim_irrep(r, tab),
-            "self_dual": is_self_dual(r, args.m, tab),
+            "dim": dim_irrep(r),
+            "self_dual": is_self_dual(r, args.m),
         }
         for r in irreps
     ]
@@ -469,7 +468,16 @@ def cmd_dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(cmd_dispatch(sys.argv[1:]))
+    try:
+        code = cmd_dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the
+        # interpreter's final flush cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was complete", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chartab import IRREP_NAMES, CharacterTable, default_table
+from .chartab import IRREP_NAMES, default_table
 from .report import CheckResult
 
 
@@ -33,10 +33,9 @@ class IcoIrrep:
         return f"({self.base}, {self.exponent})"
 
 
-def base_parity(name: str, tab: CharacterTable | None = None) -> int:
+def base_parity(name: str) -> int:
     """1 when -I acts by -1 in the row (spin rows), else 0."""
-    tab = tab or default_table()
-    row = tab.row(name)
+    row = default_table().row(name)
     if row[1] == row[0]:
         return 0
     if row[1] == -row[0]:
@@ -44,34 +43,33 @@ def base_parity(name: str, tab: CharacterTable | None = None) -> int:
     raise ValueError(f"row {name} is not a homogeneous central type")
 
 
-def validate_irrep(r: IcoIrrep, m: int, tab: CharacterTable | None = None) -> None:
+def validate_irrep(r: IcoIrrep, m: int) -> None:
     if m < 1:
         raise ValueError("center parameter m must be >= 1")
     if r.base not in IRREP_NAMES:
         raise ValueError(f"unknown row {r.base!r}")
     if not 0 <= r.exponent < 2 * m:
         raise ValueError(f"exponent {r.exponent} out of range for 2m = {2 * m}")
-    if r.exponent % 2 != base_parity(r.base, tab):
+    if r.exponent % 2 != base_parity(r.base):
         raise ValueError(
             f"exponent parity mismatch: {r} needs exponent "
-            f"{'odd' if base_parity(r.base, tab) else 'even'} mod 2"
+            f"{'odd' if base_parity(r.base) else 'even'} mod 2"
         )
 
 
-def classify_irreps(m: int, tab: CharacterTable | None = None) -> list[IcoIrrep]:
+def classify_irreps(m: int) -> list[IcoIrrep]:
     """All irreducibles for center of order 2m, row-major then by exponent."""
     if m < 1:
         raise ValueError("center parameter m must be >= 1")
-    tab = tab or default_table()
     out = []
     for name in IRREP_NAMES:
-        p = base_parity(name, tab)
+        p = base_parity(name)
         out.extend(IcoIrrep(name, a) for a in range(p, 2 * m, 2))
     return out
 
 
-def dim_irrep(r: IcoIrrep, tab: CharacterTable | None = None) -> int:
-    return (tab or default_table()).dim(r.base)
+def dim_irrep(r: IcoIrrep) -> int:
+    return default_table().dim(r.base)
 
 
 def twist_equivalent(r1: IcoIrrep, r2: IcoIrrep, m: int) -> bool:
@@ -81,53 +79,50 @@ def twist_equivalent(r1: IcoIrrep, r2: IcoIrrep, m: int) -> bool:
     return r1.base == r2.base
 
 
-def dual_irrep(r: IcoIrrep, m: int, tab: CharacterTable | None = None) -> IcoIrrep:
+def dual_irrep(r: IcoIrrep, m: int) -> IcoIrrep:
     """Rows are self-dual (checked), so duality only negates the exponent."""
-    tab = tab or default_table()
-    validate_irrep(r, m, tab)
+    validate_irrep(r, m)
+    tab = default_table()
     if tab.dual(tab.row(r.base)) != tab.row(r.base):
         raise RuntimeError(f"row {r.base} unexpectedly not self-dual")
     return IcoIrrep(r.base, (-r.exponent) % (2 * m))
 
 
-def is_self_dual(r: IcoIrrep, m: int, tab: CharacterTable | None = None) -> bool:
-    return dual_irrep(r, m, tab) == r
+def is_self_dual(r: IcoIrrep, m: int) -> bool:
+    return dual_irrep(r, m) == r
 
 
-def sym_power_irrep(
-    r: IcoIrrep, n: int, m: int, tab: CharacterTable | None = None
-) -> dict[IcoIrrep, int]:
+def sym_power_irrep(r: IcoIrrep, n: int, m: int) -> dict[IcoIrrep, int]:
     """Decompose sym^n of a 2-dimensional irreducible into IcoIrreps."""
-    tab = tab or default_table()
-    validate_irrep(r, m, tab)
-    if dim_irrep(r, tab) != 2:
+    validate_irrep(r, m)
+    if dim_irrep(r) != 2:
         raise ValueError(f"symmetric powers here act on 2-dimensional irreps, not {r}")
+    tab = default_table()
     mults = tab.decompose(tab.sym_power(r.base, n))
     exponent = (n * r.exponent) % (2 * m)
     out = {}
     for name, mult in mults.items():
         constituent = IcoIrrep(name, exponent)
-        validate_irrep(constituent, m, tab)  # parity must match automatically
+        validate_irrep(constituent, m)  # parity must match automatically
         out[constituent] = mult
     return out
 
 
-def trivial_constituent_of_sym(n: int, tab: CharacterTable | None = None) -> int:
+def trivial_constituent_of_sym(n: int) -> int:
     """Multiplicity of the trivial character in sym^n of the designated row X'."""
-    tab = tab or default_table()
+    tab = default_table()
     value = tab.inner_product(tab.sym_power("X'", n), tab.trivial())
     if not value.is_integer():
         raise RuntimeError(f"non-integral multiplicity at n = {n}: {value}")
     return value.as_int()
 
 
-def scan_trivial(max_n: int, tab: CharacterTable | None = None) -> dict[int, int]:
+def scan_trivial(max_n: int) -> dict[int, int]:
     """n -> multiplicity of the trivial constituent in sym^n(X'), 0 <= n <= max_n."""
-    tab = tab or default_table()
-    return {n: trivial_constituent_of_sym(n, tab) for n in range(max_n + 1)}
+    return {n: trivial_constituent_of_sym(n) for n in range(max_n + 1)}
 
 
-def self_dual_two_dim_report(m: int, tab: CharacterTable | None = None) -> dict:
+def self_dual_two_dim_report(m: int) -> dict:
     """Both readings of the 'no self-dual 2-dimensional irrep' claim.
 
     The exponent criterion settles it: a 2-dimensional (row, a) has a odd,
@@ -137,11 +132,8 @@ def self_dual_two_dim_report(m: int, tab: CharacterTable | None = None) -> dict:
     the center's order 2m is divisible by 4); this function reports rather
     than asserts, leaving the intended hypothesis to the caller.
     """
-    tab = tab or default_table()
     self_dual = [
-        r
-        for r in classify_irreps(m, tab)
-        if dim_irrep(r, tab) == 2 and is_self_dual(r, m, tab)
+        r for r in classify_irreps(m) if dim_irrep(r) == 2 and is_self_dual(r, m)
     ]
     return {
         "m": m,
@@ -151,9 +143,7 @@ def self_dual_two_dim_report(m: int, tab: CharacterTable | None = None) -> dict:
     }
 
 
-def generator_family(
-    m: int, tab: CharacterTable | None = None
-) -> dict[str, IcoIrrep]:
+def generator_family(m: int) -> dict[str, IcoIrrep]:
     """The nine derived objects every irreducible is twist-equivalent to.
 
     Built from the designated 2-dimensional pair Lam = (X', 1) and
@@ -161,9 +151,9 @@ def generator_family(
     and their product, and the third through fifth symmetric powers of Lam.
     Each must come out irreducible; the nine land in pairwise distinct rows.
     """
-    tab = tab or default_table()
     if m < 1:
         raise ValueError("center parameter m must be >= 1")
+    tab = default_table()
     lam = IcoIrrep("X'", 1 % (2 * m))
     lam_t = IcoIrrep("X''", 1 % (2 * m))
 
@@ -181,20 +171,19 @@ def generator_family(
         "1": IcoIrrep("U", 0),
         "Lam": lam,
         "Lam'": lam_t,
-        "sym^2(Lam)": single(sym_power_irrep(lam, 2, m, tab), "sym^2(Lam)"),
-        "sym^2(Lam')": single(sym_power_irrep(lam_t, 2, m, tab), "sym^2(Lam')"),
-        "sym^3(Lam)": single(sym_power_irrep(lam, 3, m, tab), "sym^3(Lam)"),
+        "sym^2(Lam)": single(sym_power_irrep(lam, 2, m), "sym^2(Lam)"),
+        "sym^2(Lam')": single(sym_power_irrep(lam_t, 2, m), "sym^2(Lam')"),
+        "sym^3(Lam)": single(sym_power_irrep(lam, 3, m), "sym^3(Lam)"),
         "Lam*Lam'": product(lam, lam_t, "Lam*Lam'"),
-        "sym^4(Lam)": single(sym_power_irrep(lam, 4, m, tab), "sym^4(Lam)"),
-        "sym^5(Lam)": single(sym_power_irrep(lam, 5, m, tab), "sym^5(Lam)"),
+        "sym^4(Lam)": single(sym_power_irrep(lam, 4, m), "sym^4(Lam)"),
+        "sym^5(Lam)": single(sym_power_irrep(lam, 5, m), "sym^5(Lam)"),
     }
 
 
-def verify_generators(m: int, tab: CharacterTable | None = None) -> list[CheckResult]:
+def verify_generators(m: int) -> list[CheckResult]:
     """Counts, twist classes and the generator family for center order 2m."""
-    tab = tab or default_table()
     out: list[CheckResult] = []
-    irreps = classify_irreps(m, tab)
+    irreps = classify_irreps(m)
 
     out.append(
         CheckResult(
@@ -215,7 +204,7 @@ def verify_generators(m: int, tab: CharacterTable | None = None) -> list[CheckRe
         )
     )
 
-    total = sum(dim_irrep(r, tab) ** 2 for r in irreps)
+    total = sum(dim_irrep(r) ** 2 for r in irreps)
     out.append(
         CheckResult(
             f"m={m}: degree sum",
@@ -225,7 +214,7 @@ def verify_generators(m: int, tab: CharacterTable | None = None) -> list[CheckRe
     )
 
     try:
-        gens = generator_family(m, tab)
+        gens = generator_family(m)
         bases = sorted(g.base for g in gens.values())
         distinct = bases == sorted(IRREP_NAMES)
         out.append(
@@ -252,12 +241,12 @@ def verify_generators(m: int, tab: CharacterTable | None = None) -> list[CheckRe
     lam = IcoIrrep("X'", 1 % (2 * m))
     lam_t = IcoIrrep("X''", 1 % (2 * m))
     pairs = [
-        ("sym^3(Lam) ~ sym^3(Lam')", sym_power_irrep(lam, 3, m, tab),
-         sym_power_irrep(lam_t, 3, m, tab)),
-        ("sym^4(Lam) ~ sym^4(Lam')", sym_power_irrep(lam, 4, m, tab),
-         sym_power_irrep(lam_t, 4, m, tab)),
-        ("sym^5(Lam) ~ sym^5(Lam')", sym_power_irrep(lam, 5, m, tab),
-         sym_power_irrep(lam_t, 5, m, tab)),
+        ("sym^3(Lam) ~ sym^3(Lam')", sym_power_irrep(lam, 3, m),
+         sym_power_irrep(lam_t, 3, m)),
+        ("sym^4(Lam) ~ sym^4(Lam')", sym_power_irrep(lam, 4, m),
+         sym_power_irrep(lam_t, 4, m)),
+        ("sym^5(Lam) ~ sym^5(Lam')", sym_power_irrep(lam, 5, m),
+         sym_power_irrep(lam_t, 5, m)),
     ]
     for label, left, right in pairs:
         lrows = {r.base for r in left}
@@ -270,6 +259,7 @@ def verify_generators(m: int, tab: CharacterTable | None = None) -> list[CheckRe
             )
         )
 
+    tab = default_table()
     for label, left, right in [
         ("sym^5(Lam) ~ Lam' * sym^2(Lam)", ("X'", 5), ("X''", "W'")),
         ("sym^5(Lam) ~ Lam * sym^2(Lam')", ("X'", 5), ("X'", "W''")),

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Union
 
-from .chartab import CharacterTable, ClassFunction, default_table
+from .chartab import ClassFunction, default_table
 from .scalar import Qsqrt5
 
 BASE_TYPES = (
@@ -729,13 +729,13 @@ def pole_order_pair(
     return PoleOrder(lo, hi, tuple(dict.fromkeys(missing)))
 
 
-def galois_pole_check(f: ClassFunction, tab: CharacterTable | None = None) -> int:
+def galois_pole_check(f: ClassFunction) -> int:
     """<f * dual(f), trivial> for a genuine character f.
 
     Cross-checked three ways (the pairing of f with itself, and the sum of
     squared multiplicities); they must agree exactly.
     """
-    tab = tab or default_table()
+    tab = default_table()
     mults = tab.decompose(f)  # raises NotACharacterError when f is not one
     via_dual = tab.inner_product(f * tab.dual(f), tab.trivial())
     via_pairing = tab.inner_product(f, f)

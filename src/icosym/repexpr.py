@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chartab import IRREP_NAMES, CharacterTable, ClassFunction, default_table
+from .chartab import IRREP_NAMES, ClassFunction, default_table
 
 
 #: deepest nesting of parentheses (bare, after ``sym^n`` or ``dual``) that
@@ -263,17 +263,17 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def evaluate(expr: Expr, tab: CharacterTable | None = None) -> ClassFunction:
+def evaluate(expr: Expr) -> ClassFunction:
     """Evaluate an AST to an exact class function.
 
     Raises :class:`DimensionError` when sym^n is applied to a subexpression
     whose dimension is not 2.
     """
-    tab = tab or default_table()
+    tab = default_table()
     if isinstance(expr, Atom):
         return tab.row(expr.name)
     if isinstance(expr, Sym):
-        inner = evaluate(expr.arg, tab)
+        inner = evaluate(expr.arg)
         if inner.dim() != 2:
             raise DimensionError(
                 f"sym^{expr.n} needs a 2-dimensional argument, but "
@@ -281,12 +281,12 @@ def evaluate(expr: Expr, tab: CharacterTable | None = None) -> ClassFunction:
             )
         return tab.sym_power(inner, expr.n)
     if isinstance(expr, Dual):
-        return tab.dual(evaluate(expr.arg, tab))
+        return tab.dual(evaluate(expr.arg))
     if isinstance(expr, (Tensor, Plus)):
         first, rest = _chain(expr)
-        out = evaluate(first, tab)
+        out = evaluate(first)
         for r in rest:
-            value = evaluate(r, tab)
+            value = evaluate(r)
             out = out * value if isinstance(expr, Tensor) else out + value
         return out
     raise TypeError(f"not an expression node: {expr!r}")

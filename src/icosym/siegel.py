@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chartab import CharacterTable, ClassFunction, IRREP_NAMES, default_table
+from .chartab import ClassFunction, IRREP_NAMES
 from .isobaric import (
     BaseCusp,
     CharWord,
@@ -199,15 +199,6 @@ class LFactor:
             inner = f"L({self.parts[0]} x {self.parts[1]})"
         return inner if self.exponent == 1 else f"{inner}^{self.exponent}"
 
-    def as_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parts": [str(c) for c in self.parts],
-            "exponent": self.exponent,
-            "degree": self.degree,
-            "automorphic": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class LFactorization:
@@ -222,22 +213,6 @@ class LFactorization:
     @property
     def total_degree(self) -> int:
         return sum(f.exponent * f.degree for f in self.factors)
-
-    def __str__(self) -> str:
-        lines = [f"L(Pi x Pi) for m = {self.m}, target L({self.target}):"]
-        lines += [f"  {f}" for f in self.factors]
-        lines.append(f"  k = {self.k}, r = {self.r} -> k > r is {self.k > self.r}")
-        return "\n".join(lines)
-
-    def as_json(self) -> dict:
-        return {
-            "m": self.m,
-            "target": str(self.target),
-            "factors": [f.as_json() for f in self.factors],
-            "k": self.k,
-            "r": self.r,
-            "total_degree": self.total_degree,
-        }
 
 
 def expand_aux_square(
@@ -307,9 +282,7 @@ def expand_aux_square(
     return result
 
 
-def galois_square_accounting(
-    m: int, tab: CharacterTable | None = None
-) -> dict[str, int]:
+def galois_square_accounting(m: int) -> dict[str, int]:
     """Check the factorization against exact class-function arithmetic.
 
     With the twists set to the trivial character and the base restricted to
@@ -318,8 +291,8 @@ def galois_square_accounting(
     the square with the target row must reproduce the target exponent plus
     the target content of the residual factors.  Returns the accounting.
     """
-    tab = tab or default_table()
     ledger, p, _ = standard_icosahedral_pair()
+    tab = ledger.tab
     chi = CharWord()
     fact = expand_aux_square(m, p, chi, ledger)
 
@@ -339,7 +312,7 @@ def galois_square_accounting(
     if total != square:
         raise RuntimeError("factor restrictions do not sum to the square")
 
-    target_row = tab.sym_power(tab.row(p.galois_row), m)
+    target_row = ledger.galois_restriction(IsobaricExpr.single(fact.target))
     in_square = tab.inner_product(square, target_row).as_int()
     residual = 0
     for f in fact.factors:
@@ -457,6 +430,7 @@ class ConstituentReport:
     k: int | None = None
     r: int | None = None
     exceptional: bool = False
+    covered: bool = True  # False when a rule hypothesis is not discharged
 
     def as_json(self) -> dict:
         out = {
@@ -502,6 +476,8 @@ class SiegelReport:
             lines.append(
                 f"  {c.multiplicity} x {c.label} ({c.row}): {c.rule}{extra}{flag}"
             )
+            if not c.covered:
+                lines.append(f"      because {c.detail}")
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
@@ -632,17 +608,15 @@ def siegel_report(
             ),
         )
 
-    tab = ledger.tab
     family_rows = {
         row: label for label, _, row in icosahedral_family(ledger, p, p_tau)
     }
-    mults = tab.decompose(tab.sym_power(tab.row(p.galois_row), m))
+    mults = ledger.galois_decomposition(sym_cusp(p, m))
 
     constituents: list[ConstituentReport] = []
     rules_used: list[str] = []
     notes: list[str] = []
     exceptional_q: CharWord | None = None
-    covered = True
 
     for row in IRREP_NAMES:
         mult = mults.get(row, 0)
@@ -651,7 +625,7 @@ def siegel_report(
         rule = RULES[ROW_RULES[row]]
         rules_used.append(rule.name)
         label = f"twist of {family_rows[row]}"
-        detail, k, r, exceptional = "", None, None, False
+        detail, k, r, exceptional, covered = "", None, None, False, True
         if row == "U":
             if m % 2:
                 raise RuntimeError(
@@ -690,7 +664,8 @@ def siegel_report(
                 detail = f"cannot certify non-twist-equivalence: {reason}"
         constituents.append(
             ConstituentReport(
-                row, label, mult, rule.name, rule.citations, detail, k, r, exceptional
+                row, label, mult, rule.name, rule.citations, detail, k, r,
+                exceptional, covered,
             )
         )
 
@@ -698,7 +673,7 @@ def siegel_report(
     if m in _AUX_DEGREE.values() and len(constituents) == 1:
         top_k, top_r = constituents[0].k, constituents[0].r
 
-    if not covered:
+    if not all(c.covered for c in constituents):
         verdict = "not-covered"
     elif exceptional_q is not None:
         verdict = "exceptional-case"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .chartab import IRREP_NAMES, CharacterTable, default_table
+from .chartab import IRREP_NAMES, default_table
 from .icostruct import (
     classify_irreps,
     dim_irrep,
@@ -38,21 +38,20 @@ from .siegel import (
 RANDOM_SEED = 20260819
 
 
-def verify_table(tab: CharacterTable | None = None) -> list[CheckResult]:
+def verify_table() -> list[CheckResult]:
     """Row/column orthogonality, dimensions, class data."""
-    return (tab or default_table()).verify_table()
+    return default_table().verify_table()
 
 
-def verify_identities(tab: CharacterTable | None = None) -> list[CheckResult]:
+def verify_identities() -> list[CheckResult]:
     """The eleven decomposition identities for low symmetric powers."""
-    return (tab or default_table()).verify_section1_identities()
+    return default_table().verify_section1_identities()
 
 
-def verify_clebsch_gordan(
-    amax: int = 10, tab: CharacterTable | None = None
-) -> list[CheckResult]:
+def verify_clebsch_gordan() -> list[CheckResult]:
     """sym^a (x) sym^b = (+)_k sym^(a+b-2k) for all 0 <= a, b <= amax."""
-    tab = tab or default_table()
+    amax = 10
+    tab = default_table()
     x = tab.row("X'")
     powers = [tab.sym_power(x, n) for n in range(2 * amax + 1)]
     failures = []
@@ -75,9 +74,9 @@ def verify_clebsch_gordan(
     ]
 
 
-def verify_trivial_scan(tab: CharacterTable | None = None) -> list[CheckResult]:
+def verify_trivial_scan() -> list[CheckResult]:
     """No trivial constituent in sym^n for n in 1..11; exactly one at 12."""
-    scan = scan_trivial(12, tab or default_table())
+    scan = scan_trivial(12)
     zeros_ok = all(scan[n] == 0 for n in range(1, 12))
     return [
         CheckResult(
@@ -93,14 +92,12 @@ def verify_trivial_scan(tab: CharacterTable | None = None) -> list[CheckResult]:
     ]
 
 
-def verify_classification(
-    max_m: int = 8, tab: CharacterTable | None = None
-) -> list[CheckResult]:
+def verify_classification() -> list[CheckResult]:
     """Irrep counts, twist classes, and the sum-of-squares identity."""
-    tab = tab or default_table()
+    max_m = 8
     out = []
     for m in range(1, max_m + 1):
-        irreps = classify_irreps(m, tab)
+        irreps = classify_irreps(m)
         classes: list[list] = []
         for r in irreps:
             for cls in classes:
@@ -109,7 +106,7 @@ def verify_classification(
                     break
             else:
                 classes.append([r])
-        square_sum = sum(dim_irrep(r, tab) ** 2 for r in irreps)
+        square_sum = sum(dim_irrep(r) ** 2 for r in irreps)
         ok = (
             len(irreps) == 9 * m
             and len(classes) == 9
@@ -124,7 +121,7 @@ def verify_classification(
                 f"sum of squared dimensions {square_sum}",
             )
         )
-    out.extend(verify_generators(max_m, tab))
+    out.extend(verify_generators(max_m))
     return out
 
 
@@ -291,13 +288,12 @@ def verify_auxiliary() -> list[CheckResult]:
     return out
 
 
-def verify_pole_identity(
-    trials: int = 50, seed: int = RANDOM_SEED, tab: CharacterTable | None = None
-) -> list[CheckResult]:
+def verify_pole_identity() -> list[CheckResult]:
     """Order of the pole at the edge equals the sum of squared multiplicities."""
-    tab = tab or default_table()
-    rows_ok = all(galois_pole_check(tab.row(name), tab) == 1 for name in IRREP_NAMES)
-    rng = random.Random(seed)
+    trials = 50
+    tab = default_table()
+    rows_ok = all(galois_pole_check(tab.row(name)) == 1 for name in IRREP_NAMES)
+    rng = random.Random(RANDOM_SEED)
     bad = 0
     for _ in range(trials):
         mults = {name: rng.randrange(0, 4) for name in IRREP_NAMES}
@@ -306,7 +302,7 @@ def verify_pole_identity(
         f = tab.row("U") * 0
         for name, c in mults.items():
             f = f + c * tab.row(name)
-        if galois_pole_check(f, tab) != sum(c * c for c in mults.values()):
+        if galois_pole_check(f) != sum(c * c for c in mults.values()):
             bad += 1
     return [
         CheckResult("pole order 1 on each irreducible row", rows_ok),

@@ -49,7 +49,7 @@ def test_criterion_2_decomposition_identities():
 
 
 def test_criterion_3_product_rule():
-    results = verify_clebsch_gordan(10)
+    results = verify_clebsch_gordan()
     assert "121/121" in results[0].detail
     check(
         3,
@@ -70,7 +70,7 @@ def test_criterion_4_trivial_scan():
 def test_criterion_5_classification():
     check(
         5,
-        verify_classification(8),
+        verify_classification(),
         "for 1 <= m <= 8: 9m irreducibles in 9 twist classes with squared "
         "dimensions summing to 120m, plus the generator-family checks",
     )
@@ -99,7 +99,7 @@ def test_criterion_7_auxiliary_squares():
 def test_criterion_8_pole_bookkeeping():
     check(
         8,
-        verify_pole_identity(trials=50),
+        verify_pole_identity(),
         "edge pole order 1 on each irreducible row and equal to the sum of "
         "squared multiplicities on 50 random nonnegative combinations",
     )

@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from icosym.report import CheckResult
 from icosym.verify import VERIFY_SECTIONS
 
 ENVELOPE_KEYS = {"command", "inputs", "results", "citations"}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -502,6 +506,54 @@ class TestSiegel:
         assert (x2["row"], x2["constituent"]) == ("X2", "twist of box(f, g)")
         assert x2["detail"] == "cannot certify non-twist-equivalence: declared: f ~ g is True"
 
+    def test_an_uncertified_pair_says_why_in_text(self, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "bases": [
+                        {"name": "f", "type": "icosahedral", "galois_row": "X'"},
+                        {"name": "g", "type": "icosahedral", "galois_row": "X''"},
+                    ],
+                    "facts": [{"lhs": "f", "rhs": "g", "relation": "equiv", "truth": True}],
+                    "siegel": {"p": "f"},
+                }
+            )
+        )
+        code, out, err = run(capsys, "siegel", "--m", "6", "--facts", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith(
+            "m = 6: sym^6(f)*chi -> not-covered\n"
+            "  1 x twist of box(f, g) (X2): rankin-selberg-pair\n"
+            "      because cannot certify non-twist-equivalence: declared: f ~ g is True\n"
+            "  1 x twist of sym^2(g) (W''): symmetric-square\n"
+            "sources: "
+        )
+
+    def test_a_missing_hypothesis_says_why_in_text(self, capsys, tmp_path):
+        path = tmp_path / "sym5.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "bases": [{"name": "f", "type": "icosahedral", "galois_row": "X'"}],
+                    "automorphic": [{"symbol": "sym^5(f)", "truth": False}],
+                }
+            )
+        )
+        code, out, err = run(capsys, "siegel", "--m", "3", "--facts", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith(
+            "m = 3: sym^3(f)*chi -> not-covered\n"
+            "  1 x twist of sym^3(f) (X1): auxiliary-expansion\n"
+            "      because not covered; missing hypotheses: "
+            "hypothesis fails: declared: sym^5(f) automorphic is False\n"
+            "sources: "
+        )
+        # a covered report carries no reason line
+        code, out, _ = run(capsys, "siegel", "--m", "12", "--facts", str(path))
+        assert code == 0
+        assert "because" not in out
+
     def test_family_labels_follow_the_tagged_base(self, capsys, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(
@@ -566,6 +618,23 @@ class TestDispatch:
         assert cmd_dispatch(["--help"]) == 0
         out = capsys.readouterr().out
         assert "chartab" in out
+
+    def test_a_closed_stdout_exits_2_without_a_traceback(self):
+        # the scan's JSON is far larger than a pipe buffer, so the write
+        # after the reader has gone must meet the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "icosym.cli", "siegel", "--scan", "0..200", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.count("error:") <= 1
 
 
 # -- generated command lines ---------------------------------------------------

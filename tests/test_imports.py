@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -94,3 +96,24 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
         icosym.nonexistent
     assert not hasattr(icosym, "nonexistent")
+
+
+# options that had a single value in use; the table and these constants are fixed
+ONE_VALUE_OPTIONS = {"tab", "amax", "max_m", "trials", "seed"}
+
+
+def test_no_function_takes_a_one_value_option():
+    found = []
+    for info in pkgutil.iter_modules(icosym.__path__):
+        module = importlib.import_module(f"icosym.{info.name}")
+        for owner in [module] + [
+            c for c in vars(module).values()
+            if inspect.isclass(c) and c.__module__ == module.__name__
+        ]:
+            for obj in vars(owner).values():
+                fn = getattr(obj, "__func__", getattr(obj, "fget", obj))
+                if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                    continue
+                hits = ONE_VALUE_OPTIONS & set(inspect.signature(fn).parameters)
+                found += [f"{fn.__qualname__}({name})" for name in sorted(hits)]
+    assert found == []

@@ -133,7 +133,7 @@ class TestNestingDepth:
     def test_long_chains_evaluate_and_render(self, text, dim):
         expr = parse(text)
         assert render(expr) == text
-        assert evaluate(expr, TAB).dim() == dim
+        assert evaluate(expr).dim() == dim
 
     @settings(max_examples=300)
     @given(st.text(alphabet="()()+*^UVWX12'symdual ", max_size=300))
@@ -211,34 +211,34 @@ class TestRenderRoundTrip:
 
 class TestEvaluation:
     def test_atom_evaluates_to_its_row(self):
-        assert evaluate(parse("W'"), TAB) == TAB.row("W'")
+        assert evaluate(parse("W'")) == TAB.row("W'")
 
     def test_spec_identity_sym5(self):
-        assert evaluate(parse("sym^5(X')"), TAB) == TAB.row("W")
+        assert evaluate(parse("sym^5(X')")) == TAB.row("W")
 
     def test_sum_and_product(self):
-        f = evaluate(parse("X' * X''"), TAB)
+        f = evaluate(parse("X' * X''"))
         assert TAB.decompose(f) == {"X2": 1}
-        g = evaluate(parse("X' * X'' + U"), TAB)
+        g = evaluate(parse("X' * X'' + U"))
         assert TAB.decompose(g) == {"X2": 1, "U": 1}
 
     def test_dual_fixes_real_rows(self):
         for name in IRREP_NAMES:
-            assert evaluate(parse(f"dual({name})"), TAB) == TAB.row(name)
+            assert evaluate(parse(f"dual({name})")) == TAB.row(name)
 
     def test_sym_on_wrong_dimension_is_a_semantic_error(self):
         expr = parse("sym^2(W)")
         with pytest.raises(DimensionError, match="dimension 6"):
-            evaluate(expr, TAB)
+            evaluate(expr)
 
     def test_sym_accepts_composite_two_dimensional_arguments(self):
-        f = evaluate(parse("sym^2(dual(X'))"), TAB)
+        f = evaluate(parse("sym^2(dual(X'))"))
         assert TAB.decompose(f) == {"W'": 1}
 
     def test_decompose_text(self):
-        mults = TAB.decompose(evaluate(parse("sym^6(X')"), TAB))
+        mults = TAB.decompose(evaluate(parse("sym^6(X')")))
         assert mults == {"W''": 1, "X2": 1}
 
     def test_decompose_text_spec_example(self):
-        mults = TAB.decompose(evaluate(parse("sym^5(X')"), TAB))
+        mults = TAB.decompose(evaluate(parse("sym^5(X')")))
         assert mults == {"W": 1}
