@@ -19,6 +19,12 @@ import sys
 
 __version__ = "0.1.0"
 
+#: largest n that ``sym^n(...)`` parses with and largest ``--m`` the CLI
+#: takes; the class function of sym^n is built in O(n) steps, so a larger
+#: power is a typed error rather than a hang.  Defined here so that the CLI
+#: reads it without running the layers below.
+MAX_POWER = 10_000
+
 # every public name, by the submodule that defines it
 _EXPORTS = {
     "chartab": (

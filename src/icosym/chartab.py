@@ -32,11 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .group import GroupTable, build_sl2f5
-from .report import CheckResult
 from .scalar import GOLDEN, GOLDEN_CONJ, ONE, ZERO, Qsqrt5
+
+if TYPE_CHECKING:  # only the verify_* methods build check results
+    from .report import CheckResult
 
 IRREP_NAMES: tuple[str, ...] = ("U", "V", "W", "X1", "X2", "W'", "W''", "X'", "X''")
 
@@ -263,6 +265,8 @@ class CharacterTable:
 
     def verify_table(self) -> list[CheckResult]:
         """Orthogonality, degrees, class data and Galois pairing, all exact."""
+        from .report import CheckResult
+
         out: list[CheckResult] = []
 
         bad = [
@@ -337,6 +341,8 @@ class CharacterTable:
         Eleven identities; the two double ones compare several left sides
         against a single decomposition.
         """
+        from .report import CheckResult
+
         checks: list[tuple[str, list[ClassFunction], dict[str, int]]] = [
             ("sym^2(X') = W'", [self.sym_power("X'", 2)], {"W'": 1}),
             ("sym^2(X'') = W''", [self.sym_power("X''", 2)], {"W''": 1}),

@@ -5,9 +5,22 @@ document with ``--json``; exit codes are 0 for success, 1 for a failed
 verification, 2 for usage or parse errors and for a stdout closed before
 the output was complete.
 
-Each ``cmd_*`` imports the layers it uses, so a command loads only those:
-``chartab``, ``decompose`` and ``irreps`` never run ``isobaric``,
-``siegel``, ``factsfile`` or ``verify``.  ``verify`` takes ``all``,
+Each ``cmd_*`` imports the layers it uses once its arguments have passed
+their checks, so a command runs only those (``scalar`` and ``group`` come
+with ``chartab``):
+
+* ``--help``, an argparse error and a rejected ``--m`` or ``--max``:
+  none beyond this module;
+* ``chartab``: ``chartab``; ``decompose``: ``chartab`` and ``repexpr``;
+* ``irreps`` and ``scan-trivial``: ``chartab``, ``icostruct`` and
+  ``report``;
+* ``cuspidality``: ``factsfile`` and ``isobaric``, plus ``chartab`` only
+  when a query reads the finite image of a ``galois_row``-tagged base;
+* ``siegel``: ``isobaric``, ``siegel``, ``chartab`` and ``report``, plus
+  ``factsfile`` only with ``--facts``;
+* ``verify``: every layer but ``repexpr`` and ``factsfile``.
+
+``json`` is imported only for ``--json`` output.  ``verify`` takes ``all``,
 ``table``, ``identities``, or one section of ``verify.VERIFY_SECTIONS`` by
 its name with hyphens for spaces (``product-rule``).
 """
@@ -15,18 +28,19 @@ its name with hyphens for spaces (``product-rule``).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 
-from .repexpr import MAX_POWER
+from . import MAX_POWER
 
 # -- plumbing ----------------------------------------------------------------
 
 
 def _emit(args, command: str, inputs: dict, results, citations=()) -> None:
     if args.json:
+        import json
+
         document = {
             "command": command,
             "inputs": inputs,
@@ -163,6 +177,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_irreps(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"--m must be at least 1, got {args.m}")
+    if args.m > MAX_POWER:
+        raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
     from .icostruct import (
         classify_irreps,
         dim_irrep,
@@ -170,10 +188,6 @@ def cmd_irreps(args) -> int:
         self_dual_two_dim_report,
     )
 
-    if args.m < 1:
-        raise ValueError(f"--m must be at least 1, got {args.m}")
-    if args.m > MAX_POWER:
-        raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
     irreps = classify_irreps(args.m)
     report = self_dual_two_dim_report(args.m)
     listing = [
@@ -222,10 +236,10 @@ def cmd_irreps(args) -> int:
 
 
 def cmd_scan_trivial(args) -> int:
-    from .icostruct import scan_trivial
-
     if args.max < 1:
         raise ValueError(f"--max must be at least 1, got {args.max}")
+    from .icostruct import scan_trivial
+
     scan = scan_trivial(args.max)
     # sym^0 is the trivial character itself; the first positive power matters
     first = next((n for n in sorted(scan) if n >= 1 and scan[n] > 0), None)
@@ -313,13 +327,14 @@ def _scan_range(text: str) -> tuple[int, int]:
 
 
 def cmd_siegel(args) -> int:
-    from .factsfile import load_facts_file, siegel_inputs
-    from .siegel import RULES, siegel_report, siegel_scan, standard_context
-
     if args.m is not None and args.m > MAX_POWER:
         raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
+    from .siegel import RULES, siegel_report, siegel_scan, standard_context
+
     p = chi = ledger = None
     if args.facts:
+        from .factsfile import load_facts_file, siegel_inputs
+
         # the ledger is complete before any query: the standard pair when
         # the file tags no base, and the default twist chi
         ledger, doc = load_facts_file(args.facts)

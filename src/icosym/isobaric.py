@@ -33,10 +33,10 @@ queries come back undetermined instead of defaulting to "no".
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from .chartab import ClassFunction, default_table
-from .scalar import Qsqrt5
+if TYPE_CHECKING:  # the table is built only for ledgers that query a tag
+    from .chartab import CharacterTable, ClassFunction
 
 BASE_TYPES = (
     "dihedral",
@@ -378,7 +378,7 @@ class FactLedger:
     """
 
     def __init__(self) -> None:
-        self.tab = default_table()
+        self._tab: CharacterTable | None = None  # built by the first read of tab
         self.characters: dict[str, CharInfo] = {}
         self.bases: dict[str, BaseCusp] = {}
         self.base_changes: dict[tuple[str, str], BaseCusp] = {}
@@ -390,6 +390,21 @@ class FactLedger:
         self._orders: dict[str, int] = {}  # kept in step with declare_character
         # per queried core: its restriction and that restriction's multiplicities
         self._images: dict[Core, tuple[ClassFunction, dict[str, int]] | None] = {}
+
+    @property
+    def tab(self) -> CharacterTable:
+        """The character table, read only for ``galois_row``-tagged cores.
+
+        Not a ``functools.cached_property``: that writes the instance
+        ``__dict__``, after which every attribute read on the ledger takes
+        about twice as long on CPython 3.11, and ``pole_order`` reads them
+        for every pair of terms.
+        """
+        if self._tab is None:
+            from .chartab import default_table
+
+            self._tab = default_table()
+        return self._tab
 
     # -- declarations ---------------------------------------------------
 
@@ -518,7 +533,11 @@ class FactLedger:
         return Constituent(c.core, c.twist.reduce(self._orders))
 
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
-        key = frozenset((self._canon(c1), self._canon(c2)))
+        k1, k2 = self._canon(c1), self._canon(c2)
+        mismatch = self._mismatch(k1, k2) if truth else None
+        if mismatch:
+            raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {mismatch}")
+        key = frozenset((k1, k2))
         if key in self._facts and self._facts[key] != truth:
             raise LedgerError(
                 f"contradictory assertions for {set(map(str, key))}: "
@@ -558,6 +577,21 @@ class FactLedger:
                 f"finite-image restrictions differ: {sorted(rows1)} vs {sorted(rows2)}"
             )
         return None, f"equiv({k1}, {k2})"
+
+    def _mismatch(self, k1: Constituent, k2: Constituent) -> str | None:
+        """Why no fact can make two constituents equivalent: the rules of
+        :meth:`_resolve` on degrees and finite-image rows, which stays
+        inline there as ``pole_order`` calls it for every pair of terms."""
+        if k1.degree != k2.degree:
+            return f"degrees differ ({k1.degree} vs {k2.degree})"
+        if k1.core is None or k2.core is None:
+            return None
+        rows1, rows2 = self.galois_rows(k1.core), self.galois_rows(k2.core)
+        if rows1 is not None and rows2 is not None and rows1 != rows2:
+            return (
+                f"finite-image restrictions differ: {sorted(rows1)} vs {sorted(rows2)}"
+            )
+        return None
 
     def _self_twist_query(
         self, c1: Constituent, c2: Constituent
@@ -615,6 +649,8 @@ class FactLedger:
 
     def galois_restriction(self, e: IsobaricExpr) -> ClassFunction:
         """Restrict a formal expression to the finite model; twists drop."""
+        from .chartab import ClassFunction
+
         total = ClassFunction.of([0] * 9)
         for c, m in e.terms:
             if c.core is None:
@@ -735,6 +771,9 @@ def galois_pole_check(f: ClassFunction) -> int:
     Cross-checked three ways (the pairing of f with itself, and the sum of
     squared multiplicities); they must agree exactly.
     """
+    from .chartab import default_table
+    from .scalar import Qsqrt5
+
     tab = default_table()
     mults = tab.decompose(f)  # raises NotACharacterError when f is not one
     via_dual = tab.inner_product(f * tab.dual(f), tab.trivial())

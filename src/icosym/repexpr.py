@@ -18,16 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import MAX_POWER
 from .chartab import IRREP_NAMES, ClassFunction, default_table
 
 
 #: deepest nesting of parentheses (bare, after ``sym^n`` or ``dual``) that
 #: parses; deeper input is a ParseError rather than a RecursionError
 MAX_DEPTH = 100
-
-#: largest n that parses in ``sym^n(...)``; the class function of sym^n is
-#: built in O(n) steps, so a larger power is a ParseError rather than a hang
-MAX_POWER = 10_000
 
 
 class ParseError(ValueError):

@@ -179,7 +179,6 @@ class LFactor:
     kind: str  # zeta | single | pair
     parts: tuple[Constituent, ...]
     exponent: int
-    reason: str  # why this factor is automorphic
 
     @property
     def degree(self) -> int:
@@ -232,38 +231,13 @@ def expand_aux_square(
     adjoint = ad(p)
 
     factors = [
-        LFactor("zeta", (), 1, "the zeta function"),
-        LFactor("single", (target,), 4, "cuspidal by hypothesis"),
-        LFactor(
-            "single",
-            (adjoint,),
-            2,
-            sym_power_automorphic(p, 2, ledger)[1],
-        ),
-        LFactor(
-            "single",
-            (Constituent(SymCusp(p, m + 2), chi * omega**-1),),
-            2,
-            sym_power_automorphic(p, m + 2, ledger)[1],
-        ),
-        LFactor(
-            "single",
-            (Constituent(sym_cusp(p, m - 2), chi * omega),),
-            2,
-            sym_power_automorphic(p, m - 2, ledger)[1],
-        ),
-        LFactor(
-            "pair",
-            (target, target),
-            1,
-            "Rankin-Selberg square of an automorphic symbol",
-        ),
-        LFactor(
-            "pair",
-            (adjoint, adjoint),
-            1,
-            "Rankin-Selberg square of an automorphic symbol",
-        ),
+        LFactor("zeta", (), 1),
+        LFactor("single", (target,), 4),
+        LFactor("single", (adjoint,), 2),
+        LFactor("single", (Constituent(SymCusp(p, m + 2), chi * omega**-1),), 2),
+        LFactor("single", (Constituent(sym_cusp(p, m - 2), chi * omega),), 2),
+        LFactor("pair", (target, target), 1),
+        LFactor("pair", (adjoint, adjoint), 1),
     ]
     k = next(
         f.exponent for f in factors if f.kind == "single" and f.parts == (target,)
@@ -653,15 +627,13 @@ def siegel_report(
                 detail = f"auxiliary expansion at m = {inner_m}"
                 k, r = fact.k, fact.r
         elif row == "X2":
-            # only a False verdict certifies the Ramakrishnan-Wang hypothesis
+            # only a False verdict certifies the Ramakrishnan-Wang hypothesis;
+            # the pair restricts to different rows, so the ledger refuses
+            # every true fact between them and the verdict is always False
             same, reason = ledger.equivalent(Constituent(p), Constituent(p_tau))
-            if same is False:
-                detail = (
-                    "the pair is neither dihedral nor twist-equivalent: " + reason
-                )
-            else:
-                covered = False
-                detail = f"cannot certify non-twist-equivalence: {reason}"
+            if same is not False:
+                raise RuntimeError(f"the conjugate pair is not certified: {reason}")
+            detail = "the pair is neither dihedral nor twist-equivalent: " + reason
         constituents.append(
             ConstituentReport(
                 row, label, mult, rule.name, rule.citations, detail, k, r,

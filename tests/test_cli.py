@@ -358,6 +358,30 @@ class TestCuspidality:
             "error: word_kinds[0]: 'Ad(pi)' is a cusp form, not a character\n"
         )
 
+    def test_a_true_fact_between_different_degrees_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "degrees.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "bases": [
+                        {"name": "a", "type": "icosahedral"},
+                        {"name": "b", "type": "icosahedral"},
+                    ],
+                    "facts": [
+                        {"lhs": "Ad(a)", "rhs": "sym^3(b)", "relation": "equiv", "truth": True}
+                    ],
+                }
+            )
+        )
+        code, out, err = run(
+            capsys, "cuspidality", "--facts", str(path), "--pi", "a", "--pi-prime", "b"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: sym^2(a)*omega(a)^-1 ~ sym^3(b) cannot be declared true: "
+            "degrees differ (3 vs 4)\n"
+        )
+
     def test_missing_facts_reported(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(
@@ -484,7 +508,9 @@ class TestSiegel:
         assert (code, err) == (0, "")
         assert out.startswith("m = 12: sym^12(pi)*chi -> exceptional-case")
 
-    def test_a_true_fact_on_the_pair_is_not_a_certificate(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_a_true_fact_on_the_pair_exits_2(self, capsys, tmp_path, flags):
+        # f and g restrict to different rows, so no fact makes them equivalent
         path = tmp_path / "pair.json"
         path.write_text(
             json.dumps(
@@ -498,36 +524,11 @@ class TestSiegel:
                 }
             )
         )
-        code, document, err = run_json(capsys, "siegel", "--m", "6", "--facts", str(path))
-        assert (code, err) == (0, "")
-        results = document["results"]
-        assert results["verdict"] == "not-covered"
-        x2 = results["constituents"][0]
-        assert (x2["row"], x2["constituent"]) == ("X2", "twist of box(f, g)")
-        assert x2["detail"] == "cannot certify non-twist-equivalence: declared: f ~ g is True"
-
-    def test_an_uncertified_pair_says_why_in_text(self, capsys, tmp_path):
-        path = tmp_path / "pair.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "bases": [
-                        {"name": "f", "type": "icosahedral", "galois_row": "X'"},
-                        {"name": "g", "type": "icosahedral", "galois_row": "X''"},
-                    ],
-                    "facts": [{"lhs": "f", "rhs": "g", "relation": "equiv", "truth": True}],
-                    "siegel": {"p": "f"},
-                }
-            )
-        )
-        code, out, err = run(capsys, "siegel", "--m", "6", "--facts", str(path))
-        assert (code, err) == (0, "")
-        assert out.startswith(
-            "m = 6: sym^6(f)*chi -> not-covered\n"
-            "  1 x twist of box(f, g) (X2): rankin-selberg-pair\n"
-            "      because cannot certify non-twist-equivalence: declared: f ~ g is True\n"
-            "  1 x twist of sym^2(g) (W''): symmetric-square\n"
-            "sources: "
+        code, out, err = run(capsys, "siegel", "--m", "6", "--facts", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: f ~ g cannot be declared true: "
+            "finite-image restrictions differ: [\"X'\"] vs [\"X''\"]\n"
         )
 
     def test_a_missing_hypothesis_says_why_in_text(self, capsys, tmp_path):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from icosym.chartab import IRREP_NAMES
+from icosym.chartab import IRREP_NAMES, CharacterTable
 from icosym.icostruct import (
     IcoIrrep,
     base_parity,
@@ -66,6 +66,16 @@ def test_twist_equivalence_is_same_row():
 def test_duality_negates_exponent():
     assert dual_irrep(IcoIrrep("X'", 1), 2) == IcoIrrep("X'", 3)
     assert dual_irrep(IcoIrrep("U", 2), 3) == IcoIrrep("U", 4)
+
+
+def test_duality_reads_no_table_row(monkeypatch):
+    # row self-duality is verify_table's check, not a cost per irreducible
+    def refuse(self, f):
+        raise AssertionError("dual_irrep computed a dual row")
+
+    monkeypatch.setattr(CharacterTable, "dual", refuse)
+    irreps = classify_irreps(40)
+    assert sum(is_self_dual(r, 40) for r in irreps) == 2 * 5
 
 
 @pytest.mark.parametrize(

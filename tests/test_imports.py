@@ -31,16 +31,30 @@ print(json.dumps(sorted(
 """
 
 
-def modules_run_by(statement: str) -> set[str]:
+def last_line_of(code: str) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", RUNNER.format(statement=statement)],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return proc.stdout.splitlines()[-1]
+
+
+def modules_run_by(statement: str) -> set[str]:
+    return set(json.loads(last_line_of(RUNNER.format(statement=statement))))
+
+
+def dispatch(argv) -> str:
+    """A statement running the CLI on *argv* with its stdout discarded."""
+    return (
+        "import contextlib, io\n"
+        "from icosym.cli import cmd_dispatch\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cmd_dispatch({argv!r})"
+    )
 
 
 def test_bare_import_runs_no_submodule():
@@ -54,6 +68,56 @@ def test_light_commands_skip_the_ledger_layers(argv):
     ran = modules_run_by(f"from icosym.cli import cmd_dispatch; cmd_dispatch({argv!r})")
     assert "icosym.chartab" in ran
     assert not ran & HEAVY
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["--help"],
+        ["siegel", "--m", "x"],
+        ["siegel", "--m", "10001"],
+        ["irreps", "--m", "-3"],
+        ["irreps", "--m", "10001"],
+        ["scan-trivial", "--max", "0"],
+    ],
+)
+def test_import_and_rejected_arguments_run_only_the_cli(argv):
+    statement = "import icosym.cli" if argv is None else dispatch(argv)
+    assert modules_run_by(statement) == {"icosym", "icosym.cli"}
+
+
+def test_siegel_without_facts_runs_no_factsfile():
+    ran = modules_run_by(dispatch(["siegel", "--m", "12"]))
+    assert {"icosym.siegel", "icosym.chartab"} <= ran
+    assert "icosym.factsfile" not in ran
+
+
+def test_cuspidality_on_untagged_bases_builds_no_table(tmp_path):
+    path = tmp_path / "facts.json"
+    path.write_text(
+        json.dumps(
+            {
+                "bases": [
+                    {"name": "p", "type": "tetrahedral"},
+                    {"name": "q", "type": "icosahedral"},
+                ],
+                "facts": [{"lhs": "Ad(p)", "rhs": "Ad(q)", "relation": "equiv", "truth": False}],
+            }
+        )
+    )
+    argv = ["cuspidality", "--facts", str(path), "--pi", "p", "--pi-prime", "q"]
+    ran = modules_run_by(dispatch(argv))
+    assert {"icosym.factsfile", "icosym.isobaric"} <= ran
+    assert not ran & {"icosym.chartab", "icosym.group", "icosym.scalar"}
+
+
+def test_text_output_never_imports_json():
+    # RUNNER imports json itself, so this check prints its own answer
+    statement = dispatch(["decompose", "--rep", "sym^5(X')"])
+    assert last_line_of(statement + "\nimport sys; print('json' in sys.modules)") == "False"
+    statement = dispatch(["decompose", "--rep", "sym^5(X')", "--json"])
+    assert last_line_of(statement + "\nimport sys; print('json' in sys.modules)") == "True"
 
 
 def test_verify_runs_the_layers_it_checks():

@@ -492,6 +492,19 @@ def test_contradictory_facts_rejected():
     assert "SymCusp" not in str(err.value)
 
 
+def test_a_true_fact_between_different_degrees_is_refused():
+    ledger, p, q = fresh()
+    cubic = Constituent(SymCusp(q, 3))
+    with pytest.raises(LedgerError) as err:
+        ledger.assert_equiv(ad(p), cubic, True)
+    assert str(err.value) == (
+        "sym^2(p)*omega(p)^-1 ~ sym^3(q) cannot be declared true: degrees differ (3 vs 4)"
+    )
+    assert ledger.equivalent(ad(p), cubic) == (False, "degrees differ (3 vs 4)")
+    ledger.assert_equiv(ad(p), cubic, False)  # the false fact is consistent
+    assert ledger.equivalent(ad(p), cubic)[0] is False
+
+
 def test_a_base_and_a_character_with_one_name_are_distinct():
     ledger = FactLedger()
     base = Constituent(ledger.declare_base("chi", "icosahedral"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from icosym.chartab import CharacterTable
@@ -155,6 +157,26 @@ def test_square_expansion_declared_hypotheses(m):
     fact = expand_aux_square(m, p, CHI, ledger)
     assert fact.k == 4 and fact.r == 3
     assert fact.total_degree == (m + 5) ** 2
+
+
+def test_square_expansion_checks_each_hypothesis_once(monkeypatch):
+    # build_auxiliary asks for sym^(m+2) and sym^(m-2); the factors carry no
+    # reasons of their own, so nothing asks again
+    import icosym.siegel
+
+    asked = []
+
+    def counting(p, n, ledger):
+        asked.append(n)
+        return sym_power_automorphic(p, n, ledger)
+
+    monkeypatch.setattr(icosym.siegel, "sym_power_automorphic", counting)
+    ledger, p, _ = standard_icosahedral_pair()
+    fact = expand_aux_square(5, p, CHI, ledger)
+    assert asked == [7, 3]
+    assert [field.name for field in dataclasses.fields(fact.factors[0])] == [
+        "kind", "parts", "exponent"
+    ]
 
 
 def test_square_expansion_m3_factor_list():
@@ -319,17 +341,22 @@ def test_galois_partner_is_the_ledger_base_with_the_other_row():
     assert x2.detail.endswith("declared: f ~ g is False")
 
 
-def test_a_true_equivalence_of_the_pair_leaves_the_x2_row_uncovered():
+def test_a_true_equivalence_of_the_pair_is_refused():
     ledger, f = tagged_base()
     g = ledger.declare_base("g", "icosahedral", galois_row="X''")
-    ledger.assert_equiv(Constituent(f), Constituent(g), True)
+    ledger.declare_character("chi")
+    rows = "finite-image restrictions differ: [\"X'\"] vs [\"X''\"]"
+    for rhs in (Constituent(g), Constituent(g, CharWord.gen("chi"))):
+        with pytest.raises(LedgerError) as err:
+            ledger.assert_equiv(Constituent(f), rhs, True)
+        assert str(err.value) == f"f ~ {rhs} cannot be declared true: {rows}"
+    # the refused facts left nothing behind: the X2 row stays certified
     rep = siegel_report(6, f, None, ledger)
     (x2,) = [c for c in rep.constituents if c.row == "X2"]
-    assert rep.verdict == "not-covered"
-    assert x2.detail == "cannot certify non-twist-equivalence: declared: f ~ g is True"
-    assert [r.verdict for r in siegel_scan(0, 14, f, None, ledger) if r.m in (6, 12)] == [
-        "not-covered", "not-covered"
-    ]
+    assert (rep.verdict, x2.covered) == ("no-siegel-zero", True)
+    assert x2.detail == f"the pair is neither dihedral nor twist-equivalent: {rows}"
+    ledger.assert_equiv(Constituent(f), Constituent(g), False)
+    assert ledger.equivalent(Constituent(f), Constituent(g)) == (False, "declared: f ~ g is False")
 
 
 def test_family_labels_name_the_bases_of_the_report():
