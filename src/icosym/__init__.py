@@ -25,6 +25,17 @@ __version__ = "0.1.0"
 #: reads it without running the layers below.
 MAX_POWER = 10_000
 
+
+def bounded_power(digits: str) -> int | None:
+    """The power a string of decimal digits spells, or None above
+    MAX_POWER; the length is checked first, so a long string is not
+    converted."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+        return None
+    return int(digits)
+
+
 # every public name, by the submodule that defines it
 _EXPORTS = {
     "chartab": (

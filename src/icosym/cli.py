@@ -6,21 +6,7 @@ verification, 2 for usage or parse errors and for a stdout closed before
 the output was complete.
 
 Each ``cmd_*`` imports the layers it uses once its arguments have passed
-their checks, so a command runs only those (``scalar`` and ``group`` come
-with ``chartab``):
-
-* ``--help``, an argparse error and a rejected ``--m`` or ``--max``:
-  none beyond this module;
-* ``chartab``: ``chartab``; ``decompose``: ``chartab`` and ``repexpr``;
-* ``irreps`` and ``scan-trivial``: ``chartab``, ``icostruct`` and
-  ``report``;
-* ``cuspidality``: ``factsfile`` and ``isobaric``, plus ``chartab`` only
-  when a query reads the finite image of a ``galois_row``-tagged base;
-* ``siegel``: ``isobaric``, ``siegel``, ``chartab`` and ``report``, plus
-  ``factsfile`` only with ``--facts``;
-* ``verify``: every layer but ``repexpr`` and ``factsfile``.
-
-``json`` is imported only for ``--json`` output.  ``verify`` takes ``all``,
+their checks, so a command runs only those.  ``verify`` takes ``all``,
 ``table``, ``identities``, or one section of ``verify.VERIFY_SECTIONS`` by
 its name with hyphens for spaces (``product-rule``).
 """

@@ -44,6 +44,7 @@ import json
 import re
 from pathlib import Path
 
+from . import MAX_POWER, bounded_power
 from .isobaric import (
     BaseCusp,
     CharWord,
@@ -154,8 +155,12 @@ def _cusp_factor(factor: str, ledger: FactLedger, where: str) -> Constituent | N
     if (match := _AD.match(factor)) is not None:
         return ad(_lookup_base(match.group(1), ledger, where))
     if (match := _SYM.match(factor)) is not None:
+        n = bounded_power(match.group(1))
+        _require(
+            n is not None, where, f"power above the largest supported, {MAX_POWER}, in {factor!r}"
+        )
         base = _lookup_base(match.group(2), ledger, where)
-        return Constituent(sym_cusp(base, int(match.group(1))))
+        return Constituent(sym_cusp(base, n))
     if factor in ledger.bases:
         return Constituent(ledger.bases[factor])
     return None

@@ -563,28 +563,23 @@ class FactLedger:
             return fact, f"declared: {k1} ~ {k2} is {fact}"
         if k1 == k2:
             return True, "structural equality"
-        if k1.degree != k2.degree:
-            return False, f"degrees differ ({k1.degree} vs {k2.degree})"
+        mismatch = self._mismatch(k1, k2)
+        if mismatch:
+            return False, mismatch
         if k1.core is None and k2.core is None:
             return False, "distinct character words are generically distinct"
         if (k1.core is None) != (k2.core is None):
             return False, "a character is never a higher-degree cuspidal"
         if k1.core == k2.core:
             return self._self_twist_query(k1, k2)
-        rows1, rows2 = self.galois_rows(k1.core), self.galois_rows(k2.core)
-        if rows1 is not None and rows2 is not None and rows1 != rows2:
-            return False, (
-                f"finite-image restrictions differ: {sorted(rows1)} vs {sorted(rows2)}"
-            )
         return None, f"equiv({k1}, {k2})"
 
     def _mismatch(self, k1: Constituent, k2: Constituent) -> str | None:
-        """Why no fact can make two constituents equivalent: the rules of
-        :meth:`_resolve` on degrees and finite-image rows, which stays
-        inline there as ``pole_order`` calls it for every pair of terms."""
+        """Why no fact can make two constituents equivalent: their degrees
+        or the finite-image rows of two distinct cores differ."""
         if k1.degree != k2.degree:
             return f"degrees differ ({k1.degree} vs {k2.degree})"
-        if k1.core is None or k2.core is None:
+        if k1.core is None or k2.core is None or k1.core == k2.core:
             return None
         rows1, rows2 = self.galois_rows(k1.core), self.galois_rows(k2.core)
         if rows1 is not None and rows2 is not None and rows1 != rows2:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import MAX_POWER
+from . import MAX_POWER, bounded_power
 from .chartab import IRREP_NAMES, ClassFunction, default_table
 
 
@@ -228,15 +228,15 @@ class _Parser:
             self.advance()
             self.expect("caret", "'^' after sym")
             power = self.expect("int", "an integer power")
-            digits = power.text.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+            n = bounded_power(power.text)
+            if n is None:
                 raise ParseError(
                     f"power above the largest supported, {MAX_POWER}",
                     self.text,
                     power.pos,
                 )
             self.expect("lparen", "'(' after the power")
-            return Sym(int(digits), self.nested(tok), pos=tok.pos)
+            return Sym(n, self.nested(tok), pos=tok.pos)
         if tok.kind == "ident" and tok.text == "dual":
             self.advance()
             self.expect("lparen", "'(' after dual")

@@ -382,6 +382,29 @@ class TestCuspidality:
             "degrees differ (3 vs 4)\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv", [["cuspidality", "--pi", "pi", "--pi-prime", "pi"], ["siegel", "--m", "6"]]
+    )
+    def test_a_power_above_the_bound_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "power.json"
+        symbol = "sym^10000000(pi)"
+        path.write_text(
+            json.dumps(
+                {
+                    "bases": [{"name": "pi", "type": "icosahedral", "galois_row": "X'"}],
+                    "facts": [{"lhs": symbol, "rhs": symbol, "relation": "equiv", "truth": True}],
+                }
+            )
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--facts", str(path))
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: facts[0]: power above the largest supported, {MAX_POWER}, "
+            f"in {symbol!r}\n"
+        )
+
     def test_missing_facts_reported(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(

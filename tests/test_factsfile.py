@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icosym import MAX_POWER
 from icosym.cli import cmd_dispatch
 from icosym.factsfile import (
     FactsError,
@@ -209,6 +210,18 @@ class TestWordsAndSymbols:
         )
         with pytest.raises(FactsError, match="more than one cusp-form factor"):
             parse_symbol(text, ledger)
+
+    def test_sym_power_up_to_the_bound(self):
+        ledger = load_facts({"bases": [{"name": "pi", "type": "icosahedral"}]})
+        assert parse_symbol(f"sym^{MAX_POWER}(pi)", ledger).degree == MAX_POWER + 1
+        assert parse_symbol("sym^0003(pi)", ledger).degree == 4
+
+    @pytest.mark.parametrize("power", [str(MAX_POWER + 1), "10000000", "9" * 5000])
+    def test_sym_power_above_the_bound_rejected(self, power):
+        ledger = load_facts({"bases": [{"name": "pi", "type": "icosahedral"}]})
+        with pytest.raises(FactsError, match=f"largest supported, {MAX_POWER}"):
+            parse_symbol(f"sym^{power}(pi)*chi", ledger)
+        assert "chi" not in ledger.characters
 
     def test_sym_of_undeclared_base(self):
         with pytest.raises(FactsError, match="undeclared base"):

@@ -505,6 +505,17 @@ def test_a_true_fact_between_different_degrees_is_refused():
     assert ledger.equivalent(ad(p), cubic)[0] is False
 
 
+def test_a_true_fact_on_one_core_restricts_nothing(monkeypatch):
+    ledger = FactLedger()
+    p = ledger.declare_base("p", "icosahedral", galois_row="X'")
+    restricted = []
+    monkeypatch.setattr(FactLedger, "_restrict", lambda self, core: restricted.append(core))
+    big = Constituent(SymCusp(p, 10**7))
+    ledger.assert_equiv(big, big.twisted(CharWord.gen("chi")), True)
+    ledger.assert_equiv(big, big, True)
+    assert restricted == []
+
+
 def test_a_base_and_a_character_with_one_name_are_distinct():
     ledger = FactLedger()
     base = Constituent(ledger.declare_base("chi", "icosahedral"))
