@@ -29,11 +29,11 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from . import Record, _set
 from .group import GroupTable, build_sl2f5
 from .scalar import GOLDEN, GOLDEN_CONJ, ONE, ZERO, Qsqrt5
 
@@ -100,15 +100,16 @@ def _dot(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> tuple[int, int
     return a, b
 
 
-@dataclass(frozen=True, slots=True)
-class ClassFunction:
+class ClassFunction(Record):
     """A class function on SL2(F5), nine exact values in column order."""
 
+    __slots__ = ("values",)
     values: tuple[Qsqrt5, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != N_CLASSES:
-            raise ValueError(f"need {N_CLASSES} values, got {len(self.values)}")
+    def __init__(self, values: tuple[Qsqrt5, ...]) -> None:
+        if len(values) != N_CLASSES:
+            raise ValueError(f"need {N_CLASSES} values, got {len(values)}")
+        _set(self, "values", values)  # see Record: a hot constructor, written out
 
     @classmethod
     def of(cls, values: Iterable[Qsqrt5 | int]) -> "ClassFunction":

@@ -9,9 +9,10 @@ then orders 4, 6, 3) is the column order every character row in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+from . import Record
 
 P = 5
 
@@ -75,8 +76,8 @@ def element_order(g: Mat) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(Record):
+    __slots__ = ("index", "rep", "size", "element_order")
     index: int
     rep: Mat
     size: int

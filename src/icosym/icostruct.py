@@ -16,23 +16,29 @@ through :mod:`icosym.chartab`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 
+from . import Record, _set
 from .chartab import IRREP_NAMES, default_table
 from .report import CheckResult
 
 
-@dataclass(frozen=True)
-class IcoIrrep:
+class IcoIrrep(Record):
     """An irreducible (row name, central exponent) of the order-120m group."""
 
+    __slots__ = ("base", "exponent")
     base: str
     exponent: int
+
+    def __init__(self, base: str, exponent: int) -> None:
+        _set(self, "base", base)  # see Record: a hot constructor, written out
+        _set(self, "exponent", exponent)
 
     def __str__(self) -> str:
         return f"({self.base}, {self.exponent})"
 
 
+@cache  # nine rows, so a table of nine entries once each is read
 def base_parity(name: str) -> int:
     """1 when -I acts by -1 in the row (spin rows), else 0."""
     row = default_table().row(name)

@@ -32,8 +32,10 @@ queries come back undetermined instead of defaulting to "no".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
+from typing import TYPE_CHECKING, Union
+
+from . import Record, _set
 
 if TYPE_CHECKING:  # the table is built only for ledgers that query a tag
     from .chartab import CharacterTable, ClassFunction
@@ -55,14 +57,40 @@ class LedgerError(ValueError):
 
 
 # --------------------------------------------------------------------------
+# symbols, the keys of the ledger
+
+
+class Symbol(Record):
+    """A record the ledger keys its facts and memos by.  One pole-order
+    query hashes the same few symbols thousands of times (each fact lookup
+    hashes a pair, each image lookup a core, and a hash recurses through
+    the twist and the nested cores), so a symbol computes its hash once."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        _set(self, "_hash", None)
+        Record.__init__(self, *args, **kwargs)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            _set(self, "_hash", hash(self._key(self)))
+        return self._hash
+
+
+# --------------------------------------------------------------------------
 # formal characters
 
 
-@dataclass(frozen=True)
-class CharWord:
+class CharWord(Symbol):
     """A formal character: a word in named generators with integer exponents."""
 
-    word: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("word",)
+    word: tuple[tuple[str, int], ...]
+
+    def __init__(self, word: tuple[tuple[str, int], ...] = ()) -> None:
+        _set(self, "_hash", None)  # see Record: a hot constructor, written out
+        _set(self, "word", word)
 
     @classmethod
     def of(cls, factors: Mapping[str, int] | Iterable[tuple[str, int]]) -> "CharWord":
@@ -108,20 +136,22 @@ class CharWord:
 # cuspidal cores
 
 
-@dataclass(frozen=True)
-class BaseCusp:
+class BaseCusp(Symbol):
     """A named cuspidal symbol on GL(2) with declared structure tags."""
 
+    __slots__ = ("name", "typ", "omega", "dihedral_field", "dihedral_char", "cubic_char",
+                 "quadratic_char", "induced_field", "induced_char", "galois_row")
+    _defaults = {"typ": "abstract", "omega": "", **dict.fromkeys(__slots__[3:])}
     name: str
-    typ: str = "abstract"
-    omega: str = ""  # central character generator name
-    dihedral_field: str | None = None
-    dihedral_char: str | None = None
-    cubic_char: str | None = None  # self-twist of sym^2 (tetrahedral)
-    quadratic_char: str | None = None  # self-twist of sym^3 (octahedral)
-    induced_field: str | None = None  # octahedral complement data
-    induced_char: str | None = None
-    galois_row: str | None = None  # finite-image model: a character-table row
+    typ: str
+    omega: str  # central character generator name
+    dihedral_field: str | None
+    dihedral_char: str | None
+    cubic_char: str | None  # self-twist of sym^2 (tetrahedral)
+    quadratic_char: str | None  # self-twist of sym^3 (octahedral)
+    induced_field: str | None  # octahedral complement data
+    induced_char: str | None
+    galois_row: str | None  # finite-image model: a character-table row
 
     @property
     def degree(self) -> int:
@@ -131,10 +161,15 @@ class BaseCusp:
         return self.name
 
 
-@dataclass(frozen=True)
-class SymCusp:
+class SymCusp(Symbol):
+    __slots__ = ("base", "n")
     base: BaseCusp
     n: int
+
+    def __init__(self, base: BaseCusp, n: int) -> None:
+        _set(self, "_hash", None)  # see Record: a hot constructor, written out
+        _set(self, "base", base)
+        _set(self, "n", n)
 
     @property
     def degree(self) -> int:
@@ -144,8 +179,8 @@ class SymCusp:
         return f"sym^{self.n}({self.base.name})"
 
 
-@dataclass(frozen=True)
-class BoxCusp:
+class BoxCusp(Symbol):
+    __slots__ = ("left", "right")
     left: "Core"
     right: "Core"
 
@@ -157,14 +192,15 @@ class BoxCusp:
         return f"box({self.left}, {self.right})"
 
 
-@dataclass(frozen=True)
-class InducedCusp:
+class InducedCusp(Symbol):
     """A dihedral symbol induced from a character of a quadratic extension."""
 
+    __slots__ = ("extension", "char", "char_exp", "self_dual")
+    _defaults = {"char_exp": 1, "self_dual": False}
     extension: str
     char: str
-    char_exp: int = 1
-    self_dual: bool = False
+    char_exp: int
+    self_dual: bool
 
     @property
     def degree(self) -> int:
@@ -198,12 +234,17 @@ def box_cusp(left: Core, right: Core) -> BoxCusp:
 # constituents and isobaric sums
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(Symbol):
     """A cuspidal core twisted by a formal character; core None = character."""
 
+    __slots__ = ("core", "twist")
     core: Core | None
-    twist: CharWord = CharWord()
+    twist: CharWord
+
+    def __init__(self, core: Core | None, twist: CharWord = CharWord()) -> None:
+        _set(self, "_hash", None)  # see Record: a hot constructor, written out
+        _set(self, "core", core)
+        _set(self, "twist", twist)
 
     @property
     def degree(self) -> int:
@@ -227,10 +268,10 @@ def character(word: CharWord) -> Constituent:
 TRIVIAL = character(CharWord())
 
 
-@dataclass(frozen=True)
-class IsobaricExpr:
+class IsobaricExpr(Record):
     """A formal multiset of constituents (an isobaric sum)."""
 
+    __slots__ = ("terms",)
     terms: tuple[tuple[Constituent, int], ...]
 
     @classmethod
@@ -284,7 +325,7 @@ def _dual_core(core: Core | None) -> tuple[Core | None, CharWord]:
     if isinstance(core, InducedCusp):
         if core.self_dual:
             return core, CharWord()
-        return replace(core, char_exp=-core.char_exp), CharWord()
+        return InducedCusp(core.extension, core.char, -core.char_exp), CharWord()
     raise TypeError(f"unknown core {core!r}")
 
 
@@ -353,10 +394,15 @@ def _expand_pair(c1: Constituent, c2: Constituent) -> list[Constituent]:
 _KIND_ORDERS = {"trivial": 1, "quadratic": 2, "cubic": 3}
 
 
-@dataclass(frozen=True)
-class CharInfo:
-    order: int | None = None
-    kind: str | None = None  # trivial | quadratic | cubic | non-real | None
+class CharInfo(Record):
+    __slots__ = ("order", "kind")
+    _defaults = dict.fromkeys(__slots__)
+    order: int | None
+    kind: str | None  # trivial | quadratic | cubic | non-real | None
+
+
+#: a character declared with neither order nor kind
+NO_INFO = CharInfo()
 
 
 class FactLedger:
@@ -368,7 +414,7 @@ class FactLedger:
     one fact raises :class:`LedgerError`.
 
     Identity is structural: facts, cuspidality, automorphy and self-duality
-    are keyed by the frozen symbol dataclasses (constituents with twists
+    are keyed by the immutable symbol records (constituents with twists
     reduced modulo the known orders, or bare cores), never by their printed
     text.  A name is either a base or a character, not both.
 
@@ -420,7 +466,7 @@ class FactLedger:
         batch must still agree."""
         pending: dict[str, CharInfo] = {}
         for name, info in items:
-            if info == CharInfo() and name in self.characters:
+            if info == NO_INFO and name in self.characters:
                 continue
             known = pending.get(name, self.characters.get(name))
             if known is not None and known != info:
@@ -443,6 +489,12 @@ class FactLedger:
         if row is not None and row not in ("X'", "X''"):
             raise LedgerError(f"base {name}: galois_row must be X' or X'', got {row!r}")
         tags.setdefault("omega", f"omega({name})")
+        if typ == "tetrahedral":
+            tags["cubic_char"] = tags.get("cubic_char") or f"eta({name})"
+        if typ == "octahedral":
+            tags["quadratic_char"] = tags.get("quadratic_char") or f"mu({name})"
+            tags["induced_field"] = tags.get("induced_field") or f"K({name})"
+            tags["induced_char"] = tags.get("induced_char") or f"chi0({name})"
         base = BaseCusp(name=name, typ=typ, **tags)
         companions: list[tuple[str, CharInfo]] = []
         if typ == "dihedral":
@@ -451,20 +503,13 @@ class FactLedger:
                     f"dihedral base {name} needs dihedral_field and dihedral_char"
                 )
             # chi and chi o theta, the Galois conjugate the dihedral route twists by
-            companions.append((base.dihedral_char, CharInfo()))
-            companions.append((f"{base.dihedral_char}@theta", CharInfo()))
+            companions.append((base.dihedral_char, NO_INFO))
+            companions.append((f"{base.dihedral_char}@theta", NO_INFO))
         if typ == "tetrahedral":
-            base = replace(base, cubic_char=base.cubic_char or f"eta({name})")
             companions.append((base.cubic_char, CharInfo(3, "cubic")))
         if typ == "octahedral":
-            base = replace(
-                base,
-                quadratic_char=base.quadratic_char or f"mu({name})",
-                induced_field=base.induced_field or f"K({name})",
-                induced_char=base.induced_char or f"chi0({name})",
-            )
             companions.append((base.quadratic_char, CharInfo(2, "quadratic")))
-        companions.append((base.omega, CharInfo()))
+        companions.append((base.omega, NO_INFO))
         if name in self.bases and self.bases[name] != base:
             raise LedgerError(f"base {name} redeclared differently")
         if name in self.characters or any(char == name for char, _ in companions):
@@ -664,7 +709,7 @@ class FactLedger:
         if reduced.is_empty():
             return True
         for name, _ in reduced.word:
-            if self.characters.get(name, CharInfo()).kind == "trivial":
+            if self.characters.get(name, NO_INFO).kind == "trivial":
                 # a declared-trivial generator cannot block nontriviality
                 continue
             return False
@@ -675,11 +720,12 @@ class FactLedger:
 # pole bookkeeping
 
 
-@dataclass(frozen=True)
-class PoleOrder:
+class PoleOrder(Record):
+    __slots__ = ("lo", "hi", "missing")
+    _defaults = {"missing": ()}
     lo: int
     hi: int
-    missing: tuple[str, ...] = ()
+    missing: tuple[str, ...]
 
     @property
     def exact(self) -> bool:
@@ -820,13 +866,14 @@ def a4(p: BaseCusp, ledger: FactLedger) -> IsobaricExpr:
 # cuspidality of pi box sym^2(pi')
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
+    __slots__ = ("verdict", "route", "witnesses", "missing", "pole")
+    _defaults = {"witnesses": (), "missing": (), "pole": None}
     verdict: str  # cuspidal | not-cuspidal | undetermined
     route: str
-    witnesses: tuple[str, ...] = ()
-    missing: tuple[str, ...] = ()
-    pole: PoleOrder | None = None
+    witnesses: tuple[str, ...]
+    missing: tuple[str, ...]
+    pole: PoleOrder | None
 
     def as_json(self) -> dict:
         out = {
@@ -960,7 +1007,7 @@ def decide_cuspidality_via_poles(
                 "undetermined", route, missing=(f"declare the type of {base.name}",)
             )
 
-    ad_p = IsobaricExpr.single(ad(p))
+    ad_p, ad_p_prime = ad(p), IsobaricExpr.single(ad(p_prime))
     lift = a4(p_prime, ledger)
 
     total_lo = total_hi = 1  # the zeta factor
@@ -977,8 +1024,8 @@ def decide_cuspidality_via_poles(
     # single factors: L(Ad p), L(Ad p'), L(a4 p') — poles only at trivial
     # character constituents
     for label, expr in (
-        (f"L(Ad {p.name})", ad_p),
-        (f"L(Ad {p_prime.name})", IsobaricExpr.single(ad(p_prime))),
+        (f"L(Ad {p.name})", IsobaricExpr.single(ad_p)),
+        (f"L(Ad {p_prime.name})", ad_p_prime),
         (f"L(deg-5 lift of {p_prime.name})", lift),
     ):
         count = sum(
@@ -990,11 +1037,11 @@ def decide_cuspidality_via_poles(
 
     # pairings against Ad p: Ad p is self-dual, so a pole needs equivalence
     add(
-        pole_order_pair(IsobaricExpr.single(ad(p_prime)), ad(p), ledger),
+        pole_order_pair(ad_p_prime, ad_p, ledger),
         f"L(Ad {p.name} x Ad {p_prime.name})",
     )
     add(
-        pole_order_pair(lift, ad(p), ledger),
+        pole_order_pair(lift, ad_p, ledger),
         f"L(Ad {p.name} x deg-5 lift)",
     )
 

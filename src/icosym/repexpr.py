@@ -16,9 +16,7 @@ the tree and point at the offending spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from . import MAX_POWER, bounded_power
+from . import MAX_POWER, Record, bounded_power
 from .chartab import IRREP_NAMES, ClassFunction, default_table
 
 
@@ -44,37 +42,42 @@ class DimensionError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record, compare=("name",)):
+    __slots__ = ("name", "pos")
+    _defaults = {"pos": 0}
     name: str
-    pos: int = field(default=0, compare=False)
+    pos: int
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(Record, compare=("n", "arg")):
+    __slots__ = ("n", "arg", "pos")
+    _defaults = {"pos": 0}
     n: int
     arg: "Expr"
-    pos: int = field(default=0, compare=False)
+    pos: int
 
 
-@dataclass(frozen=True)
-class Dual:
+class Dual(Record, compare=("arg",)):
+    __slots__ = ("arg", "pos")
+    _defaults = {"pos": 0}
     arg: "Expr"
-    pos: int = field(default=0, compare=False)
+    pos: int
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(Record, compare=("left", "right")):
+    __slots__ = ("left", "right", "pos")
+    _defaults = {"pos": 0}
     left: "Expr"
     right: "Expr"
-    pos: int = field(default=0, compare=False)
+    pos: int
 
 
-@dataclass(frozen=True)
-class Plus:
+class Plus(Record, compare=("left", "right")):
+    __slots__ = ("left", "right", "pos")
+    _defaults = {"pos": 0}
     left: "Expr"
     right: "Expr"
-    pos: int = field(default=0, compare=False)
+    pos: int
 
 
 Expr = Atom | Sym | Dual | Tensor | Plus
@@ -119,8 +122,8 @@ def render(expr: Expr) -> str:
 # -- tokenizer ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
+    __slots__ = ("kind", "text", "pos")
     kind: str  # ident | int | caret | lparen | rparen | star | plus | end
     text: str
     pos: int

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from . import Record
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+    _defaults = {"detail": ""}
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
     def as_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}

@@ -26,12 +26,11 @@ _SQRT_TOKEN = "√5"  # √5
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _COEF = r"\d+(?:/\d+)?"
-# the three shapes render() can emit: a ± b√5, ±b√5, a
-_FULL_RE = re.compile(
-    rf"^\s*(?P<a>{_RAT})\s*(?P<op>[+-])\s*(?P<coef>{_COEF})?\s*√5\s*$"
-)
-_SURD_RE = re.compile(rf"^\s*(?P<sign>[+-])?\s*(?P<coef>{_COEF})?\s*√5\s*$")
-_RAT_RE = re.compile(rf"^\s*(?P<a>{_RAT})\s*$")
+# the three shapes render() can emit: a ± b√5, ±b√5, a; compiled by re's
+# own cache on the first parse, so importing the field compiles nothing
+_FULL = rf"^\s*(?P<a>{_RAT})\s*(?P<op>[+-])\s*(?P<coef>{_COEF})?\s*√5\s*$"
+_SURD = rf"^\s*(?P<sign>[+-])?\s*(?P<coef>{_COEF})?\s*√5\s*$"
+_RATIONAL = rf"^\s*(?P<a>{_RAT})\s*$"
 
 
 class Qsqrt5:
@@ -279,17 +278,17 @@ def _ratio(text: str | None) -> tuple[int, int]:
 
 
 def _parse_normalized(normalized: str) -> Qsqrt5:
-    m = _FULL_RE.match(normalized)
+    m = re.match(_FULL, normalized)
     if m is not None:
         an, ad = _ratio(m.group("a"))
         bn, bd = _ratio(m.group("coef"))
         bn = -bn if m.group("op") == "-" else bn
         return Qsqrt5(an * bd, bn * ad, ad * bd)
-    m = _SURD_RE.match(normalized)
+    m = re.match(_SURD, normalized)
     if m is not None:
         bn, bd = _ratio(m.group("coef"))
         return Qsqrt5(0, -bn if m.group("sign") == "-" else bn, bd)
-    m = _RAT_RE.match(normalized)
+    m = re.match(_RATIONAL, normalized)
     if m is not None:
         an, ad = _ratio(m.group("a"))
         return Qsqrt5(an, 0, ad)

@@ -26,8 +26,7 @@ mere presence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import Record
 from .chartab import ClassFunction, IRREP_NAMES
 from .isobaric import (
     BaseCusp,
@@ -172,10 +171,10 @@ def build_auxiliary(
     )
 
 
-@dataclass(frozen=True)
-class LFactor:
+class LFactor(Record):
     """One factor of the expanded square: an L-function with an exponent."""
 
+    __slots__ = ("kind", "parts", "exponent")
     kind: str  # zeta | single | pair
     parts: tuple[Constituent, ...]
     exponent: int
@@ -199,10 +198,10 @@ class LFactor:
         return inner if self.exponent == 1 else f"{inner}^{self.exponent}"
 
 
-@dataclass(frozen=True)
-class LFactorization:
+class LFactorization(Record):
     """The factored square L(s, Pi x Pi) with the distinguished target."""
 
+    __slots__ = ("m", "target", "factors", "k", "r")
     m: int
     target: Constituent
     factors: tuple[LFactor, ...]
@@ -310,8 +309,8 @@ def galois_square_accounting(m: int) -> dict[str, int]:
 # the per-constituent rule table
 
 
-@dataclass(frozen=True)
-class SiegelRule:
+class SiegelRule(Record):
+    __slots__ = ("name", "statement", "citations")
     name: str
     statement: str
     citations: tuple[str, ...]
@@ -393,18 +392,20 @@ def verify_rule_table() -> list[CheckResult]:
 # the report
 
 
-@dataclass(frozen=True)
-class ConstituentReport:
+class ConstituentReport(Record):
+    __slots__ = ("row", "label", "multiplicity", "rule", "citations", "detail", "k", "r",
+                 "exceptional", "covered")
+    _defaults = {"detail": "", "k": None, "r": None, "exceptional": False, "covered": True}
     row: str
     label: str
     multiplicity: int
     rule: str
     citations: tuple[str, ...]
-    detail: str = ""
-    k: int | None = None
-    r: int | None = None
-    exceptional: bool = False
-    covered: bool = True  # False when a rule hypothesis is not discharged
+    detail: str
+    k: int | None
+    r: int | None
+    exceptional: bool
+    covered: bool  # False when a rule hypothesis is not discharged
 
     def as_json(self) -> dict:
         out = {
@@ -422,18 +423,20 @@ class ConstituentReport:
         return out
 
 
-@dataclass(frozen=True)
-class SiegelReport:
+class SiegelReport(Record):
+    __slots__ = ("m", "target", "verdict", "constituents", "citations", "exceptional_character",
+                 "exceptional_character_alt", "k", "r", "notes")
+    _defaults = {**dict.fromkeys(__slots__[5:9]), "notes": ()}
     m: int
     target: str
     verdict: str  # no-siegel-zero | exceptional-case | not-covered
     constituents: tuple[ConstituentReport, ...]
     citations: tuple[str, ...]  # names of the rules used
-    exceptional_character: str | None = None
-    exceptional_character_alt: str | None = None
-    k: int | None = None
-    r: int | None = None
-    notes: tuple[str, ...] = ()
+    exceptional_character: str | None
+    exceptional_character_alt: str | None
+    k: int | None
+    r: int | None
+    notes: tuple[str, ...]
 
     def __str__(self) -> str:
         head = f"m = {self.m}: {self.target} -> {self.verdict}"

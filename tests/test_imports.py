@@ -1,4 +1,5 @@
-"""What importing icosym costs: submodules run only when used."""
+"""What importing icosym costs: submodules run only when used, and no
+command generates classes at run time."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,4 +182,53 @@ def test_no_function_takes_a_one_value_option():
                     continue
                 hits = ONE_VALUE_OPTIONS & set(inspect.signature(fn).parameters)
                 found += [f"{fn.__qualname__}({name})" for name in sorted(hits)]
+    assert found == []
+
+
+# a facts file for both commands that read one: a tagged base for siegel
+# and two declared bases for cuspidality
+CODEGEN_FACTS = {
+    "bases": [
+        {"name": "f", "type": "icosahedral", "galois_row": "X'"},
+        {"name": "g", "type": "tetrahedral"},
+    ],
+    "siegel": {"p": "f"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chartab"],
+        ["decompose", "--rep", "sym^5(X')"],
+        ["irreps", "--m", "3"],
+        ["siegel", "--m", "12"],
+        ["siegel", "--m", "12", "--facts", "FACTS"],
+        ["scan-trivial", "--max", "30"],
+        ["cuspidality", "--facts", "FACTS", "--pi", "g", "--pi-prime", "f"],
+        ["verify", "all"],
+    ],
+)
+def test_commands_import_no_code_generator(argv, tmp_path):
+    # dataclasses imports inspect (and with it ast, dis and tokenize) and
+    # execs the methods of each class it builds
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps(CODEGEN_FACTS))
+    argv = [str(path) if arg == "FACTS" else arg for arg in argv]
+    statement = "import contextlib, io, sys\nfrom icosym.cli import cmd_dispatch\n"
+    for run in (argv, argv + ["--json"]):
+        statement += (
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cmd_dispatch({run!r}) == 0\n"
+        )
+    statement += "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert last_line_of(statement) == "[]"
+
+
+def test_package_source_imports_no_dataclasses():
+    imports = re.compile(r"^\s*(?:from|import)\s+dataclasses\b", re.MULTILINE)
+    found = [
+        path.name for path in sorted((SRC / "icosym").glob("*.py"))
+        if imports.search(path.read_text())
+    ]
     assert found == []
