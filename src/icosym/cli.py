@@ -167,15 +167,9 @@ def cmd_irreps(args) -> int:
         raise ValueError(f"--m must be at least 1, got {args.m}")
     if args.m > MAX_POWER:
         raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
-    from .icostruct import (
-        classify_irreps,
-        dim_irrep,
-        is_self_dual,
-        self_dual_two_dim_report,
-    )
+    from .icostruct import classify_irreps, dim_irrep, is_self_dual
 
     irreps = classify_irreps(args.m)
-    report = self_dual_two_dim_report(args.m)
     listing = [
         {
             "row": r.base,
@@ -186,6 +180,10 @@ def cmd_irreps(args) -> int:
         for r in irreps
     ]
     square_sum = sum(entry["dim"] ** 2 for entry in listing)
+    # the self-dual 2-dimensional entries, read off the listing
+    two_dim = [
+        r for r, entry in zip(irreps, listing) if entry["dim"] == 2 and entry["self_dual"]
+    ]
     if args.json:
         _emit(
             args,
@@ -196,10 +194,9 @@ def cmd_irreps(args) -> int:
                 "irreps": listing,
                 "sum_of_squared_dims": square_sum,
                 "two_dimensional_self_dual": [
-                    {"row": r.base, "exponent": r.exponent}
-                    for r in report["self_dual_two_dim"]
+                    {"row": r.base, "exponent": r.exponent} for r in two_dim
                 ],
-                "center_order_divisible_by_4": report["center_order_divisible_by_4"],
+                "center_order_divisible_by_4": (2 * args.m) % 4 == 0,
             },
         )
         return 0
@@ -209,7 +206,6 @@ def cmd_irreps(args) -> int:
         print(
             f"  ({entry['row']}, {entry['exponent']})  dim {entry['dim']}{tag}"
         )
-    two_dim = report["self_dual_two_dim"]
     if two_dim:
         names = ", ".join(f"({r.base}, {r.exponent})" for r in two_dim)
         print(f"self-dual 2-dimensional: {names}")
@@ -224,6 +220,8 @@ def cmd_irreps(args) -> int:
 def cmd_scan_trivial(args) -> int:
     if args.max < 1:
         raise ValueError(f"--max must be at least 1, got {args.max}")
+    if args.max > MAX_POWER:
+        raise ValueError(f"--max must be at most {MAX_POWER}, got {args.max}")
     from .icostruct import scan_trivial
 
     scan = scan_trivial(args.max)
@@ -315,6 +313,8 @@ def _scan_range(text: str) -> tuple[int, int]:
 def cmd_siegel(args) -> int:
     if args.m is not None and args.m > MAX_POWER:
         raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
+    if args.scan is not None and args.scan[1] > MAX_POWER:
+        raise ValueError(f"--scan must end at most {MAX_POWER}, got {args.scan[1]}")
     from .siegel import RULES, siegel_report, siegel_scan, standard_context
 
     p = chi = ledger = None

@@ -107,7 +107,11 @@ class CharWord(Symbol):
     def __mul__(self, other: "CharWord") -> "CharWord":
         if not isinstance(other, CharWord):
             return NotImplemented
-        return CharWord.of(list(self.word) + list(other.word))
+        if not other.word:
+            return self
+        if not self.word:
+            return other
+        return CharWord.of(self.word + other.word)
 
     def inv(self) -> "CharWord":
         return CharWord(tuple((n, -e) for n, e in self.word))
@@ -306,33 +310,6 @@ class IsobaricExpr(Record):
         ) or "0"
 
 
-def dual_constituent(c: Constituent) -> Constituent:
-    core, extra = _dual_core(c.core)
-    return Constituent(core, c.twist.inv() * extra)
-
-
-def _dual_core(core: Core | None) -> tuple[Core | None, CharWord]:
-    if core is None:
-        return None, CharWord()
-    if isinstance(core, BaseCusp):
-        return core, CharWord.gen(core.omega, -1)
-    if isinstance(core, SymCusp):
-        return core, CharWord.gen(core.base.omega, -core.n)
-    if isinstance(core, BoxCusp):
-        left, wl = _dual_core(core.left)
-        right, wr = _dual_core(core.right)
-        return box_cusp(left, right), wl * wr
-    if isinstance(core, InducedCusp):
-        if core.self_dual:
-            return core, CharWord()
-        return InducedCusp(core.extension, core.char, -core.char_exp), CharWord()
-    raise TypeError(f"unknown core {core!r}")
-
-
-def dual_expr(e: IsobaricExpr) -> IsobaricExpr:
-    return IsobaricExpr.of([(dual_constituent(c), m) for c, m in e.terms])
-
-
 def ad(p: BaseCusp) -> Constituent:
     """The degree-3 self-dual symbol sym^2 twisted by the inverse central char."""
     return Constituent(SymCusp(p, 2), CharWord.gen(p.omega, -1))
@@ -378,12 +355,10 @@ def _expand_pair(c1: Constituent, c2: Constituent) -> list[Constituent]:
     if s1 and s2 and s1[0] == s2[0]:
         base = s1[0]
         a, b = s1[1], s2[1]
-        omega = CharWord.gen(base.omega)
-        out = []
-        for k in range(min(a, b) + 1):
-            core = sym_cusp(base, a + b - 2 * k)
-            out.append(Constituent(core, word * omega**k))
-        return out
+        return [
+            Constituent(sym_cusp(base, a + b - 2 * k), CharWord.of(word.word + ((base.omega, k),)))
+            for k in range(min(a, b) + 1)
+        ]
     return [Constituent(box_cusp(c1.core, c2.core), word)]
 
 

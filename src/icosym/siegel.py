@@ -9,11 +9,15 @@ edge.  Everything this module does is set up instances of that test:
 * :func:`build_auxiliary` forms ``Pi = 1 [+] sym^m(pi) (x) chi [+]
   sym^2(pi) (x) omega^-1`` under the hypotheses that ``sym^m`` is cuspidal
   and ``sym^(m +- 2)`` are automorphic;
-* :func:`expand_aux_square` factors ``L(s, Pi x Pi)`` and counts the
-  exponent of the target (always 4) against the pole order (always 3);
-* :func:`siegel_report` decomposes ``sym^m(pi) (x) chi`` for a base with
+* :func:`expand_aux_square` factors ``L(s, Pi x Pi)`` by the
+  Clebsch--Gordan expansion and tests the exponent k of the target,
+  read off the factors, against the pole order r of the square (k = 4 and
+  r = 3 whenever the hypotheses hold);
+* :func:`siegel_scan` decomposes ``sym^m(pi) (x) chi`` for a base with
   finite icosahedral image into the nine-generator family, sends every
-  constituent through a rule table, and aggregates the verdicts.
+  constituent through a rule table, and aggregates the verdicts; each
+  family row is certified once per scan, and :func:`siegel_report` is the
+  scan of one m.
 
 Character constituents are the one structure that can carry an exceptional
 zero, and for an icosahedral base they first appear at ``m = 12``; the
@@ -38,9 +42,9 @@ from .isobaric import (
     SymCusp,
     TRIVIAL,
     ad,
-    character,
     icosahedral_family,
     pole_order,
+    rs_expand,
     standard_icosahedral_pair,
     sym_cusp,
 )
@@ -164,11 +168,7 @@ def build_auxiliary(
             )
     if missing:
         raise MissingHypothesisError(missing)
-    return (
-        IsobaricExpr.single(TRIVIAL)
-        + IsobaricExpr.single(Constituent(SymCusp(p, m), chi))
-        + IsobaricExpr.single(ad(p))
-    )
+    return IsobaricExpr.of([(TRIVIAL, 1), (Constituent(SymCusp(p, m), chi), 1), (ad(p), 1)])
 
 
 class LFactor(Record):
@@ -216,43 +216,35 @@ class LFactorization(Record):
 def expand_aux_square(
     m: int, p: BaseCusp, chi: CharWord, ledger: FactLedger
 ) -> LFactorization:
-    """Factor L(s, Pi x Pi) over the nine ordered pairs of constituents.
+    """Factor L(s, Pi x Pi) over the nine ordered pairs of terms of Pi.
 
-    Cross terms against the degree-3 piece expand by Clebsch--Gordan (that
-    is where the two extra copies of the target come from); the two
-    diagonal self-pairings stay as Rankin--Selberg pair factors.  The
-    target exponent is checked to be 4 and the edge pole order 3, and the
-    degrees must add up to the square of the degree of Pi.
+    A pair of distinct terms expands by Clebsch--Gordan (:func:`rs_expand`,
+    which checks the degrees); ``1 x 1`` is the zeta factor, and a cusp form
+    paired with itself stays a Rankin--Selberg pair factor.  The target's
+    exponent k is read off the expanded singles, the edge pole order r
+    comes from :func:`pole_order`, and the test is k > r.
     """
     aux = build_auxiliary(m, p, chi, ledger)
-    omega = CharWord.gen(p.omega)
     target = Constituent(SymCusp(p, m), chi)
-    adjoint = ad(p)
-
-    factors = [
-        LFactor("zeta", (), 1),
-        LFactor("single", (target,), 4),
-        LFactor("single", (adjoint,), 2),
-        LFactor("single", (Constituent(SymCusp(p, m + 2), chi * omega**-1),), 2),
-        LFactor("single", (Constituent(sym_cusp(p, m - 2), chi * omega),), 2),
-        LFactor("pair", (target, target), 1),
-        LFactor("pair", (adjoint, adjoint), 1),
-    ]
-    k = next(
-        f.exponent for f in factors if f.kind == "single" and f.parts == (target,)
-    )
-    if k != 4:
-        raise RuntimeError(f"target exponent {k} != 4")
+    factors: list[LFactor] = []
+    singles: dict[Constituent, int] = {}
+    terms = aux.terms
+    for i, (c1, m1) in enumerate(terms):
+        # the one character term is 1, and 1 x 1 is zeta
+        kind, parts = ("zeta", ()) if c1.core is None else ("pair", (c1, c1))
+        factors.append(LFactor(kind, parts, m1 * m1))
+        # (c1, c2) and (c2, c1) expand alike, so each pair of distinct terms
+        # expands once, counted twice; a slice of sorted terms stays sorted
+        if i + 1 < len(terms):
+            product = rs_expand(IsobaricExpr(((c1, 2 * m1),)), IsobaricExpr(terms[i + 1:]))
+            for c, mult in product.terms:
+                singles[c] = singles.get(c, 0) + mult
+    factors += [LFactor("single", (c,), e) for c, e in singles.items()]
+    k = singles.get(target, 0)
     r = pole_order(aux, ledger).value()
-    if r != 3:
-        raise RuntimeError(f"edge pole order {r} != 3")
-    result = LFactorization(m, target, tuple(factors), k, r)
-    expected = aux.degree * aux.degree
-    if result.total_degree != expected:
-        raise RuntimeError(
-            f"degree audit failed: {result.total_degree} != {expected}"
-        )
-    return result
+    if k <= r:
+        raise RuntimeError(f"target exponent {k} is not above the edge pole order {r}")
+    return LFactorization(m, target, tuple(factors), k, r)
 
 
 def galois_square_accounting(m: int) -> dict[str, int]:
@@ -369,8 +361,6 @@ ROW_RULES: dict[str, str] = {
     "W": "auxiliary-expansion",  # sym^5
     "X2": "rankin-selberg-pair",
 }
-
-_AUX_DEGREE = {"X1": 3, "V": 4, "W": 5}  # symmetric power behind each row
 
 
 def verify_rule_table() -> list[CheckResult]:
@@ -521,6 +511,87 @@ def siegel_report(
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
+    return siegel_scan(m, m, p, chi, ledger)[0]
+
+
+def _certificate(
+    row: str, generator: Constituent, p: BaseCusp, p_tau: BaseCusp, chi: CharWord,
+    ledger: FactLedger,
+) -> tuple[str, int | None, int | None, bool]:
+    """(detail, k, r, covered) for a family row other than the character
+    row; nothing in it depends on m."""
+    rule = ROW_RULES[row]
+    if rule == "auxiliary-expansion":
+        n = generator.core.n  # the generator of the row is sym^n(p)
+        try:
+            fact = expand_aux_square(n, p, chi, ledger)
+        except MissingHypothesisError as err:
+            return str(err), None, None, False
+        return f"auxiliary expansion at m = {n}", fact.k, fact.r, True
+    if rule == "rankin-selberg-pair":
+        # only a False verdict certifies the Ramakrishnan-Wang hypothesis;
+        # the pair restricts to different rows, so the ledger refuses
+        # every true fact between them and the verdict is always False
+        same, reason = ledger.equivalent(Constituent(p), Constituent(p_tau))
+        if same is not False:
+            raise RuntimeError(f"the conjugate pair is not certified: {reason}")
+        return "the pair is neither dihedral nor twist-equivalent: " + reason, None, None, True
+    return "", None, None, True
+
+
+def _character_report(target: str, chi: CharWord, ledger: FactLedger) -> SiegelReport:
+    """m = 0: the object is the twisting character itself."""
+    kind = ledger.word_kind(chi)
+    exceptional = kind in ("trivial", "quadratic")
+    rule = RULES["character"]
+    constituent = ConstituentReport(
+        "U",
+        str(chi),
+        1,
+        rule.name,
+        rule.citations,
+        detail=f"character kind: {kind or 'undeclared'}",
+        exceptional=exceptional,
+    )
+    if exceptional:
+        return SiegelReport(
+            0,
+            target,
+            "exceptional-case",
+            (constituent,),
+            (rule.name,),
+            exceptional_character=str(chi),
+            exceptional_character_alt=str(chi),
+            notes=("at most one exceptional zero",),
+        )
+    return SiegelReport(
+        0,
+        target,
+        "no-siegel-zero",
+        (constituent,),
+        (rule.name,),
+        notes=(
+            "the object is the twisting character itself; no real "
+            "(trivial or quadratic) kind is declared for it",
+        ),
+    )
+
+
+def siegel_scan(
+    lo: int,
+    hi: int,
+    p: BaseCusp | None = None,
+    chi: CharWord | None = None,
+    ledger: FactLedger | None = None,
+) -> list[SiegelReport]:
+    """Reports for every m in [lo, hi]; ``p`` and ``ledger`` as in
+    :func:`siegel_report`.
+
+    The base is checked once, the family is built once some m >= 1 needs
+    it, and each row is certified once: none of them depends on m.
+    """
+    if lo < 0 or hi < lo:
+        raise ValueError(f"bad scan range [{lo}, {hi}]")
     if (p is None) != (ledger is None):
         raise ValueError("pass p and ledger together, or neither")
     if p is None:
@@ -534,161 +605,98 @@ def siegel_report(
             )
         p_tau = _galois_partner(p, ledger)
     chi = chi if chi is not None else CharWord.gen("chi")
-    target = f"sym^{m}({p.name})*{chi}" if m >= 1 else str(chi)
-
-    if ledger.self_dual_declared(Constituent(sym_cusp(p, m), chi)) is False:
-        return SiegelReport(
-            m,
-            target,
-            "no-siegel-zero",
-            (),
-            ("non-self-dual",),
-            notes=(
-                "declared not self-dual: only self-dual L-functions can "
-                "carry an exceptional real zero",
-            ),
-        )
-
-    if m == 0:
-        kind = ledger.word_kind(chi)
-        exceptional = kind in ("trivial", "quadratic")
-        rule = RULES["character"]
-        constituent = ConstituentReport(
-            "U",
-            str(chi),
-            1,
-            rule.name,
-            rule.citations,
-            detail=f"character kind: {kind or 'undeclared'}",
-            exceptional=exceptional,
-        )
-        if exceptional:
-            return SiegelReport(
+    family: dict[str, tuple[str, Constituent]] = {}
+    certificates: dict[str, tuple[str, str, int | None, int | None, bool]] = {}
+    reports: list[SiegelReport] = []
+    for m in range(lo, hi + 1):
+        target = f"sym^{m}({p.name})*{chi}" if m >= 1 else str(chi)
+        if ledger.self_dual_declared(Constituent(sym_cusp(p, m), chi)) is False:
+            reports.append(SiegelReport(
                 m,
                 target,
-                "exceptional-case",
-                (constituent,),
-                (rule.name,),
-                exceptional_character=str(chi),
-                exceptional_character_alt=str(chi),
-                notes=("at most one exceptional zero",),
+                "no-siegel-zero",
+                (),
+                ("non-self-dual",),
+                notes=(
+                    "declared not self-dual: only self-dual L-functions can "
+                    "carry an exceptional real zero",
+                ),
+            ))
+            continue
+        if m == 0:
+            reports.append(_character_report(target, chi, ledger))
+            continue
+        if not family:
+            family = {row: (label, c) for label, c, row in icosahedral_family(ledger, p, p_tau)}
+        mults = ledger.galois_decomposition(sym_cusp(p, m))
+
+        constituents: list[ConstituentReport] = []
+        rules_used: list[str] = []
+        exceptional_q: CharWord | None = None
+        for row in IRREP_NAMES:
+            mult = mults.get(row, 0)
+            if not mult:
+                continue
+            rule = RULES[ROW_RULES[row]]
+            rules_used.append(rule.name)
+            detail, k, r, exceptional, covered = "", None, None, False, True
+            if row == "U":
+                if m % 2:
+                    raise RuntimeError(
+                        "parity violation: a character constituent at odd m"
+                    )
+                q_word = CharWord.gen(p.omega, m // 2) * chi
+                kind = ledger.word_kind(q_word)
+                label = str(q_word)
+                detail = (
+                    f"character constituent {q_word} "
+                    f"(kind: {kind or 'undeclared, cannot be excluded'})"
+                )
+                # flagged unless the ledger knows the character is not real
+                exceptional = kind in (None, "trivial", "quadratic")
+                if exceptional:
+                    exceptional_q = q_word
+            else:
+                if row not in certificates:
+                    label, generator = family[row]
+                    certificates[row] = (f"twist of {label}",) + _certificate(
+                        row, generator, p, p_tau, chi, ledger
+                    )
+                label, detail, k, r, covered = certificates[row]
+            constituents.append(
+                ConstituentReport(
+                    row, label, mult, rule.name, rule.citations, detail, k, r,
+                    exceptional, covered,
+                )
             )
-        return SiegelReport(
+
+        notes: list[str] = []
+        if not all(c.covered for c in constituents):
+            verdict = "not-covered"
+        elif exceptional_q is not None:
+            verdict = "exceptional-case"
+            notes.append("at most one exceptional zero")
+        else:
+            verdict = "no-siegel-zero"
+
+        alt = None
+        if exceptional_q is not None:
+            single = len(chi.word) == 1 and chi.word[0][1] == 1
+            twist = str(chi) if single else f"({chi})"
+            alt = f"{p.omega}^({m}/2)*{twist}^({m + 1})"
+        top_k = top_r = None
+        if len(constituents) == 1:  # sym^m is one row: its k and r, if any
+            top_k, top_r = constituents[0].k, constituents[0].r
+        reports.append(SiegelReport(
             m,
             target,
-            "no-siegel-zero",
-            (constituent,),
-            (rule.name,),
-            notes=(
-                "the object is the twisting character itself; no real "
-                "(trivial or quadratic) kind is declared for it",
-            ),
-        )
-
-    family_rows = {
-        row: label for label, _, row in icosahedral_family(ledger, p, p_tau)
-    }
-    mults = ledger.galois_decomposition(sym_cusp(p, m))
-
-    constituents: list[ConstituentReport] = []
-    rules_used: list[str] = []
-    notes: list[str] = []
-    exceptional_q: CharWord | None = None
-
-    for row in IRREP_NAMES:
-        mult = mults.get(row, 0)
-        if not mult:
-            continue
-        rule = RULES[ROW_RULES[row]]
-        rules_used.append(rule.name)
-        label = f"twist of {family_rows[row]}"
-        detail, k, r, exceptional, covered = "", None, None, False, True
-        if row == "U":
-            if m % 2:
-                raise RuntimeError(
-                    "parity violation: a character constituent at odd m"
-                )
-            q_word = CharWord.gen(p.omega, m // 2) * chi
-            kind = ledger.word_kind(q_word)
-            label = str(q_word)
-            detail = (
-                f"character constituent {q_word} "
-                f"(kind: {kind or 'undeclared, cannot be excluded'})"
-            )
-            # flagged unless the ledger knows the character is not real
-            exceptional = kind in (None, "trivial", "quadratic")
-            if exceptional:
-                exceptional_q = q_word
-        elif row in _AUX_DEGREE:
-            inner_m = _AUX_DEGREE[row]
-            try:
-                fact = expand_aux_square(inner_m, p, chi, ledger)
-            except MissingHypothesisError as err:
-                covered = False
-                detail = str(err)
-            else:
-                detail = f"auxiliary expansion at m = {inner_m}"
-                k, r = fact.k, fact.r
-        elif row == "X2":
-            # only a False verdict certifies the Ramakrishnan-Wang hypothesis;
-            # the pair restricts to different rows, so the ledger refuses
-            # every true fact between them and the verdict is always False
-            same, reason = ledger.equivalent(Constituent(p), Constituent(p_tau))
-            if same is not False:
-                raise RuntimeError(f"the conjugate pair is not certified: {reason}")
-            detail = "the pair is neither dihedral nor twist-equivalent: " + reason
-        constituents.append(
-            ConstituentReport(
-                row, label, mult, rule.name, rule.citations, detail, k, r,
-                exceptional, covered,
-            )
-        )
-
-    top_k = top_r = None
-    if m in _AUX_DEGREE.values() and len(constituents) == 1:
-        top_k, top_r = constituents[0].k, constituents[0].r
-
-    if not all(c.covered for c in constituents):
-        verdict = "not-covered"
-    elif exceptional_q is not None:
-        verdict = "exceptional-case"
-        notes.append("at most one exceptional zero")
-    else:
-        verdict = "no-siegel-zero"
-
-    alt = None
-    if exceptional_q is not None:
-        single = len(chi.word) == 1 and chi.word[0][1] == 1
-        twist = str(chi) if single else f"({chi})"
-        alt = f"{p.omega}^({m}/2)*{twist}^({m + 1})"
-    return SiegelReport(
-        m,
-        target,
-        verdict,
-        tuple(constituents),
-        tuple(dict.fromkeys(rules_used)),
-        exceptional_character=str(exceptional_q) if exceptional_q else None,
-        exceptional_character_alt=alt,
-        k=top_k,
-        r=top_r,
-        notes=tuple(notes),
-    )
-
-
-def siegel_scan(
-    lo: int,
-    hi: int,
-    p: BaseCusp | None = None,
-    chi: CharWord | None = None,
-    ledger: FactLedger | None = None,
-) -> list[SiegelReport]:
-    """Reports for every m in [lo, hi]; ``p`` and ``ledger`` as in
-    :func:`siegel_report`."""
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad scan range [{lo}, {hi}]")
-    if (p is None) != (ledger is None):
-        raise ValueError("pass p and ledger together, or neither")
-    if p is None:
-        ledger, p, _ = standard_context()
-    return [siegel_report(m, p, chi, ledger) for m in range(lo, hi + 1)]
-
+            verdict,
+            tuple(constituents),
+            tuple(dict.fromkeys(rules_used)),
+            exceptional_character=str(exceptional_q) if exceptional_q else None,
+            exceptional_character_alt=alt,
+            k=top_k,
+            r=top_r,
+            notes=tuple(notes),
+        ))
+    return reports

@@ -208,6 +208,14 @@ class TestScanTrivial:
         assert code == 0
         assert "first trivial constituent at n = 12" in out
 
+    @pytest.mark.parametrize("top", [MAX_POWER + 1, 100_000_000])
+    def test_max_above_the_bound(self, capsys, top):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "scan-trivial", "--max", str(top))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: --max must be at most {MAX_POWER}, got {top}\n"
+
     def test_json(self, capsys):
         code, document, _ = run_json(capsys, "scan-trivial", "--max", "13")
         assert code == 0
@@ -614,6 +622,15 @@ class TestSiegel:
         assert code == 2
         assert out == ""
         assert err == f"error: --m must be at most {MAX_POWER}, got {m}\n"
+
+    @pytest.mark.parametrize("scan", ["10001..10001", "0..10001", "5..100000000"])
+    def test_scan_ending_above_the_bound(self, capsys, scan):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "siegel", "--scan", scan)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        top = scan.partition("..")[2]
+        assert err == f"error: --scan must end at most {MAX_POWER}, got {top}\n"
 
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "siegel", "--scan", "12")

@@ -82,6 +82,8 @@ def test_light_commands_skip_the_ledger_layers(argv):
         ["irreps", "--m", "-3"],
         ["irreps", "--m", "10001"],
         ["scan-trivial", "--max", "0"],
+        ["siegel", "--scan", "10001..10001"],
+        ["scan-trivial", "--max", "100000000"],
     ],
 )
 def test_import_and_rejected_arguments_run_only_the_cli(argv):

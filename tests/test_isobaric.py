@@ -27,8 +27,6 @@ from icosym.isobaric import (
     character,
     decide_cuspidality,
     decide_cuspidality_via_poles,
-    dual_constituent,
-    dual_expr,
     galois_pole_check,
     icosahedral_family,
     pole_order,
@@ -108,31 +106,6 @@ def test_box_is_commutative():
     assert box_cusp(p, q) == box_cusp(q, p)
 
 
-def test_ad_is_self_dual():
-    _, p, _ = fresh()
-    assert dual_constituent(ad(p)) == ad(p)
-
-
-def test_dual_involution():
-    ledger, p, q = fresh()
-    samples = [
-        Constituent(p),
-        Constituent(SymCusp(p, 3), CharWord.gen("chi", 2)),
-        Constituent(box_cusp(p, SymCusp(q, 2)), CharWord.gen("chi", -1)),
-        character(CharWord.gen("chi")),
-        Constituent(InducedCusp("K", "chi0")),
-        Constituent(InducedCusp("K", "chi0", self_dual=True)),
-    ]
-    for c in samples:
-        assert dual_constituent(dual_constituent(c)) == c
-
-
-def test_dual_of_base_twists_by_central_inverse():
-    _, p, _ = fresh()
-    d = dual_constituent(Constituent(p))
-    assert d == Constituent(p, CharWord.gen(p.omega, -1))
-
-
 # -- box products ------------------------------------------------------------
 
 
@@ -140,7 +113,7 @@ def test_pi_box_dual_pi():
     _, p, _ = fresh()
     e = rs_expand(
         IsobaricExpr.single(Constituent(p)),
-        IsobaricExpr.single(dual_constituent(Constituent(p))),
+        IsobaricExpr.single(Constituent(p, CharWord.gen(p.omega, -1))),
     )
     assert e == IsobaricExpr.of([(TRIVIAL, 1), (ad(p), 1)])
 
@@ -199,7 +172,7 @@ def test_box_products_match_finite_model():
     checks = [
         (
             IsobaricExpr.single(Constituent(p)),
-            IsobaricExpr.single(dual_constituent(Constituent(p))),
+            IsobaricExpr.single(Constituent(p, CharWord.gen(p.omega, -1))),
         ),
         (IsobaricExpr.single(ad(p)), IsobaricExpr.single(ad(p))),
         (IsobaricExpr.single(Constituent(p)), IsobaricExpr.single(Constituent(p_tau))),
