@@ -94,7 +94,14 @@ class CharWord(Symbol):
 
     @classmethod
     def of(cls, factors: Mapping[str, int] | Iterable[tuple[str, int]]) -> "CharWord":
-        items = factors.items() if isinstance(factors, Mapping) else factors
+        # the hot callers pass a tuple of pairs or a dict; both are told
+        # apart before the Mapping ABC check, which is slow
+        if isinstance(factors, tuple):
+            items = factors
+        elif isinstance(factors, (dict, Mapping)):
+            items = factors.items()
+        else:
+            items = factors
         merged: dict[str, int] = {}
         for name, exp in items:
             merged[name] = merged.get(name, 0) + exp
@@ -120,12 +127,15 @@ class CharWord(Symbol):
         return CharWord.of({n: e * k for n, e in self.word})
 
     def reduce(self, orders: Mapping[str, int]) -> "CharWord":
-        """Reduce exponents mod declared finite orders."""
-        out = {}
+        """Reduce exponents mod declared finite orders; ``self`` when every
+        exponent is already reduced."""
         for n, e in self.word:
             order = orders.get(n)
-            out[n] = e % order if order else e
-        return CharWord.of(out)
+            if order and e % order != e:
+                return CharWord.of(
+                    {n: e % orders[n] if orders.get(n) else e for n, e in self.word}
+                )
+        return self
 
     def is_empty(self) -> bool:
         return not self.word
@@ -550,7 +560,8 @@ class FactLedger:
     # -- facts ------------------------------------------------------------
 
     def _canon(self, c: Constituent) -> Constituent:
-        return Constituent(c.core, c.twist.reduce(self._orders))
+        twist = c.twist.reduce(self._orders)
+        return c if twist is c.twist else Constituent(c.core, twist)
 
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
         k1, k2 = self._canon(c1), self._canon(c2)

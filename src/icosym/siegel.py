@@ -16,8 +16,9 @@ edge.  Everything this module does is set up instances of that test:
 * :func:`siegel_scan` decomposes ``sym^m(pi) (x) chi`` for a base with
   finite icosahedral image into the nine-generator family, sends every
   constituent through a rule table, and aggregates the verdicts; each
-  family row is certified once per scan, and :func:`siegel_report` is the
-  scan of one m.
+  family row is certified once per scan context, and :func:`siegel_report`
+  is the scan of one m; without a caller's ledger every scan shares one
+  standard context per process.
 
 Character constituents are the one structure that can carry an exceptional
 zero, and for an icosahedral base they first appear at ``m = 12``; the
@@ -29,6 +30,8 @@ mere presence.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import Record
 from .chartab import ClassFunction, IRREP_NAMES
@@ -477,6 +480,26 @@ def standard_context(
 _PARTNER_ROW = {"X'": "X''", "X''": "X'"}
 
 
+class _ScanContext:
+    """What a scan reads besides m: the ledger, the base and its partner,
+    and the m-independent pieces it fills in on first need, the family rows
+    and each row's certificate keyed by (row, chi)."""
+
+    __slots__ = ("ledger", "p", "p_tau", "family", "certificates")
+
+    def __init__(self, ledger: FactLedger, p: BaseCusp, p_tau: BaseCusp) -> None:
+        self.ledger, self.p, self.p_tau = ledger, p, p_tau
+        self.family = {}  # row -> (label, generator)
+        self.certificates = {}  # (row, chi) -> (label, detail, k, r, covered)
+
+
+@lru_cache(maxsize=1)
+def _standard_scan_context() -> _ScanContext:
+    """The one standard context of the process.  Scans only read its
+    ledger, and it is never handed out, so nothing can change it."""
+    return _ScanContext(*standard_context())
+
+
 def _galois_partner(p: BaseCusp, ledger: FactLedger) -> BaseCusp:
     """The conjugate pi^tau of ``p``: the ledger's base carrying the other
     2-dimensional row, or else an undeclared base ``<p>_tau`` with that row
@@ -507,7 +530,9 @@ def siegel_report(
     case — reported in both normalizations — unless the ledger knows it is
     not real; undischargeable rule hypotheses make the verdict not-covered
     rather than a silent pass.  ``p`` and ``ledger`` come together (the
-    ledger is only read) or not at all (the standard context).
+    ledger is only read) or not at all: then the standard context, its
+    family and its row certificates are built once per process and shared
+    by every such call.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
@@ -588,14 +613,17 @@ def siegel_scan(
     :func:`siegel_report`.
 
     The base is checked once, the family is built once some m >= 1 needs
-    it, and each row is certified once: none of them depends on m.
+    it, and each row is certified once for each chi: none of them depends
+    on m.  A caller's ledger may change between calls, so it gets a fresh
+    context per call; without one, the standard context, its family and its
+    certificates are built once per process.
     """
     if lo < 0 or hi < lo:
         raise ValueError(f"bad scan range [{lo}, {hi}]")
     if (p is None) != (ledger is None):
         raise ValueError("pass p and ledger together, or neither")
     if p is None:
-        ledger, p, p_tau = standard_context()
+        ctx = _standard_scan_context()
     else:
         if p.typ != "icosahedral":
             raise ValueError(f"{p.name} is {p.typ}; the report needs icosahedral type")
@@ -603,10 +631,10 @@ def siegel_scan(
             raise ValueError(
                 f"{p.name} needs a 2-dimensional finite-image tag to decompose"
             )
-        p_tau = _galois_partner(p, ledger)
+        ctx = _ScanContext(ledger, p, _galois_partner(p, ledger))
+    ledger, p, p_tau = ctx.ledger, ctx.p, ctx.p_tau
+    family, certificates = ctx.family, ctx.certificates
     chi = chi if chi is not None else CharWord.gen("chi")
-    family: dict[str, tuple[str, Constituent]] = {}
-    certificates: dict[str, tuple[str, str, int | None, int | None, bool]] = {}
     reports: list[SiegelReport] = []
     for m in range(lo, hi + 1):
         target = f"sym^{m}({p.name})*{chi}" if m >= 1 else str(chi)
@@ -627,7 +655,9 @@ def siegel_scan(
             reports.append(_character_report(target, chi, ledger))
             continue
         if not family:
-            family = {row: (label, c) for label, c, row in icosahedral_family(ledger, p, p_tau)}
+            family.update(
+                (row, (label, c)) for label, c, row in icosahedral_family(ledger, p, p_tau)
+            )
         mults = ledger.galois_decomposition(sym_cusp(p, m))
 
         constituents: list[ConstituentReport] = []
@@ -657,12 +687,13 @@ def siegel_scan(
                 if exceptional:
                     exceptional_q = q_word
             else:
-                if row not in certificates:
+                key = (row, chi)
+                if key not in certificates:
                     label, generator = family[row]
-                    certificates[row] = (f"twist of {label}",) + _certificate(
+                    certificates[key] = (f"twist of {label}",) + _certificate(
                         row, generator, p, p_tau, chi, ledger
                     )
-                label, detail, k, r, covered = certificates[row]
+                label, detail, k, r, covered = certificates[key]
             constituents.append(
                 ConstituentReport(
                     row, label, mult, rule.name, rule.citations, detail, k, r,

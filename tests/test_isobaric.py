@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,28 @@ def test_char_word_reduce():
     assert eta.reduce({"eta": 3}) == CharWord.gen("eta", 2)
     assert CharWord.gen("eta", 3).reduce({"eta": 3}).is_empty()
     assert CharWord.gen("chi", 7).reduce({"eta": 3}) == CharWord.gen("chi", 7)
+
+
+def test_char_word_of_any_mapping():
+    # tuples and dicts take the fast path; any other Mapping still reads
+    # as name -> exponent, and any other iterable as pairs
+    word = CharWord.of({"omega": -2, "chi": 1})
+    assert CharWord.of(MappingProxyType({"omega": -2, "chi": 1})) == word
+    assert CharWord.of((("omega", -1), ("chi", 1), ("omega", -1))) == word
+    assert CharWord.of([("chi", 1), ("omega", -2)]) == word
+    assert CharWord.of(MappingProxyType({"a": 0})) == CharWord()
+
+
+def test_a_reduced_word_and_constituent_are_returned_as_they_are():
+    ledger, p, _ = fresh()
+    ledger.declare_character("eta", order=3)
+    word = CharWord.of({"eta": 2, "chi": -5})
+    assert word.reduce(ledger._orders) is word
+    c = Constituent(SymCusp(p, 3), word)
+    assert ledger._canon(c) is c
+    assert ledger._canon(TRIVIAL) is TRIVIAL
+    unreduced = Constituent(SymCusp(p, 3), CharWord.of({"eta": 5, "chi": -5}))
+    assert ledger._canon(unreduced) == c and ledger._canon(unreduced) is not unreduced
 
 
 def test_char_is_trivial():

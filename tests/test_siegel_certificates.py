@@ -1,5 +1,6 @@
 """The auxiliary square computed from the Clebsch--Gordan expansion, and
-reports and scans that certify each family row once."""
+reports and scans that certify each family row once: once per scan with a
+caller's ledger, once per process in the shared standard context."""
 
 from __future__ import annotations
 
@@ -22,9 +23,25 @@ from icosym.isobaric import (
     standard_icosahedral_pair,
     sym_cusp,
 )
-from icosym.siegel import LFactor, expand_aux_square, siegel_report, siegel_scan
+from icosym.siegel import (
+    LFactor,
+    expand_aux_square,
+    siegel_report,
+    siegel_scan,
+    standard_context,
+)
 
 CHI = CharWord.gen("chi")
+
+
+@pytest.fixture
+def fresh_standard_context():
+    """Scans without a ledger share one standard context per process, which
+    earlier tests may have filled; start from a new one, and leave a new one
+    behind for later tests."""
+    icosym.siegel._standard_scan_context.cache_clear()
+    yield
+    icosym.siegel._standard_scan_context.cache_clear()
 
 
 def hand_factors(m, p, chi):
@@ -82,7 +99,7 @@ def test_a_square_whose_target_does_not_beat_the_pole_is_refused(monkeypatch):
         expand_aux_square(3, p, CHI, ledger)
 
 
-def test_a_scan_certifies_each_auxiliary_row_once(monkeypatch):
+def test_a_scan_certifies_each_auxiliary_row_once(monkeypatch, fresh_standard_context):
     calls = []
 
     def counting(m, p, chi, ledger):
@@ -95,7 +112,7 @@ def test_a_scan_certifies_each_auxiliary_row_once(monkeypatch):
     assert sorted(calls) == [3, 4, 5]
 
 
-def test_a_report_at_m0_builds_no_character_table(monkeypatch):
+def test_a_report_at_m0_builds_no_character_table(monkeypatch, fresh_standard_context):
     def refuse():
         raise AssertionError("the character table was built")
 
@@ -125,3 +142,58 @@ def test_scan_output_is_pinned(flags):
     with contextlib.redirect_stdout(out):
         assert cmd_dispatch(["siegel", "--scan", "0..400", *flags]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SCAN_0_400[flags]
+
+
+@pytest.mark.parametrize("chi", [None, CharWord.of({"chi": 1, "nu": 2})], ids=["chi", "chi*nu^2"])
+def test_a_default_report_is_the_report_on_a_fresh_standard_ledger(chi):
+    for m in range(401):
+        ledger, p, _ = standard_context()
+        shared, explicit = siegel_report(m, chi=chi), siegel_report(m, p, chi, ledger)
+        assert str(shared) == str(explicit)
+        assert shared.as_json() == explicit.as_json()
+
+
+def test_default_reports_build_the_family_and_certificates_once(
+    monkeypatch, fresh_standard_context
+):
+    families, squares = [], []
+    family, square = icosym.siegel.icosahedral_family, icosym.siegel.expand_aux_square
+
+    def counting_family(ledger, p, p_tau):
+        families.append(p)
+        return family(ledger, p, p_tau)
+
+    def counting_square(m, p, chi, ledger):
+        squares.append(m)
+        return square(m, p, chi, ledger)
+
+    monkeypatch.setattr(icosym.siegel, "icosahedral_family", counting_family)
+    monkeypatch.setattr(icosym.siegel, "expand_aux_square", counting_square)
+    for i in range(200):
+        siegel_report(7 * i % 200)
+    assert len(families) == 1
+    assert sorted(squares) == [3, 4, 5]
+
+
+Q12 = CharWord.of({"chi": 1, "omega(pi)": 6})  # the character constituent at m = 12
+
+
+@pytest.mark.parametrize(
+    "m, mutate",
+    [
+        (12, lambda ledger, p: ledger.declare_self_dual(Constituent(SymCusp(p, 12), CHI), False)),
+        (12, lambda ledger, p: ledger.declare_word_kind(Q12, "cubic")),
+        (0, lambda ledger, p: ledger.declare_word_kind(CHI, "quadratic")),
+    ],
+    ids=["self_dual", "word_kind", "word_kind_m0"],
+)
+def test_a_mutated_standard_ledger_leaves_default_reports_alone(m, mutate):
+    before = siegel_report(m)
+    ledger, p, _ = standard_context()
+    mutate(ledger, p)
+    # the mutation does change a report on that ledger ...
+    assert siegel_report(m, p, None, ledger).verdict != before.verdict
+    # ... but not a later default report
+    after = siegel_report(m)
+    assert (str(after), after.as_json()) == (str(before), before.as_json())
+    assert standard_context()[0] is not ledger
