@@ -161,6 +161,8 @@ _EXPORTS = {
         "pole_order",
         "rs_expand",
         "standard_icosahedral_pair",
+        "sym_power_automorphic",
+        "sym_power_cuspidal",
     ),
     "factsfile": ("FactsError", "load_facts", "load_facts_file"),
     "repexpr": ("DimensionError", "ParseError", "evaluate", "parse", "render"),
@@ -174,8 +176,6 @@ _EXPORTS = {
         "expand_aux_square",
         "siegel_report",
         "siegel_scan",
-        "sym_power_automorphic",
-        "sym_power_cuspidal",
     ),
     "verify": ("verify_all",),
 }

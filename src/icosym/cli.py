@@ -319,13 +319,19 @@ def cmd_siegel(args) -> int:
 
     p = chi = ledger = None
     if args.facts:
-        from .factsfile import load_facts_file, siegel_inputs
+        from .factsfile import FactsError, load_facts_file, siegel_inputs
 
         # the ledger is complete before any query: the standard pair when
         # the file tags no base, and the default twist chi
         ledger, doc = load_facts_file(args.facts)
         p, chi = siegel_inputs(ledger, doc)
         if p is None:
+            for name in ("pi", "pi_tau"):
+                if name in ledger.bases or name in ledger.characters:
+                    raise FactsError(
+                        f"{args.facts} tags no base, so the standard pair pi/pi_tau is "
+                        f"added to it, but the name {name} is taken"
+                    )
             ledger, p, _ = standard_context(ledger)
         ledger.declare_character("chi")
     if args.m is not None:

@@ -21,8 +21,8 @@ A facts file is a single JSON object.  Every section is optional::
          "relation": "twist-equiv-by", "twist": "xi^-1*xi@theta",
          "truth": false}
       ],
-      "cuspidal": [{"symbol": "sym^7(pi)", "truth": true}],
-      "automorphic": [{"symbol": "sym^5(pi)", "truth": true}],
+      "cuspidal": [{"symbol": "sym^7(pi)", "truth": false}],
+      "automorphic": [{"symbol": "sym^7(pi)", "truth": true}],
       "self_dual": [{"symbol": "sym^12(pi)*chi", "truth": true}],
       "word_kinds": [{"word": "chi*omega(pi)^3", "kind": "non-real"}],
       "siegel": {"p": "pi", "chi": "chi"}

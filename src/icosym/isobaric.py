@@ -25,9 +25,10 @@ genericity can NOT settle is compared across bases (``Ad(pi)`` vs
 consume, so they must be declared in a :class:`FactLedger` (or be decidable
 by the finite-image model: bases carrying a ``galois_row`` tag restrict to
 the character table, and distinct restrictions certify inequivalence).
-Self-twists are the other non-generic spot: ``sym^2`` of a dihedral or
-tetrahedral base (or a base of undeclared type) may admit one, so such
-queries come back undetermined instead of defaulting to "no".
+Self-twists are the other non-generic spot: where :data:`TYPE_RULES` lets
+sym^n of the base's type admit one (``sym^2`` of a dihedral or tetrahedral
+base, any power of a base of undeclared type), such queries come back
+undetermined instead of defaulting to "no".
 """
 
 from __future__ import annotations
@@ -40,16 +41,46 @@ from . import Record, _set
 if TYPE_CHECKING:  # the table is built only for ledgers that query a tag
     from .chartab import CharacterTable, ClassFunction
 
-BASE_TYPES = (
-    "dihedral",
-    "tetrahedral",
-    "octahedral",
-    "icosahedral",
-    "general",  # non-polyhedral
-    "abstract",  # cuspidal of undeclared type
-)
+_GJ = (True, "sym^2 is cuspidal for any non-dihedral base (Gelbart-Jacquet 1978)")
+_KS = (True, "sym^3 is cuspidal when the base is neither dihedral nor tetrahedral "
+             "(Kim-Shahidi 2002)")
+_KIM = (True, "sym^4 is cuspidal when the base is not solvable polyhedral (Kim 2003)")
+_BINARY = ("finite image: sym^{n} is {state} on the binary {typ} group, whose irreducibles "
+           "have degree at most {degree}")
 
-SOLVABLE_POLYHEDRAL = ("tetrahedral", "octahedral")
+# What a declared type alone says about sym^n: (twists, cited, degree, reason).  cited holds
+# the cited cuspidality verdicts by n.  For a dihedral or polyhedral type, degree decides any
+# other n >= 2: sym^n, of degree n + 1, is cuspidal iff n + 1 <= degree, the largest
+# irreducible degree of the binary group over the projective image.  twists(n) is False when
+# sym^n (n >= 1) admits no self-twist.  A self-twist is a character of the projective image
+# (the trace is not 0 on the scalars): cubic on A4, the sign on S4, none on A5; the trace of
+# sym^n vanishes off its kernel for the n below.  A general base has none for n <= 3.
+TYPE_RULES: dict[str, tuple] = {
+    "dihedral": (lambda n: True, {}, 2, "symmetric powers of a dihedral base are never cuspidal"),
+    "tetrahedral": (lambda n: n % 3 == 2, {
+        2: _GJ, 3: (False, "sym^3 of a tetrahedral base splits (Kim-Shahidi 2002)"),
+        4: (False, "sym^4 of a tetrahedral base splits (Kim 2003)")}, 3, _BINARY),
+    "octahedral": (lambda n: n % 4 == 3, {
+        2: _GJ, 3: _KS, 4: (False, "sym^4 of a octahedral base splits (Kim 2003)")}, 4, _BINARY),
+    "icosahedral": (lambda n: False, {2: _GJ, 3: _KS, 4: _KIM}, 6, _BINARY),
+    "general": (lambda n: n >= 4, {2: _GJ, 3: _KS, 4: _KIM}, None, ""),  # not polyhedral
+    "abstract": (lambda n: True, {}, None, ""),  # cuspidal of undeclared type
+}
+
+BASE_TYPES = tuple(TYPE_RULES)
+
+
+def type_rule(typ: str, n: int) -> tuple[bool | None, str, bool | None]:
+    """What the declared type says about sym^n, n >= 1: cuspidal or not and
+    why (None and "" when the type leaves it open), then False when sym^n
+    admits no self-twist (None when it may have one)."""
+    twists, cited, degree, reason = TYPE_RULES[typ]
+    cuspidal, why = cited.get(n, (None, ""))
+    if cuspidal is None and degree:
+        cuspidal = n < degree
+        state = "irreducible" if cuspidal else "reducible"
+        why = reason.format(n=n, state=state, typ=typ, degree=degree)
+    return cuspidal, why, None if twists(n) else False
 
 
 class LedgerError(ValueError):
@@ -518,9 +549,22 @@ class FactLedger:
         return self.base_changes.get((of.name, extension))
 
     def declare_cuspidal(self, core: Core, truth: bool = True) -> None:
+        """Refused when the type or the finite image of a tagged base
+        decides the other way."""
+        sym = _as_sym(core)
+        derived, reason = (None, "") if sym is None else _derived_cuspidal(*sym, self)
+        if derived is not None and derived != truth:
+            what = "cuspidal" if truth else "not cuspidal"
+            raise LedgerError(f"{core} cannot be declared {what}: {reason}")
         self._cuspidal[core] = truth
 
     def declare_automorphic(self, core: Core, truth: bool = True) -> None:
+        """Refused as false where automorphy is cited for every base (2 <= n <= 4).
+        The finite image of a tagged base, and cuspidality, imply automorphy
+        only given the family generators, which a file may deny."""
+        sym = _as_sym(core)
+        if sym is not None and not truth and sym[1] in _AUTOMORPHIC:
+            raise LedgerError(f"{core} cannot be declared not automorphic: {_AUTOMORPHIC[sym[1]]}")
         self._automorphic[core] = truth
 
     def cuspidal_declared(self, core: Core) -> bool | None:
@@ -622,29 +666,12 @@ class FactLedger:
     def _self_twist_query(
         self, c1: Constituent, c2: Constituent
     ) -> tuple[bool | None, str]:
-        """Same core, different twists: needs a self-twist, which only
-        dihedral/tetrahedral-flavored symbols (or undeclared ones) can have."""
-        possible = self._self_twist_possible(c1.core)
-        if possible is False:
+        """Same core, different twists: needs a self-twist, which the
+        type table rules out for most powers of a declared type."""
+        sym = _as_sym(c1.core)
+        if sym is not None and type_rule(sym[0].typ, sym[1])[2] is False:
             return False, f"{c1.core} admits no self-twist for its declared type"
         return None, f"equiv({c1}, {c2}) (potential self-twist)"
-
-    def _self_twist_possible(self, core: Core) -> bool | None:
-        sym = _as_sym(core)
-        if sym is None:
-            return None
-        base, n = sym
-        if base.typ == "abstract":
-            return None
-        if n == 1:
-            return None if base.typ == "dihedral" else False
-        if n == 2:
-            # sym^2 self-twists live over dihedral (quadratic) and
-            # tetrahedral (cubic) bases only
-            return None if base.typ in ("dihedral", "tetrahedral") else False
-        if n == 3:
-            return None if base.typ in ("dihedral", "octahedral") else False
-        return None
 
     def galois_rows(self, core: Core) -> frozenset[str] | None:
         mults = self.galois_decomposition(core)
@@ -700,6 +727,68 @@ class FactLedger:
                 continue
             return False
         return True
+
+
+# --------------------------------------------------------------------------
+# cuspidality / automorphy of symmetric powers
+
+
+# automorphy cited for every base, by n
+_AUTOMORPHIC = {
+    2: "sym^2 is automorphic (Gelbart-Jacquet 1978)",
+    3: "sym^3 is automorphic (Kim-Shahidi 2002)",
+    4: "sym^4 is automorphic (Kim 2003)",
+}
+
+
+def sym_power_cuspidal(p: BaseCusp, n: int, ledger: FactLedger) -> tuple[bool | None, str]:
+    """Is sym^n of the base cuspidal?  Declared facts win; a finite-image
+    tag decides by irreducibility of the restriction; otherwise the declared
+    type does, through :data:`TYPE_RULES`."""
+    if n == 0:
+        return False, "sym^0 is the trivial character"
+    declared = ledger.cuspidal_declared(SymCusp(p, n)) if n > 1 else None
+    if declared is not None:
+        return declared, f"declared: sym^{n}({p.name}) cuspidal is {declared}"
+    return _derived_cuspidal(p, n, ledger)
+
+
+def _derived_cuspidal(p: BaseCusp, n: int, ledger: FactLedger) -> tuple[bool | None, str]:
+    """:func:`sym_power_cuspidal` without the declarations, for n >= 1."""
+    if n == 1:
+        return True, f"{p.name} is cuspidal by assumption"
+    if p.galois_row is not None:
+        mults = ledger.galois_decomposition(SymCusp(p, n))
+        irreducible = len(mults) == 1 and set(mults.values()) == {1}
+        return irreducible, (
+            f"finite image: sym^{n} restriction is "
+            + ("irreducible" if irreducible else f"reducible ({sorted(mults)})")
+        )
+    cuspidal, reason, _ = type_rule(p.typ, n)
+    if cuspidal is None:
+        return None, f"declare whether sym^{n}({p.name}) is cuspidal"
+    return cuspidal, reason
+
+
+def sym_power_automorphic(p: BaseCusp, n: int, ledger: FactLedger) -> tuple[bool | None, str]:
+    """Is sym^n of the base (isobarically) automorphic?"""
+    if n <= 1:
+        return True, "degree at most 2"
+    declared = ledger.automorphic_declared(SymCusp(p, n))
+    if declared is not None:
+        return declared, f"declared: sym^{n}({p.name}) automorphic is {declared}"
+    if p.galois_row is not None:
+        return True, (
+            f"finite image: sym^{n} restricts to a sum of rows, each realized "
+            "by a twist of a family generator, so the symbol is an isobaric "
+            "sum of cuspidal twists"
+        )
+    if n in _AUTOMORPHIC:
+        return True, _AUTOMORPHIC[n]
+    cuspidal, reason = sym_power_cuspidal(p, n, ledger)
+    if cuspidal:
+        return True, reason
+    return None, f"declare whether sym^{n}({p.name}) is automorphic"
 
 
 # --------------------------------------------------------------------------

@@ -50,6 +50,8 @@ from .isobaric import (
     rs_expand,
     standard_icosahedral_pair,
     sym_cusp,
+    sym_power_automorphic,
+    sym_power_cuspidal,
 )
 from .report import CheckResult
 
@@ -60,82 +62,6 @@ class MissingHypothesisError(LedgerError):
     def __init__(self, missing: list[str]) -> None:
         self.missing = tuple(missing)
         super().__init__("not covered; missing hypotheses: " + "; ".join(missing))
-
-
-# --------------------------------------------------------------------------
-# cuspidality / automorphy of symmetric powers
-
-
-def sym_power_cuspidal(
-    p: BaseCusp, n: int, ledger: FactLedger
-) -> tuple[bool | None, str]:
-    """Is sym^n of the base cuspidal?  Declared facts win; a finite-image
-    tag decides by irreducibility of the restriction; small n falls back to
-    the type classification."""
-    if n == 0:
-        return False, "sym^0 is the trivial character"
-    if n == 1:
-        return True, f"{p.name} is cuspidal by assumption"
-    core = SymCusp(p, n)
-    declared = ledger.cuspidal_declared(core)
-    if declared is not None:
-        return declared, f"declared: sym^{n}({p.name}) cuspidal is {declared}"
-    if p.galois_row is not None:
-        mults = ledger.galois_decomposition(core)
-        irreducible = len(mults) == 1 and set(mults.values()) == {1}
-        return irreducible, (
-            f"finite image: sym^{n} restriction is "
-            + ("irreducible" if irreducible else f"reducible ({sorted(mults)})")
-        )
-    if p.typ == "dihedral":
-        return False, "symmetric powers of a dihedral base are never cuspidal"
-    if n == 2 and p.typ in ("tetrahedral", "octahedral", "icosahedral", "general"):
-        return True, "sym^2 is cuspidal for any non-dihedral base (Gelbart-Jacquet 1978)"
-    if n == 3:
-        if p.typ == "tetrahedral":
-            return False, "sym^3 of a tetrahedral base splits (Kim-Shahidi 2002)"
-        if p.typ in ("octahedral", "icosahedral", "general"):
-            return True, (
-                "sym^3 is cuspidal when the base is neither dihedral nor "
-                "tetrahedral (Kim-Shahidi 2002)"
-            )
-    if n == 4:
-        if p.typ in ("tetrahedral", "octahedral"):
-            return False, f"sym^4 of a {p.typ} base splits (Kim 2003)"
-        if p.typ in ("icosahedral", "general"):
-            return True, (
-                "sym^4 is cuspidal when the base is not solvable polyhedral "
-                "(Kim 2003)"
-            )
-    return None, f"declare whether sym^{n}({p.name}) is cuspidal"
-
-
-def sym_power_automorphic(
-    p: BaseCusp, n: int, ledger: FactLedger
-) -> tuple[bool | None, str]:
-    """Is sym^n of the base (isobarically) automorphic?"""
-    if n <= 1:
-        return True, "degree at most 2"
-    core = SymCusp(p, n)
-    declared = ledger.automorphic_declared(core)
-    if declared is not None:
-        return declared, f"declared: sym^{n}({p.name}) automorphic is {declared}"
-    if p.galois_row is not None:
-        return True, (
-            f"finite image: sym^{n} restricts to a sum of rows, each realized "
-            "by a twist of a family generator, so the symbol is an isobaric "
-            "sum of cuspidal twists"
-        )
-    if n == 2:
-        return True, "sym^2 is automorphic (Gelbart-Jacquet 1978)"
-    if n == 3:
-        return True, "sym^3 is automorphic (Kim-Shahidi 2002)"
-    if n == 4:
-        return True, "sym^4 is automorphic (Kim 2003)"
-    cuspidal, reason = sym_power_cuspidal(p, n, ledger)
-    if cuspidal:
-        return True, reason
-    return None, f"declare whether sym^{n}({p.name}) is automorphic"
 
 
 # --------------------------------------------------------------------------

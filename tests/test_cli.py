@@ -413,6 +413,50 @@ class TestCuspidality:
             f"in {symbol!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "base,entry,reason",
+        [
+            ({"name": "t", "type": "tetrahedral"}, {"symbol": "sym^7(t)"},
+             "sym^7(t) cannot be declared cuspidal: finite image: sym^7 is reducible on the "
+             "binary tetrahedral group, whose irreducibles have degree at most 3"),
+            ({"name": "t", "type": "icosahedral", "galois_row": "X'"}, {"symbol": "sym^7(t)"},
+             "sym^7(t) cannot be declared cuspidal: finite image: sym^7 restriction is "
+             "reducible (['W', \"X''\"])"),
+            ({"name": "t", "type": "icosahedral"}, {"symbol": "sym^5(t)", "truth": False},
+             "sym^5(t) cannot be declared not cuspidal: finite image: sym^5 is irreducible on "
+             "the binary icosahedral group, whose irreducibles have degree at most 6"),
+        ],
+        ids=["type", "tag", "icosahedral-sym5"],
+    )
+    def test_a_cuspidal_entry_the_ledger_contradicts_exit_2(
+        self, capsys, tmp_path, base, entry, reason
+    ):
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"bases": [base], "cuspidal": [entry]}))
+        code, out, err = run(
+            capsys, "cuspidality", "--facts", str(path), "--pi", "t", "--pi-prime", "t"
+        )
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+    def test_sym3_declared_not_automorphic_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "sym3.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "bases": [{"name": "g", "type": "general"}],
+                    "automorphic": [{"symbol": "sym^3(g)", "truth": False}],
+                }
+            )
+        )
+        code, out, err = run(
+            capsys, "cuspidality", "--facts", str(path), "--pi", "g", "--pi-prime", "g"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: sym^3(g) cannot be declared not automorphic: "
+            "sym^3 is automorphic (Kim-Shahidi 2002)\n"
+        )
+
     def test_missing_facts_reported(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(
@@ -613,6 +657,25 @@ class TestSiegel:
         code, out, err = run(capsys, "siegel", "--m", "12", "--facts", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: f_tau, the Galois partner of f, is declared as {what}\n"
+
+    @pytest.mark.parametrize(
+        "doc,name",
+        [
+            ({"bases": [{"name": "pi", "type": "icosahedral"}]}, "pi"),
+            ({"bases": [{"name": "pi", "type": "tetrahedral"}]}, "pi"),
+            ({"characters": [{"name": "pi_tau"}]}, "pi_tau"),
+        ],
+        ids=["untagged-icosahedral", "tetrahedral", "character"],
+    )
+    def test_standard_pair_name_clash_exit_2(self, capsys, tmp_path, doc, name):
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "siegel", "--m", "12", "--facts", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path} tags no base, so the standard pair pi/pi_tau is added to it, "
+            f"but the name {name} is taken\n"
+        )
 
     @pytest.mark.parametrize("m", [MAX_POWER + 1, 10_000_000])
     def test_m_above_the_bound(self, capsys, m):

@@ -421,6 +421,17 @@ class TestOtherSections:
         assert ledger.cuspidal_declared(SymCusp(base, 7)) is True
         assert ledger.automorphic_declared(SymCusp(base, 5)) is True
 
+    def test_the_module_example_loads(self):
+        import icosym.factsfile
+
+        doc = icosym.factsfile.__doc__
+        example = doc[doc.index("    {\n"):doc.index("\n    }\n") + 6]
+        ledger = load_facts(json.loads(example))
+        pi = ledger.bases["pi"]
+        # sym^7 of the X' base restricts to W + X'', as the example declares
+        assert ledger.cuspidal_declared(SymCusp(pi, 7)) is False
+        assert ledger.automorphic_declared(SymCusp(pi, 7)) is True
+
     def test_twisted_cuspidal_symbol_rejected(self):
         with pytest.raises(FactsError, match="untwisted"):
             load_facts(

@@ -98,22 +98,33 @@ def test_siegel_without_facts_runs_no_factsfile():
 
 
 def test_cuspidality_on_untagged_bases_builds_no_table(tmp_path):
+    # the cuspidal entries of untagged bases are checked against the type
+    # table alone, whether they agree with it (sym^5 of an icosahedral base)
+    # or not (sym^7 of a tetrahedral one, refused)
     path = tmp_path / "facts.json"
-    path.write_text(
-        json.dumps(
-            {
-                "bases": [
-                    {"name": "p", "type": "tetrahedral"},
-                    {"name": "q", "type": "icosahedral"},
-                ],
-                "facts": [{"lhs": "Ad(p)", "rhs": "Ad(q)", "relation": "equiv", "truth": False}],
-            }
+    for truth in (False, True):
+        path.write_text(
+            json.dumps(
+                {
+                    "bases": [
+                        {"name": "p", "type": "tetrahedral"},
+                        {"name": "q", "type": "icosahedral"},
+                    ],
+                    "facts": [
+                        {"lhs": "Ad(p)", "rhs": "Ad(q)", "relation": "equiv", "truth": False}
+                    ],
+                    "cuspidal": [
+                        {"symbol": "sym^5(q)", "truth": True},
+                        {"symbol": "sym^7(p)", "truth": truth},
+                    ],
+                }
+            )
         )
-    )
-    argv = ["cuspidality", "--facts", str(path), "--pi", "p", "--pi-prime", "q"]
-    ran = modules_run_by(dispatch(argv))
-    assert {"icosym.factsfile", "icosym.isobaric"} <= ran
-    assert not ran & {"icosym.chartab", "icosym.group", "icosym.scalar"}
+        argv = ["cuspidality", "--facts", str(path), "--pi", "p", "--pi-prime", "q"]
+        statement = dispatch(argv).replace("    cmd_dispatch(", "    code = cmd_dispatch(")
+        ran = modules_run_by(statement + f"\nassert code == {2 if truth else 0}, code")
+        assert {"icosym.factsfile", "icosym.isobaric"} <= ran
+        assert not ran & {"icosym.chartab", "icosym.group", "icosym.scalar"}
 
 
 def test_text_output_never_imports_json():

@@ -528,9 +528,9 @@ def test_facts_are_keyed_by_symbol_not_by_text():
     ledger.assert_equiv(ad(p), ad(q), True)
     assert ledger.equivalent(ad(q), ad(p))[0] is True
     assert ledger.equivalent(ad(stranger), ad(q))[0] is None
-    ledger.declare_cuspidal(SymCusp(p, 5), False)
-    assert ledger.cuspidal_declared(SymCusp(p, 5)) is False
-    assert ledger.cuspidal_declared(SymCusp(stranger, 5)) is None
+    ledger.declare_cuspidal(SymCusp(p, 6), False)
+    assert ledger.cuspidal_declared(SymCusp(p, 6)) is False
+    assert ledger.cuspidal_declared(SymCusp(stranger, 6)) is None
 
 
 def test_self_dual_is_matched_modulo_declared_orders():

@@ -16,6 +16,9 @@ from icosym.isobaric import (
     SymCusp,
     icosahedral_family,
     standard_icosahedral_pair,
+    sym_cusp,
+    sym_power_automorphic,
+    sym_power_cuspidal,
 )
 from icosym.siegel import (
     MissingHypothesisError,
@@ -27,8 +30,6 @@ from icosym.siegel import (
     siegel_report,
     siegel_scan,
     standard_context,
-    sym_power_automorphic,
-    sym_power_cuspidal,
     verify_rule_table,
 )
 
@@ -85,23 +86,97 @@ def test_sym_cuspidality_decomposes_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sym_cuspidality_from_type():
+TYPES = ("dihedral", "tetrahedral", "octahedral", "icosahedral", "general", "abstract")
+GJ = "sym^2 is cuspidal for any non-dihedral base (Gelbart-Jacquet 1978)"
+KS = "sym^3 is cuspidal when the base is neither dihedral nor tetrahedral (Kim-Shahidi 2002)"
+KIM = "sym^4 is cuspidal when the base is not solvable polyhedral (Kim 2003)"
+# the cited reasons, by type and n
+CITED = {
+    **{(typ, 2): GJ for typ in TYPES[1:5]},
+    **{(typ, 3): KS for typ in TYPES[2:5]},
+    **{(typ, 4): KIM for typ in TYPES[3:5]},
+    ("tetrahedral", 3): "sym^3 of a tetrahedral base splits (Kim-Shahidi 2002)",
+    ("tetrahedral", 4): "sym^4 of a tetrahedral base splits (Kim 2003)",
+    ("octahedral", 4): "sym^4 of a octahedral base splits (Kim 2003)",
+}
+SOURCES = {2: "Gelbart-Jacquet 1978", 3: "Kim-Shahidi 2002", 4: "Kim 2003"}
+# the binary group's largest irreducible degree, which decides every other n
+DEGREE = {"tetrahedral": 3, "octahedral": 4, "icosahedral": 6}
+# for n = 0..12: cuspidal and automorphic, T, F or ? (undetermined)
+CUSPIDAL = {
+    "dihedral": "FTFFFFFFFFFFF",
+    "tetrahedral": "FTTFFFFFFFFFF",
+    "octahedral": "FTTTFFFFFFFFF",
+    "icosahedral": "FTTTTTFFFFFFF",
+    "general": "FTTTT????????",
+    "abstract": "FT???????????",
+}
+AUTOMORPHIC = {typ: "TTTTT" + ("T" if typ == "icosahedral" else "?") + "???????" for typ in TYPES}
+# for n = 1..12: F when sym^n admits no self-twist, ? when it may have one
+SELF_TWIST = {
+    "dihedral": "????????????",
+    "tetrahedral": "F?FF?FF?FF?F",
+    "octahedral": "FF?FFF?FFF?F",
+    "icosahedral": "FFFFFFFFFFFF",
+    "general": "FFF?????????",
+    "abstract": "????????????",
+}
+VERDICT = {"T": True, "F": False, "?": None}
+
+
+def untagged_base(typ):
     ledger = FactLedger()
-    tet = ledger.declare_base("t", "tetrahedral")
-    octa = ledger.declare_base("o", "octahedral")
-    gen = ledger.declare_base("g", "general")
-    dih = ledger.declare_base(
-        "d", "dihedral", dihedral_field="K", dihedral_char="chi"
+    tags = {"dihedral_field": "K", "dihedral_char": "xi"} if typ == "dihedral" else {}
+    return ledger, ledger.declare_base("b", typ, **tags)
+
+
+def cuspidal_reason(typ, n, verdict):
+    if n <= 1:
+        return "b is cuspidal by assumption" if n else "sym^0 is the trivial character"
+    if (typ, n) in CITED:
+        return CITED[typ, n]
+    if typ == "dihedral":
+        return "symmetric powers of a dihedral base are never cuspidal"
+    if verdict is None:
+        return f"declare whether sym^{n}(b) is cuspidal"
+    return (
+        f"finite image: sym^{n} is {'irreducible' if verdict else 'reducible'} on the binary "
+        f"{typ} group, whose irreducibles have degree at most {DEGREE[typ]}"
     )
-    assert sym_power_cuspidal(tet, 2, ledger)[0] is True
-    assert sym_power_cuspidal(tet, 3, ledger)[0] is False
-    assert sym_power_cuspidal(octa, 3, ledger)[0] is True
-    assert sym_power_cuspidal(octa, 4, ledger)[0] is False
-    assert sym_power_cuspidal(gen, 4, ledger)[0] is True
-    assert sym_power_cuspidal(gen, 5, ledger)[0] is None
-    assert sym_power_cuspidal(dih, 2, ledger)[0] is False
-    assert sym_power_automorphic(gen, 4, ledger)[0] is True
-    assert sym_power_automorphic(gen, 7, ledger)[0] is None
+
+
+def test_sym_cuspidality_from_type():
+    # every type for n <= 12: the verdicts and their reasons
+    for typ in TYPES:
+        ledger, b = untagged_base(typ)
+        for n in range(13):
+            verdict = VERDICT[CUSPIDAL[typ][n]]
+            reason = cuspidal_reason(typ, n, verdict)
+            assert sym_power_cuspidal(b, n, ledger) == (verdict, reason), (typ, n)
+            verdict = VERDICT[AUTOMORPHIC[typ][n]]
+            if n <= 1:
+                reason = "degree at most 2"
+            elif n <= 4:
+                reason = f"sym^{n} is automorphic ({SOURCES[n]})"
+            elif verdict is None:
+                reason = f"declare whether sym^{n}(b) is automorphic"
+            assert sym_power_automorphic(b, n, ledger) == (verdict, reason), (typ, n)
+
+
+def test_self_twist_from_type():
+    for typ in TYPES:
+        ledger, b = untagged_base(typ)
+        ledger.declare_character("nu")
+        for n in range(1, 13):
+            c = Constituent(sym_cusp(b, n))
+            twisted = c.twisted(CharWord.gen("nu"))
+            verdict = VERDICT[SELF_TWIST[typ][n - 1]]
+            if verdict is None:
+                reason = f"equiv({c}, {twisted}) (potential self-twist)"
+            else:
+                reason = f"{c} admits no self-twist for its declared type"
+            assert ledger.equivalent(c, twisted) == (verdict, reason), (typ, n)
+            assert ledger.equivalent(c, c) == (True, "structural equality")
 
 
 # -- the auxiliary sum -------------------------------------------------------
