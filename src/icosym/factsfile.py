@@ -36,6 +36,10 @@ form part is a plain character.  Symbols are matched by structure, not by
 spelling: ``chi*sym^12(pi)`` and ``sym^12(pi) * chi`` are one symbol.
 Character generators not declared in the ``characters`` section are
 registered as free characters of unknown order.
+
+Each distinct symbol text, and each distinct ``twist`` or ``word`` text, is
+parsed once per document: a later mention of the same text reuses the
+first parse, so a load costs what its distinct symbols cost.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+from typing import Union
 
 from . import MAX_POWER, bounded_power
 from .isobaric import (
@@ -62,25 +67,51 @@ class FactsError(ValueError):
     """A facts document that does not parse to a consistent ledger."""
 
 
-def _require(cond: bool, where: str, message: str) -> None:
+# where an error is: a label, or a (section, index) pair that reads ``section[index]``
+_Where = Union[str, tuple[str, int]]
+
+
+def _label(where: _Where) -> str:
+    return where if isinstance(where, str) else "{}[{}]".format(*where)
+
+
+def _require(cond: bool, where: _Where, message: str, *args) -> None:
+    """Raise ``FactsError("<where>: <message>")`` unless *cond* holds.
+
+    *message* is a ``str.format`` template for *args*; it and *where* are
+    formatted only when the check fails, so a passing check builds no text.
+    """
     if not cond:
-        raise FactsError(f"{where}: {message}")
+        raise FactsError(f"{_label(where)}: {message.format(*args)}")
 
 
-def _str_field(entry: dict, key: str, where: str) -> str:
+def _str_field(entry: dict, key: str, where: _Where) -> str:
     value = entry.get(key)
-    _require(isinstance(value, str) and value != "", where, f"needs a string {key!r}")
-    return value
+    if isinstance(value, str) and value:
+        return value
+    raise FactsError(f"{_label(where)}: needs a string {key!r}")
 
 
 def _entries(doc: dict, section: str):
-    """``(where, entry)`` for each entry of a list section of *doc*."""
+    """``((section, i), entry)`` for each entry of a list section of *doc*."""
     entries = doc.get(section, [])
     _require(isinstance(entries, list), section, "must be a list")
     for i, entry in enumerate(entries):
-        where = f"{section}[{i}]"
+        where = (section, i)
         _require(isinstance(entry, dict), where, "must be an object")
         yield where, entry
+
+
+def _parsed(memo: dict, parse, entry: dict, key: str, ledger: FactLedger, where: _Where):
+    """``parse`` of the string field *key* of *entry*, through *memo*, which
+    maps each text of one document already parsed to its value.  Sound once
+    the document's bases are declared: a parse reads only the bases, and its
+    one write, declaring a new character generator, happened the first time."""
+    text = _str_field(entry, key, where)
+    value = memo.get(text)
+    if value is None:
+        value = memo[text] = parse(text, ledger, _label(where))
+    return value
 
 
 # one character-word factor: a generator name with an optional exponent
@@ -98,15 +129,15 @@ def _split_factors(text: str, where: str) -> list[str]:
             depth += 1
         elif ch == ")":
             depth -= 1
-            _require(depth >= 0, where, f"unbalanced ')' in {text!r}")
+            _require(depth >= 0, where, "unbalanced ')' in {!r}", text)
         if ch == "*" and depth == 0:
             parts.append("".join(current).strip())
             current = []
         else:
             current.append(ch)
-    _require(depth == 0, where, f"unbalanced '(' in {text!r}")
+    _require(depth == 0, where, "unbalanced '(' in {!r}", text)
     parts.append("".join(current).strip())
-    _require(all(parts), where, f"empty factor in {text!r}")
+    _require(all(parts), where, "empty factor in {!r}", text)
     return parts
 
 
@@ -122,13 +153,14 @@ def parse_word(text: str, ledger: FactLedger, where: str = "word") -> CharWord:
     exponents: dict[str, int] = {}
     for factor in _split_factors(text, where):
         match = _FACTOR.match(factor)
-        _require(match is not None, where, f"bad character factor {factor!r}")
+        _require(match is not None, where, "bad character factor {!r}", factor)
         name, exp = match.group(1), int(match.group(2) or 1)
-        _require(name not in ledger.bases, where, f"{name!r} is a base, not a character")
+        _require(name not in ledger.bases, where, "{!r} is a base, not a character", name)
         _require(
             _cusp_factor(name, ledger, where) is None,
             where,
-            f"{name!r} is a cusp form, not a character",
+            "{!r} is a cusp form, not a character",
+            name,
         )
         exponents[name] = exponents.get(name, 0) + exp
     for name in exponents:
@@ -144,7 +176,7 @@ def parse_symbol(text: str, ledger: FactLedger, where: str = "symbol") -> Consti
         (f, _cusp_factor(f, ledger, where)) for f in _split_factors(text.strip(), where)
     ]
     heads = [c for _, c in factors if c is not None]
-    _require(len(heads) <= 1, where, f"more than one cusp-form factor in {text!r}")
+    _require(len(heads) <= 1, where, "more than one cusp-form factor in {!r}", text)
     symbol = heads[0] if heads else Constituent(None)
     chars = "*".join(f for f, c in factors if c is None)
     return symbol.twisted(parse_word(chars, ledger, where)) if chars else symbol
@@ -157,7 +189,11 @@ def _cusp_factor(factor: str, ledger: FactLedger, where: str) -> Constituent | N
     if (match := _SYM.match(factor)) is not None:
         n = bounded_power(match.group(1))
         _require(
-            n is not None, where, f"power above the largest supported, {MAX_POWER}, in {factor!r}"
+            n is not None,
+            where,
+            "power above the largest supported, {}, in {!r}",
+            MAX_POWER,
+            factor,
         )
         base = _lookup_base(match.group(2), ledger, where)
         return Constituent(sym_cusp(base, n))
@@ -166,9 +202,9 @@ def _cusp_factor(factor: str, ledger: FactLedger, where: str) -> Constituent | N
     return None
 
 
-def _lookup_base(name: str, ledger: FactLedger, where: str) -> BaseCusp:
+def _lookup_base(name: str, ledger: FactLedger, where: _Where) -> BaseCusp:
     base = ledger.bases.get(name)
-    _require(base is not None, where, f"undeclared base {name!r}")
+    _require(base is not None, where, "undeclared base {!r}", name)
     return base
 
 
@@ -187,7 +223,7 @@ def load_facts(doc: dict) -> FactLedger:
         "siegel",
     }
     for key in doc:
-        _require(key in known, "document", f"unknown section {key!r}")
+        _require(key in known, "document", "unknown section {!r}", key)
 
     ledger = FactLedger()
 
@@ -205,7 +241,7 @@ def load_facts(doc: dict) -> FactLedger:
             properties = [properties]
         _require(isinstance(properties, list), where, "properties must be a list")
         for prop in properties:
-            _require(prop in _KINDS, where, f"unknown property {prop!r}")
+            _require(prop in _KINDS, where, "unknown property {!r}", prop)
             kind = prop
         ledger.declare_character(name, order=order, kind=kind)
 
@@ -229,9 +265,7 @@ def load_facts(doc: dict) -> FactLedger:
         for key, value in tags.items():
             # the ledger checks galois_row against the table rows itself
             _require(
-                key == "galois_row" or isinstance(value, str),
-                where,
-                f"{key!r} must be a string",
+                key == "galois_row" or isinstance(value, str), where, "{!r} must be a string", key
             )
         ledger.declare_base(name, typ, **tags)
 
@@ -242,15 +276,19 @@ def load_facts(doc: dict) -> FactLedger:
         typ = _str_field(entry, "type", where)
         ledger.declare_base_change(of, extension, name, typ)
 
+    # the bases are fixed from here on, so each distinct text is parsed once
+    symbols: dict[str, Constituent] = {}
+    words: dict[str, CharWord] = {}
+
     for where, entry in _entries(doc, "facts"):
-        lhs = parse_symbol(_str_field(entry, "lhs", where), ledger, where)
-        rhs = parse_symbol(_str_field(entry, "rhs", where), ledger, where)
+        lhs = _parsed(symbols, parse_symbol, entry, "lhs", ledger, where)
+        rhs = _parsed(symbols, parse_symbol, entry, "rhs", ledger, where)
         relation = _str_field(entry, "relation", where)
-        _require(relation in _RELATIONS, where, f"relation must be one of {_RELATIONS}")
+        _require(relation in _RELATIONS, where, "relation must be one of {}", _RELATIONS)
         truth = entry.get("truth")
         _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
         if relation == "twist-equiv-by":
-            twist = parse_word(_str_field(entry, "twist", where), ledger, where)
+            twist = _parsed(words, parse_word, entry, "twist", ledger, where)
             ledger.assert_twist_equiv(lhs, rhs, twist, truth)
         else:
             ledger.assert_equiv(lhs, rhs, truth)
@@ -260,7 +298,7 @@ def load_facts(doc: dict) -> FactLedger:
         ("automorphic", ledger.declare_automorphic),
     ):
         for where, entry in _entries(doc, section):
-            symbol = parse_symbol(_str_field(entry, "symbol", where), ledger, where)
+            symbol = _parsed(symbols, parse_symbol, entry, "symbol", ledger, where)
             _require(
                 symbol.core is not None and symbol.twist.is_empty(),
                 where,
@@ -271,22 +309,22 @@ def load_facts(doc: dict) -> FactLedger:
             declare(symbol.core, truth)
 
     for where, entry in _entries(doc, "self_dual"):
-        symbol = parse_symbol(_str_field(entry, "symbol", where), ledger, where)
+        symbol = _parsed(symbols, parse_symbol, entry, "symbol", ledger, where)
         truth = entry.get("truth")
         _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
         ledger.declare_self_dual(symbol, truth)
 
     for where, entry in _entries(doc, "word_kinds"):
-        word = parse_word(_str_field(entry, "word", where), ledger, where)
+        word = _parsed(words, parse_word, entry, "word", ledger, where)
         kind = _str_field(entry, "kind", where)
-        _require(kind in _KINDS, where, f"kind must be one of {_KINDS}")
+        _require(kind in _KINDS, where, "kind must be one of {}", _KINDS)
         ledger.declare_word_kind(word, kind)
 
     siegel = doc.get("siegel", {})
     _require(isinstance(siegel, dict), "siegel", "must be an object")
     for key, value in siegel.items():
-        _require(key in ("p", "chi"), "siegel", f"unknown key {key!r}")
-        _require(isinstance(value, str), "siegel", f"{key!r} must be a string")
+        _require(key in ("p", "chi"), "siegel", "unknown key {!r}", key)
+        _require(isinstance(value, str), "siegel", "{!r} must be a string", key)
     if "p" in siegel:
         _lookup_base(siegel["p"], ledger, "siegel")
 

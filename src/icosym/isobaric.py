@@ -421,13 +421,22 @@ class CharInfo(Record):
 NO_INFO = CharInfo()
 
 
+def _declare(table: dict, key: Symbol, value: object, what: str) -> None:
+    """Record *value* for *key* in a declaration table; the same value again
+    is accepted, a different one contradicts the first."""
+    known = table.setdefault(key, value)
+    if known != value:
+        raise LedgerError(f"contradictory declarations of {what} for {key}: {known} vs {value}")
+
+
 class FactLedger:
     """Declared structure (characters, bases) and asserted equivalences.
 
     Facts are equivalences between constituents, asserted true or false.
     A twist-equivalence "lhs = rhs (x) nu" is stored as the equivalence of
     ``lhs`` with ``rhs`` twisted by ``nu``.  Asserting both truth values for
-    one fact raises :class:`LedgerError`.
+    one fact, or declaring one symbol's cuspidality, automorphy,
+    self-duality or word kind two ways, raises :class:`LedgerError`.
 
     Identity is structural: facts, cuspidality, automorphy and self-duality
     are keyed by the immutable symbol records (constituents with twists
@@ -504,6 +513,9 @@ class FactLedger:
         row = tags.get("galois_row")
         if row is not None and row not in ("X'", "X''"):
             raise LedgerError(f"base {name}: galois_row must be X' or X'', got {row!r}")
+        if row is not None and typ != "icosahedral":
+            # the rows are the binary icosahedral group's, and a tag outranks the type table
+            raise LedgerError(f"base {name}: galois_row tags only an icosahedral base, not {typ}")
         tags.setdefault("omega", f"omega({name})")
         if typ == "tetrahedral":
             tags["cubic_char"] = tags.get("cubic_char") or f"eta({name})"
@@ -511,7 +523,10 @@ class FactLedger:
             tags["quadratic_char"] = tags.get("quadratic_char") or f"mu({name})"
             tags["induced_field"] = tags.get("induced_field") or f"K({name})"
             tags["induced_char"] = tags.get("induced_char") or f"chi0({name})"
-        base = BaseCusp(name=name, typ=typ, **tags)
+        # every field by position, which skips the generic keyword binding; a
+        # tag left over is not a field, and the binding refuses it
+        fields = [tags.pop(key, None) for key in BaseCusp.__slots__[2:]]
+        base = BaseCusp(name, typ, *fields, **tags)
         companions: list[tuple[str, CharInfo]] = []
         if typ == "dihedral":
             if not (base.dihedral_field and base.dihedral_char):
@@ -556,7 +571,7 @@ class FactLedger:
         if derived is not None and derived != truth:
             what = "cuspidal" if truth else "not cuspidal"
             raise LedgerError(f"{core} cannot be declared {what}: {reason}")
-        self._cuspidal[core] = truth
+        _declare(self._cuspidal, core, truth, "cuspidal")
 
     def declare_automorphic(self, core: Core, truth: bool = True) -> None:
         """Refused as false where automorphy is cited for every base (2 <= n <= 4).
@@ -565,7 +580,7 @@ class FactLedger:
         sym = _as_sym(core)
         if sym is not None and not truth and sym[1] in _AUTOMORPHIC:
             raise LedgerError(f"{core} cannot be declared not automorphic: {_AUTOMORPHIC[sym[1]]}")
-        self._automorphic[core] = truth
+        _declare(self._automorphic, core, truth, "automorphic")
 
     def cuspidal_declared(self, core: Core) -> bool | None:
         return self._cuspidal.get(core)
@@ -579,7 +594,7 @@ class FactLedger:
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
         """Record what kind of character a word denotes (trivial, quadratic,
         cubic, non-real ...) beyond what its generators' orders force."""
-        self._word_kinds[word.reduce(self._orders)] = kind
+        _declare(self._word_kinds, word.reduce(self._orders), kind, "word kind")
 
     def word_kind(self, word: CharWord) -> str | None:
         reduced = word.reduce(self._orders)
@@ -596,7 +611,7 @@ class FactLedger:
         return None
 
     def declare_self_dual(self, c: Constituent, truth: bool) -> None:
-        self._self_dual[self._canon(c)] = truth
+        _declare(self._self_dual, self._canon(c), truth, "self-duality")
 
     def self_dual_declared(self, c: Constituent) -> bool | None:
         return self._self_dual.get(self._canon(c))

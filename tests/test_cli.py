@@ -277,6 +277,36 @@ class TestCuspidality:
         assert "galois_row" in err
 
     @pytest.mark.parametrize(
+        "doc,base,message",
+        [
+            (
+                {"bases": [{"name": "t", "type": "tetrahedral", "galois_row": "X'"}]},
+                "t",
+                "base t: galois_row tags only an icosahedral base, not tetrahedral",
+            ),
+            (
+                {
+                    "bases": [{"name": "g", "type": "general"}],
+                    "cuspidal": [
+                        {"symbol": "sym^7(g)", "truth": True},
+                        {"symbol": "sym^7(g)", "truth": False},
+                    ],
+                },
+                "g",
+                "contradictory declarations of cuspidal for sym^7(g): True vs False",
+            ),
+        ],
+        ids=["tagged-tetrahedral", "cuspidal-both-ways"],
+    )
+    def test_refused_declarations_exit_2(self, capsys, tmp_path, doc, base, message):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "cuspidality", "--facts", str(path), "--pi", base, "--pi-prime", base
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"bases": "pi"},

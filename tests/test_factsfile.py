@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icosym import MAX_POWER
+from icosym import MAX_POWER, factsfile
 from icosym.cli import cmd_dispatch
 from icosym.factsfile import (
     FactsError,
@@ -709,3 +711,239 @@ def test_any_json_value_loads_or_raises_a_typed_error(generated_path, doc):
         code = cmd_dispatch(["siegel", "--m", "0", "--facts", str(generated_path)])
     assert code == 2, sink.getvalue()
     assert sink.getvalue().startswith("error:")
+
+
+# -- each distinct text parsed once --------------------------------------------
+
+
+def _fact(lhs, rhs, truth=False, twist=None):
+    fact = {"lhs": lhs, "rhs": rhs, "relation": "equiv", "truth": truth}
+    if twist is not None:
+        fact.update(relation="twist-equiv-by", twist=twist)
+    return fact
+
+
+REPEATED = {
+    "characters": [{"name": "chi", "order": 2}],
+    "bases": [{"name": "pi", "type": "icosahedral"}, {"name": "rho", "type": "icosahedral"}],
+    "facts": [
+        _fact("Ad(pi)", "Ad(rho)"),
+        _fact("Ad(rho)", "Ad(pi)"),
+        _fact("sym^2(pi)*chi", "sym^2(rho)", twist="chi"),
+        _fact("Ad(pi)", "Ad(rho)"),
+        _fact("sym^2(pi)*chi", "sym^2(rho)", twist="chi"),
+    ],
+    "cuspidal": [{"symbol": "sym^7(pi)", "truth": False}] * 2,
+    "self_dual": [{"symbol": "sym^2(pi)*chi", "truth": True}],
+    "word_kinds": [{"word": "chi", "kind": "quadratic"}] * 2,
+}
+
+
+def test_each_distinct_text_is_parsed_once(monkeypatch):
+    """Every factor goes through _cusp_factor once per distinct text that
+    holds it, however often the document mentions that text."""
+    calls = []
+    cusp_factor = factsfile._cusp_factor
+    monkeypatch.setattr(
+        factsfile,
+        "_cusp_factor",
+        lambda factor, ledger, where: calls.append(factor) or cusp_factor(factor, ledger, where),
+    )
+    ledger = load_facts(REPEATED)
+    # chi three times: as a factor of sym^2(pi)*chi, in the word that symbol is
+    # twisted by, and in the word chi, which the twists and word_kinds share
+    assert Counter(calls) == {
+        "Ad(pi)": 1, "Ad(rho)": 1, "sym^2(pi)": 1, "sym^2(rho)": 1, "sym^7(pi)": 1, "chi": 3
+    }
+    assert ledger.word_kind(CharWord.gen("chi")) == "quadratic"
+    assert ledger.cuspidal_declared(SymCusp(ledger.bases["pi"], 7)) is False
+
+
+_MENTIONS = {
+    "facts": ("lhs", "rhs", "twist"),
+    "cuspidal": ("symbol",),
+    "automorphic": ("symbol",),
+    "self_dual": ("symbol",),
+    "word_kinds": ("word",),
+}
+
+
+def _padded(text: str, pad: str) -> str:
+    """*text* with *pad* around each top-level factor, which the parser strips."""
+    out, depth = [], 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        out.append(f"{pad}*{pad}" if ch == "*" and depth == 0 else ch)
+    return pad + "".join(out) + pad
+
+
+def _spread(doc: dict) -> dict:
+    """*doc* with every non-empty symbol and word mention padded by its own
+    number of spaces, so that no two mentions share a text."""
+    pads = (" " * k for k in itertools.count(1))
+    spread = dict(doc)
+    for section, keys in _MENTIONS.items():
+        entries = doc.get(section)
+        if not isinstance(entries, list):
+            continue
+        spread[section] = [
+            {
+                key: _padded(value, next(pads)) if key in keys and isinstance(value, str) and value
+                else value
+                for key, value in entry.items()
+            }
+            if isinstance(entry, dict)
+            else entry
+            for entry in entries
+        ]
+    return spread
+
+
+def _state(ledger):
+    return (
+        ledger.bases,
+        ledger.characters,
+        ledger._orders,
+        ledger._facts,
+        ledger.base_changes,
+        ledger._cuspidal,
+        ledger._automorphic,
+        ledger._self_dual,
+        ledger._word_kinds,
+    )
+
+
+def _load(doc):
+    try:
+        return _state(load_facts(doc))
+    except (FactsError, LedgerError) as err:
+        return type(err)
+
+
+def test_spreading_a_document_spreads_its_mentions():
+    spread = _spread(REPEATED)
+    texts = [
+        entry[key]
+        for section, keys in _MENTIONS.items()
+        for entry in spread.get(section, [])
+        for key in keys
+        if key in entry
+    ]
+    assert len(texts) == 17 and len(set(texts)) == len(texts)
+    assert spread["facts"][2]["lhs"] == "     sym^2(pi)     *     chi     "
+    assert _load(spread) == _load(REPEATED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_a_document_loads_as_its_spread_copy_does(doc):
+    """Reusing the parse of a repeated text changes nothing: the document and
+    the copy in which no text repeats load to equal ledgers, or both raise
+    the same exception type."""
+    assert _load(doc) == _load(_spread(doc))
+
+
+_BASES = [{"name": "pi", "type": "icosahedral"}, {"name": "rho", "type": "tetrahedral"}]
+_RELATIONS_TEXT = "('equiv', 'twist-equiv-by')"
+_KINDS_TEXT = "('trivial', 'quadratic', 'cubic', 'non-real')"
+
+# a bad field or symbol at its first mention, and at a later one, where the
+# same text, or the entry's other fields, parsed before
+LABELLED = [
+    ({"facts": [_fact("Ad(ghost)", "Ad(pi)")]}, "facts[0]: undeclared base 'ghost'"),
+    (
+        {"facts": [_fact("Ad(pi)", "Ad(rho)"), _fact("Ad(pi)", "Ad(ghost)")]},
+        "facts[1]: undeclared base 'ghost'",
+    ),
+    (
+        {"facts": [_fact("chi**nu", "Ad(pi)")]},
+        "facts[0]: empty factor in 'chi**nu'",
+    ),
+    (
+        {"facts": [_fact("Ad(pi)", "Ad(rho)"), _fact("Ad(rho)", "sym^2(pi)*Ad(pi)")]},
+        "facts[1]: more than one cusp-form factor in 'sym^2(pi)*Ad(pi)'",
+    ),
+    (
+        {"facts": [_fact("Ad(pi)", f"sym^{MAX_POWER + 1}(pi)")]},
+        f"facts[0]: power above the largest supported, {MAX_POWER}, in 'sym^{MAX_POWER + 1}(pi)'",
+    ),
+    (
+        {"facts": [_fact("Ad(pi)", "Ad(rho)"), {"lhs": "Ad(pi)", "rhs": 5}]},
+        "facts[1]: needs a string 'rhs'",
+    ),
+    (
+        {"facts": [_fact("Ad(pi)", "Ad(rho)"), {**_fact("Ad(pi)", "Ad(rho)"), "relation": "iso"}]},
+        f"facts[1]: relation must be one of {_RELATIONS_TEXT}",
+    ),
+    (
+        {"facts": [_fact("Ad(pi)", "Ad(rho)"), {**_fact("Ad(pi)", "Ad(rho)"), "truth": "no"}]},
+        "facts[1]: needs a boolean 'truth'",
+    ),
+    (
+        {
+            "facts": [
+                _fact("Ad(pi)", "Ad(rho)", twist="chi"),
+                _fact("Ad(pi)", "Ad(rho)", twist="pi"),
+            ]
+        },
+        "facts[1]: 'pi' is a base, not a character",
+    ),
+    (
+        {"facts": [_fact("Ad(pi)", "Ad(rho)", twist="(chi")]},
+        "facts[0]: unbalanced '(' in '(chi'",
+    ),
+    (
+        {
+            "facts": [_fact("sym^2(pi)*chi", "sym^2(rho)")],
+            "cuspidal": [{"symbol": "sym^7(pi)", "truth": False}, {"symbol": "sym^2(pi)*chi"}],
+        },
+        "cuspidal[1]: must be an untwisted cusp-form symbol",
+    ),
+    (
+        {
+            "cuspidal": [
+                {"symbol": "sym^7(pi)", "truth": False},
+                {"symbol": "sym^7(pi)", "truth": 0},
+            ]
+        },
+        "cuspidal[1]: needs a boolean 'truth'",
+    ),
+    (
+        {"self_dual": [{"symbol": "Ad(pi)", "truth": True}, {"symbol": "Ad(pi)"}]},
+        "self_dual[1]: needs a boolean 'truth'",
+    ),
+    (
+        {"word_kinds": [{"word": "chi*Ad(pi)", "kind": "quadratic"}]},
+        "word_kinds[0]: 'Ad(pi)' is a cusp form, not a character",
+    ),
+    (
+        {
+            "facts": [_fact("Ad(pi)", "Ad(rho)", twist="chi")],
+            "word_kinds": [{"word": "chi", "kind": "quadratic"}, {"word": "chi", "kind": "real"}],
+        },
+        f"word_kinds[1]: kind must be one of {_KINDS_TEXT}",
+    ),
+    (
+        {"word_kinds": [{"word": "chi", "kind": "quadratic"}, {"word": "chi^x", "kind": "cubic"}]},
+        "word_kinds[1]: bad character factor 'chi^x'",
+    ),
+    (
+        {"bases": [*_BASES, {"name": "f", "type": "general", "omega": 5}]},
+        "bases[2]: 'omega' must be a string",
+    ),
+    (
+        {"characters": [{"name": "chi"}, {"name": "nu", "properties": ["real"]}]},
+        "characters[1]: unknown property 'real'",
+    ),
+    (
+        {"base_changes": [{"of": "ghost", "extension": "E", "name": "g_E", "type": "general"}]},
+        "base_changes[0]: undeclared base 'ghost'",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc,message", LABELLED, ids=[str(i) for i in range(len(LABELLED))])
+def test_a_refusal_names_the_entry_that_fails(doc, message):
+    with pytest.raises(FactsError) as err:
+        load_facts({"bases": _BASES, **doc})
+    assert str(err.value) == message

@@ -601,6 +601,60 @@ def test_a_base_whose_central_character_is_its_own_name_is_refused():
         FactLedger().declare_base("pi", "general", omega="pi")
 
 
+@pytest.mark.parametrize("typ", ["dihedral", "tetrahedral", "octahedral", "general", "abstract"])
+@pytest.mark.parametrize("row", ["X'", "X''"])
+def test_a_galois_row_tags_only_an_icosahedral_base(typ, row):
+    """A tag would outrank the type table: a tetrahedral base tagged X'
+    would read sym^5 as cuspidal."""
+    ledger = FactLedger()
+    tags = {"dihedral_field": "E", "dihedral_char": "xi"} if typ == "dihedral" else {}
+    with pytest.raises(LedgerError) as err:
+        ledger.declare_base("t", typ, galois_row=row, **tags)
+    assert str(err.value) == f"base t: galois_row tags only an icosahedral base, not {typ}"
+    assert ledger.bases == {} and ledger.characters == {}
+    assert ledger.declare_base("f", "icosahedral", galois_row=row).galois_row == row
+
+
+def test_an_unknown_base_tag_is_refused():
+    with pytest.raises(TypeError, match="BaseCusp takes the fields"):
+        FactLedger().declare_base("pi", "general", colour="blue")
+
+
+def redeclarations():
+    """(declare, first, second, key text, what) for the four declaration tables."""
+    ledger = FactLedger()
+    ledger.declare_character("chi", order=2)
+    g = ledger.declare_base("g", "general")
+    chi = CharWord.gen("chi")
+    twisted = Constituent(SymCusp(g, 7), chi)
+    return ledger, [
+        (ledger.declare_cuspidal, (SymCusp(g, 7), True), (SymCusp(g, 7), False),
+         "cuspidal for sym^7(g): True vs False"),
+        (ledger.declare_automorphic, (SymCusp(g, 7), False), (SymCusp(g, 7), True),
+         "automorphic for sym^7(g): False vs True"),
+        # chi has order 2, so chi^3 is chi: the keys agree after _canon
+        (ledger.declare_self_dual, (twisted, True), (Constituent(SymCusp(g, 7), chi**3), False),
+         "self-duality for sym^7(g)*chi: True vs False"),
+        (ledger.declare_word_kind, (chi * CharWord.gen("nu"), "quadratic"),
+         (chi**3 * CharWord.gen("nu"), "cubic"),
+         "word kind for chi*nu: quadratic vs cubic"),
+    ]
+
+
+@pytest.mark.parametrize("i", range(4), ids=["cuspidal", "automorphic", "self_dual", "word_kind"])
+def test_an_opposite_redeclaration_is_refused(i):
+    ledger, cases = redeclarations()
+    declare, first, second, message = cases[i]
+    declare(*first)
+    declare(*first)  # the same value again is accepted
+    tables = (ledger._cuspidal, ledger._automorphic, ledger._self_dual, ledger._word_kinds)
+    before = [dict(t) for t in tables]
+    with pytest.raises(LedgerError) as err:
+        declare(*second)
+    assert str(err.value) == f"contradictory declarations of {message}"
+    assert [dict(t) for t in tables] == before
+
+
 # -- the finite-model pole check ---------------------------------------------
 
 
