@@ -107,9 +107,10 @@ class Record:
 
 
 #: largest n that ``sym^n(...)`` parses with and largest ``--m`` the CLI
-#: takes; the class function of sym^n is built in O(n) steps, so a larger
-#: power is a typed error rather than a hang.  Defined here so that the CLI
-#: reads it without running the layers below.
+#: takes; a single cold sym^n is built in O(n) steps (an ascending scan
+#: takes one step per power), so a larger power is a typed error rather than
+#: a hang.  Defined here so that the CLI reads it without running the layers
+#: below.
 MAX_POWER = 10_000
 
 
@@ -139,7 +140,6 @@ _EXPORTS = {
         "dim_irrep",
         "generator_family",
         "scan_trivial",
-        "self_dual_two_dim_report",
         "sym_power_irrep",
         "twist_equivalent",
     ),

@@ -223,7 +223,14 @@ class CharacterTable:
     # -- operations on characters ------------------------------------------
 
     def sym_power(self, f: ClassFunction | str, n: int) -> ClassFunction:
-        """Character of the n-th symmetric power of a degree-2 character."""
+        """Character of the n-th symmetric power of a degree-2 character.
+
+        The recursion sym^n = f * sym^(n-1) - det(f) * sym^(n-2) takes one
+        step from the cached sym^(n-1) and sym^(n-2) when both are there, so
+        asking for n = 0, 1, 2, ... in turn costs O(1) per power; otherwise
+        it starts from sym^0, and a single cold sym^n costs O(n) steps.
+        Only the requested power is cached.
+        """
         if isinstance(f, str):
             f = self.row(f)
         if n < 0:
@@ -239,7 +246,10 @@ class CharacterTable:
         if n == 0:
             self._sym_cache[key] = prev
             return prev
-        for _ in range(n - 1):
+        steps, last, before = n - 1, (f.values, n - 1), (f.values, n - 2)
+        if last in self._sym_cache and before in self._sym_cache:
+            prev, cur, steps = self._sym_cache[before], self._sym_cache[last], 1
+        for _ in range(steps):
             prev, cur = cur, f * cur - det * prev
         self._sym_cache[key] = cur
         return cur

@@ -318,6 +318,10 @@ def load_facts(doc: dict) -> FactLedger:
         word = _parsed(words, parse_word, entry, "word", ledger, where)
         kind = _str_field(entry, "kind", where)
         _require(kind in _KINDS, where, "kind must be one of {}", _KINDS)
+        forced = ledger.forced_word_kind(word)
+        _require(
+            forced in (None, kind), where, "{} cannot be declared {}: it is {}", word, kind, forced
+        )
         ledger.declare_word_kind(word, kind)
 
     siegel = doc.get("siegel", {})

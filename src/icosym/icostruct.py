@@ -127,27 +127,6 @@ def scan_trivial(max_n: int) -> dict[int, int]:
     return {n: trivial_constituent_of_sym(n) for n in range(max_n + 1)}
 
 
-def self_dual_two_dim_report(m: int) -> dict:
-    """Both readings of the 'no self-dual 2-dimensional irrep' claim.
-
-    The exponent criterion settles it: a 2-dimensional (row, a) has a odd,
-    and self-duality needs 2a = 0 mod 2m, i.e. a in {0, m}.  For even m no
-    odd exponent qualifies; for odd m exactly (X', m) and (X'', m) do.  The
-    blanket claim therefore holds exactly when m is even (equivalently when
-    the center's order 2m is divisible by 4); this function reports rather
-    than asserts, leaving the intended hypothesis to the caller.
-    """
-    self_dual = [
-        r for r in classify_irreps(m) if dim_irrep(r) == 2 and is_self_dual(r, m)
-    ]
-    return {
-        "m": m,
-        "center_order_divisible_by_4": (2 * m) % 4 == 0,
-        "self_dual_two_dim": self_dual,
-        "blanket_claim_holds": not self_dual,
-    }
-
-
 def generator_family(m: int) -> dict[str, IcoIrrep]:
     """The nine derived objects every irreducible is twist-equivalent to.
 

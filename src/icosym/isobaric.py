@@ -70,21 +70,26 @@ TYPE_RULES: dict[str, tuple] = {
 BASE_TYPES = tuple(TYPE_RULES)
 
 
-def type_rule(typ: str, n: int) -> tuple[bool | None, str, bool | None]:
+def type_rule(typ: str, n: int) -> tuple[bool | None, str]:
     """What the declared type says about sym^n, n >= 1: cuspidal or not and
-    why (None and "" when the type leaves it open), then False when sym^n
-    admits no self-twist (None when it may have one)."""
-    twists, cited, degree, reason = TYPE_RULES[typ]
+    why (None and "" when the type leaves it open)."""
+    _, cited, degree, reason = TYPE_RULES[typ]
     cuspidal, why = cited.get(n, (None, ""))
     if cuspidal is None and degree:
         cuspidal = n < degree
         state = "irreducible" if cuspidal else "reducible"
         why = reason.format(n=n, state=state, typ=typ, degree=degree)
-    return cuspidal, why, None if twists(n) else False
+    return cuspidal, why
 
 
 class LedgerError(ValueError):
     """An inconsistent or insufficient fact ledger."""
+
+
+def _text(reason: tuple) -> str:
+    """The text of a reason kept as data: a ``(template, *operands)`` tuple
+    whose ``str.format`` template is filled with the operands' text."""
+    return reason[0].format(*reason[1:])
 
 
 # --------------------------------------------------------------------------
@@ -446,6 +451,10 @@ class FactLedger:
     A ledger is written only while it is built (the ``declare_*`` and
     ``assert_*`` methods); queries only read it.  The one thing a query
     stores is the finite-image memo, a cache of what the tags determine.
+
+    The resolver keeps each reason as data, a ``(template, *operands)``
+    tuple; it becomes text only where it is shown: in :meth:`equivalent`, in
+    the error of :meth:`assert_equiv`, and in :attr:`PoleOrder.missing`.
     """
 
     def __init__(self) -> None:
@@ -488,7 +497,9 @@ class FactLedger:
         """Check every declaration first, then make them all: a refused one
         leaves the ledger unchanged.  A declaration with neither order nor
         kind leaves a character already declared as it is; names within one
-        batch must still agree."""
+        batch must still agree.  An order or kind is refused for a generator
+        that the words keying the facts, self-dualities or word kinds already
+        mention, since those words were reduced without it."""
         pending: dict[str, CharInfo] = {}
         for name, info in items:
             if info == NO_INFO and name in self.characters:
@@ -500,12 +511,25 @@ class FactLedger:
                 raise LedgerError(f"character {name} declared with order {info.order}")
             if name in self.bases:
                 raise LedgerError(f"{name} is declared as a base, not a character")
+            if info != NO_INFO and known is None and name in self._mentioned():
+                raise LedgerError(
+                    f"declare character {name} before the facts, self-dualities "
+                    "and word kinds whose words mention it"
+                )
             pending[name] = info
         for name, info in pending.items():
             self.characters[name] = info
             order = info.order or _KIND_ORDERS.get(info.kind)
             if order:
                 self._orders[name] = order
+
+    def _mentioned(self) -> set[str]:
+        """The generators in the words that key the facts, self-dualities
+        and word kinds."""
+        words = [c.twist for pair in self._facts for c in pair]
+        words += [c.twist for c in self._self_dual]
+        words += self._word_kinds
+        return {name for word in words for name, _ in word.word}
 
     def declare_base(self, name: str, typ: str, **tags) -> BaseCusp:
         if typ not in BASE_TYPES:
@@ -593,14 +617,22 @@ class FactLedger:
 
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
         """Record what kind of character a word denotes (trivial, quadratic,
-        cubic, non-real ...) beyond what its generators' orders force."""
-        _declare(self._word_kinds, word.reduce(self._orders), kind, "word kind")
+        cubic, non-real ...) beyond what its generators' orders force; a kind
+        other than the one they force is refused."""
+        key = word.reduce(self._orders)
+        forced = self.forced_word_kind(key)
+        if forced not in (None, kind):
+            raise LedgerError(f"{word} cannot be declared {kind}: it is {forced}")
+        _declare(self._word_kinds, key, kind, "word kind")
 
     def word_kind(self, word: CharWord) -> str | None:
         reduced = word.reduce(self._orders)
-        kind = self._word_kinds.get(reduced)
-        if kind is not None:
-            return kind
+        return self._word_kinds.get(reduced) or self.forced_word_kind(reduced)
+
+    def forced_word_kind(self, word: CharWord) -> str | None:
+        """The kind a word's generators force: trivial when it reduces to 1,
+        a declared generator's own kind; None when they leave it open."""
+        reduced = word.reduce(self._orders)
         if reduced.is_empty():
             return "trivial"
         if len(reduced.word) == 1:
@@ -626,7 +658,7 @@ class FactLedger:
         k1, k2 = self._canon(c1), self._canon(c2)
         mismatch = self._mismatch(k1, k2) if truth else None
         if mismatch:
-            raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {mismatch}")
+            raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(mismatch)}")
         key = frozenset((k1, k2))
         if key in self._facts and self._facts[key] != truth:
             raise LedgerError(
@@ -644,49 +676,45 @@ class FactLedger:
 
     def equivalent(self, c1: Constituent, c2: Constituent) -> tuple[bool | None, str]:
         """Resolve equivalence; returns (verdict-or-None, reason/missing-fact)."""
-        return self._resolve(self._canon(c1), self._canon(c2))
+        verdict, reason = self._resolve(self._canon(c1), self._canon(c2))
+        return verdict, _text(reason)
 
-    def _resolve(self, k1: Constituent, k2: Constituent) -> tuple[bool | None, str]:
-        """:meth:`equivalent` on constituents already reduced by :meth:`_canon`."""
+    def _resolve(self, k1: Constituent, k2: Constituent) -> tuple[bool | None, tuple]:
+        """:meth:`equivalent` on constituents already reduced by :meth:`_canon`,
+        with the reason as a ``(template, *operands)`` tuple."""
         fact = self._facts.get(frozenset((k1, k2)))
         if fact is not None:
-            return fact, f"declared: {k1} ~ {k2} is {fact}"
+            return fact, ("declared: {} ~ {} is {}", k1, k2, fact)
         if k1 == k2:
-            return True, "structural equality"
+            return True, ("structural equality",)
         mismatch = self._mismatch(k1, k2)
         if mismatch:
             return False, mismatch
         if k1.core is None and k2.core is None:
-            return False, "distinct character words are generically distinct"
+            return False, ("distinct character words are generically distinct",)
         if (k1.core is None) != (k2.core is None):
-            return False, "a character is never a higher-degree cuspidal"
-        if k1.core == k2.core:
-            return self._self_twist_query(k1, k2)
-        return None, f"equiv({k1}, {k2})"
+            return False, ("a character is never a higher-degree cuspidal",)
+        if k1.core != k2.core:
+            return None, ("equiv({}, {})", k1, k2)
+        # same core, different twists: that needs a self-twist, which the
+        # type table's twists(n) rules out for most powers of a declared type
+        sym = _as_sym(k1.core)
+        if sym is not None and not TYPE_RULES[sym[0].typ][0](sym[1]):
+            return False, ("{} admits no self-twist for its declared type", k1.core)
+        return None, ("equiv({}, {}) (potential self-twist)", k1, k2)
 
-    def _mismatch(self, k1: Constituent, k2: Constituent) -> str | None:
-        """Why no fact can make two constituents equivalent: their degrees
-        or the finite-image rows of two distinct cores differ."""
+    def _mismatch(self, k1: Constituent, k2: Constituent) -> tuple | None:
+        """Why no fact can make two constituents equivalent, as a reason
+        tuple: their degrees or the finite-image rows of two distinct cores
+        differ."""
         if k1.degree != k2.degree:
-            return f"degrees differ ({k1.degree} vs {k2.degree})"
+            return "degrees differ ({} vs {})", k1.degree, k2.degree
         if k1.core is None or k2.core is None or k1.core == k2.core:
             return None
         rows1, rows2 = self.galois_rows(k1.core), self.galois_rows(k2.core)
         if rows1 is not None and rows2 is not None and rows1 != rows2:
-            return (
-                f"finite-image restrictions differ: {sorted(rows1)} vs {sorted(rows2)}"
-            )
+            return "finite-image restrictions differ: {} vs {}", sorted(rows1), sorted(rows2)
         return None
-
-    def _self_twist_query(
-        self, c1: Constituent, c2: Constituent
-    ) -> tuple[bool | None, str]:
-        """Same core, different twists: needs a self-twist, which the
-        type table rules out for most powers of a declared type."""
-        sym = _as_sym(c1.core)
-        if sym is not None and type_rule(sym[0].typ, sym[1])[2] is False:
-            return False, f"{c1.core} admits no self-twist for its declared type"
-        return None, f"equiv({c1}, {c2}) (potential self-twist)"
 
     def galois_rows(self, core: Core) -> frozenset[str] | None:
         mults = self.galois_decomposition(core)
@@ -779,7 +807,7 @@ def _derived_cuspidal(p: BaseCusp, n: int, ledger: FactLedger) -> tuple[bool | N
             f"finite image: sym^{n} restriction is "
             + ("irreducible" if irreducible else f"reducible ({sorted(mults)})")
         )
-    cuspidal, reason, _ = type_rule(p.typ, n)
+    cuspidal, reason = type_rule(p.typ, n)
     if cuspidal is None:
         return None, f"declare whether sym^{n}({p.name}) is cuspidal"
     return cuspidal, reason
@@ -841,7 +869,9 @@ def pole_order(e: IsobaricExpr, ledger: FactLedger) -> PoleOrder:
     comparisons on those keys give the verdicts and reasons of
     :meth:`FactLedger.equivalent`.  Pairs the ledger cannot settle widen the
     result to an interval: the lower end keeps them distinct, the upper end
-    merges every class connected by an undetermined comparison.
+    merges every class connected by an undetermined comparison.  Their
+    reasons stay data until the end, where :func:`_texts` makes each
+    distinct one text once.
     """
     classes: list[tuple[Constituent, int]] = []
     for c, m in e.terms:
@@ -855,7 +885,7 @@ def pole_order(e: IsobaricExpr, ledger: FactLedger) -> PoleOrder:
             classes.append((key, m))
     lo = sum(total * total for _, total in classes)
 
-    missing: list[str] = []
+    missing: list[tuple] = []
     parent = list(range(len(classes)))
 
     def find(i: int) -> int:
@@ -875,7 +905,13 @@ def pole_order(e: IsobaricExpr, ledger: FactLedger) -> PoleOrder:
         root = find(i)
         merged[root] = merged.get(root, 0) + total
     hi = sum(total * total for total in merged.values())
-    return PoleOrder(lo, hi, tuple(dict.fromkeys(missing)))
+    return PoleOrder(lo, hi, _texts(missing))
+
+
+def _texts(reasons: list[tuple]) -> tuple[str, ...]:
+    """The text of each distinct reason, rendered once and then merged by
+    text, since distinct symbols may print alike."""
+    return tuple(dict.fromkeys(map(_text, dict.fromkeys(reasons))))
 
 
 def pole_order_pair(
@@ -893,7 +929,7 @@ def pole_order_pair(
         elif verdict is None:
             hi += m
             missing.append(reason)
-    return PoleOrder(lo, hi, tuple(dict.fromkeys(missing)))
+    return PoleOrder(lo, hi, _texts(missing))
 
 
 def galois_pole_check(f: ClassFunction) -> int:

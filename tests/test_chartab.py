@@ -76,6 +76,24 @@ def test_sym_power_small_cases(tab):
     assert tab.decompose(tab.sym_power("X'", 5)) == {"W": 1}
 
 
+def test_an_ascending_scan_takes_one_recursion_step_per_power(monkeypatch):
+    steps = []
+    subtract = ClassFunction.__sub__
+
+    def counting(self, other):
+        steps.append(1)  # each recursion step subtracts once
+        return subtract(self, other)
+
+    monkeypatch.setattr(ClassFunction, "__sub__", counting)
+    fresh, reference = CharacterTable(), CharacterTable()
+    powers = [fresh.sym_power("X'", n) for n in range(401)]
+    assert len(steps) == 399  # none for sym^0 and sym^1
+    steps.clear()
+    assert reference.sym_power("X'", 400) == powers[400]
+    assert len(steps) == 399  # a single cold power still starts from sym^0
+    assert len(fresh._sym_cache) == 401  # each requested power, as before
+
+
 def test_sym_power_needs_degree_two(tab):
     with pytest.raises(ValueError):
         tab.sym_power("W", 2)

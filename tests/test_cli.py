@@ -182,10 +182,15 @@ class TestIrreps:
         assert document["results"]["two_dimensional_self_dual"] == []
 
     def test_odd_m_self_dual_pair(self, capsys):
-        code, document, _ = run_json(capsys, "irreps", "--m", "3")
-        assert code == 0
-        pair = document["results"]["two_dimensional_self_dual"]
-        assert {entry["row"] for entry in pair} == {"X'", "X''"}
+        # a 2-dimensional (row, a) has a odd and is self-dual iff a is 0 or m
+        for m in (1, 3):
+            code, document, _ = run_json(capsys, "irreps", "--m", str(m))
+            assert code == 0
+            pair = document["results"]["two_dimensional_self_dual"]
+            assert sorted((entry["row"], entry["exponent"]) for entry in pair) == [
+                ("X'", m),
+                ("X''", m),
+            ]
 
     def test_bad_m(self, capsys):
         code, _, err = run(capsys, "irreps", "--m", "0")
@@ -523,6 +528,18 @@ class TestSiegel:
         assert len(reports) == 6
         assert all(r["verdict"] == "no-siegel-zero" for r in reports)
         assert any(c["rule"] == "auxiliary-expansion" for c in document["citations"])
+
+    def test_a_word_kind_against_its_generators_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "trivial.json"
+        doc = {"characters": [{"name": "c", "order": 1}], "siegel": {"chi": "c"}}
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "siegel", "--m", "0", "--facts", str(path))
+        assert code == 0 and "c -> exceptional-case" in out
+        # declared non-real, the trivial c would rule the exceptional case out
+        path.write_text(json.dumps({**doc, "word_kinds": [{"word": "c", "kind": "non-real"}]}))
+        assert run(capsys, "siegel", "--m", "0", "--facts", str(path)) == (
+            2, "", "error: word_kinds[0]: c cannot be declared non-real: it is trivial\n"
+        )
 
     def test_facts_file_inputs(self, capsys, tmp_path):
         path = tmp_path / "siegel.json"

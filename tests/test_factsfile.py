@@ -939,6 +939,23 @@ LABELLED = [
         {"base_changes": [{"of": "ghost", "extension": "E", "name": "g_E", "type": "general"}]},
         "base_changes[0]: undeclared base 'ghost'",
     ),
+    (
+        {
+            "characters": [{"name": "c", "order": 1}],
+            "word_kinds": [{"word": "c", "kind": "non-real"}],
+        },
+        "word_kinds[0]: c cannot be declared non-real: it is trivial",
+    ),
+    (
+        {
+            "characters": [{"name": "eta", "properties": ["cubic"]}],
+            "word_kinds": [
+                {"word": "eta^2", "kind": "cubic"},
+                {"word": "eta", "kind": "quadratic"},
+            ],
+        },
+        "word_kinds[1]: eta cannot be declared quadratic: it is cubic",
+    ),
 ]
 
 

@@ -12,7 +12,6 @@ from icosym.icostruct import (
     generator_family,
     is_self_dual,
     scan_trivial,
-    self_dual_two_dim_report,
     sym_power_irrep,
     twist_equivalent,
     validate_irrep,
@@ -124,13 +123,16 @@ def test_scan_trivial_frozen_values():
 
 
 def test_self_dual_two_dim_report():
-    even = self_dual_two_dim_report(2)
-    assert even["blanket_claim_holds"] and not even["self_dual_two_dim"]
-    m1 = self_dual_two_dim_report(1)
-    assert set(m1["self_dual_two_dim"]) == {IcoIrrep("X'", 1), IcoIrrep("X''", 1)}
-    m3 = self_dual_two_dim_report(3)
-    assert set(m3["self_dual_two_dim"]) == {IcoIrrep("X'", 3), IcoIrrep("X''", 3)}
-    assert not m3["blanket_claim_holds"]
+    # The 'no self-dual 2-dimensional irrep' claim holds exactly for even m:
+    # a 2-dimensional (row, a) has a odd, and self-duality needs a in {0, m}.
+    def self_dual_two_dim(m):
+        return {
+            r for r in classify_irreps(m) if dim_irrep(r) == 2 and is_self_dual(r, m)
+        }
+
+    assert not self_dual_two_dim(2)
+    assert self_dual_two_dim(1) == {IcoIrrep("X'", 1), IcoIrrep("X''", 1)}
+    assert self_dual_two_dim(3) == {IcoIrrep("X'", 3), IcoIrrep("X''", 3)}
 
 
 @pytest.mark.parametrize("m", range(1, 5))

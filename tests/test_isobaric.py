@@ -655,6 +655,143 @@ def test_an_opposite_redeclaration_is_refused(i):
     assert [dict(t) for t in tables] == before
 
 
+# -- reasons stay data until they are shown ---------------------------------
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Counts the calls of every symbol's ``__str__``, by class name."""
+    counts: dict[str, int] = {}
+    for cls in (Constituent, CharWord, BaseCusp, SymCusp, BoxCusp, InducedCusp):
+        original = cls.__str__
+
+        def counting(self, original=original, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "__str__", counting)
+    return counts
+
+
+def test_a_decided_pole_order_renders_nothing(renders):
+    ledger, p, q = fresh("general", "general")
+    chi = CharWord.gen("chi")
+    ledger.assert_equiv(ad(p), ad(q), False)
+    ledger.assert_equiv(ad(p), ad(q).twisted(chi), True)
+    expr = IsobaricExpr.of(
+        [(ad(p), 1), (ad(q), 2), (ad(q).twisted(chi), 1), (character(chi), 1),
+         (TRIVIAL, 1), (Constituent(SymCusp(p, 3)), 1)]
+    )
+    renders.clear()  # building the sum orders its terms by their text
+    po = pole_order(expr, ledger)
+    assert (po.lo, po.hi, po.missing) == (11, 11, ())
+    assert pole_order_pair(expr, ad(p), ledger) == PoleOrder(2, 2)
+    assert renders == {}
+
+
+def test_an_undetermined_pole_order_renders_each_missing_reason_once(renders):
+    ledger, p, q = fresh("general", "general")
+    r = ledger.declare_base("r", "general")
+    expr = IsobaricExpr.of([(ad(p), 1), (ad(q), 1), (ad(r), 1), (TRIVIAL, 1)])
+    renders.clear()
+    po = pole_order(expr, ledger)
+    assert (po.lo, po.hi) == (4, 10)
+    assert po.missing == (
+        "equiv(sym^2(p)*omega(p)^-1, sym^2(q)*omega(q)^-1)",
+        "equiv(sym^2(p)*omega(p)^-1, sym^2(r)*omega(r)^-1)",
+        "equiv(sym^2(q)*omega(q)^-1, sym^2(r)*omega(r)^-1)",
+    )
+    # two constituents in each of the three reasons, each a core and a twist
+    assert renders == {"Constituent": 6, "SymCusp": 6, "CharWord": 6}
+
+
+def test_equivalent_renders_its_one_reason(renders):
+    ledger, p, q = fresh("general", "general")
+    assert ledger.equivalent(ad(p), ad(q)) == (
+        None, "equiv(sym^2(p)*omega(p)^-1, sym^2(q)*omega(q)^-1)"
+    )
+    assert renders == {"Constituent": 2, "SymCusp": 2, "CharWord": 2}
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, message",
+    [
+        (lambda p, t: ad(p), lambda p, t: Constituent(p),
+         "sym^2(pi)*omega(pi)^-1 ~ pi cannot be declared true: degrees differ (3 vs 2)"),
+        (lambda p, t: Constituent(SymCusp(p, 3)), lambda p, t: Constituent(box_cusp(p, t)),
+         "sym^3(pi) ~ box(pi, pi_tau) cannot be declared true: "
+         "finite-image restrictions differ: ['X1'] vs ['X2']"),
+        (lambda p, t: Constituent(SymCusp(p, 7)),
+         lambda p, t: Constituent(box_cusp(SymCusp(p, 3), t)),
+         "sym^7(pi) ~ box(pi_tau, sym^3(pi)) cannot be declared true: "
+         "finite-image restrictions differ: ['W', \"X''\"] vs ['V', \"W''\"]"),
+    ],
+    ids=["degrees", "rows", "several rows"],
+)
+def test_a_refused_true_fact_names_its_mismatch(lhs, rhs, message):
+    ledger, p, p_tau = standard_icosahedral_pair()
+    with pytest.raises(LedgerError) as err:
+        ledger.assert_equiv(lhs(p, p_tau), rhs(p, p_tau), True)
+    assert str(err.value) == message
+
+
+# -- words keyed before their generators' orders -------------------------------
+
+
+def test_a_word_kind_must_agree_with_its_generators():
+    ledger = FactLedger()
+    ledger.declare_character("c", order=1)
+    ledger.declare_character("eta", kind="cubic")
+    with pytest.raises(LedgerError, match="c cannot be declared non-real: it is trivial"):
+        ledger.declare_word_kind(CharWord.gen("c"), "non-real")
+    with pytest.raises(LedgerError, match="eta cannot be declared quadratic: it is cubic"):
+        ledger.declare_word_kind(CharWord.gen("eta"), "quadratic")
+    assert ledger._word_kinds == {}
+    ledger.declare_word_kind(CharWord.gen("c", 5), "trivial")
+    ledger.declare_word_kind(CharWord.gen("eta"), "cubic")
+    ledger.declare_word_kind(CharWord.gen("eta", 2), "cubic")  # eta^2 is not forced
+    assert ledger.word_kind(CharWord.gen("eta", 2)) == "cubic"
+
+
+def _keyed_by_chi(ledger, p, q):
+    chi = CharWord.gen("chi")
+    return {
+        "true fact": lambda: ledger.assert_equiv(Constituent(p, chi**3), Constituent(q), True),
+        "false fact": lambda: ledger.assert_equiv(Constituent(p, chi**3), Constituent(p), False),
+        "self-duality": lambda: ledger.declare_self_dual(Constituent(p, chi), True),
+        "word kind": lambda: ledger.declare_word_kind(chi**3, "cubic"),
+    }
+
+
+@pytest.mark.parametrize("entry", ["true fact", "false fact", "self-duality", "word kind"])
+def test_an_order_after_an_entry_keyed_by_its_generator_is_refused(entry):
+    ledger, p, q = fresh("general", "general")
+    _keyed_by_chi(ledger, p, q)[entry]()
+    before = (dict(ledger.characters), dict(ledger._orders))
+    # an order 3 would leave p ~ q undetermined after the true fact, and
+    # make p*chi^3 ~ p true against the false one
+    queries = [
+        (Constituent(p), Constituent(q)),
+        (Constituent(p, CharWord.gen("chi", 3)), Constituent(p)),
+    ]
+    verdicts = [ledger.equivalent(*pair) for pair in queries]
+    for info in ({"order": 3}, {"kind": "cubic"}, {"kind": "non-real"}):
+        with pytest.raises(LedgerError, match="declare character chi before"):
+            ledger.declare_character("chi", **info)
+    assert (dict(ledger.characters), dict(ledger._orders)) == before
+    assert [ledger.equivalent(*pair) for pair in queries] == verdicts
+    ledger.declare_character("chi")  # neither order nor kind: nothing was reduced without it
+    ledger.declare_character("nu", order=3)  # a generator no entry mentions
+
+
+def test_a_base_companion_after_an_entry_keyed_by_it_is_refused():
+    ledger, p, _ = fresh("general", "general")
+    ledger.declare_word_kind(CharWord.gen("eta(t)", 3), "trivial")
+    with pytest.raises(LedgerError, match=r"declare character eta\(t\) before"):
+        ledger.declare_base("t", "tetrahedral")
+    assert "t" not in ledger.bases and "eta(t)" not in ledger.characters
+
+
 # -- the finite-model pole check ---------------------------------------------
 
 

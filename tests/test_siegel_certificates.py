@@ -136,12 +136,29 @@ SCAN_0_400 = {
 }
 
 
-@pytest.mark.parametrize("flags", sorted(SCAN_0_400), ids=["text", "json"])
-def test_scan_output_is_pinned(flags):
+# the same for `icosym siegel --scan 0..2000`, recorded while each power was
+# still built by a fresh recursion from sym^0
+SCAN_0_2000 = {
+    (): "feed76dd3e3a0aad7a9747fe64656136edf7e5823a1d09489213851659f2e418",
+    ("--json",): "d5fe7436e257b45a1c7330e786294fd5ee75596a739e8bf380051f45f4d891b5",
+}
+
+
+def scan_digest(top, flags):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cmd_dispatch(["siegel", "--scan", "0..400", *flags]) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SCAN_0_400[flags]
+        assert cmd_dispatch(["siegel", "--scan", f"0..{top}", *flags]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("flags", sorted(SCAN_0_400), ids=["text", "json"])
+def test_scan_output_is_pinned(flags):
+    assert scan_digest(400, flags) == SCAN_0_400[flags]
+
+
+@pytest.mark.parametrize("flags", sorted(SCAN_0_2000), ids=["text", "json"])
+def test_long_scan_output_is_pinned(flags):
+    assert scan_digest(2000, flags) == SCAN_0_2000[flags]
 
 
 @pytest.mark.parametrize("chi", [None, CharWord.of({"chi": 1, "nu": 2})], ids=["chi", "chi*nu^2"])
