@@ -322,7 +322,7 @@ def cmd_siegel(args) -> int:
         from .factsfile import FactsError, load_facts_file, siegel_inputs
 
         # the ledger is complete before any query: the standard pair when
-        # the file tags no base, and the default twist chi
+        # the file tags no base, and the default twist chi when it names none
         ledger, doc = load_facts_file(args.facts)
         p, chi = siegel_inputs(ledger, doc)
         if p is None:
@@ -333,7 +333,8 @@ def cmd_siegel(args) -> int:
                         f"added to it, but the name {name} is taken"
                     )
             ledger, p, _ = standard_context(ledger)
-        ledger.declare_character("chi")
+        if chi is None:
+            ledger.declare_character("chi")
     if args.m is not None:
         reports = [siegel_report(args.m, p, chi, ledger)]
     else:

@@ -55,11 +55,13 @@ from .isobaric import (
     CharWord,
     Constituent,
     FactLedger,
+    _KIND_ORDERS,
     ad,
     sym_cusp,
 )
 
-_KINDS = ("trivial", "quadratic", "cubic", "non-real")
+# the ledger's kinds; a tuple, whose membership test takes an unhashable JSON value too
+_KINDS = tuple(_KIND_ORDERS)
 _RELATIONS = ("equiv", "twist-equiv-by")
 
 
@@ -242,6 +244,7 @@ def load_facts(doc: dict) -> FactLedger:
         _require(isinstance(properties, list), where, "properties must be a list")
         for prop in properties:
             _require(prop in _KINDS, where, "unknown property {!r}", prop)
+            _require(kind in (None, prop), where, "properties name two kinds, {} and {}", kind, prop)
             kind = prop
         ledger.declare_character(name, order=order, kind=kind)
 

@@ -239,7 +239,8 @@ class BoxCusp(Symbol):
         return self.left.degree * self.right.degree
 
     def __str__(self) -> str:
-        return f"box({self.left}, {self.right})"
+        # the factors are ordered by structure (see box_cusp) and printed in text order
+        return "box({}, {})".format(*sorted((str(self.left), str(self.right))))
 
 
 class InducedCusp(Symbol):
@@ -276,8 +277,23 @@ def sym_cusp(base: BaseCusp, n: int) -> Core | None:
 
 
 def box_cusp(left: Core, right: Core) -> BoxCusp:
-    a, b = sorted((left, right), key=str)
+    a, b = sorted((left, right), key=_order)
     return BoxCusp(a, b)
+
+
+def _order(core: Core | None) -> tuple:
+    """A sort key read off the structure, never the text: the base name and
+    symmetric power (a base is its own first power), then box factors, then
+    induced data; no core (a character) sorts first."""
+    if core is None:
+        return ()
+    if isinstance(core, BaseCusp):
+        return 0, core.name, 1
+    if isinstance(core, SymCusp):
+        return 0, core.base.name, core.n
+    if isinstance(core, BoxCusp):
+        return 1, _order(core.left), _order(core.right)
+    return 2, core.extension, core.char, core.char_exp, core.self_dual
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +348,8 @@ class IsobaricExpr(Record):
                 raise ValueError("negative multiplicity")
             if m:
                 merged[c] = merged.get(c, 0) + m
-        return cls(tuple(sorted(merged.items(), key=lambda t: str(t[0]))))
+        terms = sorted(merged.items(), key=lambda t: (_order(t[0].core), t[0].twist.word))
+        return cls(tuple(terms))
 
     @classmethod
     def single(cls, c: Constituent, mult: int = 1) -> "IsobaricExpr":
@@ -412,18 +429,29 @@ def _expand_pair(c1: Constituent, c2: Constituent) -> list[Constituent]:
 # the fact ledger
 
 
-_KIND_ORDERS = {"trivial": 1, "quadratic": 2, "cubic": 3}
+# the kinds of character, each with the order it forces (non-real forces none)
+_KIND_ORDERS = {"trivial": 1, "quadratic": 2, "cubic": 3, "non-real": None}
 
 
 class CharInfo(Record):
     __slots__ = ("order", "kind")
     _defaults = dict.fromkeys(__slots__)
     order: int | None
-    kind: str | None  # trivial | quadratic | cubic | non-real | None
+    kind: str | None  # a key of _KIND_ORDERS, or None
 
 
 #: a character declared with neither order nor kind
 NO_INFO = CharInfo()
+
+
+def _order_fits_kind(info: CharInfo) -> bool:
+    """Trivial goes with order 1, quadratic with 2, cubic with 3 and
+    non-real with an order that is neither 1 nor 2; an open side fits."""
+    if info.order is None or info.kind is None:
+        return True
+    if info.kind == "non-real":
+        return info.order > 2
+    return info.order == _KIND_ORDERS[info.kind]
 
 
 def _declare(table: dict, key: Symbol, value: object, what: str) -> None:
@@ -509,6 +537,10 @@ class FactLedger:
                 raise LedgerError(f"character {name} redeclared as {info}, was {known}")
             if info.order is not None and info.order < 1:
                 raise LedgerError(f"character {name} declared with order {info.order}")
+            if info.kind is not None and info.kind not in _KIND_ORDERS:
+                raise LedgerError(f"character {name}: unknown kind {info.kind!r}")
+            if not _order_fits_kind(info):
+                raise LedgerError(f"character {name} of order {info.order} cannot be {info.kind}")
             if name in self.bases:
                 raise LedgerError(f"{name} is declared as a base, not a character")
             if info != NO_INFO and known is None and name in self._mentioned():
@@ -655,15 +687,27 @@ class FactLedger:
         return c if twist is c.twist else Constituent(c.core, twist)
 
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
+        """Refused when the two sides cannot have the asserted truth: a false
+        fact between sides equal after reduction, a true one between sides
+        that :meth:`_mismatch` keeps apart or between two characters whose
+        quotient has a forced kind other than trivial."""
         k1, k2 = self._canon(c1), self._canon(c2)
+        key = frozenset((k1, k2))
+        if not truth and len(key) == 1:
+            raise LedgerError(f"{c1} ~ {c2} cannot be declared false: both sides reduce to {k1}")
         mismatch = self._mismatch(k1, k2) if truth else None
+        if truth and k1.core is None and k2.core is None:
+            quotient = (k1.twist * k2.twist.inv()).reduce(self._orders)
+            # a word and its inverse are of one kind: eta^2 is cubic as eta^-2 = eta is
+            kind = self.forced_word_kind(quotient) or self.forced_word_kind(quotient.inv())
+            if kind not in (None, "trivial"):
+                mismatch = ("their quotient {} is {}", quotient, kind)
         if mismatch:
             raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(mismatch)}")
-        key = frozenset((k1, k2))
         if key in self._facts and self._facts[key] != truth:
+            first, second = sorted(map(str, (k1, k2)))
             raise LedgerError(
-                f"contradictory assertions for {set(map(str, key))}: "
-                f"{self._facts[key]} vs {truth}"
+                f"contradictory assertions for {first} ~ {second}: {self._facts[key]} vs {truth}"
             )
         self._facts[key] = truth
 
@@ -758,18 +802,6 @@ class FactLedger:
                 cf = image[0]
             total = total + m * cf
         return total
-
-    def char_is_trivial(self, word: CharWord) -> bool:
-        """Generically: trivial iff the word reduces to the empty word."""
-        reduced = word.reduce(self._orders)
-        if reduced.is_empty():
-            return True
-        for name, _ in reduced.word:
-            if self.characters.get(name, NO_INFO).kind == "trivial":
-                # a declared-trivial generator cannot block nontriviality
-                continue
-            return False
-        return True
 
 
 # --------------------------------------------------------------------------
@@ -970,19 +1002,11 @@ def a4(p: BaseCusp, ledger: FactLedger) -> IsobaricExpr:
         raise LedgerError(f"declare the type of {p.name} before lifting")
     if p.typ == "tetrahedral":
         eta = CharWord.gen(p.cubic_char)
-        return (
-            IsobaricExpr.single(ad(p))
-            + IsobaricExpr.single(character(eta))
-            + IsobaricExpr.single(character(eta**2))
-        )
+        return IsobaricExpr.of([(ad(p), 1), (character(eta), 1), (character(eta**2), 1)])
     if p.typ == "octahedral":
         mu = CharWord.gen(p.quadratic_char)
-        complement = Constituent(
-            InducedCusp(p.induced_field, p.induced_char, self_dual=True)
-        )
-        return IsobaricExpr.single(ad(p).twisted(mu)) + IsobaricExpr.single(
-            complement
-        )
+        complement = Constituent(InducedCusp(p.induced_field, p.induced_char, self_dual=True))
+        return IsobaricExpr.of([(ad(p).twisted(mu), 1), (complement, 1)])
     return IsobaricExpr.single(
         Constituent(SymCusp(p, 4), CharWord.gen(p.omega, -2))
     )
@@ -1034,15 +1058,11 @@ def decide_cuspidality(
     """
     route = "structural"
     if p.typ == "abstract":
-        return Verdict(
-            "undetermined", route, missing=(f"declare the type of {p.name}",)
-        )
+        return _undeclared_type(route, p.name)
     if p.typ == "dihedral":
         return _decide_dihedral_case(p, p_prime, ledger, route)
     if p_prime.typ == "abstract":
-        return Verdict(
-            "undetermined", route, missing=(f"declare the type of {p_prime.name}",)
-        )
+        return _undeclared_type(route, p_prime.name)
     if p_prime.typ == "dihedral":
         return Verdict(
             "not-cuspidal",
@@ -1050,33 +1070,35 @@ def decide_cuspidality(
             witnesses=(f"sym^2({p_prime.name}) is not cuspidal (dihedral)",),
         )
 
-    ad_eq, ad_reason = ledger.equivalent(ad(p), ad(p_prime))
-    if p_prime.typ == "octahedral":
-        mu = CharWord.gen(p_prime.quadratic_char)
-        mu_eq, mu_reason = ledger.equivalent(ad(p), ad(p_prime).twisted(mu))
-        if ad_eq is True and mu_eq is True:
-            raise LedgerError(
-                "inconsistent ledger: both adjoint facts true would force a "
-                f"quadratic self-twist on Ad({p_prime.name}), impossible for an "
-                "octahedral (non-dihedral) base"
-            )
-        if ad_eq is True or mu_eq is True:
-            reason = ad_reason if ad_eq else mu_reason
-            return Verdict("not-cuspidal", route, witnesses=(reason,))
-        if ad_eq is False and mu_eq is False:
-            return Verdict(
-                "cuspidal", route, witnesses=(ad_reason, mu_reason)
-            )
-        missing = tuple(
-            r for v, r in ((ad_eq, ad_reason), (mu_eq, mu_reason)) if v is None
+    same_ad = ledger.equivalent(ad(p), ad(p_prime))
+    if p_prime.typ != "octahedral":
+        return _by_equivalence(route, same_ad)
+    mu = CharWord.gen(p_prime.quadratic_char)
+    twisted_ad = ledger.equivalent(ad(p), ad(p_prime).twisted(mu))
+    if same_ad[0] is True and twisted_ad[0] is True:
+        raise LedgerError(
+            "inconsistent ledger: both adjoint facts true would force a "
+            f"quadratic self-twist on Ad({p_prime.name}), impossible for an "
+            "octahedral (non-dihedral) base"
         )
-        return Verdict("undetermined", route, missing=missing)
+    return _by_equivalence(route, same_ad, twisted_ad)
 
-    if ad_eq is True:
-        return Verdict("not-cuspidal", route, witnesses=(ad_reason,))
-    if ad_eq is False:
-        return Verdict("cuspidal", route, witnesses=(ad_reason,))
-    return Verdict("undetermined", route, missing=(ad_reason,))
+
+def _by_equivalence(route: str, *checks: tuple[bool | None, str]) -> Verdict:
+    """The product is not cuspidal iff one of the equivalences holds: the
+    first that holds is the witness, every open one is missing, and with
+    none holding nor open all are witnesses of cuspidality."""
+    for verdict, reason in checks:
+        if verdict is True:
+            return Verdict("not-cuspidal", route, witnesses=(reason,))
+    missing = tuple(reason for verdict, reason in checks if verdict is None)
+    if missing:
+        return Verdict("undetermined", route, missing=missing)
+    return Verdict("cuspidal", route, witnesses=tuple(reason for _, reason in checks))
+
+
+def _undeclared_type(route: str, name: str) -> Verdict:
+    return Verdict("undetermined", route, missing=(f"declare the type of {name}",))
 
 
 def _decide_dihedral_case(
@@ -1097,19 +1119,9 @@ def _decide_dihedral_case(
             witnesses=(f"{bc.name} (base change to {ext}) is dihedral",),
         )
     if bc.typ == "abstract":
-        return Verdict(
-            "undetermined",
-            route,
-            missing=(f"declare the type of the base change {bc.name}",),
-        )
+        return _undeclared_type(route, f"the base change {bc.name}")
     sym2_bc = Constituent(SymCusp(bc, 2))
-    twist = _mackey_twist(p)
-    self_twist, reason = ledger.equivalent(sym2_bc, sym2_bc.twisted(twist))
-    if self_twist is True:
-        return Verdict("not-cuspidal", route, witnesses=(reason,))
-    if self_twist is False:
-        return Verdict("cuspidal", route, witnesses=(reason,))
-    return Verdict("undetermined", route, missing=(reason,))
+    return _by_equivalence(route, ledger.equivalent(sym2_bc, sym2_bc.twisted(_mackey_twist(p))))
 
 
 def decide_cuspidality_via_poles(
@@ -1129,53 +1141,30 @@ def decide_cuspidality_via_poles(
                 f"{base.name} is dihedral; pole counting needs non-dihedral bases"
             )
         if base.typ == "abstract":
-            return Verdict(
-                "undetermined", route, missing=(f"declare the type of {base.name}",)
-            )
+            return _undeclared_type(route, base.name)
 
     ad_p, ad_p_prime = ad(p), IsobaricExpr.single(ad(p_prime))
     lift = a4(p_prime, ledger)
-
-    total_lo = total_hi = 1  # the zeta factor
-    witnesses = ["zeta factor contributes 1"]
-    missing: list[str] = []
-
-    def add(po: PoleOrder, label: str) -> None:
-        nonlocal total_lo, total_hi
-        total_lo += po.lo
-        total_hi += po.hi
-        missing.extend(po.missing)
-        witnesses.append(f"{label} contributes {po}")
-
-    # single factors: L(Ad p), L(Ad p'), L(a4 p') — poles only at trivial
-    # character constituents
-    for label, expr in (
-        (f"L(Ad {p.name})", IsobaricExpr.single(ad_p)),
-        (f"L(Ad {p_prime.name})", ad_p_prime),
-        (f"L(deg-5 lift of {p_prime.name})", lift),
-    ):
-        count = sum(
-            m
-            for c, m in expr.terms
-            if c.core is None and ledger.char_is_trivial(c.twist)
-        )
-        add(PoleOrder(count, count), label)
-
-    # pairings against Ad p: Ad p is self-dual, so a pole needs equivalence
-    add(
-        pole_order_pair(ad_p_prime, ad_p, ledger),
-        f"L(Ad {p.name} x Ad {p_prime.name})",
+    # a single factor has its poles at the trivial constituents; a pairing
+    # against the self-dual Ad p at the constituents equivalent to it
+    factors = (
+        ("zeta factor", PoleOrder(1, 1)),
+        (f"L(Ad {p.name})", pole_order_pair(IsobaricExpr.single(ad_p), TRIVIAL, ledger)),
+        (f"L(Ad {p_prime.name})", pole_order_pair(ad_p_prime, TRIVIAL, ledger)),
+        (f"L(deg-5 lift of {p_prime.name})", pole_order_pair(lift, TRIVIAL, ledger)),
+        (f"L(Ad {p.name} x Ad {p_prime.name})", pole_order_pair(ad_p_prime, ad_p, ledger)),
+        (f"L(Ad {p.name} x deg-5 lift)", pole_order_pair(lift, ad_p, ledger)),
     )
-    add(
-        pole_order_pair(lift, ad_p, ledger),
-        f"L(Ad {p.name} x deg-5 lift)",
+    pole = PoleOrder(
+        sum(po.lo for _, po in factors),
+        sum(po.hi for _, po in factors),
+        tuple(dict.fromkeys(reason for _, po in factors for reason in po.missing)),
     )
-
-    pole = PoleOrder(total_lo, total_hi, tuple(dict.fromkeys(missing)))
     if not pole.exact:
         return Verdict("undetermined", route, missing=pole.missing, pole=pole)
     verdict = "cuspidal" if pole.value() == 1 else "not-cuspidal"
-    return Verdict(verdict, route, witnesses=tuple(witnesses), pole=pole)
+    witnesses = tuple(f"{label} contributes {po}" for label, po in factors)
+    return Verdict(verdict, route, witnesses=witnesses, pole=pole)
 
 
 # --------------------------------------------------------------------------

@@ -300,8 +300,53 @@ class TestCuspidality:
                 "g",
                 "contradictory declarations of cuspidal for sym^7(g): True vs False",
             ),
+            (
+                {
+                    "bases": [{"name": "p", "type": "icosahedral"}],
+                    "facts": [{"lhs": "Ad(p)", "rhs": "Ad(p)", "relation": "equiv", "truth": False}],
+                },
+                "p",
+                "sym^2(p)*omega(p)^-1 ~ sym^2(p)*omega(p)^-1 cannot be declared false: "
+                "both sides reduce to sym^2(p)*omega(p)^-1",
+            ),
+            (
+                {
+                    "characters": [{"name": "chi", "order": 3}],
+                    "bases": [{"name": "p", "type": "icosahedral"}],
+                    "facts": [{"lhs": "chi^3", "rhs": "1", "relation": "equiv", "truth": False}],
+                },
+                "p",
+                "chi^3 ~ 1 cannot be declared false: both sides reduce to 1",
+            ),
+            (
+                {
+                    "bases": [{"name": "q", "type": "tetrahedral"}],
+                    "facts": [{"lhs": "eta(q)", "rhs": "1", "relation": "equiv", "truth": True}],
+                },
+                "q",
+                "eta(q) ~ 1 cannot be declared true: their quotient eta(q) is cubic",
+            ),
+            (
+                {
+                    "characters": [{"name": "chi", "order": 3, "properties": ["quadratic"]}],
+                    "bases": [{"name": "p", "type": "icosahedral"}],
+                },
+                "p",
+                "character chi of order 3 cannot be quadratic",
+            ),
+            (
+                {
+                    "characters": [{"name": "chi", "properties": ["quadratic", "non-real"]}],
+                    "bases": [{"name": "p", "type": "icosahedral"}],
+                },
+                "p",
+                "characters[0]: properties name two kinds, quadratic and non-real",
+            ),
         ],
-        ids=["tagged-tetrahedral", "cuspidal-both-ways"],
+        ids=[
+            "tagged-tetrahedral", "cuspidal-both-ways", "false-reflexive", "false-reduced",
+            "cubic-trivial", "order-against-kind", "two-kinds",
+        ],
     )
     def test_refused_declarations_exit_2(self, capsys, tmp_path, doc, base, message):
         path = tmp_path / "refused.json"
@@ -541,6 +586,37 @@ class TestSiegel:
             2, "", "error: word_kinds[0]: c cannot be declared non-real: it is trivial\n"
         )
 
+    def test_an_order_2_character_is_not_non_real_exit_2(self, capsys, tmp_path):
+        """Declared non-real, a character of order 2 would read as ruling the
+        exceptional case out, though it is real."""
+        path = tmp_path / "order2.json"
+        doc = {"characters": [{"name": "c", "order": 2, "properties": ["non-real"]}],
+               "siegel": {"chi": "c"}}
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "siegel", "--m", "0", "--facts", str(path)) == (
+            2, "", "error: character c of order 2 cannot be non-real\n"
+        )
+
+    def test_a_base_named_chi_with_another_twist(self, capsys, tmp_path):
+        """The default twist chi is declared only when the document names none."""
+        path = tmp_path / "chi_base.json"
+        doc = {
+            "bases": [{"name": "chi", "type": "icosahedral", "galois_row": "X'"}],
+            "characters": [{"name": "psi"}],
+            "siegel": {"p": "chi", "chi": "psi"},
+        }
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "siegel", "--m", "0", "--facts", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("m = 0: psi -> no-siegel-zero\n")
+        code, document, _ = run_json(capsys, "siegel", "--m", "12", "--facts", str(path))
+        assert code == 0 and document["results"]["target"] == "sym^12(chi)*psi"
+        del doc["siegel"]["chi"]
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "siegel", "--m", "0", "--facts", str(path)) == (
+            2, "", "error: chi is declared as a base, not a character\n"
+        )
+
     def test_facts_file_inputs(self, capsys, tmp_path):
         path = tmp_path / "siegel.json"
         path.write_text(
@@ -769,6 +845,26 @@ class TestDispatch:
         assert cmd_dispatch(["--help"]) == 0
         out = capsys.readouterr().out
         assert "chartab" in out
+
+    def test_a_contradiction_reads_the_same_under_any_hash_seed(self, tmp_path):
+        path = tmp_path / "contradiction.json"
+        fact = {"lhs": "Ad(pi)", "rhs": "Ad(rho)", "relation": "equiv"}
+        path.write_text(json.dumps({
+            "bases": [{"name": "pi", "type": "icosahedral"}, {"name": "rho", "type": "icosahedral"}],
+            "facts": [{**fact, "truth": True}, {**fact, "truth": False}],
+        }))
+        argv = [sys.executable, "-m", "icosym.cli", "cuspidality", "--facts", str(path),
+                "--pi", "pi", "--pi-prime", "rho"]
+        errors = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            errors.add(proc.stderr)
+        assert errors == {
+            "error: contradictory assertions for sym^2(pi)*omega(pi)^-1 ~ "
+            "sym^2(rho)*omega(rho)^-1: True vs False\n"
+        }
 
     def test_a_closed_stdout_exits_2_without_a_traceback(self):
         # the scan's JSON is far larger than a pipe buffer, so the write

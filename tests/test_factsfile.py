@@ -52,6 +52,10 @@ class TestCharacters:
         ledger = load_facts({"characters": [{"name": "nu", "properties": "non-real"}]})
         assert ledger.characters["nu"].kind == "non-real"
 
+    def test_one_kind_named_twice_is_one_kind(self):
+        ledger = load_facts({"characters": [{"name": "nu", "properties": ["cubic", "cubic"]}]})
+        assert ledger.characters["nu"].kind == "cubic"
+
     def test_unknown_property_rejected(self):
         with pytest.raises(FactsError, match="unknown property"):
             load_facts({"characters": [{"name": "chi", "properties": ["odd"]}]})
@@ -955,6 +959,14 @@ LABELLED = [
             ],
         },
         "word_kinds[1]: eta cannot be declared quadratic: it is cubic",
+    ),
+    (
+        {"characters": [{"name": "chi"}, {"name": "nu", "properties": ["quadratic", "non-real"]}]},
+        "characters[1]: properties name two kinds, quadratic and non-real",
+    ),
+    (
+        {"characters": [{"name": "nu", "properties": [[]]}]},
+        "characters[0]: unknown property []",
     ),
 ]
 

@@ -90,14 +90,18 @@ def test_a_reduced_word_and_constituent_are_returned_as_they_are():
     assert ledger._canon(unreduced) == c and ledger._canon(unreduced) is not unreduced
 
 
+def is_trivial(ledger: FactLedger, word: CharWord) -> bool | None:
+    return ledger.equivalent(character(word), TRIVIAL)[0]
+
+
 def test_char_is_trivial():
     ledger = FactLedger()
     ledger.declare_character("eta", order=3, kind="cubic")
     ledger.declare_character("chi")
-    assert ledger.char_is_trivial(CharWord.gen("eta", 3))
-    assert not ledger.char_is_trivial(CharWord.gen("eta", 2))
-    assert not ledger.char_is_trivial(CharWord.gen("chi"))
-    assert ledger.char_is_trivial(CharWord())
+    assert is_trivial(ledger, CharWord.gen("eta", 3))
+    assert not is_trivial(ledger, CharWord.gen("eta", 2))
+    assert not is_trivial(ledger, CharWord.gen("chi"))
+    assert is_trivial(ledger, CharWord())
 
 
 def test_character_declared_after_queries_is_seen():
@@ -108,7 +112,7 @@ def test_character_declared_after_queries_is_seen():
     assert ledger.equivalent(ad(p), twisted)[0] is False
     ledger.declare_character("nu", order=2)
     assert ledger.word_kind(nu2) == "trivial"
-    assert ledger.char_is_trivial(nu2)
+    assert is_trivial(ledger, nu2)
     assert ledger.equivalent(ad(p), twisted) == (True, "structural equality")
 
 
@@ -682,7 +686,7 @@ def test_a_decided_pole_order_renders_nothing(renders):
         [(ad(p), 1), (ad(q), 2), (ad(q).twisted(chi), 1), (character(chi), 1),
          (TRIVIAL, 1), (Constituent(SymCusp(p, 3)), 1)]
     )
-    renders.clear()  # building the sum orders its terms by their text
+    # building the sum orders its terms by their structure, not their text
     po = pole_order(expr, ledger)
     assert (po.lo, po.hi, po.missing) == (11, 11, ())
     assert pole_order_pair(expr, ad(p), ledger) == PoleOrder(2, 2)
@@ -733,6 +737,105 @@ def test_a_refused_true_fact_names_its_mismatch(lhs, rhs, message):
     with pytest.raises(LedgerError) as err:
         ledger.assert_equiv(lhs(p, p_tau), rhs(p, p_tau), True)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, message",
+    [
+        (lambda p, chi: ad(p), lambda p, chi: ad(p),
+         "sym^2(p)*omega(p)^-1 ~ sym^2(p)*omega(p)^-1 cannot be declared false: "
+         "both sides reduce to sym^2(p)*omega(p)^-1"),
+        (lambda p, chi: character(chi**3), lambda p, chi: TRIVIAL,
+         "chi^3 ~ 1 cannot be declared false: both sides reduce to 1"),
+        (lambda p, chi: Constituent(p, chi**4), lambda p, chi: Constituent(p, chi),
+         "p*chi^4 ~ p*chi cannot be declared false: both sides reduce to p*chi"),
+    ],
+    ids=["adjoint", "character", "twist"],
+)
+def test_a_false_fact_between_equal_sides_is_refused(lhs, rhs, message):
+    """Such a fact would make Ad(p) inequivalent to itself, and pi box
+    sym^2(pi) read as cuspidal on both routes."""
+    ledger, p, _ = fresh()
+    ledger.declare_character("chi", order=3)
+    chi = CharWord.gen("chi")
+    with pytest.raises(LedgerError) as err:
+        ledger.assert_equiv(lhs(p, chi), rhs(p, chi), False)
+    assert str(err.value) == message
+    assert ledger._facts == {}
+    ledger.assert_equiv(lhs(p, chi), rhs(p, chi), True)
+    assert decide_cuspidality(p, p, ledger).verdict == "not-cuspidal"
+
+
+ETA = CharWord.gen("eta(q)")
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, message",
+    [
+        (ETA, CharWord(), "eta(q) ~ 1 cannot be declared true: their quotient eta(q) is cubic"),
+        (ETA**2, CharWord(),
+         "eta(q)^2 ~ 1 cannot be declared true: their quotient eta(q)^2 is cubic"),
+        (CharWord(), ETA**2,
+         "1 ~ eta(q)^2 cannot be declared true: their quotient eta(q) is cubic"),
+        (ETA, ETA**2, "eta(q) ~ eta(q)^2 cannot be declared true: "
+         "their quotient eta(q)^2 is cubic"),
+        (CharWord.gen("mu"), CharWord(),
+         "mu ~ 1 cannot be declared true: their quotient mu is quadratic"),
+        (CharWord.gen("nu", -1), CharWord(),
+         "nu^-1 ~ 1 cannot be declared true: their quotient nu^-1 is non-real"),
+    ],
+    ids=["eta", "eta^2", "eta^-1", "eta vs eta^2", "quadratic", "non-real"],
+)
+def test_a_true_character_fact_against_a_forced_kind_is_refused(lhs, rhs, message):
+    """Otherwise a cubic character of the degree-5 lift could be declared
+    trivial, and the pole route would count a pole the type rules out."""
+    ledger, _, _ = fresh("icosahedral", "tetrahedral")
+    ledger.declare_character("mu", kind="quadratic")
+    ledger.declare_character("nu", kind="non-real")
+    with pytest.raises(LedgerError) as err:
+        ledger.assert_equiv(character(lhs), character(rhs), True)
+    assert str(err.value) == message
+    assert ledger._facts == {}
+
+
+def test_a_character_made_trivial_by_a_fact_is_a_pole():
+    ledger = FactLedger()
+    ledger.declare_character("chi")
+    chi = character(CharWord.gen("chi"))
+    ledger.assert_equiv(chi, TRIVIAL, True)
+    assert pole_order_pair(IsobaricExpr.of([(chi, 2), (TRIVIAL, 1)]), TRIVIAL, ledger) == (
+        PoleOrder(3, 3)
+    )
+
+
+@pytest.mark.parametrize(
+    "info, message",
+    [
+        ({"kind": "real"}, "character c: unknown kind 'real'"),
+        ({"order": 3, "kind": "quadratic"}, "character c of order 3 cannot be quadratic"),
+        ({"order": 1, "kind": "cubic"}, "character c of order 1 cannot be cubic"),
+        ({"order": 3, "kind": "trivial"}, "character c of order 3 cannot be trivial"),
+        ({"order": 2, "kind": "non-real"}, "character c of order 2 cannot be non-real"),
+        ({"order": 1, "kind": "non-real"}, "character c of order 1 cannot be non-real"),
+    ],
+)
+def test_a_kind_must_be_known_and_agree_with_the_order(info, message):
+    ledger = FactLedger()
+    with pytest.raises(LedgerError) as err:
+        ledger.declare_character("c", **info)
+    assert str(err.value) == message
+    assert ledger.characters == {} and ledger._orders == {}
+
+
+@pytest.mark.parametrize(
+    "order, kind",
+    [(1, "trivial"), (2, "quadratic"), (3, "cubic"), (3, "non-real"), (5, "non-real"),
+     (None, "cubic"), (None, "non-real"), (4, None)],
+)
+def test_an_order_that_fits_its_kind_is_accepted(order, kind):
+    ledger = FactLedger()
+    ledger.declare_character("c", order=order, kind=kind)
+    assert ledger.characters["c"].kind == kind
 
 
 # -- words keyed before their generators' orders -------------------------------
@@ -833,7 +936,7 @@ def test_lift_tetrahedral_splits():
     assert len(chars) == 2
     eta = CharWord.gen(p.cubic_char)
     assert {c.twist for c in chars} == {eta, eta**2}
-    assert not any(ledger.char_is_trivial(c.twist) for c in chars)
+    assert not any(is_trivial(ledger, c.twist) for c in chars)
     assert (ad(p), 1) in e.terms
 
 
