@@ -36,10 +36,9 @@ class Record:
     The constructor takes the fields in slot order, by position or keyword;
     ``_defaults`` maps each of the last fields to the value it takes when
     omitted.  Two records are equal when they have the same type and equal
-    fields, and hash alike then; a subclass declared with ``compare=(...)``
-    compares and hashes only those fields.  Setting or deleting an
-    attribute raises AttributeError; ``copy``, ``deepcopy`` and ``pickle``
-    rebuild through the constructor.
+    fields, and hash alike then.  Setting or deleting an attribute raises
+    AttributeError; ``copy``, ``deepcopy`` and ``pickle`` rebuild through
+    the constructor.
 
     The ledger's symbols, the tower's class functions and the irreducibles
     that ``irreps`` lists are built by the thousand per query, and this
@@ -52,11 +51,11 @@ class Record:
     __slots__ = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, compare: tuple[str, ...] | None = None) -> None:
+    def __init_subclass__(cls) -> None:
         names = cls.__slots__
-        # C-level helpers per class: one getter of the compared fields, read
-        # in one call, and each slot's own setter, which skips __setattr__
-        cls._key = attrgetter(*(names if compare is None else compare))
+        # C-level helpers per class: one getter of the fields, read in one
+        # call, and each slot's own setter, which skips __setattr__
+        cls._key = attrgetter(*names)
         cls._setters = tuple(cls.__dict__[name].__set__ for name in names)
         if set(names[len(names) - len(cls._defaults):]) != cls._defaults.keys():
             raise TypeError(f"{cls.__qualname__}: the fields with defaults must come last")
@@ -166,7 +165,6 @@ _EXPORTS = {
     ),
     "factsfile": ("FactsError", "load_facts", "load_facts_file"),
     "repexpr": ("DimensionError", "ParseError", "evaluate", "parse", "render"),
-    "report": ("CheckResult", "all_passed", "format_report"),
     "scalar": ("GOLDEN", "GOLDEN_CONJ", "SQRT5", "Qsqrt5"),
     "siegel": (
         "LFactorization",
@@ -177,7 +175,7 @@ _EXPORTS = {
         "siegel_report",
         "siegel_scan",
     ),
-    "verify": ("verify_all",),
+    "verify": ("CheckResult", "all_passed", "format_report", "verify_all"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

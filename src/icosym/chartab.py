@@ -31,14 +31,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import Record, _set
 from .group import GroupTable, build_sl2f5
-from .scalar import GOLDEN, GOLDEN_CONJ, ONE, ZERO, Qsqrt5
-
-if TYPE_CHECKING:  # only the verify_* methods build check results
-    from .report import CheckResult
+from .scalar import GOLDEN, GOLDEN_CONJ, Qsqrt5
 
 IRREP_NAMES: tuple[str, ...] = ("U", "V", "W", "X1", "X2", "W'", "W''", "X'", "X''")
 
@@ -271,123 +268,6 @@ class CharacterTable:
     def galois_tau(self, f: ClassFunction) -> ClassFunction:
         """Entrywise sqrt(5) -> -sqrt(5)."""
         return ClassFunction(tuple(v.conj() for v in f.values))
-
-    # -- verification -------------------------------------------------------
-
-    def verify_table(self) -> list[CheckResult]:
-        """Orthogonality, degrees, class data and Galois pairing, all exact."""
-        from .report import CheckResult
-
-        out: list[CheckResult] = []
-
-        bad = [
-            (a, b)
-            for i, a in enumerate(IRREP_NAMES)
-            for b in IRREP_NAMES[i:]
-            if self.inner_product(self.row(a), self.row(b))
-            != (ONE if a == b else ZERO)
-        ]
-        out.append(
-            CheckResult(
-                "row-orthonormality",
-                not bad,
-                "45 pairs" if not bad else f"failing pairs: {bad}",
-            )
-        )
-
-        dims_ok = all(self.row(n).dim().is_integer() for n in IRREP_NAMES)
-        total = sum(self.dim(n) ** 2 for n in IRREP_NAMES) if dims_ok else -1
-        out.append(
-            CheckResult(
-                "degree-sum",
-                dims_ok and total == self.group.order,
-                f"sum of squared degrees = {total}",
-            )
-        )
-
-        col_bad = []
-        for i in range(N_CLASSES):
-            for j in range(i, N_CLASSES):
-                s = ZERO
-                for name in IRREP_NAMES:
-                    row = self.row(name)
-                    s = s + row[i] * row[j]
-                want = (
-                    Qsqrt5(self.group.order) / self.sizes[i] if i == j else ZERO
-                )
-                if s != want:
-                    col_bad.append((i, j))
-        out.append(
-            CheckResult(
-                "column-orthogonality",
-                not col_bad,
-                "45 pairs" if not col_bad else f"failing columns: {col_bad}",
-            )
-        )
-
-        swaps_ok = all(
-            self.galois_tau(self.row(a)) == self.row(GALOIS_SWAPS.get(a, a))
-            for a in IRREP_NAMES
-        )
-        out.append(
-            CheckResult(
-                "galois-pairing",
-                swaps_ok,
-                "tau swaps W'<->W'' and X'<->X'', fixes the rational rows",
-            )
-        )
-
-        sizes_ok = list(self.sizes) == [1, 1, 12, 12, 12, 12, 30, 20, 20]
-        out.append(CheckResult("class-sizes", sizes_ok, f"sizes {list(self.sizes)}"))
-
-        duals_ok = all(self.dual(self.row(n)) == self.row(n) for n in IRREP_NAMES)
-        out.append(
-            CheckResult("self-duality", duals_ok, "every class is self-inverse")
-        )
-        return out
-
-    def verify_section1_identities(self) -> list[CheckResult]:
-        """The tensor/symmetric-power identities tying the nine rows together.
-
-        Eleven identities; the two double ones compare several left sides
-        against a single decomposition.
-        """
-        from .report import CheckResult
-
-        checks: list[tuple[str, list[ClassFunction], dict[str, int]]] = [
-            ("sym^2(X') = W'", [self.sym_power("X'", 2)], {"W'": 1}),
-            ("sym^2(X'') = W''", [self.sym_power("X''", 2)], {"W''": 1}),
-            ("sym^3(X') = X1", [self.sym_power("X'", 3)], {"X1": 1}),
-            ("sym^3(X'') = X1", [self.sym_power("X''", 3)], {"X1": 1}),
-            ("sym^4(X') = V", [self.sym_power("X'", 4)], {"V": 1}),
-            ("sym^4(X'') = V", [self.sym_power("X''", 4)], {"V": 1}),
-            ("X' * X'' = X2", [self.row("X'") * self.row("X''")], {"X2": 1}),
-            (
-                "sym^5(X') = W = sym^5(X'')",
-                [self.sym_power("X'", 5), self.sym_power("X''", 5)],
-                {"W": 1},
-            ),
-            (
-                "W' * X'' = W = W'' * X'",
-                [self.row("W'") * self.row("X''"), self.row("W''") * self.row("X'")],
-                {"W": 1},
-            ),
-            ("sym^6(X') = W'' + X2", [self.sym_power("X'", 6)], {"W''": 1, "X2": 1}),
-            ("sym^7(X') = X'' + W", [self.sym_power("X'", 7)], {"X''": 1, "W": 1}),
-        ]
-        out = []
-        for name, sides, want in checks:
-            gots = [self._safe_decompose(f) for f in sides]
-            ok = all(g == want for g in gots)
-            detail = f"got {gots[0]}" if len(gots) == 1 else f"got {gots}"
-            out.append(CheckResult(name, ok, detail))
-        return out
-
-    def _safe_decompose(self, f: ClassFunction) -> dict[str, int] | str:
-        try:
-            return self.decompose(f)
-        except NotACharacterError as err:
-            return str(err)
 
 
 @lru_cache(maxsize=1)

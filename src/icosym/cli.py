@@ -89,8 +89,7 @@ def cmd_chartab(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .report import all_passed, format_report
-    from .verify import VERIFY_SECTIONS, verify_all
+    from .verify import VERIFY_SECTIONS, all_passed, format_report, verify_all
 
     if args.target == "all":
         sections = verify_all()
@@ -283,7 +282,7 @@ def cmd_cuspidality(args) -> int:
         for verdict in filter(None, (structural, pole)):
             line = f"  [{verdict.route}] {verdict.verdict}"
             if verdict.pole is not None:
-                line += f" (pole order {verdict.pole.value() if verdict.pole.exact else verdict.pole})"
+                line += f" (pole order {verdict.pole})"
             print(line)
             for w in verdict.witnesses:
                 print(f"      because {w}")

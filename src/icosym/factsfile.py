@@ -251,20 +251,8 @@ def load_facts(doc: dict) -> FactLedger:
     for where, entry in _entries(doc, "bases"):
         name = _str_field(entry, "name", where)
         typ = _str_field(entry, "type", where)
-        tags = {
-            key: entry[key]
-            for key in (
-                "omega",
-                "dihedral_field",
-                "dihedral_char",
-                "cubic_char",
-                "quadratic_char",
-                "induced_field",
-                "induced_char",
-                "galois_row",
-            )
-            if key in entry
-        }
+        # a base's tags are its fields after the name and type
+        tags = {key: entry[key] for key in BaseCusp.__slots__[2:] if key in entry}
         for key, value in tags.items():
             # the ledger checks galois_row against the table rows itself
             _require(
@@ -363,11 +351,8 @@ def siegel_inputs(ledger: FactLedger, doc: dict):
     if "p" in config:
         p = ledger.bases[config["p"]]
     else:
-        tagged = [
-            b
-            for b in ledger.bases.values()
-            if b.typ == "icosahedral" and b.galois_row in ("X'", "X''")
-        ]
+        # declare_base tags only an icosahedral base, and only with X' or X''
+        tagged = [b for b in ledger.bases.values() if b.galois_row is not None]
         if len(tagged) == 1:
             p = tagged[0]
         elif len(tagged) > 1:

@@ -20,7 +20,6 @@ from functools import cache
 
 from . import Record, _set
 from .chartab import IRREP_NAMES, default_table
-from .report import CheckResult
 
 
 class IcoIrrep(Record):
@@ -87,7 +86,7 @@ def twist_equivalent(r1: IcoIrrep, r2: IcoIrrep, m: int) -> bool:
 
 def dual_irrep(r: IcoIrrep, m: int) -> IcoIrrep:
     """Rows are self-dual (the ``self-duality`` check of
-    :meth:`CharacterTable.verify_table`), so duality only negates the
+    :func:`icosym.verify.verify_table`), so duality only negates the
     exponent."""
     validate_irrep(r, m)
     return IcoIrrep(r.base, (-r.exponent) % (2 * m))
@@ -162,99 +161,3 @@ def generator_family(m: int) -> dict[str, IcoIrrep]:
         "sym^4(Lam)": single(sym_power_irrep(lam, 4, m), "sym^4(Lam)"),
         "sym^5(Lam)": single(sym_power_irrep(lam, 5, m), "sym^5(Lam)"),
     }
-
-
-def verify_generators(m: int) -> list[CheckResult]:
-    """Counts, twist classes and the generator family for center order 2m."""
-    out: list[CheckResult] = []
-    irreps = classify_irreps(m)
-
-    out.append(
-        CheckResult(
-            f"m={m}: irrep count",
-            len(irreps) == 9 * m,
-            f"{len(irreps)} irreducibles (want {9 * m})",
-        )
-    )
-
-    by_row: dict[str, int] = {}
-    for r in irreps:
-        by_row[r.base] = by_row.get(r.base, 0) + 1
-    out.append(
-        CheckResult(
-            f"m={m}: twist classes",
-            set(by_row) == set(IRREP_NAMES) and set(by_row.values()) == {m},
-            f"9 rows x {m} exponents",
-        )
-    )
-
-    total = sum(dim_irrep(r) ** 2 for r in irreps)
-    out.append(
-        CheckResult(
-            f"m={m}: degree sum",
-            total == 120 * m,
-            f"sum of squared degrees = {total} (want {120 * m})",
-        )
-    )
-
-    try:
-        gens = generator_family(m)
-        bases = sorted(g.base for g in gens.values())
-        distinct = bases == sorted(IRREP_NAMES)
-        out.append(
-            CheckResult(
-                f"m={m}: generator family",
-                distinct,
-                "nine irreducible generators in pairwise distinct rows",
-            )
-        )
-        covered = all(
-            any(r.base == g.base for g in gens.values()) for r in irreps
-        )
-        out.append(
-            CheckResult(
-                f"m={m}: coverage",
-                covered,
-                "every irreducible twist-equivalent to exactly one generator",
-            )
-        )
-    except RuntimeError as err:
-        out.append(CheckResult(f"m={m}: generator family", False, str(err)))
-
-    # equivalences among alternative realizations of the same rows
-    lam = IcoIrrep("X'", 1 % (2 * m))
-    lam_t = IcoIrrep("X''", 1 % (2 * m))
-    pairs = [
-        ("sym^3(Lam) ~ sym^3(Lam')", sym_power_irrep(lam, 3, m),
-         sym_power_irrep(lam_t, 3, m)),
-        ("sym^4(Lam) ~ sym^4(Lam')", sym_power_irrep(lam, 4, m),
-         sym_power_irrep(lam_t, 4, m)),
-        ("sym^5(Lam) ~ sym^5(Lam')", sym_power_irrep(lam, 5, m),
-         sym_power_irrep(lam_t, 5, m)),
-    ]
-    for label, left, right in pairs:
-        lrows = {r.base for r in left}
-        rrows = {r.base for r in right}
-        out.append(
-            CheckResult(
-                f"m={m}: {label}",
-                len(lrows) == 1 and lrows == rrows,
-                f"rows {sorted(lrows)} vs {sorted(rrows)}",
-            )
-        )
-
-    tab = default_table()
-    for label, left, right in [
-        ("sym^5(Lam) ~ Lam' * sym^2(Lam)", ("X'", 5), ("X''", "W'")),
-        ("sym^5(Lam) ~ Lam * sym^2(Lam')", ("X'", 5), ("X'", "W''")),
-    ]:
-        sym_rows = tab.decompose(tab.sym_power(left[0], left[1]))
-        prod_rows = tab.decompose(tab.row(right[0]) * tab.row(right[1]))
-        out.append(
-            CheckResult(
-                f"m={m}: {label}",
-                sym_rows == prod_rows and len(sym_rows) == 1,
-                f"both land in row {sorted(sym_rows)}",
-            )
-        )
-    return out

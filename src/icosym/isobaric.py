@@ -246,11 +246,10 @@ class BoxCusp(Symbol):
 class InducedCusp(Symbol):
     """A dihedral symbol induced from a character of a quadratic extension."""
 
-    __slots__ = ("extension", "char", "char_exp", "self_dual")
-    _defaults = {"char_exp": 1, "self_dual": False}
+    __slots__ = ("extension", "char", "self_dual")
+    _defaults = {"self_dual": False}
     extension: str
     char: str
-    char_exp: int
     self_dual: bool
 
     @property
@@ -258,8 +257,7 @@ class InducedCusp(Symbol):
         return 2
 
     def __str__(self) -> str:
-        suffix = "" if self.char_exp == 1 else f"^{self.char_exp}"
-        return f"Ind[{self.extension}]({self.char}{suffix})"
+        return f"Ind[{self.extension}]({self.char})"
 
 
 Core = Union[BaseCusp, SymCusp, BoxCusp, InducedCusp]
@@ -293,7 +291,7 @@ def _order(core: Core | None) -> tuple:
         return 0, core.base.name, core.n
     if isinstance(core, BoxCusp):
         return 1, _order(core.left), _order(core.right)
-    return 2, core.extension, core.char, core.char_exp, core.self_dual
+    return 2, core.extension, core.char, core.self_dual
 
 
 # --------------------------------------------------------------------------
@@ -355,17 +353,9 @@ class IsobaricExpr(Record):
     def single(cls, c: Constituent, mult: int = 1) -> "IsobaricExpr":
         return cls.of([(c, mult)])
 
-    def __add__(self, other: "IsobaricExpr") -> "IsobaricExpr":
-        if not isinstance(other, IsobaricExpr):
-            return NotImplemented
-        return IsobaricExpr.of(list(self.terms) + list(other.terms))
-
     @property
     def degree(self) -> int:
         return sum(c.degree * m for c, m in self.terms)
-
-    def twisted(self, word: CharWord) -> "IsobaricExpr":
-        return IsobaricExpr.of([(c.twisted(word), m) for c, m in self.terms])
 
     def __str__(self) -> str:
         return " + ".join(
@@ -650,7 +640,9 @@ class FactLedger:
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
         """Record what kind of character a word denotes (trivial, quadratic,
         cubic, non-real ...) beyond what its generators' orders force; a kind
-        other than the one they force is refused."""
+        other than the one they force, or one that is not a kind, is refused."""
+        if kind not in _KIND_ORDERS:
+            raise LedgerError(f"word {word}: unknown kind {kind!r}")
         key = word.reduce(self._orders)
         forced = self.forced_word_kind(key)
         if forced not in (None, kind):
@@ -690,7 +682,10 @@ class FactLedger:
         """Refused when the two sides cannot have the asserted truth: a false
         fact between sides equal after reduction, a true one between sides
         that :meth:`_mismatch` keeps apart or between two characters whose
-        quotient has a forced kind other than trivial."""
+        quotient cannot be 1.  That quotient cannot be 1 when it has a forced
+        kind other than trivial, or when it reduces to a nonzero power g^e of
+        one generator g that has a declared order (g^e is then not 1) or is
+        declared non-real with |e| = 2 (g^2 = 1 would make g real)."""
         k1, k2 = self._canon(c1), self._canon(c2)
         key = frozenset((k1, k2))
         if not truth and len(key) == 1:
@@ -702,6 +697,13 @@ class FactLedger:
             kind = self.forced_word_kind(quotient) or self.forced_word_kind(quotient.inv())
             if kind not in (None, "trivial"):
                 mismatch = ("their quotient {} is {}", quotient, kind)
+            elif len(quotient.word) == 1:
+                name, exp = quotient.word[0]
+                if name in self._orders:
+                    mismatch = ("their quotient {} is not 1: {} has order {}",
+                                quotient, name, self._orders[name])
+                elif abs(exp) == 2 and self.characters.get(name, NO_INFO).kind == "non-real":
+                    mismatch = ("their quotient {} is not 1: {} is non-real", quotient, name)
         if mismatch:
             raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(mismatch)}")
         if key in self._facts and self._facts[key] != truth:

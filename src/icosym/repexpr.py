@@ -10,8 +10,8 @@ Grammar (whitespace-insensitive)::
 ``NAME`` is one of U, V, W, X1, X2, W', W'', X', X'' (primes written as
 ASCII apostrophes).  ``*`` is the tensor product and binds tighter than the
 direct sum ``+``; ``sym^n`` demands a 2-dimensional argument, which is a
-semantic check performed at evaluation time so the parser can still build
-the tree and point at the offending spot.
+semantic check performed at evaluation time: the parser still builds the
+tree, and the error names the offending subexpression.
 """
 
 from __future__ import annotations
@@ -42,42 +42,32 @@ class DimensionError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 
-class Atom(Record, compare=("name",)):
-    __slots__ = ("name", "pos")
-    _defaults = {"pos": 0}
+class Atom(Record):
+    __slots__ = ("name",)
     name: str
-    pos: int
 
 
-class Sym(Record, compare=("n", "arg")):
-    __slots__ = ("n", "arg", "pos")
-    _defaults = {"pos": 0}
+class Sym(Record):
+    __slots__ = ("n", "arg")
     n: int
     arg: "Expr"
-    pos: int
 
 
-class Dual(Record, compare=("arg",)):
-    __slots__ = ("arg", "pos")
-    _defaults = {"pos": 0}
+class Dual(Record):
+    __slots__ = ("arg",)
     arg: "Expr"
-    pos: int
 
 
-class Tensor(Record, compare=("left", "right")):
-    __slots__ = ("left", "right", "pos")
-    _defaults = {"pos": 0}
+class Tensor(Record):
+    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
-    pos: int
 
 
-class Plus(Record, compare=("left", "right")):
-    __slots__ = ("left", "right", "pos")
-    _defaults = {"pos": 0}
+class Plus(Record):
+    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
-    pos: int
 
 
 Expr = Atom | Sym | Dual | Tensor | Plus
@@ -211,15 +201,15 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while self.peek().kind == "plus":
-            pos = self.advance().pos
-            node = Plus(node, self.term(), pos=pos)
+            self.advance()
+            node = Plus(node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.factor()
         while self.peek().kind == "star":
-            pos = self.advance().pos
-            node = Tensor(node, self.factor(), pos=pos)
+            self.advance()
+            node = Tensor(node, self.factor())
         return node
 
     def factor(self) -> Expr:
@@ -239,11 +229,11 @@ class _Parser:
                     power.pos,
                 )
             self.expect("lparen", "'(' after the power")
-            return Sym(n, self.nested(tok), pos=tok.pos)
+            return Sym(n, self.nested(tok))
         if tok.kind == "ident" and tok.text == "dual":
             self.advance()
             self.expect("lparen", "'(' after dual")
-            return Dual(self.nested(tok), pos=tok.pos)
+            return Dual(self.nested(tok))
         if tok.kind == "ident":
             if tok.text not in IRREP_NAMES:
                 raise ParseError(
@@ -253,7 +243,7 @@ class _Parser:
                     tok.pos,
                 )
             self.advance()
-            return Atom(tok.text, pos=tok.pos)
+            return Atom(tok.text)
         got = repr(tok.text) if tok.kind != "end" else "end of input"
         raise ParseError(f"expected an expression, got {got}", self.text, tok.pos)
 

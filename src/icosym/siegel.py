@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import Record
-from .chartab import ClassFunction, IRREP_NAMES
+from .chartab import IRREP_NAMES
 from .isobaric import (
     BaseCusp,
     CharWord,
@@ -53,7 +53,6 @@ from .isobaric import (
     sym_power_automorphic,
     sym_power_cuspidal,
 )
-from .report import CheckResult
 
 
 class MissingHypothesisError(LedgerError):
@@ -176,56 +175,6 @@ def expand_aux_square(
     return LFactorization(m, target, tuple(factors), k, r)
 
 
-def galois_square_accounting(m: int) -> dict[str, int]:
-    """Check the factorization against exact class-function arithmetic.
-
-    With the twists set to the trivial character and the base restricted to
-    the first 2-dimensional row, the sum of the factors' restrictions must
-    equal the square of the restriction of the auxiliary sum, and pairing
-    the square with the target row must reproduce the target exponent plus
-    the target content of the residual factors.  Returns the accounting.
-    """
-    ledger, p, _ = standard_icosahedral_pair()
-    tab = ledger.tab
-    chi = CharWord()
-    fact = expand_aux_square(m, p, chi, ledger)
-
-    def restrict(f: LFactor) -> ClassFunction:
-        if f.kind == "zeta":
-            return tab.trivial()
-        cf = ledger.galois_restriction(IsobaricExpr.single(f.parts[0]))
-        if f.kind == "pair":
-            cf = cf * ledger.galois_restriction(IsobaricExpr.single(f.parts[1]))
-        return cf
-
-    aux_cf = ledger.galois_restriction(build_auxiliary(m, p, chi, ledger))
-    square = aux_cf * aux_cf
-    total = ClassFunction.of([0] * 9)
-    for f in fact.factors:
-        total = total + f.exponent * restrict(f)
-    if total != square:
-        raise RuntimeError("factor restrictions do not sum to the square")
-
-    target_row = ledger.galois_restriction(IsobaricExpr.single(fact.target))
-    in_square = tab.inner_product(square, target_row).as_int()
-    residual = 0
-    for f in fact.factors:
-        if f.kind == "single" and f.parts == (fact.target,):
-            continue
-        residual += f.exponent * tab.inner_product(restrict(f), target_row).as_int()
-    if in_square != fact.k + residual:
-        raise RuntimeError(
-            f"target accounting failed: {in_square} != {fact.k} + {residual}"
-        )
-    return {
-        "m": m,
-        "k": fact.k,
-        "r": fact.r,
-        "target_multiplicity_in_square": in_square,
-        "target_multiplicity_in_residual_factors": residual,
-    }
-
-
 # --------------------------------------------------------------------------
 # the per-constituent rule table
 
@@ -290,21 +239,6 @@ ROW_RULES: dict[str, str] = {
     "W": "auxiliary-expansion",  # sym^5
     "X2": "rankin-selberg-pair",
 }
-
-
-def verify_rule_table() -> list[CheckResult]:
-    """Every family generator must dispatch to exactly one known rule."""
-    results = []
-    rows = sorted(ROW_RULES)
-    missing = [row for row in rows if ROW_RULES[row] not in RULES]
-    results.append(
-        CheckResult(
-            "rule-table-total",
-            len(ROW_RULES) == 9 and not missing,
-            f"9 generators, unknown rules for {missing or 'none'}",
-        )
-    )
-    return results
 
 
 # --------------------------------------------------------------------------

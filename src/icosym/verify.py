@@ -1,24 +1,37 @@
 """Regression drivers: every headline property as a named check.
 
 Each section returns a list of :class:`CheckResult` so the command line,
-the test suite, and interactive use all share one implementation.
+the test suite, and interactive use all share one implementation.  The
+checks live here, beside the result type, and not in the layers they
+check: a command that runs no check loads none of this.
 """
 
 from __future__ import annotations
 
 import random
 
-from .chartab import IRREP_NAMES, default_table
+from . import Record
+from .chartab import (
+    GALOIS_SWAPS,
+    IRREP_NAMES,
+    N_CLASSES,
+    ClassFunction,
+    NotACharacterError,
+    default_table,
+)
 from .icostruct import (
+    IcoIrrep,
     classify_irreps,
     dim_irrep,
+    generator_family,
     scan_trivial,
+    sym_power_irrep,
     twist_equivalent,
-    verify_generators,
 )
 from .isobaric import (
     CharWord,
     FactLedger,
+    IsobaricExpr,
     SymCusp,
     Verdict,
     ad,
@@ -27,25 +40,162 @@ from .isobaric import (
     galois_pole_check,
     standard_icosahedral_pair,
 )
-from .report import CheckResult
+from .scalar import ONE, ZERO, Qsqrt5
 from .siegel import (
+    RULES,
+    ROW_RULES,
+    LFactor,
+    build_auxiliary,
     expand_aux_square,
-    galois_square_accounting,
     siegel_scan,
-    verify_rule_table,
 )
 
 RANDOM_SEED = 20260819
 
 
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+    _defaults = {"detail": ""}
+    name: str
+    passed: bool
+    detail: str
+
+    def as_json(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+
+
+def all_passed(results: list[CheckResult]) -> bool:
+    return all(r.passed for r in results)
+
+
+def format_report(results: list[CheckResult]) -> str:
+    lines = []
+    for r in results:
+        mark = "ok" if r.passed else "FAIL"
+        suffix = f"  ({r.detail})" if r.detail else ""
+        lines.append(f"[{mark:>4}] {r.name}{suffix}")
+    n_bad = sum(not r.passed for r in results)
+    lines.append(
+        f"{len(results) - n_bad}/{len(results)} checks passed"
+        + (f", {n_bad} FAILED" if n_bad else "")
+    )
+    return "\n".join(lines)
+
+
 def verify_table() -> list[CheckResult]:
-    """Row/column orthogonality, dimensions, class data."""
-    return default_table().verify_table()
+    """Orthogonality, degrees, class data and Galois pairing, all exact."""
+    tab = default_table()
+    out: list[CheckResult] = []
+
+    bad = [
+        (a, b)
+        for i, a in enumerate(IRREP_NAMES)
+        for b in IRREP_NAMES[i:]
+        if tab.inner_product(tab.row(a), tab.row(b))
+        != (ONE if a == b else ZERO)
+    ]
+    out.append(
+        CheckResult(
+            "row-orthonormality",
+            not bad,
+            "45 pairs" if not bad else f"failing pairs: {bad}",
+        )
+    )
+
+    dims_ok = all(tab.row(n).dim().is_integer() for n in IRREP_NAMES)
+    total = sum(tab.dim(n) ** 2 for n in IRREP_NAMES) if dims_ok else -1
+    out.append(
+        CheckResult(
+            "degree-sum",
+            dims_ok and total == tab.group.order,
+            f"sum of squared degrees = {total}",
+        )
+    )
+
+    col_bad = []
+    for i in range(N_CLASSES):
+        for j in range(i, N_CLASSES):
+            s = ZERO
+            for name in IRREP_NAMES:
+                row = tab.row(name)
+                s = s + row[i] * row[j]
+            want = (
+                Qsqrt5(tab.group.order) / tab.sizes[i] if i == j else ZERO
+            )
+            if s != want:
+                col_bad.append((i, j))
+    out.append(
+        CheckResult(
+            "column-orthogonality",
+            not col_bad,
+            "45 pairs" if not col_bad else f"failing columns: {col_bad}",
+        )
+    )
+
+    swaps_ok = all(
+        tab.galois_tau(tab.row(a)) == tab.row(GALOIS_SWAPS.get(a, a))
+        for a in IRREP_NAMES
+    )
+    out.append(
+        CheckResult(
+            "galois-pairing",
+            swaps_ok,
+            "tau swaps W'<->W'' and X'<->X'', fixes the rational rows",
+        )
+    )
+
+    sizes_ok = list(tab.sizes) == [1, 1, 12, 12, 12, 12, 30, 20, 20]
+    out.append(CheckResult("class-sizes", sizes_ok, f"sizes {list(tab.sizes)}"))
+
+    duals_ok = all(tab.dual(tab.row(n)) == tab.row(n) for n in IRREP_NAMES)
+    out.append(
+        CheckResult("self-duality", duals_ok, "every class is self-inverse")
+    )
+    return out
 
 
 def verify_identities() -> list[CheckResult]:
-    """The eleven decomposition identities for low symmetric powers."""
-    return default_table().verify_section1_identities()
+    """The tensor/symmetric-power identities tying the nine rows together.
+
+    Eleven identities; the two double ones compare several left sides
+    against a single decomposition.
+    """
+    tab = default_table()
+    checks: list[tuple[str, list[ClassFunction], dict[str, int]]] = [
+        ("sym^2(X') = W'", [tab.sym_power("X'", 2)], {"W'": 1}),
+        ("sym^2(X'') = W''", [tab.sym_power("X''", 2)], {"W''": 1}),
+        ("sym^3(X') = X1", [tab.sym_power("X'", 3)], {"X1": 1}),
+        ("sym^3(X'') = X1", [tab.sym_power("X''", 3)], {"X1": 1}),
+        ("sym^4(X') = V", [tab.sym_power("X'", 4)], {"V": 1}),
+        ("sym^4(X'') = V", [tab.sym_power("X''", 4)], {"V": 1}),
+        ("X' * X'' = X2", [tab.row("X'") * tab.row("X''")], {"X2": 1}),
+        (
+            "sym^5(X') = W = sym^5(X'')",
+            [tab.sym_power("X'", 5), tab.sym_power("X''", 5)],
+            {"W": 1},
+        ),
+        (
+            "W' * X'' = W = W'' * X'",
+            [tab.row("W'") * tab.row("X''"), tab.row("W''") * tab.row("X'")],
+            {"W": 1},
+        ),
+        ("sym^6(X') = W'' + X2", [tab.sym_power("X'", 6)], {"W''": 1, "X2": 1}),
+        ("sym^7(X') = X'' + W", [tab.sym_power("X'", 7)], {"X''": 1, "W": 1}),
+    ]
+    out = []
+    for name, sides, want in checks:
+        gots = [_safe_decompose(f) for f in sides]
+        ok = all(g == want for g in gots)
+        detail = f"got {gots[0]}" if len(gots) == 1 else f"got {gots}"
+        out.append(CheckResult(name, ok, detail))
+    return out
+
+
+def _safe_decompose(f: ClassFunction) -> dict[str, int] | str:
+    try:
+        return default_table().decompose(f)
+    except NotACharacterError as err:
+        return str(err)
 
 
 def verify_clebsch_gordan() -> list[CheckResult]:
@@ -122,6 +272,102 @@ def verify_classification() -> list[CheckResult]:
             )
         )
     out.extend(verify_generators(max_m))
+    return out
+
+
+def verify_generators(m: int) -> list[CheckResult]:
+    """Counts, twist classes and the generator family for center order 2m."""
+    out: list[CheckResult] = []
+    irreps = classify_irreps(m)
+
+    out.append(
+        CheckResult(
+            f"m={m}: irrep count",
+            len(irreps) == 9 * m,
+            f"{len(irreps)} irreducibles (want {9 * m})",
+        )
+    )
+
+    by_row: dict[str, int] = {}
+    for r in irreps:
+        by_row[r.base] = by_row.get(r.base, 0) + 1
+    out.append(
+        CheckResult(
+            f"m={m}: twist classes",
+            set(by_row) == set(IRREP_NAMES) and set(by_row.values()) == {m},
+            f"9 rows x {m} exponents",
+        )
+    )
+
+    total = sum(dim_irrep(r) ** 2 for r in irreps)
+    out.append(
+        CheckResult(
+            f"m={m}: degree sum",
+            total == 120 * m,
+            f"sum of squared degrees = {total} (want {120 * m})",
+        )
+    )
+
+    try:
+        gens = generator_family(m)
+        bases = sorted(g.base for g in gens.values())
+        distinct = bases == sorted(IRREP_NAMES)
+        out.append(
+            CheckResult(
+                f"m={m}: generator family",
+                distinct,
+                "nine irreducible generators in pairwise distinct rows",
+            )
+        )
+        covered = all(
+            any(r.base == g.base for g in gens.values()) for r in irreps
+        )
+        out.append(
+            CheckResult(
+                f"m={m}: coverage",
+                covered,
+                "every irreducible twist-equivalent to exactly one generator",
+            )
+        )
+    except RuntimeError as err:
+        out.append(CheckResult(f"m={m}: generator family", False, str(err)))
+
+    # equivalences among alternative realizations of the same rows
+    lam = IcoIrrep("X'", 1 % (2 * m))
+    lam_t = IcoIrrep("X''", 1 % (2 * m))
+    pairs = [
+        ("sym^3(Lam) ~ sym^3(Lam')", sym_power_irrep(lam, 3, m),
+         sym_power_irrep(lam_t, 3, m)),
+        ("sym^4(Lam) ~ sym^4(Lam')", sym_power_irrep(lam, 4, m),
+         sym_power_irrep(lam_t, 4, m)),
+        ("sym^5(Lam) ~ sym^5(Lam')", sym_power_irrep(lam, 5, m),
+         sym_power_irrep(lam_t, 5, m)),
+    ]
+    for label, left, right in pairs:
+        lrows = {r.base for r in left}
+        rrows = {r.base for r in right}
+        out.append(
+            CheckResult(
+                f"m={m}: {label}",
+                len(lrows) == 1 and lrows == rrows,
+                f"rows {sorted(lrows)} vs {sorted(rrows)}",
+            )
+        )
+
+    tab = default_table()
+    for label, left, right in [
+        ("sym^5(Lam) ~ Lam' * sym^2(Lam)", ("X'", 5), ("X''", "W'")),
+        ("sym^5(Lam) ~ Lam * sym^2(Lam')", ("X'", 5), ("X'", "W''")),
+    ]:
+        sym_rows = tab.decompose(tab.sym_power(left[0], left[1]))
+        prod_rows = tab.decompose(tab.row(right[0]) * tab.row(right[1]))
+        out.append(
+            CheckResult(
+                f"m={m}: {label}",
+                sym_rows == prod_rows and len(sym_rows) == 1,
+                f"both land in row {sorted(sym_rows)}",
+            )
+        )
     return out
 
 
@@ -247,6 +493,56 @@ def verify_cuspidality() -> list[CheckResult]:
     ]
 
 
+def galois_square_accounting(m: int) -> dict[str, int]:
+    """Check the factorization against exact class-function arithmetic.
+
+    With the twists set to the trivial character and the base restricted to
+    the first 2-dimensional row, the sum of the factors' restrictions must
+    equal the square of the restriction of the auxiliary sum, and pairing
+    the square with the target row must reproduce the target exponent plus
+    the target content of the residual factors.  Returns the accounting.
+    """
+    ledger, p, _ = standard_icosahedral_pair()
+    tab = ledger.tab
+    chi = CharWord()
+    fact = expand_aux_square(m, p, chi, ledger)
+
+    def restrict(f: LFactor) -> ClassFunction:
+        if f.kind == "zeta":
+            return tab.trivial()
+        cf = ledger.galois_restriction(IsobaricExpr.single(f.parts[0]))
+        if f.kind == "pair":
+            cf = cf * ledger.galois_restriction(IsobaricExpr.single(f.parts[1]))
+        return cf
+
+    aux_cf = ledger.galois_restriction(build_auxiliary(m, p, chi, ledger))
+    square = aux_cf * aux_cf
+    total = ClassFunction.of([0] * 9)
+    for f in fact.factors:
+        total = total + f.exponent * restrict(f)
+    if total != square:
+        raise RuntimeError("factor restrictions do not sum to the square")
+
+    target_row = ledger.galois_restriction(IsobaricExpr.single(fact.target))
+    in_square = tab.inner_product(square, target_row).as_int()
+    residual = 0
+    for f in fact.factors:
+        if f.kind == "single" and f.parts == (fact.target,):
+            continue
+        residual += f.exponent * tab.inner_product(restrict(f), target_row).as_int()
+    if in_square != fact.k + residual:
+        raise RuntimeError(
+            f"target accounting failed: {in_square} != {fact.k} + {residual}"
+        )
+    return {
+        "m": m,
+        "k": fact.k,
+        "r": fact.r,
+        "target_multiplicity_in_square": in_square,
+        "target_multiplicity_in_residual_factors": residual,
+    }
+
+
 def verify_auxiliary() -> list[CheckResult]:
     """Square factorizations: k = 4 > r = 3, degrees, and exact accounting."""
     out = []
@@ -355,6 +651,21 @@ def verify_siegel_criterion() -> list[CheckResult]:
             f"m=3: k={kr.k}, r={kr.r}",
         ),
     ]
+
+
+def verify_rule_table() -> list[CheckResult]:
+    """Every family generator must dispatch to exactly one known rule."""
+    results = []
+    rows = sorted(ROW_RULES)
+    missing = [row for row in rows if ROW_RULES[row] not in RULES]
+    results.append(
+        CheckResult(
+            "rule-table-total",
+            len(ROW_RULES) == 9 and not missing,
+            f"9 generators, unknown rules for {missing or 'none'}",
+        )
+    )
+    return results
 
 
 VERIFY_SECTIONS = (

@@ -7,8 +7,8 @@ to see the per-criterion lines.
 
 from __future__ import annotations
 
-from icosym.report import all_passed
 from icosym.verify import (
+    all_passed,
     verify_auxiliary,
     verify_classification,
     verify_clebsch_gordan,

@@ -12,8 +12,8 @@ from icosym.chartab import (
     NotACharacterError,
     format_decomposition,
 )
-from icosym.report import all_passed
 from icosym.scalar import GOLDEN, SQRT5, Qsqrt5
+from icosym.verify import all_passed, verify_identities, verify_table
 
 DIMS = {"U": 1, "V": 5, "W": 6, "X1": 4, "X2": 4, "W'": 3, "W''": 3, "X'": 2, "X''": 2}
 
@@ -47,18 +47,19 @@ def test_rows_are_orthonormal(tab):
             assert tab.inner_product(tab.row(a), tab.row(b)) == want
 
 
-def test_verify_table_passes(tab):
-    report = tab.verify_table()
+def test_verify_table_passes():
+    report = verify_table()
     assert len(report) == 6
     assert all_passed(report), [r for r in report if not r.passed]
 
 
-def test_verify_table_flags_perturbed_entry(tab):
+def test_verify_table_flags_perturbed_entry(tab, monkeypatch):
     # bump a single zero in row W; column orthogonality must notice
     rows = {n: list(tab.row(n).values) for n in IRREP_NAMES}
     rows["W"][6] = rows["W"][6] + 1
     corrupted = CharacterTable(rows=rows)
-    report = corrupted.verify_table()
+    monkeypatch.setattr("icosym.verify.default_table", lambda: corrupted)
+    report = verify_table()
     assert not all_passed(report)
     assert any(r.name == "column-orthogonality" and not r.passed for r in report)
 
@@ -132,8 +133,8 @@ def test_galois_tau_swaps_conjugate_rows(tab):
         assert tab.galois_tau(tab.row(n)) == tab.row(GALOIS_SWAPS.get(n, n))
 
 
-def test_section1_identities_all_pass(tab):
-    report = tab.verify_section1_identities()
+def test_section1_identities_all_pass():
+    report = verify_identities()
     assert len(report) == 11
     for r in report:
         assert r.passed, f"{r.name}: {r.detail}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,8 +19,7 @@ from hypothesis import strategies as st
 from icosym.chartab import IRREP_NAMES
 from icosym.cli import cmd_dispatch
 from icosym.repexpr import MAX_POWER
-from icosym.report import CheckResult
-from icosym.verify import VERIFY_SECTIONS
+from icosym.verify import VERIFY_SECTIONS, CheckResult
 
 ENVELOPE_KEYS = {"command", "inputs", "results", "citations"}
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -79,7 +79,22 @@ class TestChartab:
         assert results["dimensions"]["W"] == 6
 
 
+# SHA-256 of stdout of `icosym verify all`, recorded while the character
+# table, generator, accounting and rule-table checks were still built in the
+# layers they check
+VERIFY_ALL = {
+    (): "f674fba54a01596a9e9197129d0f225a3eeb773ed59259dcf53e4151c64d2f7d",
+    ("--json",): "9ddecb8fcdc5ccabf8a408955c3675957d21af8f46ac86728bc02f8aac4630ad",
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("flags", sorted(VERIFY_ALL), ids=["text", "json"])
+    def test_verify_all_output_is_pinned(self, capsys, flags):
+        code, out, _ = run(capsys, "verify", "all", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL[flags]
+
     def test_identities_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "identities")
         assert code == 0
@@ -342,10 +357,29 @@ class TestCuspidality:
                 "p",
                 "characters[0]: properties name two kinds, quadratic and non-real",
             ),
+            (
+                {
+                    "characters": [{"name": "nu", "properties": ["non-real"]}],
+                    "bases": [{"name": "p", "type": "icosahedral"}],
+                    "facts": [{"lhs": "nu", "rhs": "nu^-1", "relation": "equiv", "truth": True}],
+                },
+                "p",
+                "nu ~ nu^-1 cannot be declared true: their quotient nu^2 is not 1: nu is non-real",
+            ),
+            (
+                {
+                    "characters": [{"name": "c", "order": 5}],
+                    "bases": [{"name": "p", "type": "icosahedral"}],
+                    "facts": [{"lhs": "c", "rhs": "c^-1", "relation": "equiv", "truth": True}],
+                },
+                "p",
+                "c ~ c^4 cannot be declared true: their quotient c^2 is not 1: c has order 5",
+            ),
         ],
         ids=[
             "tagged-tetrahedral", "cuspidal-both-ways", "false-reflexive", "false-reduced",
-            "cubic-trivial", "order-against-kind", "two-kinds",
+            "cubic-trivial", "order-against-kind", "two-kinds", "non-real-inverse",
+            "order-5-inverse",
         ],
     )
     def test_refused_declarations_exit_2(self, capsys, tmp_path, doc, base, message):

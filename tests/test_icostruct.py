@@ -15,9 +15,8 @@ from icosym.icostruct import (
     sym_power_irrep,
     twist_equivalent,
     validate_irrep,
-    verify_generators,
 )
-from icosym.report import all_passed
+from icosym.verify import all_passed, verify_generators
 
 SPIN_ROWS = {"X'", "X''", "X1", "W"}
 

@@ -91,6 +91,16 @@ def test_import_and_rejected_arguments_run_only_the_cli(argv):
     assert modules_run_by(statement) == {"icosym", "icosym.cli"}
 
 
+@pytest.mark.parametrize(
+    "argv", [["siegel", "--m", "12"], ["irreps", "--m", "3"], ["scan-trivial", "--max", "30"]]
+)
+def test_commands_that_check_nothing_run_no_check_module(argv):
+    # the check-result type lives in verify, beside the checks
+    ran = modules_run_by(dispatch(argv))
+    assert "icosym.chartab" in ran
+    assert not ran & {"icosym.verify", "icosym.report"}
+
+
 def test_siegel_without_facts_runs_no_factsfile():
     ran = modules_run_by(dispatch(["siegel", "--m", "12"]))
     assert {"icosym.siegel", "icosym.chartab"} <= ran

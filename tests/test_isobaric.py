@@ -148,11 +148,7 @@ def test_pi_box_dual_pi():
 def test_ad_box_ad():
     ledger, p, _ = fresh()
     e = rs_expand(IsobaricExpr.single(ad(p)), IsobaricExpr.single(ad(p)))
-    expected = (
-        IsobaricExpr.single(TRIVIAL)
-        + IsobaricExpr.single(ad(p))
-        + a4(p, ledger)
-    )
+    expected = IsobaricExpr.of([(TRIVIAL, 1), (ad(p), 1), *a4(p, ledger).terms])
     assert e == expected
     assert e.degree == 9
 
@@ -186,10 +182,10 @@ def test_cross_base_product_stays_formal():
 
 def test_box_degree_bookkeeping():
     ledger, p, q = fresh()
-    e1 = IsobaricExpr.single(Constituent(SymCusp(p, 3))) + IsobaricExpr.single(
-        character(CharWord.gen("chi")), 2
+    e1 = IsobaricExpr.of(
+        [(Constituent(SymCusp(p, 3)), 1), (character(CharWord.gen("chi")), 2)]
     )
-    e2 = a4(q, ledger) + IsobaricExpr.single(Constituent(q))
+    e2 = IsobaricExpr.of([*a4(q, ledger).terms, (Constituent(q), 1)])
     assert rs_expand(e1, e2).degree == e1.degree * e2.degree
 
 
@@ -223,18 +219,14 @@ def test_box_products_match_finite_model():
 
 def test_pole_order_distinct_terms():
     ledger, p, _ = fresh()
-    e = (
-        IsobaricExpr.single(TRIVIAL)
-        + IsobaricExpr.single(ad(p))
-        + a4(p, ledger)
-    )
+    e = IsobaricExpr.of([(TRIVIAL, 1), (ad(p), 1), *a4(p, ledger).terms])
     po = pole_order(e, ledger)
     assert po.exact and po.value() == 3
 
 
 def test_pole_order_with_multiplicity():
     ledger, p, _ = fresh()
-    e = IsobaricExpr.single(Constituent(p), 2) + IsobaricExpr.single(TRIVIAL)
+    e = IsobaricExpr.of([(Constituent(p), 2), (TRIVIAL, 1)])
     po = pole_order(e, ledger)
     assert po.exact and po.value() == 5
 
@@ -243,7 +235,7 @@ def test_pole_order_undetermined_interval():
     ledger = FactLedger()
     p = ledger.declare_base("p", "icosahedral")
     q = ledger.declare_base("q", "icosahedral")
-    e = IsobaricExpr.single(ad(p)) + IsobaricExpr.single(ad(q))
+    e = IsobaricExpr.of([(ad(p), 1), (ad(q), 1)])
     po = pole_order(e, ledger)
     assert (po.lo, po.hi) == (2, 4)
     assert not po.exact
@@ -261,7 +253,7 @@ def test_pole_order_undetermined_interval():
 
 def test_pole_order_resolved_by_finite_model():
     ledger, p, p_tau = standard_icosahedral_pair()
-    e = IsobaricExpr.single(ad(p)) + IsobaricExpr.single(ad(p_tau))
+    e = IsobaricExpr.of([(ad(p), 1), (ad(p_tau), 1)])
     po = pole_order(e, ledger)
     assert po.exact and po.value() == 2
 
@@ -295,7 +287,7 @@ def test_pole_order_decomposes_each_tagged_core_once(monkeypatch):
 
 def test_pole_order_pair_counts_multiplicity():
     ledger, p, _ = fresh()
-    e = IsobaricExpr.single(ad(p), 3) + IsobaricExpr.single(TRIVIAL)
+    e = IsobaricExpr.of([(ad(p), 3), (TRIVIAL, 1)])
     po = pole_order_pair(e, ad(p), ledger)
     assert po.exact and po.value() == 3
     po0 = pole_order_pair(e, Constituent(p), ledger)
@@ -503,6 +495,56 @@ def test_a_true_fact_between_different_degrees_is_refused():
     assert ledger.equivalent(ad(p), cubic) == (False, "degrees differ (3 vs 4)")
     ledger.assert_equiv(ad(p), cubic, False)  # the false fact is consistent
     assert ledger.equivalent(ad(p), cubic)[0] is False
+
+
+@pytest.mark.parametrize(
+    "declare,lhs,rhs,message",
+    [
+        (
+            {"name": "nu", "kind": "non-real"}, CharWord.gen("nu"), CharWord.gen("nu", -1),
+            "nu ~ nu^-1 cannot be declared true: their quotient nu^2 is not 1: nu is non-real",
+        ),
+        (
+            {"name": "nu", "kind": "non-real"}, CharWord.gen("nu", 2), CharWord(),
+            "nu^2 ~ 1 cannot be declared true: their quotient nu^2 is not 1: nu is non-real",
+        ),
+        (
+            {"name": "c", "order": 5}, CharWord.gen("c"), CharWord.gen("c", -1),
+            "c ~ c^4 cannot be declared true: their quotient c^2 is not 1: c has order 5",
+        ),
+    ],
+    ids=["non-real-inverse", "non-real-square", "order-5-inverse"],
+)
+def test_a_true_fact_between_characters_whose_quotient_is_not_1_is_refused(
+    declare, lhs, rhs, message
+):
+    ledger = FactLedger()
+    ledger.declare_character(**declare)
+    with pytest.raises(LedgerError) as err:
+        ledger.assert_equiv(character(lhs), character(rhs), True)
+    assert str(err.value) == message
+    # nothing was recorded, so the ledger still tells the two apart
+    assert ledger.equivalent(character(lhs), character(rhs))[0] is False
+    ledger.assert_equiv(character(lhs), character(rhs), False)
+
+
+def test_a_true_fact_between_characters_whose_quotient_may_be_1_is_kept():
+    ledger = FactLedger()
+    ledger.declare_character("nu", kind="non-real")
+    ledger.declare_character("z")
+    nu, z = CharWord.gen("nu"), CharWord.gen("z")
+    # z may be quadratic, and a non-real nu may have order 4
+    ledger.assert_equiv(character(z), character(z.inv()), True)
+    ledger.assert_equiv(character(nu), character(nu**-3), True)
+    assert ledger.equivalent(character(z), character(z.inv()))[0] is True
+    assert ledger.equivalent(character(nu), character(nu**-3))[0] is True
+
+
+def test_a_word_kind_outside_the_kinds_is_refused():
+    ledger = FactLedger()
+    with pytest.raises(LedgerError, match="word x: unknown kind 'real'"):
+        ledger.declare_word_kind(CharWord.gen("x"), "real")
+    assert ledger.word_kind(CharWord.gen("x")) is None
 
 
 def test_a_true_fact_on_one_core_restricts_nothing(monkeypatch):

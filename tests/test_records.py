@@ -19,7 +19,6 @@ import icosym
 from icosym import Record
 from icosym.chartab import ClassFunction
 from icosym.isobaric import Symbol
-from icosym.repexpr import Atom, Dual, Plus, Sym, Tensor
 
 
 def record_types() -> list[type]:
@@ -120,19 +119,3 @@ def test_records_of_different_types_never_compare_equal(values):
             assert x != y and not x == y
             assert {x: 1}.get(y) is None
 
-
-@settings(max_examples=100)
-@given(
-    name=st.sampled_from(icosym.IRREP_NAMES),
-    n=st.integers(0, 99),
-    pos=st.tuples(st.integers(0, 99), st.integers(0, 99)),
-)
-def test_parse_tree_equality_ignores_position(name, n, pos):
-    def tree(p: int):
-        atom = Atom(name, p)
-        return Plus(Tensor(Sym(n, atom, p), Dual(atom, p), p), atom, p)
-
-    first, second = tree(pos[0]), tree(pos[1])
-    assert first == second
-    assert hash(first) == hash(second)
-    assert (repr(first) == repr(second)) == (pos[0] == pos[1])

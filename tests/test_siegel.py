@@ -26,12 +26,11 @@ from icosym.siegel import (
     ROW_RULES,
     build_auxiliary,
     expand_aux_square,
-    galois_square_accounting,
     siegel_report,
     siegel_scan,
     standard_context,
-    verify_rule_table,
 )
+from icosym.verify import galois_square_accounting, verify_rule_table
 
 CHI = CharWord.gen("chi")
 
