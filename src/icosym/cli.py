@@ -8,7 +8,10 @@ the output was complete.
 Each ``cmd_*`` imports the layers it uses once its arguments have passed
 their checks, so a command runs only those.  ``verify`` takes ``all``,
 ``table``, ``identities``, or one section of ``verify.VERIFY_SECTIONS`` by
-its name with hyphens for spaces (``product-rule``).
+its name with hyphens for spaces (``product-rule``).  ``siegel --facts``
+passes on the base and the twist that the file's ``siegel`` section names,
+if any; :mod:`icosym.siegel` picks the rest, and nothing here writes the
+ledger.
 """
 
 from __future__ import annotations
@@ -23,17 +26,16 @@ from . import MAX_POWER
 # -- plumbing ----------------------------------------------------------------
 
 
-def _emit(args, command: str, inputs: dict, results, citations=()) -> None:
-    if args.json:
-        import json
+def _emit(command: str, inputs: dict, results, citations=()) -> None:
+    import json
 
-        document = {
-            "command": command,
-            "inputs": inputs,
-            "results": results,
-            "citations": list(citations),
-        }
-        print(json.dumps(document, indent=2, default=str))
+    document = {
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "citations": list(citations),
+    }
+    print(json.dumps(document, indent=2, default=str))
 
 
 def _rule_citations(rule_names) -> list[dict]:
@@ -57,7 +59,6 @@ def cmd_chartab(args) -> int:
     rows = {name: [str(v) for v in tab.row(name).values] for name in IRREP_NAMES}
     if args.json:
         _emit(
-            args,
             "chartab",
             {},
             {
@@ -108,7 +109,6 @@ def cmd_verify(args) -> int:
     passed = all(all_passed(results) for results in sections.values())
     if args.json:
         _emit(
-            args,
             "verify",
             {"target": args.target},
             {
@@ -143,7 +143,6 @@ def cmd_decompose(args) -> int:
     mults = default_table().decompose(f)
     if args.json:
         _emit(
-            args,
             "decompose",
             {"rep": args.rep},
             {
@@ -185,7 +184,6 @@ def cmd_irreps(args) -> int:
     ]
     if args.json:
         _emit(
-            args,
             "irreps",
             {"m": args.m},
             {
@@ -228,7 +226,6 @@ def cmd_scan_trivial(args) -> int:
     first = next((n for n in sorted(scan) if n >= 1 and scan[n] > 0), None)
     if args.json:
         _emit(
-            args,
             "scan-trivial",
             {"max": args.max},
             {
@@ -267,7 +264,6 @@ def cmd_cuspidality(args) -> int:
     agree = None if pole is None else structural.verdict == pole.verdict
     if args.json:
         _emit(
-            args,
             "cuspidality",
             {"facts": str(args.facts), "pi": args.pi, "pi_prime": args.pi_prime},
             {
@@ -314,26 +310,17 @@ def cmd_siegel(args) -> int:
         raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
     if args.scan is not None and args.scan[1] > MAX_POWER:
         raise ValueError(f"--scan must end at most {MAX_POWER}, got {args.scan[1]}")
-    from .siegel import RULES, siegel_report, siegel_scan, standard_context
+    from .siegel import RULES, siegel_report, siegel_scan
 
     p = chi = ledger = None
     if args.facts:
-        from .factsfile import FactsError, load_facts_file, siegel_inputs
+        from .factsfile import load_facts_file
+        from .isobaric import CharWord
 
-        # the ledger is complete before any query: the standard pair when
-        # the file tags no base, and the default twist chi when it names none
         ledger, doc = load_facts_file(args.facts)
-        p, chi = siegel_inputs(ledger, doc)
-        if p is None:
-            for name in ("pi", "pi_tau"):
-                if name in ledger.bases or name in ledger.characters:
-                    raise FactsError(
-                        f"{args.facts} tags no base, so the standard pair pi/pi_tau is "
-                        f"added to it, but the name {name} is taken"
-                    )
-            ledger, p, _ = standard_context(ledger)
-        if chi is None:
-            ledger.declare_character("chi")
+        names = doc.get("siegel", {})  # checked by the load
+        p = ledger.bases.get(names.get("p"))
+        chi = CharWord.gen(names["chi"]) if "chi" in names else None
     if args.m is not None:
         reports = [siegel_report(args.m, p, chi, ledger)]
     else:
@@ -347,7 +334,6 @@ def cmd_siegel(args) -> int:
             else {"reports": [r.as_json() for r in reports]}
         )
         _emit(
-            args,
             "siegel",
             {
                 "m": args.m,

@@ -40,6 +40,11 @@ registered as free characters of unknown order.
 Each distinct symbol text, and each distinct ``twist`` or ``word`` text, is
 parsed once per document: a later mention of the same text reuses the
 first parse, so a load costs what its distinct symbols cost.
+
+Every refusal is a :class:`FactsError` that names its place, ledger
+refusals included (``facts[0]: nu ~ nu^-1 cannot be declared true: ...``).
+The ``siegel`` section only names a declared base ``p`` and a declared
+character ``chi``; :mod:`icosym.siegel` picks whatever it leaves out.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .isobaric import (
     CharWord,
     Constituent,
     FactLedger,
+    LedgerError,
     _KIND_ORDERS,
     ad,
     sym_cusp,
@@ -229,91 +235,93 @@ def load_facts(doc: dict) -> FactLedger:
 
     ledger = FactLedger()
 
-    for where, entry in _entries(doc, "characters"):
-        name = _str_field(entry, "name", where)
-        order = entry.get("order")
-        _require(
-            order is None or (type(order) is int and order >= 1),
-            where,
-            "order must be a positive integer",
-        )
-        kind = None
-        properties = entry.get("properties", [])
-        if isinstance(properties, str):
-            properties = [properties]
-        _require(isinstance(properties, list), where, "properties must be a list")
-        for prop in properties:
-            _require(prop in _KINDS, where, "unknown property {!r}", prop)
-            _require(kind in (None, prop), where, "properties name two kinds, {} and {}", kind, prop)
-            kind = prop
-        ledger.declare_character(name, order=order, kind=kind)
-
-    for where, entry in _entries(doc, "bases"):
-        name = _str_field(entry, "name", where)
-        typ = _str_field(entry, "type", where)
-        # a base's tags are its fields after the name and type
-        tags = {key: entry[key] for key in BaseCusp.__slots__[2:] if key in entry}
-        for key, value in tags.items():
-            # the ledger checks galois_row against the table rows itself
+    # a refusal by the ledger names the entry it came from, as a FactsError does
+    where: _Where = "document"
+    try:
+        for where, entry in _entries(doc, "characters"):
+            name = _str_field(entry, "name", where)
+            order = entry.get("order")
             _require(
-                key == "galois_row" or isinstance(value, str), where, "{!r} must be a string", key
-            )
-        ledger.declare_base(name, typ, **tags)
-
-    for where, entry in _entries(doc, "base_changes"):
-        of = _lookup_base(_str_field(entry, "of", where), ledger, where)
-        extension = _str_field(entry, "extension", where)
-        name = _str_field(entry, "name", where)
-        typ = _str_field(entry, "type", where)
-        ledger.declare_base_change(of, extension, name, typ)
-
-    # the bases are fixed from here on, so each distinct text is parsed once
-    symbols: dict[str, Constituent] = {}
-    words: dict[str, CharWord] = {}
-
-    for where, entry in _entries(doc, "facts"):
-        lhs = _parsed(symbols, parse_symbol, entry, "lhs", ledger, where)
-        rhs = _parsed(symbols, parse_symbol, entry, "rhs", ledger, where)
-        relation = _str_field(entry, "relation", where)
-        _require(relation in _RELATIONS, where, "relation must be one of {}", _RELATIONS)
-        truth = entry.get("truth")
-        _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
-        if relation == "twist-equiv-by":
-            twist = _parsed(words, parse_word, entry, "twist", ledger, where)
-            ledger.assert_twist_equiv(lhs, rhs, twist, truth)
-        else:
-            ledger.assert_equiv(lhs, rhs, truth)
-
-    for section, declare in (
-        ("cuspidal", ledger.declare_cuspidal),
-        ("automorphic", ledger.declare_automorphic),
-    ):
-        for where, entry in _entries(doc, section):
-            symbol = _parsed(symbols, parse_symbol, entry, "symbol", ledger, where)
-            _require(
-                symbol.core is not None and symbol.twist.is_empty(),
+                order is None or (type(order) is int and order >= 1),
                 where,
-                "must be an untwisted cusp-form symbol",
+                "order must be a positive integer",
             )
-            truth = entry.get("truth", True)
+            kind = None
+            properties = entry.get("properties", [])
+            if isinstance(properties, str):
+                properties = [properties]
+            _require(isinstance(properties, list), where, "properties must be a list")
+            for prop in properties:
+                _require(prop in _KINDS, where, "unknown property {!r}", prop)
+                _require(
+                    kind in (None, prop), where, "properties name two kinds, {} and {}", kind, prop
+                )
+                kind = prop
+            ledger.declare_character(name, order=order, kind=kind)
+
+        for where, entry in _entries(doc, "bases"):
+            name = _str_field(entry, "name", where)
+            typ = _str_field(entry, "type", where)
+            # a base's tags are its fields after the name and type
+            tags = {key: entry[key] for key in BaseCusp.__slots__[2:] if key in entry}
+            for key, value in tags.items():
+                # the ledger checks galois_row against the table rows itself
+                string = key == "galois_row" or isinstance(value, str)
+                _require(string, where, "{!r} must be a string", key)
+            ledger.declare_base(name, typ, **tags)
+
+        for where, entry in _entries(doc, "base_changes"):
+            of = _lookup_base(_str_field(entry, "of", where), ledger, where)
+            extension = _str_field(entry, "extension", where)
+            name = _str_field(entry, "name", where)
+            typ = _str_field(entry, "type", where)
+            ledger.declare_base_change(of, extension, name, typ)
+
+        # the bases are fixed from here on, so each distinct text is parsed once
+        symbols: dict[str, Constituent] = {}
+        words: dict[str, CharWord] = {}
+
+        for where, entry in _entries(doc, "facts"):
+            lhs = _parsed(symbols, parse_symbol, entry, "lhs", ledger, where)
+            rhs = _parsed(symbols, parse_symbol, entry, "rhs", ledger, where)
+            relation = _str_field(entry, "relation", where)
+            _require(relation in _RELATIONS, where, "relation must be one of {}", _RELATIONS)
+            truth = entry.get("truth")
             _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
-            declare(symbol.core, truth)
+            if relation == "twist-equiv-by":
+                twist = _parsed(words, parse_word, entry, "twist", ledger, where)
+                ledger.assert_twist_equiv(lhs, rhs, twist, truth)
+            else:
+                ledger.assert_equiv(lhs, rhs, truth)
 
-    for where, entry in _entries(doc, "self_dual"):
-        symbol = _parsed(symbols, parse_symbol, entry, "symbol", ledger, where)
-        truth = entry.get("truth")
-        _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
-        ledger.declare_self_dual(symbol, truth)
+        for section, declare in (
+            ("cuspidal", ledger.declare_cuspidal),
+            ("automorphic", ledger.declare_automorphic),
+        ):
+            for where, entry in _entries(doc, section):
+                symbol = _parsed(symbols, parse_symbol, entry, "symbol", ledger, where)
+                _require(
+                    symbol.core is not None and symbol.twist.is_empty(),
+                    where,
+                    "must be an untwisted cusp-form symbol",
+                )
+                truth = entry.get("truth", True)
+                _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
+                declare(symbol.core, truth)
 
-    for where, entry in _entries(doc, "word_kinds"):
-        word = _parsed(words, parse_word, entry, "word", ledger, where)
-        kind = _str_field(entry, "kind", where)
-        _require(kind in _KINDS, where, "kind must be one of {}", _KINDS)
-        forced = ledger.forced_word_kind(word)
-        _require(
-            forced in (None, kind), where, "{} cannot be declared {}: it is {}", word, kind, forced
-        )
-        ledger.declare_word_kind(word, kind)
+        for where, entry in _entries(doc, "self_dual"):
+            symbol = _parsed(symbols, parse_symbol, entry, "symbol", ledger, where)
+            truth = entry.get("truth")
+            _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
+            ledger.declare_self_dual(symbol, truth)
+
+        for where, entry in _entries(doc, "word_kinds"):
+            word = _parsed(words, parse_word, entry, "word", ledger, where)
+            kind = _str_field(entry, "kind", where)
+            _require(kind in _KINDS, where, "kind must be one of {}", _KINDS)
+            ledger.declare_word_kind(word, kind)
+    except LedgerError as err:
+        raise FactsError(f"{_label(where)}: {err}") from err
 
     siegel = doc.get("siegel", {})
     _require(isinstance(siegel, dict), "siegel", "must be an object")
@@ -322,6 +330,8 @@ def load_facts(doc: dict) -> FactLedger:
         _require(isinstance(value, str), "siegel", "{!r} must be a string", key)
     if "p" in siegel:
         _lookup_base(siegel["p"], ledger, "siegel")
+    chi = siegel.get("chi")
+    _require(chi is None or chi in ledger.characters, "siegel", "undeclared character {!r}", chi)
 
     return ledger
 
@@ -335,33 +345,3 @@ def load_facts_file(path: str | Path) -> tuple[FactLedger, dict]:
     except json.JSONDecodeError as err:
         raise FactsError(f"{path} is not valid JSON: {err}") from err
     return load_facts(doc), doc
-
-
-def siegel_inputs(ledger: FactLedger, doc: dict):
-    """Resolve the (p, chi) pair a siegel command should report on.
-
-    Preference order: the document's ``siegel`` section; otherwise the
-    unique icosahedral base tagged with a 2-dimensional restriction row.
-    ``p`` is None when the document tags no base (the ``siegel`` command
-    then declares the standard pair); ``chi`` is None when the section
-    names none.
-    """
-    config = doc.get("siegel", {})
-    p = None
-    if "p" in config:
-        p = ledger.bases[config["p"]]
-    else:
-        # declare_base tags only an icosahedral base, and only with X' or X''
-        tagged = [b for b in ledger.bases.values() if b.galois_row is not None]
-        if len(tagged) == 1:
-            p = tagged[0]
-        elif len(tagged) > 1:
-            raise FactsError(
-                "several icosahedral bases are tagged; pick one with "
-                'a "siegel": {"p": ...} section'
-            )
-    chi_name = config.get("chi")
-    if chi_name is not None and chi_name not in ledger.characters:
-        raise FactsError(f"siegel: undeclared character {chi_name!r}")
-    chi = CharWord.gen(chi_name) if chi_name else None
-    return p, chi

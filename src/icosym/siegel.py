@@ -17,8 +17,16 @@ edge.  Everything this module does is set up instances of that test:
   finite icosahedral image into the nine-generator family, sends every
   constituent through a rule table, and aggregates the verdicts; each
   family row is certified once per scan context, and :func:`siegel_report`
-  is the scan of one m; without a caller's ledger every scan shares one
-  standard context per process.
+  is the scan of one m.
+
+A report reads its ledger and never writes it.  This module alone picks
+what a report is about: the base is the one given, else the ledger's one
+``galois_row``-tagged base, else an undeclared icosahedral ``pi`` tagged X'
+with central character ``omega(pi)``; the partner pi^tau is the ledger's
+base with the other row, else an undeclared ``<base>_tau``; the twist is the
+word given, else the character ``chi``.  A name built as a value that the
+ledger declares as something else is refused with a :class:`LedgerError`
+naming it.
 
 Character constituents are the one structure that can carry an exceptional
 zero, and for an icosahedral base they first appear at ``m = 12``; the
@@ -48,7 +56,6 @@ from .isobaric import (
     icosahedral_family,
     pole_order,
     rs_expand,
-    standard_icosahedral_pair,
     sym_cusp,
     sym_power_automorphic,
     sym_power_cuspidal,
@@ -327,53 +334,83 @@ class SiegelReport(Record):
         }
 
 
-def standard_context(
-    ledger: FactLedger | None = None,
-) -> tuple[FactLedger, BaseCusp, BaseCusp]:
-    """The default report context: the tagged conjugate pair plus a free
-    twisting character named chi."""
-    ledger, p, p_tau = standard_icosahedral_pair(ledger)
-    ledger.declare_character("chi")
-    return ledger, p, p_tau
-
-
 _PARTNER_ROW = {"X'": "X''", "X''": "X'"}
+
+# what a report takes when neither the caller nor the ledger names a base or
+# a twist: values, never declared in any ledger
+_DEFAULT_BASE = BaseCusp("pi", "icosahedral", omega="omega(pi)", galois_row="X'")
+_DEFAULT_TWIST = CharWord.gen("chi")
+
+
+def _refuse_taken(name: str, role: str, ledger: FactLedger, row: str | None = None) -> None:
+    """Refuse *name*, which a report builds as a value in *role*, when the
+    ledger declares it otherwise: as a base, or, for a base tagged *row*,
+    as a character too (a character may be declared as one)."""
+    if name in ledger.bases:
+        what = "a base" if row is None else f"a base without galois_row {row}"
+    elif row is not None and name in ledger.characters:
+        what = "a character"
+    else:
+        return
+    raise LedgerError(f"{name}, {role}, is declared as {what}")
+
+
+def _report_base(ledger: FactLedger) -> BaseCusp:
+    """The base of a report that names none: the ledger's one
+    ``galois_row``-tagged base, or else the undeclared default pi."""
+    # declare_base tags only an icosahedral base, and only with X' or X''
+    tagged = [b for b in ledger.bases.values() if b.galois_row is not None]
+    if len(tagged) > 1:
+        raise LedgerError(
+            'several icosahedral bases are tagged; pick one with a "siegel": {"p": ...} section'
+        )
+    if tagged:
+        return tagged[0]
+    p = _DEFAULT_BASE
+    _refuse_taken(p.name, "the default base when no base is tagged", ledger, p.galois_row)
+    _refuse_taken(p.omega, f"the central character of the default base {p.name}", ledger)
+    return p
+
+
+def _galois_partner(p: BaseCusp, ledger: FactLedger) -> BaseCusp:
+    """The conjugate pi^tau of ``p``: the ledger's base carrying the other
+    2-dimensional row, or else an undeclared base ``<p>_tau`` with that row
+    and ``p``'s central character.  A name ``<p>_tau`` the ledger already
+    uses otherwise is refused."""
+    row = _PARTNER_ROW[p.galois_row]
+    for base in ledger.bases.values():
+        if base.galois_row == row:
+            return base
+    name = f"{p.name}_tau"
+    _refuse_taken(name, f"the Galois partner of {p.name}", ledger, row)
+    return BaseCusp(name, "icosahedral", omega=p.omega, galois_row=row)
 
 
 class _ScanContext:
-    """What a scan reads besides m: the ledger, the base and its partner,
-    and the m-independent pieces it fills in on first need, the family rows
-    and each row's certificate keyed by (row, chi)."""
+    """What a scan reads besides m and the twist: the ledger, the base and
+    its partner, and the m-independent pieces it fills in on first need, the
+    family rows and each row's certificate keyed by (row, chi)."""
 
     __slots__ = ("ledger", "p", "p_tau", "family", "certificates")
 
-    def __init__(self, ledger: FactLedger, p: BaseCusp, p_tau: BaseCusp) -> None:
-        self.ledger, self.p, self.p_tau = ledger, p, p_tau
+    def __init__(self, ledger: FactLedger, p: BaseCusp | None) -> None:
+        if p is None:
+            p = _report_base(ledger)
+        elif p.typ != "icosahedral":
+            raise ValueError(f"{p.name} is {p.typ}; the report needs icosahedral type")
+        elif p.galois_row not in _PARTNER_ROW:
+            raise ValueError(f"{p.name} needs a 2-dimensional finite-image tag to decompose")
+        self.ledger, self.p, self.p_tau = ledger, p, _galois_partner(p, ledger)
         self.family = {}  # row -> (label, generator)
         self.certificates = {}  # (row, chi) -> (label, detail, k, r, covered)
 
 
 @lru_cache(maxsize=1)
 def _standard_scan_context() -> _ScanContext:
-    """The one standard context of the process.  Scans only read its
-    ledger, and it is never handed out, so nothing can change it."""
-    return _ScanContext(*standard_context())
-
-
-def _galois_partner(p: BaseCusp, ledger: FactLedger) -> BaseCusp:
-    """The conjugate pi^tau of ``p``: the ledger's base carrying the other
-    2-dimensional row, or else an undeclared base ``<p>_tau`` with that row
-    and ``p``'s central character (as in the standard pair).  The ledger is
-    only read; a name ``<p>_tau`` it already uses otherwise is refused."""
-    row = _PARTNER_ROW[p.galois_row]
-    for base in ledger.bases.values():
-        if base.galois_row == row:
-            return base
-    name = f"{p.name}_tau"
-    if name in ledger.bases or name in ledger.characters:
-        what = f"a base without galois_row {row}" if name in ledger.bases else "a character"
-        raise LedgerError(f"{name}, the Galois partner of {p.name}, is declared as {what}")
-    return BaseCusp(name, "icosahedral", omega=p.omega, galois_row=row)
+    """The context of every report without a base or a ledger: the rule on
+    an empty ledger, built once per process.  Scans only read its ledger,
+    and it is never handed out, so nothing can change it."""
+    return _ScanContext(FactLedger(), None)
 
 
 def siegel_report(
@@ -389,10 +426,10 @@ def siegel_report(
     constituent (first possible at m = 12) is flagged as the exceptional
     case — reported in both normalizations — unless the ledger knows it is
     not real; undischargeable rule hypotheses make the verdict not-covered
-    rather than a silent pass.  ``p`` and ``ledger`` come together (the
-    ledger is only read) or not at all: then the standard context, its
-    family and its row certificates are built once per process and shared
-    by every such call.
+    rather than a silent pass.  The ledger, empty when not given, is only
+    read; the base, its partner and the twist default as the module
+    docstring says.  Without ``p`` and ``ledger``, the context, its family
+    and its row certificates are built once per process and shared.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
@@ -472,29 +509,22 @@ def siegel_scan(
     """Reports for every m in [lo, hi]; ``p`` and ``ledger`` as in
     :func:`siegel_report`.
 
-    The base is checked once, the family is built once some m >= 1 needs
-    it, and each row is certified once for each chi: none of them depends
-    on m.  A caller's ledger may change between calls, so it gets a fresh
-    context per call; without one, the standard context, its family and its
-    certificates are built once per process.
+    The base and its partner are picked once, the family is built once some
+    m >= 1 needs it, and each row is certified once for each chi: none of
+    them depends on m.  A caller's ledger may change between calls, so it
+    gets a fresh context per call.
     """
     if lo < 0 or hi < lo:
         raise ValueError(f"bad scan range [{lo}, {hi}]")
-    if (p is None) != (ledger is None):
-        raise ValueError("pass p and ledger together, or neither")
-    if p is None:
+    if p is None and ledger is None:
         ctx = _standard_scan_context()
     else:
-        if p.typ != "icosahedral":
-            raise ValueError(f"{p.name} is {p.typ}; the report needs icosahedral type")
-        if p.galois_row not in _PARTNER_ROW:
-            raise ValueError(
-                f"{p.name} needs a 2-dimensional finite-image tag to decompose"
-            )
-        ctx = _ScanContext(ledger, p, _galois_partner(p, ledger))
+        ctx = _ScanContext(FactLedger() if ledger is None else ledger, p)
     ledger, p, p_tau = ctx.ledger, ctx.p, ctx.p_tau
     family, certificates = ctx.family, ctx.certificates
-    chi = chi if chi is not None else CharWord.gen("chi")
+    if chi is None:
+        _refuse_taken(str(_DEFAULT_TWIST), "the default twist", ledger)
+        chi = _DEFAULT_TWIST
     reports: list[SiegelReport] = []
     for m in range(lo, hi + 1):
         target = f"sym^{m}({p.name})*{chi}" if m >= 1 else str(chi)

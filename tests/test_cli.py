@@ -302,7 +302,7 @@ class TestCuspidality:
             (
                 {"bases": [{"name": "t", "type": "tetrahedral", "galois_row": "X'"}]},
                 "t",
-                "base t: galois_row tags only an icosahedral base, not tetrahedral",
+                "bases[0]: base t: galois_row tags only an icosahedral base, not tetrahedral",
             ),
             (
                 {
@@ -313,7 +313,7 @@ class TestCuspidality:
                     ],
                 },
                 "g",
-                "contradictory declarations of cuspidal for sym^7(g): True vs False",
+                "cuspidal[1]: contradictory declarations of cuspidal for sym^7(g): True vs False",
             ),
             (
                 {
@@ -321,7 +321,7 @@ class TestCuspidality:
                     "facts": [{"lhs": "Ad(p)", "rhs": "Ad(p)", "relation": "equiv", "truth": False}],
                 },
                 "p",
-                "sym^2(p)*omega(p)^-1 ~ sym^2(p)*omega(p)^-1 cannot be declared false: "
+                "facts[0]: sym^2(p)*omega(p)^-1 ~ sym^2(p)*omega(p)^-1 cannot be declared false: "
                 "both sides reduce to sym^2(p)*omega(p)^-1",
             ),
             (
@@ -331,7 +331,7 @@ class TestCuspidality:
                     "facts": [{"lhs": "chi^3", "rhs": "1", "relation": "equiv", "truth": False}],
                 },
                 "p",
-                "chi^3 ~ 1 cannot be declared false: both sides reduce to 1",
+                "facts[0]: chi^3 ~ 1 cannot be declared false: both sides reduce to 1",
             ),
             (
                 {
@@ -339,7 +339,7 @@ class TestCuspidality:
                     "facts": [{"lhs": "eta(q)", "rhs": "1", "relation": "equiv", "truth": True}],
                 },
                 "q",
-                "eta(q) ~ 1 cannot be declared true: their quotient eta(q) is cubic",
+                "facts[0]: eta(q) ~ 1 cannot be declared true: their quotient eta(q) is cubic",
             ),
             (
                 {
@@ -347,7 +347,7 @@ class TestCuspidality:
                     "bases": [{"name": "p", "type": "icosahedral"}],
                 },
                 "p",
-                "character chi of order 3 cannot be quadratic",
+                "characters[0]: character chi of order 3 cannot be quadratic",
             ),
             (
                 {
@@ -364,7 +364,8 @@ class TestCuspidality:
                     "facts": [{"lhs": "nu", "rhs": "nu^-1", "relation": "equiv", "truth": True}],
                 },
                 "p",
-                "nu ~ nu^-1 cannot be declared true: their quotient nu^2 is not 1: nu is non-real",
+                "facts[0]: nu ~ nu^-1 cannot be declared true: their quotient nu^2 is not 1: "
+                "nu is non-real",
             ),
             (
                 {
@@ -373,7 +374,8 @@ class TestCuspidality:
                     "facts": [{"lhs": "c", "rhs": "c^-1", "relation": "equiv", "truth": True}],
                 },
                 "p",
-                "c ~ c^4 cannot be declared true: their quotient c^2 is not 1: c has order 5",
+                "facts[0]: c ~ c^4 cannot be declared true: their quotient c^2 is not 1: "
+                "c has order 5",
             ),
         ],
         ids=[
@@ -431,7 +433,7 @@ class TestCuspidality:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: chi is declared as a character, not a base\n"
+        assert err == "error: bases[0]: chi is declared as a character, not a base\n"
 
     def test_base_named_like_a_dihedral_conjugate_exit_2(self, capsys, tmp_path):
         path = tmp_path / "theta.json"
@@ -455,7 +457,7 @@ class TestCuspidality:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: xi@theta is declared as a character, not a base\n"
+        assert err == "error: bases[1]: xi@theta is declared as a character, not a base\n"
 
     def test_cusp_form_as_twist_exit_2(self, capsys, tmp_path):
         path = tmp_path / "twist.json"
@@ -500,7 +502,7 @@ class TestCuspidality:
         )
         assert (code, out) == (2, "")
         assert err == (
-            "error: sym^2(a)*omega(a)^-1 ~ sym^3(b) cannot be declared true: "
+            "error: facts[0]: sym^2(a)*omega(a)^-1 ~ sym^3(b) cannot be declared true: "
             "degrees differ (3 vs 4)\n"
         )
 
@@ -550,7 +552,7 @@ class TestCuspidality:
         code, out, err = run(
             capsys, "cuspidality", "--facts", str(path), "--pi", "t", "--pi-prime", "t"
         )
-        assert (code, out, err) == (2, "", f"error: {reason}\n")
+        assert (code, out, err) == (2, "", f"error: cuspidal[0]: {reason}\n")
 
     def test_sym3_declared_not_automorphic_exit_2(self, capsys, tmp_path):
         path = tmp_path / "sym3.json"
@@ -567,7 +569,7 @@ class TestCuspidality:
         )
         assert (code, out) == (2, "")
         assert err == (
-            "error: sym^3(g) cannot be declared not automorphic: "
+            "error: automorphic[0]: sym^3(g) cannot be declared not automorphic: "
             "sym^3 is automorphic (Kim-Shahidi 2002)\n"
         )
 
@@ -590,6 +592,12 @@ class TestCuspidality:
         assert code == 0
         assert "undetermined" in out
         assert "missing fact" in out
+
+
+# the refusals of a default name that a file takes for something else
+DEFAULT_PI = "pi, the default base when no base is tagged, is declared as "
+PARTNER = "pi_tau, the Galois partner of pi, is declared as "
+UNTAGGED = "a base without galois_row X'"
 
 
 class TestSiegel:
@@ -628,11 +636,11 @@ class TestSiegel:
                "siegel": {"chi": "c"}}
         path.write_text(json.dumps(doc))
         assert run(capsys, "siegel", "--m", "0", "--facts", str(path)) == (
-            2, "", "error: character c of order 2 cannot be non-real\n"
+            2, "", "error: characters[0]: character c of order 2 cannot be non-real\n"
         )
 
     def test_a_base_named_chi_with_another_twist(self, capsys, tmp_path):
-        """The default twist chi is declared only when the document names none."""
+        """The default twist chi is needed only when the document names none."""
         path = tmp_path / "chi_base.json"
         doc = {
             "bases": [{"name": "chi", "type": "icosahedral", "galois_row": "X'"}],
@@ -648,7 +656,7 @@ class TestSiegel:
         del doc["siegel"]["chi"]
         path.write_text(json.dumps(doc))
         assert run(capsys, "siegel", "--m", "0", "--facts", str(path)) == (
-            2, "", "error: chi is declared as a base, not a character\n"
+            2, "", "error: chi, the default twist, is declared as a base\n"
         )
 
     def test_facts_file_inputs(self, capsys, tmp_path):
@@ -759,7 +767,7 @@ class TestSiegel:
         code, out, err = run(capsys, "siegel", "--m", "6", "--facts", str(path), *flags)
         assert (code, out) == (2, "")
         assert err == (
-            "error: f ~ g cannot be declared true: "
+            "error: facts[0]: f ~ g cannot be declared true: "
             "finite-image restrictions differ: [\"X'\"] vs [\"X''\"]\n"
         )
 
@@ -816,23 +824,51 @@ class TestSiegel:
         assert err == f"error: f_tau, the Galois partner of f, is declared as {what}\n"
 
     @pytest.mark.parametrize(
-        "doc,name",
+        "doc,message",
         [
-            ({"bases": [{"name": "pi", "type": "icosahedral"}]}, "pi"),
-            ({"bases": [{"name": "pi", "type": "tetrahedral"}]}, "pi"),
-            ({"characters": [{"name": "pi_tau"}]}, "pi_tau"),
+            ({"bases": [{"name": "pi", "type": "icosahedral"}]}, DEFAULT_PI + UNTAGGED),
+            ({"bases": [{"name": "pi", "type": "tetrahedral"}]}, DEFAULT_PI + UNTAGGED),
+            ({"characters": [{"name": "pi_tau"}]}, PARTNER + "a character"),
+            ({"characters": [{"name": "pi"}]}, DEFAULT_PI + "a character"),
+            ({"bases": [{"name": "pi_tau", "type": "general"}]}, PARTNER + "a base without galois_row X''"),
+            (
+                {"bases": [{"name": "omega(pi)", "type": "general"}]},
+                "omega(pi), the central character of the default base pi, is declared as a base",
+            ),
+            (
+                {"bases": [{"name": "chi", "type": "general"}]},
+                "chi, the default twist, is declared as a base",
+            ),
         ],
-        ids=["untagged-icosahedral", "tetrahedral", "character"],
+        ids=["untagged-icosahedral", "tetrahedral", "character", "pi-character", "pi_tau-base",
+             "omega-base", "chi-base"],
     )
-    def test_standard_pair_name_clash_exit_2(self, capsys, tmp_path, doc, name):
+    def test_standard_pair_name_clash_exit_2(self, capsys, tmp_path, doc, message):
+        """A file that tags no base gets the default pi, pi_tau, omega(pi) and
+        chi as values; a name it takes for something else is refused."""
         path = tmp_path / "clash.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "siegel", "--m", "12", "--facts", str(path))
-        assert (code, out) == (2, "")
-        assert err == (
-            f"error: {path} tags no base, so the standard pair pi/pi_tau is added to it, "
-            f"but the name {name} is taken\n"
-        )
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, "siegel", "--m", "12", "--facts", str(path), *flags)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_an_untagged_base_named_chi_with_another_twist(self, capsys, tmp_path, flags):
+        """The twist c leaves the name chi free, so a file that tags no base
+        may call a base chi: it reads as the same file with the base renamed."""
+        path = tmp_path / "chi_base.json"
+        outputs = []
+        for name in ("chi", "rho"):
+            doc = {
+                "bases": [{"name": name, "type": "icosahedral"}],
+                "characters": [{"name": "c"}],
+                "siegel": {"chi": "c"},
+            }
+            path.write_text(json.dumps(doc))
+            outputs.append([run(capsys, "siegel", "--m", str(m), "--facts", str(path), *flags)
+                            for m in (0, 3, 12)])
+        assert all(code == 0 and err == "" for code, _, err in outputs[0])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("m", [MAX_POWER + 1, 10_000_000])
     def test_m_above_the_bound(self, capsys, m):
@@ -896,7 +932,7 @@ class TestDispatch:
             assert (proc.returncode, proc.stdout) == (2, "")
             errors.add(proc.stderr)
         assert errors == {
-            "error: contradictory assertions for sym^2(pi)*omega(pi)^-1 ~ "
+            "error: facts[1]: contradictory assertions for sym^2(pi)*omega(pi)^-1 ~ "
             "sym^2(rho)*omega(rho)^-1: True vs False\n"
         }
 

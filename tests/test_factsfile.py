@@ -20,7 +20,6 @@ from icosym.factsfile import (
     load_facts_file,
     parse_symbol,
     parse_word,
-    siegel_inputs,
 )
 from icosym.isobaric import (
     CharWord,
@@ -31,6 +30,7 @@ from icosym.isobaric import (
     decide_cuspidality,
     decide_cuspidality_via_poles,
 )
+from icosym.siegel import siegel_report
 
 
 def test_empty_document():
@@ -119,18 +119,19 @@ class TestBases:
         bases = [self.DIHEDRAL, {"name": "xi@theta", "type": "icosahedral"}]
         if not dihedral_first:
             bases.reverse()
-        with pytest.raises(LedgerError, match="xi@theta is declared as a"):
+        # the second of the two bases is the one refused
+        with pytest.raises(FactsError, match=r"^bases\[1\]: xi@theta is declared as a"):
             load_facts({"bases": bases})
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(LedgerError, match="unknown base type"):
+        with pytest.raises(FactsError, match=r"^bases\[0\]: unknown base type"):
             load_facts({"bases": [{"name": "pi", "type": "heptahedral"}]})
 
     @pytest.mark.parametrize(
         "row", ["Q", "W", 7, ["X'"]], ids=["Q", "W", "int", "list"]
     )
     def test_galois_row_must_be_two_dimensional(self, row):
-        with pytest.raises(LedgerError, match="galois_row"):
+        with pytest.raises(FactsError, match=r"^bases\[0\]: base pi: galois_row"):
             load_facts(
                 {"bases": [{"name": "pi", "type": "icosahedral", "galois_row": row}]}
             )
@@ -408,7 +409,7 @@ class TestFacts:
                 },
             ],
         }
-        with pytest.raises(LedgerError, match="contradictory"):
+        with pytest.raises(FactsError, match=r"^facts\[1\]: contradictory"):
             load_facts(doc)
 
 
@@ -486,7 +487,7 @@ class TestOtherSections:
         ids=["character-then-base", "generated-omega", "declared-omega"],
     )
     def test_a_name_shared_by_a_base_and_a_character_rejected(self, doc):
-        with pytest.raises(LedgerError, match="declared as a"):
+        with pytest.raises(FactsError, match=r"^bases\[\d\]: \S+ is declared as a"):
             load_facts(doc)
 
     def test_unknown_section_rejected(self):
@@ -542,6 +543,9 @@ def test_malformed_shape_is_a_facts_error(doc, message):
 
 
 class TestSiegelInputs:
+    """The siegel section names a declared base and character; the report
+    picks what it leaves out, reading the loaded ledger."""
+
     def test_explicit_config(self):
         doc = {
             "characters": [{"name": "nu", "order": 4}],
@@ -549,18 +553,16 @@ class TestSiegelInputs:
             "siegel": {"p": "f", "chi": "nu"},
         }
         ledger = load_facts(doc)
-        p, chi = siegel_inputs(ledger, doc)
-        assert p.name == "f"
-        assert chi == CharWord.gen("nu")
+        report = siegel_report(12, ledger.bases["f"], CharWord.gen("nu"), ledger)
+        assert report.target == "sym^12(f)*nu"
 
     def test_unique_tagged_base_is_found(self):
         doc = {"bases": [{"name": "f", "type": "icosahedral", "galois_row": "X''"}]}
-        ledger = load_facts(doc)
-        p, chi = siegel_inputs(ledger, doc)
-        assert p.name == "f" and chi is None
+        assert siegel_report(12, ledger=load_facts(doc)).target == "sym^12(f)*chi"
 
     def test_empty_document_falls_back(self):
-        assert siegel_inputs(load_facts({}), {}) == (None, None)
+        report, default = siegel_report(12, ledger=load_facts({})), siegel_report(12)
+        assert (str(report), report.as_json()) == (str(default), default.as_json())
 
     def test_ambiguous_tagging_rejected(self):
         doc = {
@@ -569,16 +571,16 @@ class TestSiegelInputs:
                 {"name": "g", "type": "icosahedral", "galois_row": "X''"},
             ]
         }
-        with pytest.raises(FactsError, match="pick one"):
-            siegel_inputs(load_facts(doc), doc)
+        with pytest.raises(LedgerError, match="pick one"):
+            siegel_report(12, ledger=load_facts(doc))
 
     def test_undeclared_siegel_character(self):
         doc = {
             "bases": [{"name": "f", "type": "icosahedral", "galois_row": "X'"}],
             "siegel": {"p": "f", "chi": "ghost"},
         }
-        with pytest.raises(FactsError, match="undeclared character"):
-            siegel_inputs(load_facts(doc), doc)
+        with pytest.raises(FactsError, match="^siegel: undeclared character 'ghost'$"):
+            load_facts(doc)
 
 
 class TestFileIO:
@@ -701,11 +703,11 @@ def generated_path(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(doc=_ANY_DOCUMENT)
 def test_any_json_value_loads_or_raises_a_typed_error(generated_path, doc):
-    """A JSON value gives a ledger, a FactsError or a LedgerError; a
-    document that is refused exits 2 on the command line."""
+    """A JSON value gives a ledger or a FactsError, ledger refusals
+    included; a document that is refused exits 2 on the command line."""
     try:
         load_facts(doc)
-    except (FactsError, LedgerError):
+    except FactsError:
         pass
     else:
         return
@@ -820,7 +822,7 @@ def _state(ledger):
 def _load(doc):
     try:
         return _state(load_facts(doc))
-    except (FactsError, LedgerError) as err:
+    except FactsError as err:
         return type(err)
 
 

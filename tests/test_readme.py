@@ -7,13 +7,14 @@ import re
 from pathlib import Path
 
 from icosym import (
+    CharWord,
     decide_cuspidality,
     decide_cuspidality_via_poles,
     default_table,
     siegel_report,
     standard_icosahedral_pair,
 )
-from icosym.factsfile import load_facts, siegel_inputs
+from icosym.factsfile import load_facts
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,7 +40,8 @@ def test_facts_file_example():
     verdict = decide_cuspidality(ledger.bases["d"], ledger.bases["rho"], ledger)
     assert verdict.verdict == "cuspidal"
 
-    p, chi = siegel_inputs(ledger, doc)
-    report = siegel_report(12, p, chi, ledger)
+    # the report on the base the siegel section names, with its twist
+    names = doc["siegel"]
+    report = siegel_report(12, ledger.bases[names["p"]], CharWord.gen(names["chi"]), ledger)
     # the example declares chi*omega(f)^6 non-real, defusing the m = 12 case
     assert report.verdict == "no-siegel-zero"

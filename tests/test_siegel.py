@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from icosym.chartab import CharacterTable
+from icosym.factsfile import load_facts
 from icosym.icostruct import scan_trivial
 from icosym.isobaric import (
     BaseCusp,
@@ -28,7 +29,6 @@ from icosym.siegel import (
     expand_aux_square,
     siegel_report,
     siegel_scan,
-    standard_context,
 )
 from icosym.verify import galois_square_accounting, verify_rule_table
 
@@ -332,16 +332,16 @@ def test_scan_matches_trivial_constituent_scan():
 
 
 def test_declared_non_real_character_unflags():
-    ledger, p, _ = standard_context()
+    ledger = FactLedger()  # the report takes the default pi and chi
     q_word = CharWord.gen("omega(pi)", 6) * CHI
     ledger.declare_word_kind(q_word, "non-real")
-    rep = siegel_report(12, p, CHI, ledger)
+    rep = siegel_report(12, ledger=ledger)
     assert rep.verdict == "no-siegel-zero"
     assert any("cannot be excluded" not in c.detail for c in rep.constituents)
 
 
 def test_declared_non_self_dual_short_circuits():
-    ledger, p, _ = standard_context()
+    ledger, p, _ = standard_icosahedral_pair()
     ledger.declare_self_dual(Constituent(SymCusp(p, 5), CHI), False)
     rep = siegel_report(5, p, CHI, ledger)
     assert rep.verdict == "no-siegel-zero"
@@ -351,9 +351,9 @@ def test_declared_non_self_dual_short_circuits():
 
 def test_m0_flags_only_declared_real_characters():
     assert siegel_report(0).verdict == "no-siegel-zero"
-    ledger, p, _ = standard_context()
+    ledger = FactLedger()
     ledger.declare_word_kind(CHI, "quadratic")
-    rep = siegel_report(0, p, CHI, ledger)
+    rep = siegel_report(0, ledger=ledger)
     assert rep.verdict == "exceptional-case"
     assert rep.exceptional_character == "chi"
 
@@ -369,16 +369,21 @@ def test_report_rejects_bad_inputs():
         siegel_scan(5, 3)
 
 
-def test_report_takes_p_and_ledger_together():
-    ledger, p, _ = standard_context()
-    for call in (
-        lambda: siegel_report(12, p),
-        lambda: siegel_report(12, ledger=ledger),
-        lambda: siegel_scan(0, 3, p),
-        lambda: siegel_scan(0, 3, ledger=ledger),
+def test_report_takes_p_and_ledger_each_alone():
+    """A base without a ledger is read against an empty one; a ledger
+    without a base gives its tagged base, or else the default pi."""
+    ledger, p, _ = standard_icosahedral_pair()
+    tagged = FactLedger()
+    tagged.declare_base("pi", "icosahedral", galois_row="X'")
+    default = siegel_report(12)
+    for rep in (
+        siegel_report(12, p),
+        siegel_report(12, ledger=tagged),
+        siegel_report(12, ledger=FactLedger()),
+        siegel_scan(12, 12, p)[0],
+        siegel_scan(12, 12, ledger=tagged)[0],
     ):
-        with pytest.raises(ValueError, match="together"):
-            call()
+        assert (str(rep), rep.as_json()) == (str(default), default.as_json())
 
 
 def test_report_checks_the_base_before_the_ledger():
@@ -388,6 +393,28 @@ def test_report_checks_the_base_before_the_ledger():
         siegel_report(12, BaseCusp("g", "icosahedral"), None, ledger)
     with pytest.raises(ValueError, match="icosahedral type"):
         siegel_report(12, BaseCusp("g", "general", galois_row="X'"), None, ledger)
+
+
+# a ledger's declarations: every table that a declare_* or assert_* call writes
+DECLARATION_TABLES = (
+    "characters", "bases", "base_changes", "_facts", "_cuspidal", "_automorphic",
+    "_word_kinds", "_self_dual", "_orders",
+)
+
+
+def test_a_scan_over_a_ledger_without_a_tagged_base_writes_nothing():
+    ledger = load_facts({
+        "characters": [{"name": "nu", "order": 4}],
+        "bases": [{"name": "rho", "type": "icosahedral"}],
+        "facts": [{"lhs": "Ad(rho)", "rhs": "Ad(rho)*nu^2", "relation": "equiv", "truth": False}],
+        "word_kinds": [{"word": "chi*omega(pi)^6", "kind": "non-real"}],
+    })
+    before = {name: dict(getattr(ledger, name)) for name in DECLARATION_TABLES}
+    reports = siegel_scan(0, 30, ledger=ledger)
+    assert {name: getattr(ledger, name) for name in DECLARATION_TABLES} == before
+    # the report is on the default pi and chi, and reads the ledger's word kind
+    assert reports[12].target == "sym^12(pi)*chi"
+    assert reports[12].verdict == "no-siegel-zero" != siegel_report(12).verdict
 
 
 def tagged_base():
@@ -460,7 +487,7 @@ def test_galois_partner_name_clash_is_refused(kind):
 
 
 def test_alternative_normalization_follows_omega_and_the_twist():
-    ledger, p, _ = standard_context()
+    ledger, p, _ = standard_icosahedral_pair()
     for chi, alt in (
         (CharWord.gen("nu"), "omega(pi)^(12/2)*nu^(13)"),
         (CharWord.of({"chi": 1, "nu": 1}), "omega(pi)^(12/2)*(chi*nu)^(13)"),

@@ -28,7 +28,6 @@ from icosym.siegel import (
     expand_aux_square,
     siegel_report,
     siegel_scan,
-    standard_context,
 )
 
 CHI = CharWord.gen("chi")
@@ -163,11 +162,14 @@ def test_long_scan_output_is_pinned(flags):
 
 @pytest.mark.parametrize("chi", [None, CharWord.of({"chi": 1, "nu": 2})], ids=["chi", "chi*nu^2"])
 def test_a_default_report_is_the_report_on_a_fresh_standard_ledger(chi):
+    """The default pi and pi_tau, undeclared, report as the declared pair."""
     for m in range(401):
-        ledger, p, _ = standard_context()
-        shared, explicit = siegel_report(m, chi=chi), siegel_report(m, p, chi, ledger)
-        assert str(shared) == str(explicit)
-        assert shared.as_json() == explicit.as_json()
+        ledger, p, _ = standard_icosahedral_pair()
+        shared = siegel_report(m, chi=chi)
+        empty = siegel_report(m, chi=chi, ledger=FactLedger())
+        for explicit in (siegel_report(m, p, chi, ledger), empty):
+            assert str(shared) == str(explicit)
+            assert shared.as_json() == explicit.as_json()
 
 
 def test_default_reports_build_the_family_and_certificates_once(
@@ -206,11 +208,11 @@ Q12 = CharWord.of({"chi": 1, "omega(pi)": 6})  # the character constituent at m 
 )
 def test_a_mutated_standard_ledger_leaves_default_reports_alone(m, mutate):
     before = siegel_report(m)
-    ledger, p, _ = standard_context()
+    ledger, p, _ = standard_icosahedral_pair()
     mutate(ledger, p)
     # the mutation does change a report on that ledger ...
     assert siegel_report(m, p, None, ledger).verdict != before.verdict
     # ... but not a later default report
     after = siegel_report(m)
     assert (str(after), after.as_json()) == (str(before), before.as_json())
-    assert standard_context()[0] is not ledger
+    assert icosym.siegel._standard_scan_context().ledger is not ledger
