@@ -2,8 +2,8 @@
 
 Every subcommand prints human-readable text by default and a single JSON
 document with ``--json``; exit codes are 0 for success, 1 for a failed
-verification, 2 for usage or parse errors and for a stdout closed before
-the output was complete.
+verification, 2 for usage or parse errors and for a stdout closed or full
+before the output was complete.
 
 Each ``cmd_*`` imports the layers it uses once its arguments have passed
 their checks, so a command runs only those.  ``verify`` takes ``all``,
@@ -39,7 +39,7 @@ def _emit(command: str, inputs: dict, results, citations=()) -> None:
 
 
 def _rule_citations(rule_names) -> list[dict]:
-    from .siegel import RULES
+    from .rules import RULES
 
     out = []
     for name in dict.fromkeys(rule_names):
@@ -310,7 +310,8 @@ def cmd_siegel(args) -> int:
         raise ValueError(f"--m must be at most {MAX_POWER}, got {args.m}")
     if args.scan is not None and args.scan[1] > MAX_POWER:
         raise ValueError(f"--scan must end at most {MAX_POWER}, got {args.scan[1]}")
-    from .siegel import RULES, siegel_report, siegel_scan
+    from .rules import RULES
+    from .siegel import siegel_report, siegel_scan
 
     p = chi = ledger = None
     if args.facts:
@@ -464,11 +465,16 @@ def main() -> None:
     try:
         code = cmd_dispatch(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so the
-        # interpreter's final flush cannot raise a second time
+    except OSError as err:
+        # the reader closed stdout, or its device is full; point it at
+        # devnull so the interpreter's final flush cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout closed before the output was complete", file=sys.stderr)
+        what = "closed" if isinstance(err, BrokenPipeError) else f"unwritable ({err.strerror})"
+        try:
+            print(f"error: stdout {what} before the output was complete", file=sys.stderr,
+                  flush=True)
+        except OSError:  # stderr went with stdout; the exit code still tells
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         code = 2
     sys.exit(code)
 

@@ -130,34 +130,26 @@ def generator_family(m: int) -> dict[str, IcoIrrep]:
     """The nine derived objects every irreducible is twist-equivalent to.
 
     Built from the designated 2-dimensional pair Lam = (X', 1) and
-    Lam' = (X'', 1): the trivial character, the pair itself, their squares
-    and their product, and the third through fifth symmetric powers of Lam.
-    Each must come out irreducible; the nine land in pairwise distinct rows.
+    Lam' = (X'', 1): for each generator sym^a(pi) [x] sym^b(pi^tau) of
+    :data:`icosym.rules.GENERATORS`, sym^a(Lam)*sym^b(Lam'), keyed by that
+    name ("1", "Lam", ..., "Lam*Lam'") and carrying the exponent
+    (a + b) mod 2m.  Each must come out irreducible; the nine land in
+    pairwise distinct rows.
     """
+    from .rules import GENERATORS  # here, so that irreps and scan-trivial never run it
+
     if m < 1:
         raise ValueError("center parameter m must be >= 1")
     tab = default_table()
-    lam = IcoIrrep("X'", 1 % (2 * m))
-    lam_t = IcoIrrep("X''", 1 % (2 * m))
-
-    def single(mults: dict[IcoIrrep, int], label: str) -> IcoIrrep:
+    out = {}
+    for g in GENERATORS:
+        label = "*".join(
+            lam if k == 1 else f"sym^{k}({lam})" for k, lam in ((g.a, "Lam"), (g.b, "Lam'")) if k
+        ) or "1"
+        mults = tab.decompose(tab.sym_power("X'", g.a) * tab.sym_power("X''", g.b))
         if len(mults) != 1 or set(mults.values()) != {1}:
             raise RuntimeError(f"{label} is not irreducible: {mults}")
-        return next(iter(mults))
-
-    def product(r1: IcoIrrep, r2: IcoIrrep, label: str) -> IcoIrrep:
-        mults = tab.decompose(tab.row(r1.base) * tab.row(r2.base))
-        exp = (r1.exponent + r2.exponent) % (2 * m)
-        return single({IcoIrrep(n, exp): k for n, k in mults.items()}, label)
-
-    return {
-        "1": IcoIrrep("U", 0),
-        "Lam": lam,
-        "Lam'": lam_t,
-        "sym^2(Lam)": single(sym_power_irrep(lam, 2, m), "sym^2(Lam)"),
-        "sym^2(Lam')": single(sym_power_irrep(lam_t, 2, m), "sym^2(Lam')"),
-        "sym^3(Lam)": single(sym_power_irrep(lam, 3, m), "sym^3(Lam)"),
-        "Lam*Lam'": product(lam, lam_t, "Lam*Lam'"),
-        "sym^4(Lam)": single(sym_power_irrep(lam, 4, m), "sym^4(Lam)"),
-        "sym^5(Lam)": single(sym_power_irrep(lam, 5, m), "sym^5(Lam)"),
-    }
+        (row,) = mults
+        out[label] = IcoIrrep(row, (g.a + g.b) % (2 * m))
+        validate_irrep(out[label], m)  # the parity must match automatically
+    return out

@@ -25,10 +25,11 @@ genericity can NOT settle is compared across bases (``Ad(pi)`` vs
 consume, so they must be declared in a :class:`FactLedger` (or be decidable
 by the finite-image model: bases carrying a ``galois_row`` tag restrict to
 the character table, and distinct restrictions certify inequivalence).
-Self-twists are the other non-generic spot: where :data:`TYPE_RULES` lets
-sym^n of the base's type admit one (``sym^2`` of a dihedral or tetrahedral
-base, any power of a base of undeclared type), such queries come back
-undetermined instead of defaulting to "no".
+Self-twists are the other non-generic spot: where the type table
+(:data:`icosym.rules.TYPE_RULES`) lets sym^n of the base's type admit one
+(``sym^2`` of a dihedral or tetrahedral base, any power of a base of
+undeclared type), such queries come back undetermined instead of defaulting
+to "no".
 """
 
 from __future__ import annotations
@@ -37,49 +38,10 @@ from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING, Union
 
 from . import Record, _set
+from .rules import AUTOMORPHIC, BASE_TYPES, GENERATORS, TYPE_RULES, type_rule
 
 if TYPE_CHECKING:  # the table is built only for ledgers that query a tag
     from .chartab import CharacterTable, ClassFunction
-
-_GJ = (True, "sym^2 is cuspidal for any non-dihedral base (Gelbart-Jacquet 1978)")
-_KS = (True, "sym^3 is cuspidal when the base is neither dihedral nor tetrahedral "
-             "(Kim-Shahidi 2002)")
-_KIM = (True, "sym^4 is cuspidal when the base is not solvable polyhedral (Kim 2003)")
-_BINARY = ("finite image: sym^{n} is {state} on the binary {typ} group, whose irreducibles "
-           "have degree at most {degree}")
-
-# What a declared type alone says about sym^n: (twists, cited, degree, reason).  cited holds
-# the cited cuspidality verdicts by n.  For a dihedral or polyhedral type, degree decides any
-# other n >= 2: sym^n, of degree n + 1, is cuspidal iff n + 1 <= degree, the largest
-# irreducible degree of the binary group over the projective image.  twists(n) is False when
-# sym^n (n >= 1) admits no self-twist.  A self-twist is a character of the projective image
-# (the trace is not 0 on the scalars): cubic on A4, the sign on S4, none on A5; the trace of
-# sym^n vanishes off its kernel for the n below.  A general base has none for n <= 3.
-TYPE_RULES: dict[str, tuple] = {
-    "dihedral": (lambda n: True, {}, 2, "symmetric powers of a dihedral base are never cuspidal"),
-    "tetrahedral": (lambda n: n % 3 == 2, {
-        2: _GJ, 3: (False, "sym^3 of a tetrahedral base splits (Kim-Shahidi 2002)"),
-        4: (False, "sym^4 of a tetrahedral base splits (Kim 2003)")}, 3, _BINARY),
-    "octahedral": (lambda n: n % 4 == 3, {
-        2: _GJ, 3: _KS, 4: (False, "sym^4 of a octahedral base splits (Kim 2003)")}, 4, _BINARY),
-    "icosahedral": (lambda n: False, {2: _GJ, 3: _KS, 4: _KIM}, 6, _BINARY),
-    "general": (lambda n: n >= 4, {2: _GJ, 3: _KS, 4: _KIM}, None, ""),  # not polyhedral
-    "abstract": (lambda n: True, {}, None, ""),  # cuspidal of undeclared type
-}
-
-BASE_TYPES = tuple(TYPE_RULES)
-
-
-def type_rule(typ: str, n: int) -> tuple[bool | None, str]:
-    """What the declared type says about sym^n, n >= 1: cuspidal or not and
-    why (None and "" when the type leaves it open)."""
-    _, cited, degree, reason = TYPE_RULES[typ]
-    cuspidal, why = cited.get(n, (None, ""))
-    if cuspidal is None and degree:
-        cuspidal = n < degree
-        state = "irreducible" if cuspidal else "reducible"
-        why = reason.format(n=n, state=state, typ=typ, degree=degree)
-    return cuspidal, why
 
 
 class LedgerError(ValueError):
@@ -186,15 +148,18 @@ class CharWord(Symbol):
 # cuspidal cores
 
 
+_NAMED_OMEGA = object()  # an omitted central character: omega(<name>)
+
+
 class BaseCusp(Symbol):
     """A named cuspidal symbol on GL(2) with declared structure tags."""
 
     __slots__ = ("name", "typ", "omega", "dihedral_field", "dihedral_char", "cubic_char",
                  "quadratic_char", "induced_field", "induced_char", "galois_row")
-    _defaults = {"typ": "abstract", "omega": "", **dict.fromkeys(__slots__[3:])}
+    _defaults = {**dict.fromkeys(__slots__[1:]), "typ": "abstract", "omega": _NAMED_OMEGA}
     name: str
     typ: str
-    omega: str  # central character generator name
+    omega: str  # central character generator name, omega(<name>) unless given
     dihedral_field: str | None
     dihedral_char: str | None
     cubic_char: str | None  # self-twist of sym^2 (tetrahedral)
@@ -202,6 +167,11 @@ class BaseCusp(Symbol):
     induced_field: str | None  # octahedral complement data
     induced_char: str | None
     galois_row: str | None  # finite-image model: a character-table row
+
+    def __init__(self, *args, **kwargs) -> None:
+        Symbol.__init__(self, *args, **kwargs)
+        if self.omega is _NAMED_OMEGA:
+            _set(self, "omega", f"omega({self.name})")
 
     @property
     def degree(self) -> int:
@@ -562,7 +532,6 @@ class FactLedger:
         if row is not None and typ != "icosahedral":
             # the rows are the binary icosahedral group's, and a tag outranks the type table
             raise LedgerError(f"base {name}: galois_row tags only an icosahedral base, not {typ}")
-        tags.setdefault("omega", f"omega({name})")
         if typ == "tetrahedral":
             tags["cubic_char"] = tags.get("cubic_char") or f"eta({name})"
         if typ == "octahedral":
@@ -571,7 +540,7 @@ class FactLedger:
             tags["induced_char"] = tags.get("induced_char") or f"chi0({name})"
         # every field by position, which skips the generic keyword binding; a
         # tag left over is not a field, and the binding refuses it
-        fields = [tags.pop(key, None) for key in BaseCusp.__slots__[2:]]
+        fields = [tags.pop(key, BaseCusp._defaults[key]) for key in BaseCusp.__slots__[2:]]
         base = BaseCusp(name, typ, *fields, **tags)
         companions: list[tuple[str, CharInfo]] = []
         if typ == "dihedral":
@@ -624,8 +593,8 @@ class FactLedger:
         The finite image of a tagged base, and cuspidality, imply automorphy
         only given the family generators, which a file may deny."""
         sym = _as_sym(core)
-        if sym is not None and not truth and sym[1] in _AUTOMORPHIC:
-            raise LedgerError(f"{core} cannot be declared not automorphic: {_AUTOMORPHIC[sym[1]]}")
+        if sym is not None and not truth and sym[1] in AUTOMORPHIC:
+            raise LedgerError(f"{core} cannot be declared not automorphic: {AUTOMORPHIC[sym[1]]}")
         _declare(self._automorphic, core, truth, "automorphic")
 
     def cuspidal_declared(self, core: Core) -> bool | None:
@@ -810,18 +779,10 @@ class FactLedger:
 # cuspidality / automorphy of symmetric powers
 
 
-# automorphy cited for every base, by n
-_AUTOMORPHIC = {
-    2: "sym^2 is automorphic (Gelbart-Jacquet 1978)",
-    3: "sym^3 is automorphic (Kim-Shahidi 2002)",
-    4: "sym^4 is automorphic (Kim 2003)",
-}
-
-
 def sym_power_cuspidal(p: BaseCusp, n: int, ledger: FactLedger) -> tuple[bool | None, str]:
     """Is sym^n of the base cuspidal?  Declared facts win; a finite-image
     tag decides by irreducibility of the restriction; otherwise the declared
-    type does, through :data:`TYPE_RULES`."""
+    type does, through :data:`icosym.rules.TYPE_RULES`."""
     if n == 0:
         return False, "sym^0 is the trivial character"
     declared = ledger.cuspidal_declared(SymCusp(p, n)) if n > 1 else None
@@ -860,8 +821,8 @@ def sym_power_automorphic(p: BaseCusp, n: int, ledger: FactLedger) -> tuple[bool
             "by a twist of a family generator, so the symbol is an isobaric "
             "sum of cuspidal twists"
         )
-    if n in _AUTOMORPHIC:
-        return True, _AUTOMORPHIC[n]
+    if n in AUTOMORPHIC:
+        return True, AUTOMORPHIC[n]
     cuspidal, reason = sym_power_cuspidal(p, n, ledger)
     if cuspidal:
         return True, reason
@@ -1194,25 +1155,19 @@ def icosahedral_family(
     """The nine cuspidal symbols generating the finite model's rows.
 
     Returns (label, constituent, row) triples, each label the printed
-    constituent: the trivial symbol, the pair, their second and third
-    symmetric powers, the cross box product, and the fourth and fifth powers
-    of the first base.  Restriction hits each row of the character table
-    exactly once; the check is performed here and a mismatch raises.
+    constituent, in the order of :data:`icosym.rules.GENERATORS`:
+    sym^a(p) [x] sym^b(p_tau) for each generator's (a, b).  Restriction hits
+    each row of the character table exactly once; the check is performed
+    here and a mismatch raises.
     """
-    items = [
-        TRIVIAL,
-        Constituent(p),
-        Constituent(p_tau),
-        Constituent(SymCusp(p, 2)),
-        Constituent(SymCusp(p_tau, 2)),
-        Constituent(SymCusp(p, 3)),
-        Constituent(box_cusp(p, p_tau)),
-        Constituent(SymCusp(p, 4)),
-        Constituent(SymCusp(p, 5)),
-    ]
     out: list[tuple[str, Constituent, str]] = []
     seen: set[str] = set()
-    for c in items:
+    for g in GENERATORS:
+        left, right = sym_cusp(p, g.a), sym_cusp(p_tau, g.b)
+        if left is None or right is None:
+            c = Constituent(right if left is None else left)  # both None: the trivial
+        else:
+            c = Constituent(box_cusp(left, right))
         label = str(c)
         if c.core is None:
             row = "U"

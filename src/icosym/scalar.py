@@ -7,8 +7,8 @@ ints ``(p, q, d)`` standing for ``(p + q*sqrt 5)/d`` in lowest terms:
 algebraic integers of the field, so ``d`` is 1 or 2 for them, and each
 operation is a few integer products and at most one gcd.  The normal form is
 unique, so equality and hashing compare the three ints.  No floating point
-is used anywhere: the constructor takes ints only, and :func:`render` and
-:func:`parse` write and read the text form with ints as well.
+is used anywhere: the constructor takes ints only, and :func:`render` writes
+the text form with ints as well.
 
 The field carries one nontrivial automorphism ``tau : sqrt(5) -> -sqrt(5)``
 (:meth:`Qsqrt5.conj`), which swaps the golden ratio with its algebraic
@@ -18,19 +18,10 @@ conjugate.  Inversion uses the field norm ``(p**2 - 5*q**2)/d**2``.
 from __future__ import annotations
 
 import itertools
-import re
 from math import gcd
 from operator import index
 
 _SQRT_TOKEN = "√5"  # √5
-
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_COEF = r"\d+(?:/\d+)?"
-# the three shapes render() can emit: a ± b√5, ±b√5, a; compiled by re's
-# own cache on the first parse, so importing the field compiles nothing
-_FULL = rf"^\s*(?P<a>{_RAT})\s*(?P<op>[+-])\s*(?P<coef>{_COEF})?\s*√5\s*$"
-_SURD = rf"^\s*(?P<sign>[+-])?\s*(?P<coef>{_COEF})?\s*√5\s*$"
-_RATIONAL = rf"^\s*(?P<a>{_RAT})\s*$"
 
 
 class Qsqrt5:
@@ -245,7 +236,7 @@ def _ratio_text(n: int, d: int) -> str:
 
 
 def render(x: Qsqrt5) -> str:
-    """Render ``a + b√5`` with rationals as ``p/q``; exact round-trip with parse."""
+    """Render ``a + b√5`` with rationals as ``p/q``, in lowest terms."""
     p, q, d = x.p, x.q, x.d
     if q == 0:
         return _ratio_text(p, d)
@@ -255,44 +246,6 @@ def render(x: Qsqrt5) -> str:
         return surd if q > 0 else f"-{surd}"
     sign = "+" if q > 0 else "-"
     return f"{_ratio_text(p, d)} {sign} {surd}"
-
-
-def parse(text: str) -> Qsqrt5:
-    """Parse the rendering produced by :func:`render` (``sqrt5`` also accepted).
-
-    Raises ValueError on anything else.
-    """
-    normalized = text.replace("sqrt5", _SQRT_TOKEN)
-    try:
-        return _parse_normalized(normalized)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def _ratio(text: str | None) -> tuple[int, int]:
-    """Numerator and denominator of a literal ``n`` or ``n/d``; 1 if absent."""
-    if not text:
-        return 1, 1
-    n, _, d = text.partition("/")
-    return int(n), int(d or 1)
-
-
-def _parse_normalized(normalized: str) -> Qsqrt5:
-    m = re.match(_FULL, normalized)
-    if m is not None:
-        an, ad = _ratio(m.group("a"))
-        bn, bd = _ratio(m.group("coef"))
-        bn = -bn if m.group("op") == "-" else bn
-        return Qsqrt5(an * bd, bn * ad, ad * bd)
-    m = re.match(_SURD, normalized)
-    if m is not None:
-        bn, bd = _ratio(m.group("coef"))
-        return Qsqrt5(0, -bn if m.group("sign") == "-" else bn, bd)
-    m = re.match(_RATIONAL, normalized)
-    if m is not None:
-        an, ad = _ratio(m.group("a"))
-        return Qsqrt5(an, 0, ad)
-    raise ValueError(f"not a Q(sqrt 5) literal: {normalized!r}")
 
 
 ZERO = Qsqrt5(0)

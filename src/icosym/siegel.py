@@ -60,6 +60,7 @@ from .isobaric import (
     sym_power_automorphic,
     sym_power_cuspidal,
 )
+from .rules import GENERATORS, RULES, Generator
 
 
 class MissingHypothesisError(LedgerError):
@@ -183,72 +184,6 @@ def expand_aux_square(
 
 
 # --------------------------------------------------------------------------
-# the per-constituent rule table
-
-
-class SiegelRule(Record):
-    __slots__ = ("name", "statement", "citations")
-    name: str
-    statement: str
-    citations: tuple[str, ...]
-
-
-RULES: dict[str, SiegelRule] = {
-    "character": SiegelRule(
-        "character",
-        "a degree-1 factor carries at most one exceptional real zero, and "
-        "only when the character is trivial or quadratic",
-        ("classical (Landau)",),
-    ),
-    "gl2-cusp-form": SiegelRule(
-        "gl2-cusp-form",
-        "L-functions of cuspidal GL(2) forms have no exceptional zero",
-        ("Hoffstein-Ramakrishnan (1995)",),
-    ),
-    "symmetric-square": SiegelRule(
-        "symmetric-square",
-        "twisted symmetric-square (degree-3 adjoint) L-functions have no "
-        "exceptional zero",
-        (
-            "Goldfeld-Hoffstein-Lieman (1994)",
-            "Hoffstein-Ramakrishnan (1995)",
-            "Banks (1997)",
-        ),
-    ),
-    "auxiliary-expansion": SiegelRule(
-        "auxiliary-expansion",
-        "the factored square of the auxiliary isobaric sum exhibits the "
-        "target with exponent 4 against an edge pole of order 3, so a real "
-        "zero near the edge would force a negative coefficient",
-        (
-            "Goldfeld-Hoffstein-Lieman (1994)",
-            "Kim-Shahidi (2002)",
-            "Kim (2003)",
-        ),
-    ),
-    "rankin-selberg-pair": SiegelRule(
-        "rankin-selberg-pair",
-        "Rankin-Selberg L-functions of two cuspidal GL(2) forms that are "
-        "neither dihedral nor twist-equivalent have no exceptional zero",
-        ("Ramakrishnan-Wang (2003)",),
-    ),
-}
-
-# which rule each family generator dispatches to, by its restriction row
-ROW_RULES: dict[str, str] = {
-    "U": "character",
-    "X'": "gl2-cusp-form",
-    "X''": "gl2-cusp-form",
-    "W'": "symmetric-square",
-    "W''": "symmetric-square",
-    "X1": "auxiliary-expansion",  # sym^3
-    "V": "auxiliary-expansion",  # sym^4
-    "W": "auxiliary-expansion",  # sym^5
-    "X2": "rankin-selberg-pair",
-}
-
-
-# --------------------------------------------------------------------------
 # the report
 
 
@@ -338,7 +273,7 @@ _PARTNER_ROW = {"X'": "X''", "X''": "X'"}
 
 # what a report takes when neither the caller nor the ledger names a base or
 # a twist: values, never declared in any ledger
-_DEFAULT_BASE = BaseCusp("pi", "icosahedral", omega="omega(pi)", galois_row="X'")
+_DEFAULT_BASE = BaseCusp("pi", "icosahedral", galois_row="X'")
 _DEFAULT_TWIST = CharWord.gen("chi")
 
 
@@ -401,7 +336,7 @@ class _ScanContext:
         elif p.galois_row not in _PARTNER_ROW:
             raise ValueError(f"{p.name} needs a 2-dimensional finite-image tag to decompose")
         self.ledger, self.p, self.p_tau = ledger, p, _galois_partner(p, ledger)
-        self.family = {}  # row -> (label, generator)
+        self.family = {}  # row -> (label, entry of GENERATORS)
         self.certificates = {}  # (row, chi) -> (label, detail, k, r, covered)
 
 
@@ -437,20 +372,18 @@ def siegel_report(
 
 
 def _certificate(
-    row: str, generator: Constituent, p: BaseCusp, p_tau: BaseCusp, chi: CharWord,
-    ledger: FactLedger,
+    g: Generator, p: BaseCusp, p_tau: BaseCusp, chi: CharWord, ledger: FactLedger,
 ) -> tuple[str, int | None, int | None, bool]:
     """(detail, k, r, covered) for a family row other than the character
     row; nothing in it depends on m."""
-    rule = ROW_RULES[row]
-    if rule == "auxiliary-expansion":
-        n = generator.core.n  # the generator of the row is sym^n(p)
+    if g.rule == "auxiliary-expansion":
+        n = g.a  # the generator of the row is sym^n(p)
         try:
             fact = expand_aux_square(n, p, chi, ledger)
         except MissingHypothesisError as err:
             return str(err), None, None, False
         return f"auxiliary expansion at m = {n}", fact.k, fact.r, True
-    if rule == "rankin-selberg-pair":
+    if g.rule == "rankin-selberg-pair":
         # only a False verdict certifies the Ramakrishnan-Wang hypothesis;
         # the pair restricts to different rows, so the ledger refuses
         # every true fact between them and the verdict is always False
@@ -546,7 +479,8 @@ def siegel_scan(
             continue
         if not family:
             family.update(
-                (row, (label, c)) for label, c, row in icosahedral_family(ledger, p, p_tau)
+                (row, (label, g))
+                for g, (label, _, row) in zip(GENERATORS, icosahedral_family(ledger, p, p_tau))
             )
         mults = ledger.galois_decomposition(sym_cusp(p, m))
 
@@ -557,7 +491,8 @@ def siegel_scan(
             mult = mults.get(row, 0)
             if not mult:
                 continue
-            rule = RULES[ROW_RULES[row]]
+            label, g = family[row]
+            rule = RULES[g.rule]
             rules_used.append(rule.name)
             detail, k, r, exceptional, covered = "", None, None, False, True
             if row == "U":
@@ -579,9 +514,8 @@ def siegel_scan(
             else:
                 key = (row, chi)
                 if key not in certificates:
-                    label, generator = family[row]
                     certificates[key] = (f"twist of {label}",) + _certificate(
-                        row, generator, p, p_tau, chi, ledger
+                        g, p, p_tau, chi, ledger
                     )
                 label, detail, k, r, covered = certificates[key]
             constituents.append(

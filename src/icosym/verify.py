@@ -40,15 +40,9 @@ from .isobaric import (
     galois_pole_check,
     standard_icosahedral_pair,
 )
+from .rules import GENERATORS, RULES
 from .scalar import ONE, ZERO, Qsqrt5
-from .siegel import (
-    RULES,
-    ROW_RULES,
-    LFactor,
-    build_auxiliary,
-    expand_aux_square,
-    siegel_scan,
-)
+from .siegel import LFactor, build_auxiliary, expand_aux_square, siegel_scan
 
 RANDOM_SEED = 20260819
 
@@ -654,18 +648,16 @@ def verify_siegel_criterion() -> list[CheckResult]:
 
 
 def verify_rule_table() -> list[CheckResult]:
-    """Every family generator must dispatch to exactly one known rule."""
-    results = []
-    rows = sorted(ROW_RULES)
-    missing = [row for row in rows if ROW_RULES[row] not in RULES]
-    results.append(
+    """Every row has one family generator, and each dispatches to a known rule."""
+    rows = sorted(g.row for g in GENERATORS)
+    missing = sorted(g.row for g in GENERATORS if g.rule not in RULES)
+    return [
         CheckResult(
             "rule-table-total",
-            len(ROW_RULES) == 9 and not missing,
+            rows == sorted(IRREP_NAMES) and not missing,
             f"9 generators, unknown rules for {missing or 'none'}",
         )
-    )
-    return results
+    ]
 
 
 VERIFY_SECTIONS = (

@@ -953,6 +953,35 @@ class TestDispatch:
         assert "Traceback" not in err and "Exception ignored" not in err
         assert err.count("error:") <= 1
 
+    def test_stdout_and_stderr_in_one_closed_pipe_exit_2(self):
+        # as in `icosym siegel ... 2>&1 | head -1`: the handler's own
+        # message meets the same closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "icosym.cli", "siegel", "--scan", "0..200", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_full_stdout_exits_2_without_a_traceback(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "icosym.cli", "siegel", "--m", "3"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: stdout unwritable (No space left on device) before the output was complete\n"
+        )
+
 
 # -- generated command lines ---------------------------------------------------
 

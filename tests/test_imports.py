@@ -69,7 +69,11 @@ def test_bare_import_runs_no_submodule():
 def test_light_commands_skip_the_ledger_layers(argv):
     ran = modules_run_by(f"from icosym.cli import cmd_dispatch; cmd_dispatch({argv!r})")
     assert "icosym.chartab" in ran
-    assert not ran & HEAVY
+    assert not ran & (HEAVY | {"icosym.rules"})
+
+
+def test_the_cited_rules_run_no_layer():
+    assert modules_run_by("import icosym.rules") == {"icosym", "icosym.rules"}
 
 
 @pytest.mark.parametrize(
@@ -103,7 +107,7 @@ def test_commands_that_check_nothing_run_no_check_module(argv):
 
 def test_siegel_without_facts_runs_no_factsfile():
     ran = modules_run_by(dispatch(["siegel", "--m", "12"]))
-    assert {"icosym.siegel", "icosym.chartab"} <= ran
+    assert {"icosym.siegel", "icosym.rules", "icosym.chartab"} <= ran
     assert "icosym.factsfile" not in ran
 
 
@@ -133,7 +137,7 @@ def test_cuspidality_on_untagged_bases_builds_no_table(tmp_path):
         argv = ["cuspidality", "--facts", str(path), "--pi", "p", "--pi-prime", "q"]
         statement = dispatch(argv).replace("    cmd_dispatch(", "    code = cmd_dispatch(")
         ran = modules_run_by(statement + f"\nassert code == {2 if truth else 0}, code")
-        assert {"icosym.factsfile", "icosym.isobaric"} <= ran
+        assert {"icosym.factsfile", "icosym.isobaric", "icosym.rules"} <= ran
         assert not ran & {"icosym.chartab", "icosym.group", "icosym.scalar"}
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icosym.chartab import ClassFunction
-from icosym.scalar import GOLDEN, GOLDEN_CONJ, ONE, SQRT5, ZERO, Qsqrt5, parse, render
+from icosym.scalar import GOLDEN, GOLDEN_CONJ, ONE, SQRT5, ZERO, Qsqrt5, render
 
 # hand-derived frozen values: phi = (1+√5)/2 satisfies phi² = phi + 1 = (3+√5)/2,
 # phi·(−1+√5)/2 = (−1+5−√5+√5)/4 = 1, and (√5)·(√5/5) = 1
@@ -23,6 +24,26 @@ def from_pair(a: Fraction, b: Fraction) -> Qsqrt5:
     """The element ``a + b√5`` of the Fraction-pair reference model."""
     return Qsqrt5(a.numerator * b.denominator, b.numerator * a.denominator,
                   a.denominator * b.denominator)
+
+
+NUMBER = r"\d+(?:/\d+)?"
+
+
+def parse(text: str) -> Qsqrt5:
+    """The round trip's reader of what ``render`` writes: ``a``, ``[-]b√5`` or
+    ``a ± b√5``, each of ``a`` and ``b`` an int or ``n/d``; written here, so
+    that ``render`` is checked against a reader the package does not ship."""
+    match = re.fullmatch(rf"(-?{NUMBER})|(?:(-?{NUMBER}) ([+-]) |(-?))({NUMBER})?√5", text)
+    if match is None:
+        raise ValueError(f"not a rendered scalar: {text!r}")
+    rational, a, op, sign, coef = match.groups()
+    try:
+        if rational is not None:
+            return from_pair(Fraction(rational), Fraction(0))
+        b = Fraction(coef or 1)
+        return from_pair(Fraction(a or 0), -b if "-" in (op, sign) else b)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def test_golden_ratio_square():
@@ -115,14 +136,9 @@ def test_render_fixed_forms(value, text):
     assert parse(text) == value
 
 
-def test_parse_accepts_ascii_surd():
-    assert parse("1/2 + 1/2sqrt5") == GOLDEN
-    assert parse("sqrt5") == SQRT5
-    assert parse("-3sqrt5") == Qsqrt5(0, -3)
-
-
 @pytest.mark.parametrize("bad", ["", "x", "1 +", "√7", "1/0", "2 2"])
 def test_parse_rejects_garbage(bad):
+    # the round trip proves something only if its reader is strict
     with pytest.raises(ValueError):
         parse(bad)
 

@@ -21,10 +21,9 @@ from icosym.isobaric import (
     sym_power_automorphic,
     sym_power_cuspidal,
 )
+from icosym.rules import GENERATORS, RULES
 from icosym.siegel import (
     MissingHypothesisError,
-    RULES,
-    ROW_RULES,
     build_auxiliary,
     expand_aux_square,
     siegel_report,
@@ -274,9 +273,10 @@ def test_galois_accounting(m):
 
 def test_rule_table_is_total():
     assert all(r.passed for r in verify_rule_table())
-    assert set(ROW_RULES) == {
-        "U", "V", "W", "X1", "X2", "W'", "W''", "X'", "X''",
-    }
+    assert sorted(g.row for g in GENERATORS) == sorted(
+        ["U", "V", "W", "X1", "X2", "W'", "W''", "X'", "X''"]
+    )
+    assert {g.rule for g in GENERATORS} == set(RULES)
     for rule in RULES.values():
         assert rule.citations
 
@@ -384,6 +384,12 @@ def test_report_takes_p_and_ledger_each_alone():
         siegel_scan(12, 12, ledger=tagged)[0],
     ):
         assert (str(rep), rep.as_json()) == (str(default), default.as_json())
+
+
+def test_an_undeclared_base_names_its_own_central_character():
+    rep = siegel_report(12, BaseCusp("g", "icosahedral", galois_row="X'"))
+    assert rep.exceptional_character == "chi*omega(g)^6"
+    assert "Q = chi*omega(g)^6; alternative normalization omega(g)^(12/2)*chi^(13)" in str(rep)
 
 
 def test_report_checks_the_base_before_the_ledger():
