@@ -147,9 +147,9 @@ def runs_of(doc_id: str, text: str) -> list[list[str]]:
     else:
         bases = [b["name"] for b in json.loads(text).get("bases", [])]
         rng = random.Random(doc_id)
-        pairs = []
-        if bases:
-            pairs = [(bases[0], bases[-1])] + [tuple(rng.sample(bases, 2)) for _ in range(2) if len(bases) > 1]
+        pairs = [(bases[0], bases[-1])] if bases else []
+        if len(bases) > 1:
+            pairs += [tuple(rng.sample(bases, 2)) for _ in range(2)]
         commands = [["cuspidality", "--facts", PLACEHOLDER, "--pi", p, "--pi-prime", q]
                     for p, q in dict.fromkeys(pairs)]
         commands += [["siegel", "--m", m, "--facts", PLACEHOLDER] for m in SIEGEL_MS]
