@@ -35,7 +35,7 @@ def _emit(command: str, inputs: dict, results, citations=()) -> None:
         "results": results,
         "citations": list(citations),
     }
-    print(json.dumps(document, indent=2, default=str))
+    print(json.dumps(document, indent=2))
 
 
 def _rule_citations(rule_names) -> list[dict]:

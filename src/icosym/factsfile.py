@@ -43,6 +43,9 @@ first parse, so a load costs what its distinct symbols cost.
 
 Every refusal is a :class:`FactsError` that names its place, ledger
 refusals included (``facts[0]: nu ~ nu^-1 cannot be declared true: ...``).
+An entry carrying a key its section does not know is refused
+(``cuspidal[0]: unknown key 'truht'``), and so is a ``twist`` on an
+``equiv`` fact.
 The ``siegel`` section only names a declared base ``p`` and a declared
 character ``chi``; :mod:`icosym.siegel` picks whatever it leaves out.
 """
@@ -69,6 +72,20 @@ from .isobaric import (
 # the ledger's kinds; a tuple, whose membership test takes an unhashable JSON value too
 _KINDS = tuple(_KIND_ORDERS)
 _RELATIONS = ("equiv", "twist-equiv-by")
+
+# the sections of a document and the keys an entry of each may carry; a
+# base's tags are its fields after the name and type
+_FIELDS = {
+    "characters": frozenset({"name", "order", "properties"}),
+    "bases": frozenset({"name", "type", *BaseCusp.__slots__[2:]}),
+    "base_changes": frozenset({"of", "extension", "name", "type"}),
+    "facts": frozenset({"lhs", "rhs", "relation", "twist", "truth"}),
+    "cuspidal": frozenset({"symbol", "truth"}),
+    "automorphic": frozenset({"symbol", "truth"}),
+    "self_dual": frozenset({"symbol", "truth"}),
+    "word_kinds": frozenset({"word", "kind"}),
+    "siegel": frozenset({"p", "chi"}),
+}
 
 
 class FactsError(ValueError):
@@ -101,12 +118,17 @@ def _str_field(entry: dict, key: str, where: _Where) -> str:
 
 
 def _entries(doc: dict, section: str):
-    """``((section, i), entry)`` for each entry of a list section of *doc*."""
+    """``((section, i), entry)`` for each entry of a list section of *doc*.
+    An entry with a key the section does not know is refused."""
     entries = doc.get(section, [])
     _require(isinstance(entries, list), section, "must be a list")
+    fields = _FIELDS[section]
     for i, entry in enumerate(entries):
         where = (section, i)
         _require(isinstance(entry, dict), where, "must be an object")
+        if not entry.keys() <= fields:
+            unknown = next(key for key in entry if key not in fields)
+            raise FactsError(f"{_label(where)}: unknown key {unknown!r}")
         yield where, entry
 
 
@@ -219,19 +241,8 @@ def _lookup_base(name: str, ledger: FactLedger, where: _Where) -> BaseCusp:
 def load_facts(doc: dict) -> FactLedger:
     """Build a FactLedger from a parsed facts document."""
     _require(isinstance(doc, dict), "document", "top level must be a JSON object")
-    known = {
-        "characters",
-        "bases",
-        "base_changes",
-        "facts",
-        "cuspidal",
-        "automorphic",
-        "self_dual",
-        "word_kinds",
-        "siegel",
-    }
     for key in doc:
-        _require(key in known, "document", "unknown section {!r}", key)
+        _require(key in _FIELDS, "document", "unknown section {!r}", key)
 
     ledger = FactLedger()
 
@@ -262,7 +273,6 @@ def load_facts(doc: dict) -> FactLedger:
         for where, entry in _entries(doc, "bases"):
             name = _str_field(entry, "name", where)
             typ = _str_field(entry, "type", where)
-            # a base's tags are its fields after the name and type
             tags = {key: entry[key] for key in BaseCusp.__slots__[2:] if key in entry}
             for key, value in tags.items():
                 # the ledger checks galois_row against the table rows itself
@@ -289,10 +299,11 @@ def load_facts(doc: dict) -> FactLedger:
             truth = entry.get("truth")
             _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
             if relation == "twist-equiv-by":
-                twist = _parsed(words, parse_word, entry, "twist", ledger, where)
-                ledger.assert_twist_equiv(lhs, rhs, twist, truth)
+                rhs = rhs.twisted(_parsed(words, parse_word, entry, "twist", ledger, where))
             else:
-                ledger.assert_equiv(lhs, rhs, truth)
+                _require("twist" not in entry, where, "unknown key 'twist' for relation {!r}",
+                         relation)
+            ledger.assert_equiv(lhs, rhs, truth)
 
         for section, declare in (
             ("cuspidal", ledger.declare_cuspidal),
@@ -326,7 +337,7 @@ def load_facts(doc: dict) -> FactLedger:
     siegel = doc.get("siegel", {})
     _require(isinstance(siegel, dict), "siegel", "must be an object")
     for key, value in siegel.items():
-        _require(key in ("p", "chi"), "siegel", "unknown key {!r}", key)
+        _require(key in _FIELDS["siegel"], "siegel", "unknown key {!r}", key)
         _require(isinstance(value, str), "siegel", "{!r} must be a string", key)
     if "p" in siegel:
         _lookup_base(siegel["p"], ledger, "siegel")

@@ -38,7 +38,7 @@ from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING, Union
 
 from . import Record, _set
-from .rules import AUTOMORPHIC, BASE_TYPES, GENERATORS, TYPE_RULES, type_rule
+from .rules import AUTOMORPHIC, BASE_TYPES, GALOIS_TAGS, GENERATORS, TYPE_RULES, type_rule
 
 if TYPE_CHECKING:  # the table is built only for ledgers that query a tag
     from .chartab import CharacterTable, ClassFunction
@@ -456,8 +456,8 @@ class FactLedger:
         self._word_kinds: dict[CharWord, str] = {}
         self._self_dual: dict[Constituent, bool] = {}
         self._orders: dict[str, int] = {}  # kept in step with declare_character
-        # per queried core: its restriction and that restriction's multiplicities
-        self._images: dict[Core, tuple[ClassFunction, dict[str, int]] | None] = {}
+        # per queried core: the multiplicities of its restriction
+        self._decompositions: dict[Core, dict[str, int] | None] = {}
 
     @property
     def tab(self) -> CharacterTable:
@@ -527,7 +527,7 @@ class FactLedger:
         if typ not in BASE_TYPES:
             raise LedgerError(f"unknown base type {typ!r}; pick from {BASE_TYPES}")
         row = tags.get("galois_row")
-        if row is not None and row not in ("X'", "X''"):
+        if row is not None and row not in GALOIS_TAGS:
             raise LedgerError(f"base {name}: galois_row must be X' or X'', got {row!r}")
         if row is not None and typ != "icosahedral":
             # the rows are the binary icosahedral group's, and a tag outranks the type table
@@ -682,11 +682,6 @@ class FactLedger:
             )
         self._facts[key] = truth
 
-    def assert_twist_equiv(
-        self, c1: Constituent, c2: Constituent, twist: CharWord, truth: bool
-    ) -> None:
-        self.assert_equiv(c1, c2.twisted(twist), truth)
-
     # -- equivalence resolution --------------------------------------------
 
     def equivalent(self, c1: Constituent, c2: Constituent) -> tuple[bool | None, str]:
@@ -726,26 +721,18 @@ class FactLedger:
             return "degrees differ ({} vs {})", k1.degree, k2.degree
         if k1.core is None or k2.core is None or k1.core == k2.core:
             return None
-        rows1, rows2 = self.galois_rows(k1.core), self.galois_rows(k2.core)
-        if rows1 is not None and rows2 is not None and rows1 != rows2:
-            return "finite-image restrictions differ: {} vs {}", sorted(rows1), sorted(rows2)
+        mults1, mults2 = self.galois_decomposition(k1.core), self.galois_decomposition(k2.core)
+        if mults1 is not None and mults2 is not None and mults1.keys() != mults2.keys():
+            return "finite-image restrictions differ: {} vs {}", sorted(mults1), sorted(mults2)
         return None
 
-    def galois_rows(self, core: Core) -> frozenset[str] | None:
-        mults = self.galois_decomposition(core)
-        return None if mults is None else frozenset(mults)
-
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:
-        """Multiplicities of the finite-image restriction; None if untagged."""
-        image = self._image(core)
-        return None if image is None else image[1]
-
-    def _image(self, core: Core) -> tuple[ClassFunction, dict[str, int]] | None:
-        """The memo: restrict and decompose each queried core once."""
-        if core not in self._images:
+        """Multiplicities of the finite-image restriction; None if untagged.
+        The memo: each queried core is restricted and decomposed once."""
+        if core not in self._decompositions:
             cf = self._restrict(core)
-            self._images[core] = None if cf is None else (cf, self.tab.decompose(cf))
-        return self._images[core]
+            self._decompositions[core] = None if cf is None else self.tab.decompose(cf)
+        return self._decompositions[core]
 
     def _restrict(self, core: Core) -> ClassFunction | None:
         if isinstance(core, BaseCusp):
@@ -764,13 +751,9 @@ class FactLedger:
 
         total = ClassFunction.of([0] * 9)
         for c, m in e.terms:
-            if c.core is None:
-                cf = self.tab.trivial()
-            else:
-                image = self._image(c.core)
-                if image is None:
-                    raise LedgerError(f"no finite-image model for {c.core}")
-                cf = image[0]
+            cf = self.tab.trivial() if c.core is None else self._restrict(c.core)
+            if cf is None:
+                raise LedgerError(f"no finite-image model for {c.core}")
             total = total + m * cf
         return total
 
@@ -1134,14 +1117,12 @@ def decide_cuspidality_via_poles(
 # the standard icosahedral pair and its nine-object family
 
 
-def standard_icosahedral_pair(
-    ledger: FactLedger | None = None,
-) -> tuple[FactLedger, BaseCusp, BaseCusp]:
+def standard_icosahedral_pair() -> tuple[FactLedger, BaseCusp, BaseCusp]:
     """An icosahedral base and its conjugate partner, tagged with the two
     2-dimensional rows of the finite model so that adjoint comparisons
     resolve structurally (the rows restrict to distinct 3-dimensional
     characters, exchanged by the field automorphism of Q(sqrt 5))."""
-    ledger = ledger or FactLedger()
+    ledger = FactLedger()
     p = ledger.declare_base("pi", "icosahedral", galois_row="X'")
     p_tau = ledger.declare_base(
         "pi_tau", "icosahedral", omega="omega(pi)", galois_row="X''"
@@ -1149,35 +1130,30 @@ def standard_icosahedral_pair(
     return ledger, p, p_tau
 
 
-def icosahedral_family(
-    ledger: FactLedger, p: BaseCusp, p_tau: BaseCusp
-) -> list[tuple[str, Constituent, str]]:
+def icosahedral_family(p: BaseCusp, p_tau: BaseCusp) -> list[tuple[str, Constituent, str]]:
     """The nine cuspidal symbols generating the finite model's rows.
 
     Returns (label, constituent, row) triples, each label the printed
     constituent, in the order of :data:`icosym.rules.GENERATORS`:
-    sym^a(p) [x] sym^b(p_tau) for each generator's (a, b).  Restriction hits
-    each row of the character table exactly once; the check is performed
-    here and a mismatch raises.
+    sym^a(p) [x] sym^b(p_tau) for each generator's (a, b).  Each row is the
+    generator's row in that table, with the Galois swaps applied when ``p``
+    is tagged X''; :func:`icosym.icostruct.generator_family` checks the
+    table against the character table.  A pair not tagged X' and X'' is
+    refused.
     """
+    from .chartab import GALOIS_SWAPS  # here: cuspidality imports this module, not chartab
+
+    rows = (p.galois_row, p_tau.galois_row)
+    if rows not in (GALOIS_TAGS, GALOIS_TAGS[::-1]):
+        raise LedgerError(f"{p.name} and {p_tau.name} need the galois_row tags "
+                          f"{' and '.join(GALOIS_TAGS)}, not {rows}")
+    swaps = {} if rows == GALOIS_TAGS else GALOIS_SWAPS
     out: list[tuple[str, Constituent, str]] = []
-    seen: set[str] = set()
     for g in GENERATORS:
         left, right = sym_cusp(p, g.a), sym_cusp(p_tau, g.b)
         if left is None or right is None:
             c = Constituent(right if left is None else left)  # both None: the trivial
         else:
             c = Constituent(box_cusp(left, right))
-        label = str(c)
-        if c.core is None:
-            row = "U"
-        else:
-            rows = ledger.galois_rows(c.core)
-            if rows is None or len(rows) != 1:
-                raise LedgerError(f"{label} does not restrict to a single row")
-            (row,) = rows
-        if row in seen:
-            raise LedgerError(f"{label} repeats the row {row}")
-        seen.add(row)
-        out.append((label, c, row))
+        out.append((str(c), c, swaps.get(g.row, g.row)))
     return out

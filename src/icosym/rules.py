@@ -18,7 +18,9 @@ layer: it imports only :class:`icosym.Record`.  The tables are
 * :data:`GENERATORS`: the nine generators sym^a(pi) [x] sym^b(pi^tau) of
   the finite model's rows, in family order.  Each gives its (a, b), the row
   it restricts to for a base tagged X' (a base tagged X'' swaps X' with
-  X'' and W' with W''), and the name of its rule in :data:`RULES`.
+  X'' and W' with W''; :data:`GALOIS_TAGS` are the two tags), and the name
+  of its rule in :data:`RULES`.  The family reads its rows here, and
+  :func:`icosym.icostruct.generator_family` checks them.
 """
 
 from __future__ import annotations
@@ -131,6 +133,7 @@ RULES: dict[str, SiegelRule] = {
 
 # -- the nine family generators --------------------------------------------------
 
+GALOIS_TAGS = ("X'", "X''")  # the rows of pi and pi^tau, the only rows a base is tagged with
 
 class Generator(Record):
     """sym^a(pi) [x] sym^b(pi^tau), which restricts to ``row`` for a base

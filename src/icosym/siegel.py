@@ -42,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import Record
-from .chartab import IRREP_NAMES
+from .chartab import GALOIS_SWAPS, IRREP_NAMES
 from .isobaric import (
     BaseCusp,
     CharWord,
@@ -60,7 +60,7 @@ from .isobaric import (
     sym_power_automorphic,
     sym_power_cuspidal,
 )
-from .rules import GENERATORS, RULES, Generator
+from .rules import GALOIS_TAGS, GENERATORS, RULES, Generator
 
 
 class MissingHypothesisError(LedgerError):
@@ -269,8 +269,6 @@ class SiegelReport(Record):
         }
 
 
-_PARTNER_ROW = {"X'": "X''", "X''": "X'"}
-
 # what a report takes when neither the caller nor the ledger names a base or
 # a twist: values, never declared in any ledger
 _DEFAULT_BASE = BaseCusp("pi", "icosahedral", galois_row="X'")
@@ -312,7 +310,7 @@ def _galois_partner(p: BaseCusp, ledger: FactLedger) -> BaseCusp:
     2-dimensional row, or else an undeclared base ``<p>_tau`` with that row
     and ``p``'s central character.  A name ``<p>_tau`` the ledger already
     uses otherwise is refused."""
-    row = _PARTNER_ROW[p.galois_row]
+    row = GALOIS_SWAPS[p.galois_row]
     for base in ledger.bases.values():
         if base.galois_row == row:
             return base
@@ -323,8 +321,8 @@ def _galois_partner(p: BaseCusp, ledger: FactLedger) -> BaseCusp:
 
 class _ScanContext:
     """What a scan reads besides m and the twist: the ledger, the base and
-    its partner, and the m-independent pieces it fills in on first need, the
-    family rows and each row's certificate keyed by (row, chi)."""
+    its partner, and the m-independent pieces: the family by row, and each
+    row's certificate keyed by (row, chi), filled in as the scans need them."""
 
     __slots__ = ("ledger", "p", "p_tau", "family", "certificates")
 
@@ -333,10 +331,13 @@ class _ScanContext:
             p = _report_base(ledger)
         elif p.typ != "icosahedral":
             raise ValueError(f"{p.name} is {p.typ}; the report needs icosahedral type")
-        elif p.galois_row not in _PARTNER_ROW:
+        elif p.galois_row not in GALOIS_TAGS:
             raise ValueError(f"{p.name} needs a 2-dimensional finite-image tag to decompose")
         self.ledger, self.p, self.p_tau = ledger, p, _galois_partner(p, ledger)
-        self.family = {}  # row -> (label, entry of GENERATORS)
+        self.family = {  # row -> (label, entry of GENERATORS)
+            row: (label, g)
+            for g, (label, _, row) in zip(GENERATORS, icosahedral_family(p, self.p_tau))
+        }
         self.certificates = {}  # (row, chi) -> (label, detail, k, r, covered)
 
 
@@ -442,10 +443,9 @@ def siegel_scan(
     """Reports for every m in [lo, hi]; ``p`` and ``ledger`` as in
     :func:`siegel_report`.
 
-    The base and its partner are picked once, the family is built once some
-    m >= 1 needs it, and each row is certified once for each chi: none of
-    them depends on m.  A caller's ledger may change between calls, so it
-    gets a fresh context per call.
+    The base, its partner and the family are built once, and each row is
+    certified once for each chi: none of them depends on m.  A caller's
+    ledger may change between calls, so it gets a fresh context per call.
     """
     if lo < 0 or hi < lo:
         raise ValueError(f"bad scan range [{lo}, {hi}]")
@@ -477,11 +477,6 @@ def siegel_scan(
         if m == 0:
             reports.append(_character_report(target, chi, ledger))
             continue
-        if not family:
-            family.update(
-                (row, (label, g))
-                for g, (label, _, row) in zip(GENERATORS, icosahedral_family(ledger, p, p_tau))
-            )
         mults = ledger.galois_decomposition(sym_cusp(p, m))
 
         constituents: list[ConstituentReport] = []

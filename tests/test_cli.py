@@ -377,11 +377,28 @@ class TestCuspidality:
                 "facts[0]: c ~ c^4 cannot be declared true: their quotient c^2 is not 1: "
                 "c has order 5",
             ),
+            (
+                {
+                    "bases": [{"name": "g", "type": "general"}],
+                    "cuspidal": [{"symbol": "sym^7(g)", "truht": False}],
+                },
+                "g",
+                "cuspidal[0]: unknown key 'truht'",
+            ),
+            (
+                {
+                    "bases": [{"name": "p", "type": "icosahedral"}],
+                    "facts": [{"lhs": "Ad(p)", "rhs": "Ad(p)", "relation": "equiv",
+                               "twist": "chi", "truth": False}],
+                },
+                "p",
+                "facts[0]: unknown key 'twist' for relation 'equiv'",
+            ),
         ],
         ids=[
             "tagged-tetrahedral", "cuspidal-both-ways", "false-reflexive", "false-reduced",
             "cubic-trivial", "order-against-kind", "two-kinds", "non-real-inverse",
-            "order-5-inverse",
+            "order-5-inverse", "unknown-key", "twist-on-equiv",
         ],
     )
     def test_refused_declarations_exit_2(self, capsys, tmp_path, doc, base, message):

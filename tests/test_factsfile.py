@@ -970,6 +970,34 @@ LABELLED = [
         {"characters": [{"name": "nu", "properties": [[]]}]},
         "characters[0]: unknown property []",
     ),
+    # a misspelt key would fall back to a default or drop a tag: refused
+    (
+        {
+            "bases": [*_BASES, {"name": "g", "type": "general"}],
+            "cuspidal": [{"symbol": "sym^7(g)", "truht": False}],
+        },
+        "cuspidal[0]: unknown key 'truht'",
+    ),
+    (
+        {"bases": [*_BASES, {"name": "f", "type": "icosahedral", "galois_rwo": "X'"}]},
+        "bases[2]: unknown key 'galois_rwo'",
+    ),
+    (
+        {"facts": [{**_fact("Ad(pi)", "Ad(rho)"), "twist": "chi"}]},
+        "facts[0]: unknown key 'twist' for relation 'equiv'",
+    ),
+    ({"characters": [{"name": "chi"}, {"name": "nu", "kind": "real"}]},
+     "characters[1]: unknown key 'kind'"),
+    (
+        {"base_changes": [{"of": "pi", "extension": "E", "name": "pi_E", "typ": "general"}]},
+        "base_changes[0]: unknown key 'typ'",
+    ),
+    ({"automorphic": [{"symbol": "sym^7(pi)", "kind": "cubic"}]},
+     "automorphic[0]: unknown key 'kind'"),
+    ({"self_dual": [{"symbol": "Ad(pi)", "truth": True, "twist": "chi"}]},
+     "self_dual[0]: unknown key 'twist'"),
+    ({"word_kinds": [{"word": "chi", "kind": "quadratic", "truth": True}]},
+     "word_kinds[0]: unknown key 'truth'"),
 ]
 
 

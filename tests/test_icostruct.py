@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from icosym import rules
 from icosym.chartab import IRREP_NAMES, CharacterTable
 from icosym.icostruct import (
     IcoIrrep,
@@ -141,6 +142,23 @@ def test_generator_family_covers_all_rows(m):
     assert gens["sym^5(Lam)"].base == "W"
     assert gens["Lam*Lam'"].base == "X2"
     assert gens["sym^4(Lam)"].base == "V"
+
+
+def test_a_wrong_row_in_the_generator_table_fails(monkeypatch):
+    # swap the rows of sym^3(pi) and box(pi, pi^tau): still nine distinct
+    # rows, each generator still irreducible, but the table is wrong
+    gens = rules.GENERATORS
+    x1, x2 = gens[5:7]
+    assert (x1.row, x2.row) == ("X1", "X2")
+    swapped = (
+        rules.Generator(x1.a, x1.b, "X2", x1.rule), rules.Generator(x2.a, x2.b, "X1", x2.rule)
+    )
+    monkeypatch.setattr(rules, "GENERATORS", gens[:5] + swapped + gens[7:])
+    with pytest.raises(RuntimeError) as err:
+        generator_family(8)
+    assert str(err.value) == "sym^3(Lam) decomposes as {'X1': 1}, not as the row X2"
+    failed = [r.name for r in verify_generators(8) if not r.passed]
+    assert failed == ["m=8: generator family"]
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -1125,7 +1125,7 @@ def test_dihedral_base_change_tetrahedral(self_twist, expected):
         ledger.declare_character("chi@theta")
         twist = CharWord.of({"chi": -1, "chi@theta": 1})
         lhs = Constituent(SymCusp(bc, 2))
-        ledger.assert_twist_equiv(lhs, lhs, twist, self_twist)
+        ledger.assert_equiv(lhs, lhs.twisted(twist), self_twist)
     assert decide_cuspidality(p, q, ledger).verdict == expected
 
 
@@ -1171,11 +1171,41 @@ def test_flagship_conjugate_pair_is_cuspidal():
 
 
 def test_family_hits_every_row_once():
-    ledger, p, p_tau = standard_icosahedral_pair()
-    fam = icosahedral_family(ledger, p, p_tau)
+    _, p, p_tau = standard_icosahedral_pair()
+    fam = icosahedral_family(p, p_tau)
     assert [row for _, _, row in fam] == [
         "U", "X'", "X''", "W'", "W''", "X1", "X2", "V", "W",
     ]
     degrees = [c.degree for _, c, _ in fam]
     assert degrees == [1, 2, 2, 3, 3, 4, 4, 5, 6]
     assert sum(d * d for d in degrees) == 120
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "value"])
+@pytest.mark.parametrize("row", ["X'", "X''"])
+def test_family_rows_are_the_rows_of_the_restrictions(row, declared):
+    # the family reads its rows from the table; restricting each generator
+    # and decomposing it is the reference they must match
+    ledger = FactLedger()
+    f = ledger.declare_base("f", "icosahedral", galois_row=row)
+    other = "X''" if row == "X'" else "X'"
+    if declared:
+        g = ledger.declare_base("g", "icosahedral", galois_row=other)
+    else:
+        g = BaseCusp("g", "icosahedral", galois_row=other)
+    fam = icosahedral_family(f, g)
+    for label, c, r in fam:
+        mults = {"U": 1} if c.core is None else ledger.galois_decomposition(c.core)
+        assert mults == {r: 1}, label
+    assert sorted(r for _, _, r in fam) == sorted(IRREP_NAMES)
+
+
+@pytest.mark.parametrize(
+    "rows", [(None, None), ("X'", None), (None, "X''"), ("X'", "X'"), ("X''", "X''")]
+)
+def test_family_refuses_a_pair_not_tagged_with_both_rows(rows):
+    ledger = FactLedger()
+    f = ledger.declare_base("f", "icosahedral", galois_row=rows[0])
+    g = ledger.declare_base("g", "icosahedral", galois_row=rows[1])
+    with pytest.raises(LedgerError, match="need the galois_row tags X' and X''"):
+        icosahedral_family(f, g)

@@ -80,7 +80,7 @@ def test_sym_cuspidality_decomposes_once(monkeypatch):
     assert verdicts[0][0] is False
     rows = sorted({"W''", "X2"})
     assert verdicts[0][1] == f"finite image: sym^6 restriction is reducible ({rows})"
-    assert ledger.galois_rows(SymCusp(p, 6)) == {"W''", "X2"}
+    assert ledger.galois_decomposition(SymCusp(p, 6)).keys() == {"W''", "X2"}
     assert len(calls) == 1
 
 
@@ -465,7 +465,7 @@ def test_a_true_equivalence_of_the_pair_is_refused():
 def test_family_labels_name_the_bases_of_the_report():
     ledger, f = tagged_base()
     g = ledger.declare_base("g", "icosahedral", galois_row="X''")
-    labels = [label for label, _, _ in icosahedral_family(ledger, f, g)]
+    labels = [label for label, _, _ in icosahedral_family(f, g)]
     assert labels == [
         "1", "f", "g", "sym^2(f)", "sym^2(g)", "sym^3(f)", "box(f, g)", "sym^4(f)", "sym^5(f)"
     ]

@@ -178,9 +178,9 @@ def test_default_reports_build_the_family_and_certificates_once(
     families, squares = [], []
     family, square = icosym.siegel.icosahedral_family, icosym.siegel.expand_aux_square
 
-    def counting_family(ledger, p, p_tau):
+    def counting_family(p, p_tau):
         families.append(p)
-        return family(ledger, p, p_tau)
+        return family(p, p_tau)
 
     def counting_square(m, p, chi, ledger):
         squares.append(m)
