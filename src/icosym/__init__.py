@@ -153,6 +153,7 @@ _EXPORTS = {
         "Verdict",
         "a4",
         "ad",
+        "conjugate_pair",
         "decide_cuspidality",
         "decide_cuspidality_via_poles",
         "galois_pole_check",

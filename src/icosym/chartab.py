@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import Record, _set
 from .group import GroupTable, build_sl2f5
@@ -141,24 +141,13 @@ class ClassFunction(Record):
 
 
 class CharacterTable:
-    """The nine irreducible characters with exact pairing and decomposition.
+    """The nine irreducible characters of the classical table, with exact
+    pairing and decomposition."""
 
-    The default instance carries the classical table; *rows* may be
-    overridden (same names, nine values each) to exercise the verification
-    checks on deliberately corrupted data.
-    """
-
-    def __init__(
-        self,
-        group: GroupTable | None = None,
-        rows: Mapping[str, Sequence[Qsqrt5 | int]] | None = None,
-    ) -> None:
+    def __init__(self, group: GroupTable | None = None) -> None:
         self.group = group if group is not None else build_sl2f5()
-        source = rows if rows is not None else _TABLE_ROWS
-        if set(source) != set(IRREP_NAMES):
-            raise ValueError("rows must be given for exactly the nine irreducibles")
         self.rows: dict[str, ClassFunction] = {
-            name: ClassFunction.of(source[name]) for name in IRREP_NAMES
+            name: ClassFunction.of(_TABLE_ROWS[name]) for name in IRREP_NAMES
         }
         self.sizes: tuple[int, ...] = tuple(c.size for c in self.group.classes)
         # every row times the class sizes, as integers over one denominator

@@ -580,7 +580,10 @@ class FactLedger:
 
     def declare_cuspidal(self, core: Core, truth: bool = True) -> None:
         """Refused when the type or the finite image of a tagged base
-        decides the other way."""
+        decides the other way, and as true when the core is declared not
+        automorphic: cuspidal implies automorphic."""
+        if truth and self._automorphic.get(core) is False:
+            raise LedgerError(f"{core} cannot be declared cuspidal: it is declared not automorphic")
         sym = _as_sym(core)
         derived, reason = (None, "") if sym is None else _derived_cuspidal(*sym, self)
         if derived is not None and derived != truth:
@@ -589,12 +592,24 @@ class FactLedger:
         _declare(self._cuspidal, core, truth, "cuspidal")
 
     def declare_automorphic(self, core: Core, truth: bool = True) -> None:
-        """Refused as false where automorphy is cited for every base (2 <= n <= 4).
-        The finite image of a tagged base, and cuspidality, imply automorphy
+        """Refused as false where automorphy is cited for every base (2 <= n <= 4),
+        and where the core is cuspidal, which implies automorphic: cuspidal as
+        :func:`sym_power_cuspidal` reads it for a base or sym^n, as declared for
+        any other core.  The finite image of a tagged base implies automorphy
         only given the family generators, which a file may deny."""
-        sym = _as_sym(core)
-        if sym is not None and not truth and sym[1] in AUTOMORPHIC:
-            raise LedgerError(f"{core} cannot be declared not automorphic: {AUTOMORPHIC[sym[1]]}")
+        if not truth:
+            sym = _as_sym(core)
+            if sym is not None and sym[1] in AUTOMORPHIC:
+                raise LedgerError(
+                    f"{core} cannot be declared not automorphic: {AUTOMORPHIC[sym[1]]}"
+                )
+            cuspidal, reason = (
+                (self.cuspidal_declared(core), f"declared: {core} cuspidal is True")
+                if sym is None else sym_power_cuspidal(*sym, self)
+            )
+            if cuspidal:
+                raise LedgerError(f"{core} cannot be declared not automorphic: "
+                                  f"it is cuspidal ({reason})")
         _declare(self._automorphic, core, truth, "automorphic")
 
     def cuspidal_declared(self, core: Core) -> bool | None:
@@ -1078,7 +1093,8 @@ def decide_cuspidality_via_poles(
     Valid when both bases are non-dihedral: the self-Rankin--Selberg
     L-function of the product factors through the two adjoints and the
     degree-5 lift, and the product is cuspidal exactly when the edge pole
-    is simple.
+    is simple.  A pole interval whose lower end is at least 2 decides "not
+    cuspidal" and keeps the interval.
     """
     route = "pole-counting"
     for base in (p, p_prime):
@@ -1106,28 +1122,70 @@ def decide_cuspidality_via_poles(
         sum(po.hi for _, po in factors),
         tuple(dict.fromkeys(reason for _, po in factors for reason in po.missing)),
     )
-    if not pole.exact:
+    # lo keeps every unsettled pair apart, so it is a lower bound
+    if pole.lo == 1 < pole.hi:
         return Verdict("undetermined", route, missing=pole.missing, pole=pole)
-    verdict = "cuspidal" if pole.value() == 1 else "not-cuspidal"
+    verdict = "cuspidal" if pole.lo == 1 else "not-cuspidal"
     witnesses = tuple(f"{label} contributes {po}" for label, po in factors)
     return Verdict(verdict, route, witnesses=witnesses, pole=pole)
 
 
 # --------------------------------------------------------------------------
-# the standard icosahedral pair and its nine-object family
+# the conjugate pair (pi, pi^tau) and its nine-object family
+
+
+def conjugate_pair(ledger: FactLedger, p: BaseCusp | None = None) -> tuple[BaseCusp, BaseCusp]:
+    """(pi, pi^tau), read from the ledger, which is never written.  The base
+    is ``p`` (icosahedral and tagged), else the ledger's one tagged base, else
+    an undeclared ``pi`` tagged X'; the partner is the ledger's base with the
+    other tag, else an undeclared ``<base>_tau`` with that tag and the base's
+    central character, so omega(pi^tau) = omega(pi).  A name built as a value
+    that the ledger declares otherwise is refused with a :class:`LedgerError`."""
+    if p is None:
+        # declare_base tags only an icosahedral base, and only with X' or X''
+        tagged = [b for b in ledger.bases.values() if b.galois_row is not None]
+        if len(tagged) > 1:
+            raise LedgerError(
+                'several icosahedral bases are tagged; pick one with a "siegel": {"p": ...} section'
+            )
+        if tagged:
+            p = tagged[0]
+        else:
+            p = BaseCusp("pi", "icosahedral", galois_row="X'")
+            _refuse_taken(p.name, "the default base when no base is tagged", ledger, p.galois_row)
+            _refuse_taken(p.omega, f"the central character of the default base {p.name}", ledger)
+    elif p.typ != "icosahedral":
+        raise ValueError(f"{p.name} is {p.typ}; the report needs icosahedral type")
+    elif p.galois_row not in GALOIS_TAGS:
+        raise ValueError(f"{p.name} needs a 2-dimensional finite-image tag to decompose")
+    (row,) = set(GALOIS_TAGS) - {p.galois_row}
+    for base in ledger.bases.values():
+        if base.galois_row == row:
+            return p, base
+    name = f"{p.name}_tau"
+    _refuse_taken(name, f"the Galois partner of {p.name}", ledger, row)
+    return p, BaseCusp(name, "icosahedral", omega=p.omega, galois_row=row)
+
+
+def _refuse_taken(name: str, role: str, ledger: FactLedger, row: str | None = None) -> None:
+    """Refuse *name*, built as a value in *role*, when the ledger declares it
+    as a base, or, for a base tagged *row*, as a character."""
+    if name in ledger.bases:
+        what = "a base" if row is None else f"a base without galois_row {row}"
+    elif row is not None and name in ledger.characters:
+        what = "a character"
+    else:
+        return
+    raise LedgerError(f"{name}, {role}, is declared as {what}")
 
 
 def standard_icosahedral_pair() -> tuple[FactLedger, BaseCusp, BaseCusp]:
-    """An icosahedral base and its conjugate partner, tagged with the two
-    2-dimensional rows of the finite model so that adjoint comparisons
-    resolve structurally (the rows restrict to distinct 3-dimensional
-    characters, exchanged by the field automorphism of Q(sqrt 5))."""
+    """An empty ledger and its :func:`conjugate_pair`, the values ``pi`` and
+    ``pi_tau`` tagged with the two 2-dimensional rows of the finite model, so
+    adjoint comparisons resolve structurally (the rows restrict to distinct
+    3-dimensional characters, exchanged by the field automorphism of Q(sqrt 5))."""
     ledger = FactLedger()
-    p = ledger.declare_base("pi", "icosahedral", galois_row="X'")
-    p_tau = ledger.declare_base(
-        "pi_tau", "icosahedral", omega="omega(pi)", galois_row="X''"
-    )
-    return ledger, p, p_tau
+    return (ledger, *conjugate_pair(ledger))
 
 
 def icosahedral_family(p: BaseCusp, p_tau: BaseCusp) -> list[tuple[str, Constituent, str]]:

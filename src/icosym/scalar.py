@@ -30,9 +30,10 @@ class Qsqrt5:
     ``Qsqrt5(p, q, d)`` takes any ints with ``d != 0`` and reduces them, so
     ``Qsqrt5(2)`` is 2 and ``Qsqrt5(1, 1, 2)`` is the golden ratio; any other
     argument type raises TypeError.  Instances are immutable, hashable and
-    support ``+ - * / **`` against other elements and ``int``.  Equality
-    against an ``int`` works when the element is a rational integer, and so
-    does hash agreement.
+    support ``+ - * /`` against other elements and ``int`` (an ``int`` on the
+    left only for ``+`` and ``*``) and unary ``-``.  Equality against an
+    ``int`` works when the element is a rational integer, and so does hash
+    agreement.
     """
 
     __slots__ = ("p", "q", "d")
@@ -111,12 +112,6 @@ class Qsqrt5:
         d, e = self.d, o.d
         return _reduced(self.p * e - o.p * d, self.q * e - o.q * d, d * e)
 
-    def __rsub__(self, other: Qsqrt5 | int) -> "Qsqrt5":
-        o = _try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other: Qsqrt5 | int) -> "Qsqrt5":
         o = _try_coerce(other)
         if o is None:
@@ -132,31 +127,8 @@ class Qsqrt5:
             return NotImplemented
         return self * o.inv()
 
-    def __rtruediv__(self, other: Qsqrt5 | int) -> "Qsqrt5":
-        o = _try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, n: int) -> "Qsqrt5":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inv() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __neg__(self) -> "Qsqrt5":
         return _make(-self.p, -self.q, self.d)
-
-    def __pos__(self) -> "Qsqrt5":
-        return self
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Qsqrt5):

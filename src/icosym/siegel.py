@@ -19,14 +19,9 @@ edge.  Everything this module does is set up instances of that test:
   family row is certified once per scan context, and :func:`siegel_report`
   is the scan of one m.
 
-A report reads its ledger and never writes it.  This module alone picks
-what a report is about: the base is the one given, else the ledger's one
-``galois_row``-tagged base, else an undeclared icosahedral ``pi`` tagged X'
-with central character ``omega(pi)``; the partner pi^tau is the ledger's
-base with the other row, else an undeclared ``<base>_tau``; the twist is the
-word given, else the character ``chi``.  A name built as a value that the
-ledger declares as something else is refused with a :class:`LedgerError`
-naming it.
+A report reads its ledger and never writes it.  It is about the pair of
+:func:`icosym.isobaric.conjugate_pair`, twisted by the word given, else by an
+undeclared character ``chi``.
 
 Character constituents are the one structure that can carry an exceptional
 zero, and for an icosahedral base they first appear at ``m = 12``; the
@@ -42,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import Record
-from .chartab import GALOIS_SWAPS, IRREP_NAMES
+from .chartab import IRREP_NAMES
 from .isobaric import (
     BaseCusp,
     CharWord,
@@ -52,7 +47,9 @@ from .isobaric import (
     LedgerError,
     SymCusp,
     TRIVIAL,
+    _refuse_taken,
     ad,
+    conjugate_pair,
     icosahedral_family,
     pole_order,
     rs_expand,
@@ -60,7 +57,7 @@ from .isobaric import (
     sym_power_automorphic,
     sym_power_cuspidal,
 )
-from .rules import GALOIS_TAGS, GENERATORS, RULES, Generator
+from .rules import GENERATORS, RULES, Generator
 
 
 class MissingHypothesisError(LedgerError):
@@ -269,54 +266,8 @@ class SiegelReport(Record):
         }
 
 
-# what a report takes when neither the caller nor the ledger names a base or
-# a twist: values, never declared in any ledger
-_DEFAULT_BASE = BaseCusp("pi", "icosahedral", galois_row="X'")
+# the twist of a report that names none: a value, never declared in any ledger
 _DEFAULT_TWIST = CharWord.gen("chi")
-
-
-def _refuse_taken(name: str, role: str, ledger: FactLedger, row: str | None = None) -> None:
-    """Refuse *name*, which a report builds as a value in *role*, when the
-    ledger declares it otherwise: as a base, or, for a base tagged *row*,
-    as a character too (a character may be declared as one)."""
-    if name in ledger.bases:
-        what = "a base" if row is None else f"a base without galois_row {row}"
-    elif row is not None and name in ledger.characters:
-        what = "a character"
-    else:
-        return
-    raise LedgerError(f"{name}, {role}, is declared as {what}")
-
-
-def _report_base(ledger: FactLedger) -> BaseCusp:
-    """The base of a report that names none: the ledger's one
-    ``galois_row``-tagged base, or else the undeclared default pi."""
-    # declare_base tags only an icosahedral base, and only with X' or X''
-    tagged = [b for b in ledger.bases.values() if b.galois_row is not None]
-    if len(tagged) > 1:
-        raise LedgerError(
-            'several icosahedral bases are tagged; pick one with a "siegel": {"p": ...} section'
-        )
-    if tagged:
-        return tagged[0]
-    p = _DEFAULT_BASE
-    _refuse_taken(p.name, "the default base when no base is tagged", ledger, p.galois_row)
-    _refuse_taken(p.omega, f"the central character of the default base {p.name}", ledger)
-    return p
-
-
-def _galois_partner(p: BaseCusp, ledger: FactLedger) -> BaseCusp:
-    """The conjugate pi^tau of ``p``: the ledger's base carrying the other
-    2-dimensional row, or else an undeclared base ``<p>_tau`` with that row
-    and ``p``'s central character.  A name ``<p>_tau`` the ledger already
-    uses otherwise is refused."""
-    row = GALOIS_SWAPS[p.galois_row]
-    for base in ledger.bases.values():
-        if base.galois_row == row:
-            return base
-    name = f"{p.name}_tau"
-    _refuse_taken(name, f"the Galois partner of {p.name}", ledger, row)
-    return BaseCusp(name, "icosahedral", omega=p.omega, galois_row=row)
 
 
 class _ScanContext:
@@ -327,16 +278,11 @@ class _ScanContext:
     __slots__ = ("ledger", "p", "p_tau", "family", "certificates")
 
     def __init__(self, ledger: FactLedger, p: BaseCusp | None) -> None:
-        if p is None:
-            p = _report_base(ledger)
-        elif p.typ != "icosahedral":
-            raise ValueError(f"{p.name} is {p.typ}; the report needs icosahedral type")
-        elif p.galois_row not in GALOIS_TAGS:
-            raise ValueError(f"{p.name} needs a 2-dimensional finite-image tag to decompose")
-        self.ledger, self.p, self.p_tau = ledger, p, _galois_partner(p, ledger)
+        self.ledger = ledger
+        self.p, self.p_tau = conjugate_pair(ledger, p)
         self.family = {  # row -> (label, entry of GENERATORS)
             row: (label, g)
-            for g, (label, _, row) in zip(GENERATORS, icosahedral_family(p, self.p_tau))
+            for g, (label, _, row) in zip(GENERATORS, icosahedral_family(self.p, self.p_tau))
         }
         self.certificates = {}  # (row, chi) -> (label, detail, k, r, covered)
 

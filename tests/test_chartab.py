@@ -57,7 +57,8 @@ def test_verify_table_flags_perturbed_entry(tab, monkeypatch):
     # bump a single zero in row W; column orthogonality must notice
     rows = {n: list(tab.row(n).values) for n in IRREP_NAMES}
     rows["W"][6] = rows["W"][6] + 1
-    corrupted = CharacterTable(rows=rows)
+    monkeypatch.setattr("icosym.chartab._TABLE_ROWS", rows)
+    corrupted = CharacterTable(tab.group)
     monkeypatch.setattr("icosym.verify.default_table", lambda: corrupted)
     report = verify_table()
     assert not all_passed(report)

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from icosym.chartab import IRREP_NAMES
 from icosym.cli import cmd_dispatch
+from icosym.factsfile import load_facts
+from icosym.isobaric import LedgerError, conjugate_pair
 from icosym.repexpr import MAX_POWER
 from icosym.verify import VERIFY_SECTIONS, CheckResult
 
@@ -265,6 +267,22 @@ class TestCuspidality:
         assert results["routes_agree"] is True
         assert results["structural"]["verdict"] == "cuspidal"
         assert results["pole_counting"]["pole_order"] == 1
+
+    def test_a_pole_interval_from_2_up_agrees_with_not_cuspidal(self, capsys, tmp_path):
+        path = tmp_path / "octpair.json"
+        path.write_text(json.dumps({
+            "bases": [{"name": "p", "type": "octahedral"}, {"name": "q", "type": "octahedral"}],
+            "facts": [{"lhs": "Ad(p)", "rhs": "Ad(q)", "relation": "equiv", "truth": True}],
+        }))
+        argv = ("cuspidality", "--facts", str(path), "--pi", "p", "--pi-prime", "q")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "  [structural] not-cuspidal\n" in out
+        assert "  [pole-counting] not-cuspidal (pole order [2, 3])\n" in out
+        assert "missing fact" not in out
+        code, document, err = run_json(capsys, *argv)
+        assert (code, err, document["results"]["routes_agree"]) == (0, "", True)
+        assert document["results"]["pole_counting"]["pole_order"] == [2, 3]
 
     def test_unknown_base(self, capsys, facts_file):
         code, _, err = run(
@@ -590,6 +608,33 @@ class TestCuspidality:
             "sym^3 is automorphic (Kim-Shahidi 2002)\n"
         )
 
+    @pytest.mark.parametrize(
+        "base,symbol,reason",
+        [
+            ({"name": "f", "type": "icosahedral", "galois_row": "X'"}, "sym^5(f)",
+             "finite image: sym^5 restriction is irreducible"),
+            ({"name": "f", "type": "icosahedral"}, "sym^5(f)",
+             "finite image: sym^5 is irreducible on the binary icosahedral group, "
+             "whose irreducibles have degree at most 6"),
+            ({"name": "f", "type": "general"}, "sym^7(f)", "declared: sym^7(f) cuspidal is True"),
+        ],
+        ids=["tagged-sym5", "untagged-sym5", "declared-sym7"],
+    )
+    def test_a_cuspidal_symbol_declared_not_automorphic_exit_2(
+        self, capsys, tmp_path, base, symbol, reason
+    ):
+        doc = {"bases": [base], "automorphic": [{"symbol": symbol, "truth": False}]}
+        if base["type"] == "general":
+            doc["cuspidal"] = [{"symbol": symbol, "truth": True}]
+        path = tmp_path / "automorphic.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "siegel", "--m", "5", "--facts", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: automorphic[0]: {symbol} cannot be declared not automorphic: "
+            f"it is cuspidal ({reason})\n"
+        )
+
     def test_missing_facts_reported(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(
@@ -789,22 +834,22 @@ class TestSiegel:
         )
 
     def test_a_missing_hypothesis_says_why_in_text(self, capsys, tmp_path):
-        path = tmp_path / "sym5.json"
+        path = tmp_path / "sym7.json"
         path.write_text(
             json.dumps(
                 {
                     "bases": [{"name": "f", "type": "icosahedral", "galois_row": "X'"}],
-                    "automorphic": [{"symbol": "sym^5(f)", "truth": False}],
+                    "automorphic": [{"symbol": "sym^7(f)", "truth": False}],
                 }
             )
         )
-        code, out, err = run(capsys, "siegel", "--m", "3", "--facts", str(path))
+        code, out, err = run(capsys, "siegel", "--m", "5", "--facts", str(path))
         assert (code, err) == (0, "")
         assert out.startswith(
-            "m = 3: sym^3(f)*chi -> not-covered\n"
-            "  1 x twist of sym^3(f) (X1): auxiliary-expansion\n"
+            "m = 5: sym^5(f)*chi -> not-covered\n"
+            "  1 x twist of sym^5(f) (W): auxiliary-expansion\n"
             "      because not covered; missing hypotheses: "
-            "hypothesis fails: declared: sym^5(f) automorphic is False\n"
+            "hypothesis fails: declared: sym^7(f) automorphic is False\n"
             "sources: "
         )
         # a covered report carries no reason line
@@ -839,6 +884,9 @@ class TestSiegel:
         code, out, err = run(capsys, "siegel", "--m", "12", "--facts", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: f_tau, the Galois partner of f, is declared as {what}\n"
+        with pytest.raises(LedgerError) as refused:
+            conjugate_pair(load_facts(doc))
+        assert f"error: {refused.value}\n" == err
 
     @pytest.mark.parametrize(
         "doc,message",
@@ -868,6 +916,10 @@ class TestSiegel:
         for flags in ([], ["--json"]):
             code, out, err = run(capsys, "siegel", "--m", "12", "--facts", str(path), *flags)
             assert (code, out, err) == (2, "", f"error: {message}\n")
+        if not message.startswith("chi, the default twist"):  # the twist is the report's own
+            with pytest.raises(LedgerError) as refused:
+                conjugate_pair(load_facts(doc))
+            assert str(refused.value) == message
 
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_an_untagged_base_named_chi_with_another_twist(self, capsys, tmp_path, flags):

@@ -39,6 +39,8 @@ from pathlib import Path
 import pytest
 
 from icosym.cli import cmd_dispatch
+from icosym.factsfile import load_facts
+from icosym.isobaric import decide_cuspidality, decide_cuspidality_via_poles
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "corpus" / "manifest.json"
@@ -233,3 +235,23 @@ def test_every_run_replays_byte_identically(manifest, documents, tmp_path):
             + "\n".join(shown),
             pytrace=False,
         )
+
+
+# -- the generated documents beyond the recorded runs ---------------------------
+
+
+def test_the_cuspidality_routes_never_split_definite_and_undetermined():
+    """Over every ordered pair of non-dihedral bases of each generated
+    document, one route never decides while the other stays open."""
+    workloads = _workloads()
+    split = []
+    for seed in SEEDS:
+        ledger = load_facts(workloads.Universe.generate(random.Random(seed), scale=SCALES[seed]).doc)
+        bases = [b for b in ledger.bases.values() if b.typ != "dihedral"]
+        for p in bases:
+            for q in bases:
+                verdicts = {decide_cuspidality(p, q, ledger).verdict,
+                            decide_cuspidality_via_poles(p, q, ledger).verdict}
+                if len(verdicts) == 2 and "undetermined" in verdicts:
+                    split.append((seed, p.name, q.name, sorted(verdicts)))
+    assert split == []

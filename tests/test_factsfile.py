@@ -27,6 +27,7 @@ from icosym.isobaric import (
     LedgerError,
     SymCusp,
     ad,
+    conjugate_pair,
     decide_cuspidality,
     decide_cuspidality_via_poles,
 )
@@ -573,6 +574,11 @@ class TestSiegelInputs:
         }
         with pytest.raises(LedgerError, match="pick one"):
             siegel_report(12, ledger=load_facts(doc))
+        with pytest.raises(LedgerError) as err:
+            conjugate_pair(load_facts(doc))
+        assert str(err.value) == (
+            'several icosahedral bases are tagged; pick one with a "siegel": {"p": ...} section'
+        )
 
     def test_undeclared_siegel_character(self):
         doc = {

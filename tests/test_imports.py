@@ -171,7 +171,7 @@ def test_commands_never_import_fractions(argv):
 
 
 def test_every_public_name_is_its_modules_object():
-    assert len(icosym.__all__) == 55
+    assert len(icosym.__all__) == 56
     for name in icosym.__all__:
         module = importlib.import_module(f"icosym.{icosym._MODULE_OF[name]}")
         assert getattr(icosym, name) is getattr(module, name), name

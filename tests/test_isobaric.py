@@ -36,6 +36,7 @@ from icosym.isobaric import (
     standard_icosahedral_pair,
     sym_cusp,
 )
+from icosym.factsfile import load_facts
 from icosym.siegel import siegel_report, siegel_scan
 
 IRREP_NAMES = ("U", "V", "W", "X1", "X2", "W'", "W''", "X'", "X''")
@@ -701,6 +702,47 @@ def test_an_opposite_redeclaration_is_refused(i):
     assert [dict(t) for t in tables] == before
 
 
+@pytest.mark.parametrize(
+    "typ,row,n,reason",
+    [
+        ("icosahedral", "X'", 5, "finite image: sym^5 restriction is irreducible"),
+        ("icosahedral", None, 5, "finite image: sym^5 is irreducible on the binary icosahedral "
+                                 "group, whose irreducibles have degree at most 6"),
+        ("general", None, 7, "declared: sym^7(f) cuspidal is True"),
+        ("general", None, 1, "f is cuspidal by assumption"),
+    ],
+    ids=["tagged-sym5", "untagged-sym5", "declared-sym7", "base"],
+)
+def test_a_cuspidal_core_cannot_be_declared_not_automorphic(typ, row, n, reason):
+    ledger = FactLedger()
+    f = ledger.declare_base("f", typ, galois_row=row)
+    core = sym_cusp(f, n)
+    if typ == "general" and n > 1:
+        ledger.declare_cuspidal(core)
+    with pytest.raises(LedgerError) as err:
+        ledger.declare_automorphic(core, False)
+    assert str(err.value) == f"{core} cannot be declared not automorphic: it is cuspidal ({reason})"
+    assert ledger._automorphic == {}
+    ledger.declare_automorphic(core, True)
+
+
+def test_a_core_declared_not_automorphic_cannot_be_declared_cuspidal():
+    ledger = FactLedger()
+    g = ledger.declare_base("g", "general")
+    h = ledger.declare_base("h", "general")
+    for core in (SymCusp(g, 7), box_cusp(g, h)):
+        ledger.declare_automorphic(core, False)
+        with pytest.raises(LedgerError) as err:
+            ledger.declare_cuspidal(core, True)
+        assert str(err.value) == f"{core} cannot be declared cuspidal: it is declared not automorphic"
+        ledger.declare_cuspidal(core, False)
+    # a core declared cuspidal is refused as not automorphic, whatever its kind
+    box = box_cusp(SymCusp(g, 2), h)
+    ledger.declare_cuspidal(box)
+    with pytest.raises(LedgerError, match="it is cuspidal"):
+        ledger.declare_automorphic(box, False)
+
+
 # -- reasons stay data until they are shown ---------------------------------
 
 
@@ -1067,6 +1109,24 @@ def test_octahedral_partner_contradiction():
     ledger.assert_equiv(ad(p), ad(q).twisted(mu), True)
     with pytest.raises(LedgerError):
         decide_cuspidality(p, q, ledger)
+
+
+OCTAHEDRAL_PAIR = {
+    "bases": [{"name": "p", "type": "octahedral"}, {"name": "q", "type": "octahedral"}],
+    "facts": [{"lhs": "Ad(p)", "rhs": "Ad(q)", "relation": "equiv", "truth": True}],
+}
+
+
+def test_a_pole_interval_from_2_up_decides_not_cuspidal():
+    """Ad(p) against the lift of q stays open, so the pole order is [2, 3]:
+    at least 2 whatever the open pair is, so the product is not cuspidal."""
+    ledger = load_facts(OCTAHEDRAL_PAIR)
+    p, q = ledger.bases["p"], ledger.bases["q"]
+    v1, v2 = both_routes(p, q, ledger)
+    assert v2.verdict == "not-cuspidal"
+    assert (v2.pole.lo, v2.pole.hi, v2.missing) == (2, 3, ())
+    assert v2.as_json()["pole_order"] == [2, 3]
+    assert "L(Ad p x deg-5 lift) contributes [0, 1]" in v2.witnesses
 
 
 def test_undetermined_without_facts():

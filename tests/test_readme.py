@@ -8,6 +8,7 @@ from pathlib import Path
 
 from icosym import (
     CharWord,
+    conjugate_pair,
     decide_cuspidality,
     decide_cuspidality_via_poles,
     default_table,
@@ -23,6 +24,8 @@ def test_library_example():
     tab = default_table()
     assert tab.decompose(tab.sym_power(tab.row("X'"), 6)) == {"X2": 1, "W''": 1}
     ledger, p, p_tau = standard_icosahedral_pair()
+    assert conjugate_pair(ledger) == (p, p_tau)
+    assert ledger.bases == {}
     assert decide_cuspidality(p, p_tau, ledger).verdict == "cuspidal"
     assert decide_cuspidality_via_poles(p, p_tau, ledger).pole.value() == 1
     assert siegel_report(12).verdict == "exceptional-case"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import icosym.siegel
 from icosym.chartab import CharacterTable
 from icosym.factsfile import load_facts
 from icosym.icostruct import scan_trivial
@@ -15,6 +16,7 @@ from icosym.isobaric import (
     IsobaricExpr,
     LedgerError,
     SymCusp,
+    conjugate_pair,
     icosahedral_family,
     standard_icosahedral_pair,
     sym_cusp,
@@ -395,10 +397,11 @@ def test_an_undeclared_base_names_its_own_central_character():
 def test_report_checks_the_base_before_the_ledger():
     ledger = FactLedger()
     ledger.declare_base("g_tau", "general")  # would clash with g's partner
-    with pytest.raises(ValueError, match="finite-image tag"):
-        siegel_report(12, BaseCusp("g", "icosahedral"), None, ledger)
-    with pytest.raises(ValueError, match="icosahedral type"):
-        siegel_report(12, BaseCusp("g", "general", galois_row="X'"), None, ledger)
+    for build in (conjugate_pair, lambda ledger, p: siegel_report(12, p, None, ledger)):
+        with pytest.raises(ValueError, match="finite-image tag"):
+            build(ledger, BaseCusp("g", "icosahedral"))
+        with pytest.raises(ValueError, match="icosahedral type"):
+            build(ledger, BaseCusp("g", "general", galois_row="X'"))
 
 
 # a ledger's declarations: every table that a declare_* or assert_* call writes
@@ -434,6 +437,32 @@ def test_galois_partner_is_a_value_when_the_ledger_has_none():
     assert {c.label for c in rep.constituents} == {"twist of sym^5(f)", "twist of f_tau"}
     assert rep.verdict == "no-siegel-zero"
     assert list(ledger.bases) == ["f"]
+
+
+def test_checks_and_reports_take_one_pair():
+    ledger, p, p_tau = standard_icosahedral_pair()
+    context = icosym.siegel._standard_scan_context()
+    assert (p, p_tau) == conjugate_pair(FactLedger()) == (context.p, context.p_tau)
+    assert (p, p_tau) == (
+        BaseCusp("pi", "icosahedral", galois_row="X'"),
+        BaseCusp("pi_tau", "icosahedral", omega="omega(pi)", galois_row="X''"),
+    )
+    assert ledger.bases == {} and ledger.characters == {}  # built as values
+
+
+def test_the_partner_of_a_base_tagged_x2_is_tagged_x1_with_its_central_character():
+    ledger = FactLedger()
+    h = ledger.declare_base("h", "icosahedral", omega="w", galois_row="X''")
+    partner = BaseCusp("h_tau", "icosahedral", omega="w", galois_row="X'")
+    assert conjugate_pair(ledger) == conjugate_pair(ledger, h) == (h, partner)
+    assert list(ledger.bases) == ["h"]
+
+
+def test_a_declared_partner_is_returned_as_it_is():
+    ledger, f = tagged_base()
+    g = ledger.declare_base("g", "icosahedral", omega="w", galois_row="X''")
+    for p, p_tau in (conjugate_pair(ledger, f), conjugate_pair(ledger, g)[::-1]):
+        assert p is f and p_tau is g
 
 
 def test_galois_partner_is_the_ledger_base_with_the_other_row():
@@ -487,8 +516,11 @@ def test_galois_partner_name_clash_is_refused(kind):
     else:
         ledger.declare_character("f_tau", order=2)
     before = (dict(ledger.bases), dict(ledger.characters))
-    with pytest.raises(LedgerError, match=f"f_tau, the Galois partner of f, is declared as a {kind}"):
+    message = f"f_tau, the Galois partner of f, is declared as a {kind}"
+    with pytest.raises(LedgerError, match=message):
         siegel_report(12, f, None, ledger)
+    with pytest.raises(LedgerError, match=message):
+        conjugate_pair(ledger, f)
     assert (ledger.bases, ledger.characters) == before
 
 
