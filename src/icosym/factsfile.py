@@ -45,7 +45,8 @@ Every refusal is a :class:`FactsError` that names its place, ledger
 refusals included (``facts[0]: nu ~ nu^-1 cannot be declared true: ...``).
 An entry carrying a key its section does not know is refused
 (``cuspidal[0]: unknown key 'truht'``), and so is a ``twist`` on an
-``equiv`` fact.
+``equiv`` fact.  So is a declared name that a symbol would read as
+something else (``x^2``, ``1``, ``a*b``, ``Ad(q)``).
 The ``siegel`` section only names a declared base ``p`` and a declared
 character ``chi``; :mod:`icosym.siegel` picks whatever it leaves out.
 """
@@ -144,13 +145,30 @@ def _parsed(memo: dict, parse, entry: dict, key: str, ledger: FactLedger, where:
     return value
 
 
-# one character-word factor: a generator name with an optional exponent
-_FACTOR = re.compile(r"^([A-Za-z_][A-Za-z0-9_'()@]*)(?:\^(-?\d+))?$")
-_SYM = re.compile(r"^sym\^(\d+)\(([A-Za-z_][A-Za-z0-9_'()@]*)\)$")
-_AD = re.compile(r"^Ad\(([A-Za-z_][A-Za-z0-9_'()@]*)\)$")
+# a name a symbol can refer to; one character-word factor is a generator
+# name with an optional exponent
+_NAME = r"[A-Za-z_][A-Za-z0-9_'()@]*"
+_FACTOR = re.compile(rf"^({_NAME})(?:\^(-?\d+))?$")
+_SYM = re.compile(rf"^sym\^(\d+)\(({_NAME})\)$")
+_AD = re.compile(rf"^Ad\(({_NAME})\)$")
+# a name to declare, in full: what _FACTOR reads with no exponent and _AD does not
+_DECLARED = re.compile(rf"(?!Ad\({_NAME}\)$){_NAME}")
+# the base tags that name a character
+_CHAR_TAGS = ("omega", "dihedral_char", "cubic_char", "quadratic_char", "induced_char")
 
 
-def _split_factors(text: str, where: str) -> list[str]:
+def _name(entry: dict, key: str, where: _Where) -> str:
+    """The string field *key* of *entry*, a name to declare: refused unless a
+    symbol reads it back as itself, one factor with no exponent, not Ad(..)."""
+    name = _str_field(entry, key, where)
+    whole = _DECLARED.fullmatch(name) is not None
+    if whole and ("(" in name or ")" in name):  # the split refuses unbalanced ones
+        whole = _split_factors(name, where) == [name]
+    _require(whole, where, "{} {!r} does not read back as itself in a symbol", key, name)
+    return name
+
+
+def _split_factors(text: str, where: _Where) -> list[str]:
     parts = []
     depth = 0
     current = []
@@ -250,7 +268,7 @@ def load_facts(doc: dict) -> FactLedger:
     where: _Where = "document"
     try:
         for where, entry in _entries(doc, "characters"):
-            name = _str_field(entry, "name", where)
+            name = _name(entry, "name", where)
             order = entry.get("order")
             _require(
                 order is None or (type(order) is int and order >= 1),
@@ -271,19 +289,21 @@ def load_facts(doc: dict) -> FactLedger:
             ledger.declare_character(name, order=order, kind=kind)
 
         for where, entry in _entries(doc, "bases"):
-            name = _str_field(entry, "name", where)
+            name = _name(entry, "name", where)
             typ = _str_field(entry, "type", where)
             tags = {key: entry[key] for key in BaseCusp.__slots__[2:] if key in entry}
             for key, value in tags.items():
                 # the ledger checks galois_row against the table rows itself
                 string = key == "galois_row" or isinstance(value, str)
                 _require(string, where, "{!r} must be a string", key)
+                if key in _CHAR_TAGS:
+                    _name(entry, key, where)
             ledger.declare_base(name, typ, **tags)
 
         for where, entry in _entries(doc, "base_changes"):
             of = _lookup_base(_str_field(entry, "of", where), ledger, where)
             extension = _str_field(entry, "extension", where)
-            name = _str_field(entry, "name", where)
+            name = _name(entry, "name", where)
             typ = _str_field(entry, "type", where)
             ledger.declare_base_change(of, extension, name, typ)
 

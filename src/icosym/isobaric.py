@@ -41,7 +41,7 @@ from . import Record, _set
 from .rules import AUTOMORPHIC, BASE_TYPES, GALOIS_TAGS, GENERATORS, TYPE_RULES, type_rule
 
 if TYPE_CHECKING:  # the table is built only for ledgers that query a tag
-    from .chartab import CharacterTable, ClassFunction
+    from .chartab import ClassFunction
 
 
 class LedgerError(ValueError):
@@ -91,15 +91,8 @@ class CharWord(Symbol):
         _set(self, "word", word)
 
     @classmethod
-    def of(cls, factors: Mapping[str, int] | Iterable[tuple[str, int]]) -> "CharWord":
-        # the hot callers pass a tuple of pairs or a dict; both are told
-        # apart before the Mapping ABC check, which is slow
-        if isinstance(factors, tuple):
-            items = factors
-        elif isinstance(factors, (dict, Mapping)):
-            items = factors.items()
-        else:
-            items = factors
+    def of(cls, factors: dict[str, int] | Iterable[tuple[str, int]]) -> "CharWord":
+        items = factors.items() if isinstance(factors, dict) else factors
         merged: dict[str, int] = {}
         for name, exp in items:
             merged[name] = merged.get(name, 0) + exp
@@ -216,11 +209,9 @@ class BoxCusp(Symbol):
 class InducedCusp(Symbol):
     """A dihedral symbol induced from a character of a quadratic extension."""
 
-    __slots__ = ("extension", "char", "self_dual")
-    _defaults = {"self_dual": False}
+    __slots__ = ("extension", "char")
     extension: str
     char: str
-    self_dual: bool
 
     @property
     def degree(self) -> int:
@@ -261,7 +252,7 @@ def _order(core: Core | None) -> tuple:
         return 0, core.base.name, core.n
     if isinstance(core, BoxCusp):
         return 1, _order(core.left), _order(core.right)
-    return 2, core.extension, core.char, core.self_dual
+    return 2, core.extension, core.char
 
 
 # --------------------------------------------------------------------------
@@ -320,8 +311,8 @@ class IsobaricExpr(Record):
         return cls(tuple(terms))
 
     @classmethod
-    def single(cls, c: Constituent, mult: int = 1) -> "IsobaricExpr":
-        return cls.of([(c, mult)])
+    def single(cls, c: Constituent) -> "IsobaricExpr":
+        return cls.of([(c, 1)])
 
     @property
     def degree(self) -> int:
@@ -446,7 +437,6 @@ class FactLedger:
     """
 
     def __init__(self) -> None:
-        self._tab: CharacterTable | None = None  # built by the first read of tab
         self.characters: dict[str, CharInfo] = {}
         self.bases: dict[str, BaseCusp] = {}
         self.base_changes: dict[tuple[str, str], BaseCusp] = {}
@@ -458,21 +448,6 @@ class FactLedger:
         self._orders: dict[str, int] = {}  # kept in step with declare_character
         # per queried core: the multiplicities of its restriction
         self._decompositions: dict[Core, dict[str, int] | None] = {}
-
-    @property
-    def tab(self) -> CharacterTable:
-        """The character table, read only for ``galois_row``-tagged cores.
-
-        Not a ``functools.cached_property``: that writes the instance
-        ``__dict__``, after which every attribute read on the ledger takes
-        about twice as long on CPython 3.11, and ``pole_order`` reads them
-        for every pair of terms.
-        """
-        if self._tab is None:
-            from .chartab import default_table
-
-            self._tab = default_table()
-        return self._tab
 
     # -- declarations ---------------------------------------------------
 
@@ -567,6 +542,13 @@ class FactLedger:
     def declare_base_change(
         self, of: BaseCusp, extension: str, name: str, typ: str
     ) -> BaseCusp:
+        """Refused when *of* already has another base change to *extension*."""
+        known = self.base_changes.get((of.name, extension))
+        if known is not None and known.name != name:
+            raise LedgerError(
+                f"contradictory declarations of the base change of {of.name} to {extension}: "
+                f"{known.name} vs {name}"
+            )
         tags = {}
         if typ == "dihedral":
             # only the type tag matters downstream; name the inducing data
@@ -743,34 +725,45 @@ class FactLedger:
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:
         """Multiplicities of the finite-image restriction; None if untagged.
-        The memo: each queried core is restricted and decomposed once."""
+        The memo: each queried core is restricted and decomposed once.  It is
+        per ledger, not process-wide: a new document's cores equal stored
+        ones without being them, so each hit would compare them field by field."""
         if core not in self._decompositions:
-            cf = self._restrict(core)
-            self._decompositions[core] = None if cf is None else self.tab.decompose(cf)
+            cf = _restrict(core)
+            mults = None
+            if cf is not None:
+                from .chartab import default_table
+
+                mults = default_table().decompose(cf)
+            self._decompositions[core] = mults
         return self._decompositions[core]
 
-    def _restrict(self, core: Core) -> ClassFunction | None:
-        if isinstance(core, BaseCusp):
-            return self.tab.row(core.galois_row) if core.galois_row else None
-        if isinstance(core, SymCusp):
-            inner = self._restrict(core.base)
-            return None if inner is None else self.tab.sym_power(inner, core.n)
-        if isinstance(core, BoxCusp):
-            left, right = self._restrict(core.left), self._restrict(core.right)
-            return None if left is None or right is None else left * right
+
+def _restrict(core: Core) -> ClassFunction | None:
+    """A core's restriction to the finite model; None unless its bases are tagged."""
+    if isinstance(core, BoxCusp):
+        left, right = _restrict(core.left), _restrict(core.right)
+        return None if left is None or right is None else left * right
+    sym = _as_sym(core)
+    if sym is None or not sym[0].galois_row:
         return None
+    from .chartab import default_table
 
-    def galois_restriction(self, e: IsobaricExpr) -> ClassFunction:
-        """Restrict a formal expression to the finite model; twists drop."""
-        from .chartab import ClassFunction
+    row = default_table().row(sym[0].galois_row)
+    return row if sym[1] == 1 else default_table().sym_power(row, sym[1])
 
-        total = ClassFunction.of([0] * 9)
-        for c, m in e.terms:
-            cf = self.tab.trivial() if c.core is None else self._restrict(c.core)
-            if cf is None:
-                raise LedgerError(f"no finite-image model for {c.core}")
-            total = total + m * cf
-        return total
+
+def galois_restriction(e: IsobaricExpr) -> ClassFunction:
+    """Restrict a formal expression to the finite model; twists drop."""
+    from .chartab import ClassFunction, default_table
+
+    total = ClassFunction.of([0] * 9)
+    for c, m in e.terms:
+        cf = default_table().trivial() if c.core is None else _restrict(c.core)
+        if cf is None:
+            raise LedgerError(f"no finite-image model for {c.core}")
+        total = total + m * cf
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -966,7 +959,7 @@ def a4(p: BaseCusp, ledger: FactLedger) -> IsobaricExpr:
         return IsobaricExpr.of([(ad(p), 1), (character(eta), 1), (character(eta**2), 1)])
     if p.typ == "octahedral":
         mu = CharWord.gen(p.quadratic_char)
-        complement = Constituent(InducedCusp(p.induced_field, p.induced_char, self_dual=True))
+        complement = Constituent(InducedCusp(p.induced_field, p.induced_char))
         return IsobaricExpr.of([(ad(p).twisted(mu), 1), (complement, 1)])
     return IsobaricExpr.single(
         Constituent(SymCusp(p, 4), CharWord.gen(p.omega, -2))

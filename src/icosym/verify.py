@@ -38,6 +38,7 @@ from .isobaric import (
     decide_cuspidality,
     decide_cuspidality_via_poles,
     galois_pole_check,
+    galois_restriction,
     standard_icosahedral_pair,
 )
 from .rules import GENERATORS, RULES
@@ -270,57 +271,19 @@ def verify_classification() -> list[CheckResult]:
 
 
 def verify_generators(m: int) -> list[CheckResult]:
-    """Counts, twist classes and the generator family for center order 2m."""
+    """The generator family for center order 2m and the rows it shares.
+
+    Counts, twist classes and degree sums belong to verify_classification.
+    """
     out: list[CheckResult] = []
-    irreps = classify_irreps(m)
-
-    out.append(
-        CheckResult(
-            f"m={m}: irrep count",
-            len(irreps) == 9 * m,
-            f"{len(irreps)} irreducibles (want {9 * m})",
-        )
-    )
-
-    by_row: dict[str, int] = {}
-    for r in irreps:
-        by_row[r.base] = by_row.get(r.base, 0) + 1
-    out.append(
-        CheckResult(
-            f"m={m}: twist classes",
-            set(by_row) == set(IRREP_NAMES) and set(by_row.values()) == {m},
-            f"9 rows x {m} exponents",
-        )
-    )
-
-    total = sum(dim_irrep(r) ** 2 for r in irreps)
-    out.append(
-        CheckResult(
-            f"m={m}: degree sum",
-            total == 120 * m,
-            f"sum of squared degrees = {total} (want {120 * m})",
-        )
-    )
-
     try:
         gens = generator_family(m)
         bases = sorted(g.base for g in gens.values())
-        distinct = bases == sorted(IRREP_NAMES)
         out.append(
             CheckResult(
                 f"m={m}: generator family",
-                distinct,
+                bases == sorted(IRREP_NAMES),
                 "nine irreducible generators in pairwise distinct rows",
-            )
-        )
-        covered = all(
-            any(r.base == g.base for g in gens.values()) for r in irreps
-        )
-        out.append(
-            CheckResult(
-                f"m={m}: coverage",
-                covered,
-                "every irreducible twist-equivalent to exactly one generator",
             )
         )
     except RuntimeError as err:
@@ -497,19 +460,19 @@ def galois_square_accounting(m: int) -> dict[str, int]:
     the target content of the residual factors.  Returns the accounting.
     """
     ledger, p, _ = standard_icosahedral_pair()
-    tab = ledger.tab
+    tab = default_table()
     chi = CharWord()
     fact = expand_aux_square(m, p, chi, ledger)
 
     def restrict(f: LFactor) -> ClassFunction:
         if f.kind == "zeta":
             return tab.trivial()
-        cf = ledger.galois_restriction(IsobaricExpr.single(f.parts[0]))
+        cf = galois_restriction(IsobaricExpr.single(f.parts[0]))
         if f.kind == "pair":
-            cf = cf * ledger.galois_restriction(IsobaricExpr.single(f.parts[1]))
+            cf = cf * galois_restriction(IsobaricExpr.single(f.parts[1]))
         return cf
 
-    aux_cf = ledger.galois_restriction(build_auxiliary(m, p, chi, ledger))
+    aux_cf = galois_restriction(build_auxiliary(m, p, chi, ledger))
     square = aux_cf * aux_cf
     total = ClassFunction.of([0] * 9)
     for f in fact.factors:
@@ -517,7 +480,7 @@ def galois_square_accounting(m: int) -> dict[str, int]:
     if total != square:
         raise RuntimeError("factor restrictions do not sum to the square")
 
-    target_row = ledger.galois_restriction(IsobaricExpr.single(fact.target))
+    target_row = galois_restriction(IsobaricExpr.single(fact.target))
     in_square = tab.inner_product(square, target_row).as_int()
     residual = 0
     for f in fact.factors:

@@ -85,8 +85,8 @@ class TestChartab:
 # table, generator, accounting and rule-table checks were still built in the
 # layers they check
 VERIFY_ALL = {
-    (): "f674fba54a01596a9e9197129d0f225a3eeb773ed59259dcf53e4151c64d2f7d",
-    ("--json",): "9ddecb8fcdc5ccabf8a408955c3675957d21af8f46ac86728bc02f8aac4630ad",
+    (): "13e6bfc56aff5c7478ec17095158b8afe6ef63cad426a4f1b0b62ec30ac20942",
+    ("--json",): "27bb1604935ead924e963dd988afa0526eff4216f5c150ad5e94e11eaf326a14",
 }
 
 
@@ -469,6 +469,55 @@ class TestCuspidality:
         assert code == 2
         assert out == ""
         assert err == "error: bases[0]: chi is declared as a character, not a base\n"
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (
+                {"characters": [{"name": "x^2"}],
+                 "word_kinds": [{"word": "x^2", "kind": "non-real"}]},
+                "characters[0]: name 'x^2' does not read back as itself in a symbol",
+            ),
+            (
+                {"characters": [{"name": "1", "properties": ["quadratic"]}]},
+                "characters[0]: name '1' does not read back as itself in a symbol",
+            ),
+            (
+                {"bases": [{"name": "a*b", "type": "general"}]},
+                "bases[0]: name 'a*b' does not read back as itself in a symbol",
+            ),
+        ],
+        ids=["exponent", "trivial", "product"],
+    )
+    def test_a_name_a_symbol_reads_otherwise_exit_2(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "name.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "siegel", "--m", "12", "--facts", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["dihedral-first", "general-first"])
+    def test_two_base_changes_to_one_field_exit_2(self, capsys, tmp_path, swap):
+        changes = [
+            {"of": "q", "extension": "E", "name": "qE", "type": "dihedral"},
+            {"of": "q", "extension": "E", "name": "qE2", "type": "general"},
+        ]
+        if swap:
+            changes.reverse()
+        bases = [
+            {"name": "p", "type": "dihedral", "dihedral_field": "E", "dihedral_char": "xi"},
+            {"name": "q", "type": "icosahedral"},
+        ]
+        path = tmp_path / "bc.json"
+        path.write_text(json.dumps({"bases": bases, "base_changes": changes}))
+        code, out, err = run(
+            capsys, "cuspidality", "--facts", str(path), "--pi", "p", "--pi-prime", "q"
+        )
+        names = " vs ".join(c["name"] for c in changes)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: base_changes[1]: contradictory declarations of the base change "
+            f"of q to E: {names}\n"
+        )
 
     def test_base_named_like_a_dihedral_conjugate_exit_2(self, capsys, tmp_path):
         path = tmp_path / "theta.json"

@@ -159,6 +159,72 @@ class TestBases:
                 }
             )
 
+    @pytest.mark.parametrize("order", ["dihedral-first", "general-first"])
+    def test_a_second_base_change_to_one_field_is_refused(self, order):
+        changes = [
+            {"of": "q", "extension": "E", "name": "qE", "type": "dihedral"},
+            {"of": "q", "extension": "E", "name": "qE2", "type": "general"},
+        ]
+        if order == "general-first":
+            changes.reverse()
+        first, second = (c["name"] for c in changes)
+        with pytest.raises(FactsError) as err:
+            load_facts({"bases": [{"name": "q", "type": "icosahedral"}], "base_changes": changes})
+        assert str(err.value) == (
+            "base_changes[1]: contradictory declarations of the base change of q to E: "
+            f"{first} vs {second}"
+        )
+
+    def test_the_same_base_change_twice_loads(self):
+        change = {"of": "q", "extension": "E", "name": "qE", "type": "dihedral"}
+        ledger = load_facts(
+            {"bases": [{"name": "q", "type": "icosahedral"}], "base_changes": [change, change]}
+        )
+        assert ledger.base_change(ledger.bases["q"], "E").typ == "dihedral"
+
+
+# names a symbol would read as something else: an exponent, the trivial word,
+# two factors, an adjoint, a bad factor, an unbalanced parenthesis
+_UNREADABLE = ["x^2", "1", "a*b", "Ad(q)", "a b", "f("]
+
+
+# each place a file declares a name, and the entry a refusal there names
+_PLACES = {
+    "character": (lambda n: {"characters": [{"name": n}]}, "characters[0]"),
+    "base": (lambda n: {"bases": [{"name": n, "type": "general"}]}, "bases[0]"),
+    "base-change": (
+        lambda n: {
+            "bases": [{"name": "q", "type": "general"}],
+            "base_changes": [{"of": "q", "extension": "E", "name": n, "type": "general"}],
+        },
+        "base_changes[0]",
+    ),
+    **{
+        tag: (lambda n, tag=tag: {"bases": [{"name": "q", "type": "general", tag: n}]}, "bases[0]")
+        for tag in ("omega", "dihedral_char", "cubic_char", "quadratic_char", "induced_char")
+    },
+}
+
+
+@pytest.mark.parametrize("name", _UNREADABLE)
+@pytest.mark.parametrize("place", sorted(_PLACES))
+def test_a_name_a_symbol_reads_otherwise_is_refused(place, name):
+    doc, where = _PLACES[place]
+    with pytest.raises(FactsError) as err:
+        load_facts(doc(name))
+    assert str(err.value).startswith(f"{where}: ")
+    assert repr(name) in str(err.value)
+
+
+def test_declared_names_of_the_docs_read_back():
+    ledger = load_facts(
+        {
+            "characters": [{"name": "omega(pi)"}, {"name": "xi@theta"}, {"name": "b3_E0"}],
+            "bases": [{"name": "pi'", "type": "icosahedral", "omega": "w_(1)"}],
+        }
+    )
+    assert {"omega(pi)", "xi@theta", "b3_E0", "w_(1)"} <= ledger.characters.keys()
+
 
 class TestWordsAndSymbols:
     def test_word_with_exponents(self):

@@ -161,6 +161,18 @@ def test_a_wrong_row_in_the_generator_table_fails(monkeypatch):
     assert failed == ["m=8: generator family"]
 
 
+def test_verify_generators_keeps_only_what_no_other_check_makes():
+    # counts, twist classes and degree sums are verify_classification's
+    assert [r.name for r in verify_generators(8)] == [
+        "m=8: generator family",
+        "m=8: sym^3(Lam) ~ sym^3(Lam')",
+        "m=8: sym^4(Lam) ~ sym^4(Lam')",
+        "m=8: sym^5(Lam) ~ sym^5(Lam')",
+        "m=8: sym^5(Lam) ~ Lam' * sym^2(Lam)",
+        "m=8: sym^5(Lam) ~ Lam * sym^2(Lam')",
+    ]
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_verify_generators_all_pass(m):
     report = verify_generators(m)
