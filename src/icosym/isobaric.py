@@ -29,7 +29,15 @@ Self-twists are the other non-generic spot: where the type table
 (:data:`icosym.rules.TYPE_RULES`) lets sym^n of the base's type admit one
 (``sym^2`` of a dihedral or tetrahedral base, any power of a base of
 undeclared type), such queries come back undetermined instead of defaulting
-to "no".
+to "no".  Where it admits none, "no" is forced when the quotient of the two
+twists is known not to be 1, as for two characters; otherwise it is a
+generic default.
+
+A generic answer is a default that a declared fact overturns (a fact
+twisting one core by a quotient not known to be 1 says that quotient is
+trivial).  A forced answer, one :meth:`FactLedger._mismatch` gives from the
+degrees, the finite-image rows or the quotient of two twists, is never
+overturned: a fact against it is refused.
 """
 
 from __future__ import annotations
@@ -421,6 +429,10 @@ class FactLedger:
     ``lhs`` with ``rhs`` twisted by ``nu``.  Asserting both truth values for
     one fact, or declaring one symbol's cuspidality, automorphy,
     self-duality or word kind two ways, raises :class:`LedgerError`.
+    :meth:`_mismatch` is the one list of the answers no fact can change:
+    :meth:`assert_equiv` refuses a true fact it names a reason for, and a
+    character's self-duality is refused by the same rule.  The resolver's
+    other answers are generic defaults, and a fact overturns them.
 
     Identity is structural: facts, cuspidality, automorphy and self-duality
     are keyed by the immutable symbol records (constituents with twists
@@ -620,20 +632,29 @@ class FactLedger:
         return self._word_kinds.get(reduced) or self.forced_word_kind(reduced)
 
     def forced_word_kind(self, word: CharWord) -> str | None:
-        """The kind a word's generators force: trivial when it reduces to 1,
-        a declared generator's own kind; None when they leave it open."""
-        reduced = word.reduce(self._orders)
-        if reduced.is_empty():
+        """The kind the generators of a reduced word force: trivial for 1, a
+        declared generator's own kind; None when they leave it open."""
+        if word.is_empty():
             return "trivial"
-        if len(reduced.word) == 1:
-            name, exp = reduced.word[0]
-            info = self.characters.get(name)
-            if info and info.kind and exp == 1:
-                return info.kind
+        if len(word.word) == 1 and word.word[0][1] == 1:
+            return self.characters.get(word.word[0][0], NO_INFO).kind
         return None
 
     def declare_self_dual(self, c: Constituent, truth: bool) -> None:
-        _declare(self._self_dual, self._canon(c), truth, "self-duality")
+        """A character is self-dual when it is its inverse: "not self-dual" is
+        refused when the two reduce to one symbol, "self-dual" where
+        :meth:`_mismatch` separates them.  A cusp-form symbol's self-duality
+        is taken as declared."""
+        key = self._canon(c)
+        if key.core is None:
+            inverse = self._canon(character(key.twist.inv()))
+            if not truth and key == inverse:
+                raise LedgerError(f"{c} cannot be declared not self-dual: "
+                                  f"it and its inverse both reduce to {key}")
+            if truth and (mismatch := self._mismatch(key, inverse)):
+                raise LedgerError(f"{c} cannot be declared self-dual: "
+                                  f"its inverse is {inverse}, and {_text(mismatch)}")
+        _declare(self._self_dual, key, truth, "self-duality")
 
     def self_dual_declared(self, c: Constituent) -> bool | None:
         return self._self_dual.get(self._canon(c))
@@ -645,32 +666,13 @@ class FactLedger:
         return c if twist is c.twist else Constituent(c.core, twist)
 
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
-        """Refused when the two sides cannot have the asserted truth: a false
-        fact between sides equal after reduction, a true one between sides
-        that :meth:`_mismatch` keeps apart or between two characters whose
-        quotient cannot be 1.  That quotient cannot be 1 when it has a forced
-        kind other than trivial, or when it reduces to a nonzero power g^e of
-        one generator g that has a declared order (g^e is then not 1) or is
-        declared non-real with |e| = 2 (g^2 = 1 would make g real)."""
+        """Refused as false between sides equal after reduction, and as true
+        where :meth:`_mismatch` names a reason."""
         k1, k2 = self._canon(c1), self._canon(c2)
         key = frozenset((k1, k2))
         if not truth and len(key) == 1:
             raise LedgerError(f"{c1} ~ {c2} cannot be declared false: both sides reduce to {k1}")
-        mismatch = self._mismatch(k1, k2) if truth else None
-        if truth and k1.core is None and k2.core is None:
-            quotient = (k1.twist * k2.twist.inv()).reduce(self._orders)
-            # a word and its inverse are of one kind: eta^2 is cubic as eta^-2 = eta is
-            kind = self.forced_word_kind(quotient) or self.forced_word_kind(quotient.inv())
-            if kind not in (None, "trivial"):
-                mismatch = ("their quotient {} is {}", quotient, kind)
-            elif len(quotient.word) == 1:
-                name, exp = quotient.word[0]
-                if name in self._orders:
-                    mismatch = ("their quotient {} is not 1: {} has order {}",
-                                quotient, name, self._orders[name])
-                elif abs(exp) == 2 and self.characters.get(name, NO_INFO).kind == "non-real":
-                    mismatch = ("their quotient {} is not 1: {} is non-real", quotient, name)
-        if mismatch:
+        if truth and (mismatch := self._mismatch(k1, k2)):
             raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(mismatch)}")
         if key in self._facts and self._facts[key] != truth:
             first, second = sorted(map(str, (k1, k2)))
@@ -689,38 +691,55 @@ class FactLedger:
     def _resolve(self, k1: Constituent, k2: Constituent) -> tuple[bool | None, tuple]:
         """:meth:`equivalent` on constituents already reduced by :meth:`_canon`,
         with the reason as a ``(template, *operands)`` tuple."""
-        fact = self._facts.get(frozenset((k1, k2)))
-        if fact is not None:
+        if (fact := self._facts.get(frozenset((k1, k2)))) is not None:
             return fact, ("declared: {} ~ {} is {}", k1, k2, fact)
         if k1 == k2:
             return True, ("structural equality",)
-        mismatch = self._mismatch(k1, k2)
-        if mismatch:
+        if mismatch := self._mismatch(k1, k2):
             return False, mismatch
+        # the generic defaults: the answers a declared fact may overturn
         if k1.core is None and k2.core is None:
             return False, ("distinct character words are generically distinct",)
-        if (k1.core is None) != (k2.core is None):
-            return False, ("a character is never a higher-degree cuspidal",)
         if k1.core != k2.core:
             return None, ("equiv({}, {})", k1, k2)
-        # same core, different twists: that needs a self-twist, which the
-        # type table's twists(n) rules out for most powers of a declared type
-        sym = _as_sym(k1.core)
-        if sym is not None and not TYPE_RULES[sym[0].typ][0](sym[1]):
+        if _no_self_twist(k1.core):
             return False, ("{} admits no self-twist for its declared type", k1.core)
         return None, ("equiv({}, {}) (potential self-twist)", k1, k2)
 
     def _mismatch(self, k1: Constituent, k2: Constituent) -> tuple | None:
-        """Why no fact can make two constituents equivalent, as a reason
-        tuple: their degrees or the finite-image rows of two distinct cores
-        differ."""
+        """Why no fact can make two constituents equivalent, as a reason tuple,
+        or None: their degrees or the finite-image rows of two distinct cores
+        differ, or :meth:`_not_one` shows that two characters, or two twists of
+        a core whose declared type admits no self-twist, differ by a quotient
+        that is not 1.  These answers are forced; no others are."""
         if k1.degree != k2.degree:
             return "degrees differ ({} vs {})", k1.degree, k2.degree
-        if k1.core is None or k2.core is None or k1.core == k2.core:
-            return None
-        mults1, mults2 = self.galois_decomposition(k1.core), self.galois_decomposition(k2.core)
-        if mults1 is not None and mults2 is not None and mults1.keys() != mults2.keys():
-            return "finite-image restrictions differ: {} vs {}", sorted(mults1), sorted(mults2)
+        if k1.core != k2.core:  # two cores, as every core has degree at least 2
+            mults1, mults2 = self.galois_decomposition(k1.core), self.galois_decomposition(k2.core)
+            if mults1 is not None and mults2 is not None and mults1.keys() != mults2.keys():
+                return "finite-image restrictions differ: {} vs {}", sorted(mults1), sorted(mults2)
+        elif k1.core is None:
+            return self._not_one(k1.twist * k2.twist.inv())
+        elif _no_self_twist(k1.core) and (reason := self._not_one(k1.twist * k2.twist.inv())):
+            return ("{} admits no self-twist for its declared type, and " + reason[0],
+                    k1.core, *reason[1:])
+        return None
+
+    def _not_one(self, word: CharWord) -> tuple | None:
+        """Why a quotient of twists is not 1, as a reason tuple, or None: its kind
+        or its inverse's, declared or forced, is not trivial; or it is g^e, e != 0,
+        for g of declared order, or g^2 or g^-2 for g declared non-real."""
+        quotient = word.reduce(self._orders)
+        kind = self.word_kind(quotient) or self.word_kind(quotient.inv())
+        if kind not in (None, "trivial"):
+            return "their quotient {} is {}", quotient, kind
+        if len(quotient.word) == 1:
+            name, exp = quotient.word[0]
+            if name in self._orders:
+                return ("their quotient {} is not 1: {} has order {}",
+                        quotient, name, self._orders[name])
+            if abs(exp) == 2 and self.characters.get(name, NO_INFO).kind == "non-real":
+                return "their quotient {} is not 1: {} is non-real", quotient, name
         return None
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:
@@ -737,6 +756,12 @@ class FactLedger:
                 mults = default_table().decompose(cf)
             self._decompositions[core] = mults
         return self._decompositions[core]
+
+
+def _no_self_twist(core: Core) -> bool:
+    """The type table's twists(n) rules out a self-twist of this sym^n."""
+    sym = _as_sym(core)
+    return sym is not None and not TYPE_RULES[sym[0].typ][0](sym[1])
 
 
 def _restrict(core: Core) -> ClassFunction | None:

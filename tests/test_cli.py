@@ -412,11 +412,37 @@ class TestCuspidality:
                 "p",
                 "facts[0]: unknown key 'twist' for relation 'equiv'",
             ),
+            (
+                {
+                    "characters": [{"name": "c", "order": 2}],
+                    "bases": [{"name": "p", "type": "icosahedral"}],
+                    "facts": [{"lhs": "Ad(p)", "rhs": "Ad(p)", "relation": "twist-equiv-by",
+                               "twist": "c", "truth": True}],
+                },
+                "p",
+                "facts[0]: sym^2(p)*omega(p)^-1 ~ sym^2(p)*c*omega(p)^-1 cannot be declared "
+                "true: sym^2(p) admits no self-twist for its declared type, and their "
+                "quotient c is not 1: c has order 2",
+            ),
+            (
+                # this document used to load, and the query failed only in the
+                # guard of decide_cuspidality, which names no entry
+                {
+                    "bases": [{"name": "q", "type": "octahedral"}],
+                    "facts": [{"lhs": "Ad(q)", "rhs": "Ad(q)", "relation": "twist-equiv-by",
+                               "twist": "mu(q)", "truth": True}],
+                },
+                "q",
+                "facts[0]: sym^2(q)*omega(q)^-1 ~ sym^2(q)*mu(q)*omega(q)^-1 cannot be "
+                "declared true: sym^2(q) admits no self-twist for its declared type, and "
+                "their quotient mu(q) is quadratic",
+            ),
         ],
         ids=[
             "tagged-tetrahedral", "cuspidal-both-ways", "false-reflexive", "false-reduced",
             "cubic-trivial", "order-against-kind", "two-kinds", "non-real-inverse",
-            "order-5-inverse", "unknown-key", "twist-on-equiv",
+            "order-5-inverse", "unknown-key", "twist-on-equiv", "icosahedral-self-twist",
+            "octahedral-self-twist",
         ],
     )
     def test_refused_declarations_exit_2(self, capsys, tmp_path, doc, base, message):
@@ -426,6 +452,24 @@ class TestCuspidality:
             capsys, "cuspidality", "--facts", str(path), "--pi", base, "--pi-prime", base
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_both_adjoint_facts_true_exit_2_at_query_time(self, capsys, tmp_path):
+        """Each fact alone is consistent; together they force a quadratic
+        self-twist on Ad(q), which only the query sees."""
+        path = tmp_path / "both_adjoints.json"
+        path.write_text(json.dumps({
+            "bases": [{"name": "p", "type": "icosahedral"}, {"name": "q", "type": "octahedral"}],
+            "facts": [
+                {"lhs": "Ad(p)", "rhs": "Ad(q)", "relation": "equiv", "truth": True},
+                {"lhs": "Ad(p)", "rhs": "Ad(q)", "relation": "twist-equiv-by",
+                 "twist": "mu(q)", "truth": True},
+            ],
+        }))
+        argv = ("cuspidality", "--facts", str(path), "--pi", "p", "--pi-prime", "q")
+        assert run(capsys, *argv) == (
+            2, "", "error: inconsistent ledger: both adjoint facts true would force a quadratic "
+            "self-twist on Ad(q), impossible for an octahedral (non-dihedral) base\n"
+        )
 
     @pytest.mark.parametrize(
         "doc",
@@ -737,6 +781,20 @@ class TestSiegel:
         path.write_text(json.dumps({**doc, "word_kinds": [{"word": "c", "kind": "non-real"}]}))
         assert run(capsys, "siegel", "--m", "0", "--facts", str(path)) == (
             2, "", "error: word_kinds[0]: c cannot be declared non-real: it is trivial\n"
+        )
+
+    def test_a_quadratic_character_declared_not_self_dual_exit_2(self, capsys, tmp_path):
+        """Declared not self-dual, a quadratic character would read as ruling
+        the exceptional case out, though it is its own inverse."""
+        path = tmp_path / "quadratic.json"
+        doc = {"characters": [{"name": "c", "properties": ["quadratic"]}], "siegel": {"chi": "c"}}
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "siegel", "--m", "0", "--facts", str(path))
+        assert code == 0 and "c -> exceptional-case" in out
+        path.write_text(json.dumps({**doc, "self_dual": [{"symbol": "c", "truth": False}]}))
+        assert run(capsys, "siegel", "--m", "0", "--facts", str(path)) == (
+            2, "", "error: self_dual[0]: c cannot be declared not self-dual: "
+            "it and its inverse both reduce to c\n"
         )
 
     def test_an_order_2_character_is_not_non_real_exit_2(self, capsys, tmp_path):

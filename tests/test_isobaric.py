@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icosym.chartab import CharacterTable, NotACharacterError, default_table
@@ -37,6 +39,7 @@ from icosym.isobaric import (
     sym_cusp,
 )
 from icosym.factsfile import load_facts
+from icosym.rules import TYPE_RULES
 from icosym.siegel import siegel_report, siegel_scan
 
 IRREP_NAMES = ("U", "V", "W", "X1", "X2", "W'", "W''", "X'", "X''")
@@ -538,6 +541,160 @@ def test_a_true_fact_between_characters_whose_quotient_may_be_1_is_kept():
     assert ledger.equivalent(character(nu), character(nu**-3))[0] is True
 
 
+# -- one list of what no fact can change: assert_equiv reads _mismatch ----------
+
+# bases of every type; "f" restricts to the finite model
+_TYPED_BASES = (
+    ("d", "dihedral", {"dihedral_field": "E", "dihedral_char": "xi"}),
+    ("t", "tetrahedral", {}), ("o", "octahedral", {}), ("i", "icosahedral", {}),
+    ("f", "icosahedral", {"galois_row": "X'"}), ("g", "general", {}), ("a", "abstract", {}),
+)
+_CHAR_INFOS = ({"order": 2}, {"order": 3}, {"order": 5}, {"kind": "quadratic"},
+               {"kind": "cubic"}, {"kind": "non-real"}, {})
+_SPEC_WORDS = st.dictionaries(
+    st.sampled_from(["c0", "c1", "c2", "eta(t)", "mu(o)"]),
+    st.integers(-2, 2).filter(bool),
+    max_size=2,
+)
+# a core as (base, n), None for a character
+_SPEC_CORES = st.sampled_from(
+    [None, ("t", 2), ("o", 2), ("o", 3), ("i", 1), ("i", 3), ("f", 2), ("g", 2), ("g", 4),
+     ("d", 2), ("a", 2)]
+)
+
+
+@st.composite
+def ledger_specs(draw):
+    """Characters c0..c2 with drawn orders or kinds, one drawn word kind, a
+    pool of twists of at most two cores, and up to two facts between them."""
+    infos = draw(st.lists(st.sampled_from(_CHAR_INFOS), min_size=3, max_size=3))
+    cores = draw(st.lists(_SPEC_CORES, min_size=1, max_size=2))
+    pool = draw(st.lists(st.tuples(st.sampled_from(cores), _SPEC_WORDS), min_size=1, max_size=4))
+    index = st.integers(0, len(pool) - 1)
+    return {
+        "characters": {f"c{k}": info for k, info in enumerate(infos)},
+        "word_kind": draw(st.tuples(_SPEC_WORDS, st.sampled_from(
+            ["trivial", "quadratic", "cubic", "non-real"]))),
+        "pool": pool,
+        "facts": draw(st.lists(st.tuples(index, index, st.booleans()), max_size=2)),
+    }
+
+
+def build_spec(spec):
+    """The ledger a spec declares, and its pool of constituents."""
+    ledger = FactLedger()
+    for name, info in spec["characters"].items():
+        ledger.declare_character(name, **info)
+    bases = {name: ledger.declare_base(name, typ, **tags) for name, typ, tags in _TYPED_BASES}
+    pool = [Constituent(None if core is None else sym_cusp(bases[core[0]], core[1]),
+                        CharWord.of(word)) for core, word in spec["pool"]]
+    if spec["word_kind"] is not None:
+        word, kind = spec["word_kind"]
+        with contextlib.suppress(LedgerError):  # a kind its generators force otherwise
+            ledger.declare_word_kind(CharWord.of(word), kind)
+    for i, j, truth in spec["facts"]:
+        with contextlib.suppress(LedgerError):
+            ledger.assert_equiv(pool[i], pool[j], truth)
+    return ledger, pool
+
+
+def _refused(spec, a, b, truth):
+    """Does a fresh build of the spec refuse a ~ b?  Else the verdict after it."""
+    ledger, _ = build_spec(spec)
+    try:
+        ledger.assert_equiv(a, b, truth)
+    except LedgerError:
+        return True, None
+    return False, ledger.equivalent(a, b)[0]
+
+
+@settings(max_examples=120, deadline=None)
+@example({"characters": {"chi": {"order": 5}}, "word_kind": None,
+          "pool": [(("i", 3), {}), (("i", 3), {"chi": 1})], "facts": []})
+@given(ledger_specs())
+def test_a_fact_is_refused_exactly_where_mismatch_names_a_reason(spec):
+    """For every pair no fact mentions: a true fact is refused exactly where
+    _mismatch names a reason, a false one exactly where the sides reduce to
+    one symbol, and an accepted fact is what equivalent answers.  Two twists
+    of one core are kept apart as their characters are, when the declared
+    type admits no self-twist, and never otherwise."""
+    ledger, pool = build_spec(spec)
+    for a, b in itertools.product(pool, repeat=2):
+        k1, k2 = ledger._canon(a), ledger._canon(b)
+        if frozenset((k1, k2)) in ledger._facts:
+            continue
+        refused_true, verdict = _refused(spec, a, b, True)
+        assert refused_true == (ledger._mismatch(k1, k2) is not None), (a, b)
+        assert refused_true or verdict is True
+        refused, verdict = _refused(spec, a, b, False)
+        assert refused == (k1 == k2), (a, b)
+        assert refused or verdict is False
+        if a.core is not None and a.core == b.core:
+            base, n = (a.core, 1) if isinstance(a.core, BaseCusp) else (a.core.base, a.core.n)
+            apart = _refused(spec, character(a.twist), character(b.twist), True)[0]
+            assert refused_true == (not TYPE_RULES[base.typ][0](n) and apart), (a, b)
+
+
+def test_an_impossible_self_twist_is_refused_and_keeps_the_pole_order():
+    ledger = FactLedger()
+    p = ledger.declare_base("p", "icosahedral")
+    ledger.declare_character("chi", order=5)
+    cubic = Constituent(SymCusp(p, 3))
+    twisted = cubic.twisted(CharWord.gen("chi"))
+    with pytest.raises(LedgerError) as err:
+        ledger.assert_equiv(cubic, twisted, True)
+    assert str(err.value) == (
+        "sym^3(p) ~ sym^3(p)*chi cannot be declared true: sym^3(p) admits no self-twist "
+        "for its declared type, and their quotient chi^4 is not 1: chi has order 5"
+    )
+    assert pole_order(IsobaricExpr.of([(cubic, 1), (twisted, 1)]), ledger) == PoleOrder(2, 2)
+    # a twist not known to be 1 is accepted: the fact then says it is trivial
+    undeclared = FactLedger()
+    p = undeclared.declare_base("p", "icosahedral")
+    undeclared.assert_equiv(cubic, twisted, True)
+    assert undeclared.equivalent(cubic, twisted)[0] is True
+
+
+@pytest.mark.parametrize(
+    "info, symbol, truth, message",
+    [
+        ({}, CharWord(), False,
+         "1 cannot be declared not self-dual: it and its inverse both reduce to 1"),
+        ({"order": 2}, CharWord.gen("c"), False,
+         "c cannot be declared not self-dual: it and its inverse both reduce to c"),
+        ({"kind": "quadratic"}, CharWord.gen("c", 3), False,
+         "c^3 cannot be declared not self-dual: it and its inverse both reduce to c"),
+        ({"kind": "cubic"}, CharWord.gen("c"), True,
+         "c cannot be declared self-dual: its inverse is c^2, and their quotient c^2 is cubic"),
+        ({"kind": "non-real"}, CharWord.gen("c"), True,
+         "c cannot be declared self-dual: its inverse is c^-1, and their quotient c^2 is not 1: "
+         "c is non-real"),
+        ({"order": 5}, CharWord.gen("c", 2), True,
+         "c^2 cannot be declared self-dual: its inverse is c^3, and their quotient c^4 is not 1: "
+         "c has order 5"),
+    ],
+    ids=["trivial", "order-2", "quadratic", "cubic", "non-real", "order-5"],
+)
+def test_a_character_self_duality_reads_the_same_rule(info, symbol, truth, message):
+    ledger = FactLedger()
+    ledger.declare_character("c", **info)
+    with pytest.raises(LedgerError) as err:
+        ledger.declare_self_dual(character(symbol), truth)
+    assert str(err.value) == message
+    assert ledger.self_dual_declared(character(symbol)) is None
+    ledger.declare_self_dual(character(symbol), not truth)  # the other truth is consistent
+
+
+@pytest.mark.parametrize("info, exp", [({}, 1), ({"kind": "non-real"}, 2)])
+def test_a_character_that_may_be_its_inverse_takes_either_self_duality(info, exp):
+    """c may be quadratic; a non-real c may have order 4, and c^2 then is."""
+    for truth in (True, False):
+        ledger = FactLedger()
+        ledger.declare_character("c", **info)
+        ledger.declare_self_dual(character(CharWord.gen("c", exp)), truth)
+        assert ledger.self_dual_declared(character(CharWord.gen("c", exp))) is truth
+
+
 def test_a_word_kind_outside_the_kinds_is_refused():
     ledger = FactLedger()
     with pytest.raises(LedgerError, match="word x: unknown kind 'real'"):
@@ -864,15 +1021,19 @@ ETA = CharWord.gen("eta(q)")
          "mu ~ 1 cannot be declared true: their quotient mu is quadratic"),
         (CharWord.gen("nu", -1), CharWord(),
          "nu^-1 ~ 1 cannot be declared true: their quotient nu^-1 is non-real"),
+        (CharWord.gen("a"), CharWord.gen("b"),
+         "a ~ b cannot be declared true: their quotient a*b^-1 is quadratic"),
     ],
-    ids=["eta", "eta^2", "eta^-1", "eta vs eta^2", "quadratic", "non-real"],
+    ids=["eta", "eta^2", "eta^-1", "eta vs eta^2", "quadratic", "non-real", "declared-kind"],
 )
 def test_a_true_character_fact_against_a_forced_kind_is_refused(lhs, rhs, message):
     """Otherwise a cubic character of the degree-5 lift could be declared
-    trivial, and the pole route would count a pole the type rules out."""
+    trivial, and the pole route would count a pole the type rules out.  A
+    kind declared for the quotient counts as a forced one does."""
     ledger, _, _ = fresh("icosahedral", "tetrahedral")
     ledger.declare_character("mu", kind="quadratic")
     ledger.declare_character("nu", kind="non-real")
+    ledger.declare_word_kind(CharWord.of({"a": 1, "b": -1}), "quadratic")
     with pytest.raises(LedgerError) as err:
         ledger.assert_equiv(character(lhs), character(rhs), True)
     assert str(err.value) == message
