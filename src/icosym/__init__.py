@@ -41,11 +41,12 @@ class Record:
     the constructor.
 
     The ledger's symbols, the tower's class functions and the irreducibles
-    that ``irreps`` lists are built by the thousand per query, and this
-    generic constructor costs about twice a written-out one.  So those few
-    classes write out their ``__init__``, with the defaults in its
-    signature, setting each field with ``_set`` (and a ledger ``Symbol``
-    its cached hash to None first).
+    that ``irreps`` lists are built by the thousand per query, and an
+    isobaric ``Verdict`` once per cuspidality decision, the commonest
+    ledger query; this generic constructor costs about twice a written-out
+    one.  So those few classes write out their ``__init__``, with the
+    defaults in its signature, setting each field with ``_set`` (and a
+    ledger ``Symbol`` its cached hash to None first).
     """
 
     __slots__ = ()

@@ -108,7 +108,7 @@ class CharWord(Symbol):
 
     @classmethod
     def gen(cls, name: str, exp: int = 1) -> "CharWord":
-        return cls.of({name: exp})
+        return cls(((name, exp),)) if exp else cls()
 
     def __mul__(self, other: "CharWord") -> "CharWord":
         if not isinstance(other, CharWord):
@@ -320,7 +320,7 @@ class IsobaricExpr(Record):
 
     @classmethod
     def single(cls, c: Constituent) -> "IsobaricExpr":
-        return cls.of([(c, 1)])
+        return cls(((c, 1),))
 
     @property
     def degree(self) -> int:
@@ -618,13 +618,16 @@ class FactLedger:
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
         """Record what kind of character a word denotes (trivial, quadratic,
         cubic, non-real ...) beyond what its generators' orders force; a kind
-        other than the one they force, or one that is not a kind, is refused."""
+        other than the one they force, one that is not a kind, or trivial
+        where :meth:`_not_one` names a reason, is refused."""
         if kind not in _KIND_ORDERS:
             raise LedgerError(f"word {word}: unknown kind {kind!r}")
         key = word.reduce(self._orders)
         forced = self.forced_word_kind(key)
         if forced not in (None, kind):
             raise LedgerError(f"{word} cannot be declared {kind}: it is {forced}")
+        if kind == "trivial" and (reason := self._not_one(key)):
+            raise LedgerError(f"{word} cannot be declared trivial: {_text(reason)}")
         _declare(self._word_kinds, key, kind, "word kind")
 
     def word_kind(self, word: CharWord) -> str | None:
@@ -940,7 +943,7 @@ def pole_order_pair(
         elif verdict is None:
             hi += m
             missing.append(reason)
-    return PoleOrder(lo, hi, _texts(missing))
+    return PoleOrder(lo, hi, _texts(missing) if missing else ())
 
 
 def galois_pole_check(f: ClassFunction) -> int:
@@ -968,7 +971,7 @@ def galois_pole_check(f: ClassFunction) -> int:
 # the degree-5 lift of a GL(2) symbol
 
 
-def a4(p: BaseCusp, ledger: FactLedger) -> IsobaricExpr:
+def a4(p: BaseCusp) -> IsobaricExpr:
     """The degree-5 self-dual symbol sym^4 (x) omega^-2, decomposed by type.
 
     Dihedral input is rejected (its sym^2 is already non-cuspidal, and the
@@ -997,12 +1000,19 @@ def a4(p: BaseCusp, ledger: FactLedger) -> IsobaricExpr:
 
 class Verdict(Record):
     __slots__ = ("verdict", "route", "witnesses", "missing", "pole")
-    _defaults = {"witnesses": (), "missing": (), "pole": None}
     verdict: str  # cuspidal | not-cuspidal | undetermined
     route: str
     witnesses: tuple[str, ...]
     missing: tuple[str, ...]
     pole: PoleOrder | None
+
+    def __init__(self, verdict: str, route: str, witnesses: tuple[str, ...] = (),
+                 missing: tuple[str, ...] = (), pole: PoleOrder | None = None) -> None:
+        _set(self, "verdict", verdict)  # see Record: a hot constructor, written out
+        _set(self, "route", route)
+        _set(self, "witnesses", witnesses)
+        _set(self, "missing", missing)
+        _set(self, "pole", pole)
 
     def as_json(self) -> dict:
         out = {
@@ -1124,11 +1134,11 @@ def decide_cuspidality_via_poles(
             return _undeclared_type(route, base.name)
 
     ad_p, ad_p_prime = ad(p), IsobaricExpr.single(ad(p_prime))
-    lift = a4(p_prime, ledger)
+    lift = a4(p_prime)
     # a single factor has its poles at the trivial constituents; a pairing
     # against the self-dual Ad p at the constituents equivalent to it
     factors = (
-        ("zeta factor", PoleOrder(1, 1)),
+        ("zeta factor", PoleOrder(1, 1, ())),
         (f"L(Ad {p.name})", pole_order_pair(IsobaricExpr.single(ad_p), TRIVIAL, ledger)),
         (f"L(Ad {p_prime.name})", pole_order_pair(ad_p_prime, TRIVIAL, ledger)),
         (f"L(deg-5 lift of {p_prime.name})", pole_order_pair(lift, TRIVIAL, ledger)),

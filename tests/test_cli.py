@@ -437,12 +437,21 @@ class TestCuspidality:
                 "declared true: sym^2(q) admits no self-twist for its declared type, and "
                 "their quotient mu(q) is quadratic",
             ),
+            (
+                {
+                    "characters": [{"name": "c", "order": 5}],
+                    "word_kinds": [{"word": "c^2", "kind": "trivial"}],
+                },
+                "p",
+                "word_kinds[0]: c^2 cannot be declared trivial: their quotient c^2 is not 1: "
+                "c has order 5",
+            ),
         ],
         ids=[
             "tagged-tetrahedral", "cuspidal-both-ways", "false-reflexive", "false-reduced",
             "cubic-trivial", "order-against-kind", "two-kinds", "non-real-inverse",
             "order-5-inverse", "unknown-key", "twist-on-equiv", "icosahedral-self-twist",
-            "octahedral-self-twist",
+            "octahedral-self-twist", "order-5-word-trivial",
         ],
     )
     def test_refused_declarations_exit_2(self, capsys, tmp_path, doc, base, message):

@@ -147,9 +147,9 @@ def test_pi_box_dual_pi():
 
 
 def test_ad_box_ad():
-    ledger, p, _ = fresh()
+    _, p, _ = fresh()
     e = rs_expand(IsobaricExpr.single(ad(p)), IsobaricExpr.single(ad(p)))
-    expected = IsobaricExpr.of([(TRIVIAL, 1), (ad(p), 1), *a4(p, ledger).terms])
+    expected = IsobaricExpr.of([(TRIVIAL, 1), (ad(p), 1), *a4(p).terms])
     assert e == expected
     assert e.degree == 9
 
@@ -182,11 +182,11 @@ def test_cross_base_product_stays_formal():
 
 
 def test_box_degree_bookkeeping():
-    ledger, p, q = fresh()
+    _, p, q = fresh()
     e1 = IsobaricExpr.of(
         [(Constituent(SymCusp(p, 3)), 1), (character(CharWord.gen("chi")), 2)]
     )
-    e2 = IsobaricExpr.of([*a4(q, ledger).terms, (Constituent(q), 1)])
+    e2 = IsobaricExpr.of([*a4(q).terms, (Constituent(q), 1)])
     assert rs_expand(e1, e2).degree == e1.degree * e2.degree
 
 
@@ -215,12 +215,24 @@ def test_box_products_match_finite_model():
         tab.decompose(lhs)  # must be a genuine character
 
 
+def test_a_sum_prints_its_terms_with_their_multiplicities():
+    _, p, _ = fresh()
+    induced = InducedCusp("E", "xi")
+    assert str(induced) == "Ind[E](xi)"
+    e = IsobaricExpr.of(
+        [(Constituent(induced, CharWord.gen("chi")), 3), (ad(p), 2), (TRIVIAL, 1), (ad(p), 1)]
+    )
+    assert str(e) == "1 + 3(sym^2(p)*omega(p)^-1) + 3(Ind[E](xi)*chi)"
+    assert str(IsobaricExpr.single(Constituent(induced))) == "Ind[E](xi)"
+    assert str(IsobaricExpr.of([])) == "0"
+
+
 # -- pole bookkeeping --------------------------------------------------------
 
 
 def test_pole_order_distinct_terms():
     ledger, p, _ = fresh()
-    e = IsobaricExpr.of([(TRIVIAL, 1), (ad(p), 1), *a4(p, ledger).terms])
+    e = IsobaricExpr.of([(TRIVIAL, 1), (ad(p), 1), *a4(p).terms])
     po = pole_order(e, ledger)
     assert po.exact and po.value() == 3
 
@@ -411,6 +423,18 @@ _STATE = (
 
 def ledger_state(ledger):
     return {name: dict(getattr(ledger, name)) for name in _STATE}
+
+
+@settings(max_examples=100, deadline=None)
+@example(name="chi", exp=0, c=TRIVIAL)
+@given(name=st.sampled_from(["chi", "nu", "omega(a)"]), exp=st.integers(-6, 6), c=_CONSTITUENTS)
+def test_one_factor_constructors_build_what_the_merging_ones_do(name, exp, c):
+    """gen and single build a one-factor word and a one-term sum directly,
+    and build the values, with the same hashes, that ``of`` builds."""
+    word = CharWord.gen(name, exp)
+    assert word == CharWord.of({name: exp}) and hash(word) == hash(CharWord.of({name: exp}))
+    assert word.is_empty() == (exp == 0)
+    assert IsobaricExpr.single(c) == IsobaricExpr.of([(c, 1)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -1098,6 +1122,30 @@ def test_a_word_kind_must_agree_with_its_generators():
     assert ledger.word_kind(CharWord.gen("eta", 2)) == "cubic"
 
 
+@pytest.mark.parametrize(
+    "info, exp, reason",
+    [
+        ({"order": 5}, 2, "their quotient c^2 is not 1: c has order 5"),
+        ({"kind": "non-real"}, -2, "their quotient c^-2 is not 1: c is non-real"),
+    ],
+    ids=["order-5", "non-real"],
+)
+def test_a_word_declared_trivial_is_refused_where_not_one_names_a_reason(info, exp, reason):
+    ledger = FactLedger()
+    ledger.declare_character("c", **info)
+    word = CharWord.gen("c", exp)
+    with pytest.raises(LedgerError) as err:
+        ledger.declare_word_kind(word, "trivial")
+    assert str(err.value) == f"{word} cannot be declared trivial: {reason}"
+    # nothing was recorded: the word's kind and its equivalence with 1 agree
+    assert ledger.word_kind(word) is None
+    assert ledger.equivalent(character(word), TRIVIAL) == (False, reason)
+    # a word that may be 1 takes the kind
+    open_word = word * CharWord.gen("d")
+    ledger.declare_word_kind(open_word, "trivial")
+    assert ledger.word_kind(open_word) == "trivial"
+
+
 def _keyed_by_chi(ledger, p, q):
     chi = CharWord.gen("chi")
     return {
@@ -1172,7 +1220,7 @@ def test_pole_check_rejects_non_characters():
 def test_lift_tetrahedral_splits():
     ledger = FactLedger()
     p = ledger.declare_base("p", "tetrahedral")
-    e = a4(p, ledger)
+    e = a4(p)
     assert e.degree == 5
     chars = [c for c, _ in e.terms if c.core is None]
     assert len(chars) == 2
@@ -1185,7 +1233,7 @@ def test_lift_tetrahedral_splits():
 def test_lift_octahedral_splits():
     ledger = FactLedger()
     p = ledger.declare_base("p", "octahedral")
-    e = a4(p, ledger)
+    e = a4(p)
     assert e.degree == 5
     mu = CharWord.gen(p.quadratic_char)
     assert (ad(p).twisted(mu), 1) in e.terms
@@ -1197,7 +1245,7 @@ def test_lift_octahedral_splits():
 def test_lift_stays_cuspidal(typ):
     ledger = FactLedger()
     p = ledger.declare_base("p", typ)
-    e = a4(p, ledger)
+    e = a4(p)
     assert len(e.terms) == 1
     (c, m), = e.terms
     assert m == 1 and c.core == SymCusp(p, 4)
@@ -1208,10 +1256,10 @@ def test_lift_rejects_dihedral_and_abstract():
     ledger = FactLedger()
     d = ledger.declare_base("d", "dihedral", dihedral_field="K", dihedral_char="chi")
     with pytest.raises(ValueError):
-        a4(d, ledger)
+        a4(d)
     ab = ledger.declare_base("ab", "abstract")
     with pytest.raises(LedgerError):
-        a4(ab, ledger)
+        a4(ab)
 
 
 # -- cuspidality: both routes ------------------------------------------------

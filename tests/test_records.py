@@ -7,6 +7,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import importlib
+import inspect
 import itertools
 import pickle
 import pkgutil
@@ -80,12 +81,16 @@ def test_record_round_trips_and_stays_immutable(cls, data):
     assert repr(record) == repr(twin(*values))
 
 
+def plain_fields(cls: type) -> tuple:
+    """One value a field, in slot order, that the constructor accepts."""
+    if cls is ClassFunction:
+        return (ClassFunction.of(range(9)).values,)
+    return tuple(range(len(cls.__slots__)))
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
 def test_constructor_takes_keywords_and_defaults(cls):
-    if cls is ClassFunction:
-        values = (ClassFunction.of(range(9)).values,)
-    else:
-        values = tuple(range(len(cls.__slots__)))
+    values = plain_fields(cls)
     assert cls(**dict(zip(cls.__slots__, values))) == cls(*values)
     with pytest.raises(TypeError):
         cls(*values, None)
@@ -97,11 +102,49 @@ def test_constructor_takes_keywords_and_defaults(cls):
             cls(**{name: None for name in cls.__slots__ if name != required[-1]})
 
 
-def test_written_out_constructors_keep_their_defaults():
-    from icosym.isobaric import CharWord, Constituent
+# records whose constructor is written out with the fields as its parameters
+# (BaseCusp's takes *args and binds through Record's)
+WRITTEN_OUT = [
+    cls for cls in RECORDS
+    if "__init__" in vars(cls)
+    and all(p.kind is p.POSITIONAL_OR_KEYWORD for p in inspect.signature(cls).parameters.values())
+]
 
+
+@pytest.mark.parametrize("cls", WRITTEN_OUT, ids=lambda cls: cls.__qualname__)
+def test_a_written_out_constructor_binds_as_record_does(cls):
+    """By position, by keyword and with defaults omitted, a written-out
+    constructor builds the fields that Record's generic binding builds from
+    the same call, given the defaults in its signature; both refuse an
+    unknown keyword."""
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls.__slots__
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    generic = type(cls.__qualname__, (Record,), {"__slots__": cls.__slots__, "_defaults": defaults})
+    values = plain_fields(cls)
+    named = dict(zip(cls.__slots__, values))
+    required = len(cls.__slots__) - len(defaults)
+    calls = [
+        (values, {}),
+        ((), named),
+        (values[:1], dict(list(named.items())[1:])),
+        (values[:required], {}),
+        ((), dict(list(named.items())[:required])),
+    ]
+    for args, kwargs in calls:
+        assert cls._key(cls(*args, **kwargs)) == generic._key(generic(*args, **kwargs))
+    for build in (cls, generic):
+        with pytest.raises(TypeError):
+            build(*values, unknown=None)
+
+
+def test_written_out_constructors_keep_their_defaults():
+    from icosym.isobaric import CharWord, Constituent, Verdict
+
+    assert Verdict in WRITTEN_OUT
     assert CharWord() == CharWord(())
     assert Constituent(None) == Constituent(None, CharWord())
+    assert Verdict("cuspidal", "structural") == Verdict("cuspidal", "structural", (), (), None)
 
 
 def test_class_function_keeps_its_nine_value_check():
