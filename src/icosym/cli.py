@@ -280,9 +280,9 @@ def cmd_cuspidality(args) -> int:
             if verdict.pole is not None:
                 line += f" (pole order {verdict.pole})"
             print(line)
-            for w in verdict.witnesses:
+            for w in verdict.texts("witnesses"):
                 print(f"      because {w}")
-            for m in verdict.missing:
+            for m in verdict.texts("missing"):
                 print(f"      missing fact: {m}")
     if agree is False:
         print("error: the two routes disagree", file=sys.stderr)

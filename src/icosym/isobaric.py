@@ -35,9 +35,13 @@ generic default.
 
 A generic answer is a default that a declared fact overturns (a fact
 twisting one core by a quotient not known to be 1 says that quotient is
-trivial).  A forced answer, one :meth:`FactLedger._mismatch` gives from the
-degrees, the finite-image rows or the quotient of two twists, is never
-overturned: a fact against it is refused.
+trivial), and so does a word kind declaring that quotient trivial.  A
+forced answer, one :meth:`FactLedger._mismatch` gives from the degrees, the
+finite-image rows or the quotient of two twists, is never overturned: a
+fact against it is refused.
+
+Every reason, of an equivalence or of a cuspidality :class:`Verdict`, is kept
+as data until it is shown; :func:`_text` renders it.
 """
 
 from __future__ import annotations
@@ -445,7 +449,8 @@ class FactLedger:
 
     The resolver keeps each reason as data, a ``(template, *operands)``
     tuple; it becomes text only where it is shown: in :meth:`equivalent`, in
-    the error of :meth:`assert_equiv`, and in :attr:`PoleOrder.missing`.
+    the error of :meth:`assert_equiv`, in :attr:`PoleOrder.missing` and in
+    :meth:`Verdict.texts`.
     """
 
     def __init__(self) -> None:
@@ -700,11 +705,16 @@ class FactLedger:
             return True, ("structural equality",)
         if mismatch := self._mismatch(k1, k2):
             return False, mismatch
-        # the generic defaults: the answers a declared fact may overturn
-        if k1.core is None and k2.core is None:
-            return False, ("distinct character words are generically distinct",)
+        # the generic defaults, which a fact may overturn; first, one core twisted by a
+        # quotient declared trivial (one forced trivial is 1, so k1 == k2 above) agrees
         if k1.core != k2.core:
             return None, ("equiv({}, {})", k1, k2)
+        if "trivial" in self._word_kinds.values():
+            quotient, kind = self._quotient_kind(k1.twist * k2.twist.inv())
+            if kind == "trivial":
+                return True, ("declared: their quotient {} is trivial", quotient)
+        if k1.core is None:  # two characters, as the degrees agree
+            return False, ("distinct character words are generically distinct",)
         if _no_self_twist(k1.core):
             return False, ("{} admits no self-twist for its declared type", k1.core)
         return None, ("equiv({}, {}) (potential self-twist)", k1, k2)
@@ -732,8 +742,7 @@ class FactLedger:
         """Why a quotient of twists is not 1, as a reason tuple, or None: its kind
         or its inverse's, declared or forced, is not trivial; or it is g^e, e != 0,
         for g of declared order, or g^2 or g^-2 for g declared non-real."""
-        quotient = word.reduce(self._orders)
-        kind = self.word_kind(quotient) or self.word_kind(quotient.inv())
+        quotient, kind = self._quotient_kind(word)
         if kind not in (None, "trivial"):
             return "their quotient {} is {}", quotient, kind
         if len(quotient.word) == 1:
@@ -744,6 +753,11 @@ class FactLedger:
             if abs(exp) == 2 and self.characters.get(name, NO_INFO).kind == "non-real":
                 return "their quotient {} is not 1: {} is non-real", quotient, name
         return None
+
+    def _quotient_kind(self, word: CharWord) -> tuple[CharWord, str | None]:
+        """A quotient of twists reduced, with its or its inverse's kind, declared or forced."""
+        quotient = word.reduce(self._orders)
+        return quotient, self.word_kind(quotient) or self.word_kind(quotient.inv())
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:
         """Multiplicities of the finite-image restriction; None if untagged.
@@ -928,14 +942,17 @@ def _texts(reasons: list[tuple]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(map(_text, dict.fromkeys(reasons))))
 
 
-def pole_order_pair(
-    e: IsobaricExpr, tau: Constituent, ledger: FactLedger
-) -> PoleOrder:
-    """Order of the edge pole of L(s, e x dual(tau)): multiplicity of tau."""
+def pole_order_pair(e: IsobaricExpr, tau: Constituent, ledger: FactLedger) -> PoleOrder:
+    """Order of the edge pole of L(s, e x dual(tau)): multiplicity of tau.  A term
+    of another degree is skipped: a fact or :meth:`FactLedger._mismatch`'s first
+    rule makes it False, which adds nothing."""
     lo = hi = 0
     missing = []
     target = ledger._canon(tau)
+    degree = target.degree
     for c, m in e.terms:
+        if c.degree != degree:
+            continue
         verdict, reason = ledger._resolve(ledger._canon(c), target)
         if verdict is True:
             lo += m
@@ -982,16 +999,15 @@ def a4(p: BaseCusp) -> IsobaricExpr:
         raise ValueError(f"{p.name} is dihedral; the degree-5 lift is not used")
     if p.typ == "abstract":
         raise LedgerError(f"declare the type of {p.name} before lifting")
+    # each split is built in the order IsobaricExpr.of sorts it to: characters first
     if p.typ == "tetrahedral":
-        eta = CharWord.gen(p.cubic_char)
-        return IsobaricExpr.of([(ad(p), 1), (character(eta), 1), (character(eta**2), 1)])
+        eta, eta2 = CharWord.gen(p.cubic_char), CharWord.gen(p.cubic_char, 2)
+        return IsobaricExpr(((character(eta), 1), (character(eta2), 1), (ad(p), 1)))
     if p.typ == "octahedral":
         mu = CharWord.gen(p.quadratic_char)
         complement = Constituent(InducedCusp(p.induced_field, p.induced_char))
-        return IsobaricExpr.of([(ad(p).twisted(mu), 1), (complement, 1)])
-    return IsobaricExpr.single(
-        Constituent(SymCusp(p, 4), CharWord.gen(p.omega, -2))
-    )
+        return IsobaricExpr(((ad(p).twisted(mu), 1), (complement, 1)))
+    return IsobaricExpr.single(Constituent(SymCusp(p, 4), CharWord.gen(p.omega, -2)))
 
 
 # --------------------------------------------------------------------------
@@ -999,44 +1015,39 @@ def a4(p: BaseCusp) -> IsobaricExpr:
 
 
 class Verdict(Record):
+    """A cuspidality decision.  Its ``witnesses`` and ``missing`` facts are reasons kept
+    as data, ``(template, *operands)`` tuples whose operands may be lists (so a verdict
+    need not hash), until :meth:`texts` renders them, as :meth:`as_json` and the CLI do."""
+
     __slots__ = ("verdict", "route", "witnesses", "missing", "pole")
     verdict: str  # cuspidal | not-cuspidal | undetermined
     route: str
-    witnesses: tuple[str, ...]
-    missing: tuple[str, ...]
+    witnesses: tuple[tuple, ...]
+    missing: tuple[tuple, ...]
     pole: PoleOrder | None
 
-    def __init__(self, verdict: str, route: str, witnesses: tuple[str, ...] = (),
-                 missing: tuple[str, ...] = (), pole: PoleOrder | None = None) -> None:
+    def __init__(self, verdict: str, route: str, witnesses: tuple[tuple, ...] = (),
+                 missing: tuple[tuple, ...] = (), pole: PoleOrder | None = None) -> None:
         _set(self, "verdict", verdict)  # see Record: a hot constructor, written out
         _set(self, "route", route)
         _set(self, "witnesses", witnesses)
         _set(self, "missing", missing)
         _set(self, "pole", pole)
 
+    def texts(self, field: str) -> tuple[str, ...]:
+        """The text of each reason in *field*, ``"witnesses"`` or ``"missing"``."""
+        return tuple(map(_text, getattr(self, field)))
+
     def as_json(self) -> dict:
-        out = {
-            "verdict": self.verdict,
-            "route": self.route,
-            "witnesses": list(self.witnesses),
-            "missing_facts": list(self.missing),
-        }
+        out = {"verdict": self.verdict, "route": self.route,
+               "witnesses": list(self.texts("witnesses")),
+               "missing_facts": list(self.texts("missing"))}
         if self.pole is not None:
-            out["pole_order"] = (
-                self.pole.lo if self.pole.exact else [self.pole.lo, self.pole.hi]
-            )
+            out["pole_order"] = self.pole.lo if self.pole.exact else [self.pole.lo, self.pole.hi]
         return out
 
 
-def _mackey_twist(p: BaseCusp) -> CharWord:
-    """chi^-1 (chi o theta) for the inducing character of a dihedral base."""
-    chi = p.dihedral_char
-    return CharWord.of({chi: -1, f"{chi}@theta": 1})
-
-
-def decide_cuspidality(
-    p: BaseCusp, p_prime: BaseCusp, ledger: FactLedger
-) -> Verdict:
+def decide_cuspidality(p: BaseCusp, p_prime: BaseCusp, ledger: FactLedger) -> Verdict:
     """Is pi box sym^2(pi') cuspidal?  The structural route.
 
     Dihedral ``p`` reduces to Mackey theory over its quadratic extension;
@@ -1053,17 +1064,15 @@ def decide_cuspidality(
     if p_prime.typ == "abstract":
         return _undeclared_type(route, p_prime.name)
     if p_prime.typ == "dihedral":
-        return Verdict(
-            "not-cuspidal",
-            route,
-            witnesses=(f"sym^2({p_prime.name}) is not cuspidal (dihedral)",),
-        )
+        return Verdict("not-cuspidal", route,
+                       witnesses=(("sym^2({}) is not cuspidal (dihedral)", p_prime.name),))
 
-    same_ad = ledger.equivalent(ad(p), ad(p_prime))
+    ad_p, ad_q = ledger._canon(ad(p)), ad(p_prime)
+    same_ad = ledger._resolve(ad_p, ledger._canon(ad_q))
     if p_prime.typ != "octahedral":
         return _by_equivalence(route, same_ad)
     mu = CharWord.gen(p_prime.quadratic_char)
-    twisted_ad = ledger.equivalent(ad(p), ad(p_prime).twisted(mu))
+    twisted_ad = ledger._resolve(ad_p, ledger._canon(ad_q.twisted(mu)))
     if same_ad[0] is True and twisted_ad[0] is True:
         raise LedgerError(
             "inconsistent ledger: both adjoint facts true would force a "
@@ -1073,7 +1082,7 @@ def decide_cuspidality(
     return _by_equivalence(route, same_ad, twisted_ad)
 
 
-def _by_equivalence(route: str, *checks: tuple[bool | None, str]) -> Verdict:
+def _by_equivalence(route: str, *checks: tuple[bool | None, tuple]) -> Verdict:
     """The product is not cuspidal iff one of the equivalences holds: the
     first that holds is the witness, every open one is missing, and with
     none holding nor open all are witnesses of cuspidality."""
@@ -1087,35 +1096,28 @@ def _by_equivalence(route: str, *checks: tuple[bool | None, str]) -> Verdict:
 
 
 def _undeclared_type(route: str, name: str) -> Verdict:
-    return Verdict("undetermined", route, missing=(f"declare the type of {name}",))
+    return Verdict("undetermined", route, missing=(("declare the type of {}", name),))
 
 
-def _decide_dihedral_case(
-    p: BaseCusp, p_prime: BaseCusp, ledger: FactLedger, route: str
-) -> Verdict:
+def _decide_dihedral_case(p: BaseCusp, p_prime: BaseCusp, ledger: FactLedger,
+                          route: str) -> Verdict:
     ext = p.dihedral_field
     bc = ledger.base_change(p_prime, ext)
     if bc is None:
-        return Verdict(
-            "undetermined",
-            route,
-            missing=(f"declare the base change of {p_prime.name} to {ext}",),
-        )
+        return Verdict("undetermined", route,
+                       missing=(("declare the base change of {} to {}", p_prime.name, ext),))
     if bc.typ == "dihedral":
-        return Verdict(
-            "not-cuspidal",
-            route,
-            witnesses=(f"{bc.name} (base change to {ext}) is dihedral",),
-        )
+        return Verdict("not-cuspidal", route,
+                       witnesses=(("{} (base change to {}) is dihedral", bc.name, ext),))
     if bc.typ == "abstract":
         return _undeclared_type(route, f"the base change {bc.name}")
-    sym2_bc = Constituent(SymCusp(bc, 2))
-    return _by_equivalence(route, ledger.equivalent(sym2_bc, sym2_bc.twisted(_mackey_twist(p))))
+    # sym^2 of the base change against its twist by chi^-1 (chi o theta), chi inducing p
+    chi, sym2_bc = p.dihedral_char, Constituent(SymCusp(bc, 2))
+    mackey = ledger._canon(sym2_bc.twisted(CharWord.of({chi: -1, f"{chi}@theta": 1})))
+    return _by_equivalence(route, ledger._resolve(ledger._canon(sym2_bc), mackey))
 
 
-def decide_cuspidality_via_poles(
-    p: BaseCusp, p_prime: BaseCusp, ledger: FactLedger
-) -> Verdict:
+def decide_cuspidality_via_poles(p: BaseCusp, p_prime: BaseCusp, ledger: FactLedger) -> Verdict:
     """Is pi box sym^2(pi') cuspidal?  The pole-counting route.
 
     Valid when both bases are non-dihedral: the self-Rankin--Selberg
@@ -1127,35 +1129,33 @@ def decide_cuspidality_via_poles(
     route = "pole-counting"
     for base in (p, p_prime):
         if base.typ == "dihedral":
-            raise ValueError(
-                f"{base.name} is dihedral; pole counting needs non-dihedral bases"
-            )
+            raise ValueError(f"{base.name} is dihedral; pole counting needs non-dihedral bases")
         if base.typ == "abstract":
             return _undeclared_type(route, base.name)
 
-    ad_p, ad_p_prime = ad(p), IsobaricExpr.single(ad(p_prime))
-    lift = a4(p_prime)
+    ad_p, ad_q, lift = ad(p), IsobaricExpr.single(ad(p_prime)), a4(p_prime)
+    name, name_q = p.name, p_prime.name
     # a single factor has its poles at the trivial constituents; a pairing
-    # against the self-dual Ad p at the constituents equivalent to it
+    # against the self-dual Ad p at the constituents equivalent to it.  Each
+    # factor is its own witness: a template, names, then its pole order
     factors = (
-        ("zeta factor", PoleOrder(1, 1, ())),
-        (f"L(Ad {p.name})", pole_order_pair(IsobaricExpr.single(ad_p), TRIVIAL, ledger)),
-        (f"L(Ad {p_prime.name})", pole_order_pair(ad_p_prime, TRIVIAL, ledger)),
-        (f"L(deg-5 lift of {p_prime.name})", pole_order_pair(lift, TRIVIAL, ledger)),
-        (f"L(Ad {p.name} x Ad {p_prime.name})", pole_order_pair(ad_p_prime, ad_p, ledger)),
-        (f"L(Ad {p.name} x deg-5 lift)", pole_order_pair(lift, ad_p, ledger)),
+        ("zeta factor contributes {}", PoleOrder(1, 1, ())),
+        ("L(Ad {}) contributes {}", name,
+         pole_order_pair(IsobaricExpr.single(ad_p), TRIVIAL, ledger)),
+        ("L(Ad {}) contributes {}", name_q, pole_order_pair(ad_q, TRIVIAL, ledger)),
+        ("L(deg-5 lift of {}) contributes {}", name_q, pole_order_pair(lift, TRIVIAL, ledger)),
+        ("L(Ad {} x Ad {}) contributes {}", name, name_q, pole_order_pair(ad_q, ad_p, ledger)),
+        ("L(Ad {} x deg-5 lift) contributes {}", name, pole_order_pair(lift, ad_p, ledger)),
     )
-    pole = PoleOrder(
-        sum(po.lo for _, po in factors),
-        sum(po.hi for _, po in factors),
-        tuple(dict.fromkeys(reason for _, po in factors for reason in po.missing)),
-    )
+    orders = [factor[-1] for factor in factors]
+    pole = PoleOrder(sum(po.lo for po in orders), sum(po.hi for po in orders),
+                     tuple(dict.fromkeys(reason for po in orders for reason in po.missing)))
     # lo keeps every unsettled pair apart, so it is a lower bound
-    if pole.lo == 1 < pole.hi:
-        return Verdict("undetermined", route, missing=pole.missing, pole=pole)
+    if pole.lo == 1 < pole.hi:  # the missing facts of a pole order are text already
+        return Verdict("undetermined", route, missing=tuple(("{}", m) for m in pole.missing),
+                       pole=pole)
     verdict = "cuspidal" if pole.lo == 1 else "not-cuspidal"
-    witnesses = tuple(f"{label} contributes {po}" for label, po in factors)
-    return Verdict(verdict, route, witnesses=witnesses, pole=pole)
+    return Verdict(verdict, route, witnesses=factors, pole=pole)
 
 
 # --------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from icosym.isobaric import (
     sym_cusp,
 )
 from icosym.factsfile import load_facts
-from icosym.rules import TYPE_RULES
+from icosym.rules import BASE_TYPES, TYPE_RULES
 from icosym.siegel import siegel_report, siegel_scan
 
 IRREP_NAMES = ("U", "V", "W", "X1", "X2", "W'", "W''", "X'", "X''")
@@ -413,6 +413,125 @@ def test_pole_order_matches_the_pairwise_reference(case):
     ledger, e, tau = case
     assert pole_order(e, ledger) == reference_pole_order(e, ledger)
     assert pole_order_pair(e, tau, ledger) == reference_pole_order_pair(e, tau, ledger)
+
+
+# both cuspidality routes as written with text reasons: every comparison
+# through ``equivalent``, every pairing through ``reference_pole_order_pair``
+
+
+def reference_structural(p, q, ledger):
+    """(verdict, pole, witnesses, missing) of the structural route."""
+    checks = []
+    if p.typ == "abstract":
+        return "undetermined", None, (), (f"declare the type of {p.name}",)
+    if p.typ == "dihedral":
+        ext = p.dihedral_field
+        bc = ledger.base_change(q, ext)
+        if bc is None:
+            return "undetermined", None, (), (f"declare the base change of {q.name} to {ext}",)
+        if bc.typ == "dihedral":
+            return "not-cuspidal", None, (f"{bc.name} (base change to {ext}) is dihedral",), ()
+        if bc.typ == "abstract":
+            return "undetermined", None, (), (f"declare the type of the base change {bc.name}",)
+        chi, sym2 = p.dihedral_char, Constituent(SymCusp(bc, 2))
+        mackey = CharWord.of({chi: -1, f"{chi}@theta": 1})
+        checks.append(ledger.equivalent(sym2, sym2.twisted(mackey)))
+    elif q.typ == "abstract":
+        return "undetermined", None, (), (f"declare the type of {q.name}",)
+    elif q.typ == "dihedral":
+        return "not-cuspidal", None, (f"sym^2({q.name}) is not cuspidal (dihedral)",), ()
+    else:
+        checks.append(ledger.equivalent(ad(p), ad(q)))
+        if q.typ == "octahedral":
+            mu = CharWord.gen(q.quadratic_char)
+            checks.append(ledger.equivalent(ad(p), ad(q).twisted(mu)))
+            if checks[0][0] is True and checks[1][0] is True:
+                return ("LedgerError",)
+    held = [reason for verdict, reason in checks if verdict is True]
+    if held:
+        return "not-cuspidal", None, tuple(held[:1]), ()
+    missing = tuple(reason for verdict, reason in checks if verdict is None)
+    if missing:
+        return "undetermined", None, (), missing
+    return "cuspidal", None, tuple(reason for _, reason in checks), ()
+
+
+def reference_lift(q):
+    if q.typ == "tetrahedral":
+        eta = CharWord.gen(q.cubic_char)
+        return IsobaricExpr.of([(ad(q), 1), (character(eta), 1), (character(eta**2), 1)])
+    if q.typ == "octahedral":
+        mu = CharWord.gen(q.quadratic_char)
+        induced = Constituent(InducedCusp(q.induced_field, q.induced_char))
+        return IsobaricExpr.of([(ad(q).twisted(mu), 1), (induced, 1)])
+    return IsobaricExpr.of([(Constituent(SymCusp(q, 4), CharWord.of({q.omega: -2})), 1)])
+
+
+def reference_poles(p, q, ledger):
+    """(verdict, pole, witnesses, missing) of the pole-counting route."""
+    for base in (p, q):
+        if base.typ == "dihedral":
+            return ("ValueError",)
+        if base.typ == "abstract":
+            return "undetermined", None, (), (f"declare the type of {base.name}",)
+    lift, pair = reference_lift(q), reference_pole_order_pair
+    factors = [
+        ("zeta factor", PoleOrder(1, 1)),
+        (f"L(Ad {p.name})", pair(IsobaricExpr.of([(ad(p), 1)]), TRIVIAL, ledger)),
+        (f"L(Ad {q.name})", pair(IsobaricExpr.of([(ad(q), 1)]), TRIVIAL, ledger)),
+        (f"L(deg-5 lift of {q.name})", pair(lift, TRIVIAL, ledger)),
+        (f"L(Ad {p.name} x Ad {q.name})", pair(IsobaricExpr.of([(ad(q), 1)]), ad(p), ledger)),
+        (f"L(Ad {p.name} x deg-5 lift)", pair(lift, ad(p), ledger)),
+    ]
+    pole = PoleOrder(
+        sum(po.lo for _, po in factors),
+        sum(po.hi for _, po in factors),
+        tuple(dict.fromkeys(m for _, po in factors for m in po.missing)),
+    )
+    if pole.lo == 1 < pole.hi:
+        return "undetermined", pole, (), pole.missing
+    witnesses = tuple(f"{label} contributes {po}" for label, po in factors)
+    return "cuspidal" if pole.lo == 1 else "not-cuspidal", pole, witnesses, ()
+
+
+def shown(decide, p, q, ledger):
+    """A decision as it is shown, or the name of the error that refuses it."""
+    try:
+        v = decide(p, q, ledger)
+    except ValueError as err:
+        return (type(err).__name__,)
+    return v.verdict, v.pole, v.texts("witnesses"), v.texts("missing")
+
+
+@st.composite
+def decisions(draw):
+    """A generated ledger with random facts, a drawn pair of its bases, maybe
+    a base change of the partner to the dihedral base's field, and facts,
+    maybe, on each equivalence a route asks about."""
+    ledger, _, _ = draw(ledgers_and_sums())
+    names = st.sampled_from(sorted(ledger.bases))
+    p, q = ledger.bases[draw(names)], ledger.bases[draw(names)]
+    asked = [(ad(p), ad(q))]
+    if q.typ == "octahedral":
+        asked.append((ad(p), ad(q).twisted(CharWord.gen(q.quadratic_char))))
+    bc_type = draw(st.sampled_from([None, *BASE_TYPES]))
+    if bc_type is not None:
+        sym2 = Constituent(SymCusp(ledger.declare_base_change(q, "E", "qE", bc_type), 2))
+        asked.append((sym2, sym2.twisted(CharWord.of({"xi": -1, "xi@theta": 1}))))
+    for lhs, rhs in asked:
+        truth = draw(st.sampled_from([None, True, False]))
+        if truth is not None:
+            with contextlib.suppress(LedgerError):  # refused where a mismatch decides
+                ledger.assert_equiv(lhs, rhs, truth)
+    return ledger, p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(decisions())
+def test_both_routes_show_the_reasons_of_a_text_reference(case):
+    ledger, p, q = case
+    assert shown(decide_cuspidality, p, q, ledger) == reference_structural(p, q, ledger)
+    assert shown(decide_cuspidality_via_poles, p, q, ledger) == reference_poles(p, q, ledger)
 
 
 _STATE = (
@@ -971,6 +1090,32 @@ def test_an_undetermined_pole_order_renders_each_missing_reason_once(renders):
     assert renders == {"Constituent": 6, "SymCusp": 6, "CharWord": 6}
 
 
+def test_a_decision_renders_only_the_reasons_it_shows(renders):
+    """A decided and an undetermined decision render no symbol; reading
+    their reasons renders each shown reason once.  The pole route's
+    witnesses name bases and pole orders, so they render no symbol at all."""
+    ledger, p, q = fresh("icosahedral", "tetrahedral")
+    undetermined = decide_cuspidality(p, q, ledger)
+    ledger.assert_equiv(ad(p), ad(q), False)
+    structural = decide_cuspidality(p, q, ledger)
+    poles = decide_cuspidality_via_poles(p, q, ledger)
+    assert (undetermined.verdict, structural.verdict, poles.verdict) == (
+        "undetermined", "cuspidal", "cuspidal"
+    )
+    assert renders == {}
+    assert len(poles.texts("witnesses")) == 6 and renders == {}
+    # one reason, two constituents, each a core and a twist
+    assert structural.texts("witnesses") == (
+        "declared: sym^2(p)*omega(p)^-1 ~ sym^2(q)*omega(q)^-1 is False",
+    )
+    assert renders == {"Constituent": 2, "SymCusp": 2, "CharWord": 2}
+    renders.clear()
+    assert undetermined.as_json()["missing_facts"] == [
+        "equiv(sym^2(p)*omega(p)^-1, sym^2(q)*omega(q)^-1)"
+    ]
+    assert renders == {"Constituent": 2, "SymCusp": 2, "CharWord": 2}
+
+
 def test_equivalent_renders_its_one_reason(renders):
     ledger, p, q = fresh("general", "general")
     assert ledger.equivalent(ad(p), ad(q)) == (
@@ -1146,6 +1291,33 @@ def test_a_word_declared_trivial_is_refused_where_not_one_names_a_reason(info, e
     assert ledger.word_kind(open_word) == "trivial"
 
 
+@pytest.mark.parametrize(
+    "typ, core",
+    [("icosahedral", None), ("icosahedral", "ad"), ("tetrahedral", "ad")],
+    ids=["characters", "no self-twist", "potential self-twist"],
+)
+def test_a_quotient_declared_trivial_makes_its_twists_equivalent(typ, core):
+    """Two twists whose quotient is declared trivial are one constituent,
+    whether the kind was declared for the quotient or for its inverse."""
+    ledger = FactLedger()
+    for name in ("c", "d"):
+        ledger.declare_character(name)
+    p = ledger.declare_base("p", typ)
+    cd = CharWord.gen("c") * CharWord.gen("d")
+    ledger.declare_word_kind(cd, "trivial")
+    first = TRIVIAL if core is None else ad(p)
+    second = first.twisted(cd)
+    assert ledger.equivalent(second, first) == (True, "declared: their quotient c*d is trivial")
+    assert ledger.equivalent(first, second) == (
+        True, "declared: their quotient c^-1*d^-1 is trivial"
+    )
+    assert pole_order(IsobaricExpr.of([(first, 1), (second, 1)]), ledger) == PoleOrder(4, 4)
+    assert pole_order_pair(IsobaricExpr.single(second), first, ledger) == PoleOrder(1, 1)
+    # a quotient of another kind, or of none, is not affected
+    other = first.twisted(CharWord.gen("c"))
+    assert ledger.equivalent(other, first)[0] is not True
+
+
 def _keyed_by_chi(ledger, p, q):
     chi = CharWord.gen("chi")
     return {
@@ -1228,6 +1400,8 @@ def test_lift_tetrahedral_splits():
     assert {c.twist for c in chars} == {eta, eta**2}
     assert not any(is_trivial(ledger, c.twist) for c in chars)
     assert (ad(p), 1) in e.terms
+    # built directly, in the order the merging constructor sorts the terms to
+    assert e == IsobaricExpr.of([(ad(p), 1), (character(eta), 1), (character(eta**2), 1)])
 
 
 def test_lift_octahedral_splits():
@@ -1239,6 +1413,7 @@ def test_lift_octahedral_splits():
     assert (ad(p).twisted(mu), 1) in e.terms
     induced = [c for c, _ in e.terms if isinstance(c.core, InducedCusp)]
     assert [c.core for c in induced] == [InducedCusp(p.induced_field, p.induced_char)]
+    assert e == IsobaricExpr.of([(induced[0], 1), (ad(p).twisted(mu), 1)])
 
 
 @pytest.mark.parametrize("typ", ["icosahedral", "general"])
@@ -1332,7 +1507,7 @@ def test_a_pole_interval_from_2_up_decides_not_cuspidal():
     assert v2.verdict == "not-cuspidal"
     assert (v2.pole.lo, v2.pole.hi, v2.missing) == (2, 3, ())
     assert v2.as_json()["pole_order"] == [2, 3]
-    assert "L(Ad p x deg-5 lift) contributes [0, 1]" in v2.witnesses
+    assert "L(Ad p x deg-5 lift) contributes [0, 1]" in v2.texts("witnesses")
 
 
 def test_undetermined_without_facts():
@@ -1363,7 +1538,7 @@ def test_dihedral_base_needs_base_change():
     q = ledger.declare_base("q", "icosahedral")
     v = decide_cuspidality(p, q, ledger)
     assert v.verdict == "undetermined"
-    assert any("base change" in msg for msg in v.missing)
+    assert any("base change" in msg for msg in v.texts("missing"))
 
 
 def test_dihedral_base_change_dihedral():

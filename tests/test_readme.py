@@ -27,6 +27,9 @@ def test_library_example():
     assert conjugate_pair(ledger) == (p, p_tau)
     assert ledger.bases == {}
     assert decide_cuspidality(p, p_tau, ledger).verdict == "cuspidal"
+    assert decide_cuspidality(p, p_tau, ledger).texts("witnesses") == (
+        """finite-image restrictions differ: ["W'"] vs ["W''"]""",
+    )
     assert decide_cuspidality_via_poles(p, p_tau, ledger).pole.value() == 1
     assert siegel_report(12).verdict == "exceptional-case"
 
