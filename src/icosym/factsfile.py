@@ -35,7 +35,9 @@ optionally with an integer exponent (``chi^-1``).  A symbol with no cusp
 form part is a plain character.  Symbols are matched by structure, not by
 spelling: ``chi*sym^12(pi)`` and ``sym^12(pi) * chi`` are one symbol.
 Character generators not declared in the ``characters`` section are
-registered as free characters of unknown order.
+declared, of unknown order, where a fact, word kind or self-duality first
+mentions them.  The sections load as characters, bases, base changes, word
+kinds, facts, cuspidal, automorphic, self-dual, in any document order.
 
 Each distinct symbol text, and each distinct ``twist`` or ``word`` text, is
 parsed once per document: a later mention of the same text reuses the
@@ -136,8 +138,8 @@ def _entries(doc: dict, section: str):
 def _parsed(memo: dict, parse, entry: dict, key: str, ledger: FactLedger, where: _Where):
     """``parse`` of the string field *key* of *entry*, through *memo*, which
     maps each text of one document already parsed to its value.  Sound once
-    the document's bases are declared: a parse reads only the bases, and its
-    one write, declaring a new character generator, happened the first time."""
+    the document's bases are declared: a parse reads only the bases, and it
+    writes nothing."""
     text = _str_field(entry, key, where)
     value = memo.get(text)
     if value is None:
@@ -193,7 +195,7 @@ def parse_word(text: str, ledger: FactLedger, where: str = "word") -> CharWord:
     """Parse a character word like ``chi^-1*xi@theta`` against a ledger.
 
     A cusp-form factor (a base, ``Ad(<base>)``, ``sym^<n>(<base>)``) is
-    refused; new generators are declared only once the whole word parses.
+    refused; a parse declares nothing.
     """
     text = text.strip()
     if text in ("", "1"):
@@ -211,9 +213,6 @@ def parse_word(text: str, ledger: FactLedger, where: str = "word") -> CharWord:
             name,
         )
         exponents[name] = exponents.get(name, 0) + exp
-    for name in exponents:
-        if name not in ledger.characters:
-            ledger.declare_character(name)
     return CharWord.of(exponents)
 
 
@@ -267,6 +266,7 @@ def load_facts(doc: dict) -> FactLedger:
     # a refusal by the ledger names the entry it came from, as a FactsError does
     where: _Where = "document"
     try:
+        characters = []
         for where, entry in _entries(doc, "characters"):
             name = _name(entry, "name", where)
             order = entry.get("order")
@@ -286,9 +286,15 @@ def load_facts(doc: dict) -> FactLedger:
                     kind in (None, prop), where, "properties name two kinds, {} and {}", kind, prop
                 )
                 kind = prop
+            characters.append((where, name, order, kind))
+        # an entry with an order or a kind first, so that a bare one adds nothing
+        for where, name, order, kind in sorted(characters, key=lambda c: c[2:] == (None, None)):
             ledger.declare_character(name, order=order, kind=kind)
 
-        for where, entry in _entries(doc, "bases"):
+        # likewise a base whose companion has one, a cubic or quadratic character
+        bases = sorted(_entries(doc, "bases"),
+                       key=lambda e: e[1].get("type") not in ("tetrahedral", "octahedral"))
+        for where, entry in bases:
             name = _name(entry, "name", where)
             typ = _str_field(entry, "type", where)
             tags = {key: entry[key] for key in BaseCusp.__slots__[2:] if key in entry}
@@ -310,6 +316,12 @@ def load_facts(doc: dict) -> FactLedger:
         # the bases are fixed from here on, so each distinct text is parsed once
         symbols: dict[str, Constituent] = {}
         words: dict[str, CharWord] = {}
+
+        for where, entry in _entries(doc, "word_kinds"):
+            word = _parsed(words, parse_word, entry, "word", ledger, where)
+            kind = _str_field(entry, "kind", where)
+            _require(kind in _KINDS, where, "kind must be one of {}", _KINDS)
+            ledger.declare_word_kind(word, kind)
 
         for where, entry in _entries(doc, "facts"):
             lhs = _parsed(symbols, parse_symbol, entry, "lhs", ledger, where)
@@ -345,12 +357,6 @@ def load_facts(doc: dict) -> FactLedger:
             truth = entry.get("truth")
             _require(isinstance(truth, bool), where, "needs a boolean 'truth'")
             ledger.declare_self_dual(symbol, truth)
-
-        for where, entry in _entries(doc, "word_kinds"):
-            word = _parsed(words, parse_word, entry, "word", ledger, where)
-            kind = _str_field(entry, "kind", where)
-            _require(kind in _KINDS, where, "kind must be one of {}", _KINDS)
-            ledger.declare_word_kind(word, kind)
     except LedgerError as err:
         raise FactsError(f"{_label(where)}: {err}") from err
 

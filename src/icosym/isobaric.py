@@ -126,9 +126,6 @@ class CharWord(Symbol):
     def inv(self) -> "CharWord":
         return CharWord(tuple((n, -e) for n, e in self.word))
 
-    def __pow__(self, k: int) -> "CharWord":
-        return CharWord.of({n: e * k for n, e in self.word})
-
     def reduce(self, orders: Mapping[str, int]) -> "CharWord":
         """Reduce exponents mod declared finite orders; ``self`` when every
         exponent is already reduced."""
@@ -447,6 +444,11 @@ class FactLedger:
     ``assert_*`` methods); queries only read it.  The one thing a query
     stores is the finite-image memo, a cache of what the tags determine.
 
+    A declaration is checked against what the ledger holds, so the checks are
+    complete in the order of :func:`icosym.factsfile.load_facts`.  A fact, word
+    kind or self-duality declares its new generators bare: an order or kind
+    for one later is refused as a redeclaration.
+
     The resolver keeps each reason as data, a ``(template, *operands)``
     tuple; it becomes text only where it is shown: in :meth:`equivalent`, in
     the error of :meth:`assert_equiv`, in :attr:`PoleOrder.missing` and in
@@ -473,13 +475,11 @@ class FactLedger:
     ) -> None:
         self._declare_characters([(name, CharInfo(order, kind))])
 
-    def _declare_characters(self, items: list[tuple[str, CharInfo]]) -> None:
+    def _declare_characters(self, items: Iterable[tuple[str, CharInfo]]) -> None:
         """Check every declaration first, then make them all: a refused one
         leaves the ledger unchanged.  A declaration with neither order nor
         kind leaves a character already declared as it is; names within one
-        batch must still agree.  An order or kind is refused for a generator
-        that the words keying the facts, self-dualities or word kinds already
-        mention, since those words were reduced without it."""
+        batch must still agree."""
         pending: dict[str, CharInfo] = {}
         for name, info in items:
             if info == NO_INFO and name in self.characters:
@@ -495,25 +495,12 @@ class FactLedger:
                 raise LedgerError(f"character {name} of order {info.order} cannot be {info.kind}")
             if name in self.bases:
                 raise LedgerError(f"{name} is declared as a base, not a character")
-            if info != NO_INFO and known is None and name in self._mentioned():
-                raise LedgerError(
-                    f"declare character {name} before the facts, self-dualities "
-                    "and word kinds whose words mention it"
-                )
             pending[name] = info
         for name, info in pending.items():
             self.characters[name] = info
             order = info.order or _KIND_ORDERS.get(info.kind)
             if order:
                 self._orders[name] = order
-
-    def _mentioned(self) -> set[str]:
-        """The generators in the words that key the facts, self-dualities
-        and word kinds."""
-        words = [c.twist for pair in self._facts for c in pair]
-        words += [c.twist for c in self._self_dual]
-        words += self._word_kinds
-        return {name for word in words for name, _ in word.word}
 
     def declare_base(self, name: str, typ: str, **tags) -> BaseCusp:
         if typ not in BASE_TYPES:
@@ -622,18 +609,19 @@ class FactLedger:
 
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
         """Record what kind of character a word denotes (trivial, quadratic,
-        cubic, non-real ...) beyond what its generators' orders force; a kind
-        other than the one they force, one that is not a kind, or trivial
-        where :meth:`_not_one` names a reason, is refused."""
+        cubic, non-real ...) beyond what its generators' orders force.  A word
+        shares its kind with its inverse, so a kind other than the one declared
+        or forced for either, one that is not a kind, or trivial where
+        :meth:`_not_one` names a reason, is refused."""
         if kind not in _KIND_ORDERS:
             raise LedgerError(f"word {word}: unknown kind {kind!r}")
-        key = word.reduce(self._orders)
-        forced = self.forced_word_kind(key)
-        if forced not in (None, kind):
-            raise LedgerError(f"{word} cannot be declared {kind}: it is {forced}")
+        key, known = self._quotient_kind(word)
+        if known not in (None, kind):
+            raise LedgerError(f"{word} cannot be declared {kind}: it is {known}")
         if kind == "trivial" and (reason := self._not_one(key)):
             raise LedgerError(f"{word} cannot be declared trivial: {_text(reason)}")
-        _declare(self._word_kinds, key, kind, "word kind")
+        self._declare_characters((n, NO_INFO) for n, _ in key.word if n not in self.characters)
+        self._word_kinds[key] = kind
 
     def word_kind(self, word: CharWord) -> str | None:
         reduced = word.reduce(self._orders)
@@ -662,6 +650,7 @@ class FactLedger:
             if truth and (mismatch := self._mismatch(key, inverse)):
                 raise LedgerError(f"{c} cannot be declared self-dual: "
                                   f"its inverse is {inverse}, and {_text(mismatch)}")
+        self._declare_characters((n, NO_INFO) for n, _ in c.twist.word if n not in self.characters)
         _declare(self._self_dual, key, truth, "self-duality")
 
     def self_dual_declared(self, c: Constituent) -> bool | None:
@@ -674,12 +663,18 @@ class FactLedger:
         return c if twist is c.twist else Constituent(c.core, twist)
 
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
-        """Refused as false between sides equal after reduction, and as true
-        where :meth:`_mismatch` names a reason."""
+        """Refused as false between sides equal after reduction or twists of one
+        core by a quotient whose kind is trivial (the rule :meth:`_resolve`
+        answers True from), and as true where :meth:`_mismatch` names a reason."""
         k1, k2 = self._canon(c1), self._canon(c2)
         key = frozenset((k1, k2))
         if not truth and len(key) == 1:
             raise LedgerError(f"{c1} ~ {c2} cannot be declared false: both sides reduce to {k1}")
+        if not truth and "trivial" in self._word_kinds.values() and k1.core == k2.core:
+            quotient, kind = self._quotient_kind(k1.twist * k2.twist.inv())
+            if kind == "trivial":
+                raise LedgerError(f"{k1} ~ {k2} cannot be declared false: "
+                                  f"their quotient {quotient} is trivial")
         if truth and (mismatch := self._mismatch(k1, k2)):
             raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(mismatch)}")
         if key in self._facts and self._facts[key] != truth:
@@ -687,6 +682,9 @@ class FactLedger:
             raise LedgerError(
                 f"contradictory assertions for {first} ~ {second}: {self._facts[key]} vs {truth}"
             )
+        new = [(n, NO_INFO) for n, _ in k1.twist.word + k2.twist.word if n not in self.characters]
+        if new:  # most facts name no new generator, and skip the call
+            self._declare_characters(new)
         self._facts[key] = truth
 
     # -- equivalence resolution --------------------------------------------
@@ -1165,10 +1163,11 @@ def decide_cuspidality_via_poles(p: BaseCusp, p_prime: BaseCusp, ledger: FactLed
 def conjugate_pair(ledger: FactLedger, p: BaseCusp | None = None) -> tuple[BaseCusp, BaseCusp]:
     """(pi, pi^tau), read from the ledger, which is never written.  The base
     is ``p`` (icosahedral and tagged), else the ledger's one tagged base, else
-    an undeclared ``pi`` tagged X'; the partner is the ledger's base with the
-    other tag, else an undeclared ``<base>_tau`` with that tag and the base's
-    central character, so omega(pi^tau) = omega(pi).  A name built as a value
-    that the ledger declares otherwise is refused with a :class:`LedgerError`."""
+    an undeclared ``pi`` tagged X'; the partner is the ledger's one base with
+    the other tag (several are refused), else an undeclared ``<base>_tau``
+    with that tag and the base's central character, so omega(pi^tau) =
+    omega(pi).  A name built as a value that the ledger declares otherwise is
+    refused with a :class:`LedgerError`."""
     if p is None:
         # declare_base tags only an icosahedral base, and only with X' or X''
         tagged = [b for b in ledger.bases.values() if b.galois_row is not None]
@@ -1187,9 +1186,12 @@ def conjugate_pair(ledger: FactLedger, p: BaseCusp | None = None) -> tuple[BaseC
     elif p.galois_row not in GALOIS_TAGS:
         raise ValueError(f"{p.name} needs a 2-dimensional finite-image tag to decompose")
     (row,) = set(GALOIS_TAGS) - {p.galois_row}
-    for base in ledger.bases.values():
-        if base.galois_row == row:
-            return p, base
+    partners = sorted(b.name for b in ledger.bases.values() if b.galois_row == row)
+    if len(partners) > 1:
+        raise LedgerError(f"{p.name} has no unique Galois partner: several bases "
+                          f"are tagged {row} ({', '.join(partners)})")
+    if partners:
+        return p, ledger.bases[partners[0]]
     name = f"{p.name}_tau"
     _refuse_taken(name, f"the Galois partner of {p.name}", ledger, row)
     return p, BaseCusp(name, "icosahedral", omega=p.omega, galois_row=row)

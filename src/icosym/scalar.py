@@ -81,9 +81,6 @@ class Qsqrt5:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 5)")
         return Qsqrt5(d * p, -d * q, n)
 
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
     def is_integer(self) -> bool:
         """True when the element is a rational integer."""
         return self.q == 0 and self.d == 1
@@ -144,7 +141,7 @@ class Qsqrt5:
         return hash((self.p, self.q, self.d))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.p != 0 or self.q != 0
 
     # -- rendering -----------------------------------------------------
 

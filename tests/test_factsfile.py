@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icosym import MAX_POWER, factsfile
@@ -32,6 +34,7 @@ from icosym.isobaric import (
     decide_cuspidality_via_poles,
 )
 from icosym.siegel import siegel_report
+from test_corpus import build_documents, run
 
 
 def test_empty_document():
@@ -64,6 +67,12 @@ class TestCharacters:
     def test_bad_order_rejected(self):
         with pytest.raises(FactsError, match="positive integer"):
             load_facts({"characters": [{"name": "chi", "order": 0}]})
+
+    @pytest.mark.parametrize("bare_first", [True, False])
+    def test_a_bare_entry_adds_nothing_in_either_order(self, bare_first):
+        entries = [{"name": "c"}, {"name": "c", "order": 2, "properties": ["quadratic"]}]
+        ledger = load_facts({"characters": entries if bare_first else entries[::-1]})
+        assert (ledger.characters["c"].order, ledger.characters["c"].kind) == (2, "quadratic")
 
 
 class TestBases:
@@ -114,6 +123,14 @@ class TestBases:
         ledger = load_facts({"characters": [{"name": "xi", "order": 2}], "bases": [base]})
         assert ledger.characters["xi"].order == 2
         assert ledger.bases[base["name"]].typ == base["type"]
+
+    @pytest.mark.parametrize("tetrahedral_first", [True, False])
+    def test_a_companion_with_a_kind_shared_by_another_base(self, tetrahedral_first):
+        bases = [{"name": "t", "type": "tetrahedral"},
+                 {"name": "g", "type": "general", "omega": "eta(t)"}]
+        ledger = load_facts({"bases": bases if tetrahedral_first else bases[::-1]})
+        assert ledger.characters["eta(t)"].kind == "cubic"
+        assert ledger.bases["g"].omega == "eta(t)"
 
     @pytest.mark.parametrize("dihedral_first", [True, False])
     def test_base_named_like_the_conjugate_character(self, dihedral_first):
@@ -231,7 +248,17 @@ class TestWordsAndSymbols:
         ledger = load_facts({})
         word = parse_word("chi^-1*chi@theta", ledger)
         assert word == CharWord.of({"chi": -1, "chi@theta": 1})
-        assert "chi" in ledger.characters
+        assert ledger.characters == {}  # a parse declares nothing
+
+    def test_a_parse_writes_nothing(self):
+        ledger = load_facts({"bases": [{"name": "pi", "type": "tetrahedral"}]})
+        before = dict(ledger.characters)
+        assert parse_symbol("sym^3(pi)*chi^2*nu", ledger).twist == CharWord.of({"chi": 2, "nu": 1})
+        assert parse_word("eta(pi)^-1*xi@theta", ledger).word == (("eta(pi)", -1), ("xi@theta", 1))
+        assert ledger.characters == before
+        # the ledger declares a generator where a fact first mentions it
+        ledger.assert_equiv(parse_symbol("chi", ledger), parse_symbol("nu", ledger), False)
+        assert ledger.characters.keys() - before.keys() == {"chi", "nu"}
 
     def test_trivial_words(self):
         ledger = load_facts({})
@@ -645,6 +672,19 @@ class TestSiegelInputs:
         assert str(err.value) == (
             'several icosahedral bases are tagged; pick one with a "siegel": {"p": ...} section'
         )
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_several_bases_with_the_partner_row_are_refused(self, order):
+        bases = [{"name": "g1", "type": "icosahedral", "galois_row": "X''"},
+                 {"name": "g2", "type": "icosahedral", "galois_row": "X''"}]
+        ledger = load_facts({"bases": [{"name": "f", "type": "icosahedral", "galois_row": "X'"},
+                                       *bases[::order]]})
+        with pytest.raises(LedgerError) as err:
+            conjugate_pair(ledger, ledger.bases["f"])
+        assert str(err.value) == (
+            "f has no unique Galois partner: several bases are tagged X'' (g1, g2)"
+        )
+        assert conjugate_pair(ledger, ledger.bases["g1"])[1].name == "f"
 
     def test_undeclared_siegel_character(self):
         doc = {
@@ -1070,6 +1110,36 @@ LABELLED = [
      "self_dual[0]: unknown key 'twist'"),
     ({"word_kinds": [{"word": "chi", "kind": "quadratic", "truth": True}]},
      "word_kinds[0]: unknown key 'truth'"),
+    # word kinds load before facts, and a word shares its kind with its inverse
+    (
+        {
+            "characters": [{"name": "a"}, {"name": "b"}],
+            "facts": [_fact("a", "b", True)],
+            "word_kinds": [{"word": "a*b^-1", "kind": "quadratic"}],
+        },
+        "facts[0]: a ~ b cannot be declared true: their quotient a*b^-1 is quadratic",
+    ),
+    (
+        {
+            "characters": [{"name": "c"}, {"name": "d"}],
+            "word_kinds": [{"word": "c*d", "kind": "trivial"}],
+            "facts": [_fact("c*d", "1", False)],
+        },
+        "facts[0]: c*d ~ 1 cannot be declared false: their quotient c*d is trivial",
+    ),
+    (
+        {"word_kinds": [{"word": "a*b", "kind": "trivial"}, {"word": "a^-1*b^-1", "kind": "cubic"}]},
+        "word_kinds[1]: a^-1*b^-1 cannot be declared cubic: it is trivial",
+    ),
+    (
+        {"word_kinds": [{"word": "eta(rho)^-1", "kind": "quadratic"}]},
+        "word_kinds[0]: eta(rho)^-1 cannot be declared quadratic: it is cubic",
+    ),
+    (
+        {"characters": [{"name": "c"}, {"name": "c", "order": 3}, {"name": "c", "order": 2}]},
+        "characters[2]: character c redeclared as CharInfo(order=2, kind=None), "
+        "was CharInfo(order=3, kind=None)",
+    ),
 ]
 
 
@@ -1078,3 +1148,132 @@ def test_a_refusal_names_the_entry_that_fails(doc, message):
     with pytest.raises(FactsError) as err:
         load_facts({"bases": _BASES, **doc})
     assert str(err.value) == message
+
+
+# -- a document is a set -----------------------------------------------------
+
+
+def _shuffled(doc, seed: int):
+    """*doc* with its sections and the entries of each list section in another
+    order: all reversed for seed 0, else shuffled by the seed.  A value that
+    is not an object is returned as it is."""
+    if not isinstance(doc, dict):
+        return doc
+    rng = random.Random(seed)
+
+    def reorder(items) -> list:
+        items = list(items)
+        return items[::-1] if seed == 0 else rng.sample(items, len(items))
+
+    return {key: reorder(doc[key]) if isinstance(doc[key], list) else doc[key]
+            for key in reorder(doc)}
+
+
+@functools.lru_cache(maxsize=1)
+def _corpus_documents() -> tuple:
+    """Every facts document of the behaviour corpus, README's and CI's
+    included: the generated ones and their BAD_DOCUMENTS mutations, each
+    parsed where it parses (a truncated one stays text)."""
+    out = []
+    for text in build_documents().values():
+        try:
+            out.append(json.loads(text))
+        except json.JSONDecodeError:
+            out.append(text)
+    return tuple(out)
+
+
+_GENERATORS = ["c", "d", "eta(t)", "mu(o)"]
+_WORDS, _TWISTS = (st.dictionaries(st.sampled_from(_GENERATORS), st.sampled_from([-2, -1, 1, 2]),
+                                   min_size=size, max_size=2) for size in (0, 1))
+
+
+def _text_of(word: dict) -> str:
+    return "*".join(f"{g}^{e}" for g, e in word.items()) or "1"
+
+
+@st.composite
+def _set_documents(draw):
+    """A small document of every section: characters with orders, kinds and
+    bare duplicates; bases of every type, two of them possibly sharing the
+    row X'' and a companion character; a word kind possibly with one for
+    the inverse word; true and false character facts and twisted
+    self-twists; self-duality; a siegel section."""
+    infos = st.sampled_from([{}, {}, {"order": 2}, {"order": 5}, {"properties": ["cubic"]},
+                             {"order": 2, "properties": ["quadratic"]},
+                             {"properties": ["non-real"]}, {"order": 1}])
+    characters = draw(st.lists(st.tuples(st.sampled_from(["c", "d"]), infos).map(
+        lambda entry: {"name": entry[0], **entry[1]}), max_size=4))
+    bases = [
+        {"name": "p", "type": "icosahedral", "galois_row": "X'"},
+        {"name": "q", "type": "icosahedral", "galois_row": "X''"},
+        {"name": "t", "type": "tetrahedral"},
+        {"name": "o", "type": "octahedral"},
+        {"name": "h", "type": "dihedral", "dihedral_field": "E", "dihedral_char": "xi"},
+        {"name": "g", "type": "general", **draw(st.sampled_from(
+            [{}, {"omega": "eta(t)"}, {"omega": "c"}]))},
+        {"name": "a", "type": "abstract"},
+    ]
+    if draw(st.booleans()):
+        bases.append({"name": "r", "type": "icosahedral", "galois_row": "X''"})
+    kinds = st.sampled_from(["trivial", "quadratic", "cubic", "non-real"])
+    word = draw(_WORDS)  # declared of no kind, of one, or along with its inverse
+    word_kinds = [{"word": _text_of({g: e * sign for g, e in word.items()}), "kind": draw(kinds)}
+                  for sign in draw(st.sampled_from([(), (1,), (1, -1)]))]
+    cores = st.sampled_from(["Ad(p)", "Ad(t)", "Ad(o)", "sym^3(o)", "Ad(g)", "Ad(a)"])
+    facts = draw(st.lists(st.one_of(
+        st.tuples(_WORDS, _WORDS, st.booleans()).map(
+            lambda f: _fact(_text_of(f[0]), _text_of(f[1]), f[2])),
+        st.tuples(cores, _TWISTS, st.booleans()).map(
+            lambda f: _fact(f[0], f[0], f[2], twist=_text_of(f[1]))),
+    ), max_size=3))
+    self_dual = draw(st.lists(st.fixed_dictionaries({
+        "symbol": st.one_of(_WORDS.map(_text_of), st.sampled_from(["sym^12(p)*c", "Ad(t)*d"])),
+        "truth": st.booleans(),
+    }), max_size=2))
+    siegel = draw(st.sampled_from([{}, {"p": "p"}, {"p": "q", "chi": "c"}, {"chi": "d"}]))
+    return {"characters": characters, "bases": bases, "word_kinds": word_kinds, "facts": facts,
+            "self_dual": self_dual, "siegel": siegel}
+
+
+# documents that each loaded in one order and not in the other, or reported on
+# another partner, before the load order and the rules this property pins
+_ORDER_DEPENDENT = [
+    {"characters": [{"name": "c"}, {"name": "c", "order": 3}]},
+    {"word_kinds": [{"word": "a*b", "kind": "trivial"}, {"word": "a^-1*b^-1", "kind": "quadratic"}]},
+    {"bases": [{"name": "f", "type": "icosahedral", "galois_row": "X'"},
+               {"name": "g1", "type": "icosahedral", "galois_row": "X''"},
+               {"name": "g2", "type": "icosahedral", "galois_row": "X''"}],
+     "siegel": {"p": "f"}},
+    {"bases": [{"name": "g", "type": "general", "omega": "eta(t)"},
+               {"name": "t", "type": "tetrahedral"}]},
+]
+
+
+@settings(max_examples=150, deadline=None)
+@example(doc=_ORDER_DEPENDENT[0], seed=0)
+@example(doc=_ORDER_DEPENDENT[1], seed=0)
+@example(doc=_ORDER_DEPENDENT[2], seed=0)
+@example(doc=_ORDER_DEPENDENT[3], seed=0)
+@given(doc=st.one_of(st.sampled_from(_corpus_documents()), _set_documents()),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_document_is_a_set(generated_path, doc, seed):
+    """Reordering the sections and the entries of each list section of a
+    document changes nothing: an accepted one prints the same bytes on every
+    command, and a refused one exits 2."""
+    shuffled = _shuffled(doc, seed)
+    commands = [["siegel", "--m", m, "--facts", "FACTS"] for m in ("0", "3", "12")]
+    try:
+        load_facts(doc)
+    except FactsError:
+        for variant in (doc, shuffled):
+            text = variant if isinstance(variant, str) else json.dumps(variant)
+            assert run(commands[0], text, generated_path)["code"] == 2
+        return
+    names = [b["name"] for b in doc.get("bases", [])]
+    if names:  # and cuspidality of the first and the last base
+        commands.append(["cuspidality", "--facts", "FACTS", "--pi", names[0],
+                         "--pi-prime", names[-1]])
+    before, after = ([run(argv, json.dumps(variant), generated_path) for argv in commands]
+                     for variant in (doc, shuffled))
+    assert after == before
