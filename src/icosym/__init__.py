@@ -197,7 +197,3 @@ def __getattr__(name: str):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(globals()[_MODULE_OF[name]], name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

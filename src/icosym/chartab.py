@@ -72,12 +72,9 @@ class NotACharacterError(ValueError):
 
     def __init__(self, coefficients: dict[str, Qsqrt5]):
         self.coefficients = coefficients
-        bad = {n: str(c) for n, c in coefficients.items() if not _is_mult(c)}
+        bad = {n: str(c) for n, c in coefficients.items()
+               if not (c.is_integer() and c.as_int() >= 0)}
         super().__init__(f"not a character; offending multiplicities: {bad}")
-
-
-def _is_mult(c: Qsqrt5) -> bool:
-    return c.is_integer() and c.as_int() >= 0
 
 
 def _integral(values: Iterable[Qsqrt5]) -> tuple[list[tuple[int, int]], int]:

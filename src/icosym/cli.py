@@ -198,14 +198,11 @@ def cmd_irreps(args) -> int:
         )
         return 0
     print(f"m = {args.m}: {len(listing)} irreducibles, sum of squares {square_sum}")
-    for entry in listing:
+    for r, entry in zip(irreps, listing):
         tag = "  self-dual" if entry["self_dual"] else ""
-        print(
-            f"  ({entry['row']}, {entry['exponent']})  dim {entry['dim']}{tag}"
-        )
+        print(f"  {r}  dim {entry['dim']}{tag}")
     if two_dim:
-        names = ", ".join(f"({r.base}, {r.exponent})" for r in two_dim)
-        print(f"self-dual 2-dimensional: {names}")
+        print(f"self-dual 2-dimensional: {', '.join(map(str, two_dim))}")
     else:
         print("self-dual 2-dimensional: none")
     return 0

@@ -37,7 +37,8 @@ spelling: ``chi*sym^12(pi)`` and ``sym^12(pi) * chi`` are one symbol.
 Character generators not declared in the ``characters`` section are
 declared, of unknown order, where a fact, word kind or self-duality first
 mentions them.  The sections load as characters, bases, base changes, word
-kinds, facts, cuspidal, automorphic, self-dual, in any document order.
+kinds, facts, cuspidal, automorphic, self-dual, in any document order, and
+a chain of base changes in any order too.
 
 Each distinct symbol text, and each distinct ``twist`` or ``word`` text, is
 parsed once per document: a later mention of the same text reuses the
@@ -306,12 +307,15 @@ def load_facts(doc: dict) -> FactLedger:
                     _name(entry, key, where)
             ledger.declare_base(name, typ, **tags)
 
-        for where, entry in _entries(doc, "base_changes"):
-            of = _lookup_base(_str_field(entry, "of", where), ledger, where)
-            extension = _str_field(entry, "extension", where)
-            name = _name(entry, "name", where)
-            typ = _str_field(entry, "type", where)
-            ledger.declare_base_change(of, extension, name, typ)
+        # a base change once its base is declared, so a chain loads in any order
+        pending = list(_entries(doc, "base_changes"))
+        while pending:
+            ready = [c for c in pending if _str_field(c[1], "of", c[0]) in ledger.bases]
+            for where, entry in ready or pending[:1]:  # none ready: the first is refused
+                ledger.declare_base_change(
+                    _lookup_base(entry["of"], ledger, where), _str_field(entry, "extension", where),
+                    _name(entry, "name", where), _str_field(entry, "type", where))
+            pending = [c for c in pending if c not in ready]
 
         # the bases are fixed from here on, so each distinct text is parsed once
         symbols: dict[str, Constituent] = {}

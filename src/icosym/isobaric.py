@@ -36,9 +36,9 @@ generic default.
 A generic answer is a default that a declared fact overturns (a fact
 twisting one core by a quotient not known to be 1 says that quotient is
 trivial), and so does a word kind declaring that quotient trivial.  A
-forced answer, one :meth:`FactLedger._mismatch` gives from the degrees, the
-finite-image rows or the quotient of two twists, is never overturned: a
-fact against it is refused.
+forced answer, one :meth:`FactLedger._forced` gives, is never overturned: a
+fact against it is refused, and so is a word kind under which it
+contradicts a fact.
 
 Every reason, of an equivalence or of a cuspidality :class:`Verdict`, is kept
 as data until it is shown; :func:`_text` renders it.
@@ -47,6 +47,7 @@ as data until it is shown; :func:`_text` renders it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from math import gcd
 from typing import TYPE_CHECKING, Union
 
 from . import Record, _set
@@ -327,11 +328,6 @@ class IsobaricExpr(Record):
     def degree(self) -> int:
         return sum(c.degree * m for c, m in self.terms)
 
-    def __str__(self) -> str:
-        return " + ".join(
-            str(c) if m == 1 else f"{m}({c})" for c, m in self.terms
-        ) or "0"
-
 
 def ad(p: BaseCusp) -> Constituent:
     """The degree-3 self-dual symbol sym^2 twisted by the inverse central char."""
@@ -430,10 +426,10 @@ class FactLedger:
     ``lhs`` with ``rhs`` twisted by ``nu``.  Asserting both truth values for
     one fact, or declaring one symbol's cuspidality, automorphy,
     self-duality or word kind two ways, raises :class:`LedgerError`.
-    :meth:`_mismatch` is the one list of the answers no fact can change:
-    :meth:`assert_equiv` refuses a true fact it names a reason for, and a
-    character's self-duality is refused by the same rule.  The resolver's
-    other answers are generic defaults, and a fact overturns them.
+    :meth:`_forced` gives the answers no fact can change, and the resolver
+    reads it; a fact against one, or a word kind under which one contradicts
+    a fact, is refused.  The resolver's other answers are generic defaults,
+    and a fact overturns them.
 
     Identity is structural: facts, cuspidality, automorphy and self-duality
     are keyed by the immutable symbol records (constituents with twists
@@ -444,10 +440,11 @@ class FactLedger:
     ``assert_*`` methods); queries only read it.  The one thing a query
     stores is the finite-image memo, a cache of what the tags determine.
 
-    A declaration is checked against what the ledger holds, so the checks are
-    complete in the order of :func:`icosym.factsfile.load_facts`.  A fact, word
-    kind or self-duality declares its new generators bare: an order or kind
-    for one later is refused as a redeclaration.
+    A declaration is checked against what the ledger holds; facts, word kinds
+    and a character's self-duality (its fact with its inverse) in either
+    order, the rest in the order of :func:`icosym.factsfile.load_facts`.  A
+    fact, word kind or self-duality declares its new generators bare: an
+    order or kind for one later is refused as a redeclaration.
 
     The resolver keeps each reason as data, a ``(template, *operands)``
     tuple; it becomes text only where it is shown: in :meth:`equivalent`, in
@@ -609,52 +606,71 @@ class FactLedger:
 
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
         """Record what kind of character a word denotes (trivial, quadratic,
-        cubic, non-real ...) beyond what its generators' orders force.  A word
-        shares its kind with its inverse, so a kind other than the one declared
-        or forced for either, one that is not a kind, or trivial where
-        :meth:`_not_one` names a reason, is refused."""
+        cubic, non-real) beyond what its generators' orders force.  Refused: a
+        kind other than the one declared or forced for the word or its inverse,
+        which share one; trivial where :meth:`_not_one` names a reason; a kind
+        the order of a power of one generator does not fit, or one fixing the
+        order of a generator of none (that goes to :meth:`declare_character`);
+        and one under which :meth:`_forced` contradicts a fact, or a word w
+        declared trivial, read as the fact ``1 ~ w``."""
         if kind not in _KIND_ORDERS:
             raise LedgerError(f"word {word}: unknown kind {kind!r}")
-        key, known = self._quotient_kind(word)
-        if known not in (None, kind):
+        key = word.reduce(self._orders)
+        if (known := self.word_kind(key)) not in (None, kind):
             raise LedgerError(f"{word} cannot be declared {kind}: it is {known}")
         if kind == "trivial" and (reason := self._not_one(key)):
             raise LedgerError(f"{word} cannot be declared trivial: {_text(reason)}")
+        if len(key.word) == 1:  # g^e, of g's order over gcd(order, e)
+            name, exp = key.word[0]
+            order = (full := self._orders.get(name)) and full // gcd(full, exp)
+            if not _order_fits_kind(CharInfo(order, kind)):
+                raise LedgerError(f"{word} cannot be declared {kind}: {key} has order {order}")
+            if order is None and abs(exp) == 1 and _KIND_ORDERS[kind]:
+                raise LedgerError(f"{word} cannot be declared {kind}: {kind} fixes the order "
+                                  f"of {name}, so it goes in the characters entry of {name}")
+        # a refusal below is against a fact, which declared these generators already
         self._declare_characters((n, NO_INFO) for n, _ in key.word if n not in self.characters)
         self._word_kinds[key] = kind
+        trivial = {frozenset((TRIVIAL, character(w))): True
+                   for w, k in self._word_kinds.items() if k == "trivial"}
+        for pair, truth in (trivial | self._facts).items():
+            if len(pair) == 1:  # a fact c ~ c, which nothing contradicts
+                continue
+            k1, k2 = sorted(pair, key=str)
+            if forced := self._forced(k1, k2, against=truth):
+                del self._word_kinds[key]
+                raise LedgerError(f"{word} cannot be declared {kind}: then {k1} ~ {k2}, declared "
+                                  f"{truth}, would be {forced[0]} ({_text(forced[1])})")
 
     def word_kind(self, word: CharWord) -> str | None:
+        """A word's kind, declared or forced, else its inverse's: the two share
+        one.  Forced are trivial for 1 and a declared generator's own kind."""
         reduced = word.reduce(self._orders)
-        return self._word_kinds.get(reduced) or self.forced_word_kind(reduced)
-
-    def forced_word_kind(self, word: CharWord) -> str | None:
-        """The kind the generators of a reduced word force: trivial for 1, a
-        declared generator's own kind; None when they leave it open."""
-        if word.is_empty():
-            return "trivial"
-        if len(word.word) == 1 and word.word[0][1] == 1:
-            return self.characters.get(word.word[0][0], NO_INFO).kind
+        for w in (reduced, reduced.inv().reduce(self._orders)):
+            if w in self._word_kinds:
+                return self._word_kinds[w]
+            if not w.word:
+                return "trivial"
+            if len(w.word) == 1 and w.word[0][1] == 1 and (
+                    kind := self.characters.get(w.word[0][0], NO_INFO).kind):
+                return kind
         return None
 
     def declare_self_dual(self, c: Constituent, truth: bool) -> None:
-        """A character is self-dual when it is its inverse: "not self-dual" is
-        refused when the two reduce to one symbol, "self-dual" where
-        :meth:`_mismatch` separates them.  A cusp-form symbol's self-duality
-        is taken as declared."""
-        key = self._canon(c)
-        if key.core is None:
-            inverse = self._canon(character(key.twist.inv()))
-            if not truth and key == inverse:
-                raise LedgerError(f"{c} cannot be declared not self-dual: "
-                                  f"it and its inverse both reduce to {key}")
-            if truth and (mismatch := self._mismatch(key, inverse)):
-                raise LedgerError(f"{c} cannot be declared self-dual: "
-                                  f"its inverse is {inverse}, and {_text(mismatch)}")
+        """A character is self-dual when it is its inverse, so its self-duality
+        is the fact ``c ~ c^-1``, asserted by :meth:`assert_equiv` and refused
+        by its rules.  A cusp-form symbol's self-duality is taken as declared."""
+        if c.core is None:
+            self.assert_equiv(c, character(c.twist.inv()), truth)
+            return
         self._declare_characters((n, NO_INFO) for n, _ in c.twist.word if n not in self.characters)
-        _declare(self._self_dual, key, truth, "self-duality")
+        _declare(self._self_dual, self._canon(c), truth, "self-duality")
 
     def self_dual_declared(self, c: Constituent) -> bool | None:
-        return self._self_dual.get(self._canon(c))
+        key = self._canon(c)
+        if key.core is None:
+            return self._facts.get(frozenset((key, self._canon(character(key.twist.inv())))))
+        return self._self_dual.get(key)
 
     # -- facts ------------------------------------------------------------
 
@@ -663,20 +679,14 @@ class FactLedger:
         return c if twist is c.twist else Constituent(c.core, twist)
 
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
-        """Refused as false between sides equal after reduction or twists of one
-        core by a quotient whose kind is trivial (the rule :meth:`_resolve`
-        answers True from), and as true where :meth:`_mismatch` names a reason."""
+        """Refused where :meth:`_forced` gives the other answer."""
         k1, k2 = self._canon(c1), self._canon(c2)
         key = frozenset((k1, k2))
         if not truth and len(key) == 1:
             raise LedgerError(f"{c1} ~ {c2} cannot be declared false: both sides reduce to {k1}")
-        if not truth and "trivial" in self._word_kinds.values() and k1.core == k2.core:
-            quotient, kind = self._quotient_kind(k1.twist * k2.twist.inv())
-            if kind == "trivial":
-                raise LedgerError(f"{k1} ~ {k2} cannot be declared false: "
-                                  f"their quotient {quotient} is trivial")
-        if truth and (mismatch := self._mismatch(k1, k2)):
-            raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(mismatch)}")
+        if forced := self._forced(k1, k2, against=truth):
+            raise LedgerError(f"{k1} ~ {k2} cannot be declared {str(truth).lower()}: "
+                              f"{_text(forced[1])}")
         if key in self._facts and self._facts[key] != truth:
             first, second = sorted(map(str, (k1, k2)))
             raise LedgerError(
@@ -699,63 +709,67 @@ class FactLedger:
         with the reason as a ``(template, *operands)`` tuple."""
         if (fact := self._facts.get(frozenset((k1, k2)))) is not None:
             return fact, ("declared: {} ~ {} is {}", k1, k2, fact)
-        if k1 == k2:
-            return True, ("structural equality",)
-        if mismatch := self._mismatch(k1, k2):
-            return False, mismatch
-        # the generic defaults, which a fact may overturn; first, one core twisted by a
-        # quotient declared trivial (one forced trivial is 1, so k1 == k2 above) agrees
+        if forced := self._forced(k1, k2):
+            return forced
+        # the generic defaults, which a fact may overturn
         if k1.core != k2.core:
             return None, ("equiv({}, {})", k1, k2)
-        if "trivial" in self._word_kinds.values():
-            quotient, kind = self._quotient_kind(k1.twist * k2.twist.inv())
-            if kind == "trivial":
-                return True, ("declared: their quotient {} is trivial", quotient)
         if k1.core is None:  # two characters, as the degrees agree
             return False, ("distinct character words are generically distinct",)
         if _no_self_twist(k1.core):
             return False, ("{} admits no self-twist for its declared type", k1.core)
         return None, ("equiv({}, {}) (potential self-twist)", k1, k2)
 
-    def _mismatch(self, k1: Constituent, k2: Constituent) -> tuple | None:
-        """Why no fact can make two constituents equivalent, as a reason tuple,
-        or None: their degrees or the finite-image rows of two distinct cores
-        differ, or :meth:`_not_one` shows that two characters, or two twists of
-        a core whose declared type admits no self-twist, differ by a quotient
-        that is not 1.  These answers are forced; no others are."""
-        if k1.degree != k2.degree:
-            return "degrees differ ({} vs {})", k1.degree, k2.degree
-        if k1.core != k2.core:  # two cores, as every core has degree at least 2
-            mults1, mults2 = self.galois_decomposition(k1.core), self.galois_decomposition(k2.core)
-            if mults1 is not None and mults2 is not None and mults1.keys() != mults2.keys():
-                return "finite-image restrictions differ: {} vs {}", sorted(mults1), sorted(mults2)
-        elif k1.core is None:
-            return self._not_one(k1.twist * k2.twist.inv())
-        elif _no_self_twist(k1.core) and (reason := self._not_one(k1.twist * k2.twist.inv())):
-            return ("{} admits no self-twist for its declared type, and " + reason[0],
-                    k1.core, *reason[1:])
+    def _forced(self, k1: Constituent, k2: Constituent,
+                against: bool | None = None) -> tuple[bool, tuple] | None:
+        """The answer no fact can change for two reduced constituents, with its
+        reason tuple, or None.  True when they are equal or twist one core by a
+        quotient declared trivial; False when their degrees or the finite-image
+        rows of two distinct cores differ, or :meth:`_not_one` shows that two
+        characters, or two twists of a core whose declared type admits no
+        self-twist, differ by a quotient that is not 1.  Given *against*, a
+        fact's truth, only the other answer is looked for, and equal sides,
+        which no false fact has, are not compared: no pair of a consistent
+        ledger gets both, and a false fact skips the finite-image rule (without
+        *against*, ledger ``op_p90_ms``: 2.78-2.81 ms, with it 2.26-2.29, 2-vCPU VM)."""
+        if against is None and k1 == k2:
+            return True, ("structural equality",)
+        if against is not False:
+            if k1.degree != k2.degree:
+                return False, ("degrees differ ({} vs {})", k1.degree, k2.degree)
+            if k1.core != k2.core:  # two cores, as every core has degree at least 2
+                r1, r2 = self.galois_decomposition(k1.core), self.galois_decomposition(k2.core)
+                if r1 is not None and r2 is not None and r1.keys() != r2.keys():
+                    return False, ("finite-image restrictions differ: {} vs {}",
+                                   sorted(r1), sorted(r2))
+            elif k1.core is None:
+                if reason := self._not_one(k1.twist * k2.twist.inv()):
+                    return False, reason
+            elif _no_self_twist(k1.core) and (reason := self._not_one(k1.twist * k2.twist.inv())):
+                return False, ("{} admits no self-twist for its declared type, and " + reason[0],
+                               k1.core, *reason[1:])
+        if against is not True and "trivial" in self._word_kinds.values() and k1.core == k2.core:
+            quotient = (k1.twist * k2.twist.inv()).reduce(self._orders)
+            if self.word_kind(quotient) == "trivial":
+                return True, ("declared: their quotient {} is trivial", quotient)
         return None
 
     def _not_one(self, word: CharWord) -> tuple | None:
-        """Why a quotient of twists is not 1, as a reason tuple, or None: its kind
-        or its inverse's, declared or forced, is not trivial; or it is g^e, e != 0,
-        for g of declared order, or g^2 or g^-2 for g declared non-real."""
-        quotient, kind = self._quotient_kind(word)
-        if kind not in (None, "trivial"):
+        """Why a quotient of twists is not 1, as a reason tuple, or None: its
+        :meth:`word_kind` is not trivial; or it is g^e, e != 0, for g of declared
+        order, or g^2 or g^-2 for g declared non-real (as a character, g or g^-1)."""
+        quotient = word.reduce(self._orders)
+        if (kind := self.word_kind(quotient)) not in (None, "trivial"):
             return "their quotient {} is {}", quotient, kind
         if len(quotient.word) == 1:
             name, exp = quotient.word[0]
             if name in self._orders:
                 return ("their quotient {} is not 1: {} has order {}",
                         quotient, name, self._orders[name])
-            if abs(exp) == 2 and self.characters.get(name, NO_INFO).kind == "non-real":
+            if abs(exp) == 2 and "non-real" in (self.characters.get(name, NO_INFO).kind, *(
+                    self._word_kinds.get(CharWord.gen(name, e)) for e in (1, -1))):
                 return "their quotient {} is not 1: {} is non-real", quotient, name
         return None
-
-    def _quotient_kind(self, word: CharWord) -> tuple[CharWord, str | None]:
-        """A quotient of twists reduced, with its or its inverse's kind, declared or forced."""
-        quotient = word.reduce(self._orders)
-        return quotient, self.word_kind(quotient) or self.word_kind(quotient.inv())
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:
         """Multiplicities of the finite-image restriction; None if untagged.
@@ -942,7 +956,7 @@ def _texts(reasons: list[tuple]) -> tuple[str, ...]:
 
 def pole_order_pair(e: IsobaricExpr, tau: Constituent, ledger: FactLedger) -> PoleOrder:
     """Order of the edge pole of L(s, e x dual(tau)): multiplicity of tau.  A term
-    of another degree is skipped: a fact or :meth:`FactLedger._mismatch`'s first
+    of another degree is skipped: a fact or :meth:`FactLedger._forced`'s degree
     rule makes it False, which adds nothing."""
     lo = hi = 0
     missing = []

@@ -121,15 +121,6 @@ class LFactor(Record):
             d *= c.degree
         return d
 
-    def __str__(self) -> str:
-        if self.kind == "zeta":
-            inner = "zeta"
-        elif self.kind == "single":
-            inner = f"L({self.parts[0]})"
-        else:
-            inner = f"L({self.parts[0]} x {self.parts[1]})"
-        return inner if self.exponent == 1 else f"{inner}^{self.exponent}"
-
 
 class LFactorization(Record):
     """The factored square L(s, Pi x Pi) with the distinguished target."""

@@ -802,8 +802,8 @@ class TestSiegel:
         assert code == 0 and "c -> exceptional-case" in out
         path.write_text(json.dumps({**doc, "self_dual": [{"symbol": "c", "truth": False}]}))
         assert run(capsys, "siegel", "--m", "0", "--facts", str(path)) == (
-            2, "", "error: self_dual[0]: c cannot be declared not self-dual: "
-            "it and its inverse both reduce to c\n"
+            2, "", "error: self_dual[0]: c ~ c^-1 cannot be declared false: "
+            "both sides reduce to c\n"
         )
 
     def test_an_order_2_character_is_not_non_real_exit_2(self, capsys, tmp_path):

@@ -1,22 +1,33 @@
-"""The behaviour corpus: every recorded command gives the same bytes.
+"""The behaviour corpus: every recorded command gives the same bytes, and the
+recorded commands reach every function of ``src/icosym``.
 
 ``corpus/manifest.json`` lists command lines and, for each run, the sha256
 of its stdout, the sha256 of its stderr and its exit code.  The facts path
 of a run is written ``FACTS`` in its argv and replaced by that word in both
 streams, so a run reads the same from any directory.  The documents behind
-``FACTS`` are rebuilt here, never stored:
+``FACTS`` are:
 
 * the README's facts-file example;
-* each facts document the CI workflow writes with ``echo``;
+* the regression documents of ``corpus/documents.json``, each by its id and
+  written as ``json.dumps`` writes it.  This file is the one home of the
+  hand-written documents: each pins a refusal, a verdict or a report.  Ids
+  beginning ``ci:`` keep the names under which their runs were first
+  recorded;
 * documents from the benchmark's ``Universe.generate`` (``bench/workloads.py``,
   imported read-only) for the recorded seeds, each as generated, with a
   ``siegel`` section, and under each of its ``BAD_DOCUMENTS`` mutations.
 
 The manifest records each document's sha256.  A document that no longer
 hashes the same (after an edit under ``bench/``, say) is reported by its own
-test, and the runs over it are not compared.  Every run is replayed in
-process through :func:`icosym.cli.cmd_dispatch`; on a mismatch the first
-differing runs are printed in full.
+test, and the runs over it are not compared.
+
+The corpus is replayed once per module, by ``corpus/replay.py`` in a fresh
+interpreter: each run goes through :func:`icosym.cli.cmd_dispatch` in
+process, under a ``sys.setprofile`` hook set before ``import icosym``, so
+that what runs at import counts too.  On a mismatch the first differing runs
+are printed in full.  :func:`test_every_function_is_reached` then names each
+``def`` of ``src/icosym`` that no run entered and that :data:`UNREACHED` does
+not list with its reason.
 
 To re-record after a change of output that is meant, run
 ``python tests/corpus/record.py`` and list each changed class of run in
@@ -25,6 +36,7 @@ CHANGES.md.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -33,6 +45,7 @@ import json
 import random
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,8 +56,10 @@ from icosym.factsfile import load_facts
 from icosym.isobaric import decide_cuspidality, decide_cuspidality_via_poles
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "icosym"
 MANIFEST = ROOT / "tests" / "corpus" / "manifest.json"
-WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+DOCUMENTS = ROOT / "tests" / "corpus" / "documents.json"
+REPLAY = ROOT / "tests" / "corpus" / "replay.py"
 README = ROOT / "README.md"
 PLACEHOLDER = "FACTS"
 SHOWN = 3  # differing runs printed in full
@@ -53,6 +68,13 @@ SHOWN = 3  # differing runs printed in full
 SEEDS = range(24)
 SCALES = {seed: 1.0 if seed % 8 == 7 else 0.4 for seed in SEEDS}
 SIEGEL_MS = ("0", "3", "12")
+# each verify section by its name or its short name, and an unknown target
+VERIFY_TARGETS = (
+    "table", "identities", "character-table", "decomposition-identities", "product-rule",
+    "trivial-constituent-scan", "finite-group-classification", "cuspidality-routes",
+    "auxiliary-factorizations", "pole-bookkeeping", "exceptional-zero-criterion", "rule-table",
+    "nosuch",
+)
 FIXED_RUNS = (
     ["chartab"],
     ["verify", "all"],
@@ -66,9 +88,44 @@ FIXED_RUNS = (
     ["scan-trivial", "--max", "30"],
     ["siegel", "--m", "12"],
     ["siegel", "--scan", "0..130"],
+    ["siegel", "--scan", "0..400"],
     ["siegel", "--m", "x"],
     ["siegel", "--scan", "30..2"],
+    # each bound of --m, --max and --scan
+    ["irreps", "--m", "0"],
+    ["irreps", "--m", "10001"],
+    ["scan-trivial", "--max", "0"],
+    ["scan-trivial", "--max", "10001"],
+    ["siegel", "--m", "10001"],
+    ["siegel", "--scan", "0..10001"],
+    *(["verify", target] for target in VERIFY_TARGETS),
 )
+# commands over one document beyond those of runs_of, by document id
+MORE_RUNS = {
+    "doc:notautomorphic": (["siegel", "--m", "5", "--facts", PLACEHOLDER],),
+}
+
+# each def that no recorded run enters, by module and qualified name, with its reason
+UNREACHED = {
+    "icosym.__getattr__": "the package's lazy public names (icosym.FactLedger, ...); "
+                          "the CLI imports the submodules directly",
+    "icosym.Record.__setattr__": "keeps records immutable: nothing sets a field",
+    "icosym.Record.__reduce__": "keeps records picklable and copyable",
+    "icosym.scalar.Qsqrt5.__setattr__": "keeps scalars immutable: nothing sets a field",
+    "icosym.scalar.Qsqrt5.__reduce__": "keeps scalars picklable and copyable",
+    "icosym.scalar.Qsqrt5.__repr__": "a scalar's repr, for the interpreter; output prints "
+                                     "scalars with str",
+    "icosym.scalar.Qsqrt5.__bool__": "keeps bool(Qsqrt5(0)) False, as for a number",
+    "icosym.cli.main": "entered only through the installed console script, which CI runs; "
+                       "the corpus calls cmd_dispatch",
+    "icosym.chartab.NotACharacterError.__init__": "decompose's refusal of a class function "
+                                                  "that is no character; no command builds "
+                                                  "one, as repexpr has no difference",
+    "icosym.isobaric.BoxCusp.degree": "the core protocol: every core has a degree; no "
+                                      "command compares a box product's",
+    "icosym.isobaric.InducedCusp.__str__": "the core protocol: every core prints; no command "
+                                           "prints an octahedral complement",
+}
 
 
 def _workloads():
@@ -87,16 +144,6 @@ def readme_document() -> str:
     return block.group(1)
 
 
-def ci_documents() -> dict[str, str]:
-    """Each ``echo '<json>' > "$name"`` of the workflow, by its name."""
-    found = {}
-    for line in WORKFLOW.read_text().splitlines():
-        words = shlex.split(line.strip()) if line.strip().startswith("echo '") else []
-        if len(words) == 4 and words[2] == ">" and words[3].startswith("$"):
-            found[words[3][1:]] = words[1]
-    return found
-
-
 def generated_documents(workloads, seed: int) -> dict[str, str]:
     """The variants of one generated document, by variant name."""
     u = workloads.Universe.generate(random.Random(seed), scale=SCALES[seed])
@@ -113,7 +160,8 @@ def generated_documents(workloads, seed: int) -> dict[str, str]:
 def build_documents() -> dict[str, str]:
     """Every document of the corpus, by its id."""
     docs = {"readme": readme_document()}
-    docs.update((f"ci:{name}", text) for name, text in ci_documents().items())
+    docs.update((doc_id, json.dumps(doc)) for doc_id, doc in
+                json.loads(DOCUMENTS.read_text()).items())
     workloads = _workloads()
     for seed in SEEDS:
         for variant, text in generated_documents(workloads, seed).items():
@@ -155,6 +203,7 @@ def runs_of(doc_id: str, text: str) -> list[list[str]]:
         commands = [["cuspidality", "--facts", PLACEHOLDER, "--pi", p, "--pi-prime", q]
                     for p, q in dict.fromkeys(pairs)]
         commands += [["siegel", "--m", m, "--facts", PLACEHOLDER] for m in SIEGEL_MS]
+        commands += MORE_RUNS.get(doc_id, ())
     return [argv + tail for argv in commands for tail in ([], ["--json"])]
 
 
@@ -179,6 +228,48 @@ def record(path: Path) -> dict:
     }
 
 
+def replay(path: Path) -> dict:
+    """Replay every recorded run whose document hashes as recorded: how many
+    were compared, and each differing run's entry with its full result."""
+    manifest = json.loads(MANIFEST.read_text())
+    documents = build_documents()
+    recorded = manifest["documents"]
+    compared, differing = 0, []
+    for entry in manifest["runs"]:
+        doc_id = entry["doc"]
+        if doc_id is not None and digest(documents.get(doc_id, "")) != recorded[doc_id]:
+            continue  # reported by test_documents_hash_as_recorded
+        result = run(entry["argv"], None if doc_id is None else documents[doc_id], path)
+        compared += 1
+        got = (digest(result["stdout"]), digest(result["stderr"]), result["code"])
+        if got != (entry["stdout"], entry["stderr"], entry["code"]):
+            differing.append((entry, result))
+    return {"compared": compared, "differing": differing}
+
+
+def functions() -> dict[tuple[str, int], str]:
+    """Every def of ``src/icosym``, nested ones included, by its file name and
+    the first line of its code object (its first decorator's, if any), as
+    ``module.qualified.name``."""
+
+    def defs(node, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                yield first, prefix + child.name
+                yield from defs(child, f"{prefix}{child.name}.")
+            else:
+                scope = f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix
+                yield from defs(child, scope)
+
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = "icosym" if path.stem == "__init__" else f"icosym.{path.stem}"
+        for first, name in defs(ast.parse(path.read_text()), module + "."):
+            out[(path.name, first)] = name
+    return out
+
+
 # -- the replay ----------------------------------------------------------------
 
 
@@ -190,6 +281,15 @@ def manifest() -> dict:
 @pytest.fixture(scope="module")
 def documents() -> dict[str, str]:
     return build_documents()
+
+
+@pytest.fixture(scope="module")
+def replayed() -> dict:
+    """The one replay of the corpus, by ``corpus/replay.py``: see the module docstring."""
+    proc = subprocess.run([sys.executable, str(REPLAY)], capture_output=True, text=True)
+    if proc.returncode:
+        pytest.fail(f"the replay exited {proc.returncode}:\n{proc.stderr}", pytrace=False)
+    return json.loads(proc.stdout)
 
 
 def test_documents_hash_as_recorded(manifest, documents):
@@ -205,22 +305,11 @@ def test_documents_hash_as_recorded(manifest, documents):
         )
 
 
-def test_every_run_replays_byte_identically(manifest, documents, tmp_path):
-    recorded = manifest["documents"]
-    path = tmp_path / "facts.json"
-    differing = []
-    compared = 0
-    for entry in manifest["runs"]:
-        doc_id = entry["doc"]
-        if doc_id is not None and digest(documents.get(doc_id, "")) != recorded[doc_id]:
-            continue  # reported by test_documents_hash_as_recorded
-        result = run(entry["argv"], None if doc_id is None else documents[doc_id], path)
-        compared += 1
-        got = (digest(result["stdout"]), digest(result["stderr"]), result["code"])
-        if got != (entry["stdout"], entry["stderr"], entry["code"]):
-            differing.append((entry, result, got))
+def test_every_run_replays_byte_identically(replayed):
+    differing = replayed["differing"]
     shown = []
-    for entry, result, got in differing[:SHOWN]:
+    for entry, result in differing[:SHOWN]:
+        got = (digest(result["stdout"]), digest(result["stderr"]), result["code"])
         what = [name for name, a, b in zip(("stdout", "stderr", "code"), got,
                                            (entry["stdout"], entry["stderr"], entry["code"]))
                 if a != b]
@@ -231,8 +320,26 @@ def test_every_run_replays_byte_identically(manifest, documents, tmp_path):
         )
     if differing:
         pytest.fail(
-            f"{len(differing)} of {compared} runs differ from the manifest; the first:\n"
-            + "\n".join(shown),
+            f"{len(differing)} of {replayed['compared']} runs differ from the manifest; "
+            "the first:\n" + "\n".join(shown),
+            pytrace=False,
+        )
+
+
+def test_every_function_is_reached(replayed):
+    """Each def of ``src/icosym`` is entered by a recorded run or listed in
+    :data:`UNREACHED`, and each listed one exists and is entered by none."""
+    reached = {tuple(key) for key in replayed["reached"]}
+    defs = functions()
+    unreached = {name: f"{file}:{line}" for (file, line), name in defs.items()
+                 if (file, line) not in reached}
+    missing = [f"{name} ({where})" for name, where in sorted(unreached.items())
+               if name not in UNREACHED]
+    stale = sorted(UNREACHED.keys() - unreached.keys())
+    if missing or stale:
+        pytest.fail(
+            f"{len(unreached)} of {len(defs)} defs are entered by no recorded run; "
+            f"not listed in UNREACHED: {missing}; listed, but entered or gone: {stale}",
             pytrace=False,
         )
 

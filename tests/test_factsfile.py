@@ -199,6 +199,58 @@ class TestBases:
         )
         assert ledger.base_change(ledger.bases["q"], "E").typ == "dihedral"
 
+    @pytest.mark.parametrize("order", ["base-first", "chain-first"])
+    def test_a_chain_of_base_changes_loads_in_either_order(self, order):
+        changes = [
+            {"of": "q", "extension": "E", "name": "qE", "type": "general"},
+            {"of": "qE", "extension": "F", "name": "qEF", "type": "dihedral"},
+        ]
+        if order == "chain-first":
+            changes.reverse()
+        ledger = load_facts({"bases": [{"name": "q", "type": "icosahedral"}],
+                             "base_changes": changes})
+        q_e = ledger.base_change(ledger.bases["q"], "E")
+        assert q_e.name == "qE" and ledger.base_change(q_e, "F").typ == "dihedral"
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ([("qF", "E", "qE"), ("qE", "F", "qF")], "base_changes[0]: undeclared base 'qF'"),
+            ([("q", "E", "qE"), ("ghost", "F", "gF")], "base_changes[1]: undeclared base 'ghost'"),
+        ],
+        ids=["cycle", "missing"],
+    )
+    def test_a_cycle_or_a_missing_base_of_base_changes_is_refused(self, changes, message):
+        with pytest.raises(FactsError) as err:
+            load_facts({
+                "bases": [{"name": "q", "type": "icosahedral"}],
+                "base_changes": [{"of": of, "extension": ext, "name": name, "type": "general"}
+                                 for of, ext, name in changes],
+            })
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("word", ["c", "c^-1"])
+@pytest.mark.parametrize("order", [None, 1, 2, 3, 5])
+@pytest.mark.parametrize("kind", ["trivial", "quadratic", "cubic", "non-real"])
+def test_a_generator_kind_reads_alike_as_a_word_kind_and_as_a_character(kind, order, word):
+    """A kind declared in word_kinds for c or c^-1 answers every query as the
+    same kind declared for c in characters, or is refused."""
+    entry = {"name": "c"} if order is None else {"name": "c", "order": order}
+    try:
+        as_word = load_facts({"characters": [entry], "word_kinds": [{"word": word, "kind": kind}]})
+    except FactsError:
+        return
+    as_character = load_facts({"characters": [{**entry, "properties": [kind]}]})
+    powers = [CharWord.gen("c", e) for e in range(-3, 7)]
+    answers = [
+        [ledger.word_kind(w) for w in powers]
+        + [ledger.equivalent(Constituent(None, v), Constituent(None, w))
+           for v in powers for w in powers]
+        for ledger in (as_word, as_character)
+    ]
+    assert answers[0] == answers[1]
+
 
 # names a symbol would read as something else: an exponent, the trivial word,
 # two factors, an adjoint, a bad factor, an unbalanced parenthesis
@@ -1037,12 +1089,12 @@ LABELLED = [
     (
         {
             "facts": [_fact("Ad(pi)", "Ad(rho)", twist="chi")],
-            "word_kinds": [{"word": "chi", "kind": "quadratic"}, {"word": "chi", "kind": "real"}],
+            "word_kinds": [{"word": "chi", "kind": "non-real"}, {"word": "chi", "kind": "real"}],
         },
         f"word_kinds[1]: kind must be one of {_KINDS_TEXT}",
     ),
     (
-        {"word_kinds": [{"word": "chi", "kind": "quadratic"}, {"word": "chi^x", "kind": "cubic"}]},
+        {"word_kinds": [{"word": "chi", "kind": "non-real"}, {"word": "chi^x", "kind": "cubic"}]},
         "word_kinds[1]: bad character factor 'chi^x'",
     ),
     (
@@ -1125,7 +1177,7 @@ LABELLED = [
             "word_kinds": [{"word": "c*d", "kind": "trivial"}],
             "facts": [_fact("c*d", "1", False)],
         },
-        "facts[0]: c*d ~ 1 cannot be declared false: their quotient c*d is trivial",
+        "facts[0]: c*d ~ 1 cannot be declared false: declared: their quotient c*d is trivial",
     ),
     (
         {"word_kinds": [{"word": "a*b", "kind": "trivial"}, {"word": "a^-1*b^-1", "kind": "cubic"}]},
@@ -1171,8 +1223,8 @@ def _shuffled(doc, seed: int):
 
 @functools.lru_cache(maxsize=1)
 def _corpus_documents() -> tuple:
-    """Every facts document of the behaviour corpus, README's and CI's
-    included: the generated ones and their BAD_DOCUMENTS mutations, each
+    """Every facts document of the behaviour corpus: README's, the regression
+    documents, the generated ones and their BAD_DOCUMENTS mutations, each
     parsed where it parses (a truncated one stays text)."""
     out = []
     for text in build_documents().values():
@@ -1196,9 +1248,10 @@ def _text_of(word: dict) -> str:
 def _set_documents(draw):
     """A small document of every section: characters with orders, kinds and
     bare duplicates; bases of every type, two of them possibly sharing the
-    row X'' and a companion character; a word kind possibly with one for
-    the inverse word; true and false character facts and twisted
-    self-twists; self-duality; a siegel section."""
+    row X'' and a companion character; possibly a chain of two base changes;
+    a word kind possibly with one for the inverse word and one for a
+    generator of it or its inverse; true and false
+    character facts and twisted self-twists; self-duality; a siegel section."""
     infos = st.sampled_from([{}, {}, {"order": 2}, {"order": 5}, {"properties": ["cubic"]},
                              {"order": 2, "properties": ["quadratic"]},
                              {"properties": ["non-real"]}, {"order": 1}])
@@ -1216,10 +1269,18 @@ def _set_documents(draw):
     ]
     if draw(st.booleans()):
         bases.append({"name": "r", "type": "icosahedral", "galois_row": "X''"})
+    base_changes = draw(st.sampled_from([[], [
+        {"of": "g", "extension": "E", "name": "gE", "type": "general"},
+        {"of": "gE", "extension": "F", "name": "gEF", "type": "tetrahedral"},
+    ]]))
     kinds = st.sampled_from(["trivial", "quadratic", "cubic", "non-real"])
     word = draw(_WORDS)  # declared of no kind, of one, or along with its inverse
     word_kinds = [{"word": _text_of({g: e * sign for g, e in word.items()}), "kind": draw(kinds)}
                   for sign in draw(st.sampled_from([(), (1,), (1, -1)]))]
+    if word and draw(st.booleans()):
+        generator = draw(st.sampled_from(sorted(word)))
+        word_kinds.append({"word": _text_of({generator: draw(st.sampled_from([-1, 1]))}),
+                           "kind": draw(kinds)})
     cores = st.sampled_from(["Ad(p)", "Ad(t)", "Ad(o)", "sym^3(o)", "Ad(g)", "Ad(a)"])
     facts = draw(st.lists(st.one_of(
         st.tuples(_WORDS, _WORDS, st.booleans()).map(
@@ -1232,8 +1293,8 @@ def _set_documents(draw):
         "truth": st.booleans(),
     }), max_size=2))
     siegel = draw(st.sampled_from([{}, {"p": "p"}, {"p": "q", "chi": "c"}, {"chi": "d"}]))
-    return {"characters": characters, "bases": bases, "word_kinds": word_kinds, "facts": facts,
-            "self_dual": self_dual, "siegel": siegel}
+    return {"characters": characters, "bases": bases, "base_changes": base_changes,
+            "word_kinds": word_kinds, "facts": facts, "self_dual": self_dual, "siegel": siegel}
 
 
 # documents that each loaded in one order and not in the other, or reported on
@@ -1247,6 +1308,10 @@ _ORDER_DEPENDENT = [
      "siegel": {"p": "f"}},
     {"bases": [{"name": "g", "type": "general", "omega": "eta(t)"},
                {"name": "t", "type": "tetrahedral"}]},
+    {"characters": [{"name": "c"}],
+     "word_kinds": [{"word": "c^2", "kind": "trivial"}, {"word": "c", "kind": "non-real"}]},
+    {"characters": [{"name": "c"}],
+     "word_kinds": [{"word": "c", "kind": "non-real"}, {"word": "c^2", "kind": "trivial"}]},
 ]
 
 
@@ -1255,6 +1320,8 @@ _ORDER_DEPENDENT = [
 @example(doc=_ORDER_DEPENDENT[1], seed=0)
 @example(doc=_ORDER_DEPENDENT[2], seed=0)
 @example(doc=_ORDER_DEPENDENT[3], seed=0)
+@example(doc=_ORDER_DEPENDENT[4], seed=0)
+@example(doc=_ORDER_DEPENDENT[5], seed=0)
 @given(doc=st.one_of(st.sampled_from(_corpus_documents()), _set_documents()),
        seed=st.integers(0, 2**32 - 1))
 def test_a_document_is_a_set(generated_path, doc, seed):

@@ -177,11 +177,10 @@ def test_every_public_name_is_its_modules_object():
         assert getattr(icosym, name) is getattr(module, name), name
 
 
-def test_star_import_and_dir_list_every_public_name():
+def test_star_import_lists_every_public_name():
     namespace: dict = {}
     exec("from icosym import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(icosym.__all__)
-    assert set(icosym.__all__) <= set(dir(icosym))
     assert icosym.__version__ == "0.1.0"
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -216,16 +217,10 @@ def test_box_products_match_finite_model():
         tab.decompose(lhs)  # must be a genuine character
 
 
-def test_a_sum_prints_its_terms_with_their_multiplicities():
-    _, p, _ = fresh()
+def test_an_induced_symbol_prints_its_field_and_character():
     induced = InducedCusp("E", "xi")
     assert str(induced) == "Ind[E](xi)"
-    e = IsobaricExpr.of(
-        [(Constituent(induced, CharWord.gen("chi")), 3), (ad(p), 2), (TRIVIAL, 1), (ad(p), 1)]
-    )
-    assert str(e) == "1 + 3(sym^2(p)*omega(p)^-1) + 3(Ind[E](xi)*chi)"
-    assert str(IsobaricExpr.single(Constituent(induced))) == "Ind[E](xi)"
-    assert str(IsobaricExpr.of([])) == "0"
+    assert str(Constituent(induced, CharWord.gen("chi"))) == "Ind[E](xi)*chi"
 
 
 # -- pole bookkeeping --------------------------------------------------------
@@ -685,7 +680,7 @@ def test_a_true_fact_between_characters_whose_quotient_may_be_1_is_kept():
     assert ledger.equivalent(character(nu), character(CharWord.gen("nu", -3)))[0] is True
 
 
-# -- one list of what no fact can change: assert_equiv reads _mismatch ----------
+# -- one list of what no fact can change: assert_equiv reads _forced -----------
 
 # bases of every type; "f" restricts to the finite model
 _TYPED_BASES = (
@@ -758,7 +753,7 @@ def _refused(spec, a, b, truth):
 @given(ledger_specs())
 def test_a_fact_is_refused_exactly_where_mismatch_names_a_reason(spec):
     """For every pair no fact mentions: a true fact is refused exactly where
-    _mismatch names a reason, a false one exactly where equivalent answers
+    _forced answers False, a false one exactly where equivalent answers
     True (the sides reduce to one symbol, or twist one core by a quotient
     whose kind is trivial), and an accepted fact is what equivalent answers.  Two twists
     of one core are kept apart as their characters are, when the declared
@@ -769,7 +764,7 @@ def test_a_fact_is_refused_exactly_where_mismatch_names_a_reason(spec):
         if frozenset((k1, k2)) in ledger._facts:
             continue
         refused_true, verdict = _refused(spec, a, b, True)
-        assert refused_true == (ledger._mismatch(k1, k2) is not None), (a, b)
+        assert refused_true == (ledger._forced(k1, k2, against=True) is not None), (a, b)
         assert refused_true or verdict is True
         refused, verdict = _refused(spec, a, b, False)
         assert refused == (ledger.equivalent(a, b)[0] is True), (a, b)
@@ -803,20 +798,17 @@ def test_an_impossible_self_twist_is_refused_and_keeps_the_pole_order():
 @pytest.mark.parametrize(
     "info, symbol, truth, message",
     [
-        ({}, CharWord(), False,
-         "1 cannot be declared not self-dual: it and its inverse both reduce to 1"),
+        ({}, CharWord(), False, "1 ~ 1 cannot be declared false: both sides reduce to 1"),
         ({"order": 2}, CharWord.gen("c"), False,
-         "c cannot be declared not self-dual: it and its inverse both reduce to c"),
+         "c ~ c^-1 cannot be declared false: both sides reduce to c"),
         ({"kind": "quadratic"}, CharWord.gen("c", 3), False,
-         "c^3 cannot be declared not self-dual: it and its inverse both reduce to c"),
+         "c^3 ~ c^-3 cannot be declared false: both sides reduce to c"),
         ({"kind": "cubic"}, CharWord.gen("c"), True,
-         "c cannot be declared self-dual: its inverse is c^2, and their quotient c^2 is cubic"),
+         "c ~ c^2 cannot be declared true: their quotient c^2 is cubic"),
         ({"kind": "non-real"}, CharWord.gen("c"), True,
-         "c cannot be declared self-dual: its inverse is c^-1, and their quotient c^2 is not 1: "
-         "c is non-real"),
+         "c ~ c^-1 cannot be declared true: their quotient c^2 is not 1: c is non-real"),
         ({"order": 5}, CharWord.gen("c", 2), True,
-         "c^2 cannot be declared self-dual: its inverse is c^3, and their quotient c^4 is not 1: "
-         "c has order 5"),
+         "c^2 ~ c^3 cannot be declared true: their quotient c^4 is not 1: c has order 5"),
     ],
     ids=["trivial", "order-2", "quadratic", "cubic", "non-real", "order-5"],
 )
@@ -828,6 +820,88 @@ def test_a_character_self_duality_reads_the_same_rule(info, symbol, truth, messa
     assert str(err.value) == message
     assert ledger.self_dual_declared(character(symbol)) is None
     ledger.declare_self_dual(character(symbol), not truth)  # the other truth is consistent
+
+
+@pytest.mark.parametrize("first", ["fact", "self-dual"])
+def test_a_character_self_duality_is_its_fact_with_its_inverse(first):
+    """Declaring c self-dual asserts c ~ c^-1, and that fact is what
+    self_dual_declared reads: the two contradict in either order."""
+    ledger = FactLedger()
+    c, inverse = character(CharWord.gen("c")), character(CharWord.gen("c", -1))
+    steps = {"fact": lambda: ledger.assert_equiv(c, inverse, False),
+             "self-dual": lambda: ledger.declare_self_dual(c, True)}
+    steps[first]()
+    assert ledger.self_dual_declared(c) is (first == "self-dual")
+    assert ledger.equivalent(inverse, c)[0] is (first == "self-dual")
+    (second,) = steps.keys() - {first}
+    with pytest.raises(LedgerError) as err:
+        steps[second]()
+    truths = (False, True) if first == "fact" else (True, False)
+    assert str(err.value) == "contradictory assertions for c ~ c^-1: {} vs {}".format(*truths)
+
+
+@pytest.mark.parametrize("truth, order", [(None, 2), (False, 2), (True, 4)])
+def test_a_pole_order_merges_a_self_dual_character_with_its_inverse(truth, order):
+    """c + c^-1 is one class of multiplicity 2 once c is declared self-dual,
+    and two classes otherwise."""
+    ledger = FactLedger()
+    c, inverse = character(CharWord.gen("c")), character(CharWord.gen("c", -1))
+    if truth is not None:
+        ledger.declare_self_dual(c, truth)
+    assert pole_order(IsobaricExpr.of([(c, 1), (inverse, 1)]), ledger) == PoleOrder(order, order)
+
+
+_A, _B = character(CharWord.gen("a")), character(CharWord.gen("b"))
+_CD = character(CharWord.of({"c": 1, "d": 1}))
+
+
+@pytest.mark.parametrize(
+    "fact, word, kind, message",
+    [
+        ((_A, _B, True), CharWord.of({"a": 1, "b": -1}), "quadratic",
+         "a*b^-1 cannot be declared quadratic: then a ~ b, declared True, would be False "
+         "(their quotient a*b^-1 is quadratic)"),
+        ((_CD, TRIVIAL, False), _CD.twist, "trivial",
+         "c*d cannot be declared trivial: then 1 ~ c*d, declared False, would be True "
+         "(declared: their quotient c^-1*d^-1 is trivial)"),
+    ],
+    ids=["quadratic-against-true", "trivial-against-false"],
+)
+def test_a_word_kind_and_a_fact_it_contradicts_are_refused_in_either_order(
+        fact, word, kind, message):
+    """In process, as in a file: a word kind is checked against the facts
+    already asserted, and a fact against the kinds already declared."""
+    ledger = FactLedger()
+    ledger.assert_equiv(*fact)
+    with pytest.raises(LedgerError) as err:
+        ledger.declare_word_kind(word, kind)
+    assert str(err.value) == message
+    assert ledger.word_kind(word) is None  # a refusal leaves the ledger as it was
+    other = FactLedger()
+    other.declare_word_kind(word, kind)
+    with pytest.raises(LedgerError):
+        other.assert_equiv(*fact)
+
+
+@pytest.mark.parametrize("generator", [CharWord.gen("c"), CharWord.gen("c", -1)])
+@pytest.mark.parametrize("square", [CharWord.gen("c", 2), CharWord.gen("c", -2)])
+def test_a_non_real_generator_and_its_square_declared_trivial_are_refused_in_either_order(
+        generator, square):
+    """g^2 is not 1 for g non-real, so the two kinds are refused together,
+    whichever comes first, and the refused one is not kept."""
+    ledger = FactLedger()
+    ledger.declare_word_kind(square, "trivial")
+    with pytest.raises(LedgerError) as err:
+        ledger.declare_word_kind(generator, "non-real")
+    assert str(err.value) == (f"{generator} cannot be declared non-real: then 1 ~ {square}, "
+                              f"declared True, would be False (their quotient {square.inv()} "
+                              "is not 1: c is non-real)")
+    assert ledger.word_kind(generator) is None
+    assert ledger.equivalent(character(square), TRIVIAL)[0] is True
+    other = FactLedger()
+    other.declare_word_kind(generator, "non-real")
+    with pytest.raises(LedgerError, match=re.escape(f"{square} cannot be declared trivial")):
+        other.declare_word_kind(square, "trivial")
 
 
 @pytest.mark.parametrize("info, exp", [({}, 1), ({"kind": "non-real"}, 2)])

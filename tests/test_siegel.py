@@ -220,8 +220,9 @@ def test_square_expansion_standard_base(m):
     assert fact.total_degree == (m + 5) ** 2
     kinds = sorted(f.kind for f in fact.factors)
     assert kinds == ["pair", "pair", "single", "single", "single", "single", "zeta"]
-    exponents = {str(f): f.exponent for f in fact.factors}
-    assert exponents[f"L(sym^{m}(pi)*chi)^4"] == 4
+    exponents = {(f.kind, f.parts): f.exponent for f in fact.factors}
+    assert str(fact.target) == f"sym^{m}(pi)*chi"
+    assert exponents["single", (fact.target,)] == 4
 
 
 @pytest.mark.parametrize("m", [7, 9, 11])
@@ -354,7 +355,7 @@ def test_declared_non_self_dual_short_circuits():
 def test_m0_flags_only_declared_real_characters():
     assert siegel_report(0).verdict == "no-siegel-zero"
     ledger = FactLedger()
-    ledger.declare_word_kind(CHI, "quadratic")
+    ledger.declare_character("chi", kind="quadratic")
     rep = siegel_report(0, ledger=ledger)
     assert rep.verdict == "exceptional-case"
     assert rep.exceptional_character == "chi"

@@ -202,7 +202,8 @@ Q12 = CharWord.of({"chi": 1, "omega(pi)": 6})  # the character constituent at m 
     [
         (12, lambda ledger, p: ledger.declare_self_dual(Constituent(SymCusp(p, 12), CHI), False)),
         (12, lambda ledger, p: ledger.declare_word_kind(Q12, "cubic")),
-        (0, lambda ledger, p: ledger.declare_word_kind(CHI, "quadratic")),
+        # a generator's kind that fixes its order is declared with the generator
+        (0, lambda ledger, p: ledger.declare_character("chi", kind="quadratic")),
     ],
     ids=["self_dual", "word_kind", "word_kind_m0"],
 )
