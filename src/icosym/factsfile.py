@@ -34,9 +34,10 @@ factor, in any position, may be a declared base name, ``Ad(<base>)``, or
 optionally with an integer exponent (``chi^-1``).  A symbol with no cusp
 form part is a plain character.  Symbols are matched by structure, not by
 spelling: ``chi*sym^12(pi)`` and ``sym^12(pi) * chi`` are one symbol.
-Character generators not declared in the ``characters`` section are
-declared, of unknown order, where a fact, word kind or self-duality first
-mentions them.  The sections load as characters, bases, base changes, word
+A property that fixes an order (trivial, quadratic, cubic) is that order:
+``"order": 2`` and ``"properties": ["quadratic"]`` agree.  Character
+generators not declared in the ``characters`` section are declared, of
+unknown order, where a fact, word kind or self-duality first mentions them.  The sections load as characters, bases, base changes, word
 kinds, facts, cuspidal, automorphic, self-dual, in any document order, and
 a chain of base changes in any order too.
 

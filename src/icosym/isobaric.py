@@ -385,29 +385,24 @@ def _expand_pair(c1: Constituent, c2: Constituent) -> list[Constituent]:
 # the fact ledger
 
 
-# the kinds of character, each with the order it forces (non-real forces none)
+# the kinds of character, each with the order it fixes: non-real fixes none
 _KIND_ORDERS = {"trivial": 1, "quadratic": 2, "cubic": 3, "non-real": None}
 
 
-class CharInfo(Record):
-    __slots__ = ("order", "kind")
-    _defaults = dict.fromkeys(__slots__)
-    order: int | None
-    kind: str | None  # a key of _KIND_ORDERS, or None
+def _kind(order: int) -> str:
+    """The kind of a character of this exact order."""
+    return ("trivial", "quadratic", "cubic", "non-real")[min(order, 4) - 1]
 
 
-#: a character declared with neither order nor kind
-NO_INFO = CharInfo()
+def _implied(kind: str, known: str | None) -> bool:
+    """Whether a character of kind *known* is of kind *kind*: the same one, or
+    non-real for cubic, as non-real fits every order above 2."""
+    return kind == known or (kind, known) == ("non-real", "cubic")
 
 
-def _order_fits_kind(info: CharInfo) -> bool:
-    """Trivial goes with order 1, quadratic with 2, cubic with 3 and
-    non-real with an order that is neither 1 nor 2; an open side fits."""
-    if info.order is None or info.kind is None:
-        return True
-    if info.kind == "non-real":
-        return info.order > 2
-    return info.order == _KIND_ORDERS[info.kind]
+def _said(declared: int | str | None) -> str:
+    """A character's declaration, its exact order or non-real, in words."""
+    return f"with order {declared}" if type(declared) is int else declared or "with no order"
 
 
 def _declare(table: dict, key: Symbol, value: object, what: str) -> None:
@@ -431,6 +426,10 @@ class FactLedger:
     a fact, is refused.  The resolver's other answers are generic defaults,
     and a fact overturns them.
 
+    :attr:`characters` maps each character generator to its exact order, or
+    None.  :meth:`word_kind` alone reads kinds: off the orders where they
+    state one, else as declared for a word where none does.
+
     Identity is structural: facts, cuspidality, automorphy and self-duality
     are keyed by the immutable symbol records (constituents with twists
     reduced modulo the known orders, or bare cores), never by their printed
@@ -453,7 +452,7 @@ class FactLedger:
     """
 
     def __init__(self) -> None:
-        self.characters: dict[str, CharInfo] = {}
+        self.characters: dict[str, int | None] = {}
         self.bases: dict[str, BaseCusp] = {}
         self.base_changes: dict[tuple[str, str], BaseCusp] = {}
         self._facts: dict[frozenset[Constituent], bool] = {}
@@ -461,7 +460,6 @@ class FactLedger:
         self._automorphic: dict[Core, bool] = {}
         self._word_kinds: dict[CharWord, str] = {}
         self._self_dual: dict[Constituent, bool] = {}
-        self._orders: dict[str, int] = {}  # kept in step with declare_character
         # per queried core: the multiplicities of its restriction
         self._decompositions: dict[Core, dict[str, int] | None] = {}
 
@@ -470,34 +468,40 @@ class FactLedger:
     def declare_character(
         self, name: str, order: int | None = None, kind: str | None = None
     ) -> None:
-        self._declare_characters([(name, CharInfo(order, kind))])
+        """Declare a character generator of an exact order, or of none.  A kind
+        that fixes an order (trivial, quadratic, cubic) is that order; non-real
+        is kept as the generator's word kind only where no order states it.
+        Refused: an order below 1, an unknown kind or one the order does not
+        fit, and a name declared otherwise once normalised so."""
+        if order is not None and order < 1:
+            raise LedgerError(f"character {name} declared with order {order}")
+        if kind is not None and kind not in _KIND_ORDERS:
+            raise LedgerError(f"character {name}: unknown kind {kind!r}")
+        if kind and order and not _implied(kind, _kind(order)):
+            raise LedgerError(f"character {name} of order {order} cannot be {kind}")
+        self._declare_characters([(name, order or _KIND_ORDERS.get(kind) or kind)])
 
-    def _declare_characters(self, items: Iterable[tuple[str, CharInfo]]) -> None:
-        """Check every declaration first, then make them all: a refused one
-        leaves the ledger unchanged.  A declaration with neither order nor
-        kind leaves a character already declared as it is; names within one
-        batch must still agree."""
-        pending: dict[str, CharInfo] = {}
-        for name, info in items:
-            if info == NO_INFO and name in self.characters:
+    def _declare_characters(self, items: Iterable[tuple[str, int | str | None]]) -> None:
+        """Declare each name with its exact order, as non-real, or bare; all or,
+        when one is refused, none.  A bare one leaves a declared character as
+        it is; names within one batch must still agree."""
+        pending: dict[str, int | str | None] = {}
+        for name, declared in items:
+            if declared is None and name in self.characters:
                 continue
-            known = pending.get(name, self.characters.get(name))
-            if known is not None and known != info:
-                raise LedgerError(f"character {name} redeclared as {info}, was {known}")
-            if info.order is not None and info.order < 1:
-                raise LedgerError(f"character {name} declared with order {info.order}")
-            if info.kind is not None and info.kind not in _KIND_ORDERS:
-                raise LedgerError(f"character {name}: unknown kind {info.kind!r}")
-            if not _order_fits_kind(info):
-                raise LedgerError(f"character {name} of order {info.order} cannot be {info.kind}")
+            known = pending.get(name, declared)
+            if name in self.characters:
+                known = self.characters[name] or self.word_kind(CharWord.gen(name))
+            if known != declared:
+                raise LedgerError(f"character {name} redeclared {_said(declared)}, "
+                                  f"first declared {_said(known)}")
             if name in self.bases:
                 raise LedgerError(f"{name} is declared as a base, not a character")
-            pending[name] = info
-        for name, info in pending.items():
-            self.characters[name] = info
-            order = info.order or _KIND_ORDERS.get(info.kind)
-            if order:
-                self._orders[name] = order
+            pending[name] = declared
+        for name, declared in pending.items():
+            self.characters[name] = None if declared == "non-real" else declared
+            if declared == "non-real":
+                self._word_kinds[CharWord.gen(name)] = declared
 
     def declare_base(self, name: str, typ: str, **tags) -> BaseCusp:
         if typ not in BASE_TYPES:
@@ -518,20 +522,20 @@ class FactLedger:
         # tag left over is not a field, and the binding refuses it
         fields = [tags.pop(key, BaseCusp._defaults[key]) for key in BaseCusp.__slots__[2:]]
         base = BaseCusp(name, typ, *fields, **tags)
-        companions: list[tuple[str, CharInfo]] = []
+        companions: list[tuple[str, int | None]] = []
         if typ == "dihedral":
             if not (base.dihedral_field and base.dihedral_char):
                 raise LedgerError(
                     f"dihedral base {name} needs dihedral_field and dihedral_char"
                 )
             # chi and chi o theta, the Galois conjugate the dihedral route twists by
-            companions.append((base.dihedral_char, NO_INFO))
-            companions.append((f"{base.dihedral_char}@theta", NO_INFO))
+            companions.append((base.dihedral_char, None))
+            companions.append((f"{base.dihedral_char}@theta", None))
         if typ == "tetrahedral":
-            companions.append((base.cubic_char, CharInfo(3, "cubic")))
+            companions.append((base.cubic_char, 3))
         if typ == "octahedral":
-            companions.append((base.quadratic_char, CharInfo(2, "quadratic")))
-        companions.append((base.omega, NO_INFO))
+            companions.append((base.quadratic_char, 2))
+        companions.append((base.omega, None))
         if name in self.bases and self.bases[name] != base:
             raise LedgerError(f"base {name} redeclared differently")
         if name in self.characters or any(char == name for char, _ in companions):
@@ -606,30 +610,30 @@ class FactLedger:
 
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
         """Record what kind of character a word denotes (trivial, quadratic,
-        cubic, non-real) beyond what its generators' orders force.  Refused: a
-        kind other than the one declared or forced for the word or its inverse,
-        which share one; trivial where :meth:`_not_one` names a reason; a kind
-        the order of a power of one generator does not fit, or one fixing the
-        order of a generator of none (that goes to :meth:`declare_character`);
-        and one under which :meth:`_forced` contradicts a fact, or a word w
-        declared trivial, read as the fact ``1 ~ w``."""
+        cubic, non-real) where no order states it.  A kind is refused only
+        where no order fits both it and what is known: the word's
+        :meth:`word_kind`; no order, for a power of a generator of none (one
+        goes to :meth:`declare_character`); and the facts, and the words
+        declared trivial read as facts ``1 ~ w``, that :meth:`_forced` would
+        then contradict.  Non-real fits cubic, and cubic refines it."""
         if kind not in _KIND_ORDERS:
             raise LedgerError(f"word {word}: unknown kind {kind!r}")
-        key = word.reduce(self._orders)
-        if (known := self.word_kind(key)) not in (None, kind):
+        key = word.reduce(self.characters)
+        known = self.word_kind(key)
+        if _implied(kind, known):
+            return  # nothing new
+        if len(key.word) == 1 and _KIND_ORDERS[kind] and not self.characters.get(
+                name := key.word[0][0]):
+            raise LedgerError(f"{word} cannot be declared {kind}: {name} has no declared order, "
+                              f"which goes in the characters entry of {name}")
+        if known is not None and (len(key.word) < 2 or not _implied(known, kind)):
             raise LedgerError(f"{word} cannot be declared {kind}: it is {known}")
-        if kind == "trivial" and (reason := self._not_one(key)):
-            raise LedgerError(f"{word} cannot be declared trivial: {_text(reason)}")
-        if len(key.word) == 1:  # g^e, of g's order over gcd(order, e)
-            name, exp = key.word[0]
-            order = (full := self._orders.get(name)) and full // gcd(full, exp)
-            if not _order_fits_kind(CharInfo(order, kind)):
-                raise LedgerError(f"{word} cannot be declared {kind}: {key} has order {order}")
-            if order is None and abs(exp) == 1 and _KIND_ORDERS[kind]:
-                raise LedgerError(f"{word} cannot be declared {kind}: {kind} fixes the order "
-                                  f"of {name}, so it goes in the characters entry of {name}")
+        if known:  # cubic for a word declared non-real: no answer tells them apart
+            inverse = key.inv().reduce(self.characters)
+            self._word_kinds[key if key in self._word_kinds else inverse] = kind
+            return
         # a refusal below is against a fact, which declared these generators already
-        self._declare_characters((n, NO_INFO) for n, _ in key.word if n not in self.characters)
+        self._declare_characters((n, None) for n, _ in key.word if n not in self.characters)
         self._word_kinds[key] = kind
         trivial = {frozenset((TRIVIAL, character(w))): True
                    for w, k in self._word_kinds.items() if k == "trivial"}
@@ -643,18 +647,16 @@ class FactLedger:
                                   f"{truth}, would be {forced[0]} ({_text(forced[1])})")
 
     def word_kind(self, word: CharWord) -> str | None:
-        """A word's kind, declared or forced, else its inverse's: the two share
-        one.  Forced are trivial for 1 and a declared generator's own kind."""
-        reduced = word.reduce(self._orders)
-        for w in (reduced, reduced.inv().reduce(self._orders)):
-            if w in self._word_kinds:
-                return self._word_kinds[w]
-            if not w.word:
-                return "trivial"
-            if len(w.word) == 1 and w.word[0][1] == 1 and (
-                    kind := self.characters.get(w.word[0][0], NO_INFO).kind):
-                return kind
-        return None
+        """A word's kind: trivial for 1; for g^e, with g of order N, the kind
+        of order N/gcd(N, e); else the kind declared for the word or for its
+        inverse, which share one, or None."""
+        reduced = word.reduce(self.characters)
+        if not reduced.word:
+            return "trivial"
+        if len(reduced.word) == 1 and (full := self.characters.get(reduced.word[0][0])):
+            return _kind(full // gcd(full, reduced.word[0][1]))
+        return self._word_kinds.get(reduced) or self._word_kinds.get(
+            reduced.inv().reduce(self.characters))
 
     def declare_self_dual(self, c: Constituent, truth: bool) -> None:
         """A character is self-dual when it is its inverse, so its self-duality
@@ -663,7 +665,7 @@ class FactLedger:
         if c.core is None:
             self.assert_equiv(c, character(c.twist.inv()), truth)
             return
-        self._declare_characters((n, NO_INFO) for n, _ in c.twist.word if n not in self.characters)
+        self._declare_characters((n, None) for n, _ in c.twist.word if n not in self.characters)
         _declare(self._self_dual, self._canon(c), truth, "self-duality")
 
     def self_dual_declared(self, c: Constituent) -> bool | None:
@@ -675,7 +677,7 @@ class FactLedger:
     # -- facts ------------------------------------------------------------
 
     def _canon(self, c: Constituent) -> Constituent:
-        twist = c.twist.reduce(self._orders)
+        twist = c.twist.reduce(self.characters)
         return c if twist is c.twist else Constituent(c.core, twist)
 
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
@@ -692,7 +694,7 @@ class FactLedger:
             raise LedgerError(
                 f"contradictory assertions for {first} ~ {second}: {self._facts[key]} vs {truth}"
             )
-        new = [(n, NO_INFO) for n, _ in k1.twist.word + k2.twist.word if n not in self.characters]
+        new = [(n, None) for n, _ in k1.twist.word + k2.twist.word if n not in self.characters]
         if new:  # most facts name no new generator, and skip the call
             self._declare_characters(new)
         self._facts[key] = truth
@@ -749,26 +751,20 @@ class FactLedger:
                 return False, ("{} admits no self-twist for its declared type, and " + reason[0],
                                k1.core, *reason[1:])
         if against is not True and "trivial" in self._word_kinds.values() and k1.core == k2.core:
-            quotient = (k1.twist * k2.twist.inv()).reduce(self._orders)
+            quotient = (k1.twist * k2.twist.inv()).reduce(self.characters)
             if self.word_kind(quotient) == "trivial":
                 return True, ("declared: their quotient {} is trivial", quotient)
         return None
 
     def _not_one(self, word: CharWord) -> tuple | None:
         """Why a quotient of twists is not 1, as a reason tuple, or None: its
-        :meth:`word_kind` is not trivial; or it is g^e, e != 0, for g of declared
-        order, or g^2 or g^-2 for g declared non-real (as a character, g or g^-1)."""
-        quotient = word.reduce(self._orders)
+        :meth:`word_kind` is not trivial, or it is g^2 or g^-2 for g non-real."""
+        quotient = word.reduce(self.characters)
         if (kind := self.word_kind(quotient)) not in (None, "trivial"):
             return "their quotient {} is {}", quotient, kind
-        if len(quotient.word) == 1:
-            name, exp = quotient.word[0]
-            if name in self._orders:
-                return ("their quotient {} is not 1: {} has order {}",
-                        quotient, name, self._orders[name])
-            if abs(exp) == 2 and "non-real" in (self.characters.get(name, NO_INFO).kind, *(
-                    self._word_kinds.get(CharWord.gen(name, e)) for e in (1, -1))):
-                return "their quotient {} is not 1: {} is non-real", quotient, name
+        if len(quotient.word) == 1 and abs(quotient.word[0][1]) == 2 and self.word_kind(
+                CharWord.gen(name := quotient.word[0][0])) == "non-real":
+            return "their quotient {} is not 1: {} is non-real", quotient, name
         return None
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:

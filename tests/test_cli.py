@@ -392,8 +392,7 @@ class TestCuspidality:
                     "facts": [{"lhs": "c", "rhs": "c^-1", "relation": "equiv", "truth": True}],
                 },
                 "p",
-                "facts[0]: c ~ c^4 cannot be declared true: their quotient c^2 is not 1: "
-                "c has order 5",
+                "facts[0]: c ~ c^4 cannot be declared true: their quotient c^2 is non-real",
             ),
             (
                 {
@@ -422,7 +421,7 @@ class TestCuspidality:
                 "p",
                 "facts[0]: sym^2(p)*omega(p)^-1 ~ sym^2(p)*c*omega(p)^-1 cannot be declared "
                 "true: sym^2(p) admits no self-twist for its declared type, and their "
-                "quotient c is not 1: c has order 2",
+                "quotient c is quadratic",
             ),
             (
                 # this document used to load, and the query failed only in the
@@ -443,15 +442,24 @@ class TestCuspidality:
                     "word_kinds": [{"word": "c^2", "kind": "trivial"}],
                 },
                 "p",
-                "word_kinds[0]: c^2 cannot be declared trivial: their quotient c^2 is not 1: "
-                "c has order 5",
+                "word_kinds[0]: c^2 cannot be declared trivial: it is non-real",
+            ),
+            *(
+                (
+                    {"characters": [{"name": "c"}], "word_kinds": [{"word": "c^2", "kind": kind}]},
+                    "p",
+                    f"word_kinds[0]: c^2 cannot be declared {kind}: c has no declared order, "
+                    "which goes in the characters entry of c",
+                )
+                for kind in ("trivial", "quadratic")
             ),
         ],
         ids=[
             "tagged-tetrahedral", "cuspidal-both-ways", "false-reflexive", "false-reduced",
             "cubic-trivial", "order-against-kind", "two-kinds", "non-real-inverse",
             "order-5-inverse", "unknown-key", "twist-on-equiv", "icosahedral-self-twist",
-            "octahedral-self-twist", "order-5-word-trivial",
+            "octahedral-self-twist", "order-5-word-trivial", "bare-square-trivial",
+            "bare-square-quadratic",
         ],
     )
     def test_refused_declarations_exit_2(self, capsys, tmp_path, doc, base, message):

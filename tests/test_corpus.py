@@ -111,6 +111,8 @@ UNREACHED = {
                           "the CLI imports the submodules directly",
     "icosym.Record.__setattr__": "keeps records immutable: nothing sets a field",
     "icosym.Record.__reduce__": "keeps records picklable and copyable",
+    "icosym.Record.__repr__": "a record's repr, for the interpreter; no message prints a "
+                              "record with repr",
     "icosym.scalar.Qsqrt5.__setattr__": "keeps scalars immutable: nothing sets a field",
     "icosym.scalar.Qsqrt5.__reduce__": "keeps scalars picklable and copyable",
     "icosym.scalar.Qsqrt5.__repr__": "a scalar's repr, for the interpreter; output prints "

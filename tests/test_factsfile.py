@@ -48,17 +48,18 @@ class TestCharacters:
         ledger = load_facts(
             {"characters": [{"name": "chi", "order": 2, "properties": ["quadratic"]}]}
         )
-        info = ledger.characters["chi"]
-        assert info.order == 2
-        assert info.kind == "quadratic"
+        assert ledger.characters["chi"] == 2
+        assert ledger.word_kind(CharWord.gen("chi")) == "quadratic"
 
     def test_property_as_bare_string(self):
         ledger = load_facts({"characters": [{"name": "nu", "properties": "non-real"}]})
-        assert ledger.characters["nu"].kind == "non-real"
+        assert ledger.characters["nu"] is None
+        assert ledger.word_kind(CharWord.gen("nu")) == "non-real"
 
     def test_one_kind_named_twice_is_one_kind(self):
         ledger = load_facts({"characters": [{"name": "nu", "properties": ["cubic", "cubic"]}]})
-        assert ledger.characters["nu"].kind == "cubic"
+        assert ledger.characters["nu"] == 3
+        assert ledger.word_kind(CharWord.gen("nu")) == "cubic"
 
     def test_unknown_property_rejected(self):
         with pytest.raises(FactsError, match="unknown property"):
@@ -72,7 +73,37 @@ class TestCharacters:
     def test_a_bare_entry_adds_nothing_in_either_order(self, bare_first):
         entries = [{"name": "c"}, {"name": "c", "order": 2, "properties": ["quadratic"]}]
         ledger = load_facts({"characters": entries if bare_first else entries[::-1]})
-        assert (ledger.characters["c"].order, ledger.characters["c"].kind) == (2, "quadratic")
+        assert ledger.characters["c"] == 2
+        assert ledger.word_kind(CharWord.gen("c")) == "quadratic"
+
+    @pytest.mark.parametrize("order, kind", [(1, "trivial"), (2, "quadratic"), (3, "cubic")])
+    @pytest.mark.parametrize("order_first", [True, False])
+    def test_an_order_and_the_property_fixing_it_are_one_declaration(self, order, kind,
+                                                                     order_first):
+        entries = [{"name": "c", "order": order}, {"name": "c", "properties": [kind]}]
+        ledger = load_facts({"characters": entries if order_first else entries[::-1]})
+        assert ledger.characters == {"c": order} and ledger._word_kinds == {}
+        assert ledger.word_kind(CharWord.gen("c")) == kind
+
+    @pytest.mark.parametrize("order, kind", [(2, "cubic"), (5, "cubic"), (3, "quadratic")])
+    @pytest.mark.parametrize("order_first", [True, False])
+    def test_an_order_and_a_property_fixing_another_are_refused(self, order, kind, order_first):
+        entries = [{"name": "c", "order": order}, {"name": "c", "properties": [kind]}]
+        with pytest.raises(FactsError, match="character c redeclared"):
+            load_facts({"characters": entries if order_first else entries[::-1]})
+        with pytest.raises(FactsError, match=f"character c of order {order} cannot be {kind}"):
+            load_facts({"characters": [{"name": "c", "order": order, "properties": [kind]}]})
+        with pytest.raises(FactsError, match=f"c cannot be declared {kind}: it is "):
+            load_facts({"characters": [{"name": "c", "order": order}],
+                        "word_kinds": [{"word": "c", "kind": kind}]})
+
+    @pytest.mark.parametrize("spelling", [{"order": 3}, {"properties": ["cubic"]}])
+    def test_a_cubic_character_may_be_declared_non_real(self, spelling):
+        """Non-real fits every order above 2, so it fits cubic."""
+        ledger = load_facts({"characters": [{"name": "c", **spelling}],
+                             "word_kinds": [{"word": "c", "kind": "non-real"}]})
+        assert ledger.characters == {"c": 3} and ledger._word_kinds == {}
+        assert ledger.word_kind(CharWord.gen("c")) == "cubic"
 
 
 class TestBases:
@@ -87,7 +118,7 @@ class TestBases:
         )
         assert ledger.bases["pi"].cubic_char == "eta(pi)"
         assert ledger.bases["rho"].quadratic_char == "mu(rho)"
-        assert ledger.characters["mu(rho)"].order == 2
+        assert ledger.characters["mu(rho)"] == 2
 
     def test_dihedral_data_is_carried(self):
         ledger = load_facts(
@@ -112,7 +143,7 @@ class TestBases:
         ledger = load_facts(
             {"characters": [{"name": "xi@theta", "order": 2}], "bases": [self.DIHEDRAL]}
         )
-        assert ledger.characters["xi@theta"].order == 2
+        assert ledger.characters["xi@theta"] == 2
 
     @pytest.mark.parametrize(
         "base",
@@ -121,15 +152,26 @@ class TestBases:
     )
     def test_a_companion_declared_with_an_order_keeps_it(self, base):
         ledger = load_facts({"characters": [{"name": "xi", "order": 2}], "bases": [base]})
-        assert ledger.characters["xi"].order == 2
+        assert ledger.characters["xi"] == 2
         assert ledger.bases[base["name"]].typ == base["type"]
+
+    @pytest.mark.parametrize("spelling", [{"order": 3}, {"properties": ["cubic"]}])
+    def test_a_cubic_companion_declared_beforehand_agrees(self, spelling):
+        ledger = load_facts({"characters": [{"name": "eta(t)", **spelling}],
+                             "bases": [{"name": "t", "type": "tetrahedral"}]})
+        assert ledger.characters["eta(t)"] == 3
+        with pytest.raises(FactsError, match=r"character eta\(t\) redeclared with order 3, "
+                                              "first declared non-real"):
+            load_facts({"characters": [{"name": "eta(t)", "properties": ["non-real"]}],
+                        "bases": [{"name": "t", "type": "tetrahedral"}]})
 
     @pytest.mark.parametrize("tetrahedral_first", [True, False])
     def test_a_companion_with_a_kind_shared_by_another_base(self, tetrahedral_first):
         bases = [{"name": "t", "type": "tetrahedral"},
                  {"name": "g", "type": "general", "omega": "eta(t)"}]
         ledger = load_facts({"bases": bases if tetrahedral_first else bases[::-1]})
-        assert ledger.characters["eta(t)"].kind == "cubic"
+        assert ledger.characters["eta(t)"] == 3
+        assert ledger.word_kind(CharWord.gen("eta(t)")) == "cubic"
         assert ledger.bases["g"].omega == "eta(t)"
 
     @pytest.mark.parametrize("dihedral_first", [True, False])
@@ -973,7 +1015,6 @@ def _state(ledger):
     return (
         ledger.bases,
         ledger.characters,
-        ledger._orders,
         ledger._facts,
         ledger.base_changes,
         ledger._cuspidal,
@@ -1189,8 +1230,7 @@ LABELLED = [
     ),
     (
         {"characters": [{"name": "c"}, {"name": "c", "order": 3}, {"name": "c", "order": 2}]},
-        "characters[2]: character c redeclared as CharInfo(order=2, kind=None), "
-        "was CharInfo(order=3, kind=None)",
+        "characters[2]: character c redeclared with order 2, first declared with order 3",
     ),
 ]
 
@@ -1247,7 +1287,8 @@ def _text_of(word: dict) -> str:
 @st.composite
 def _set_documents(draw):
     """A small document of every section: characters with orders, kinds and
-    bare duplicates; bases of every type, two of them possibly sharing the
+    bare duplicates, and possibly one spelled once by its order and once by
+    the property fixing it; bases of every type, two of them possibly sharing the
     row X'' and a companion character; possibly a chain of two base changes;
     a word kind possibly with one for the inverse word and one for a
     generator of it or its inverse; true and false
@@ -1257,6 +1298,10 @@ def _set_documents(draw):
                              {"properties": ["non-real"]}, {"order": 1}])
     characters = draw(st.lists(st.tuples(st.sampled_from(["c", "d"]), infos).map(
         lambda entry: {"name": entry[0], **entry[1]}), max_size=4))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["c", "d"]))
+        order, kind = draw(st.sampled_from([(1, "trivial"), (2, "quadratic"), (3, "cubic")]))
+        characters += [{"name": name, "order": order}, {"name": name, "properties": [kind]}]
     bases = [
         {"name": "p", "type": "icosahedral", "galois_row": "X'"},
         {"name": "q", "type": "icosahedral", "galois_row": "X''"},

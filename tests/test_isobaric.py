@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import random
 import re
 
@@ -21,7 +22,6 @@ from icosym.isobaric import (
     InducedCusp,
     IsobaricExpr,
     LedgerError,
-    NO_INFO,
     PoleOrder,
     SymCusp,
     TRIVIAL,
@@ -85,7 +85,7 @@ def test_a_reduced_word_and_constituent_are_returned_as_they_are():
     ledger, p, _ = fresh()
     ledger.declare_character("eta", order=3)
     word = CharWord.of({"eta": 2, "chi": -5})
-    assert word.reduce(ledger._orders) is word
+    assert word.reduce(ledger.characters) is word
     c = Constituent(SymCusp(p, 3), word)
     assert ledger._canon(c) is c
     assert ledger._canon(TRIVIAL) is TRIVIAL
@@ -532,7 +532,7 @@ def test_both_routes_show_the_reasons_of_a_text_reference(case):
 
 _STATE = (
     "characters", "bases", "base_changes", "_facts", "_cuspidal",
-    "_automorphic", "_word_kinds", "_self_dual", "_orders",
+    "_automorphic", "_word_kinds", "_self_dual",
 )
 
 
@@ -650,7 +650,7 @@ def test_a_true_fact_between_different_degrees_is_refused():
         ),
         (
             {"name": "c", "order": 5}, CharWord.gen("c"), CharWord.gen("c", -1),
-            "c ~ c^4 cannot be declared true: their quotient c^2 is not 1: c has order 5",
+            "c ~ c^4 cannot be declared true: their quotient c^2 is non-real",
         ),
     ],
     ids=["non-real-inverse", "non-real-square", "order-5-inverse"],
@@ -785,7 +785,7 @@ def test_an_impossible_self_twist_is_refused_and_keeps_the_pole_order():
         ledger.assert_equiv(cubic, twisted, True)
     assert str(err.value) == (
         "sym^3(p) ~ sym^3(p)*chi cannot be declared true: sym^3(p) admits no self-twist "
-        "for its declared type, and their quotient chi^4 is not 1: chi has order 5"
+        "for its declared type, and their quotient chi^4 is non-real"
     )
     assert pole_order(IsobaricExpr.of([(cubic, 1), (twisted, 1)]), ledger) == PoleOrder(2, 2)
     # a twist not known to be 1 is accepted: the fact then says it is trivial
@@ -808,7 +808,7 @@ def test_an_impossible_self_twist_is_refused_and_keeps_the_pole_order():
         ({"kind": "non-real"}, CharWord.gen("c"), True,
          "c ~ c^-1 cannot be declared true: their quotient c^2 is not 1: c is non-real"),
         ({"order": 5}, CharWord.gen("c", 2), True,
-         "c^2 ~ c^3 cannot be declared true: their quotient c^4 is not 1: c has order 5"),
+         "c^2 ~ c^3 cannot be declared true: their quotient c^4 is non-real"),
     ],
     ids=["trivial", "order-2", "quadratic", "cubic", "non-real", "order-5"],
 )
@@ -885,12 +885,14 @@ def test_a_word_kind_and_a_fact_it_contradicts_are_refused_in_either_order(
 
 @pytest.mark.parametrize("generator", [CharWord.gen("c"), CharWord.gen("c", -1)])
 @pytest.mark.parametrize("square", [CharWord.gen("c", 2), CharWord.gen("c", -2)])
-def test_a_non_real_generator_and_its_square_declared_trivial_are_refused_in_either_order(
+def test_a_non_real_generator_and_its_square_equal_to_1_are_refused_in_either_order(
         generator, square):
-    """g^2 is not 1 for g non-real, so the two kinds are refused together,
-    whichever comes first, and the refused one is not kept."""
+    """g^2 is not 1 for g non-real, so the kind and the fact ``1 ~ g^2`` are
+    refused together, whichever comes first, and the refused one is not
+    kept.  The kind trivial for g^2 fixes an order of g, which has none, so
+    it is refused with or without the kind of g."""
     ledger = FactLedger()
-    ledger.declare_word_kind(square, "trivial")
+    ledger.assert_equiv(TRIVIAL, character(square), True)
     with pytest.raises(LedgerError) as err:
         ledger.declare_word_kind(generator, "non-real")
     assert str(err.value) == (f"{generator} cannot be declared non-real: then 1 ~ {square}, "
@@ -900,8 +902,13 @@ def test_a_non_real_generator_and_its_square_declared_trivial_are_refused_in_eit
     assert ledger.equivalent(character(square), TRIVIAL)[0] is True
     other = FactLedger()
     other.declare_word_kind(generator, "non-real")
-    with pytest.raises(LedgerError, match=re.escape(f"{square} cannot be declared trivial")):
-        other.declare_word_kind(square, "trivial")
+    with pytest.raises(LedgerError, match=re.escape(f"1 ~ {square} cannot be declared true")):
+        other.assert_equiv(TRIVIAL, character(square), True)
+    for either in (ledger, other):
+        with pytest.raises(LedgerError) as err:
+            either.declare_word_kind(square, "trivial")
+        assert str(err.value) == (f"{square} cannot be declared trivial: c has no declared "
+                                  "order, which goes in the characters entry of c")
 
 
 @pytest.mark.parametrize("info, exp", [({}, 1), ({"kind": "non-real"}, 2)])
@@ -1009,11 +1016,11 @@ def test_a_refused_base_declares_no_characters(taken, refused):
             ledger.declare_character(other)
         else:
             ledger.declare_base(other, "icosahedral")
-    before = (list(ledger.characters.items()), dict(ledger._orders), dict(ledger.bases))
+    before = (list(ledger.characters.items()), dict(ledger._word_kinds), dict(ledger.bases))
     name, typ, tags = refused
     with pytest.raises(LedgerError):
         ledger.declare_base(name, typ, **tags)
-    assert (list(ledger.characters.items()), ledger._orders, ledger.bases) == before
+    assert (list(ledger.characters.items()), ledger._word_kinds, ledger.bases) == before
 
 
 def test_a_base_whose_central_character_is_its_own_name_is_refused():
@@ -1311,18 +1318,23 @@ def test_a_kind_must_be_known_and_agree_with_the_order(info, message):
     with pytest.raises(LedgerError) as err:
         ledger.declare_character("c", **info)
     assert str(err.value) == message
-    assert ledger.characters == {} and ledger._orders == {}
+    assert ledger.characters == {} and ledger._word_kinds == {}
 
 
 @pytest.mark.parametrize(
-    "order, kind",
-    [(1, "trivial"), (2, "quadratic"), (3, "cubic"), (3, "non-real"), (5, "non-real"),
-     (None, "cubic"), (None, "non-real"), (4, None)],
+    "order, kind, declared, word_kind",
+    [(1, "trivial", 1, "trivial"), (2, "quadratic", 2, "quadratic"), (3, "cubic", 3, "cubic"),
+     (3, "non-real", 3, "cubic"), (5, "non-real", 5, "non-real"), (None, "cubic", 3, "cubic"),
+     (None, "non-real", None, "non-real"), (4, None, 4, "non-real")],
 )
-def test_an_order_that_fits_its_kind_is_accepted(order, kind):
+def test_an_order_that_fits_its_kind_is_accepted(order, kind, declared, word_kind):
+    """A kind that fixes an order is that order; non-real is kept as a word
+    kind only where no order states it."""
     ledger = FactLedger()
     ledger.declare_character("c", order=order, kind=kind)
-    assert ledger.characters["c"].kind == kind
+    assert ledger.characters["c"] == declared
+    assert ledger.word_kind(CharWord.gen("c")) == word_kind
+    assert ledger._word_kinds == ({} if declared else {CharWord.gen("c"): "non-real"})
 
 
 # -- words keyed before their generators' orders -------------------------------
@@ -1339,27 +1351,79 @@ def test_a_word_kind_must_agree_with_its_generators():
     assert ledger._word_kinds == {}
     ledger.declare_word_kind(CharWord.gen("c", 5), "trivial")
     ledger.declare_word_kind(CharWord.gen("eta"), "cubic")
-    ledger.declare_word_kind(CharWord.gen("eta", 2), "cubic")  # eta^2 is not forced
+    ledger.declare_word_kind(CharWord.gen("eta", 2), "cubic")  # eta^2 has order 3 too
+    ledger.declare_word_kind(CharWord.gen("eta", 2), "non-real")  # which non-real fits
     assert ledger.word_kind(CharWord.gen("eta", 2)) == "cubic"
+    assert ledger._word_kinds == {}  # the orders state every one of these kinds
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["word", "inverse"])
+@pytest.mark.parametrize("cubic_first", [True, False])
+def test_a_word_declared_non_real_and_cubic_is_cubic_in_either_order(inverse, cubic_first):
+    """Some order, 3, fits both kinds, so neither refuses the other, and the
+    word is cubic whichever came first, and whether the second entry names
+    the word or its inverse."""
+    ledger = FactLedger()
+    words = [CharWord.of({"c": 1, "d": 1}), CharWord.of({"c": -1, "d": -1})]
+    kinds = ["cubic", "non-real"] if cubic_first else ["non-real", "cubic"]
+    ledger.declare_word_kind(words[0], kinds[0])
+    ledger.declare_word_kind(words[inverse], kinds[1])
+    assert [ledger.word_kind(w) for w in words] == ["cubic", "cubic"]
+    assert list(ledger._word_kinds.values()) == ["cubic"]
+    for other in ("trivial", "quadratic"):
+        with pytest.raises(LedgerError, match=f"cannot be declared {other}: it is cubic"):
+            ledger.declare_word_kind(words[1], other)
+
+
+# the exact orders each kind allows, up to 12: non-real allows every one above 2
+_KIND_ALLOWS = {"trivial": {1}, "quadratic": {2}, "cubic": {3}, "non-real": set(range(3, 13))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=st.integers(1, 12), exp=st.integers(-24, 24), by_property=st.booleans(),
+       kind=st.sampled_from(sorted(_KIND_ALLOWS)))
+def test_a_power_of_a_generator_has_the_kind_of_its_exact_order(order, exp, by_property, kind):
+    """c^e, for c of order N, has order N/gcd(N, e), whose kind word_kind
+    reads whether c was declared by its order or by a property fixing it; a
+    kind declared for c^e is refused exactly when no such order fits it."""
+    exact = order // math.gcd(order, exp)
+    expected = next(k for k, allowed in _KIND_ALLOWS.items() if exact in allowed)
+    ledger = FactLedger()
+    if by_property and order <= 3:
+        ledger.declare_character("c", kind=next(k for k, a in _KIND_ALLOWS.items() if a == {order}))
+    else:
+        ledger.declare_character("c", order=order)
+    word = CharWord.gen("c", exp)
+    assert ledger.word_kind(word) == expected
+    before = (dict(ledger.characters), dict(ledger._word_kinds))
+    if exact in _KIND_ALLOWS[kind]:
+        ledger.declare_word_kind(word, kind)
+    else:
+        with pytest.raises(LedgerError, match=re.escape(f"{word} cannot be declared {kind}: ")):
+            ledger.declare_word_kind(word, kind)
+    assert (dict(ledger.characters), dict(ledger._word_kinds)) == before
+    assert ledger.word_kind(word) == expected
 
 
 @pytest.mark.parametrize(
-    "info, exp, reason",
+    "info, exp, refusal, kind, reason",
     [
-        ({"order": 5}, 2, "their quotient c^2 is not 1: c has order 5"),
-        ({"kind": "non-real"}, -2, "their quotient c^-2 is not 1: c is non-real"),
+        ({"order": 5}, 2, "it is non-real", "non-real", "their quotient c^2 is non-real"),
+        ({"kind": "non-real"}, -2, "c has no declared order, which goes in the characters "
+         "entry of c", None, "their quotient c^-2 is not 1: c is non-real"),
     ],
     ids=["order-5", "non-real"],
 )
-def test_a_word_declared_trivial_is_refused_where_not_one_names_a_reason(info, exp, reason):
+def test_a_word_declared_trivial_is_refused_where_not_one_names_a_reason(
+        info, exp, refusal, kind, reason):
     ledger = FactLedger()
     ledger.declare_character("c", **info)
     word = CharWord.gen("c", exp)
     with pytest.raises(LedgerError) as err:
         ledger.declare_word_kind(word, "trivial")
-    assert str(err.value) == f"{word} cannot be declared trivial: {reason}"
+    assert str(err.value) == f"{word} cannot be declared trivial: {refusal}"
     # nothing was recorded: the word's kind and its equivalence with 1 agree
-    assert ledger.word_kind(word) is None
+    assert ledger.word_kind(word) == kind
     assert ledger.equivalent(character(word), TRIVIAL) == (False, reason)
     # a word that may be 1 takes the kind
     open_word = word * CharWord.gen("d")
@@ -1400,7 +1464,7 @@ def _keyed_by_chi(ledger, p, q):
         "true fact": lambda: ledger.assert_equiv(Constituent(p, chi3), Constituent(q), True),
         "false fact": lambda: ledger.assert_equiv(Constituent(p, chi3), Constituent(p), False),
         "self-duality": lambda: ledger.declare_self_dual(Constituent(p, chi), True),
-        "word kind": lambda: ledger.declare_word_kind(chi3, "cubic"),
+        "word kind": lambda: ledger.declare_word_kind(chi3, "non-real"),
     }
 
 
@@ -1408,7 +1472,7 @@ def _keyed_by_chi(ledger, p, q):
 def test_an_order_after_an_entry_keyed_by_its_generator_is_refused(entry):
     ledger, p, q = fresh("general", "general")
     _keyed_by_chi(ledger, p, q)[entry]()
-    before = (dict(ledger.characters), dict(ledger._orders))
+    before = (dict(ledger.characters), dict(ledger._word_kinds))
     # an order 3 would leave p ~ q undetermined after the true fact, and
     # make p*chi^3 ~ p true against the false one
     queries = [
@@ -1417,9 +1481,9 @@ def test_an_order_after_an_entry_keyed_by_its_generator_is_refused(entry):
     ]
     verdicts = [ledger.equivalent(*pair) for pair in queries]
     for info in ({"order": 3}, {"kind": "cubic"}, {"kind": "non-real"}):
-        with pytest.raises(LedgerError, match="character chi redeclared as"):
+        with pytest.raises(LedgerError, match="character chi redeclared"):
             ledger.declare_character("chi", **info)
-    assert (dict(ledger.characters), dict(ledger._orders)) == before
+    assert (dict(ledger.characters), dict(ledger._word_kinds)) == before
     assert [ledger.equivalent(*pair) for pair in queries] == verdicts
     ledger.declare_character("chi")  # neither order nor kind: nothing was reduced without it
     ledger.declare_character("nu", order=3)  # a generator no entry mentions
@@ -1434,17 +1498,17 @@ def test_an_entry_declares_its_new_generators_only_when_accepted():
         ledger.declare_word_kind(nu, "real")
     assert "nu" not in ledger.characters
     ledger.declare_self_dual(Constituent(SymCusp(p, 12), nu), True)
-    assert ledger.characters["nu"] == NO_INFO
+    assert "nu" in ledger.characters and ledger.characters["nu"] is None
 
 
 def test_a_base_companion_after_an_entry_keyed_by_it_is_refused():
     ledger, p, _ = fresh("general", "general")
-    ledger.declare_word_kind(CharWord.gen("eta(t)", 3), "trivial")
-    before = (dict(ledger.characters), dict(ledger._orders))
-    with pytest.raises(LedgerError, match=r"character eta\(t\) redeclared as"):
+    ledger.declare_word_kind(CharWord.gen("eta(t)", 3), "non-real")
+    before = (dict(ledger.characters), dict(ledger._word_kinds))
+    with pytest.raises(LedgerError, match=r"character eta\(t\) redeclared"):
         ledger.declare_base("t", "tetrahedral")
     assert "t" not in ledger.bases
-    assert (dict(ledger.characters), dict(ledger._orders)) == before
+    assert (dict(ledger.characters), dict(ledger._word_kinds)) == before
 
 
 # -- the finite-model pole check ---------------------------------------------

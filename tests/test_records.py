@@ -54,7 +54,7 @@ def fields_of(cls: type) -> st.SearchStrategy:
 
 
 def test_every_value_type_is_a_record():
-    assert len(RECORDS) == 26
+    assert len(RECORDS) == 25
     assert all(cls.__module__.startswith("icosym.") for cls in RECORDS)
 
 

@@ -361,6 +361,20 @@ def test_m0_flags_only_declared_real_characters():
     assert rep.exceptional_character == "chi"
 
 
+@pytest.mark.parametrize(
+    "order, verdict, kind",
+    [(1, "exceptional-case", "trivial"), (2, "exceptional-case", "quadratic"),
+     (3, "no-siegel-zero", "cubic"), (4, "no-siegel-zero", "non-real")],
+)
+def test_m0_reads_the_kind_off_an_order_alone(order, verdict, kind):
+    """Landau's case: a character is exceptional exactly when it is real,
+    and an order says whether it is, with no kind declared beside it."""
+    ledger = load_facts({"characters": [{"name": "chi", "order": order}]})
+    rep = siegel_report(0, ledger=ledger)
+    assert rep.verdict == verdict
+    assert [c.detail for c in rep.constituents] == [f"character kind: {kind}"]
+
+
 def test_report_rejects_bad_inputs():
     with pytest.raises(ValueError):
         siegel_report(-1)
@@ -408,7 +422,7 @@ def test_report_checks_the_base_before_the_ledger():
 # a ledger's declarations: every table that a declare_* or assert_* call writes
 DECLARATION_TABLES = (
     "characters", "bases", "base_changes", "_facts", "_cuspidal", "_automorphic",
-    "_word_kinds", "_self_dual", "_orders",
+    "_word_kinds", "_self_dual",
 )
 
 
