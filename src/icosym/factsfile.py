@@ -268,7 +268,6 @@ def load_facts(doc: dict) -> FactLedger:
     # a refusal by the ledger names the entry it came from, as a FactsError does
     where: _Where = "document"
     try:
-        characters = []
         for where, entry in _entries(doc, "characters"):
             name = _name(entry, "name", where)
             order = entry.get("order")
@@ -277,26 +276,16 @@ def load_facts(doc: dict) -> FactLedger:
                 where,
                 "order must be a positive integer",
             )
-            kind = None
             properties = entry.get("properties", [])
             if isinstance(properties, str):
                 properties = [properties]
             _require(isinstance(properties, list), where, "properties must be a list")
             for prop in properties:
                 _require(prop in _KINDS, where, "unknown property {!r}", prop)
-                _require(
-                    kind in (None, prop), where, "properties name two kinds, {} and {}", kind, prop
-                )
-                kind = prop
-            characters.append((where, name, order, kind))
-        # an entry with an order or a kind first, so that a bare one adds nothing
-        for where, name, order, kind in sorted(characters, key=lambda c: c[2:] == (None, None)):
-            ledger.declare_character(name, order=order, kind=kind)
+            for kind in properties or [None]:  # each kind a declaration, which R and D check
+                ledger.declare_character(name, order=order, kind=kind)
 
-        # likewise a base whose companion has one, a cubic or quadratic character
-        bases = sorted(_entries(doc, "bases"),
-                       key=lambda e: e[1].get("type") not in ("tetrahedral", "octahedral"))
-        for where, entry in bases:
+        for where, entry in _entries(doc, "bases"):
             name = _name(entry, "name", where)
             typ = _str_field(entry, "type", where)
             tags = {key: entry[key] for key in BaseCusp.__slots__[2:] if key in entry}

@@ -33,12 +33,10 @@ to "no".  Where it admits none, "no" is forced when the quotient of the two
 twists is known not to be 1, as for two characters; otherwise it is a
 generic default.
 
-A generic answer is a default that a declared fact overturns (a fact
-twisting one core by a quotient not known to be 1 says that quotient is
-trivial), and so does a word kind declaring that quotient trivial.  A
-forced answer, one :meth:`FactLedger._forced` gives, is never overturned: a
-fact against it is refused, and so is a word kind under which it
-contradicts a fact.
+A generic answer is a default that a declared fact or word kind overturns
+(a fact twisting one core by a quotient not known to be 1 says that
+quotient is trivial).  A forced answer, one :meth:`FactLedger._forced`
+gives, is never overturned: a declaration against it is refused.
 
 Every reason, of an equivalence or of a cuspidality :class:`Verdict`, is kept
 as data until it is shown; :func:`_text` renders it.
@@ -46,8 +44,9 @@ as data until it is shown; :func:`_text` renders it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from math import gcd
+from collections.abc import Iterable
+from functools import reduce
+from math import isqrt
 from typing import TYPE_CHECKING, Union
 
 from . import Record, _set
@@ -127,16 +126,8 @@ class CharWord(Symbol):
     def inv(self) -> "CharWord":
         return CharWord(tuple((n, -e) for n, e in self.word))
 
-    def reduce(self, orders: Mapping[str, int]) -> "CharWord":
-        """Reduce exponents mod declared finite orders; ``self`` when every
-        exponent is already reduced."""
-        for n, e in self.word:
-            order = orders.get(n)
-            if order and e % order != e:
-                return CharWord.of(
-                    {n: e % orders[n] if orders.get(n) else e for n, e in self.word}
-                )
-        return self
+    def __pow__(self, k: int) -> "CharWord":
+        return CharWord(tuple((n, e * k) for n, e in self.word)) if k else CharWord()
 
     def is_empty(self) -> bool:
         return not self.word
@@ -389,22 +380,6 @@ def _expand_pair(c1: Constituent, c2: Constituent) -> list[Constituent]:
 _KIND_ORDERS = {"trivial": 1, "quadratic": 2, "cubic": 3, "non-real": None}
 
 
-def _kind(order: int) -> str:
-    """The kind of a character of this exact order."""
-    return ("trivial", "quadratic", "cubic", "non-real")[min(order, 4) - 1]
-
-
-def _implied(kind: str, known: str | None) -> bool:
-    """Whether a character of kind *known* is of kind *kind*: the same one, or
-    non-real for cubic, as non-real fits every order above 2."""
-    return kind == known or (kind, known) == ("non-real", "cubic")
-
-
-def _said(declared: int | str | None) -> str:
-    """A character's declaration, its exact order or non-real, in words."""
-    return f"with order {declared}" if type(declared) is int else declared or "with no order"
-
-
 def _declare(table: dict, key: Symbol, value: object, what: str) -> None:
     """Record *value* for *key* in a declaration table; the same value again
     is accepted, a different one contradicts the first."""
@@ -413,52 +388,83 @@ def _declare(table: dict, key: Symbol, value: object, what: str) -> None:
         raise LedgerError(f"contradictory declarations of {what} for {key}: {known} vs {value}")
 
 
+def _reduced(rows: dict[str, CharWord], word: CharWord) -> CharWord:
+    """*word* modulo the lattice of :func:`_with` *rows*: each pivot's
+    exponent in turn brought below its row's, at or above 0; ``word``
+    itself when every one is already."""
+    for name, exp in word.word:
+        row = rows.get(name)
+        if row is not None and not 0 <= exp < row.word[0][1]:
+            break
+    else:
+        return word
+    exps = dict(word.word)
+    for pivot, row in sorted(rows.items()):
+        k = exps.get(pivot, 0) // row.word[0][1]
+        for name, exp in row.word if k else ():
+            exps[name] = exps.get(name, 0) - k * exp
+    return CharWord.of(exps)
+
+
+def _with(rows: dict[str, CharWord], word: CharWord, hermite: bool = True) -> dict:
+    """The Hermite normal form (an echelon form only, when not *hermite*) of
+    the lattice *rows* and *word* span (H. Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, 2.4), generators in name order: a row per
+    pivot, its first generator, where it is positive."""
+    word = _reduced(rows, word)
+    rows = dict(rows)
+    while not word.is_empty():  # Euclid on the pivot exponents of the word and a row
+        pivot, a = word.word[0]
+        word, a = (word, a) if a > 0 else (word.inv(), -a)
+        row, rows[pivot] = rows.get(pivot), word  # a free pivot takes the word whole
+        word = CharWord() if row is None else row * word ** -(row.word[0][1] // a)
+    for pivot, row in sorted(rows.items(), reverse=True) if hermite else ():
+        rows[pivot] = CharWord(row.word[:1]) * _reduced(rows, CharWord(row.word[1:]))
+    return rows
+
+
 class FactLedger:
     """Declared structure (characters, bases) and asserted equivalences.
 
-    Facts are equivalences between constituents, asserted true or false.
-    A twist-equivalence "lhs = rhs (x) nu" is stored as the equivalence of
-    ``lhs`` with ``rhs`` twisted by ``nu``.  Asserting both truth values for
-    one fact, or declaring one symbol's cuspidality, automorphy,
-    self-duality or word kind two ways, raises :class:`LedgerError`.
-    :meth:`_forced` gives the answers no fact can change, and the resolver
-    reads it; a fact against one, or a word kind under which one contradicts
-    a fact, is refused.  The resolver's other answers are generic defaults,
-    and a fact overturns them.
+    What is known of character words is a lattice R of words known to be 1
+    and a list D of words known not to be 1.  R is spanned by g^N for each g
+    of declared order N, each word declared trivial, w^2 for a quadratic
+    word and w^3 for a cubic one, and the quotient of each true fact between
+    two characters, or between two twists of a core whose declared type
+    admits no self-twist.  D holds the quotient of each such false fact, w
+    for a quadratic or cubic word, w^2 for a non-real one, and g^d for each
+    proper divisor d of a declared order N.  A declaration is refused
+    exactly when it would put a member of D in R, and every answer about a
+    character is read off the two.  :attr:`characters` maps each generator
+    to its declared order, or None.
 
-    :attr:`characters` maps each character generator to its exact order, or
-    None.  :meth:`word_kind` alone reads kinds: off the orders where they
-    state one, else as declared for a word where none does.
-
-    Identity is structural: facts, cuspidality, automorphy and self-duality
-    are keyed by the immutable symbol records (constituents with twists
-    reduced modulo the known orders, or bare cores), never by their printed
-    text.  A name is either a base or a character, not both.
+    Other facts are equivalences between constituents, asserted true or
+    false; "lhs = rhs (x) nu" is the equivalence of ``lhs`` with ``rhs``
+    twisted by ``nu``.  Asserting both truths for one fact, or declaring one
+    symbol's cuspidality, automorphy or self-duality two ways, is refused.
+    :meth:`_forced` gives the answers no fact can change, and a fact against
+    one is refused; the resolver's other answers are generic defaults, which
+    a fact overturns.  Facts and self-dualities are keyed by symbol records,
+    twists reduced modulo R and keyed anew when R grows.  A name is either a
+    base or a character, not both.
 
     A ledger is written only while it is built (the ``declare_*`` and
-    ``assert_*`` methods); queries only read it.  The one thing a query
-    stores is the finite-image memo, a cache of what the tags determine.
-
-    A declaration is checked against what the ledger holds; facts, word kinds
-    and a character's self-duality (its fact with its inverse) in either
-    order, the rest in the order of :func:`icosym.factsfile.load_facts`.  A
-    fact, word kind or self-duality declares its new generators bare: an
-    order or kind for one later is refused as a redeclaration.
-
-    The resolver keeps each reason as data, a ``(template, *operands)``
-    tuple; it becomes text only where it is shown: in :meth:`equivalent`, in
-    the error of :meth:`assert_equiv`, in :attr:`PoleOrder.missing` and in
-    :meth:`Verdict.texts`.
+    ``assert_*`` methods); queries only read it, but for the memo of
+    :meth:`galois_decomposition`.  What concerns characters is checked in
+    any order, the rest in the order of :func:`icosym.factsfile.load_facts`.
+    Each reason stays data, a ``(template, *operands)`` tuple, until
+    :func:`_text` shows it.
     """
 
     def __init__(self) -> None:
         self.characters: dict[str, int | None] = {}
         self.bases: dict[str, BaseCusp] = {}
         self.base_changes: dict[tuple[str, str], BaseCusp] = {}
+        self._rows: dict[str, CharWord] = {}  # R
+        self._apart: dict[CharWord, tuple] = {}  # D, each word with its reason
         self._facts: dict[frozenset[Constituent], bool] = {}
         self._cuspidal: dict[Core, bool] = {}
         self._automorphic: dict[Core, bool] = {}
-        self._word_kinds: dict[CharWord, str] = {}
         self._self_dual: dict[Constituent, bool] = {}
         # per queried core: the multiplicities of its restriction
         self._decompositions: dict[Core, dict[str, int] | None] = {}
@@ -468,40 +474,40 @@ class FactLedger:
     def declare_character(
         self, name: str, order: int | None = None, kind: str | None = None
     ) -> None:
-        """Declare a character generator of an exact order, or of none.  A kind
-        that fixes an order (trivial, quadratic, cubic) is that order; non-real
-        is kept as the generator's word kind only where no order states it.
-        Refused: an order below 1, an unknown kind or one the order does not
-        fit, and a name declared otherwise once normalised so."""
+        """Declare a character generator, bare or of an exact order N, which
+        puts g^N in R and g^d in D for each proper divisor d of N.  A kind that
+        fixes an order (trivial, quadratic, cubic) is that order; non-real puts
+        g^2 in D.  Refused: an order below 1, an unknown kind or one the order
+        does not fit, and what :meth:`_relate` refuses."""
         if order is not None and order < 1:
             raise LedgerError(f"character {name} declared with order {order}")
         if kind is not None and kind not in _KIND_ORDERS:
             raise LedgerError(f"character {name}: unknown kind {kind!r}")
-        if kind and order and not _implied(kind, _kind(order)):
+        fixed = _KIND_ORDERS.get(kind)
+        if kind and order and order != fixed and (fixed or order < 3):  # non-real fits 3 and up
             raise LedgerError(f"character {name} of order {order} cannot be {kind}")
-        self._declare_characters([(name, order or _KIND_ORDERS.get(kind) or kind)])
+        self._declare_characters([(name, order or fixed)])
+        if kind == "non-real":  # after the order, which it fits
+            self.declare_word_kind(CharWord.gen(name), kind)
 
-    def _declare_characters(self, items: Iterable[tuple[str, int | str | None]]) -> None:
-        """Declare each name with its exact order, as non-real, or bare; all or,
-        when one is refused, none.  A bare one leaves a declared character as
-        it is; names within one batch must still agree."""
-        pending: dict[str, int | str | None] = {}
-        for name, declared in items:
-            if declared is None and name in self.characters:
-                continue
-            known = pending.get(name, declared)
-            if name in self.characters:
-                known = self.characters[name] or self.word_kind(CharWord.gen(name))
-            if known != declared:
-                raise LedgerError(f"character {name} redeclared {_said(declared)}, "
-                                  f"first declared {_said(known)}")
+    def _declare_characters(self, items: Iterable[tuple[str, int | None]]) -> None:
+        """Declare each name bare or of an exact order, as
+        :meth:`declare_character` says; all or, when one is refused, none."""
+        items, rows, apart = list(items), {}, {}
+        for name, order in items:
             if name in self.bases:
                 raise LedgerError(f"{name} is declared as a base, not a character")
-            pending[name] = declared
-        for name, declared in pending.items():
-            self.characters[name] = None if declared == "non-real" else declared
-            if declared == "non-real":
-                self._word_kinds[CharWord.gen(name)] = declared
+            if order:  # g^N in R, and g^d in D for each proper divisor d of N
+                rows[name], reason = CharWord.gen(name, order), ("{} has order {}", name, order)
+                apart |= {CharWord.gen(name, d): reason for k in range(1, isqrt(order) + 1)
+                          if order % k == 0 for d in (k, order // k) if d < order}
+        if rows.keys() & self.characters.keys():  # an order for a known generator
+            what = " and ".join(f"{n} cannot have order {d}" for n, d in items if d)
+            self._relate(f"character {what}", rows.values(), apart.items(), [])
+        elif rows:  # new pivots, which no key, row or member of D meets: nothing to check
+            self._rows.update(rows)
+            self._apart.update(apart)
+        self.characters.update((n, d) for n, d in items if d or n not in self.characters)
 
     def declare_base(self, name: str, typ: str, **tags) -> BaseCusp:
         if typ not in BASE_TYPES:
@@ -609,54 +615,24 @@ class FactLedger:
         return True if declared else None
 
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
-        """Record what kind of character a word denotes (trivial, quadratic,
-        cubic, non-real) where no order states it.  A kind is refused only
-        where no order fits both it and what is known: the word's
-        :meth:`word_kind`; no order, for a power of a generator of none (one
-        goes to :meth:`declare_character`); and the facts, and the words
-        declared trivial read as facts ``1 ~ w``, that :meth:`_forced` would
-        then contradict.  Non-real fits cubic, and cubic refines it."""
+        """Record a word's kind: trivial puts it in R, quadratic or cubic its
+        square or cube in R and it in D, non-real its square in D.  Refused
+        where then a member of D would be in R, naming the kind it has."""
         if kind not in _KIND_ORDERS:
             raise LedgerError(f"word {word}: unknown kind {kind!r}")
-        key = word.reduce(self.characters)
-        known = self.word_kind(key)
-        if _implied(kind, known):
-            return  # nothing new
-        if len(key.word) == 1 and _KIND_ORDERS[kind] and not self.characters.get(
-                name := key.word[0][0]):
-            raise LedgerError(f"{word} cannot be declared {kind}: {name} has no declared order, "
-                              f"which goes in the characters entry of {name}")
-        if known is not None and (len(key.word) < 2 or not _implied(known, kind)):
-            raise LedgerError(f"{word} cannot be declared {kind}: it is {known}")
-        if known:  # cubic for a word declared non-real: no answer tells them apart
-            inverse = key.inv().reduce(self.characters)
-            self._word_kinds[key if key in self._word_kinds else inverse] = kind
-            return
-        # a refusal below is against a fact, which declared these generators already
-        self._declare_characters((n, None) for n, _ in key.word if n not in self.characters)
-        self._word_kinds[key] = kind
-        trivial = {frozenset((TRIVIAL, character(w))): True
-                   for w, k in self._word_kinds.items() if k == "trivial"}
-        for pair, truth in (trivial | self._facts).items():
-            if len(pair) == 1:  # a fact c ~ c, which nothing contradicts
-                continue
-            k1, k2 = sorted(pair, key=str)
-            if forced := self._forced(k1, k2, against=truth):
-                del self._word_kinds[key]
-                raise LedgerError(f"{word} cannot be declared {kind}: then {k1} ~ {k2}, declared "
-                                  f"{truth}, would be {forced[0]} ({_text(forced[1])})")
+        power = _KIND_ORDERS[kind]
+        self._relate(f"{word} cannot be declared {kind}", (word ** power,) if power else (),
+                     ((word if power else word ** 2, ("{} is {}", word, kind)),) * (power != 1),
+                     [n for n, _ in word.word], named=word)
 
     def word_kind(self, word: CharWord) -> str | None:
-        """A word's kind: trivial for 1; for g^e, with g of order N, the kind
-        of order N/gcd(N, e); else the kind declared for the word or for its
-        inverse, which share one, or None."""
-        reduced = word.reduce(self.characters)
-        if not reduced.word:
-            return "trivial"
-        if len(reduced.word) == 1 and (full := self.characters.get(reduced.word[0][0])):
-            return _kind(full // gcd(full, reduced.word[0][1]))
-        return self._word_kinds.get(reduced) or self._word_kinds.get(
-            reduced.inv().reduce(self.characters))
+        """A word's kind, read off R and D: trivial in R; quadratic or cubic
+        where its square or cube is in R and it is known not to be 1;
+        non-real where its square is known not to be 1; else None."""
+        for kind, power in _KIND_ORDERS.items():  # the first power of it in R, if any
+            if power and _reduced(self._rows, word ** power).is_empty():
+                return kind if power == 1 or self._distinct(word) else None
+        return "non-real" if self._distinct(word ** 2) else None
 
     def declare_self_dual(self, c: Constituent, truth: bool) -> None:
         """A character is self-dual when it is its inverse, so its self-duality
@@ -669,26 +645,40 @@ class FactLedger:
         _declare(self._self_dual, self._canon(c), truth, "self-duality")
 
     def self_dual_declared(self, c: Constituent) -> bool | None:
+        """A character's self-duality as :meth:`_forced` gives it; a cusp form's as declared."""
         key = self._canon(c)
         if key.core is None:
-            return self._facts.get(frozenset((key, self._canon(character(key.twist.inv())))))
+            forced = self._forced(key, self._canon(character(key.twist.inv())))
+            return forced and forced[0]
         return self._self_dual.get(key)
 
     # -- facts ------------------------------------------------------------
 
-    def _canon(self, c: Constituent) -> Constituent:
-        twist = c.twist.reduce(self.characters)
+    def _canon(self, c: Constituent, rows: dict[str, CharWord] | None = None) -> Constituent:
+        """*c* with its twist reduced modulo R, or modulo *rows*; ``c`` when it is."""
+        twist = _reduced(self._rows if rows is None else rows, c.twist)
         return c if twist is c.twist else Constituent(c.core, twist)
 
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
-        """Refused where :meth:`_forced` gives the other answer."""
+        """Refused where :meth:`_forced` gives the other answer.  A fact
+        between two characters, or two twists of a core whose declared type
+        admits no self-twist, says whether their quotient is 1: a true one
+        puts it in R, a false one in D."""
         k1, k2 = self._canon(c1), self._canon(c2)
         key = frozenset((k1, k2))
         if not truth and len(key) == 1:
             raise LedgerError(f"{c1} ~ {c2} cannot be declared false: both sides reduce to {k1}")
-        if forced := self._forced(k1, k2, against=truth):
-            raise LedgerError(f"{k1} ~ {k2} cannot be declared {str(truth).lower()}: "
-                              f"{_text(forced[1])}")
+        if truth and (forced := self._forced(k1, k2)) and not forced[0]:
+            raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(forced[1])}")
+        # one core, compared by its cached hash first, as most facts have two
+        if hash(k1.core) == hash(k2.core) and k1.core == k2.core and (
+                k1.core is None or _no_self_twist(k1.core)):
+            quotient = k1.twist * k2.twist.inv()
+            self._relate(f"{k1} ~ {k2} cannot be declared {str(truth).lower()}",
+                         (quotient,) * truth,
+                         ((quotient, ("declared: {} ~ {} is {}", k1, k2, truth)),) * (not truth),
+                         [n for n, _ in k1.twist.word + k2.twist.word])
+            return
         if key in self._facts and self._facts[key] != truth:
             first, second = sorted(map(str, (k1, k2)))
             raise LedgerError(
@@ -698,6 +688,53 @@ class FactLedger:
         if new:  # most facts name no new generator, and skip the call
             self._declare_characters(new)
         self._facts[key] = truth
+
+    def _relate(self, refusal: str, ones: Iterable[CharWord],
+                apart: Iterable[tuple[CharWord, tuple]], names: list[str],
+                named: CharWord | None = None) -> None:
+        """Put the words *ones* in R and the (word, reason) pairs *apart* in D,
+        and declare the generators *names*, bare where they are new; all or
+        none.  Refused where a name is a base's, where :meth:`_rekeyed`
+        refuses, and where then a member of D would be in R: as *refusal*
+        then the kind of *named* where the ledger reads one, else the member."""
+        if taken := [n for n in names if n in self.bases]:
+            raise LedgerError(f"{taken[0]} is declared as a base, not a character")
+        rows = reduce(_with, ones, self._rows)
+        new = {word: reason for word, reason in apart if word not in self._apart}
+        old = self._apart if rows != self._rows else {}  # R holds no old member of D
+        for word, reason in [*old.items(), *new.items()]:
+            if _reduced(rows, word).is_empty():
+                if named is not None and (known := self.word_kind(named)):
+                    raise LedgerError(f"{refusal}: it is {known}")
+                raise LedgerError(f"{refusal}: " + (
+                    f"{word} is 1" if _reduced(self._rows, word).is_empty() else
+                    f"then {word} would be 1, but {_text(reason)}"))
+        if rows != self._rows:  # both keyed anew before either is kept
+            self._facts, self._self_dual = (self._rekeyed(rows, table, refusal)
+                                            for table in (self._facts, self._self_dual))
+        self.characters.update((n, None) for n in names if n not in self.characters)
+        self._rows, self._apart = rows, self._apart | new if new else self._apart
+
+    def _rekeyed(self, rows: dict[str, CharWord], table: dict, refusal: str) -> dict:
+        """Facts, keyed by pairs, or self-dualities keyed anew modulo *rows*;
+        refused, naming both entries, where two then coincide with opposite
+        truths, and where a false fact's two sides do."""
+        def shown(key: frozenset | Constituent) -> str:  # a fact c ~ c is a pair of one
+            if isinstance(key, frozenset):
+                return " ~ ".join(sorted(map(str, key)) * (3 - len(key)))
+            return f"the self-duality of {key}"
+
+        out: dict = {}
+        for key, truth in table.items():
+            pair = isinstance(key, frozenset)
+            new = frozenset(self._canon(c, rows) for c in key) if pair else self._canon(key, rows)
+            if pair and not truth and len(new) < len(key):
+                raise LedgerError(f"{refusal}: then {shown(key)}, declared False, would have "
+                                  f"both sides {next(iter(new))}")
+            if (first := out.setdefault(new, (truth, key)))[0] != truth:
+                raise LedgerError(f"{refusal}: then {shown(first[1])}, declared {first[0]}, "
+                                  f"and {shown(key)}, declared {truth}, would be one")
+        return {new: truth for new, (truth, _) in out.items()}
 
     # -- equivalence resolution --------------------------------------------
 
@@ -722,49 +759,38 @@ class FactLedger:
             return False, ("{} admits no self-twist for its declared type", k1.core)
         return None, ("equiv({}, {}) (potential self-twist)", k1, k2)
 
-    def _forced(self, k1: Constituent, k2: Constituent,
-                against: bool | None = None) -> tuple[bool, tuple] | None:
+    def _forced(self, k1: Constituent, k2: Constituent) -> tuple[bool, tuple] | None:
         """The answer no fact can change for two reduced constituents, with its
-        reason tuple, or None.  True when they are equal or twist one core by a
-        quotient declared trivial; False when their degrees or the finite-image
-        rows of two distinct cores differ, or :meth:`_not_one` shows that two
-        characters, or two twists of a core whose declared type admits no
-        self-twist, differ by a quotient that is not 1.  Given *against*, a
-        fact's truth, only the other answer is looked for, and equal sides,
-        which no false fact has, are not compared: no pair of a consistent
-        ledger gets both, and a false fact skips the finite-image rule (without
-        *against*, ledger ``op_p90_ms``: 2.78-2.81 ms, with it 2.26-2.29, 2-vCPU VM)."""
-        if against is None and k1 == k2:
+        reason tuple, or None.  True when they are equal (for twists, when
+        their quotient is in R); False when their degrees or the finite-image
+        rows of two distinct cores differ, or when :meth:`_distinct` shows
+        the quotient of two characters, or of two twists of a core whose
+        type admits no self-twist, is not 1."""
+        if k1 == k2:
             return True, ("structural equality",)
-        if against is not False:
-            if k1.degree != k2.degree:
-                return False, ("degrees differ ({} vs {})", k1.degree, k2.degree)
-            if k1.core != k2.core:  # two cores, as every core has degree at least 2
-                r1, r2 = self.galois_decomposition(k1.core), self.galois_decomposition(k2.core)
-                if r1 is not None and r2 is not None and r1.keys() != r2.keys():
-                    return False, ("finite-image restrictions differ: {} vs {}",
-                                   sorted(r1), sorted(r2))
-            elif k1.core is None:
-                if reason := self._not_one(k1.twist * k2.twist.inv()):
-                    return False, reason
-            elif _no_self_twist(k1.core) and (reason := self._not_one(k1.twist * k2.twist.inv())):
-                return False, ("{} admits no self-twist for its declared type, and " + reason[0],
-                               k1.core, *reason[1:])
-        if against is not True and "trivial" in self._word_kinds.values() and k1.core == k2.core:
-            quotient = (k1.twist * k2.twist.inv()).reduce(self.characters)
-            if self.word_kind(quotient) == "trivial":
-                return True, ("declared: their quotient {} is trivial", quotient)
+        if k1.degree != k2.degree:
+            return False, ("degrees differ ({} vs {})", k1.degree, k2.degree)
+        if k1.core != k2.core:  # two cores, as every core has degree at least 2
+            r1, r2 = self.galois_decomposition(k1.core), self.galois_decomposition(k2.core)
+            if r1 is not None and r2 is not None and r1.keys() != r2.keys():
+                return False, ("finite-image restrictions differ: {} vs {}",
+                               sorted(r1), sorted(r2))
+        elif k1.core is None:
+            if reason := self._distinct(k1.twist * k2.twist.inv()):
+                return False, reason
+        elif _no_self_twist(k1.core) and (reason := self._distinct(k1.twist * k2.twist.inv())):
+            return False, ("{} admits no self-twist for its declared type, and " + reason[0],
+                           k1.core, *reason[1:])
         return None
 
-    def _not_one(self, word: CharWord) -> tuple | None:
-        """Why a quotient of twists is not 1, as a reason tuple, or None: its
-        :meth:`word_kind` is not trivial, or it is g^2 or g^-2 for g non-real."""
-        quotient = word.reduce(self.characters)
-        if (kind := self.word_kind(quotient)) not in (None, "trivial"):
-            return "their quotient {} is {}", quotient, kind
-        if len(quotient.word) == 1 and abs(quotient.word[0][1]) == 2 and self.word_kind(
-                CharWord.gen(name := quotient.word[0][0])) == "non-real":
-            return "their quotient {} is not 1: {} is non-real", quotient, name
+    def _distinct(self, word: CharWord) -> tuple | None:
+        """Why a quotient of twists is not 1, as a reason tuple, or None: R
+        with it holds a member of D, whose reason it gives."""
+        quotient = _reduced(self._rows, word)
+        rows = _with(self._rows, quotient, hermite=False)
+        for member, reason in self._apart.items():
+            if _reduced(rows, member).is_empty():
+                return ("their quotient {} is not 1: " + reason[0], quotient, *reason[1:])
         return None
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:
@@ -901,7 +927,7 @@ def pole_order(e: IsobaricExpr, ledger: FactLedger) -> PoleOrder:
     """Order of the edge pole of L(s, e x dual(e)): sum of squared
     multiplicities after merging equivalent constituents.
 
-    Each term is reduced modulo the ledger's character orders once; the
+    Each term is reduced modulo the ledger's relation lattice once; the
     comparisons on those keys give the verdicts and reasons of
     :meth:`FactLedger.equivalent`.  Pairs the ledger cannot settle widen the
     result to an interval: the lower end keeps them distinct, the upper end

@@ -332,38 +332,23 @@ def _certificate(
     return "", None, None, True
 
 
-def _character_report(target: str, chi: CharWord, ledger: FactLedger) -> SiegelReport:
-    """m = 0: the object is the twisting character itself."""
-    kind = ledger.word_kind(chi)
-    exceptional = kind in ("trivial", "quadratic")
+def _character_report(chi: CharWord, ledger: FactLedger) -> SiegelReport:
+    """m = 0: the object is the twisting character itself, exceptional
+    where it is real, its square 1: trivial or quadratic."""
+    real = ledger.word_kind(chi ** 2) == "trivial"
+    kind = ledger.word_kind(chi) or ("real" if real else "undeclared")
     rule = RULES["character"]
-    constituent = ConstituentReport(
-        "U",
-        str(chi),
-        1,
-        rule.name,
-        rule.citations,
-        detail=f"character kind: {kind or 'undeclared'}",
-        exceptional=exceptional,
-    )
-    if exceptional:
-        return SiegelReport(
-            0,
-            target,
-            "exceptional-case",
-            (constituent,),
-            (rule.name,),
-            exceptional_character=str(chi),
-            exceptional_character_alt=str(chi),
-            notes=("at most one exceptional zero",),
-        )
+    constituent = ConstituentReport("U", str(chi), 1, rule.name, rule.citations,
+                                    detail=f"character kind: {kind}", exceptional=real)
     return SiegelReport(
         0,
-        target,
-        "no-siegel-zero",
+        str(chi),
+        "exceptional-case" if real else "no-siegel-zero",
         (constituent,),
         (rule.name,),
-        notes=(
+        exceptional_character=str(chi) if real else None,
+        exceptional_character_alt=str(chi) if real else None,
+        notes=("at most one exceptional zero",) if real else (
             "the object is the twisting character itself; no real "
             "(trivial or quadratic) kind is declared for it",
         ),
@@ -397,7 +382,10 @@ def siegel_scan(
         chi = _DEFAULT_TWIST
     reports: list[SiegelReport] = []
     for m in range(lo, hi + 1):
-        target = f"sym^{m}({p.name})*{chi}" if m >= 1 else str(chi)
+        if m == 0:
+            reports.append(_character_report(chi, ledger))
+            continue
+        target = f"sym^{m}({p.name})*{chi}"
         if ledger.self_dual_declared(Constituent(sym_cusp(p, m), chi)) is False:
             reports.append(SiegelReport(
                 m,
@@ -410,9 +398,6 @@ def siegel_scan(
                     "carry an exceptional real zero",
                 ),
             ))
-            continue
-        if m == 0:
-            reports.append(_character_report(target, chi, ledger))
             continue
         mults = ledger.galois_decomposition(sym_cusp(p, m))
 

@@ -357,7 +357,8 @@ class TestCuspidality:
                     "facts": [{"lhs": "eta(q)", "rhs": "1", "relation": "equiv", "truth": True}],
                 },
                 "q",
-                "facts[0]: eta(q) ~ 1 cannot be declared true: their quotient eta(q) is cubic",
+                "facts[0]: eta(q) ~ 1 cannot be declared true: their quotient eta(q) is not 1: "
+                "eta(q) has order 3",
             ),
             (
                 {
@@ -373,7 +374,7 @@ class TestCuspidality:
                     "bases": [{"name": "p", "type": "icosahedral"}],
                 },
                 "p",
-                "characters[0]: properties name two kinds, quadratic and non-real",
+                "characters[0]: chi cannot be declared non-real: it is quadratic",
             ),
             (
                 {
@@ -392,7 +393,8 @@ class TestCuspidality:
                     "facts": [{"lhs": "c", "rhs": "c^-1", "relation": "equiv", "truth": True}],
                 },
                 "p",
-                "facts[0]: c ~ c^4 cannot be declared true: their quotient c^2 is non-real",
+                "facts[0]: c ~ c^4 cannot be declared true: their quotient c^2 is not 1: "
+                "c has order 5",
             ),
             (
                 {
@@ -421,7 +423,7 @@ class TestCuspidality:
                 "p",
                 "facts[0]: sym^2(p)*omega(p)^-1 ~ sym^2(p)*c*omega(p)^-1 cannot be declared "
                 "true: sym^2(p) admits no self-twist for its declared type, and their "
-                "quotient c is quadratic",
+                "quotient c is not 1: c has order 2",
             ),
             (
                 # this document used to load, and the query failed only in the
@@ -434,7 +436,7 @@ class TestCuspidality:
                 "q",
                 "facts[0]: sym^2(q)*omega(q)^-1 ~ sym^2(q)*mu(q)*omega(q)^-1 cannot be "
                 "declared true: sym^2(q) admits no self-twist for its declared type, and "
-                "their quotient mu(q) is quadratic",
+                "their quotient mu(q) is not 1: mu(q) has order 2",
             ),
             (
                 {
@@ -444,22 +446,36 @@ class TestCuspidality:
                 "p",
                 "word_kinds[0]: c^2 cannot be declared trivial: it is non-real",
             ),
-            *(
-                (
-                    {"characters": [{"name": "c"}], "word_kinds": [{"word": "c^2", "kind": kind}]},
-                    "p",
-                    f"word_kinds[0]: c^2 cannot be declared {kind}: c has no declared order, "
-                    "which goes in the characters entry of c",
-                )
-                for kind in ("trivial", "quadratic")
+            (
+                {
+                    "characters": [{"name": "c", "order": 2}, {"name": "d", "order": 2}],
+                    "facts": [
+                        {"lhs": "c", "rhs": "d", "relation": "equiv", "truth": False},
+                        {"lhs": "e", "rhs": "c", "relation": "equiv", "truth": True},
+                        {"lhs": "e", "rhs": "d", "relation": "equiv", "truth": True},
+                    ],
+                },
+                "p",
+                "facts[2]: e ~ d cannot be declared true: their quotient d*e is not 1: "
+                "declared: c ~ d is False",
+            ),
+            (
+                {
+                    "characters": [{"name": "chi0", "order": 2}, {"name": "chi4"}],
+                    "word_kinds": [{"word": "chi4^2", "kind": "non-real"}],
+                    "facts": [{"lhs": "chi0", "rhs": "chi4", "relation": "equiv", "truth": True}],
+                },
+                "p",
+                "facts[0]: chi0 ~ chi4 cannot be declared true: their quotient chi0*chi4^-1 "
+                "is not 1: chi4^2 is non-real",
             ),
         ],
         ids=[
             "tagged-tetrahedral", "cuspidal-both-ways", "false-reflexive", "false-reduced",
             "cubic-trivial", "order-against-kind", "two-kinds", "non-real-inverse",
             "order-5-inverse", "unknown-key", "twist-on-equiv", "icosahedral-self-twist",
-            "octahedral-self-twist", "order-5-word-trivial", "bare-square-trivial",
-            "bare-square-quadratic",
+            "octahedral-self-twist", "order-5-word-trivial", "involution-between-two",
+            "non-real-square-of-an-involution",
         ],
     )
     def test_refused_declarations_exit_2(self, capsys, tmp_path, doc, base, message):

@@ -23,11 +23,12 @@ test, and the runs over it are not compared.
 
 The corpus is replayed once per module, by ``corpus/replay.py`` in a fresh
 interpreter: each run goes through :func:`icosym.cli.cmd_dispatch` in
-process, under a ``sys.setprofile`` hook set before ``import icosym``, so
-that what runs at import counts too.  On a mismatch the first differing runs
-are printed in full.  :func:`test_every_function_is_reached` then names each
-``def`` of ``src/icosym`` that no run entered and that :data:`UNREACHED` does
-not list with its reason.
+process, under a probe set before ``import icosym`` (``sys.monitoring``
+where it exists, else ``sys.setprofile``), so that what runs at import
+counts too.  On a mismatch the first differing runs are printed in full.
+:func:`test_every_function_is_reached` then names each ``def`` of
+``src/icosym`` that no run entered and that :data:`UNREACHED` does not list
+with its reason.
 
 To re-record after a change of output that is meant, run
 ``python tests/corpus/record.py`` and list each changed class of run in

@@ -82,14 +82,15 @@ class TestCharacters:
                                                                      order_first):
         entries = [{"name": "c", "order": order}, {"name": "c", "properties": [kind]}]
         ledger = load_facts({"characters": entries if order_first else entries[::-1]})
-        assert ledger.characters == {"c": order} and ledger._word_kinds == {}
+        assert ledger.characters == {"c": order}
+        assert ledger._rows == {"c": CharWord.gen("c", order)}
         assert ledger.word_kind(CharWord.gen("c")) == kind
 
     @pytest.mark.parametrize("order, kind", [(2, "cubic"), (5, "cubic"), (3, "quadratic")])
     @pytest.mark.parametrize("order_first", [True, False])
     def test_an_order_and_a_property_fixing_another_are_refused(self, order, kind, order_first):
         entries = [{"name": "c", "order": order}, {"name": "c", "properties": [kind]}]
-        with pytest.raises(FactsError, match="character c redeclared"):
+        with pytest.raises(FactsError, match=r"characters\[1\]: character c cannot (have|be) "):
             load_facts({"characters": entries if order_first else entries[::-1]})
         with pytest.raises(FactsError, match=f"character c of order {order} cannot be {kind}"):
             load_facts({"characters": [{"name": "c", "order": order, "properties": [kind]}]})
@@ -102,7 +103,7 @@ class TestCharacters:
         """Non-real fits every order above 2, so it fits cubic."""
         ledger = load_facts({"characters": [{"name": "c", **spelling}],
                              "word_kinds": [{"word": "c", "kind": "non-real"}]})
-        assert ledger.characters == {"c": 3} and ledger._word_kinds == {}
+        assert ledger.characters == {"c": 3} and ledger._rows == {"c": CharWord.gen("c", 3)}
         assert ledger.word_kind(CharWord.gen("c")) == "cubic"
 
 
@@ -155,14 +156,19 @@ class TestBases:
         assert ledger.characters["xi"] == 2
         assert ledger.bases[base["name"]].typ == base["type"]
 
-    @pytest.mark.parametrize("spelling", [{"order": 3}, {"properties": ["cubic"]}])
+    @pytest.mark.parametrize("spelling", [{"order": 3}, {"properties": ["cubic"]},
+                                          {"properties": ["non-real"]}])
     def test_a_cubic_companion_declared_beforehand_agrees(self, spelling):
+        """Non-real fits every order above 2, so a companion declared non-real
+        beforehand agrees with the order 3 its base gives it."""
         ledger = load_facts({"characters": [{"name": "eta(t)", **spelling}],
                              "bases": [{"name": "t", "type": "tetrahedral"}]})
         assert ledger.characters["eta(t)"] == 3
-        with pytest.raises(FactsError, match=r"character eta\(t\) redeclared with order 3, "
-                                              "first declared non-real"):
-            load_facts({"characters": [{"name": "eta(t)", "properties": ["non-real"]}],
+        assert ledger.word_kind(CharWord.gen("eta(t)")) == "cubic"
+        with pytest.raises(FactsError, match=r"bases\[0\]: character eta\(t\) cannot have order "
+                                              r"3: then eta\(t\) would be 1, but eta\(t\) has "
+                                              "order 2"):
+            load_facts({"characters": [{"name": "eta(t)", "properties": ["quadratic"]}],
                         "bases": [{"name": "t", "type": "tetrahedral"}]})
 
     @pytest.mark.parametrize("tetrahedral_first", [True, False])
@@ -277,7 +283,8 @@ class TestBases:
 @pytest.mark.parametrize("kind", ["trivial", "quadratic", "cubic", "non-real"])
 def test_a_generator_kind_reads_alike_as_a_word_kind_and_as_a_character(kind, order, word):
     """A kind declared in word_kinds for c or c^-1 answers every query as the
-    same kind declared for c in characters, or is refused."""
+    same kind declared for c in characters, or is refused.  A reason may name
+    the entry as it is spelled (``c^-1 is non-real``), so verdicts are compared."""
     entry = {"name": "c"} if order is None else {"name": "c", "order": order}
     try:
         as_word = load_facts({"characters": [entry], "word_kinds": [{"word": word, "kind": kind}]})
@@ -287,7 +294,7 @@ def test_a_generator_kind_reads_alike_as_a_word_kind_and_as_a_character(kind, or
     powers = [CharWord.gen("c", e) for e in range(-3, 7)]
     answers = [
         [ledger.word_kind(w) for w in powers]
-        + [ledger.equivalent(Constituent(None, v), Constituent(None, w))
+        + [ledger.equivalent(Constituent(None, v), Constituent(None, w))[0]
            for v in powers for w in powers]
         for ledger in (as_word, as_character)
     ]
@@ -1020,7 +1027,8 @@ def _state(ledger):
         ledger._cuspidal,
         ledger._automorphic,
         ledger._self_dual,
-        ledger._word_kinds,
+        ledger._rows,
+        ledger._apart,
     )
 
 
@@ -1169,7 +1177,7 @@ LABELLED = [
     ),
     (
         {"characters": [{"name": "chi"}, {"name": "nu", "properties": ["quadratic", "non-real"]}]},
-        "characters[1]: properties name two kinds, quadratic and non-real",
+        "characters[1]: nu cannot be declared non-real: it is quadratic",
     ),
     (
         {"characters": [{"name": "nu", "properties": [[]]}]},
@@ -1210,7 +1218,8 @@ LABELLED = [
             "facts": [_fact("a", "b", True)],
             "word_kinds": [{"word": "a*b^-1", "kind": "quadratic"}],
         },
-        "facts[0]: a ~ b cannot be declared true: their quotient a*b^-1 is quadratic",
+        "facts[0]: a ~ b cannot be declared true: their quotient a*b^-1 is not 1: a*b^-1 is "
+        "quadratic",
     ),
     (
         {
@@ -1218,7 +1227,7 @@ LABELLED = [
             "word_kinds": [{"word": "c*d", "kind": "trivial"}],
             "facts": [_fact("c*d", "1", False)],
         },
-        "facts[0]: c*d ~ 1 cannot be declared false: declared: their quotient c*d is trivial",
+        "facts[0]: c*d ~ 1 cannot be declared false: both sides reduce to 1",
     ),
     (
         {"word_kinds": [{"word": "a*b", "kind": "trivial"}, {"word": "a^-1*b^-1", "kind": "cubic"}]},
@@ -1230,7 +1239,7 @@ LABELLED = [
     ),
     (
         {"characters": [{"name": "c"}, {"name": "c", "order": 3}, {"name": "c", "order": 2}]},
-        "characters[2]: character c redeclared with order 2, first declared with order 3",
+        "characters[2]: character c cannot have order 2: then c would be 1, but c has order 3",
     ),
 ]
 

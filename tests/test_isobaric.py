@@ -40,6 +40,7 @@ from icosym.isobaric import (
     standard_icosahedral_pair,
     sym_cusp,
 )
+from icosym.isobaric import _reduced, _with
 from icosym.factsfile import load_facts
 from icosym.rules import BASE_TYPES, TYPE_RULES
 from icosym.siegel import siegel_report, siegel_scan
@@ -68,10 +69,22 @@ def test_char_word_algebra():
 
 
 def test_char_word_reduce():
-    eta = CharWord.gen("eta", 5)
-    assert eta.reduce({"eta": 3}) == CharWord.gen("eta", 2)
-    assert CharWord.gen("eta", 3).reduce({"eta": 3}).is_empty()
-    assert CharWord.gen("chi", 7).reduce({"eta": 3}) == CharWord.gen("chi", 7)
+    rows = _with({}, CharWord.gen("eta", 3))
+    assert _reduced(rows, CharWord.gen("eta", 5)) == CharWord.gen("eta", 2)
+    assert _reduced(rows, CharWord.gen("eta", 3)).is_empty()
+    assert _reduced(rows, CharWord.gen("chi", 7)) == CharWord.gen("chi", 7)
+
+
+def test_a_relation_that_is_not_diagonal_reduces_its_first_generator():
+    """c ~ d^2 with d of order 4: the Hermite normal form has the rows
+    c*d^-2 and d^4, so each word reduces to a power of d below 4."""
+    rows = _with(_with({}, CharWord.gen("d", 4)), CharWord.of({"c": 1, "d": -2}))
+    assert rows == {"c": CharWord.of({"c": 1, "d": 2}), "d": CharWord.gen("d", 4)}
+    assert _reduced(rows, CharWord.gen("c", 3)) == CharWord.gen("d", 2)
+    assert _reduced(rows, CharWord.of({"c": 1, "d": 2})).is_empty()
+    # the same lattice, its relations given in another order and spelling
+    assert _with(_with({}, CharWord.of({"c": 2, "d": -4})), CharWord.of({"c": -1, "d": 2})) == (
+        _with({}, CharWord.of({"c": 1, "d": -2})))
 
 
 def test_char_word_of_a_dict_or_pairs():
@@ -85,7 +98,7 @@ def test_a_reduced_word_and_constituent_are_returned_as_they_are():
     ledger, p, _ = fresh()
     ledger.declare_character("eta", order=3)
     word = CharWord.of({"eta": 2, "chi": -5})
-    assert word.reduce(ledger.characters) is word
+    assert _reduced(ledger._rows, word) is word
     c = Constituent(SymCusp(p, 3), word)
     assert ledger._canon(c) is c
     assert ledger._canon(TRIVIAL) is TRIVIAL
@@ -531,13 +544,18 @@ def test_both_routes_show_the_reasons_of_a_text_reference(case):
 
 
 _STATE = (
-    "characters", "bases", "base_changes", "_facts", "_cuspidal",
-    "_automorphic", "_word_kinds", "_self_dual",
+    "characters", "bases", "base_changes", "_rows", "_apart", "_facts", "_cuspidal",
+    "_automorphic", "_self_dual",
 )
 
 
 def ledger_state(ledger):
     return {name: dict(getattr(ledger, name)) for name in _STATE}
+
+
+def lattice(ledger):
+    """R and D, to compare before and after a refusal."""
+    return dict(ledger._rows), dict(ledger._apart)
 
 
 @settings(max_examples=100, deadline=None)
@@ -650,7 +668,7 @@ def test_a_true_fact_between_different_degrees_is_refused():
         ),
         (
             {"name": "c", "order": 5}, CharWord.gen("c"), CharWord.gen("c", -1),
-            "c ~ c^4 cannot be declared true: their quotient c^2 is non-real",
+            "c ~ c^4 cannot be declared true: their quotient c^2 is not 1: c has order 5",
         ),
     ],
     ids=["non-real-inverse", "non-real-square", "order-5-inverse"],
@@ -738,13 +756,13 @@ def build_spec(spec):
 
 
 def _refused(spec, a, b, truth):
-    """Does a fresh build of the spec refuse a ~ b?  Else the verdict after it."""
+    """How a fresh build of the spec refuses a ~ b, or None and the verdict after it."""
     ledger, _ = build_spec(spec)
     try:
         ledger.assert_equiv(a, b, truth)
-    except LedgerError:
-        return True, None
-    return False, ledger.equivalent(a, b)[0]
+    except LedgerError as err:
+        return str(err), None
+    return None, ledger.equivalent(a, b)[0]
 
 
 @settings(max_examples=120, deadline=None)
@@ -753,26 +771,31 @@ def _refused(spec, a, b, truth):
 @given(ledger_specs())
 def test_a_fact_is_refused_exactly_where_mismatch_names_a_reason(spec):
     """For every pair no fact mentions: a true fact is refused exactly where
-    _forced answers False, a false one exactly where equivalent answers
-    True (the sides reduce to one symbol, or twist one core by a quotient
-    whose kind is trivial), and an accepted fact is what equivalent answers.  Two twists
-    of one core are kept apart as their characters are, when the declared
-    type admits no self-twist, and never otherwise."""
+    _forced answers False, or where the quotient it puts in R would make two
+    facts one with opposite truths; a false one exactly where equivalent
+    answers True (the sides reduce to one symbol); and an accepted fact is
+    what equivalent answers.  Two twists of one core are kept apart as their
+    characters are, when the declared type admits no self-twist, and never
+    otherwise."""
     ledger, pool = build_spec(spec)
     for a, b in itertools.product(pool, repeat=2):
         k1, k2 = ledger._canon(a), ledger._canon(b)
         if frozenset((k1, k2)) in ledger._facts:
             continue
         refused_true, verdict = _refused(spec, a, b, True)
-        assert refused_true == (ledger._forced(k1, k2, against=True) is not None), (a, b)
+        forced = ledger._forced(k1, k2)
+        merged = refused_true is not None and refused_true.endswith("would be one")
+        assert (refused_true is not None and not merged) == (forced is not None
+                                                             and not forced[0]), (a, b)
         assert refused_true or verdict is True
         refused, verdict = _refused(spec, a, b, False)
-        assert refused == (ledger.equivalent(a, b)[0] is True), (a, b)
+        assert (refused is not None) == (ledger.equivalent(a, b)[0] is True), (a, b)
         assert refused or verdict is False
-        if a.core is not None and a.core == b.core:
+        if a.core is not None and a.core == b.core and not merged:
             base, n = (a.core, 1) if isinstance(a.core, BaseCusp) else (a.core.base, a.core.n)
             apart = _refused(spec, character(a.twist), character(b.twist), True)[0]
-            assert refused_true == (not TYPE_RULES[base.typ][0](n) and apart), (a, b)
+            assert (refused_true is not None) == (not TYPE_RULES[base.typ][0](n)
+                                                  and apart is not None), (a, b)
 
 
 def test_an_impossible_self_twist_is_refused_and_keeps_the_pole_order():
@@ -785,7 +808,7 @@ def test_an_impossible_self_twist_is_refused_and_keeps_the_pole_order():
         ledger.assert_equiv(cubic, twisted, True)
     assert str(err.value) == (
         "sym^3(p) ~ sym^3(p)*chi cannot be declared true: sym^3(p) admits no self-twist "
-        "for its declared type, and their quotient chi^4 is non-real"
+        "for its declared type, and their quotient chi^4 is not 1: chi has order 5"
     )
     assert pole_order(IsobaricExpr.of([(cubic, 1), (twisted, 1)]), ledger) == PoleOrder(2, 2)
     # a twist not known to be 1 is accepted: the fact then says it is trivial
@@ -804,11 +827,11 @@ def test_an_impossible_self_twist_is_refused_and_keeps_the_pole_order():
         ({"kind": "quadratic"}, CharWord.gen("c", 3), False,
          "c^3 ~ c^-3 cannot be declared false: both sides reduce to c"),
         ({"kind": "cubic"}, CharWord.gen("c"), True,
-         "c ~ c^2 cannot be declared true: their quotient c^2 is cubic"),
+         "c ~ c^2 cannot be declared true: their quotient c^2 is not 1: c has order 3"),
         ({"kind": "non-real"}, CharWord.gen("c"), True,
          "c ~ c^-1 cannot be declared true: their quotient c^2 is not 1: c is non-real"),
         ({"order": 5}, CharWord.gen("c", 2), True,
-         "c^2 ~ c^3 cannot be declared true: their quotient c^4 is non-real"),
+         "c^2 ~ c^3 cannot be declared true: their quotient c^4 is not 1: c has order 5"),
     ],
     ids=["trivial", "order-2", "quadratic", "cubic", "non-real", "order-5"],
 )
@@ -818,7 +841,7 @@ def test_a_character_self_duality_reads_the_same_rule(info, symbol, truth, messa
     with pytest.raises(LedgerError) as err:
         ledger.declare_self_dual(character(symbol), truth)
     assert str(err.value) == message
-    assert ledger.self_dual_declared(character(symbol)) is None
+    assert ledger.self_dual_declared(character(symbol)) is (not truth)  # forced so
     ledger.declare_self_dual(character(symbol), not truth)  # the other truth is consistent
 
 
@@ -836,8 +859,11 @@ def test_a_character_self_duality_is_its_fact_with_its_inverse(first):
     (second,) = steps.keys() - {first}
     with pytest.raises(LedgerError) as err:
         steps[second]()
-    truths = (False, True) if first == "fact" else (True, False)
-    assert str(err.value) == "contradictory assertions for c ~ c^-1: {} vs {}".format(*truths)
+    assert str(err.value) == {
+        "fact": "c ~ c^-1 cannot be declared true: their quotient c^2 is not 1: declared: "
+                "c ~ c^-1 is False",
+        "self-dual": "c ~ c^-1 cannot be declared false: both sides reduce to c",
+    }[first]
 
 
 @pytest.mark.parametrize("truth, order", [(None, 2), (False, 2), (True, 4)])
@@ -859,11 +885,9 @@ _CD = character(CharWord.of({"c": 1, "d": 1}))
     "fact, word, kind, message",
     [
         ((_A, _B, True), CharWord.of({"a": 1, "b": -1}), "quadratic",
-         "a*b^-1 cannot be declared quadratic: then a ~ b, declared True, would be False "
-         "(their quotient a*b^-1 is quadratic)"),
+         "a*b^-1 cannot be declared quadratic: it is trivial"),
         ((_CD, TRIVIAL, False), _CD.twist, "trivial",
-         "c*d cannot be declared trivial: then 1 ~ c*d, declared False, would be True "
-         "(declared: their quotient c^-1*d^-1 is trivial)"),
+         "c*d cannot be declared trivial: then c*d would be 1, but declared: c*d ~ 1 is False"),
     ],
     ids=["quadratic-against-true", "trivial-against-false"],
 )
@@ -873,10 +897,11 @@ def test_a_word_kind_and_a_fact_it_contradicts_are_refused_in_either_order(
     already asserted, and a fact against the kinds already declared."""
     ledger = FactLedger()
     ledger.assert_equiv(*fact)
+    before = lattice(ledger)
     with pytest.raises(LedgerError) as err:
         ledger.declare_word_kind(word, kind)
     assert str(err.value) == message
-    assert ledger.word_kind(word) is None  # a refusal leaves the ledger as it was
+    assert lattice(ledger) == before  # a refusal leaves the ledger as it was
     other = FactLedger()
     other.declare_word_kind(word, kind)
     with pytest.raises(LedgerError):
@@ -889,26 +914,24 @@ def test_a_non_real_generator_and_its_square_equal_to_1_are_refused_in_either_or
         generator, square):
     """g^2 is not 1 for g non-real, so the kind and the fact ``1 ~ g^2`` are
     refused together, whichever comes first, and the refused one is not
-    kept.  The kind trivial for g^2 fixes an order of g, which has none, so
-    it is refused with or without the kind of g."""
+    kept.  The kind trivial for g^2 is the fact again: the same in the
+    first ledger, refused in the second."""
     ledger = FactLedger()
     ledger.assert_equiv(TRIVIAL, character(square), True)
     with pytest.raises(LedgerError) as err:
         ledger.declare_word_kind(generator, "non-real")
-    assert str(err.value) == (f"{generator} cannot be declared non-real: then 1 ~ {square}, "
-                              f"declared True, would be False (their quotient {square.inv()} "
-                              "is not 1: c is non-real)")
+    assert str(err.value) == f"{generator} cannot be declared non-real: {generator ** 2} is 1"
     assert ledger.word_kind(generator) is None
     assert ledger.equivalent(character(square), TRIVIAL)[0] is True
     other = FactLedger()
     other.declare_word_kind(generator, "non-real")
     with pytest.raises(LedgerError, match=re.escape(f"1 ~ {square} cannot be declared true")):
         other.assert_equiv(TRIVIAL, character(square), True)
-    for either in (ledger, other):
-        with pytest.raises(LedgerError) as err:
-            either.declare_word_kind(square, "trivial")
-        assert str(err.value) == (f"{square} cannot be declared trivial: c has no declared "
-                                  "order, which goes in the characters entry of c")
+    ledger.declare_word_kind(square, "trivial")
+    with pytest.raises(LedgerError) as err:
+        other.declare_word_kind(square, "trivial")
+    assert str(err.value) == (f"{square} cannot be declared trivial: then {generator ** 2} "
+                              f"would be 1, but {generator} is non-real")
 
 
 @pytest.mark.parametrize("info, exp", [({}, 1), ({"kind": "non-real"}, 2)])
@@ -1003,7 +1026,6 @@ def test_a_name_is_a_base_or_a_character_not_both(first, second):
         (("character", "pi"), ("pi", "octahedral", {})),
         (("base", "pi"), ("pi", "tetrahedral", {})),
         (("base", "x"), ("o", "octahedral", {"omega": "x"})),
-        (None, ("t", "tetrahedral", {"omega": "k", "cubic_char": "k"})),
         (None, ("d", "dihedral", {"dihedral_field": "E", "dihedral_char": "d"})),
     ],
 )
@@ -1016,11 +1038,11 @@ def test_a_refused_base_declares_no_characters(taken, refused):
             ledger.declare_character(other)
         else:
             ledger.declare_base(other, "icosahedral")
-    before = (list(ledger.characters.items()), dict(ledger._word_kinds), dict(ledger.bases))
+    before = (list(ledger.characters.items()), lattice(ledger), dict(ledger.bases))
     name, typ, tags = refused
     with pytest.raises(LedgerError):
         ledger.declare_base(name, typ, **tags)
-    assert (list(ledger.characters.items()), ledger._word_kinds, ledger.bases) == before
+    assert (list(ledger.characters.items()), lattice(ledger), ledger.bases) == before
 
 
 def test_a_base_whose_central_character_is_its_own_name_is_refused():
@@ -1074,12 +1096,12 @@ def test_an_opposite_redeclaration_is_refused(i):
     declare, first, second, message = cases[i]
     declare(*first)
     declare(*first)  # the same value again is accepted
-    tables = (ledger._cuspidal, ledger._automorphic, ledger._self_dual, ledger._word_kinds)
-    before = [dict(t) for t in tables]
+    tables = (ledger._cuspidal, ledger._automorphic, ledger._self_dual)
+    before = [dict(t) for t in tables], lattice(ledger)
     with pytest.raises(LedgerError) as err:
         declare(*second)
     assert str(err.value) == message
-    assert [dict(t) for t in tables] == before
+    assert ([dict(t) for t in tables], lattice(ledger)) == before
 
 
 @pytest.mark.parametrize(
@@ -1262,19 +1284,22 @@ ETA = CharWord.gen("eta(q)")
 @pytest.mark.parametrize(
     "lhs, rhs, message",
     [
-        (ETA, CharWord(), "eta(q) ~ 1 cannot be declared true: their quotient eta(q) is cubic"),
+        (ETA, CharWord(), "eta(q) ~ 1 cannot be declared true: their quotient eta(q) is not 1: "
+         "eta(q) has order 3"),
         (CharWord.gen("eta(q)", 2), CharWord(),
-         "eta(q)^2 ~ 1 cannot be declared true: their quotient eta(q)^2 is cubic"),
+         "eta(q)^2 ~ 1 cannot be declared true: their quotient eta(q)^2 is not 1: "
+         "eta(q) has order 3"),
         (CharWord(), CharWord.gen("eta(q)", 2),
-         "1 ~ eta(q)^2 cannot be declared true: their quotient eta(q) is cubic"),
+         "1 ~ eta(q)^2 cannot be declared true: their quotient eta(q) is not 1: "
+         "eta(q) has order 3"),
         (ETA, CharWord.gen("eta(q)", 2), "eta(q) ~ eta(q)^2 cannot be declared true: "
-         "their quotient eta(q)^2 is cubic"),
+         "their quotient eta(q)^2 is not 1: eta(q) has order 3"),
         (CharWord.gen("mu"), CharWord(),
-         "mu ~ 1 cannot be declared true: their quotient mu is quadratic"),
+         "mu ~ 1 cannot be declared true: their quotient mu is not 1: mu has order 2"),
         (CharWord.gen("nu", -1), CharWord(),
-         "nu^-1 ~ 1 cannot be declared true: their quotient nu^-1 is non-real"),
+         "nu^-1 ~ 1 cannot be declared true: their quotient nu^-1 is not 1: nu is non-real"),
         (CharWord.gen("a"), CharWord.gen("b"),
-         "a ~ b cannot be declared true: their quotient a*b^-1 is quadratic"),
+         "a ~ b cannot be declared true: their quotient a*b^-1 is not 1: a*b^-1 is quadratic"),
     ],
     ids=["eta", "eta^2", "eta^-1", "eta vs eta^2", "quadratic", "non-real", "declared-kind"],
 )
@@ -1318,7 +1343,7 @@ def test_a_kind_must_be_known_and_agree_with_the_order(info, message):
     with pytest.raises(LedgerError) as err:
         ledger.declare_character("c", **info)
     assert str(err.value) == message
-    assert ledger.characters == {} and ledger._word_kinds == {}
+    assert ledger.characters == {} and lattice(ledger) == ({}, {})
 
 
 @pytest.mark.parametrize(
@@ -1328,13 +1353,13 @@ def test_a_kind_must_be_known_and_agree_with_the_order(info, message):
      (None, "non-real", None, "non-real"), (4, None, 4, "non-real")],
 )
 def test_an_order_that_fits_its_kind_is_accepted(order, kind, declared, word_kind):
-    """A kind that fixes an order is that order; non-real is kept as a word
-    kind only where no order states it."""
+    """A kind that fixes an order is that order, a relation in R; non-real
+    puts the square in D only where no order states it."""
     ledger = FactLedger()
     ledger.declare_character("c", order=order, kind=kind)
     assert ledger.characters["c"] == declared
     assert ledger.word_kind(CharWord.gen("c")) == word_kind
-    assert ledger._word_kinds == ({} if declared else {CharWord.gen("c"): "non-real"})
+    assert ledger._rows == ({"c": CharWord.gen("c", declared)} if declared else {})
 
 
 # -- words keyed before their generators' orders -------------------------------
@@ -1348,13 +1373,13 @@ def test_a_word_kind_must_agree_with_its_generators():
         ledger.declare_word_kind(CharWord.gen("c"), "non-real")
     with pytest.raises(LedgerError, match="eta cannot be declared quadratic: it is cubic"):
         ledger.declare_word_kind(CharWord.gen("eta"), "quadratic")
-    assert ledger._word_kinds == {}
+    rows = dict(ledger._rows)
     ledger.declare_word_kind(CharWord.gen("c", 5), "trivial")
     ledger.declare_word_kind(CharWord.gen("eta"), "cubic")
     ledger.declare_word_kind(CharWord.gen("eta", 2), "cubic")  # eta^2 has order 3 too
     ledger.declare_word_kind(CharWord.gen("eta", 2), "non-real")  # which non-real fits
     assert ledger.word_kind(CharWord.gen("eta", 2)) == "cubic"
-    assert ledger._word_kinds == {}  # the orders state every one of these kinds
+    assert ledger._rows == rows  # the orders state every one of these kinds
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["word", "inverse"])
@@ -1369,7 +1394,7 @@ def test_a_word_declared_non_real_and_cubic_is_cubic_in_either_order(inverse, cu
     ledger.declare_word_kind(words[0], kinds[0])
     ledger.declare_word_kind(words[inverse], kinds[1])
     assert [ledger.word_kind(w) for w in words] == ["cubic", "cubic"]
-    assert list(ledger._word_kinds.values()) == ["cubic"]
+    assert ledger._rows == {"c": CharWord.of({"c": 3, "d": 3})}
     for other in ("trivial", "quadratic"):
         with pytest.raises(LedgerError, match=f"cannot be declared {other}: it is cubic"):
             ledger.declare_word_kind(words[1], other)
@@ -1395,22 +1420,23 @@ def test_a_power_of_a_generator_has_the_kind_of_its_exact_order(order, exp, by_p
         ledger.declare_character("c", order=order)
     word = CharWord.gen("c", exp)
     assert ledger.word_kind(word) == expected
-    before = (dict(ledger.characters), dict(ledger._word_kinds))
+    before = (dict(ledger.characters), dict(ledger._rows))
     if exact in _KIND_ALLOWS[kind]:
         ledger.declare_word_kind(word, kind)
     else:
         with pytest.raises(LedgerError, match=re.escape(f"{word} cannot be declared {kind}: ")):
             ledger.declare_word_kind(word, kind)
-    assert (dict(ledger.characters), dict(ledger._word_kinds)) == before
+    assert (dict(ledger.characters), dict(ledger._rows)) == before
     assert ledger.word_kind(word) == expected
 
 
 @pytest.mark.parametrize(
     "info, exp, refusal, kind, reason",
     [
-        ({"order": 5}, 2, "it is non-real", "non-real", "their quotient c^2 is non-real"),
-        ({"kind": "non-real"}, -2, "c has no declared order, which goes in the characters "
-         "entry of c", None, "their quotient c^-2 is not 1: c is non-real"),
+        ({"order": 5}, 2, "it is non-real", "non-real",
+         "their quotient c^2 is not 1: c has order 5"),
+        ({"kind": "non-real"}, -2, "then c^2 would be 1, but c is non-real", None,
+         "their quotient c^-2 is not 1: c is non-real"),
     ],
     ids=["order-5", "non-real"],
 )
@@ -1437,8 +1463,8 @@ def test_a_word_declared_trivial_is_refused_where_not_one_names_a_reason(
     ids=["characters", "no self-twist", "potential self-twist"],
 )
 def test_a_quotient_declared_trivial_makes_its_twists_equivalent(typ, core):
-    """Two twists whose quotient is declared trivial are one constituent,
-    whether the kind was declared for the quotient or for its inverse."""
+    """Two twists whose quotient is declared trivial are one constituent:
+    their twists reduce alike modulo R."""
     ledger = FactLedger()
     for name in ("c", "d"):
         ledger.declare_character(name)
@@ -1447,10 +1473,8 @@ def test_a_quotient_declared_trivial_makes_its_twists_equivalent(typ, core):
     ledger.declare_word_kind(cd, "trivial")
     first = TRIVIAL if core is None else ad(p)
     second = first.twisted(cd)
-    assert ledger.equivalent(second, first) == (True, "declared: their quotient c*d is trivial")
-    assert ledger.equivalent(first, second) == (
-        True, "declared: their quotient c^-1*d^-1 is trivial"
-    )
+    assert ledger.equivalent(second, first) == (True, "structural equality")
+    assert ledger.equivalent(first, second) == (True, "structural equality")
     assert pole_order(IsobaricExpr.of([(first, 1), (second, 1)]), ledger) == PoleOrder(4, 4)
     assert pole_order_pair(IsobaricExpr.single(second), first, ledger) == PoleOrder(1, 1)
     # a quotient of another kind, or of none, is not affected
@@ -1468,25 +1492,32 @@ def _keyed_by_chi(ledger, p, q):
     }
 
 
-@pytest.mark.parametrize("entry", ["true fact", "false fact", "self-duality", "word kind"])
-def test_an_order_after_an_entry_keyed_by_its_generator_is_refused(entry):
+@pytest.mark.parametrize("entry, refusal", [
+    ("true fact", None),
+    ("false fact", "then chi^3 would be 1, but declared: p*chi^3 ~ p is False"),
+    ("self-duality", None),
+    ("word kind", "then chi^6 would be 1, but chi^3 is non-real"),
+])
+def test_an_order_after_an_entry_keyed_by_its_generator_keys_it_anew(entry, refusal):
+    """An order for a generator that an entry mentions is one more relation:
+    the entry is keyed anew, and the order is refused, the ledger unchanged,
+    exactly where then the entry would contradict it."""
     ledger, p, q = fresh("general", "general")
     _keyed_by_chi(ledger, p, q)[entry]()
-    before = (dict(ledger.characters), dict(ledger._word_kinds))
-    # an order 3 would leave p ~ q undetermined after the true fact, and
-    # make p*chi^3 ~ p true against the false one
-    queries = [
-        (Constituent(p), Constituent(q)),
-        (Constituent(p, CharWord.gen("chi", 3)), Constituent(p)),
-    ]
-    verdicts = [ledger.equivalent(*pair) for pair in queries]
-    for info in ({"order": 3}, {"kind": "cubic"}, {"kind": "non-real"}):
-        with pytest.raises(LedgerError, match="character chi redeclared"):
+    before = (dict(ledger._facts), dict(ledger.characters), lattice(ledger))
+    for info in ({"order": 3}, {"kind": "cubic"}):
+        if refusal is None:
             ledger.declare_character("chi", **info)
-    assert (dict(ledger.characters), dict(ledger._word_kinds)) == before
-    assert [ledger.equivalent(*pair) for pair in queries] == verdicts
-    ledger.declare_character("chi")  # neither order nor kind: nothing was reduced without it
-    ledger.declare_character("nu", order=3)  # a generator no entry mentions
+            continue
+        with pytest.raises(LedgerError) as err:
+            ledger.declare_character("chi", **info)
+        assert str(err.value) == f"character chi cannot have order 3: {refusal}"
+        assert (dict(ledger._facts), dict(ledger.characters), lattice(ledger)) == before
+    if entry == "true fact":
+        assert ledger.equivalent(Constituent(p), Constituent(q)) == (True, "declared: p ~ q is True")
+    if entry == "self-duality":
+        assert ledger.self_dual_declared(Constituent(p, CharWord.gen("chi", 4))) is True
+    ledger.declare_character("chi", kind="non-real")  # fits order 3, and chi^3 non-real
 
 
 def test_an_entry_declares_its_new_generators_only_when_accepted():
@@ -1501,14 +1532,219 @@ def test_an_entry_declares_its_new_generators_only_when_accepted():
     assert "nu" in ledger.characters and ledger.characters["nu"] is None
 
 
-def test_a_base_companion_after_an_entry_keyed_by_it_is_refused():
+def test_a_base_companion_against_an_entry_keyed_by_it_is_refused():
     ledger, p, _ = fresh("general", "general")
     ledger.declare_word_kind(CharWord.gen("eta(t)", 3), "non-real")
-    before = (dict(ledger.characters), dict(ledger._word_kinds))
-    with pytest.raises(LedgerError, match=r"character eta\(t\) redeclared"):
+    before = (dict(ledger.characters), lattice(ledger))
+    with pytest.raises(LedgerError, match=re.escape(
+            "character eta(t) cannot have order 3: then eta(t)^6 would be 1, but eta(t)^3 is "
+            "non-real")):
         ledger.declare_base("t", "tetrahedral")
     assert "t" not in ledger.bases
-    assert (dict(ledger.characters), dict(ledger._word_kinds)) == before
+    assert (dict(ledger.characters), lattice(ledger)) == before
+
+
+# -- the relation lattice of character words ----------------------------------
+
+
+def _words(ledger, pairs):
+    return [ledger.equivalent(character(CharWord.of(u)), character(CharWord.of(v)))
+            for u, v in pairs]
+
+
+def test_a_true_fact_relates_every_power_of_its_quotient():
+    ledger = FactLedger()
+    ledger.assert_equiv(character(CharWord.gen("c")), character(CharWord.gen("d", 2)), True)
+    assert _words(ledger, [({"c": 1, "d": -2}, {}), ({"c": 3}, {"d": 6})]) == [
+        (True, "structural equality")] * 2
+    equal = FactLedger()
+    equal.assert_equiv(character(CharWord.gen("c")), character(CharWord.gen("d")), True)
+    assert _words(equal, [({"c": 1, "d": -1}, {})]) == [(True, "structural equality")]
+
+
+def test_a_word_declared_trivial_relates_its_powers():
+    ledger = FactLedger()
+    ledger.declare_word_kind(CharWord.of({"c": 1, "d": 1}), "trivial")
+    assert _words(ledger, [({"c": 2, "d": 2}, {})]) == [(True, "structural equality")]
+
+
+def test_a_generator_equal_to_one_of_an_order_has_its_kind():
+    ledger = FactLedger()
+    ledger.declare_character("d", order=3)
+    ledger.assert_equiv(character(CharWord.gen("c")), character(CharWord.gen("d")), True)
+    assert ledger.word_kind(CharWord.gen("c")) == "cubic"
+    assert _words(ledger, [({"c": 3}, {})]) == [(True, "structural equality")]
+
+
+def test_a_bare_generator_with_a_non_real_square_is_non_real():
+    """A real c would make c^2 trivial."""
+    ledger = FactLedger()
+    ledger.declare_character("c")
+    ledger.declare_word_kind(CharWord.gen("c", 2), "non-real")
+    assert ledger.word_kind(CharWord.gen("c")) == "non-real"
+    assert ledger.self_dual_declared(character(CharWord.gen("c"))) is False
+
+
+def test_a_self_twist_no_type_admits_makes_its_quotient_trivial():
+    ledger = FactLedger()
+    g = ledger.declare_base("g", "general")
+    w = CharWord.gen("w")
+    ledger.assert_equiv(Constituent(SymCusp(g, 2)), Constituent(SymCusp(g, 2), w), True)
+    assert ledger.equivalent(character(w), TRIVIAL) == (True, "structural equality")
+    assert ledger.equivalent(Constituent(SymCusp(g, 2), w ** 2), Constituent(SymCusp(g, 2)))[0]
+    assert ledger.equivalent(ad(g).twisted(w), ad(g)) == (True, "structural equality")
+
+
+def test_the_character_of_m_0_equal_to_a_quadratic_one_is_exceptional():
+    ledger = load_facts({
+        "characters": [{"name": "d", "order": 2}, {"name": "chi"}],
+        "facts": [{"lhs": "chi", "rhs": "d", "relation": "equiv", "truth": True}],
+    })
+    assert ledger.word_kind(CharWord.gen("chi")) == "quadratic"
+    report = siegel_report(0, chi=CharWord.gen("chi"), ledger=ledger)
+    assert (report.verdict, report.constituents[0].detail) == (
+        "exceptional-case", "character kind: quadratic")
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_facts_a_relation_makes_one_are_refused_when_they_disagree(first):
+    """A relation that arrives after the facts keys them anew; two that then
+    coincide with opposite truths are refused, naming both, in either order."""
+    ledger, p, q = fresh("tetrahedral", "tetrahedral")
+    c, d = CharWord.gen("c"), CharWord.gen("d")
+    steps = [lambda: ledger.assert_equiv(ad(p).twisted(c), ad(q), True),
+             lambda: ledger.assert_equiv(ad(p).twisted(d), ad(q), False)]
+    steps[not first]()
+    steps[first]()
+    before = (dict(ledger._facts), lattice(ledger), dict(ledger.characters))
+    with pytest.raises(LedgerError) as err:
+        ledger.assert_equiv(character(c), character(d), True)
+    facts = [("sym^2(p)*c*omega(p)^-1 ~ sym^2(q)*omega(q)^-1", True),
+             ("sym^2(p)*d*omega(p)^-1 ~ sym^2(q)*omega(q)^-1", False)]
+    (a, t), (b, u) = facts if first else facts[::-1]
+    assert str(err.value) == (f"c ~ d cannot be declared true: then {a}, declared {t}, "
+                              f"and {b}, declared {u}, would be one")
+    assert (dict(ledger._facts), lattice(ledger), dict(ledger.characters)) == before
+    # a false fact between twists whose quotient a relation then makes 1
+    other, p, _ = fresh("tetrahedral", "tetrahedral")
+    other.assert_equiv(ad(p).twisted(c), ad(p).twisted(d), False)
+    with pytest.raises(LedgerError, match="declared False, would have both sides"):
+        other.assert_equiv(character(c), character(d), True)
+
+
+# the models of a document of characters: each generator takes a value in
+# (Z/N)^k for each N here; an assignment satisfies the document when every
+# word it declares 1 is 0 and every word it declares not 1 is not
+_MODEL_NS = (4, 6)
+_GENERATORS = ("a", "b", "c", "d")
+_KINDS = ("trivial", "quadratic", "cubic", "non-real")
+
+
+@st.composite
+def character_documents(draw):
+    """Up to four generators, each bare or of an order dividing one of
+    :data:`_MODEL_NS`, up to two word kinds and four character facts, and
+    whether the orders come after the kinds and facts."""
+    n = draw(st.sampled_from(_MODEL_NS))
+    names = _GENERATORS[:draw(st.integers(1, 4))]
+    orders = {g: draw(st.sampled_from([None] + [k for k in range(1, n + 1) if n % k == 0]))
+              for g in names}
+    words = st.dictionaries(st.sampled_from(names), st.sampled_from([-2, -1, 1, 2]),
+                            max_size=3).map(CharWord.of)
+    return (n, orders, draw(st.lists(st.tuples(words, st.sampled_from(_KINDS)), max_size=2)),
+            draw(st.lists(st.tuples(words, words, st.booleans()), max_size=4)), draw(st.booleans()))
+
+
+def _statements(orders, kinds, facts):
+    """The words a document declares 1, and those it declares not 1."""
+    ones, apart = [], []
+    for g, order in orders.items():
+        if order:
+            ones.append(CharWord.gen(g, order))
+            apart += [CharWord.gen(g, order // q) for q in range(2, order + 1)
+                      if order % q == 0 and all(q % r for r in range(2, q))]
+    for w, kind in kinds:
+        power = {"trivial": 1, "quadratic": 2, "cubic": 3}.get(kind)
+        ones += [w ** power] if power else []
+        apart += [w] if power in (2, 3) else [w ** 2] if power is None else []
+    for u, v, truth in facts:
+        (ones if truth else apart).append(u * v.inv())
+    return ones, apart
+
+
+def _zeros(n, names, orders, ones, words):
+    """For each word, the set, as a bit mask, of the assignments into Z/N
+    that make every word of *ones* 0 under which it is 0 too."""
+    def value(word, values):
+        return sum(e * values[names.index(g)] for g, e in word.word) % n
+
+    ranges = [range(0, n, n // math.gcd(n, orders[g] or n)) for g in names]
+    assignments = [v for v in itertools.product(*ranges) if not any(value(w, v) for w in ones)]
+    return {w: sum(1 << i for i, v in enumerate(assignments) if not value(w, v))
+            for w in words}, (1 << len(assignments)) - 1
+
+
+_C, _D, _E = CharWord.gen("c"), CharWord.gen("d"), CharWord.gen("e")
+
+
+@settings(max_examples=150, deadline=None)
+@example((4, {"c": 2, "d": 2}, [], [(_C, _D, False), (_E, _C, True)], False))  # no cyclic model
+@example((4, {"c": None}, [(_C ** -2, "trivial")], [], False))  # c real, of no known kind
+@example((4, {"c": None}, [(_C ** 2, "non-real")], [], False))
+@example((6, {"d": 3}, [], [(_C, _D, True)], True))
+@example((4, {"d": 2}, [], [(_C, _D ** 2, False), (_C * _D, _E ** 2, True)], True))
+@given(character_documents())
+def test_the_lattice_answers_hold_in_every_model(doc):
+    """A model takes values in (Z/N)^k: k assignments into Z/N, each making
+    every word declared 1 be 0, and together making no word declared not 1
+    be 0.  As a model with one more assignment is a model, and the values
+    of n generators span a group that (Z/N)^n holds, the models for every k
+    are read off single assignments.  Then a refused document has no model,
+    an accepted one whose generators all have orders, dividing N, has one
+    (a bare generator may need a larger group), every forced answer holds
+    in every model, and so does every kind."""
+    n, orders, kinds, facts, orders_last = doc
+    ledger, refused = FactLedger(), False
+    steps = [lambda: [ledger.declare_character(g, order=o) for g, o in orders.items()],
+             lambda: [ledger.declare_word_kind(w, kind) for w, kind in kinds],
+             lambda: [ledger.assert_equiv(character(u), character(v), t) for u, v, t in facts]]
+    try:
+        for step in steps[1:] + steps[:1] if orders_last else steps:
+            step()
+    except LedgerError:
+        refused = True
+    names = sorted(orders.keys() | {g for u, v, _ in facts for g, _ in (u * v).word}
+                   | {g for w, _ in kinds for g, _ in w.word})
+    orders = {g: orders.get(g) for g in names}
+    ones, apart = _statements(orders, kinds, facts)
+    queries = [CharWord()] + [CharWord.gen(g) for g in names] + [w for w, _ in kinds] + [
+        w for u, v, _ in facts for w in (u, v)]
+    for model_n in _MODEL_NS:
+        zeros, every = _zeros(model_n, names, orders, ones,
+                              set(apart) | {u * v.inv() for u in queries for v in queries}
+                              | {w ** k for w in queries for k in (1, 2, 3)})
+
+        def has_model(assignments: int) -> bool:
+            return all(assignments & ~zeros[w] for w in apart)
+
+        if refused:
+            assert not has_model(every), doc
+            continue
+        if model_n == n and None not in orders.values():
+            assert has_model(every), doc
+        if not has_model(every):
+            continue
+        for u, v in itertools.product(queries, repeat=2):
+            verdict, reason = ledger.equivalent(character(u), character(v))
+            if reason != "distinct character words are generically distinct":
+                assert (zeros[u * v.inv()] == every) == verdict, (doc, u, v, reason)
+                assert verdict or not has_model(zeros[u * v.inv()]), (doc, u, v, reason)
+        for w in queries:
+            kind = ledger.word_kind(w)
+            one, square, cube = (zeros[w ** k] == every for k in (1, 2, 3))
+            apart_w, apart_square = (not has_model(zeros[w ** k]) for k in (1, 2))
+            assert {None: True, "trivial": one, "quadratic": square and apart_w,
+                    "cubic": cube and apart_w, "non-real": apart_square}[kind], (doc, w, kind)
 
 
 # -- the finite-model pole check ---------------------------------------------
