@@ -49,7 +49,7 @@ from functools import reduce
 from math import isqrt
 from typing import TYPE_CHECKING, Union
 
-from . import Record, _set
+from . import MAX_POWER, Record, _set
 from .rules import AUTOMORPHIC, BASE_TYPES, GALOIS_TAGS, GENERATORS, TYPE_RULES, type_rule
 
 if TYPE_CHECKING:  # the table is built only for ledgers that query a tag
@@ -122,9 +122,6 @@ class CharWord(Symbol):
         if not self.word:
             return other
         return CharWord.of(self.word + other.word)
-
-    def inv(self) -> "CharWord":
-        return CharWord(tuple((n, -e) for n, e in self.word))
 
     def __pow__(self, k: int) -> "CharWord":
         return CharWord(tuple((n, e * k) for n, e in self.word)) if k else CharWord()
@@ -399,27 +396,28 @@ def _reduced(rows: dict[str, CharWord], word: CharWord) -> CharWord:
     else:
         return word
     exps = dict(word.word)
-    for pivot, row in sorted(rows.items()):
-        k = exps.get(pivot, 0) // row.word[0][1]
-        for name, exp in row.word if k else ():
+    while wrong := [name for name in sorted(exps)
+                    if name in rows and not 0 <= exps[name] < rows[name].word[0][1]]:
+        row = rows[wrong[0]]  # the first, as a row meets its pivot and later generators only
+        k = exps[wrong[0]] // row.word[0][1]
+        for name, exp in row.word:
             exps[name] = exps.get(name, 0) - k * exp
     return CharWord.of(exps)
 
 
-def _with(rows: dict[str, CharWord], word: CharWord, hermite: bool = True) -> dict:
-    """The Hermite normal form (an echelon form only, when not *hermite*) of
-    the lattice *rows* and *word* span (H. Cohen, A Course in Computational
-    Algebraic Number Theory, 1993, 2.4), generators in name order: a row per
-    pivot, its first generator, where it is positive."""
+def _with(rows: dict[str, CharWord], word: CharWord) -> dict:
+    """An echelon form of the lattice *rows* and *word* span (H. Cohen, A
+    Course in Computational Algebraic Number Theory, 1993, 2.4), generators
+    in name order: a row per pivot, its first generator, where it is
+    positive.  The pivots and their exponents are invariants of the
+    lattice, so :func:`_reduced` gives a coset one word in any echelon form."""
     word = _reduced(rows, word)
     rows = dict(rows)
     while not word.is_empty():  # Euclid on the pivot exponents of the word and a row
         pivot, a = word.word[0]
-        word, a = (word, a) if a > 0 else (word.inv(), -a)
+        word, a = (word, a) if a > 0 else (word ** -1, -a)
         row, rows[pivot] = rows.get(pivot), word  # a free pivot takes the word whole
         word = CharWord() if row is None else row * word ** -(row.word[0][1] // a)
-    for pivot, row in sorted(rows.items(), reverse=True) if hermite else ():
-        rows[pivot] = CharWord(row.word[:1]) * _reduced(rows, CharWord(row.word[1:]))
     return rows
 
 
@@ -432,11 +430,11 @@ class FactLedger:
     word and w^3 for a cubic one, and the quotient of each true fact between
     two characters, or between two twists of a core whose declared type
     admits no self-twist.  D holds the quotient of each such false fact, w
-    for a quadratic or cubic word, w^2 for a non-real one, and g^d for each
-    proper divisor d of a declared order N.  A declaration is refused
-    exactly when it would put a member of D in R, and every answer about a
-    character is read off the two.  :attr:`characters` maps each generator
-    to its declared order, or None.
+    for a quadratic or cubic word, w^2 for a non-real one, and g^(N/q) for
+    each prime q dividing a declared order N; each member is kept reduced
+    modulo R.  A declaration is refused exactly when it would put a member
+    of D in R, and every answer about a character is read off the two.
+    :attr:`characters` holds the generators' names.
 
     Other facts are equivalences between constituents, asserted true or
     false; "lhs = rhs (x) nu" is the equivalence of ``lhs`` with ``rhs``
@@ -457,7 +455,7 @@ class FactLedger:
     """
 
     def __init__(self) -> None:
-        self.characters: dict[str, int | None] = {}
+        self.characters: set[str] = set()
         self.bases: dict[str, BaseCusp] = {}
         self.base_changes: dict[tuple[str, str], BaseCusp] = {}
         self._rows: dict[str, CharWord] = {}  # R
@@ -475,12 +473,13 @@ class FactLedger:
         self, name: str, order: int | None = None, kind: str | None = None
     ) -> None:
         """Declare a character generator, bare or of an exact order N, which
-        puts g^N in R and g^d in D for each proper divisor d of N.  A kind that
-        fixes an order (trivial, quadratic, cubic) is that order; non-real puts
-        g^2 in D.  Refused: an order below 1, an unknown kind or one the order
-        does not fit, and what :meth:`_relate` refuses."""
-        if order is not None and order < 1:
-            raise LedgerError(f"character {name} declared with order {order}")
+        puts g^N in R and g^(N/q) in D for each prime q dividing N.  A kind
+        that fixes an order (trivial, quadratic, cubic) is that order; non-real
+        puts g^2 in D.  Refused: an order below 1 or above MAX_POWER, an
+        unknown kind or one the order does not fit, and what :meth:`_relate`
+        refuses."""
+        if order is not None and not 1 <= order <= MAX_POWER:  # N is factored by trial division
+            raise LedgerError(f"character {name}: order must be from 1 to {MAX_POWER}")
         if kind is not None and kind not in _KIND_ORDERS:
             raise LedgerError(f"character {name}: unknown kind {kind!r}")
         fixed = _KIND_ORDERS.get(kind)
@@ -497,17 +496,17 @@ class FactLedger:
         for name, order in items:
             if name in self.bases:
                 raise LedgerError(f"{name} is declared as a base, not a character")
-            if order:  # g^N in R, and g^d in D for each proper divisor d of N
+            if order:  # g^N in R, and g^(N/q) in D for each prime q dividing N
                 rows[name], reason = CharWord.gen(name, order), ("{} has order {}", name, order)
-                apart |= {CharWord.gen(name, d): reason for k in range(1, isqrt(order) + 1)
-                          if order % k == 0 for d in (k, order // k) if d < order}
-        if rows.keys() & self.characters.keys():  # an order for a known generator
+                apart |= {CharWord.gen(name, order // q): reason for q in range(2, order + 1)
+                          if order % q == 0 and all(q % p for p in range(2, isqrt(q) + 1))}
+        if not rows.keys().isdisjoint(self.characters):  # an order for a known generator
             what = " and ".join(f"{n} cannot have order {d}" for n, d in items if d)
             self._relate(f"character {what}", rows.values(), apart.items(), [])
         elif rows:  # new pivots, which no key, row or member of D meets: nothing to check
             self._rows.update(rows)
             self._apart.update(apart)
-        self.characters.update((n, d) for n, d in items if d or n not in self.characters)
+        self.characters.update(n for n, _ in items)
 
     def declare_base(self, name: str, typ: str, **tags) -> BaseCusp:
         if typ not in BASE_TYPES:
@@ -617,13 +616,13 @@ class FactLedger:
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
         """Record a word's kind: trivial puts it in R, quadratic or cubic its
         square or cube in R and it in D, non-real its square in D.  Refused
-        where then a member of D would be in R, naming the kind it has."""
+        where then a member of D would be in R, as :meth:`_relate` says."""
         if kind not in _KIND_ORDERS:
             raise LedgerError(f"word {word}: unknown kind {kind!r}")
         power = _KIND_ORDERS[kind]
         self._relate(f"{word} cannot be declared {kind}", (word ** power,) if power else (),
                      ((word if power else word ** 2, ("{} is {}", word, kind)),) * (power != 1),
-                     [n for n, _ in word.word], named=word)
+                     [n for n, _ in word.word])
 
     def word_kind(self, word: CharWord) -> str | None:
         """A word's kind, read off R and D: trivial in R; quadratic or cubic
@@ -639,7 +638,7 @@ class FactLedger:
         is the fact ``c ~ c^-1``, asserted by :meth:`assert_equiv` and refused
         by its rules.  A cusp-form symbol's self-duality is taken as declared."""
         if c.core is None:
-            self.assert_equiv(c, character(c.twist.inv()), truth)
+            self.assert_equiv(c, character(c.twist ** -1), truth)
             return
         self._declare_characters((n, None) for n, _ in c.twist.word if n not in self.characters)
         _declare(self._self_dual, self._canon(c), truth, "self-duality")
@@ -648,7 +647,7 @@ class FactLedger:
         """A character's self-duality as :meth:`_forced` gives it; a cusp form's as declared."""
         key = self._canon(c)
         if key.core is None:
-            forced = self._forced(key, self._canon(character(key.twist.inv())))
+            forced = self._forced(key, self._canon(character(key.twist ** -1)))
             return forced and forced[0]
         return self._self_dual.get(key)
 
@@ -668,17 +667,18 @@ class FactLedger:
         key = frozenset((k1, k2))
         if not truth and len(key) == 1:
             raise LedgerError(f"{c1} ~ {c2} cannot be declared false: both sides reduce to {k1}")
-        if truth and (forced := self._forced(k1, k2)) and not forced[0]:
-            raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(forced[1])}")
         # one core, compared by its cached hash first, as most facts have two
         if hash(k1.core) == hash(k2.core) and k1.core == k2.core and (
                 k1.core is None or _no_self_twist(k1.core)):
-            quotient = k1.twist * k2.twist.inv()
-            self._relate(f"{k1} ~ {k2} cannot be declared {str(truth).lower()}",
+            quotient = k1.twist * k2.twist ** -1
+            why = "" if k1.core is None else f", as {k1.core} admits no self-twist"
+            self._relate(f"{k1} ~ {k2} cannot be declared {str(truth).lower()}{why}",
                          (quotient,) * truth,
                          ((quotient, ("declared: {} ~ {} is {}", k1, k2, truth)),) * (not truth),
                          [n for n, _ in k1.twist.word + k2.twist.word])
             return
+        if truth and (forced := self._forced(k1, k2)) and not forced[0]:
+            raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(forced[1])}")
         if key in self._facts and self._facts[key] != truth:
             first, second = sorted(map(str, (k1, k2)))
             raise LedgerError(
@@ -690,30 +690,28 @@ class FactLedger:
         self._facts[key] = truth
 
     def _relate(self, refusal: str, ones: Iterable[CharWord],
-                apart: Iterable[tuple[CharWord, tuple]], names: list[str],
-                named: CharWord | None = None) -> None:
+                apart: Iterable[tuple[CharWord, tuple]], names: list[str]) -> None:
         """Put the words *ones* in R and the (word, reason) pairs *apart* in D,
         and declare the generators *names*, bare where they are new; all or
         none.  Refused where a name is a base's, where :meth:`_rekeyed`
-        refuses, and where then a member of D would be in R: as *refusal*
-        then the kind of *named* where the ledger reads one, else the member."""
+        refuses, and where then a member of D would be in R: as *refusal*,
+        then that member and why it is not 1."""
         if taken := [n for n in names if n in self.bases]:
             raise LedgerError(f"{taken[0]} is declared as a base, not a character")
         rows = reduce(_with, ones, self._rows)
-        new = {word: reason for word, reason in apart if word not in self._apart}
-        old = self._apart if rows != self._rows else {}  # R holds no old member of D
-        for word, reason in [*old.items(), *new.items()]:
-            if _reduced(rows, word).is_empty():
-                if named is not None and (known := self.word_kind(named)):
-                    raise LedgerError(f"{refusal}: it is {known}")
+        moved = rows != self._rows  # then each old member is reduced anew
+        members = {} if moved else dict(self._apart)
+        for word, reason in [*(self._apart.items() if moved else ()), *apart]:
+            if (member := _reduced(rows, word)).is_empty():
                 raise LedgerError(f"{refusal}: " + (
                     f"{word} is 1" if _reduced(self._rows, word).is_empty() else
                     f"then {word} would be 1, but {_text(reason)}"))
-        if rows != self._rows:  # both keyed anew before either is kept
+            members.setdefault(member, reason)
+        if moved:  # both keyed anew before either is kept
             self._facts, self._self_dual = (self._rekeyed(rows, table, refusal)
                                             for table in (self._facts, self._self_dual))
-        self.characters.update((n, None) for n in names if n not in self.characters)
-        self._rows, self._apart = rows, self._apart | new if new else self._apart
+        self.characters.update(names)
+        self._rows, self._apart = rows, members
 
     def _rekeyed(self, rows: dict[str, CharWord], table: dict, refusal: str) -> dict:
         """Facts, keyed by pairs, or self-dualities keyed anew modulo *rows*;
@@ -750,8 +748,8 @@ class FactLedger:
             return fact, ("declared: {} ~ {} is {}", k1, k2, fact)
         if forced := self._forced(k1, k2):
             return forced
-        # the generic defaults, which a fact may overturn
-        if k1.core != k2.core:
+        # the generic defaults, which a fact may overturn; cores by their cached hash first
+        if hash(k1.core) != hash(k2.core) or k1.core != k2.core:
             return None, ("equiv({}, {})", k1, k2)
         if k1.core is None:  # two characters, as the degrees agree
             return False, ("distinct character words are generically distinct",)
@@ -775,22 +773,24 @@ class FactLedger:
             if r1 is not None and r2 is not None and r1.keys() != r2.keys():
                 return False, ("finite-image restrictions differ: {} vs {}",
                                sorted(r1), sorted(r2))
-        elif k1.core is None:
-            if reason := self._distinct(k1.twist * k2.twist.inv()):
-                return False, reason
-        elif _no_self_twist(k1.core) and (reason := self._distinct(k1.twist * k2.twist.inv())):
-            return False, ("{} admits no self-twist for its declared type, and " + reason[0],
-                           k1.core, *reason[1:])
+        elif (k1.core is None or _no_self_twist(k1.core)) and (
+                reason := self._distinct(k1.twist * k2.twist ** -1)):
+            return False, reason if k1.core is None else (
+                "{} admits no self-twist for its declared type, and " + reason[0],
+                k1.core, *reason[1:])
         return None
 
     def _distinct(self, word: CharWord) -> tuple | None:
         """Why a quotient of twists is not 1, as a reason tuple, or None: R
-        with it holds a member of D, whose reason it gives."""
-        quotient = _reduced(self._rows, word)
-        rows = _with(self._rows, quotient, hermite=False)
+        with it holds a member of D, whose reason it gives.  A member is
+        reduced modulo R, so it can join R only where the quotient moves the
+        row of its first generator."""
+        rows = _with(self._rows, word)
+        moved = {pivot for pivot, row in rows.items() if self._rows.get(pivot) is not row}
         for member, reason in self._apart.items():
-            if _reduced(rows, member).is_empty():
-                return ("their quotient {} is not 1: " + reason[0], quotient, *reason[1:])
+            if member.word[0][0] in moved and _reduced(rows, member).is_empty():
+                return ("their quotient {} is not 1: " + reason[0], _reduced(self._rows, word),
+                        *reason[1:])
         return None
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:

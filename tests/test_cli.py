@@ -357,7 +357,7 @@ class TestCuspidality:
                     "facts": [{"lhs": "eta(q)", "rhs": "1", "relation": "equiv", "truth": True}],
                 },
                 "q",
-                "facts[0]: eta(q) ~ 1 cannot be declared true: their quotient eta(q) is not 1: "
+                "facts[0]: eta(q) ~ 1 cannot be declared true: then eta(q) would be 1, but "
                 "eta(q) has order 3",
             ),
             (
@@ -374,7 +374,7 @@ class TestCuspidality:
                     "bases": [{"name": "p", "type": "icosahedral"}],
                 },
                 "p",
-                "characters[0]: chi cannot be declared non-real: it is quadratic",
+                "characters[0]: chi cannot be declared non-real: chi^2 is 1",
             ),
             (
                 {
@@ -383,7 +383,7 @@ class TestCuspidality:
                     "facts": [{"lhs": "nu", "rhs": "nu^-1", "relation": "equiv", "truth": True}],
                 },
                 "p",
-                "facts[0]: nu ~ nu^-1 cannot be declared true: their quotient nu^2 is not 1: "
+                "facts[0]: nu ~ nu^-1 cannot be declared true: then nu^2 would be 1, but "
                 "nu is non-real",
             ),
             (
@@ -393,7 +393,7 @@ class TestCuspidality:
                     "facts": [{"lhs": "c", "rhs": "c^-1", "relation": "equiv", "truth": True}],
                 },
                 "p",
-                "facts[0]: c ~ c^4 cannot be declared true: their quotient c^2 is not 1: "
+                "facts[0]: c ~ c^4 cannot be declared true: then c would be 1, but "
                 "c has order 5",
             ),
             (
@@ -422,8 +422,7 @@ class TestCuspidality:
                 },
                 "p",
                 "facts[0]: sym^2(p)*omega(p)^-1 ~ sym^2(p)*c*omega(p)^-1 cannot be declared "
-                "true: sym^2(p) admits no self-twist for its declared type, and their "
-                "quotient c is not 1: c has order 2",
+                "true, as sym^2(p) admits no self-twist: then c would be 1, but c has order 2",
             ),
             (
                 # this document used to load, and the query failed only in the
@@ -435,8 +434,8 @@ class TestCuspidality:
                 },
                 "q",
                 "facts[0]: sym^2(q)*omega(q)^-1 ~ sym^2(q)*mu(q)*omega(q)^-1 cannot be "
-                "declared true: sym^2(q) admits no self-twist for its declared type, and "
-                "their quotient mu(q) is not 1: mu(q) has order 2",
+                "declared true, as sym^2(q) admits no self-twist: then mu(q) would be 1, but "
+                "mu(q) has order 2",
             ),
             (
                 {
@@ -444,7 +443,7 @@ class TestCuspidality:
                     "word_kinds": [{"word": "c^2", "kind": "trivial"}],
                 },
                 "p",
-                "word_kinds[0]: c^2 cannot be declared trivial: it is non-real",
+                "word_kinds[0]: c^2 cannot be declared trivial: then c would be 1, but c has order 5",
             ),
             (
                 {
@@ -456,7 +455,7 @@ class TestCuspidality:
                     ],
                 },
                 "p",
-                "facts[2]: e ~ d cannot be declared true: their quotient d*e is not 1: "
+                "facts[2]: e ~ d cannot be declared true: then d*e would be 1, but "
                 "declared: c ~ d is False",
             ),
             (
@@ -466,8 +465,8 @@ class TestCuspidality:
                     "facts": [{"lhs": "chi0", "rhs": "chi4", "relation": "equiv", "truth": True}],
                 },
                 "p",
-                "facts[0]: chi0 ~ chi4 cannot be declared true: their quotient chi0*chi4^-1 "
-                "is not 1: chi4^2 is non-real",
+                "facts[0]: chi0 ~ chi4 cannot be declared true: then chi4^4 would be 1, but "
+                "chi4^2 is non-real",
             ),
         ],
         ids=[
@@ -813,7 +812,7 @@ class TestSiegel:
         # declared non-real, the trivial c would rule the exceptional case out
         path.write_text(json.dumps({**doc, "word_kinds": [{"word": "c", "kind": "non-real"}]}))
         assert run(capsys, "siegel", "--m", "0", "--facts", str(path)) == (
-            2, "", "error: word_kinds[0]: c cannot be declared non-real: it is trivial\n"
+            2, "", "error: word_kinds[0]: c cannot be declared non-real: c^2 is 1\n"
         )
 
     def test_a_quadratic_character_declared_not_self_dual_exit_2(self, capsys, tmp_path):

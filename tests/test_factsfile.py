@@ -40,7 +40,7 @@ from test_corpus import build_documents, run
 def test_empty_document():
     ledger = load_facts({})
     assert ledger.bases == {}
-    assert ledger.characters == {}
+    assert ledger.characters == set()
 
 
 class TestCharacters:
@@ -48,17 +48,17 @@ class TestCharacters:
         ledger = load_facts(
             {"characters": [{"name": "chi", "order": 2, "properties": ["quadratic"]}]}
         )
-        assert ledger.characters["chi"] == 2
+        assert ledger._rows["chi"] == CharWord.gen("chi", 2)
         assert ledger.word_kind(CharWord.gen("chi")) == "quadratic"
 
     def test_property_as_bare_string(self):
         ledger = load_facts({"characters": [{"name": "nu", "properties": "non-real"}]})
-        assert ledger.characters["nu"] is None
+        assert "nu" in ledger.characters and "nu" not in ledger._rows
         assert ledger.word_kind(CharWord.gen("nu")) == "non-real"
 
     def test_one_kind_named_twice_is_one_kind(self):
         ledger = load_facts({"characters": [{"name": "nu", "properties": ["cubic", "cubic"]}]})
-        assert ledger.characters["nu"] == 3
+        assert ledger._rows["nu"] == CharWord.gen("nu", 3)
         assert ledger.word_kind(CharWord.gen("nu")) == "cubic"
 
     def test_unknown_property_rejected(self):
@@ -73,7 +73,7 @@ class TestCharacters:
     def test_a_bare_entry_adds_nothing_in_either_order(self, bare_first):
         entries = [{"name": "c"}, {"name": "c", "order": 2, "properties": ["quadratic"]}]
         ledger = load_facts({"characters": entries if bare_first else entries[::-1]})
-        assert ledger.characters["c"] == 2
+        assert ledger._rows["c"] == CharWord.gen("c", 2)
         assert ledger.word_kind(CharWord.gen("c")) == "quadratic"
 
     @pytest.mark.parametrize("order, kind", [(1, "trivial"), (2, "quadratic"), (3, "cubic")])
@@ -82,7 +82,7 @@ class TestCharacters:
                                                                      order_first):
         entries = [{"name": "c", "order": order}, {"name": "c", "properties": [kind]}]
         ledger = load_facts({"characters": entries if order_first else entries[::-1]})
-        assert ledger.characters == {"c": order}
+        assert ledger.characters == {"c"}
         assert ledger._rows == {"c": CharWord.gen("c", order)}
         assert ledger.word_kind(CharWord.gen("c")) == kind
 
@@ -94,7 +94,9 @@ class TestCharacters:
             load_facts({"characters": entries if order_first else entries[::-1]})
         with pytest.raises(FactsError, match=f"character c of order {order} cannot be {kind}"):
             load_facts({"characters": [{"name": "c", "order": order, "properties": [kind]}]})
-        with pytest.raises(FactsError, match=f"c cannot be declared {kind}: it is "):
+        # the refusal names the member of D the kind would make 1, and its reason
+        with pytest.raises(FactsError, match=f"c cannot be declared {kind}: then c would be 1, "
+                                             f"but c has order {order}"):
             load_facts({"characters": [{"name": "c", "order": order}],
                         "word_kinds": [{"word": "c", "kind": kind}]})
 
@@ -103,7 +105,7 @@ class TestCharacters:
         """Non-real fits every order above 2, so it fits cubic."""
         ledger = load_facts({"characters": [{"name": "c", **spelling}],
                              "word_kinds": [{"word": "c", "kind": "non-real"}]})
-        assert ledger.characters == {"c": 3} and ledger._rows == {"c": CharWord.gen("c", 3)}
+        assert ledger.characters == {"c"} and ledger._rows == {"c": CharWord.gen("c", 3)}
         assert ledger.word_kind(CharWord.gen("c")) == "cubic"
 
 
@@ -119,7 +121,7 @@ class TestBases:
         )
         assert ledger.bases["pi"].cubic_char == "eta(pi)"
         assert ledger.bases["rho"].quadratic_char == "mu(rho)"
-        assert ledger.characters["mu(rho)"] == 2
+        assert ledger._rows["mu(rho)"] == CharWord.gen("mu(rho)", 2)
 
     def test_dihedral_data_is_carried(self):
         ledger = load_facts(
@@ -144,7 +146,7 @@ class TestBases:
         ledger = load_facts(
             {"characters": [{"name": "xi@theta", "order": 2}], "bases": [self.DIHEDRAL]}
         )
-        assert ledger.characters["xi@theta"] == 2
+        assert ledger._rows["xi@theta"] == CharWord.gen("xi@theta", 2)
 
     @pytest.mark.parametrize(
         "base",
@@ -153,7 +155,7 @@ class TestBases:
     )
     def test_a_companion_declared_with_an_order_keeps_it(self, base):
         ledger = load_facts({"characters": [{"name": "xi", "order": 2}], "bases": [base]})
-        assert ledger.characters["xi"] == 2
+        assert ledger._rows["xi"] == CharWord.gen("xi", 2)
         assert ledger.bases[base["name"]].typ == base["type"]
 
     @pytest.mark.parametrize("spelling", [{"order": 3}, {"properties": ["cubic"]},
@@ -163,7 +165,7 @@ class TestBases:
         beforehand agrees with the order 3 its base gives it."""
         ledger = load_facts({"characters": [{"name": "eta(t)", **spelling}],
                              "bases": [{"name": "t", "type": "tetrahedral"}]})
-        assert ledger.characters["eta(t)"] == 3
+        assert ledger._rows["eta(t)"] == CharWord.gen("eta(t)", 3)
         assert ledger.word_kind(CharWord.gen("eta(t)")) == "cubic"
         with pytest.raises(FactsError, match=r"bases\[0\]: character eta\(t\) cannot have order "
                                               r"3: then eta\(t\) would be 1, but eta\(t\) has "
@@ -176,7 +178,7 @@ class TestBases:
         bases = [{"name": "t", "type": "tetrahedral"},
                  {"name": "g", "type": "general", "omega": "eta(t)"}]
         ledger = load_facts({"bases": bases if tetrahedral_first else bases[::-1]})
-        assert ledger.characters["eta(t)"] == 3
+        assert ledger._rows["eta(t)"] == CharWord.gen("eta(t)", 3)
         assert ledger.word_kind(CharWord.gen("eta(t)")) == "cubic"
         assert ledger.bases["g"].omega == "eta(t)"
 
@@ -341,7 +343,7 @@ def test_declared_names_of_the_docs_read_back():
             "bases": [{"name": "pi'", "type": "icosahedral", "omega": "w_(1)"}],
         }
     )
-    assert {"omega(pi)", "xi@theta", "b3_E0", "w_(1)"} <= ledger.characters.keys()
+    assert {"omega(pi)", "xi@theta", "b3_E0", "w_(1)"} <= ledger.characters
 
 
 class TestWordsAndSymbols:
@@ -349,17 +351,17 @@ class TestWordsAndSymbols:
         ledger = load_facts({})
         word = parse_word("chi^-1*chi@theta", ledger)
         assert word == CharWord.of({"chi": -1, "chi@theta": 1})
-        assert ledger.characters == {}  # a parse declares nothing
+        assert ledger.characters == set()  # a parse declares nothing
 
     def test_a_parse_writes_nothing(self):
         ledger = load_facts({"bases": [{"name": "pi", "type": "tetrahedral"}]})
-        before = dict(ledger.characters)
+        before = set(ledger.characters)
         assert parse_symbol("sym^3(pi)*chi^2*nu", ledger).twist == CharWord.of({"chi": 2, "nu": 1})
         assert parse_word("eta(pi)^-1*xi@theta", ledger).word == (("eta(pi)", -1), ("xi@theta", 1))
         assert ledger.characters == before
         # the ledger declares a generator where a fact first mentions it
         ledger.assert_equiv(parse_symbol("chi", ledger), parse_symbol("nu", ledger), False)
-        assert ledger.characters.keys() - before.keys() == {"chi", "nu"}
+        assert ledger.characters - before == {"chi", "nu"}
 
     def test_trivial_words(self):
         ledger = load_facts({})
@@ -439,7 +441,7 @@ class TestWordsAndSymbols:
     )
     def test_cusp_form_factor_in_a_word_rejected(self, text):
         ledger = load_facts({"bases": [{"name": "pi", "type": "icosahedral"}]})
-        characters = dict(ledger.characters)
+        characters = set(ledger.characters)
         with pytest.raises(FactsError, match="is a cusp form, not a character"):
             parse_word(text, ledger)
         assert ledger.characters == characters
@@ -1163,7 +1165,7 @@ LABELLED = [
             "characters": [{"name": "c", "order": 1}],
             "word_kinds": [{"word": "c", "kind": "non-real"}],
         },
-        "word_kinds[0]: c cannot be declared non-real: it is trivial",
+        "word_kinds[0]: c cannot be declared non-real: c^2 is 1",
     ),
     (
         {
@@ -1173,11 +1175,11 @@ LABELLED = [
                 {"word": "eta", "kind": "quadratic"},
             ],
         },
-        "word_kinds[1]: eta cannot be declared quadratic: it is cubic",
+        "word_kinds[1]: eta cannot be declared quadratic: then eta would be 1, but eta has order 3",
     ),
     (
         {"characters": [{"name": "chi"}, {"name": "nu", "properties": ["quadratic", "non-real"]}]},
-        "characters[1]: nu cannot be declared non-real: it is quadratic",
+        "characters[1]: nu cannot be declared non-real: nu^2 is 1",
     ),
     (
         {"characters": [{"name": "nu", "properties": [[]]}]},
@@ -1218,7 +1220,7 @@ LABELLED = [
             "facts": [_fact("a", "b", True)],
             "word_kinds": [{"word": "a*b^-1", "kind": "quadratic"}],
         },
-        "facts[0]: a ~ b cannot be declared true: their quotient a*b^-1 is not 1: a*b^-1 is "
+        "facts[0]: a ~ b cannot be declared true: then a*b^-1 would be 1, but a*b^-1 is "
         "quadratic",
     ),
     (
@@ -1231,11 +1233,12 @@ LABELLED = [
     ),
     (
         {"word_kinds": [{"word": "a*b", "kind": "trivial"}, {"word": "a^-1*b^-1", "kind": "cubic"}]},
-        "word_kinds[1]: a^-1*b^-1 cannot be declared cubic: it is trivial",
+        "word_kinds[1]: a^-1*b^-1 cannot be declared cubic: a^-1*b^-1 is 1",
     ),
     (
         {"word_kinds": [{"word": "eta(rho)^-1", "kind": "quadratic"}]},
-        "word_kinds[0]: eta(rho)^-1 cannot be declared quadratic: it is cubic",
+        "word_kinds[0]: eta(rho)^-1 cannot be declared quadratic: then eta(rho) would be 1, "
+        "but eta(rho) has order 3",
     ),
     (
         {"characters": [{"name": "c"}, {"name": "c", "order": 3}, {"name": "c", "order": 2}]},

@@ -433,7 +433,7 @@ def test_a_scan_over_a_ledger_without_a_tagged_base_writes_nothing():
         "facts": [{"lhs": "Ad(rho)", "rhs": "Ad(rho)*nu^2", "relation": "equiv", "truth": False}],
         "word_kinds": [{"word": "chi*omega(pi)^6", "kind": "non-real"}],
     })
-    before = {name: dict(getattr(ledger, name)) for name in DECLARATION_TABLES}, dict(ledger._apart)
+    before = {name: getattr(ledger, name).copy() for name in DECLARATION_TABLES}, dict(ledger._apart)
     reports = siegel_scan(0, 30, ledger=ledger)
     assert ({name: getattr(ledger, name) for name in DECLARATION_TABLES}, ledger._apart) == before
     # the report is on the default pi and chi, and reads the ledger's word kind
@@ -462,7 +462,7 @@ def test_checks_and_reports_take_one_pair():
         BaseCusp("pi", "icosahedral", galois_row="X'"),
         BaseCusp("pi_tau", "icosahedral", omega="omega(pi)", galois_row="X''"),
     )
-    assert ledger.bases == {} and ledger.characters == {}  # built as values
+    assert ledger.bases == {} and ledger.characters == set()  # built as values
 
 
 def test_the_partner_of_a_base_tagged_x2_is_tagged_x1_with_its_central_character():
@@ -530,7 +530,7 @@ def test_galois_partner_name_clash_is_refused(kind):
         ledger.declare_base("f_tau", "icosahedral", galois_row="X'")
     else:
         ledger.declare_character("f_tau", order=2)
-    before = (dict(ledger.bases), dict(ledger.characters))
+    before = (dict(ledger.bases), set(ledger.characters))
     message = f"f_tau, the Galois partner of f, is declared as a {kind}"
     with pytest.raises(LedgerError, match=message):
         siegel_report(12, f, None, ledger)

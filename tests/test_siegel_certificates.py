@@ -52,7 +52,7 @@ def hand_factors(m, p, chi):
         LFactor("zeta", (), 1),
         LFactor("single", (target,), 4),
         LFactor("single", (adjoint,), 2),
-        LFactor("single", (Constituent(SymCusp(p, m + 2), chi * omega.inv()),), 2),
+        LFactor("single", (Constituent(SymCusp(p, m + 2), chi * omega ** -1),), 2),
         LFactor("single", (Constituent(sym_cusp(p, m - 2), chi * omega),), 2),
         LFactor("pair", (target, target), 1),
         LFactor("pair", (adjoint, adjoint), 1),
