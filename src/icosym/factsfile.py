@@ -37,9 +37,11 @@ spelling: ``chi*sym^12(pi)`` and ``sym^12(pi) * chi`` are one symbol.
 A property that fixes an order (trivial, quadratic, cubic) is that order:
 ``"order": 2`` and ``"properties": ["quadratic"]`` agree.  Character
 generators not declared in the ``characters`` section are declared, of
-unknown order, where a fact, word kind or self-duality first mentions them.  The sections load as characters, bases, base changes, word
-kinds, facts, cuspidal, automorphic, self-dual, in any document order, and
-a chain of base changes in any order too.
+unknown order, where a fact, word kind or self-duality first mentions them.
+A ``self_dual`` entry is the fact ``symbol ~ dual(symbol)`` (see
+:func:`icosym.isobaric.dual`).  The sections load as characters, bases,
+base changes, word kinds, facts, cuspidal, automorphic, self-dual, in any
+document order, and a chain of base changes in any order too.
 
 Each distinct symbol text, and each distinct ``twist`` or ``word`` text, is
 parsed once per document: a later mention of the same text reuses the

@@ -288,6 +288,26 @@ def character(word: CharWord) -> Constituent:
     return Constituent(None, word)
 
 
+def dual(c: Constituent) -> Constituent | None:
+    """The contragredient of *c*, a core or none twisted by w: the core
+    twisted by w^-1 and the core's dual twist, 1 for a character, omega^-n
+    for sym^n of a base (pi dual is pi (x) omega^-1, Gelbart-Jacquet 1978),
+    the product of its factors' for a box.  None for an induced core, or a
+    box holding one: it has no formula here."""
+    core = c.core
+    if isinstance(core, BoxCusp):
+        left, right = dual(Constituent(core.left)), dual(Constituent(core.right))
+        if left is None or right is None:
+            return None
+        twist = left.twist * right.twist
+    elif isinstance(core, InducedCusp):
+        return None
+    else:
+        sym = _as_sym(core)  # None for a character
+        twist = CharWord.gen(sym[0].omega, -sym[1]) if sym else CharWord()
+    return Constituent(core, c.twist ** -1 * twist)
+
+
 TRIVIAL = character(CharWord())
 
 
@@ -438,13 +458,13 @@ class FactLedger:
 
     Other facts are equivalences between constituents, asserted true or
     false; "lhs = rhs (x) nu" is the equivalence of ``lhs`` with ``rhs``
-    twisted by ``nu``.  Asserting both truths for one fact, or declaring one
-    symbol's cuspidality, automorphy or self-duality two ways, is refused.
-    :meth:`_forced` gives the answers no fact can change, and a fact against
-    one is refused; the resolver's other answers are generic defaults, which
-    a fact overturns.  Facts and self-dualities are keyed by symbol records,
-    twists reduced modulo R and keyed anew when R grows.  A name is either a
-    base or a character, not both.
+    twisted by ``nu``; a self-duality is the fact ``c ~ dual(c)``.  Asserting
+    both truths for one fact, or declaring a core's cuspidality or automorphy
+    two ways, is refused.  :meth:`_forced` gives the answers no fact can
+    change, and a fact against one is refused; the resolver's other answers
+    are generic defaults, which a fact overturns.  Facts are keyed by pairs
+    of symbol records, twists reduced modulo R and keyed anew when R grows.
+    A name is either a base or a character, not both.
 
     A ledger is written only while it is built (the ``declare_*`` and
     ``assert_*`` methods); queries only read it, but for the memo of
@@ -463,7 +483,6 @@ class FactLedger:
         self._facts: dict[frozenset[Constituent], bool] = {}
         self._cuspidal: dict[Core, bool] = {}
         self._automorphic: dict[Core, bool] = {}
-        self._self_dual: dict[Constituent, bool] = {}
         # per queried core: the multiplicities of its restriction
         self._decompositions: dict[Core, dict[str, int] | None] = {}
 
@@ -634,22 +653,19 @@ class FactLedger:
         return "non-real" if self._distinct(word ** 2) else None
 
     def declare_self_dual(self, c: Constituent, truth: bool) -> None:
-        """A character is self-dual when it is its inverse, so its self-duality
-        is the fact ``c ~ c^-1``, asserted by :meth:`assert_equiv` and refused
-        by its rules.  A cusp-form symbol's self-duality is taken as declared."""
-        if c.core is None:
-            self.assert_equiv(c, character(c.twist ** -1), truth)
-            return
-        self._declare_characters((n, None) for n, _ in c.twist.word if n not in self.characters)
-        _declare(self._self_dual, self._canon(c), truth, "self-duality")
+        """The fact ``c ~ dual(c)``, asserted by :meth:`assert_equiv` and
+        refused by its rules; refused for a core with no :func:`dual`."""
+        if (d := dual(c)) is None:
+            raise LedgerError(f"{c.core} has no dual formula: its self-duality cannot be declared")
+        self.assert_equiv(c, d, truth)
 
     def self_dual_declared(self, c: Constituent) -> bool | None:
-        """A character's self-duality as :meth:`_forced` gives it; a cusp form's as declared."""
-        key = self._canon(c)
-        if key.core is None:
-            forced = self._forced(key, self._canon(character(key.twist ** -1)))
-            return forced and forced[0]
-        return self._self_dual.get(key)
+        """Whether ``c ~ dual(c)``: the declared fact, else :meth:`_forced`'s
+        answer, else None; never a generic default of :meth:`_resolve`, by
+        which no twist of sym^n of an icosahedral base would be self-dual."""
+        d = dual(c)
+        known = None if d is None else self._known(self._canon(c), self._canon(d))
+        return known and known[0]
 
     # -- facts ------------------------------------------------------------
 
@@ -707,26 +723,22 @@ class FactLedger:
                     f"{word} is 1" if _reduced(self._rows, word).is_empty() else
                     f"then {word} would be 1, but {_text(reason)}"))
             members.setdefault(member, reason)
-        if moved:  # both keyed anew before either is kept
-            self._facts, self._self_dual = (self._rekeyed(rows, table, refusal)
-                                            for table in (self._facts, self._self_dual))
+        if moved:
+            self._facts = self._rekeyed(rows, refusal)
         self.characters.update(names)
         self._rows, self._apart = rows, members
 
-    def _rekeyed(self, rows: dict[str, CharWord], table: dict, refusal: str) -> dict:
-        """Facts, keyed by pairs, or self-dualities keyed anew modulo *rows*;
-        refused, naming both entries, where two then coincide with opposite
-        truths, and where a false fact's two sides do."""
-        def shown(key: frozenset | Constituent) -> str:  # a fact c ~ c is a pair of one
-            if isinstance(key, frozenset):
-                return " ~ ".join(sorted(map(str, key)) * (3 - len(key)))
-            return f"the self-duality of {key}"
+    def _rekeyed(self, rows: dict[str, CharWord], refusal: str) -> dict:
+        """The facts keyed anew modulo *rows*; refused, naming both facts,
+        where two then coincide with opposite truths, and where a false
+        fact's two sides do."""
+        def shown(key: frozenset) -> str:  # a fact c ~ c is a pair of one
+            return " ~ ".join(sorted(map(str, key)) * (3 - len(key)))
 
         out: dict = {}
-        for key, truth in table.items():
-            pair = isinstance(key, frozenset)
-            new = frozenset(self._canon(c, rows) for c in key) if pair else self._canon(key, rows)
-            if pair and not truth and len(new) < len(key):
+        for key, truth in self._facts.items():
+            new = frozenset(self._canon(c, rows) for c in key)
+            if not truth and len(new) < len(key):
                 raise LedgerError(f"{refusal}: then {shown(key)}, declared False, would have "
                                   f"both sides {next(iter(new))}")
             if (first := out.setdefault(new, (truth, key)))[0] != truth:
@@ -744,10 +756,8 @@ class FactLedger:
     def _resolve(self, k1: Constituent, k2: Constituent) -> tuple[bool | None, tuple]:
         """:meth:`equivalent` on constituents already reduced by :meth:`_canon`,
         with the reason as a ``(template, *operands)`` tuple."""
-        if (fact := self._facts.get(frozenset((k1, k2)))) is not None:
-            return fact, ("declared: {} ~ {} is {}", k1, k2, fact)
-        if forced := self._forced(k1, k2):
-            return forced
+        if known := self._known(k1, k2):
+            return known
         # the generic defaults, which a fact may overturn; cores by their cached hash first
         if hash(k1.core) != hash(k2.core) or k1.core != k2.core:
             return None, ("equiv({}, {})", k1, k2)
@@ -756,6 +766,13 @@ class FactLedger:
         if _no_self_twist(k1.core):
             return False, ("{} admits no self-twist for its declared type", k1.core)
         return None, ("equiv({}, {}) (potential self-twist)", k1, k2)
+
+    def _known(self, k1: Constituent, k2: Constituent) -> tuple[bool, tuple] | None:
+        """The declared fact between two reduced constituents, else
+        :meth:`_forced`'s answer, with its reason tuple; else None."""
+        if (fact := self._facts.get(frozenset((k1, k2)))) is not None:
+            return fact, ("declared: {} ~ {} is {}", k1, k2, fact)
+        return self._forced(k1, k2)
 
     def _forced(self, k1: Constituent, k2: Constituent) -> tuple[bool, tuple] | None:
         """The answer no fact can change for two reduced constituents, with its

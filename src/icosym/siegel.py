@@ -23,13 +23,12 @@ A report reads its ledger and never writes it.  It is about the pair of
 :func:`icosym.isobaric.conjugate_pair`, twisted by the word given, else by an
 undeclared character ``chi``.
 
-Character constituents are the one structure that can carry an exceptional
-zero, and for an icosahedral base they first appear at ``m = 12``; the
-report flags them (in both normalizations of the character) unless the
-ledger declares the character non-real.  For ``m = 0`` the object under
-study is the twisting character itself — the classical degree-1 case —
-which is flagged only when the ledger declares that character real, not by
-mere presence.
+Only a self-dual L-function can carry an exceptional zero: a report on a
+``sym^m(pi) (x) chi`` the ledger knows not to be self-dual says so at once.
+Otherwise every character constituent, for an icosahedral base first at
+m = 12 (at m = 0, the classical degree-1 case, the twisting character
+itself), is flagged in both normalizations: its square is the quotient of
+that symbol by its dual, so it is not known to be non-real either.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from .isobaric import (
     _refuse_taken,
     ad,
     conjugate_pair,
+    dual,
     icosahedral_family,
     pole_order,
     rs_expand,
@@ -263,10 +263,11 @@ _DEFAULT_TWIST = CharWord.gen("chi")
 
 class _ScanContext:
     """What a scan reads besides m and the twist: the ledger, the base and
-    its partner, and the m-independent pieces: the family by row, and each
-    row's certificate keyed by (row, chi), filled in as the scans need them."""
+    its partner, the family by row, each row's certificate keyed by (row,
+    chi) and why each sym^m(p)*chi is known not to be self-dual, keyed by
+    (m, chi); the last two are filled in as the scans need them."""
 
-    __slots__ = ("ledger", "p", "p_tau", "family", "certificates")
+    __slots__ = ("ledger", "p", "p_tau", "family", "certificates", "not_self_dual")
 
     def __init__(self, ledger: FactLedger, p: BaseCusp | None) -> None:
         self.ledger = ledger
@@ -276,6 +277,7 @@ class _ScanContext:
             for g, (label, _, row) in zip(GENERATORS, icosahedral_family(self.p, self.p_tau))
         }
         self.certificates = {}  # (row, chi) -> (label, detail, k, r, covered)
+        self.not_self_dual = {}  # (m, chi) -> the reason, or "" where none is known
 
 
 @lru_cache(maxsize=1)
@@ -295,13 +297,13 @@ def siegel_report(
     """Classify L(s, sym^m(p) (x) chi) for a base with icosahedral image.
 
     Decomposes the symbol into twists of the nine-generator family, runs
-    each constituent through the rule table, and aggregates.  A character
-    constituent (first possible at m = 12) is flagged as the exceptional
-    case — reported in both normalizations — unless the ledger knows it is
-    not real; undischargeable rule hypotheses make the verdict not-covered
-    rather than a silent pass.  The ledger, empty when not given, is only
-    read; the base, its partner and the twist default as the module
-    docstring says.  Without ``p`` and ``ledger``, the context, its family
+    each constituent through the rule table, and aggregates, unless the
+    ledger knows the symbol is not self-dual.  A character constituent
+    (first possible at m = 12) is flagged as the exceptional case, reported
+    in both normalizations; undischargeable rule hypotheses make the
+    verdict not-covered rather than a silent pass.  The ledger, empty when
+    not given, is only read; the base, its partner and the twist default as
+    the module docstring says.  Without ``p`` and ``ledger``, the context, its family
     and its row certificates are built once per process and shared.
     """
     if m < 0:
@@ -332,27 +334,13 @@ def _certificate(
     return "", None, None, True
 
 
-def _character_report(chi: CharWord, ledger: FactLedger) -> SiegelReport:
-    """m = 0: the object is the twisting character itself, exceptional
-    where it is real, its square 1: trivial or quadratic."""
-    real = ledger.word_kind(chi ** 2) == "trivial"
-    kind = ledger.word_kind(chi) or ("real" if real else "undeclared")
-    rule = RULES["character"]
-    constituent = ConstituentReport("U", str(chi), 1, rule.name, rule.citations,
-                                    detail=f"character kind: {kind}", exceptional=real)
-    return SiegelReport(
-        0,
-        str(chi),
-        "exceptional-case" if real else "no-siegel-zero",
-        (constituent,),
-        (rule.name,),
-        exceptional_character=str(chi) if real else None,
-        exceptional_character_alt=str(chi) if real else None,
-        notes=("at most one exceptional zero",) if real else (
-            "the object is the twisting character itself; no real "
-            "(trivial or quadratic) kind is declared for it",
-        ),
-    )
+def _not_self_dual(symbol: Constituent, ledger: FactLedger) -> str:
+    """Why the ledger knows *symbol* is not self-dual, or "" where it does not."""
+    if ledger.self_dual_declared(symbol) is not False:
+        return ""
+    d = dual(symbol)  # equivalent gives the known answer first, with its reason
+    return (f"not self-dual, as {symbol} ~ {d} is False: {ledger.equivalent(symbol, d)[1]}; "
+            "only self-dual L-functions can carry an exceptional real zero")
 
 
 def siegel_scan(
@@ -365,9 +353,10 @@ def siegel_scan(
     """Reports for every m in [lo, hi]; ``p`` and ``ledger`` as in
     :func:`siegel_report`.
 
-    The base, its partner and the family are built once, and each row is
-    certified once for each chi: none of them depends on m.  A caller's
-    ledger may change between calls, so it gets a fresh context per call.
+    The base, its partner and the family are built once, each row is
+    certified once for each chi, none of them depending on m, and each
+    self-duality is read once.  A caller's ledger may change between calls,
+    so it gets a fresh context per call.
     """
     if lo < 0 or hi < lo:
         raise ValueError(f"bad scan range [{lo}, {hi}]")
@@ -376,30 +365,21 @@ def siegel_scan(
     else:
         ctx = _ScanContext(FactLedger() if ledger is None else ledger, p)
     ledger, p, p_tau = ctx.ledger, ctx.p, ctx.p_tau
-    family, certificates = ctx.family, ctx.certificates
+    family, certificates, not_self_dual = ctx.family, ctx.certificates, ctx.not_self_dual
     if chi is None:
         _refuse_taken(str(_DEFAULT_TWIST), "the default twist", ledger)
         chi = _DEFAULT_TWIST
     reports: list[SiegelReport] = []
     for m in range(lo, hi + 1):
-        if m == 0:
-            reports.append(_character_report(chi, ledger))
+        core = sym_cusp(p, m)  # None at m = 0: the object is the twisting character itself
+        target = f"sym^{m}({p.name})*{chi}" if m else str(chi)
+        if (m, chi) not in not_self_dual:
+            not_self_dual[m, chi] = _not_self_dual(Constituent(core, chi), ledger)
+        if why := not_self_dual[m, chi]:
+            reports.append(SiegelReport(m, target, "no-siegel-zero", (), ("non-self-dual",),
+                                        notes=(why,)))
             continue
-        target = f"sym^{m}({p.name})*{chi}"
-        if ledger.self_dual_declared(Constituent(sym_cusp(p, m), chi)) is False:
-            reports.append(SiegelReport(
-                m,
-                target,
-                "no-siegel-zero",
-                (),
-                ("non-self-dual",),
-                notes=(
-                    "declared not self-dual: only self-dual L-functions can "
-                    "carry an exceptional real zero",
-                ),
-            ))
-            continue
-        mults = ledger.galois_decomposition(sym_cusp(p, m))
+        mults = ledger.galois_decomposition(core) if m else {"U": 1}
 
         constituents: list[ConstituentReport] = []
         rules_used: list[str] = []
@@ -411,23 +391,21 @@ def siegel_scan(
             label, g = family[row]
             rule = RULES[g.rule]
             rules_used.append(rule.name)
-            detail, k, r, exceptional, covered = "", None, None, False, True
+            detail, k, r, covered = "", None, None, True
             if row == "U":
                 if m % 2:
                     raise RuntimeError(
                         "parity violation: a character constituent at odd m"
                     )
-                q_word = CharWord.gen(p.omega, m // 2) * chi
-                kind = ledger.word_kind(q_word)
-                label = str(q_word)
+                # flagged: its square is the quotient of the symbol by its dual,
+                # so it is known not self-dual (not real) only where the symbol is
+                exceptional_q = CharWord.gen(p.omega, m // 2) * chi
+                kind = ledger.word_kind(exceptional_q)
+                label = str(exceptional_q)
                 detail = (
-                    f"character constituent {q_word} "
+                    f"character constituent {exceptional_q} "
                     f"(kind: {kind or 'undeclared, cannot be excluded'})"
                 )
-                # flagged unless the ledger knows the character is not real
-                exceptional = kind in (None, "trivial", "quadratic")
-                if exceptional:
-                    exceptional_q = q_word
             else:
                 key = (row, chi)
                 if key not in certificates:
@@ -438,7 +416,7 @@ def siegel_scan(
             constituents.append(
                 ConstituentReport(
                     row, label, mult, rule.name, rule.citations, detail, k, r,
-                    exceptional, covered,
+                    row == "U", covered,
                 )
             )
 
@@ -455,7 +433,7 @@ def siegel_scan(
         if exceptional_q is not None:
             single = len(chi.word) == 1 and chi.word[0][1] == 1
             twist = str(chi) if single else f"({chi})"
-            alt = f"{p.omega}^({m}/2)*{twist}^({m + 1})"
+            alt = f"{p.omega}^({m}/2)*{twist}^({m + 1})" if m else str(chi)
         top_k = top_r = None
         if len(constituents) == 1:  # sym^m is one row: its k and r, if any
             top_k, top_r = constituents[0].k, constituents[0].r

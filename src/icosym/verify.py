@@ -572,24 +572,24 @@ def verify_siegel_criterion() -> list[CheckResult]:
     finds a character, and the exceptional character is reported both ways."""
     reports = siegel_scan(0, 30)
     scan = scan_trivial(30)
-    clean_ok = all(reports[m].verdict == "no-siegel-zero" for m in range(0, 12))
+    clean_ok = all(reports[m].verdict == "no-siegel-zero" for m in range(1, 12))
     match_ok = all(
-        (reports[m].verdict == "exceptional-case") == (m >= 1 and scan[m] > 0)
-        for m in range(0, 31)
+        (reports[m].verdict == "exceptional-case") == (scan[m] > 0) for m in range(0, 31)
     )
     exceptional = [r for r in reports if r.verdict == "exceptional-case"]
     q_ok = all(
         r.exceptional_character is not None
         and r.exceptional_character_alt is not None
-        and f"^{r.m // 2}" in r.exceptional_character.replace("(", "").replace(")", "")
+        and (f"^{r.m // 2}" in r.exceptional_character.replace("(", "").replace(")", "")
+             or r.m == 0)  # at m = 0, Q is the twisting character itself
         for r in exceptional
     )
     kr = reports[3]
     return [
         CheckResult(
-            "no exceptional zero for m = 0..11",
+            "no exceptional zero for m = 1..11",
             clean_ok,
-            f"verdicts {sorted({reports[m].verdict for m in range(12)})}",
+            f"verdicts {sorted({reports[m].verdict for m in range(1, 12)})}",
         ),
         CheckResult(
             "exceptional exactly when the scan finds a character constituent",

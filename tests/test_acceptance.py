@@ -109,7 +109,7 @@ def test_criterion_9_exceptional_zero_reports():
     check(
         9,
         verify_siegel_criterion(),
-        "no exceptional zero for m = 0..11; the exceptional case appears "
-        "exactly when the scan finds a character constituent, reported in "
-        "both normalizations",
+        "no exceptional zero for m = 1..11; the exceptional case appears "
+        "exactly when the scan finds a character constituent (at m = 0 the "
+        "twisting character itself), reported in both normalizations",
     )

@@ -1028,7 +1028,6 @@ def _state(ledger):
         ledger.base_changes,
         ledger._cuspidal,
         ledger._automorphic,
-        ledger._self_dual,
         ledger._rows,
         ledger._apart,
     )

@@ -32,6 +32,7 @@ from icosym.isobaric import (
     character,
     decide_cuspidality,
     decide_cuspidality_via_poles,
+    dual,
     galois_pole_check,
     galois_restriction,
     icosahedral_family,
@@ -551,7 +552,7 @@ def test_both_routes_show_the_reasons_of_a_text_reference(case):
 
 _STATE = (
     "characters", "bases", "base_changes", "_rows", "_apart", "_facts", "_cuspidal",
-    "_automorphic", "_self_dual",
+    "_automorphic",
 )
 
 
@@ -995,7 +996,8 @@ def test_self_dual_is_matched_modulo_declared_orders():
     chi = CharWord.gen("chi")
     ledger.declare_self_dual(Constituent(SymCusp(p, 3), CharWord.gen("chi", 3)), False)
     assert ledger.self_dual_declared(Constituent(SymCusp(p, 3), chi)) is False
-    assert ledger.self_dual_declared(Constituent(SymCusp(p, 3))) is None
+    # chi^2 is 1, so sym^3(p) and sym^3(p)*chi are self-dual alike: omega(p)^3 is not 1
+    assert ledger.self_dual_declared(Constituent(SymCusp(p, 3))) is False
     assert ledger.self_dual_declared(Constituent(SymCusp(p, 4), chi)) is None
 
 
@@ -1089,7 +1091,7 @@ def redeclarations():
          "contradictory declarations of automorphic for sym^7(g): False vs True"),
         # chi has order 2, so chi^3 is chi: the keys agree after _canon
         (ledger.declare_self_dual, (twisted, True), (Constituent(SymCusp(g, 7), chi3), False),
-         "contradictory declarations of self-duality for sym^7(g)*chi: True vs False"),
+         "contradictory assertions for sym^7(g)*chi ~ sym^7(g)*chi*omega(g)^-7: True vs False"),
         (ledger.declare_word_kind, (chi * CharWord.gen("nu"), "quadratic"),
          (chi3 * CharWord.gen("nu"), "cubic"),
          "chi^3*nu cannot be declared cubic: then chi*nu would be 1, but chi*nu is "
@@ -1103,7 +1105,7 @@ def test_an_opposite_redeclaration_is_refused(i):
     declare, first, second, message = cases[i]
     declare(*first)
     declare(*first)  # the same value again is accepted
-    tables = (ledger._cuspidal, ledger._automorphic, ledger._self_dual)
+    tables = (ledger._cuspidal, ledger._automorphic, ledger._facts)
     before = [dict(t) for t in tables], lattice(ledger)
     with pytest.raises(LedgerError) as err:
         declare(*second)
@@ -1537,7 +1539,9 @@ def test_an_entry_declares_its_new_generators_only_when_accepted():
         ledger.declare_word_kind(nu, "real")
     assert "nu" not in ledger.characters
     ledger.declare_self_dual(Constituent(SymCusp(p, 12), nu), True)
-    assert "nu" in ledger.characters and "nu" not in ledger._rows
+    # bare: the one relation on nu is the self-duality's, nu^2*omega(p)^12
+    assert "nu" in ledger.characters
+    assert ledger._rows == {"nu": nu ** 2 * CharWord.gen("omega(p)", 12)}
 
 
 def test_a_base_companion_against_an_entry_keyed_by_it_is_refused():
@@ -1611,7 +1615,7 @@ def test_the_character_of_m_0_equal_to_a_quadratic_one_is_exceptional():
     assert ledger.word_kind(CharWord.gen("chi")) == "quadratic"
     report = siegel_report(0, chi=CharWord.gen("chi"), ledger=ledger)
     assert (report.verdict, report.constituents[0].detail) == (
-        "exceptional-case", "character kind: quadratic")
+        "exceptional-case", "character constituent chi (kind: quadratic)")
 
 
 @pytest.mark.parametrize("first", [True, False])
@@ -1645,14 +1649,14 @@ def test_self_dualities_a_relation_makes_one_are_refused_when_they_disagree():
     c, d = CharWord.gen("c"), CharWord.gen("d")
     ledger.declare_self_dual(ad(p).twisted(c), True)
     ledger.declare_self_dual(ad(p).twisted(d), False)
-    before = (dict(ledger._self_dual), lattice(ledger))
+    before = (dict(ledger._facts), lattice(ledger))
     with pytest.raises(LedgerError) as err:
         ledger.assert_equiv(character(c), character(d), True)
     assert str(err.value) == (
-        "c ~ d cannot be declared true: then the self-duality of sym^2(p)*c*omega(p)^-1, "
-        "declared True, and the self-duality of sym^2(p)*d*omega(p)^-1, declared False, "
-        "would be one")
-    assert (dict(ledger._self_dual), lattice(ledger)) == before
+        "c ~ d cannot be declared true: then "
+        "sym^2(p)*c*omega(p)^-1 ~ sym^2(p)*c^-1*omega(p)^-1, declared True, and "
+        "sym^2(p)*d*omega(p)^-1 ~ sym^2(p)*d^-1*omega(p)^-1, declared False, would be one")
+    assert (dict(ledger._facts), lattice(ledger)) == before
 
 
 def test_a_word_naming_a_base_is_refused_as_a_character():
@@ -1819,6 +1823,178 @@ def test_the_lattice_answers_hold_in_every_model(doc):
             apart_w, apart_square = (not has_model(zeros[w ** k]) for k in (1, 2))
             assert {None: True, "trivial": one, "quadratic": square and apart_w,
                     "cubic": cube and apart_w, "non-real": apart_square}[kind], (doc, w, kind)
+
+
+# -- self-duality: the fact c ~ dual(c) ----------------------------------------
+
+
+def test_dual_is_the_contragredient():
+    """pi dual is pi (x) omega^-1, so sym^n(pi) (x) w has dual sym^n(pi) (x)
+    w^-1 omega^-n, a box the product of its factors' dual twists, and an
+    induced core, alone or in a box, no formula."""
+    _, p, q = fresh()
+    chi, omega_p, omega_q = (CharWord.gen(n) for n in ("chi", "omega(p)", "omega(q)"))
+    assert dual(character(chi)) == character(chi ** -1)
+    assert dual(Constituent(p, chi)) == Constituent(p, chi ** -1 * omega_p ** -1)
+    assert dual(Constituent(SymCusp(p, 5), chi)) == Constituent(
+        SymCusp(p, 5), chi ** -1 * omega_p ** -5)
+    assert dual(ad(p)) == ad(p)
+    box = box_cusp(SymCusp(p, 2), q)
+    assert dual(Constituent(box, chi)) == Constituent(
+        box, chi ** -1 * omega_p ** -2 * omega_q ** -1)
+    induced = InducedCusp("E", "xi")
+    assert dual(Constituent(induced, chi)) is None
+    assert dual(Constituent(box_cusp(induced, p))) is None
+
+
+def test_a_core_with_no_dual_formula_is_refused():
+    """Only the API reaches this: a facts file cannot name an induced core."""
+    ledger, p, _ = fresh()
+    induced = InducedCusp("E", "xi")
+    for c in (Constituent(induced), Constituent(box_cusp(induced, p), CharWord.gen("nu"))):
+        before = ledger_state(ledger)
+        for truth in (True, False):
+            with pytest.raises(LedgerError) as err:
+                ledger.declare_self_dual(c, truth)
+            assert str(err.value) == (
+                f"{c.core} has no dual formula: its self-duality cannot be declared")
+        assert ledger_state(ledger) == before
+        assert ledger.self_dual_declared(c) is None
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"characters": [{"name": "chi", "order": 5}, {"name": "omega(p)", "order": 1}],
+      "self_dual": [{"symbol": "sym^3(p)*chi", "truth": True}]},
+     "sym^3(p)*chi ~ sym^3(p)*chi^4 cannot be declared true, as sym^3(p) admits no "
+     "self-twist: then chi would be 1, but chi has order 5"),
+    ({"characters": [{"name": "omega(p)", "order": 3}],
+      "self_dual": [{"symbol": "p", "truth": True}]},
+     "p ~ p*omega(p)^2 cannot be declared true, as p admits no self-twist: then "
+     "omega(p) would be 1, but omega(p) has order 3"),
+    ({"characters": [{"name": "omega(p)", "order": 1}],
+      "self_dual": [{"symbol": "sym^2(p)", "truth": False}]},
+     "sym^2(p) ~ sym^2(p)*omega(p)^-2 cannot be declared false: both sides reduce to "
+     "sym^2(p)"),
+], ids=["twisted-cube", "base", "square"])
+def test_a_self_duality_that_no_model_satisfies_is_refused(doc, message):
+    """sym^n(p)*w of an icosahedral p is self-dual iff w^2*omega(p)^n is 1,
+    as sym^n(p) admits no self-twist: w of order 5 with omega(p) of order 1
+    is not, nor is p with omega(p) of order 3, and sym^2(p) with omega(p) of
+    order 1 is.  Each declaration against that is refused, in the API as
+    behind its place in a facts file."""
+    with pytest.raises(FactsError) as err:
+        load_facts({"bases": [{"name": "p", "type": "icosahedral", "galois_row": "X'"}], **doc})
+    assert str(err.value) == f"self_dual[0]: {message}"
+
+
+def test_an_undeclared_self_duality_is_not_the_generic_default():
+    """The generic answer for sym^12(pi)*chi against its dual is False, as
+    sym^12(pi) admits no self-twist; that is a default, not knowledge, and
+    whether it is self-dual stays open, so the m = 12 report flags chi*omega^6."""
+    ledger, pi, _ = standard_icosahedral_pair()
+    c = Constituent(SymCusp(pi, 12), CharWord.gen("chi"))
+    assert ledger.equivalent(c, dual(c)) == (
+        False, "sym^12(pi) admits no self-twist for its declared type")
+    assert ledger.self_dual_declared(c) is None
+    assert siegel_report(12, pi, None, ledger).verdict == "exceptional-case"
+
+
+def test_a_self_duality_is_read_through_the_facts():
+    """Declared on a core that may have a self-twist, a self-duality is the
+    fact c ~ dual(c) in the facts, which equivalent reads too; where the
+    core admits none, its quotient w^2*omega^n is a relation."""
+    ledger, g, q = fresh("general", "icosahedral")
+    c = Constituent(SymCusp(g, 7), CharWord.gen("nu"))
+    ledger.declare_self_dual(c, False)
+    assert ledger._facts == {frozenset((c, dual(c))): False}
+    assert ledger.equivalent(dual(c), c) == (
+        False, f"declared: {dual(c)} ~ {c} is False")
+    assert ledger.self_dual_declared(dual(c)) is False
+    ledger.declare_self_dual(Constituent(SymCusp(q, 3)), True)
+    assert ledger._rows["omega(q)"] == CharWord.gen("omega(q)", 3)
+    # omega(q)^3 is 1, so sym^6(q) is self-dual too, and sym^4(q) is not known to be
+    assert ledger.self_dual_declared(Constituent(SymCusp(q, 6))) is True
+    assert ledger.self_dual_declared(Constituent(SymCusp(q, 4))) is None
+
+
+_OMEGA = "omega(p)"
+
+
+def _self_dual_quotient(n, w):
+    """sym^n(p)*w is self-dual iff this word is 1."""
+    return w ** 2 * CharWord.gen(_OMEGA, n)
+
+
+@st.composite
+def self_duality_documents(draw):
+    """A document of :func:`character_documents` beside an icosahedral base
+    p, omega(p) bare or of an order, and up to three self-dualities of
+    sym^n(p)*w, declared after the rest, or before the orders."""
+    n, orders, kinds, facts, orders_last = draw(character_documents())
+    orders[_OMEGA] = draw(st.sampled_from([None] + [k for k in range(1, n + 1) if n % k == 0]))
+    words = st.dictionaries(st.sampled_from(sorted(orders)), st.sampled_from([-2, -1, 1, 2]),
+                            max_size=3).map(CharWord.of)
+    duals = draw(st.lists(st.tuples(st.integers(1, 13), words, st.booleans()), max_size=3))
+    return n, orders, kinds, facts, orders_last, duals
+
+
+_O = CharWord.gen(_OMEGA)
+
+
+@settings(max_examples=150, deadline=None)
+@example((6, {"c": 3, _OMEGA: 1}, [], [], False, [(3, _C, True)]))  # the three refusals above
+@example((6, {_OMEGA: 3}, [], [], True, [(1, CharWord(), True)]))
+@example((4, {_OMEGA: 1}, [], [], False, [(2, CharWord(), False)]))
+@example((6, {"c": 3, _OMEGA: 1}, [], [], False, []))  # not self-dual, derived
+@example((4, {"c": None, _OMEGA: None}, [(_C * _O, "non-real")], [], False, [(2, _C, True)]))
+@given(self_duality_documents())
+def test_the_self_duality_answers_hold_in_every_model(doc):
+    """In a model, sym^n(p)*w is self-dual exactly where w^2*omega(p)^n is
+    0, so a self-duality is one more character statement: a refused
+    document has no model, an accepted one whose generators all have
+    orders dividing N has one, and every answer of self_dual_declared holds
+    in every model."""
+    n, orders, kinds, facts, orders_last, duals = doc
+    ledger, refused = FactLedger(), False
+    p = ledger.declare_base("p", "icosahedral")
+    steps = [lambda: [ledger.declare_character(g, order=o) for g, o in orders.items()],
+             lambda: [ledger.declare_word_kind(w, kind) for w, kind in kinds],
+             lambda: [ledger.assert_equiv(character(u), character(v), t) for u, v, t in facts],
+             lambda: [ledger.declare_self_dual(Constituent(sym_cusp(p, k), w), t)
+                      for k, w, t in duals]]
+    try:
+        for step in steps[1:] + steps[:1] if orders_last else steps:
+            step()
+    except LedgerError:
+        refused = True
+    names = sorted(orders.keys() | {g for u, v, _ in facts for g, _ in (u * v).word}
+                   | {g for w, _ in kinds for g, _ in w.word}
+                   | {g for _, w, _ in duals for g, _ in w.word})
+    orders = {g: orders.get(g) for g in names}
+    ones, apart = _statements(orders, kinds, facts + [
+        (_self_dual_quotient(k, w), CharWord(), t) for k, w, t in duals])
+    queries = [(k, w) for k, w, _ in duals] + [
+        (k, CharWord.gen(g, e)) for k in (1, 2, 3, 12) for g in names for e in (0, 1, -1)]
+    for model_n in _MODEL_NS:
+        zeros, every = _zeros(model_n, names, orders, ones,
+                              set(apart) | {_self_dual_quotient(k, w) for k, w in queries})
+
+        def has_model(assignments: int) -> bool:
+            return all(assignments & ~zeros[w] for w in apart)
+
+        if refused:
+            assert not has_model(every), doc
+            continue
+        if model_n == n and None not in orders.values():
+            assert has_model(every), doc
+        if not has_model(every):
+            continue
+        for k, w in queries:
+            known = ledger.self_dual_declared(Constituent(sym_cusp(p, k), w))
+            q = _self_dual_quotient(k, w)
+            if known is not None:
+                assert known == (zeros[q] == every), (doc, k, w)
+                assert known or not has_model(zeros[q]), (doc, k, w)
 
 
 # -- the finite-model pole check ---------------------------------------------

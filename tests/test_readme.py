@@ -51,3 +51,11 @@ def test_facts_file_example():
     report = siegel_report(12, ledger.bases[names["p"]], CharWord.gen(names["chi"]), ledger)
     # the example declares chi*omega(f)^6 non-real, defusing the m = 12 case
     assert report.verdict == "no-siegel-zero"
+
+
+def test_the_recorded_run_count_is_the_manifests():
+    """The README's count of recorded command runs is read off the manifest,
+    so a re-record that adds runs shows here."""
+    manifest = json.loads((README.parent / "tests" / "corpus" / "manifest.json").read_text())
+    counts = re.findall(r"replays ([\d,]+) recorded command runs", README.read_text())
+    assert counts == [f"{len(manifest['runs']):,}"]

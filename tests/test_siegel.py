@@ -287,7 +287,7 @@ def test_rule_table_is_total():
 # -- reports -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", range(12))
+@pytest.mark.parametrize("m", range(1, 12))
 def test_no_exceptional_case_below_twelve(m):
     assert siegel_report(m).verdict == "no-siegel-zero"
 
@@ -326,21 +326,30 @@ def test_exceptional_character_is_central_power():
 
 
 def test_scan_matches_trivial_constituent_scan():
-    scan = scan_trivial(30)
-    for rep in FULL_SCAN[1:]:
+    scan = scan_trivial(30)  # at m = 0 the twisting character, of no declared kind
+    for rep in FULL_SCAN:
         expected = "exceptional-case" if scan.get(rep.m) else "no-siegel-zero"
         assert rep.verdict == expected, rep.m
     assert {rep.m for rep in FULL_SCAN if rep.verdict == "exceptional-case"} \
-        == {12, 20, 24, 30}
+        == {0, 12, 20, 24, 30}
 
 
-def test_declared_non_real_character_unflags():
+@pytest.mark.parametrize("kind", ["cubic", "non-real"])
+def test_a_character_constituent_known_not_real_makes_the_symbol_not_self_dual(kind):
+    """The U row's character q = chi*omega^6 has square chi^2*omega^12, the
+    quotient of sym^12(pi)*chi by its dual: q known not real is sym^12(pi)*chi
+    known not self-dual, and the report stops there."""
     ledger = FactLedger()  # the report takes the default pi and chi
     q_word = CharWord.gen("omega(pi)", 6) * CHI
-    ledger.declare_word_kind(q_word, "non-real")
+    ledger.declare_word_kind(q_word, kind)
     rep = siegel_report(12, ledger=ledger)
-    assert rep.verdict == "no-siegel-zero"
-    assert any("cannot be excluded" not in c.detail for c in rep.constituents)
+    assert (rep.verdict, rep.citations, rep.constituents) == (
+        "no-siegel-zero", ("non-self-dual",), ())
+    assert rep.notes == (
+        "not self-dual, as sym^12(pi)*chi ~ sym^12(pi)*chi^-1*omega(pi)^-12 is False: "
+        "sym^12(pi) admits no self-twist for its declared type, and their quotient "
+        f"chi^2*omega(pi)^12 is not 1: chi*omega(pi)^6 is {kind}; only self-dual "
+        "L-functions can carry an exceptional real zero",)
 
 
 def test_declared_non_self_dual_short_circuits():
@@ -350,10 +359,45 @@ def test_declared_non_self_dual_short_circuits():
     assert rep.verdict == "no-siegel-zero"
     assert rep.citations == ("non-self-dual",)
     assert not rep.constituents
+    assert rep.notes[0].endswith(
+        "their quotient chi^2*omega(pi)^5 is not 1: declared: sym^5(pi)*chi ~ "
+        "sym^5(pi)*chi^-1*omega(pi)^-5 is False; only self-dual L-functions can carry "
+        "an exceptional real zero")
 
 
-def test_m0_flags_only_declared_real_characters():
-    assert siegel_report(0).verdict == "no-siegel-zero"
+def test_a_self_duality_declared_between_two_reports_is_read():
+    """Each report on a caller's ledger reads its self-dualities anew."""
+    ledger, p, _ = standard_icosahedral_pair()
+    assert siegel_report(5, p, CHI, ledger).citations != ("non-self-dual",)
+    ledger.declare_self_dual(Constituent(SymCusp(p, 5), CHI), False)
+    assert siegel_scan(4, 5, p, CHI, ledger)[1].citations == ("non-self-dual",)
+    assert siegel_report(5).citations != ("non-self-dual",)
+
+
+def test_a_derived_non_self_duality_short_circuits():
+    """chi of order 5 and omega(f) of order 1: chi^2*omega(f)^m is not 1, so
+    no sym^m(f)*chi is self-dual, with no self-duality declared."""
+    ledger = load_facts({
+        "characters": [{"name": "chi", "order": 5}, {"name": "omega(f)", "order": 1}],
+        "bases": [{"name": "f", "type": "icosahedral", "galois_row": "X'"}],
+    })
+    for m in (0, 3, 12):
+        rep = siegel_report(m, chi=CHI, ledger=ledger)
+        assert (rep.verdict, rep.citations, rep.constituents) == (
+            "no-siegel-zero", ("non-self-dual",), ()), m
+        assert "their quotient chi^2 is not 1: chi has order 5" in rep.notes[0]
+
+
+def test_m0_flags_a_character_not_known_not_self_dual():
+    """Landau's case: the twisting character is exceptional unless it is
+    known not to be real, its own dual; of no declared kind it is flagged,
+    as the U row flags a character constituent of no declared kind."""
+    rep = siegel_report(0)
+    assert (rep.verdict, rep.exceptional_character) == ("exceptional-case", "chi")
+    assert [c.detail for c in rep.constituents] == [
+        "character constituent chi (kind: undeclared, cannot be excluded)"]
+    assert str(siegel_report(12).constituents[0].detail).endswith(
+        "(kind: undeclared, cannot be excluded)")
     ledger = FactLedger()
     ledger.declare_character("chi", kind="quadratic")
     rep = siegel_report(0, ledger=ledger)
@@ -367,12 +411,21 @@ def test_m0_flags_only_declared_real_characters():
      (3, "no-siegel-zero", "cubic"), (4, "no-siegel-zero", "non-real")],
 )
 def test_m0_reads_the_kind_off_an_order_alone(order, verdict, kind):
-    """Landau's case: a character is exceptional exactly when it is real,
-    and an order says whether it is, with no kind declared beside it."""
+    """Landau's case: a character is exceptional unless it is known not to
+    be real, and an order says whether it is, with no kind declared beside it."""
     ledger = load_facts({"characters": [{"name": "chi", "order": order}]})
     rep = siegel_report(0, ledger=ledger)
     assert rep.verdict == verdict
-    assert [c.detail for c in rep.constituents] == [f"character kind: {kind}"]
+    if verdict == "exceptional-case":
+        assert [c.detail for c in rep.constituents] == [
+            f"character constituent chi (kind: {kind})"]
+    else:
+        assert (rep.citations, rep.constituents) == (("non-self-dual",), ())
+        assert rep.notes == (
+            f"not self-dual, as chi ~ chi^-1 is False: their quotient chi^2 is not 1: "
+            f"chi has order {order}; only self-dual L-functions can carry an exceptional "
+            "real zero",)
+        assert ledger.word_kind(CHI) == kind
 
 
 def test_report_rejects_bad_inputs():
@@ -422,7 +475,6 @@ def test_report_checks_the_base_before_the_ledger():
 # a ledger's declarations: every table that a declare_* or assert_* call writes
 DECLARATION_TABLES = (
     "characters", "bases", "base_changes", "_rows", "_facts", "_cuspidal", "_automorphic",
-    "_self_dual",
 )
 
 
