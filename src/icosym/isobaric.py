@@ -50,7 +50,8 @@ from math import isqrt
 from typing import TYPE_CHECKING, Union
 
 from . import MAX_POWER, Record, _set
-from .rules import AUTOMORPHIC, BASE_TYPES, GALOIS_TAGS, GENERATORS, TYPE_RULES, type_rule
+from .rules import (ADJOINT_RULE, ADJOINT_TYPES, AUTOMORPHIC, BASE_TYPES, GALOIS_TAGS, GENERATORS,
+                    TYPE_RULES, type_rule)
 
 if TYPE_CHECKING:  # the table is built only for ledgers that query a tag
     from .chartab import ClassFunction
@@ -441,6 +442,58 @@ def _with(rows: dict[str, CharWord], word: CharWord) -> dict:
     return rows
 
 
+_ONE = CharWord()
+_BY = "{} ~ {} is {} by the declared facts {}"  # an answer that a class's facts give
+
+
+def _quotient(t1: CharWord, l1: CharWord, t2: CharWord, l2: CharWord) -> CharWord:
+    """t1 * l1 * (t2 * l2)^-1, merged in one pass."""
+    merged = dict(t1.word)
+    for name, exp in l1.word:
+        merged[name] = merged.get(name, 0) + exp
+    for name, exp in t2.word + l2.word:
+        merged[name] = merged.get(name, 0) - exp
+    return CharWord(tuple(sorted([item for item in merged.items() if item[1]])))
+
+
+class _Class:
+    """A class of cores of the union-find of :class:`FactLedger`, kept at its
+    root: its cores, the root first; its own lattice of self-twists and the
+    words known not to be in it (``rows`` and ``apart``), or None and
+    nothing where a core of it admits no self-twist, so R and D serve; and
+    the declared facts between its cores but those R and D hold alone (on
+    one core that admits no self-twist), which give an answer's reason."""
+
+    __slots__ = ("members", "rows", "apart", "facts")
+
+    def __init__(self, root: Core, rows: dict[str, CharWord] | None) -> None:
+        self.members: list[Core] = [root]
+        self.rows = rows
+        self.apart: dict[CharWord, tuple] = {}
+        self.facts: list[tuple] = []
+
+
+class _Facts:
+    """The declared facts of some classes, as they are when it is made, and
+    others, as one operand of a reason: text only when shown, each side
+    reduced modulo R then, the facts sorted, so the text does not depend on
+    the order of the declarations; after *prefix*, or nothing where there
+    are none.  A record's facts only grow, so each is kept as its length."""
+
+    __slots__ = ("ledger", "records", "more", "prefix")
+
+    def __init__(self, ledger: "FactLedger", records: tuple, more: Iterable[tuple] = (),
+                 prefix: str = "") -> None:
+        self.ledger, self.more, self.prefix = ledger, tuple(more), prefix
+        self.records = tuple((record, len(record.facts)) for record in records)
+
+    def __str__(self) -> str:
+        canon = self.ledger._canon
+        facts = {f for record, n in self.records for f in record.facts[:n]}.union(self.more)
+        texts = sorted({f"{canon(a)} ~ {canon(b)} is {t}" for a, b, t in facts})
+        return self.prefix + ", ".join(texts) if texts else ""
+
+
 class FactLedger:
     """Declared structure (characters, bases) and asserted equivalences.
 
@@ -458,13 +511,23 @@ class FactLedger:
 
     Other facts are equivalences between constituents, asserted true or
     false; "lhs = rhs (x) nu" is the equivalence of ``lhs`` with ``rhs``
-    twisted by ``nu``; a self-duality is the fact ``c ~ dual(c)``.  Asserting
-    both truths for one fact, or declaring a core's cuspidality or automorphy
-    two ways, is refused.  :meth:`_forced` gives the answers no fact can
-    change, and a fact against one is refused; the resolver's other answers
-    are generic defaults, which a fact overturns.  Facts are keyed by pairs
-    of symbol records, twists reduced modulo R and keyed anew when R grows.
-    A name is either a base or a character, not both.
+    twisted by ``nu``; a self-duality is the fact ``c ~ dual(c)``.  They
+    live in a union-find with twist labels: each core of a class links to
+    its root with a label, the twist that makes the root equivalent to it,
+    and characters are the class of no core.  A true fact between two classes joins them;
+    a false one is kept between their roots with its word.  A fact within
+    one class says whether the quotient of its sides' twists, each times its
+    core's label, is a self-twist: where a core of the class admits none
+    (:data:`icosym.rules.TYPE_RULES`), and for characters, whether it is 1,
+    which R and D keep; otherwise the class keeps its own lattice of
+    self-twists, which holds R, and its own list of words known to be none.
+    So equivalence is closed under chains of facts and under common twists,
+    and a key never depends on R.  :meth:`_forced` gives what no fact can
+    change between two classes; a declaration against any answer the facts
+    and :meth:`_forced` give is refused, naming the facts, as is declaring a
+    core's cuspidality or automorphy two ways.  The resolver's other answers
+    are generic defaults, which a fact overturns.  A name is either a base
+    or a character, not both.
 
     A ledger is written only while it is built (the ``declare_*`` and
     ``assert_*`` methods); queries only read it, but for the memo of
@@ -480,7 +543,13 @@ class FactLedger:
         self.base_changes: dict[tuple[str, str], BaseCusp] = {}
         self._rows: dict[str, CharWord] = {}  # R
         self._apart: dict[CharWord, tuple] = {}  # D, each word with its reason
-        self._facts: dict[frozenset[Constituent], bool] = {}
+        # the union-find: each core of a class but its root, with the root and its label
+        self._links: dict[Core, tuple[Core, CharWord]] = {}
+        self._classes: dict[Core, _Class] = {}  # each class a fact names, by its root
+        # the false facts between two classes, by both roots, one list kept both ways
+        self._unequal: dict[Core, dict[Core, list[tuple]]] = {}
+        # whether a false fact between two degrees is kept (see _known)
+        self._across = False
         self._cuspidal: dict[Core, bool] = {}
         self._automorphic: dict[Core, bool] = {}
         # per queried core: the multiplicities of its restriction
@@ -521,8 +590,11 @@ class FactLedger:
                           if order % q == 0 and all(q % p for p in range(2, isqrt(q) + 1))}
         if not rows.keys().isdisjoint(self.characters):  # an order for a known generator
             what = " and ".join(f"{n} cannot have order {d}" for n, d in items if d)
-            self._relate(f"character {what}", rows.values(), apart.items(), [])
-        elif rows:  # new pivots, which no key, row or member of D meets: nothing to check
+            self._relate(("character {}", what), rows.values(), apart.items(), [])
+        elif rows:  # new pivots, which no row or member of D meets: nothing to check
+            for record in self._classes.values():  # every class's own lattice holds R
+                if record.rows is not None and record.rows is not self._rows:
+                    record.rows = {**record.rows, **rows}
             self._rows.update(rows)
             self._apart.update(apart)
         self.characters.update(n for n, _ in items)
@@ -639,7 +711,7 @@ class FactLedger:
         if kind not in _KIND_ORDERS:
             raise LedgerError(f"word {word}: unknown kind {kind!r}")
         power = _KIND_ORDERS[kind]
-        self._relate(f"{word} cannot be declared {kind}", (word ** power,) if power else (),
+        self._relate(("{} cannot be declared {}", word, kind), (word ** power,) if power else (),
                      ((word if power else word ** 2, ("{} is {}", word, kind)),) * (power != 1),
                      [n for n, _ in word.word])
 
@@ -648,9 +720,13 @@ class FactLedger:
         where its square or cube is in R and it is known not to be 1;
         non-real where its square is known not to be 1; else None."""
         for kind, power in _KIND_ORDERS.items():  # the first power of it in R, if any
-            if power and _reduced(self._rows, word ** power).is_empty():
+            if power and self.is_one(word ** power):
                 return kind if power == 1 or self._distinct(word) else None
         return "non-real" if self._distinct(word ** 2) else None
+
+    def is_one(self, word: CharWord) -> bool:
+        """Whether *word* is known to be 1: it lies in R."""
+        return _reduced(self._rows, word).is_empty()
 
     def declare_self_dual(self, c: Constituent, truth: bool) -> None:
         """The fact ``c ~ dual(c)``, asserted by :meth:`assert_equiv` and
@@ -669,82 +745,207 @@ class FactLedger:
 
     # -- facts ------------------------------------------------------------
 
-    def _canon(self, c: Constituent, rows: dict[str, CharWord] | None = None) -> Constituent:
-        """*c* with its twist reduced modulo R, or modulo *rows*; ``c`` when it is."""
-        twist = _reduced(self._rows if rows is None else rows, c.twist)
+    def _canon(self, c: Constituent) -> Constituent:
+        """*c* with its twist reduced modulo R; ``c`` when it is."""
+        twist = _reduced(self._rows, c.twist)
         return c if twist is c.twist else Constituent(c.core, twist)
 
+    def _find(self, core: Core | None) -> tuple[Core | None, CharWord]:
+        """The root of *core*'s class and *core*'s label: core ~ root (x) label."""
+        return self._links.get(core) or (core, _ONE)
+
+    def _lattice(self, root: Core | None) -> tuple[dict, dict, Core | None]:
+        """The lattice of self-twists of the class at *root*, the words known
+        not to be in it, and *root*, or R, D and None: for characters, and
+        where a core of the class admits no self-twist.  A class that a fact
+        names keeps its own; another has R and no word known."""
+        record = self._classes.get(root)
+        if record is not None and record.rows is not None:
+            return record.rows, record.apart, root
+        if record is not None or root is None or _no_self_twist(root):
+            return self._rows, self._apart, None
+        return self._rows, {}, root
+
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
-        """Refused where :meth:`_forced` gives the other answer.  A fact
-        between two characters, or two twists of a core whose declared type
-        admits no self-twist, says whether their quotient is 1: a true one
-        puts it in R, a false one in D."""
+        """A fact within one class is :meth:`_loop`'s, a true one between two
+        classes :meth:`_join`'s; a false one between two is kept by both.
+        Refused where both sides of a false one reduce to one constituent,
+        and where the two rules refuse."""
         k1, k2 = self._canon(c1), self._canon(c2)
-        key = frozenset((k1, k2))
-        if not truth and len(key) == 1:
-            raise LedgerError(f"{c1} ~ {c2} cannot be declared false: both sides reduce to {k1}")
-        # one core, compared by its cached hash first, as most facts have two
-        if hash(k1.core) == hash(k2.core) and k1.core == k2.core and (
-                k1.core is None or _no_self_twist(k1.core)):
-            quotient = k1.twist * k2.twist ** -1
-            why = "" if k1.core is None else f", as {k1.core} admits no self-twist"
-            self._relate(f"{k1} ~ {k2} cannot be declared {str(truth).lower()}{why}",
-                         (quotient,) * truth,
-                         ((quotient, ("declared: {} ~ {} is {}", k1, k2, truth)),) * (not truth),
-                         [n for n, _ in k1.twist.word + k2.twist.word])
-            return
-        if truth and (forced := self._forced(k1, k2)) and not forced[0]:
-            raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(forced[1])}")
-        if key in self._facts and self._facts[key] != truth:
+        names = [n for n, _ in k1.twist.word + k2.twist.word if n not in self.characters]
+        (r1, l1), (r2, l2) = self._find(k1.core), self._find(k2.core)
+        # k1 ~ r1 (x) v1 and k2 ~ r2 (x) v2, for v = twist * label
+        fact = k1, k2, truth
+        if r1 is r2 or (hash(r1) == hash(r2) and r1 == r2):
+            if not truth and hash(k1) == hash(k2) and k1 == k2:  # by the cached hash first
+                raise LedgerError(
+                    f"{c1} ~ {c2} cannot be declared false: both sides reduce to {k1}")
+            self._loop(fact, r1, _quotient(k1.twist, l1, k2.twist, l2), names)
+        elif truth:  # r1 ~ r2 (x) v2 * v1^-1
+            self._join(fact, r1, r2, _quotient(k2.twist, l2, k1.twist, l1), names)
+        else:  # between the two roots (see _word)
+            if names:
+                self._declare_characters([(n, None) for n in names])
+            here = self._unequal.get(r1) or self._unequal.setdefault(r1, {})
+            if (facts := here.get(r2)) is None:  # a class holds one degree
+                facts = here[r2] = self._unequal.setdefault(r2, {})[r1] = []
+                self._across = self._across or k1.degree != k2.degree
+            facts.append(fact)
+
+    def _record(self, root: Core | None) -> _Class:
+        """The record of the class at *root*, or a new one, not yet kept,
+        whose own lattice is R where it may have one (see :meth:`_lattice`)."""
+        if (record := self._classes.get(root)) is not None:
+            return record
+        return _Class(root, None if root is None or _no_self_twist(root) else self._rows)
+
+    def _loop(self, fact: tuple, root: Core | None, quotient: CharWord, names: list[str]) -> None:
+        """A fact within the class at *root*, whose sides' twists, each times
+        its core's label, have *quotient*: true, it puts the quotient in the
+        class's lattice, false, among the words known not to be in it (see
+        :meth:`_lattice`), by :meth:`_relate`.  Refused where the opposite
+        fact is declared, where a false one is already implied, and where
+        :meth:`_relate` refuses.  A fact between two cores, or on a core that
+        may have a self-twist, is kept with the class, for its reasons."""
+        k1, k2, truth = fact
+        record = self._record(root)
+        own = record.rows is not None  # else R and D serve
+        rows = record.rows if own else self._rows
+        if (known := self._declared(record.facts, k1, k2)) and known[0] != truth:
             first, second = sorted(map(str, (k1, k2)))
             raise LedgerError(
-                f"contradictory assertions for {first} ~ {second}: {self._facts[key]} vs {truth}"
-            )
-        new = [(n, None) for n, _ in k1.twist.word + k2.twist.word if n not in self.characters]
-        if new:  # most facts name no new generator, and skip the call
-            self._declare_characters(new)
-        self._facts[key] = truth
+                f"contradictory assertions for {first} ~ {second}: {not truth} vs {truth}")
+        one_core = hash(k1.core) == hash(k2.core) and k1.core == k2.core
+        facts = _Facts(self, (record,), prefix=", by the declared facts ")
+        if not truth and not one_core and _reduced(rows, quotient).is_empty():
+            raise LedgerError(f"{k1} ~ {k2} cannot be declared false{facts}, it holds")
+        if k1.core is None or (one_core and own):
+            why = ("",)
+        elif one_core and _no_self_twist(k1.core):
+            why = (", as {} admits no self-twist", k1.core)
+        else:  # where a core of its class admits none
+            why = ("{}", facts)
+        refusal = ("{} ~ {} cannot be declared {}" + why[0], k1, k2, str(truth).lower(), *why[1:])
+        self._relate(refusal, (quotient,) * truth,
+                     ((quotient, ("declared: {} ~ {} is {}", k1, k2, truth)),) * (not truth),
+                     names, record if own else None)
+        if not one_core or (k1.core is not None and not _no_self_twist(k1.core)):
+            record.facts.append(fact)
+        if own or record.facts:
+            self._classes[root] = record
 
-    def _relate(self, refusal: str, ones: Iterable[CharWord],
-                apart: Iterable[tuple[CharWord, tuple]], names: list[str]) -> None:
-        """Put the words *ones* in R and the (word, reason) pairs *apart* in D,
-        and declare the generators *names*, bare where they are new; all or
-        none.  Refused where a name is a base's, where :meth:`_rekeyed`
-        refuses, and where then a member of D would be in R: as *refusal*,
-        then that member and why it is not 1."""
+    def _join(self, fact: tuple, r1: Core, r2: Core, label: CharWord, names: list[str]) -> None:
+        """A true fact between the classes at *r1* and *r2*, which makes r1
+        equivalent to r2 twisted by *label*: the smaller class joins the
+        larger, each of its cores relabelled to the larger's root.  Its
+        lattice joins theirs, R where a core of either admits no self-twist,
+        and so do the words known not to be in it, with each false fact
+        between the two and :data:`icosym.rules.ADJOINT_RULE` for each two
+        of their cores.  Refused where :meth:`_forced` says otherwise, where
+        two of their cores differ in finite-image row, and where then a word
+        known not to be in the lattice would be, naming the facts."""
+        k1, k2, _ = fact
+        if (forced := self._forced(k1, k2)) and not forced[0]:
+            raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(forced[1])}")
+        a, b = self._record(r1), self._record(r2)
+        between = self._unequal.get(r1, {}).get(r2, [])
+        if (known := self._declared(between, k1, k2)) and not known[0]:
+            first, second = sorted(map(str, (k1, k2)))
+            raise LedgerError(f"contradictory assertions for {first} ~ {second}: False vs True")
+        if len(a.members) > len(b.members):
+            a, b, r1, r2, label = b, a, r2, r1, label ** -1
+        refusal = ("{} ~ {} cannot be declared true{}", k1, k2,
+                   _Facts(self, (a, b), prefix=", by the declared facts "))
+        for x in a.members:
+            for y in b.members:
+                if why := self._split(x, y):
+                    raise LedgerError(f"{_text(refusal)}: then {x} and {y} would be in one "
+                                      f"class, but {_text(why)}")
+        # every core's label to the root r2, once the classes are one
+        labels = {x: _reduced(self._rows, self._find(x)[1] * label) for x in a.members}
+        labels.update((y, self._find(y)[1]) for y in b.members)
+        merged = b if a.rows is not None and b.rows is not None else None
+        kept = [r for r in ((a,) if merged is not None else (a, b)) if r.rows is not None]
+        ones = [row for record in kept for pivot, row in record.rows.items()
+                if self._rows.get(pivot) is not row]  # beyond R
+        apart = [item for record in kept for item in record.apart.items()]
+        rows = self._rows if merged is None else merged.rows
+        # each word, reduced, with its reason and the equivalence that holds where it is 1
+        new = [(_reduced(rows, _quotient(f[0].twist, labels[f[0].core], f[1].twist,
+                                         labels[f[1].core])),
+                ("declared: {} ~ {} is {}", *f), ("{} ~ {}", *f[:2])) for f in between]
+        for x in a.members:
+            for y in b.members:
+                if rule := _adjoint_rule(x, y):
+                    ox, oy = (CharWord.gen(z.base.omega, -1) for z in (x, y))
+                    new.append((_reduced(rows, _quotient(ox, labels[x], oy, labels[y])), rule,
+                                ("Ad({}) ~ Ad({})", *rule[1:3])))
+        for word, reason, what in new:
+            if word.is_empty():
+                raise LedgerError(f"{_text(refusal)}: then {_text(what)} would hold, "
+                                  f"but {_text(reason)}")
+        self._relate(refusal, ones, apart + [item[:2] for item in new], names, merged)
+        # the join itself, which nothing can refuse any more
+        for x in a.members:
+            self._links[x] = (r2, labels[x])
+        here, moved = self._unequal.setdefault(r2, {}), self._unequal.pop(r1, {})
+        here.pop(r1, None), moved.pop(r2, None)  # those between them are within now
+        for s, facts in moved.items():
+            del self._unequal[s][r1]
+            if (known := here.get(s)) is not None:
+                known += facts
+            else:
+                here[s] = self._unequal[s][r2] = facts
+        if not here:
+            del self._unequal[r2]
+        b.members += a.members
+        b.facts += a.facts + between + [fact]
+        if merged is None:
+            b.rows, b.apart = None, {}
+        self._classes.pop(r1, None)
+        self._classes[r2] = b
+
+    def _relate(self, refusal: tuple, ones: Iterable[CharWord],
+                apart: Iterable[tuple[CharWord, tuple]], names: list[str],
+                record: _Class | None = None) -> None:
+        """Put the words *ones* in R, or in the lattice of *record*'s class,
+        and the (word, reason) pairs *apart* among the words known not to be
+        in it, and declare the generators *names*, bare where they are new;
+        all or none.  R grows every class's own lattice with it.  Refused
+        where a name is a base's, and where then a word known not to be in a
+        lattice would be in it: as the reason tuple *refusal*, then that word
+        and why not."""
         if taken := [n for n in names if n in self.bases]:
             raise LedgerError(f"{taken[0]} is declared as a base, not a character")
-        rows = reduce(_with, ones, self._rows)
-        moved = rows != self._rows  # then each old member is reduced anew
-        members = {} if moved else dict(self._apart)
-        for word, reason in [*(self._apart.items() if moved else ()), *apart]:
-            if (member := _reduced(rows, word)).is_empty():
-                raise LedgerError(f"{refusal}: " + (
-                    f"{word} is 1" if _reduced(self._rows, word).is_empty() else
-                    f"then {word} would be 1, but {_text(reason)}"))
-            members.setdefault(member, reason)
-        if moved:
-            self._facts = self._rekeyed(rows, refusal)
+        ones, apart = list(ones), list(apart)
+        if not (ones or apart):  # nothing to check
+            self.characters.update(names)
+            return
+        targets = [record] if record is not None or not ones else [None] + [
+            r for r in self._classes.values() if r.rows is not None]
+        updates = []
+        for target in targets:
+            old, known = (self._rows, self._apart) if target is None else (
+                target.rows, target.apart)
+            rows = reduce(_with, ones, old)
+            moved = rows != old  # then each old word is reduced anew
+            members = {} if moved else dict(known)
+            for word, reason in [*(known.items() if moved else ()),
+                                 *(apart if target is record else ())]:
+                if (member := _reduced(rows, word)).is_empty():
+                    one = "1" if target is None else f"a self-twist of {target.members[0]}"
+                    raise LedgerError(f"{_text(refusal)}: " + (
+                        f"{word} is {one}" if _reduced(old, word).is_empty() else
+                        f"then {word} would be {one}, but {_text(reason)}"))
+                if (known := members.get(member)) is None or _text(reason) < _text(known):
+                    members[member] = reason  # of two, the first in text: so in any order
+            updates.append((target, rows, members))
         self.characters.update(names)
-        self._rows, self._apart = rows, members
-
-    def _rekeyed(self, rows: dict[str, CharWord], refusal: str) -> dict:
-        """The facts keyed anew modulo *rows*; refused, naming both facts,
-        where two then coincide with opposite truths, and where a false
-        fact's two sides do."""
-        def shown(key: frozenset) -> str:  # a fact c ~ c is a pair of one
-            return " ~ ".join(sorted(map(str, key)) * (3 - len(key)))
-
-        out: dict = {}
-        for key, truth in self._facts.items():
-            new = frozenset(self._canon(c, rows) for c in key)
-            if not truth and len(new) < len(key):
-                raise LedgerError(f"{refusal}: then {shown(key)}, declared False, would have "
-                                  f"both sides {next(iter(new))}")
-            if (first := out.setdefault(new, (truth, key)))[0] != truth:
-                raise LedgerError(f"{refusal}: then {shown(first[1])}, declared {first[0]}, "
-                                  f"and {shown(key)}, declared {truth}, would be one")
-        return {new: truth for new, (truth, _) in out.items()}
+        for target, rows, members in updates:
+            if target is None:
+                self._rows, self._apart = rows, members
+            else:
+                target.rows, target.apart = rows, members
 
     # -- equivalence resolution --------------------------------------------
 
@@ -768,47 +969,121 @@ class FactLedger:
         return None, ("equiv({}, {}) (potential self-twist)", k1, k2)
 
     def _known(self, k1: Constituent, k2: Constituent) -> tuple[bool, tuple] | None:
-        """The declared fact between two reduced constituents, else
-        :meth:`_forced`'s answer, with its reason tuple; else None."""
-        if (fact := self._facts.get(frozenset((k1, k2)))) is not None:
-            return fact, ("declared: {} ~ {} is {}", k1, k2, fact)
-        return self._forced(k1, k2)
+        """What the facts and :meth:`_forced` say of two reduced constituents,
+        with its reason tuple, or None.  In one class: True where the quotient
+        of their twists, each times its core's label, is in the class's
+        lattice (:meth:`_lattice`), False where :meth:`_distinct` shows it is
+        not.  In two: False where a false fact between them says so up to a
+        common twist, else :meth:`_forced`'s answer.  Two degrees are two
+        classes, and a declared fact, else :meth:`_forced`'s answer, comes
+        first there: most pairs of a :func:`pole_order` differ in degree, and
+        finding their roots first costs its pairs a third more, so their
+        roots are found only where a false fact between two degrees is kept."""
+        if k1.degree != k2.degree:
+            if self._across and (facts := self._unequal.get(self._find(k1.core)[0])) and (
+                    known := self._declared(facts.get(self._find(k2.core)[0]), k1, k2)):
+                return known
+            return self._forced(k1, k2)
+        x1, x2 = k1.core, k2.core
+        (r1, l1), (r2, l2) = self._find(x1), self._find(x2)
+        if r1 is not r2 and (hash(r1) != hash(r2) or r1 != r2):  # by the cached hash first
+            if facts := (self._unequal.get(r1) or {}).get(r2):
+                if known := self._declared(facts, k1, k2):
+                    return known
+                quotient = _reduced(self._rows, _quotient(k1.twist, l1, k2.twist, l2))
+                if facts := [f for f in facts if self._word(f, r1) == quotient]:
+                    records = [self._classes[r] for r in (r1, r2) if r in self._classes]
+                    return False, (_BY, k1, k2, False, _Facts(self, records, facts))
+            return self._forced(k1, k2)
+        record = self._classes.get(r1)
+        if record is not None and (known := self._declared(record.facts, k1, k2)):
+            return known
+        if hash(k1) == hash(k2) and k1 == k2:
+            return True, ("structural equality",)
+        one_core = x1 is x2 or (hash(x1) == hash(x2) and x1 == x2)  # then the labels cancel
+        rows, known, owner = self._lattice(r1)
+        quotient = _quotient(k1.twist, _ONE, k2.twist, _ONE) if one_core else _quotient(
+            k1.twist, l1, k2.twist, l2)
+        # twists of one core reduced modulo R differ where k1 and k2 do
+        if (owner is not None or not one_core) and _reduced(rows, quotient).is_empty():
+            return True, (_BY, k1, k2, True, _Facts(self, (record,)))
+        if not known or (why := self._distinct(quotient, (rows, known, owner))) is None:
+            return None
+        if x1 is None:
+            return False, why
+        if one_core and _no_self_twist(x1):
+            return False, ("{} admits no self-twist for its declared type, and " + why[0],
+                           x1, *why[1:])
+        return False, (_BY + ", as " + why[0], k1, k2, False, _Facts(self, (record,)), *why[1:])
+
+    def _word(self, fact: tuple, root: Core) -> CharWord:
+        """The word w of a false fact between the class at *root* and another,
+        reduced: the root twisted by v1 is not the other root twisted by v2
+        where v1 * v2^-1 is w, so for any common twist."""
+        a, b, _ = fact
+        (ra, la), (_, lb) = self._find(a.core), self._find(b.core)
+        if hash(ra) != hash(root) or ra != root:  # then b is the side in that class
+            a, b, la, lb = b, a, lb, la
+        return _reduced(self._rows, _quotient(a.twist, la, b.twist, lb))
+
+    def _declared(self, facts: list | None, k1: Constituent,
+                  k2: Constituent) -> tuple[bool, tuple] | None:
+        """The truth of one of *facts* whose two sides, as they reduce now,
+        are *k1* and *k2*, with its reason tuple ``declared: k1 ~ k2 is
+        truth``; else None."""
+        if facts:
+            h1, h2, canon = hash(k1.core), hash(k2.core), self._canon
+            for a, b, t in facts:  # by the cached hashes of the cores first
+                if (hash(a.core), hash(b.core)) in ((h1, h2), (h2, h1)) and (
+                        {canon(a), canon(b)} == {k1, k2}):
+                    return t, ("declared: {} ~ {} is {}", k1, k2, t)
+        return None
 
     def _forced(self, k1: Constituent, k2: Constituent) -> tuple[bool, tuple] | None:
-        """The answer no fact can change for two reduced constituents, with its
-        reason tuple, or None.  True when they are equal (for twists, when
-        their quotient is in R); False when their degrees or the finite-image
-        rows of two distinct cores differ, or when :meth:`_distinct` shows
-        the quotient of two characters, or of two twists of a core whose
-        type admits no self-twist, is not 1."""
-        if k1 == k2:
-            return True, ("structural equality",)
-        if k1.degree != k2.degree:
-            return False, ("degrees differ ({} vs {})", k1.degree, k2.degree)
-        if k1.core != k2.core:  # two cores, as every core has degree at least 2
-            r1, r2 = self.galois_decomposition(k1.core), self.galois_decomposition(k2.core)
-            if r1 is not None and r2 is not None and r1.keys() != r2.keys():
-                return False, ("finite-image restrictions differ: {} vs {}",
-                               sorted(r1), sorted(r2))
-        elif (k1.core is None or _no_self_twist(k1.core)) and (
-                reason := self._distinct(k1.twist * k2.twist ** -1)):
-            return False, reason if k1.core is None else (
-                "{} admits no self-twist for its declared type, and " + reason[0],
-                k1.core, *reason[1:])
+        """The answer no fact can change for two reduced constituents in two
+        classes, with its reason tuple, or None: False when their degrees
+        differ, when the finite-image rows of their cores differ (a class
+        holds one of each), and when they are twisted alike from the
+        adjoints of bases of two types that :data:`icosym.rules.ADJOINT_TYPES`
+        sets apart."""
+        if (d1 := k1.degree) != (d2 := k2.degree):
+            return False, ("degrees differ ({} vs {})", d1, d2)
+        x1, x2 = k1.core, k2.core
+        if why := self._split(x1, x2):
+            return False, why
+        if type(x1) is SymCusp is type(x2) and (rule := _adjoint_rule(x1, x2)):
+            p, q = x1.base, x2.base  # Ad(p) and Ad(q) twisted alike, untwisted the fast case
+            if k1.twist.word == ((p.omega, -1),) and k2.twist.word == ((q.omega, -1),) or (
+                    _reduced(self._rows, _quotient(k1.twist, _ONE, k2.twist, _ONE))
+                    == _reduced(self._rows, CharWord.of(((p.omega, -1), (q.omega, 1))))):
+                return False, rule
         return None
 
-    def _distinct(self, word: CharWord) -> tuple | None:
-        """Why a quotient of twists is not 1, as a reason tuple, or None: R
-        with it holds a member of D, whose reason it gives.  A member is
-        reduced modulo R, so it can join R only where the quotient moves the
-        row of its first generator."""
-        rows = _with(self._rows, word)
-        moved = {pivot for pivot, row in rows.items() if self._rows.get(pivot) is not row}
-        for member, reason in self._apart.items():
-            if member.word[0][0] in moved and _reduced(rows, member).is_empty():
-                return ("their quotient {} is not 1: " + reason[0], _reduced(self._rows, word),
-                        *reason[1:])
+    def _split(self, x: Core, y: Core) -> tuple | None:
+        """Why cores *x* and *y* lie in no one class, as a reason tuple, or
+        None: the finite-image rows of two tagged cores differ."""
+        r1, r2 = self.galois_decomposition(x), self.galois_decomposition(y)
+        if r1 is not None and r2 is not None and r1.keys() != r2.keys():
+            return "finite-image restrictions differ: {} vs {}", sorted(r1), sorted(r2)
         return None
+
+    def _distinct(self, word: CharWord, lattice: tuple | None = None) -> tuple | None:
+        """Why a quotient of twists is not 1, or not in *lattice* (as
+        :meth:`_lattice` gives it), as a reason tuple, or None: the lattice
+        with it holds a word known not to be in it, whose reason it gives.  A
+        known word is reduced modulo the lattice, so it can join it only
+        where the quotient moves the row of its first generator."""
+        old, known, root = lattice or (self._rows, self._apart, None)
+        rows = _with(old, word)
+        moved = {pivot for pivot, row in rows.items() if old.get(pivot) is not row}
+        reasons = [reason for member, reason in known.items()
+                   if member.word[0][0] in moved and _reduced(rows, member).is_empty()]
+        if not reasons:
+            return None
+        reason = min(reasons, key=_text) if len(reasons) > 1 else reasons[0]  # in any order
+        head = ("their quotient {} is not 1: ",) if root is None else (
+            "their quotient {} is not a self-twist of {}: ", root)
+        return (head[0] + reason[0], _reduced(old, word), *head[1:], *reason[1:])
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:
         """Multiplicities of the finite-image restriction; None if untagged.
@@ -830,6 +1105,19 @@ def _no_self_twist(core: Core) -> bool:
     """The type table's twists(n) rules out a self-twist of this sym^n."""
     sym = _as_sym(core)
     return sym is not None and not TYPE_RULES[sym[0].typ][0](sym[1])
+
+
+def _adjoint_rule(x: Core | None, y: Core | None) -> tuple | None:
+    """For x = sym^2(p) and y = sym^2(q), p and q of two declared types that
+    :data:`icosym.rules.ADJOINT_TYPES` sets apart, the reason tuple why Ad(p)
+    and Ad(q) are inequivalent; None otherwise.  Their twists have the
+    quotient omega(p)^-1 * omega(q)."""
+    if not (isinstance(x, SymCusp) and isinstance(y, SymCusp) and x.n == y.n == 2):
+        return None
+    p, q = x.base, y.base
+    if p.typ == q.typ or p.typ not in ADJOINT_TYPES or q.typ not in ADJOINT_TYPES:
+        return None
+    return ADJOINT_RULE, p.name, q.name, p.name, p.typ, q.name, q.typ
 
 
 def _restrict(core: Core) -> ClassFunction | None:
@@ -1124,12 +1412,6 @@ def decide_cuspidality(p: BaseCusp, p_prime: BaseCusp, ledger: FactLedger) -> Ve
         return _by_equivalence(route, same_ad)
     mu = CharWord.gen(p_prime.quadratic_char)
     twisted_ad = ledger._resolve(ad_p, ledger._canon(ad_q.twisted(mu)))
-    if same_ad[0] is True and twisted_ad[0] is True:
-        raise LedgerError(
-            "inconsistent ledger: both adjoint facts true would force a "
-            f"quadratic self-twist on Ad({p_prime.name}), impossible for an "
-            "octahedral (non-dihedral) base"
-        )
     return _by_equivalence(route, same_ad, twisted_ad)
 
 

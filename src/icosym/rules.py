@@ -9,6 +9,8 @@ layer: it imports only :class:`icosym.Record`.  The tables are
   largest irreducible degree of the binary polyhedral group over its
   projective image, and which sym^n may carry a self-twist.
   :data:`BASE_TYPES` lists the types;
+* :data:`ADJOINT_TYPES` and :data:`ADJOINT_RULE`: the untwisted adjoints of
+  bases of two of these declared types are inequivalent (Ramakrishnan 2000);
 * :data:`AUTOMORPHIC`: automorphy of sym^n cited for every base, n = 2, 3, 4
   (Gelbart-Jacquet 1978, Kim-Shahidi 2002, Kim 2003);
 * :data:`RULES`: the exceptional-zero rules of the Siegel report by name,
@@ -56,6 +58,15 @@ TYPE_RULES: dict[str, tuple] = {
 }
 
 BASE_TYPES = tuple(TYPE_RULES)
+
+# What two declared types say about the adjoints: Ad(pi) ~ Ad(pi') implies pi' ~ pi (x) chi
+# (Ramakrishnan 2000), and a twist keeps the projective image, so the untwisted adjoints of
+# bases of two of these types, which each fix the projective image, are inequivalent.  A
+# twisted pair, Ad(pi) against Ad(pi') (x) chi with chi not 1, stays open.
+ADJOINT_TYPES = ("tetrahedral", "octahedral", "icosahedral", "general")
+ADJOINT_RULE = ("Ad({}) and Ad({}) are inequivalent, as {} is {} and {} is {}: Ad(pi) ~ "
+                "Ad(pi') implies pi' ~ pi (x) chi (Ramakrishnan 2000), and a twist keeps the "
+                "projective image")
 
 
 def type_rule(typ: str, n: int) -> tuple[bool | None, str]:

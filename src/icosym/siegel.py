@@ -400,7 +400,9 @@ def siegel_scan(
                 # flagged: its square is the quotient of the symbol by its dual,
                 # so it is known not self-dual (not real) only where the symbol is
                 exceptional_q = CharWord.gen(p.omega, m // 2) * chi
-                kind = ledger.word_kind(exceptional_q)
+                # real where its square is known to be 1 and its own kind is not known
+                kind = ledger.word_kind(exceptional_q) or (
+                    "real" if ledger.is_one(exceptional_q ** 2) else None)
                 label = str(exceptional_q)
                 detail = (
                     f"character constituent {exceptional_q} "

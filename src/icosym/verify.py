@@ -32,6 +32,7 @@ from .isobaric import (
     CharWord,
     FactLedger,
     IsobaricExpr,
+    LedgerError,
     SymCusp,
     Verdict,
     ad,
@@ -357,10 +358,11 @@ def cuspidality_scenarios() -> list[dict]:
             }
         )
 
-    # non-octahedral partner: one adjoint fact decides everything
+    # non-octahedral partner: one adjoint fact decides everything; a true one
+    # only between bases of one type, as the adjoints of two types differ
     for typ1 in _NON_DIHEDRAL:
         for typ2 in ("tetrahedral", "icosahedral", "general"):
-            for same_adjoint in (True, False):
+            for same_adjoint in (True, False) if typ1 == typ2 else (False,):
                 ledger = FactLedger()
                 p = ledger.declare_base("p", typ1)
                 q = ledger.declare_base("q", typ2)
@@ -375,7 +377,8 @@ def cuspidality_scenarios() -> list[dict]:
 
     # octahedral partner: the quadratic-twist escape joins in
     for typ1 in _NON_DIHEDRAL:
-        for ad_eq, mu_eq in ((False, False), (True, False), (False, True)):
+        both = ((False, False), (True, False), (False, True))
+        for ad_eq, mu_eq in both if typ1 == "octahedral" else both[:1]:
             ledger = FactLedger()
             p = ledger.declare_base("p", typ1)
             q = ledger.declare_base("q", "octahedral")
@@ -390,11 +393,34 @@ def cuspidality_scenarios() -> list[dict]:
                 "not-cuspidal" if (ad_eq or mu_eq) else "cuspidal",
             )
 
-    # no declared facts: honestly undetermined
+    # chains over three bases of one type: Ad(a) ~ Ad(b) ~ Ad(c) decides a
+    # against c, and a third fact against the chain is refused, leaving it
+    for typ in _NON_DIHEDRAL:
+        ledger = FactLedger()
+        a, b, c = (ledger.declare_base(name, typ) for name in "abc")
+        ledger.assert_equiv(ad(a), ad(b), True)
+        ledger.assert_equiv(ad(b), ad(c), True)
+        run(f"{typ} chain, Ad(a) ~ Ad(b) ~ Ad(c)", a, c, ledger, "not-cuspidal")
+        try:
+            ledger.assert_equiv(ad(a), ad(c), False)
+            refused = False
+        except LedgerError:
+            refused = True
+        # a contradiction that loads expects a verdict no route gives
+        run(f"{typ} chain, Ad(a) ~ Ad(c) false refused", a, c, ledger,
+            "not-cuspidal" if refused else "refused")
+        if typ != "octahedral":  # an octahedral c would need its twisted fact too
+            ledger = FactLedger()
+            a, b, c = (ledger.declare_base(name, typ) for name in "abc")
+            ledger.assert_equiv(ad(a), ad(b), True)
+            ledger.assert_equiv(ad(b), ad(c), False)
+            run(f"{typ} chain, Ad(a) ~ Ad(b) not ~ Ad(c)", a, c, ledger, "cuspidal")
+
+    # no declared facts, one type: honestly undetermined
     ledger = FactLedger()
     p = ledger.declare_base("p", "icosahedral")
-    q = ledger.declare_base("q", "tetrahedral")
-    run("icosahedral x tetrahedral, no facts", p, q, ledger, None)
+    q = ledger.declare_base("q", "icosahedral")
+    run("icosahedral x icosahedral, no facts", p, q, ledger, None)
 
     return scenarios
 

@@ -6,13 +6,17 @@ Prints one JSON object: ``compared`` and ``differing``, as
 probe is set before ``import icosym``, so a function that runs at import
 counts as reached.  Where ``sys.monitoring`` exists (Python 3.12 on), the
 probe is a ``PY_START`` callback that disables itself for each code object
-once it has seen it, so a function costs nothing after its first call;
-before 3.12 it is a ``sys.setprofile`` hook, which sees every call.
+once it has seen it, so a function costs nothing after its first call, and
+it watches every run.  Before 3.12 it is a ``sys.setprofile`` hook, which
+sees every call, so past the imports it watches only the runs that the
+manifest marks ``probe``, which together enter every function that any run
+enters.
 ``tests/test_corpus.py`` runs this script once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import tempfile
@@ -48,13 +52,25 @@ def _probe(on: bool) -> None:
         sys.monitoring.free_tool_id(sys.monitoring.PROFILER_ID)
 
 
+@contextlib.contextmanager
+def _watched():
+    _probe(True)
+    try:
+        yield
+    finally:
+        _probe(False)
+
+
 if __name__ == "__main__":
     _probe(True)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from test_corpus import replay  # noqa: E402
 
+    every_call = not hasattr(sys, "monitoring")  # then watch only the marked runs
+    if every_call:
+        _probe(False)
     with tempfile.TemporaryDirectory() as scratch:
-        result = replay(Path(scratch) / "facts.json")
+        result = replay(Path(scratch) / "facts.json", _watched if every_call else None)
     _probe(False)
     result["reached"] = sorted({(Path(code.co_filename).name, code.co_firstlineno)
                                 for code in entered if Path(code.co_filename).parent == SRC})

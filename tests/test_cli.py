@@ -84,10 +84,12 @@ class TestChartab:
 # SHA-256 of stdout of `icosym verify all`, recorded while the character
 # table, generator, accounting and rule-table checks were still built in the
 # layers they check; re-pinned when the exceptional-zero criterion came to
-# count m = 0, whose two check lines are the one difference
+# count m = 0, whose two check lines are the one difference, and again when the
+# cuspidality matrix kept true adjoint facts to bases of one type and took chains,
+# 33 two-route and 32 determinable scenarios in its two count lines
 VERIFY_ALL = {
-    (): "a66285889176ff8544e37e8bdf9261cf0beda1a70812a6a2ed6bce1aa29cfc3f",
-    ("--json",): "936625eff4fe1260270cbb7fc70bebf3269d51564a59ca06f0be65d8523d3f36",
+    (): "e8d51a400a788821bf14bcbf3b9b92af37e3afc6c3f3c4aed1a4a21c5e8b4aba",
+    ("--json",): "fb24ada6f50c13c0cedfce4b4614d04bbb07d52c898e551e52a9983ba2c6e25c",
 }
 
 
@@ -269,7 +271,9 @@ class TestCuspidality:
         assert results["structural"]["verdict"] == "cuspidal"
         assert results["pole_counting"]["pole_order"] == 1
 
-    def test_a_pole_interval_from_2_up_agrees_with_not_cuspidal(self, capsys, tmp_path):
+    def test_one_adjoint_fact_gives_an_exact_pole_order(self, capsys, tmp_path):
+        """Ad(p) ~ Ad(q) puts both in one class, which decides Ad(p) against
+        Ad(q)*mu(q) of the lift too: the pole order is exact."""
         path = tmp_path / "octpair.json"
         path.write_text(json.dumps({
             "bases": [{"name": "p", "type": "octahedral"}, {"name": "q", "type": "octahedral"}],
@@ -279,11 +283,11 @@ class TestCuspidality:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert "  [structural] not-cuspidal\n" in out
-        assert "  [pole-counting] not-cuspidal (pole order [2, 3])\n" in out
+        assert "  [pole-counting] not-cuspidal (pole order 2)\n" in out
         assert "missing fact" not in out
         code, document, err = run_json(capsys, *argv)
         assert (code, err, document["results"]["routes_agree"]) == (0, "", True)
-        assert document["results"]["pole_counting"]["pole_order"] == [2, 3]
+        assert document["results"]["pole_counting"]["pole_order"] == 2
 
     def test_unknown_base(self, capsys, facts_file):
         code, _, err = run(
@@ -486,12 +490,13 @@ class TestCuspidality:
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    def test_both_adjoint_facts_true_exit_2_at_query_time(self, capsys, tmp_path):
-        """Each fact alone is consistent; together they force a quadratic
-        self-twist on Ad(q), which only the query sees."""
+    def test_both_adjoint_facts_true_exit_2_at_load_time(self, capsys, tmp_path):
+        """Each fact alone is consistent; together they make mu(q) a
+        self-twist of Ad(q), which an octahedral base has none of, so the
+        second is refused as the document loads."""
         path = tmp_path / "both_adjoints.json"
         path.write_text(json.dumps({
-            "bases": [{"name": "p", "type": "icosahedral"}, {"name": "q", "type": "octahedral"}],
+            "bases": [{"name": "p", "type": "octahedral"}, {"name": "q", "type": "octahedral"}],
             "facts": [
                 {"lhs": "Ad(p)", "rhs": "Ad(q)", "relation": "equiv", "truth": True},
                 {"lhs": "Ad(p)", "rhs": "Ad(q)", "relation": "twist-equiv-by",
@@ -500,8 +505,9 @@ class TestCuspidality:
         }))
         argv = ("cuspidality", "--facts", str(path), "--pi", "p", "--pi-prime", "q")
         assert run(capsys, *argv) == (
-            2, "", "error: inconsistent ledger: both adjoint facts true would force a quadratic "
-            "self-twist on Ad(q), impossible for an octahedral (non-dihedral) base\n"
+            2, "", "error: facts[1]: sym^2(p)*omega(p)^-1 ~ sym^2(q)*mu(q)*omega(q)^-1 cannot "
+            "be declared true, by the declared facts sym^2(p)*omega(p)^-1 ~ "
+            "sym^2(q)*omega(q)^-1 is True: then mu(q) would be 1, but mu(q) has order 2\n"
         )
 
     @pytest.mark.parametrize(
@@ -768,7 +774,7 @@ class TestCuspidality:
                 {
                     "bases": [
                         {"name": "pi", "type": "icosahedral"},
-                        {"name": "rho", "type": "tetrahedral"},
+                        {"name": "rho", "type": "icosahedral"},
                     ]
                 }
             )

@@ -25,7 +25,10 @@ The corpus is replayed once per module, by ``corpus/replay.py`` in a fresh
 interpreter: each run goes through :func:`icosym.cli.cmd_dispatch` in
 process, under a probe set before ``import icosym`` (``sys.monitoring``
 where it exists, else ``sys.setprofile``), so that what runs at import
-counts too.  On a mismatch the first differing runs are printed in full.
+counts too.  ``sys.setprofile`` costs every call, so there the probe
+watches only the runs the manifest marks ``probe``, which the recorder
+picks to enter every function that any run enters.  On a mismatch the
+first differing runs are printed in full.
 :func:`test_every_function_is_reached` then names each ``def`` of
 ``src/icosym`` that no run entered and that :data:`UNREACHED` does not list
 with its reason.
@@ -210,14 +213,21 @@ def runs_of(doc_id: str, text: str) -> list[list[str]]:
     return [argv + tail for argv in commands for tail in ([], ["--json"])]
 
 
-def record(path: Path) -> dict:
-    """Run every command of the corpus and return the manifest."""
+def record(path: Path, probe=None) -> dict:
+    """Run every command of the corpus and return the manifest.  *probe*, a
+    context manager giving the set of code objects that a run enters, marks
+    ``probe`` a subset of the runs that together enter every function of
+    ``src/icosym`` that any run enters; the replay watches only those where
+    watching costs each call (before Python 3.12)."""
     docs = build_documents()
     entries = [(None, argv + tail) for argv in FIXED_RUNS for tail in ([], ["--json"])]
     entries += [(doc_id, argv) for doc_id, text in docs.items() for argv in runs_of(doc_id, text)]
-    runs = []
+    runs, reached = [], []
     for doc_id, argv in entries:
-        result = run(argv, None if doc_id is None else docs[doc_id], path)
+        with probe() if probe else contextlib.nullcontext(set()) as entered:
+            result = run(argv, None if doc_id is None else docs[doc_id], path)
+        reached.append({(Path(code.co_filename).name, code.co_firstlineno)
+                        for code in entered if Path(code.co_filename).parent == SRC})
         runs.append({
             "doc": doc_id,
             "argv": argv,
@@ -225,15 +235,29 @@ def record(path: Path) -> dict:
             "stderr": digest(result["stderr"]),
             "code": result["code"],
         })
+    for i in _covering(reached):
+        runs[i]["probe"] = True
     return {
         "documents": {doc_id: digest(text) for doc_id, text in docs.items()},
         "runs": runs,
     }
 
 
-def replay(path: Path) -> dict:
+def _covering(sets: list[set]) -> list[int]:
+    """Indices of some of *sets* that together hold every element of them
+    all, picked greedily: each the one holding most of what is left."""
+    left, chosen = set().union(*sets), []
+    while left:
+        best = max(range(len(sets)), key=lambda i: len(sets[i] & left))
+        chosen.append(best)
+        left -= sets[best]
+    return sorted(chosen)
+
+
+def replay(path: Path, probe=None) -> dict:
     """Replay every recorded run whose document hashes as recorded: how many
-    were compared, and each differing run's entry with its full result."""
+    were compared, and each differing run's entry with its full result.  A
+    run marked ``probe`` runs inside *probe*, a context manager, if given."""
     manifest = json.loads(MANIFEST.read_text())
     documents = build_documents()
     recorded = manifest["documents"]
@@ -242,7 +266,8 @@ def replay(path: Path) -> dict:
         doc_id = entry["doc"]
         if doc_id is not None and digest(documents.get(doc_id, "")) != recorded[doc_id]:
             continue  # reported by test_documents_hash_as_recorded
-        result = run(entry["argv"], None if doc_id is None else documents[doc_id], path)
+        with probe() if probe and entry.get("probe") else contextlib.nullcontext():
+            result = run(entry["argv"], None if doc_id is None else documents[doc_id], path)
         compared += 1
         got = (digest(result["stdout"]), digest(result["stderr"]), result["code"])
         if got != (entry["stdout"], entry["stderr"], entry["code"]):

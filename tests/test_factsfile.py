@@ -35,6 +35,7 @@ from icosym.isobaric import (
 )
 from icosym.siegel import siegel_report
 from test_corpus import build_documents, run
+from test_isobaric import union_find
 
 
 def test_empty_document():
@@ -1024,7 +1025,7 @@ def _state(ledger):
     return (
         ledger.bases,
         ledger.characters,
-        ledger._facts,
+        union_find(ledger),
         ledger.base_changes,
         ledger._cuspidal,
         ledger._automorphic,

@@ -32,6 +32,7 @@ from icosym.siegel import (
     siegel_scan,
 )
 from icosym.verify import galois_square_accounting, verify_rule_table
+from test_isobaric import union_find
 
 CHI = CharWord.gen("chi")
 
@@ -472,9 +473,10 @@ def test_report_checks_the_base_before_the_ledger():
             build(ledger, BaseCusp("g", "general", galois_row="X'"))
 
 
-# a ledger's declarations: every table that a declare_* or assert_* call writes
+# a ledger's declarations: every table that a declare_* or assert_* call writes, beside
+# D and the union-find
 DECLARATION_TABLES = (
-    "characters", "bases", "base_changes", "_rows", "_facts", "_cuspidal", "_automorphic",
+    "characters", "bases", "base_changes", "_rows", "_cuspidal", "_automorphic",
 )
 
 
@@ -485,9 +487,11 @@ def test_a_scan_over_a_ledger_without_a_tagged_base_writes_nothing():
         "facts": [{"lhs": "Ad(rho)", "rhs": "Ad(rho)*nu^2", "relation": "equiv", "truth": False}],
         "word_kinds": [{"word": "chi*omega(pi)^6", "kind": "non-real"}],
     })
-    before = {name: getattr(ledger, name).copy() for name in DECLARATION_TABLES}, dict(ledger._apart)
+    before = ({name: getattr(ledger, name).copy() for name in DECLARATION_TABLES},
+              dict(ledger._apart), union_find(ledger))
     reports = siegel_scan(0, 30, ledger=ledger)
-    assert ({name: getattr(ledger, name) for name in DECLARATION_TABLES}, ledger._apart) == before
+    assert ({name: getattr(ledger, name) for name in DECLARATION_TABLES}, ledger._apart,
+            union_find(ledger)) == before
     # the report is on the default pi and chi, and reads the ledger's word kind
     assert reports[12].target == "sym^12(pi)*chi"
     assert reports[12].verdict == "no-siegel-zero" != siegel_report(12).verdict
