@@ -456,40 +456,53 @@ def _quotient(t1: CharWord, l1: CharWord, t2: CharWord, l2: CharWord) -> CharWor
     return CharWord(tuple(sorted([item for item in merged.items() if item[1]])))
 
 
+class _Lattice:
+    """A lattice of character words, with what is known against it: its
+    echelon form by pivot (:func:`_with`), the words known not to be in it,
+    each reduced modulo it, with its reason, and its owner, the root of the
+    class whose self-twists it holds, or None for R and D, the words known
+    to be 1 and known not to be 1.  Rows are replaced, never changed, as it
+    grows, so a class's own lattice may start from R's."""
+
+    __slots__ = ("rows", "apart", "owner")
+
+    def __init__(self, rows: dict[str, CharWord], apart: dict[CharWord, tuple],
+                 owner: Core | None) -> None:
+        self.rows, self.apart, self.owner = rows, apart, owner
+
+
 class _Class:
     """A class of cores of the union-find of :class:`FactLedger`, kept at its
-    root: its cores, the root first; its own lattice of self-twists and the
-    words known not to be in it (``rows`` and ``apart``), or None and
-    nothing where a core of it admits no self-twist, so R and D serve; and
-    the declared facts between its cores but those R and D hold alone (on
-    one core that admits no self-twist), which give an answer's reason."""
+    root: its cores, the root first, and its lattice of self-twists, a
+    :class:`_Lattice`: R's, shared, where a core of it admits no self-twist,
+    else its own, which holds R."""
 
-    __slots__ = ("members", "rows", "apart", "facts")
+    __slots__ = ("members", "lattice")
 
-    def __init__(self, root: Core, rows: dict[str, CharWord] | None) -> None:
+    def __init__(self, root: Core | None, lattice: _Lattice) -> None:
         self.members: list[Core] = [root]
-        self.rows = rows
-        self.apart: dict[CharWord, tuple] = {}
-        self.facts: list[tuple] = []
+        self.lattice = lattice
 
 
 class _Facts:
-    """The declared facts of some classes, as they are when it is made, and
-    others, as one operand of a reason: text only when shown, each side
-    reduced modulo R then, the facts sorted, so the text does not depend on
-    the order of the declarations; after *prefix*, or nothing where there
-    are none.  A record's facts only grow, so each is kept as its length."""
+    """The declared facts within the classes at some roots, as they are when
+    it is made, and others, as one operand of a reason: text only when
+    shown, each side reduced modulo R then, the facts sorted, so the text
+    does not depend on the order of the declarations; after *prefix*, or
+    nothing where there are none.  A list of the ledger's facts is only
+    appended to, so each is kept as its length."""
 
-    __slots__ = ("ledger", "records", "more", "prefix")
+    __slots__ = ("ledger", "lists", "more", "prefix")
 
-    def __init__(self, ledger: "FactLedger", records: tuple, more: Iterable[tuple] = (),
+    def __init__(self, ledger: "FactLedger", roots: Iterable, more: Iterable[tuple] = (),
                  prefix: str = "") -> None:
         self.ledger, self.more, self.prefix = ledger, tuple(more), prefix
-        self.records = tuple((record, len(record.facts)) for record in records)
+        self.lists = tuple((facts, len(facts)) for facts in (
+            ledger._facts.get(frozenset((root,)), ()) for root in roots))
 
     def __str__(self) -> str:
         canon = self.ledger._canon
-        facts = {f for record, n in self.records for f in record.facts[:n]}.union(self.more)
+        facts = {f for facts, n in self.lists for f in facts[:n]}.union(self.more)
         texts = sorted({f"{canon(a)} ~ {canon(b)} is {t}" for a, b, t in facts})
         return self.prefix + ", ".join(texts) if texts else ""
 
@@ -498,36 +511,42 @@ class FactLedger:
     """Declared structure (characters, bases) and asserted equivalences.
 
     What is known of character words is a lattice R of words known to be 1
-    and a list D of words known not to be 1.  R is spanned by g^N for each g
-    of declared order N, each word declared trivial, w^2 for a quadratic
-    word and w^3 for a cubic one, and the quotient of each true fact between
-    two characters, or between two twists of a core whose declared type
-    admits no self-twist.  D holds the quotient of each such false fact, w
-    for a quadratic or cubic word, w^2 for a non-real one, and g^(N/q) for
-    each prime q dividing a declared order N; each member is kept reduced
-    modulo R.  A declaration is refused exactly when it would put a member
-    of D in R, and every answer about a character is read off the two.
-    :attr:`characters` holds the generators' names.
+    and a list D of words known not to be 1, one :class:`_Lattice` record.
+    R is spanned by g^N for each g of declared order N, each word declared
+    trivial, w^2 for a quadratic word and w^3 for a cubic one, and the
+    quotient of each true fact between two characters, or between two
+    twists of a core whose declared type admits no self-twist.  D holds the
+    quotient of each such false fact, w for a quadratic or cubic word, w^2
+    for a non-real one, and g^(N/q) for each prime q dividing a declared
+    order N; each member is kept reduced modulo R.  A declaration is refused
+    exactly when it would put a member of D in R, and every answer about a
+    character is read off the two.  :attr:`characters` holds the generators'
+    names.
 
     Other facts are equivalences between constituents, asserted true or
     false; "lhs = rhs (x) nu" is the equivalence of ``lhs`` with ``rhs``
     twisted by ``nu``; a self-duality is the fact ``c ~ dual(c)``.  They
     live in a union-find with twist labels: each core of a class links to
     its root with a label, the twist that makes the root equivalent to it,
-    and characters are the class of no core.  A true fact between two classes joins them;
-    a false one is kept between their roots with its word.  A fact within
-    one class says whether the quotient of its sides' twists, each times its
-    core's label, is a self-twist: where a core of the class admits none
-    (:data:`icosym.rules.TYPE_RULES`), and for characters, whether it is 1,
-    which R and D keep; otherwise the class keeps its own lattice of
-    self-twists, which holds R, and its own list of words known to be none.
-    So equivalence is closed under chains of facts and under common twists,
-    and a key never depends on R.  :meth:`_forced` gives what no fact can
-    change between two classes; a declaration against any answer the facts
-    and :meth:`_forced` give is refused, naming the facts, as is declaring a
-    core's cuspidality or automorphy two ways.  The resolver's other answers
-    are generic defaults, which a fact overturns.  A name is either a base
-    or a character, not both.
+    and characters are the class of no core.  A true fact between two
+    classes joins them.  A fact within one class says whether the quotient
+    of its sides' twists, each times its core's label, is a self-twist:
+    where a core of the class admits none (:data:`icosym.rules.TYPE_RULES`),
+    and for characters, whether it is 1, which R and D keep; otherwise the
+    class keeps its own lattice of self-twists, which holds R, and its own
+    list of words known to be none.  The declared facts but those R and D
+    hold alone are kept in one store by the roots they concern: ``{r}`` for
+    a fact within the class at r, ``{r1, r2}`` for one between two classes,
+    re-keyed as classes join.  So equivalence is closed under chains of
+    facts and under common twists, and a key never depends on R.
+    :meth:`_forced` gives what no fact can change between two classes; a
+    declaration against any answer the facts and :meth:`_forced` give is
+    refused, naming the facts.  Cuspidality and automorphy, which twisting
+    and equivalence keep, agree across a class: a declaration or a join
+    that would make two cores of one class disagree is refused, naming
+    both, as is declaring a core's cuspidality or automorphy two ways.  The
+    resolver's other answers are generic defaults, which a fact overturns.
+    A name is either a base or a character, not both.
 
     A ledger is written only while it is built (the ``declare_*`` and
     ``assert_*`` methods); queries only read it, but for the memo of
@@ -541,15 +560,13 @@ class FactLedger:
         self.characters: set[str] = set()
         self.bases: dict[str, BaseCusp] = {}
         self.base_changes: dict[tuple[str, str], BaseCusp] = {}
-        self._rows: dict[str, CharWord] = {}  # R
-        self._apart: dict[CharWord, tuple] = {}  # D, each word with its reason
+        self._chars = _Lattice({}, {}, None)  # R and D, each word of D with its reason
         # the union-find: each core of a class but its root, with the root and its label
         self._links: dict[Core, tuple[Core, CharWord]] = {}
-        self._classes: dict[Core, _Class] = {}  # each class a fact names, by its root
-        # the false facts between two classes, by both roots, one list kept both ways
-        self._unequal: dict[Core, dict[Core, list[tuple]]] = {}
-        # whether a false fact between two degrees is kept (see _known)
-        self._across = False
+        # each class of two cores or more, or with a lattice of its own, by its root
+        self._classes: dict[Core, _Class] = {}
+        # the declared facts but those R and D hold alone, by the roots they concern
+        self._facts: dict[frozenset, list[tuple]] = {}
         self._cuspidal: dict[Core, bool] = {}
         self._automorphic: dict[Core, bool] = {}
         # per queried core: the multiplicities of its restriction
@@ -592,11 +609,9 @@ class FactLedger:
             what = " and ".join(f"{n} cannot have order {d}" for n, d in items if d)
             self._relate(("character {}", what), rows.values(), apart.items(), [])
         elif rows:  # new pivots, which no row or member of D meets: nothing to check
-            for record in self._classes.values():  # every class's own lattice holds R
-                if record.rows is not None and record.rows is not self._rows:
-                    record.rows = {**record.rows, **rows}
-            self._rows.update(rows)
-            self._apart.update(apart)
+            for lattice in self._lattices():
+                lattice.rows = {**lattice.rows, **rows}
+            self._chars.apart.update(apart)
         self.characters.update(n for n, _ in items)
 
     def declare_base(self, name: str, typ: str, **tags) -> BaseCusp:
@@ -663,37 +678,60 @@ class FactLedger:
 
     def declare_cuspidal(self, core: Core, truth: bool = True) -> None:
         """Refused when the type or the finite image of a tagged base
-        decides the other way, and as true when the core is declared not
-        automorphic: cuspidal implies automorphic."""
+        decides the other way, as true when the core is declared not
+        automorphic: cuspidal implies automorphic, and where a core of its
+        class would disagree (:meth:`_agree`)."""
         if truth and self._automorphic.get(core) is False:
             raise LedgerError(f"{core} cannot be declared cuspidal: it is declared not automorphic")
         sym = _as_sym(core)
         derived, reason = (None, "") if sym is None else _derived_cuspidal(*sym, self)
+        what = "cuspidal" if truth else "not cuspidal"
         if derived is not None and derived != truth:
-            what = "cuspidal" if truth else "not cuspidal"
             raise LedgerError(f"{core} cannot be declared {what}: {reason}")
+        self._agree(core, what,
+                    self._standing(core, (truth, f"declared: {core} cuspidal is {truth}")))
         _declare(self._cuspidal, core, truth, "cuspidal")
 
     def declare_automorphic(self, core: Core, truth: bool = True) -> None:
         """Refused as false where automorphy is cited for every base (2 <= n <= 4),
         and where the core is cuspidal, which implies automorphic: cuspidal as
         :func:`sym_power_cuspidal` reads it for a base or sym^n, as declared for
-        any other core.  The finite image of a tagged base implies automorphy
+        any other core; and where a core of its class would disagree
+        (:meth:`_agree`).  The finite image of a tagged base implies automorphy
         only given the family generators, which a file may deny."""
-        if not truth:
-            sym = _as_sym(core)
-            if sym is not None and sym[1] in AUTOMORPHIC:
-                raise LedgerError(
-                    f"{core} cannot be declared not automorphic: {AUTOMORPHIC[sym[1]]}"
-                )
-            cuspidal, reason = (
-                (self.cuspidal_declared(core), f"declared: {core} cuspidal is True")
-                if sym is None else sym_power_cuspidal(*sym, self)
-            )
-            if cuspidal:
-                raise LedgerError(f"{core} cannot be declared not automorphic: "
-                                  f"it is cuspidal ({reason})")
+        sym = _as_sym(core)
+        if not truth and sym is not None and sym[1] in AUTOMORPHIC:
+            raise LedgerError(f"{core} cannot be declared not automorphic: {AUTOMORPHIC[sym[1]]}")
+        cuspidal = self._standing(core)[0]
+        if not truth and cuspidal[0]:
+            raise LedgerError(f"{core} cannot be declared not automorphic: "
+                              f"it is cuspidal ({cuspidal[1]})")
+        what = "automorphic" if truth else "not automorphic"
+        self._agree(core, what, (cuspidal, (truth, f"declared: {core} automorphic is {truth}")))
         _declare(self._automorphic, core, truth, "automorphic")
+
+    def _standing(self, core: Core, cuspidal: tuple | None = None) -> tuple[tuple, tuple]:
+        """*core*'s cuspidality, *cuspidal* if given, else declared or derived
+        as :func:`sym_power_cuspidal` derives it, and its automorphy, declared
+        or implied by its cuspidality: each a (truth, reason) pair, whose
+        truth is None where neither is known."""
+        if cuspidal is None:
+            sym, declared = _as_sym(core), self._cuspidal.get(core)
+            cuspidal = sym_power_cuspidal(*sym, self) if sym else (
+                declared, f"declared: {core} cuspidal is {declared}")
+        automorphic = self._automorphic.get(core)
+        if automorphic is not None:
+            return cuspidal, (automorphic, f"declared: {core} automorphic is {automorphic}")
+        return cuspidal, (True, cuspidal[1]) if cuspidal[0] else (None, "")
+
+    def _agree(self, core: Core, what: str, standing: tuple) -> None:
+        """Refuse declaring *core* *what*, which gives it *standing* (see
+        :meth:`_standing`), where then it and a core of its class disagree."""
+        record = self._classes.get(self._find(core)[0])
+        for y in record.members if record is not None else ():
+            if y != core and (why := _discord(core, standing, y, self._standing(y))):
+                raise LedgerError(f"{core} cannot be declared {what}: it is in one class "
+                                  f"with {y}, but {_text(why)}")
 
     def cuspidal_declared(self, core: Core) -> bool | None:
         return self._cuspidal.get(core)
@@ -726,7 +764,7 @@ class FactLedger:
 
     def is_one(self, word: CharWord) -> bool:
         """Whether *word* is known to be 1: it lies in R."""
-        return _reduced(self._rows, word).is_empty()
+        return _reduced(self._chars.rows, word).is_empty()
 
     def declare_self_dual(self, c: Constituent, truth: bool) -> None:
         """The fact ``c ~ dual(c)``, asserted by :meth:`assert_equiv` and
@@ -747,30 +785,33 @@ class FactLedger:
 
     def _canon(self, c: Constituent) -> Constituent:
         """*c* with its twist reduced modulo R; ``c`` when it is."""
-        twist = _reduced(self._rows, c.twist)
+        twist = _reduced(self._chars.rows, c.twist)
         return c if twist is c.twist else Constituent(c.core, twist)
 
     def _find(self, core: Core | None) -> tuple[Core | None, CharWord]:
         """The root of *core*'s class and *core*'s label: core ~ root (x) label."""
         return self._links.get(core) or (core, _ONE)
 
-    def _lattice(self, root: Core | None) -> tuple[dict, dict, Core | None]:
-        """The lattice of self-twists of the class at *root*, the words known
-        not to be in it, and *root*, or R, D and None: for characters, and
-        where a core of the class admits no self-twist.  A class that a fact
-        names keeps its own; another has R and no word known."""
-        record = self._classes.get(root)
-        if record is not None and record.rows is not None:
-            return record.rows, record.apart, root
-        if record is not None or root is None or _no_self_twist(root):
-            return self._rows, self._apart, None
-        return self._rows, {}, root
+    def _record(self, root: Core | None) -> _Class:
+        """The record of the class at *root*, or a new one, not yet kept:
+        with R's lattice for characters and where the root admits no
+        self-twist, else with its own, R and no word known not to be in it."""
+        if (record := self._classes.get(root)) is not None:
+            return record
+        if root is None or _no_self_twist(root):
+            return _Class(root, self._chars)
+        return _Class(root, _Lattice(self._chars.rows, {}, root))
+
+    def _lattices(self) -> list[_Lattice]:
+        """R's lattice, then each class's own, which holds R."""
+        return [self._chars, *(record.lattice for record in self._classes.values()
+                               if record.lattice.owner is not None)]
 
     def assert_equiv(self, c1: Constituent, c2: Constituent, truth: bool) -> None:
         """A fact within one class is :meth:`_loop`'s, a true one between two
-        classes :meth:`_join`'s; a false one between two is kept by both.
-        Refused where both sides of a false one reduce to one constituent,
-        and where the two rules refuse."""
+        classes :meth:`_join`'s; a false one between two is kept by their
+        roots.  Refused where both sides of a false one reduce to one
+        constituent, and where the two rules refuse."""
         k1, k2 = self._canon(c1), self._canon(c2)
         names = [n for n, _ in k1.twist.word + k2.twist.word if n not in self.characters]
         (r1, l1), (r2, l2) = self._find(k1.core), self._find(k2.core)
@@ -786,38 +827,27 @@ class FactLedger:
         else:  # between the two roots (see _word)
             if names:
                 self._declare_characters([(n, None) for n in names])
-            here = self._unequal.get(r1) or self._unequal.setdefault(r1, {})
-            if (facts := here.get(r2)) is None:  # a class holds one degree
-                facts = here[r2] = self._unequal.setdefault(r2, {})[r1] = []
-                self._across = self._across or k1.degree != k2.degree
-            facts.append(fact)
-
-    def _record(self, root: Core | None) -> _Class:
-        """The record of the class at *root*, or a new one, not yet kept,
-        whose own lattice is R where it may have one (see :meth:`_lattice`)."""
-        if (record := self._classes.get(root)) is not None:
-            return record
-        return _Class(root, None if root is None or _no_self_twist(root) else self._rows)
+            self._facts.setdefault(frozenset((r1, r2)), []).append(fact)
 
     def _loop(self, fact: tuple, root: Core | None, quotient: CharWord, names: list[str]) -> None:
         """A fact within the class at *root*, whose sides' twists, each times
         its core's label, have *quotient*: true, it puts the quotient in the
-        class's lattice, false, among the words known not to be in it (see
-        :meth:`_lattice`), by :meth:`_relate`.  Refused where the opposite
-        fact is declared, where a false one is already implied, and where
-        :meth:`_relate` refuses.  A fact between two cores, or on a core that
-        may have a self-twist, is kept with the class, for its reasons."""
+        class's lattice, false, among the words known not to be in it, by
+        :meth:`_relate`.  Refused where the opposite fact is declared, where
+        a false one is already implied, and where :meth:`_relate` refuses.
+        A fact between two cores, or on a core that may have a self-twist,
+        is kept, for its reasons."""
         k1, k2, truth = fact
-        record = self._record(root)
-        own = record.rows is not None  # else R and D serve
-        rows = record.rows if own else self._rows
-        if (known := self._declared(record.facts, k1, k2)) and known[0] != truth:
+        record, key = self._record(root), frozenset((root,))
+        lattice = record.lattice
+        own = lattice.owner is not None  # else R and D serve
+        if (known := self._declared(self._facts.get(key), k1, k2)) and known[0] != truth:
             first, second = sorted(map(str, (k1, k2)))
             raise LedgerError(
                 f"contradictory assertions for {first} ~ {second}: {not truth} vs {truth}")
         one_core = hash(k1.core) == hash(k2.core) and k1.core == k2.core
-        facts = _Facts(self, (record,), prefix=", by the declared facts ")
-        if not truth and not one_core and _reduced(rows, quotient).is_empty():
+        facts = _Facts(self, (root,), prefix=", by the declared facts ")
+        if not truth and not one_core and _reduced(lattice.rows, quotient).is_empty():
             raise LedgerError(f"{k1} ~ {k2} cannot be declared false{facts}, it holds")
         if k1.core is None or (one_core and own):
             why = ("",)
@@ -828,112 +858,105 @@ class FactLedger:
         refusal = ("{} ~ {} cannot be declared {}" + why[0], k1, k2, str(truth).lower(), *why[1:])
         self._relate(refusal, (quotient,) * truth,
                      ((quotient, ("declared: {} ~ {} is {}", k1, k2, truth)),) * (not truth),
-                     names, record if own else None)
+                     names, lattice)
         if not one_core or (k1.core is not None and not _no_self_twist(k1.core)):
-            record.facts.append(fact)
-        if own or record.facts:
+            self._facts.setdefault(key, []).append(fact)
+        if own:
             self._classes[root] = record
 
     def _join(self, fact: tuple, r1: Core, r2: Core, label: CharWord, names: list[str]) -> None:
         """A true fact between the classes at *r1* and *r2*, which makes r1
         equivalent to r2 twisted by *label*: the smaller class joins the
-        larger, each of its cores relabelled to the larger's root.  Its
-        lattice joins theirs, R where a core of either admits no self-twist,
-        and so do the words known not to be in it, with each false fact
-        between the two and :data:`icosym.rules.ADJOINT_RULE` for each two
-        of their cores.  Refused where :meth:`_forced` says otherwise, where
-        two of their cores differ in finite-image row, and where then a word
-        known not to be in the lattice would be, naming the facts."""
+        larger, each of its cores relabelled to the larger's root, and the
+        facts kept by r1 are kept by r2.  Its lattice joins theirs, R where
+        a core of either admits no self-twist, and so do the words known not
+        to be in it, with each false fact between the two and
+        :data:`icosym.rules.ADJOINT_RULE` for each two of their cores.
+        Refused where :meth:`_forced` says otherwise, where two of their
+        cores differ in finite-image row or disagree (:func:`_discord`), and
+        where then a word known not to be in the lattice would be, naming
+        the facts."""
         k1, k2, _ = fact
         if (forced := self._forced(k1, k2)) and not forced[0]:
             raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(forced[1])}")
         a, b = self._record(r1), self._record(r2)
-        between = self._unequal.get(r1, {}).get(r2, [])
+        between = self._facts.get(frozenset((r1, r2)), [])
         if (known := self._declared(between, k1, k2)) and not known[0]:
             first, second = sorted(map(str, (k1, k2)))
             raise LedgerError(f"contradictory assertions for {first} ~ {second}: False vs True")
         if len(a.members) > len(b.members):
             a, b, r1, r2, label = b, a, r2, r1, label ** -1
         refusal = ("{} ~ {} cannot be declared true{}", k1, k2,
-                   _Facts(self, (a, b), prefix=", by the declared facts "))
+                   _Facts(self, (r1, r2), prefix=", by the declared facts "))
+        standing = {z: self._standing(z) for z in a.members + b.members}
         for x in a.members:
             for y in b.members:
-                if why := self._split(x, y):
+                if why := self._split(x, y) or _discord(x, standing[x], y, standing[y]):
                     raise LedgerError(f"{_text(refusal)}: then {x} and {y} would be in one "
                                       f"class, but {_text(why)}")
         # every core's label to the root r2, once the classes are one
-        labels = {x: _reduced(self._rows, self._find(x)[1] * label) for x in a.members}
+        labels = {x: _reduced(self._chars.rows, self._find(x)[1] * label) for x in a.members}
         labels.update((y, self._find(y)[1]) for y in b.members)
-        merged = b if a.rows is not None and b.rows is not None else None
-        kept = [r for r in ((a,) if merged is not None else (a, b)) if r.rows is not None]
-        ones = [row for record in kept for pivot, row in record.rows.items()
-                if self._rows.get(pivot) is not row]  # beyond R
-        apart = [item for record in kept for item in record.apart.items()]
-        rows = self._rows if merged is None else merged.rows
+        own = [record.lattice for record in (a, b) if record.lattice.owner is not None]
+        lattice = own.pop() if len(own) == 2 else self._chars  # b's, which a's joins
+        ones = [row for kept in own for pivot, row in kept.rows.items()
+                if row != self._chars.rows.get(pivot)]  # R holds the rest
+        apart = [item for kept in own for item in kept.apart.items()]
         # each word, reduced, with its reason and the equivalence that holds where it is 1
-        new = [(_reduced(rows, _quotient(f[0].twist, labels[f[0].core], f[1].twist,
-                                         labels[f[1].core])),
+        new = [(_reduced(lattice.rows, _quotient(f[0].twist, labels[f[0].core], f[1].twist,
+                                                 labels[f[1].core])),
                 ("declared: {} ~ {} is {}", *f), ("{} ~ {}", *f[:2])) for f in between]
         for x in a.members:
             for y in b.members:
                 if rule := _adjoint_rule(x, y):
                     ox, oy = (CharWord.gen(z.base.omega, -1) for z in (x, y))
-                    new.append((_reduced(rows, _quotient(ox, labels[x], oy, labels[y])), rule,
-                                ("Ad({}) ~ Ad({})", *rule[1:3])))
+                    new.append((_reduced(lattice.rows, _quotient(ox, labels[x], oy, labels[y])),
+                                rule, ("Ad({}) ~ Ad({})", *rule[1:3])))
         for word, reason, what in new:
             if word.is_empty():
                 raise LedgerError(f"{_text(refusal)}: then {_text(what)} would hold, "
                                   f"but {_text(reason)}")
-        self._relate(refusal, ones, apart + [item[:2] for item in new], names, merged)
+        self._relate(refusal, ones, apart + [item[:2] for item in new], names, lattice)
         # the join itself, which nothing can refuse any more
         for x in a.members:
             self._links[x] = (r2, labels[x])
-        here, moved = self._unequal.setdefault(r2, {}), self._unequal.pop(r1, {})
-        here.pop(r1, None), moved.pop(r2, None)  # those between them are within now
-        for s, facts in moved.items():
-            del self._unequal[s][r1]
-            if (known := here.get(s)) is not None:
-                known += facts
-            else:
-                here[s] = self._unequal[s][r2] = facts
-        if not here:
-            del self._unequal[r2]
+        store = self._facts
+        store.setdefault(frozenset((r2,)), []).extend(
+            store.pop(frozenset((r1,)), []) + store.pop(frozenset((r1, r2)), []) + [fact])
+        for pair in [pair for pair in store if r1 in pair]:  # between r1 and a third class
+            store.setdefault(pair - {r1} | {r2}, []).extend(store.pop(pair))
         b.members += a.members
-        b.facts += a.facts + between + [fact]
-        if merged is None:
-            b.rows, b.apart = None, {}
+        b.lattice = lattice
         self._classes.pop(r1, None)
         self._classes[r2] = b
 
     def _relate(self, refusal: tuple, ones: Iterable[CharWord],
                 apart: Iterable[tuple[CharWord, tuple]], names: list[str],
-                record: _Class | None = None) -> None:
-        """Put the words *ones* in R, or in the lattice of *record*'s class,
-        and the (word, reason) pairs *apart* among the words known not to be
-        in it, and declare the generators *names*, bare where they are new;
-        all or none.  R grows every class's own lattice with it.  Refused
-        where a name is a base's, and where then a word known not to be in a
-        lattice would be in it: as the reason tuple *refusal*, then that word
-        and why not."""
+                lattice: _Lattice | None = None) -> None:
+        """Put the words *ones* in *lattice*, R's if none is given, and the
+        (word, reason) pairs *apart* among the words known not to be in it,
+        and declare the generators *names*, bare where they are new; all or
+        none.  R grows every class's own lattice with it.  Refused where a
+        name is a base's, and where then a word known not to be in a lattice
+        would be in it: as the reason tuple *refusal*, then that word and
+        why not."""
         if taken := [n for n in names if n in self.bases]:
             raise LedgerError(f"{taken[0]} is declared as a base, not a character")
         ones, apart = list(ones), list(apart)
         if not (ones or apart):  # nothing to check
             self.characters.update(names)
             return
-        targets = [record] if record is not None or not ones else [None] + [
-            r for r in self._classes.values() if r.rows is not None]
+        lattice = lattice or self._chars
         updates = []
-        for target in targets:
-            old, known = (self._rows, self._apart) if target is None else (
-                target.rows, target.apart)
+        for target in self._lattices() if ones and lattice.owner is None else [lattice]:
+            old, known = target.rows, target.apart
             rows = reduce(_with, ones, old)
             moved = rows != old  # then each old word is reduced anew
             members = {} if moved else dict(known)
             for word, reason in [*(known.items() if moved else ()),
-                                 *(apart if target is record else ())]:
+                                 *(apart if target is lattice else ())]:
                 if (member := _reduced(rows, word)).is_empty():
-                    one = "1" if target is None else f"a self-twist of {target.members[0]}"
+                    one = "1" if target.owner is None else f"a self-twist of {target.owner}"
                     raise LedgerError(f"{_text(refusal)}: " + (
                         f"{word} is {one}" if _reduced(old, word).is_empty() else
                         f"then {word} would be {one}, but {_text(reason)}"))
@@ -942,10 +965,7 @@ class FactLedger:
             updates.append((target, rows, members))
         self.characters.update(names)
         for target, rows, members in updates:
-            if target is None:
-                self._rows, self._apart = rows, members
-            else:
-                target.rows, target.apart = rows, members
+            target.rows, target.apart = rows, members
 
     # -- equivalence resolution --------------------------------------------
 
@@ -970,51 +990,42 @@ class FactLedger:
 
     def _known(self, k1: Constituent, k2: Constituent) -> tuple[bool, tuple] | None:
         """What the facts and :meth:`_forced` say of two reduced constituents,
-        with its reason tuple, or None.  In one class: True where the quotient
-        of their twists, each times its core's label, is in the class's
-        lattice (:meth:`_lattice`), False where :meth:`_distinct` shows it is
-        not.  In two: False where a false fact between them says so up to a
-        common twist, else :meth:`_forced`'s answer.  Two degrees are two
-        classes, and a declared fact, else :meth:`_forced`'s answer, comes
-        first there: most pairs of a :func:`pole_order` differ in degree, and
-        finding their roots first costs its pairs a third more, so their
-        roots are found only where a false fact between two degrees is kept."""
-        if k1.degree != k2.degree:
-            if self._across and (facts := self._unequal.get(self._find(k1.core)[0])) and (
-                    known := self._declared(facts.get(self._find(k2.core)[0]), k1, k2)):
-                return known
-            return self._forced(k1, k2)
+        with its reason tuple, or None: a declared fact between them, kept by
+        their roots, first.  Then, in one class: True where the quotient of
+        their twists, each times its core's label, is in the class's lattice
+        (:meth:`_record`), False where :meth:`_distinct` shows it is not.  In
+        two: False where a false fact between them says so up to a common
+        twist, else :meth:`_forced`'s answer, which is False where their
+        degrees differ."""
         x1, x2 = k1.core, k2.core
         (r1, l1), (r2, l2) = self._find(x1), self._find(x2)
-        if r1 is not r2 and (hash(r1) != hash(r2) or r1 != r2):  # by the cached hash first
-            if facts := (self._unequal.get(r1) or {}).get(r2):
-                if known := self._declared(facts, k1, k2):
-                    return known
-                quotient = _reduced(self._rows, _quotient(k1.twist, l1, k2.twist, l2))
-                if facts := [f for f in facts if self._word(f, r1) == quotient]:
-                    records = [self._classes[r] for r in (r1, r2) if r in self._classes]
-                    return False, (_BY, k1, k2, False, _Facts(self, records, facts))
-            return self._forced(k1, k2)
-        record = self._classes.get(r1)
-        if record is not None and (known := self._declared(record.facts, k1, k2)):
+        facts = self._facts.get(frozenset((r1, r2)))
+        if known := self._declared(facts, k1, k2):
             return known
+        if r1 is not r2 and (hash(r1) != hash(r2) or r1 != r2):  # by the cached hash first
+            if facts:
+                quotient = _reduced(self._chars.rows, _quotient(k1.twist, l1, k2.twist, l2))
+                if facts := [f for f in facts if self._word(f, r1) == quotient]:
+                    return False, (_BY, k1, k2, False, _Facts(self, (r1, r2), facts))
+            return self._forced(k1, k2)
         if hash(k1) == hash(k2) and k1 == k2:
             return True, ("structural equality",)
         one_core = x1 is x2 or (hash(x1) == hash(x2) and x1 == x2)  # then the labels cancel
-        rows, known, owner = self._lattice(r1)
+        lattice = self._record(r1).lattice
         quotient = _quotient(k1.twist, _ONE, k2.twist, _ONE) if one_core else _quotient(
             k1.twist, l1, k2.twist, l2)
         # twists of one core reduced modulo R differ where k1 and k2 do
-        if (owner is not None or not one_core) and _reduced(rows, quotient).is_empty():
-            return True, (_BY, k1, k2, True, _Facts(self, (record,)))
-        if not known or (why := self._distinct(quotient, (rows, known, owner))) is None:
+        if (lattice.owner is not None or not one_core) and _reduced(
+                lattice.rows, quotient).is_empty():
+            return True, (_BY, k1, k2, True, _Facts(self, (r1,)))
+        if not lattice.apart or (why := self._distinct(quotient, lattice)) is None:
             return None
         if x1 is None:
             return False, why
         if one_core and _no_self_twist(x1):
             return False, ("{} admits no self-twist for its declared type, and " + why[0],
                            x1, *why[1:])
-        return False, (_BY + ", as " + why[0], k1, k2, False, _Facts(self, (record,)), *why[1:])
+        return False, (_BY + ", as " + why[0], k1, k2, False, _Facts(self, (r1,)), *why[1:])
 
     def _word(self, fact: tuple, root: Core) -> CharWord:
         """The word w of a false fact between the class at *root* and another,
@@ -1024,7 +1035,7 @@ class FactLedger:
         (ra, la), (_, lb) = self._find(a.core), self._find(b.core)
         if hash(ra) != hash(root) or ra != root:  # then b is the side in that class
             a, b, la, lb = b, a, lb, la
-        return _reduced(self._rows, _quotient(a.twist, la, b.twist, lb))
+        return _reduced(self._chars.rows, _quotient(a.twist, la, b.twist, lb))
 
     def _declared(self, facts: list | None, k1: Constituent,
                   k2: Constituent) -> tuple[bool, tuple] | None:
@@ -1054,8 +1065,8 @@ class FactLedger:
         if type(x1) is SymCusp is type(x2) and (rule := _adjoint_rule(x1, x2)):
             p, q = x1.base, x2.base  # Ad(p) and Ad(q) twisted alike, untwisted the fast case
             if k1.twist.word == ((p.omega, -1),) and k2.twist.word == ((q.omega, -1),) or (
-                    _reduced(self._rows, _quotient(k1.twist, _ONE, k2.twist, _ONE))
-                    == _reduced(self._rows, CharWord.of(((p.omega, -1), (q.omega, 1))))):
+                    _reduced(self._chars.rows, _quotient(k1.twist, _ONE, k2.twist, _ONE))
+                    == _reduced(self._chars.rows, CharWord.of(((p.omega, -1), (q.omega, 1))))):
                 return False, rule
         return None
 
@@ -1067,22 +1078,23 @@ class FactLedger:
             return "finite-image restrictions differ: {} vs {}", sorted(r1), sorted(r2)
         return None
 
-    def _distinct(self, word: CharWord, lattice: tuple | None = None) -> tuple | None:
-        """Why a quotient of twists is not 1, or not in *lattice* (as
-        :meth:`_lattice` gives it), as a reason tuple, or None: the lattice
-        with it holds a word known not to be in it, whose reason it gives.  A
-        known word is reduced modulo the lattice, so it can join it only
-        where the quotient moves the row of its first generator."""
-        old, known, root = lattice or (self._rows, self._apart, None)
+    def _distinct(self, word: CharWord, lattice: _Lattice | None = None) -> tuple | None:
+        """Why a quotient of twists is not 1, or not in *lattice*, as a reason
+        tuple, or None: the lattice with it holds a word known not to be in
+        it, whose reason it gives.  A known word is reduced modulo the
+        lattice, so it can join it only where the quotient moves the row of
+        its first generator."""
+        lattice = lattice or self._chars
+        old = lattice.rows
         rows = _with(old, word)
         moved = {pivot for pivot, row in rows.items() if old.get(pivot) is not row}
-        reasons = [reason for member, reason in known.items()
+        reasons = [reason for member, reason in lattice.apart.items()
                    if member.word[0][0] in moved and _reduced(rows, member).is_empty()]
         if not reasons:
             return None
         reason = min(reasons, key=_text) if len(reasons) > 1 else reasons[0]  # in any order
-        head = ("their quotient {} is not 1: ",) if root is None else (
-            "their quotient {} is not a self-twist of {}: ", root)
+        head = ("their quotient {} is not 1: ",) if lattice.owner is None else (
+            "their quotient {} is not a self-twist of {}: ", lattice.owner)
         return (head[0] + reason[0], _reduced(old, word), *head[1:], *reason[1:])
 
     def galois_decomposition(self, core: Core) -> dict[str, int] | None:
@@ -1105,6 +1117,18 @@ def _no_self_twist(core: Core) -> bool:
     """The type table's twists(n) rules out a self-twist of this sym^n."""
     sym = _as_sym(core)
     return sym is not None and not TYPE_RULES[sym[0].typ][0](sym[1])
+
+
+def _discord(x: Core, sx: tuple, y: Core, sy: tuple) -> tuple | None:
+    """Why cores *x* and *y*, whose standings are *sx* and *sy* (see
+    :meth:`FactLedger._standing`), lie in no one class, as a reason tuple,
+    or None: one is cuspidal, or automorphic, and the other is not, while
+    twisting and equivalence keep both."""
+    for what, (tx, wx), (ty, wy) in zip(("cuspidal", "automorphic"), sx, sy):
+        if tx is not None and ty is not None and tx != ty:
+            (yes, why_yes), (no, why_no) = ((x, wx), (y, wy)) if tx else ((y, wy), (x, wx))
+            return "{} is {} ({}) and {} is not ({})", yes, what, why_yes, no, why_no
+    return None
 
 
 def _adjoint_rule(x: Core | None, y: Core | None) -> tuple | None:
@@ -1234,23 +1258,25 @@ def pole_order(e: IsobaricExpr, ledger: FactLedger) -> PoleOrder:
 
     Each term is reduced modulo the ledger's relation lattice once; the
     comparisons on those keys give the verdicts and reasons of
-    :meth:`FactLedger.equivalent`.  Pairs the ledger cannot settle widen the
-    result to an interval: the lower end keeps them distinct, the upper end
-    merges every class connected by an undetermined comparison.  Their
-    reasons stay data until the end, where :func:`_texts` makes each
-    distinct one text once.
+    :meth:`FactLedger.equivalent`.  A pair of two degrees is skipped, as
+    :func:`pole_order_pair` skips one: :meth:`FactLedger._forced`'s degree
+    rule makes it False, which neither merges nor widens.  Pairs the ledger
+    cannot settle widen the result to an interval: the lower end keeps them
+    distinct, the upper end merges every class connected by an undetermined
+    comparison.  Their reasons stay data until the end, where :func:`_texts`
+    makes each distinct one text once.
     """
-    classes: list[tuple[Constituent, int]] = []
+    classes: list[tuple[Constituent, int, int]] = []  # each with its total and degree
     for c, m in e.terms:
         key = ledger._canon(c)
-        for i, (rep, total) in enumerate(classes):
-            verdict, _ = ledger._resolve(key, rep)
-            if verdict is True:
-                classes[i] = (rep, total + m)
+        degree = key.degree
+        for i, (rep, total, d) in enumerate(classes):
+            if d == degree and ledger._resolve(key, rep)[0] is True:
+                classes[i] = (rep, total + m, d)
                 break
         else:
-            classes.append((key, m))
-    lo = sum(total * total for _, total in classes)
+            classes.append((key, m, degree))
+    lo = sum(total * total for _, total, _ in classes)
 
     missing: list[tuple] = []
     parent = list(range(len(classes)))
@@ -1261,14 +1287,16 @@ def pole_order(e: IsobaricExpr, ledger: FactLedger) -> PoleOrder:
             i = parent[i]
         return i
 
-    for i in range(len(classes)):
+    for i, (rep, _, degree) in enumerate(classes):
         for j in range(i + 1, len(classes)):
-            verdict, reason = ledger._resolve(classes[i][0], classes[j][0])
+            if classes[j][2] != degree:
+                continue
+            verdict, reason = ledger._resolve(rep, classes[j][0])
             if verdict is None:
                 missing.append(reason)
                 parent[find(i)] = find(j)
     merged: dict[int, int] = {}
-    for i, (_, total) in enumerate(classes):
+    for i, (_, total, _) in enumerate(classes):
         root = find(i)
         merged[root] = merged.get(root, 0) + total
     hi = sum(total * total for total in merged.values())

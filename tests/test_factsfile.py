@@ -49,17 +49,17 @@ class TestCharacters:
         ledger = load_facts(
             {"characters": [{"name": "chi", "order": 2, "properties": ["quadratic"]}]}
         )
-        assert ledger._rows["chi"] == CharWord.gen("chi", 2)
+        assert ledger._chars.rows["chi"] == CharWord.gen("chi", 2)
         assert ledger.word_kind(CharWord.gen("chi")) == "quadratic"
 
     def test_property_as_bare_string(self):
         ledger = load_facts({"characters": [{"name": "nu", "properties": "non-real"}]})
-        assert "nu" in ledger.characters and "nu" not in ledger._rows
+        assert "nu" in ledger.characters and "nu" not in ledger._chars.rows
         assert ledger.word_kind(CharWord.gen("nu")) == "non-real"
 
     def test_one_kind_named_twice_is_one_kind(self):
         ledger = load_facts({"characters": [{"name": "nu", "properties": ["cubic", "cubic"]}]})
-        assert ledger._rows["nu"] == CharWord.gen("nu", 3)
+        assert ledger._chars.rows["nu"] == CharWord.gen("nu", 3)
         assert ledger.word_kind(CharWord.gen("nu")) == "cubic"
 
     def test_unknown_property_rejected(self):
@@ -74,7 +74,7 @@ class TestCharacters:
     def test_a_bare_entry_adds_nothing_in_either_order(self, bare_first):
         entries = [{"name": "c"}, {"name": "c", "order": 2, "properties": ["quadratic"]}]
         ledger = load_facts({"characters": entries if bare_first else entries[::-1]})
-        assert ledger._rows["c"] == CharWord.gen("c", 2)
+        assert ledger._chars.rows["c"] == CharWord.gen("c", 2)
         assert ledger.word_kind(CharWord.gen("c")) == "quadratic"
 
     @pytest.mark.parametrize("order, kind", [(1, "trivial"), (2, "quadratic"), (3, "cubic")])
@@ -84,7 +84,7 @@ class TestCharacters:
         entries = [{"name": "c", "order": order}, {"name": "c", "properties": [kind]}]
         ledger = load_facts({"characters": entries if order_first else entries[::-1]})
         assert ledger.characters == {"c"}
-        assert ledger._rows == {"c": CharWord.gen("c", order)}
+        assert ledger._chars.rows == {"c": CharWord.gen("c", order)}
         assert ledger.word_kind(CharWord.gen("c")) == kind
 
     @pytest.mark.parametrize("order, kind", [(2, "cubic"), (5, "cubic"), (3, "quadratic")])
@@ -106,7 +106,7 @@ class TestCharacters:
         """Non-real fits every order above 2, so it fits cubic."""
         ledger = load_facts({"characters": [{"name": "c", **spelling}],
                              "word_kinds": [{"word": "c", "kind": "non-real"}]})
-        assert ledger.characters == {"c"} and ledger._rows == {"c": CharWord.gen("c", 3)}
+        assert ledger.characters == {"c"} and ledger._chars.rows == {"c": CharWord.gen("c", 3)}
         assert ledger.word_kind(CharWord.gen("c")) == "cubic"
 
 
@@ -122,7 +122,7 @@ class TestBases:
         )
         assert ledger.bases["pi"].cubic_char == "eta(pi)"
         assert ledger.bases["rho"].quadratic_char == "mu(rho)"
-        assert ledger._rows["mu(rho)"] == CharWord.gen("mu(rho)", 2)
+        assert ledger._chars.rows["mu(rho)"] == CharWord.gen("mu(rho)", 2)
 
     def test_dihedral_data_is_carried(self):
         ledger = load_facts(
@@ -147,7 +147,7 @@ class TestBases:
         ledger = load_facts(
             {"characters": [{"name": "xi@theta", "order": 2}], "bases": [self.DIHEDRAL]}
         )
-        assert ledger._rows["xi@theta"] == CharWord.gen("xi@theta", 2)
+        assert ledger._chars.rows["xi@theta"] == CharWord.gen("xi@theta", 2)
 
     @pytest.mark.parametrize(
         "base",
@@ -156,7 +156,7 @@ class TestBases:
     )
     def test_a_companion_declared_with_an_order_keeps_it(self, base):
         ledger = load_facts({"characters": [{"name": "xi", "order": 2}], "bases": [base]})
-        assert ledger._rows["xi"] == CharWord.gen("xi", 2)
+        assert ledger._chars.rows["xi"] == CharWord.gen("xi", 2)
         assert ledger.bases[base["name"]].typ == base["type"]
 
     @pytest.mark.parametrize("spelling", [{"order": 3}, {"properties": ["cubic"]},
@@ -166,7 +166,7 @@ class TestBases:
         beforehand agrees with the order 3 its base gives it."""
         ledger = load_facts({"characters": [{"name": "eta(t)", **spelling}],
                              "bases": [{"name": "t", "type": "tetrahedral"}]})
-        assert ledger._rows["eta(t)"] == CharWord.gen("eta(t)", 3)
+        assert ledger._chars.rows["eta(t)"] == CharWord.gen("eta(t)", 3)
         assert ledger.word_kind(CharWord.gen("eta(t)")) == "cubic"
         with pytest.raises(FactsError, match=r"bases\[0\]: character eta\(t\) cannot have order "
                                               r"3: then eta\(t\) would be 1, but eta\(t\) has "
@@ -179,7 +179,7 @@ class TestBases:
         bases = [{"name": "t", "type": "tetrahedral"},
                  {"name": "g", "type": "general", "omega": "eta(t)"}]
         ledger = load_facts({"bases": bases if tetrahedral_first else bases[::-1]})
-        assert ledger._rows["eta(t)"] == CharWord.gen("eta(t)", 3)
+        assert ledger._chars.rows["eta(t)"] == CharWord.gen("eta(t)", 3)
         assert ledger.word_kind(CharWord.gen("eta(t)")) == "cubic"
         assert ledger.bases["g"].omega == "eta(t)"
 
@@ -935,6 +935,23 @@ def test_any_json_value_loads_or_raises_a_typed_error(generated_path, doc):
     assert sink.getvalue().startswith("error:")
 
 
+@pytest.mark.parametrize("doc_id,entry", [
+    ("doc:disagreeingadjoints", "facts[0]"),
+    ("doc:disagreeingsym7", "cuspidal[1]"),
+    ("doc:disagreeingtagged", "cuspidal[0]"),
+])
+def test_a_class_whose_cores_disagree_exits_2_behind_its_entry(generated_path, doc_id, entry):
+    """Cuspidality and automorphy agree across a class: a corpus document
+    whose facts would put a cuspidal core and one that is not in one class,
+    by a declaration or a derivation, exits 2 at the entry that would."""
+    text = build_documents()[doc_id]
+    bases = [b["name"] for b in json.loads(text)["bases"]]
+    argv = ["cuspidality", "--facts", "FACTS", "--pi", bases[0], "--pi-prime", bases[-1]]
+    result = run(argv, text, generated_path)
+    assert result["code"] == 2 and result["stderr"].startswith(f"error: {entry}: ")
+    assert "would be in one class" in result["stderr"] or "it is in one class" in result["stderr"]
+
+
 # -- each distinct text parsed once --------------------------------------------
 
 
@@ -1029,8 +1046,8 @@ def _state(ledger):
         ledger.base_changes,
         ledger._cuspidal,
         ledger._automorphic,
-        ledger._rows,
-        ledger._apart,
+        ledger._chars.rows,
+        ledger._chars.apart,
     )
 
 

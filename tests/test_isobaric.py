@@ -42,6 +42,7 @@ from icosym.isobaric import (
     rs_expand,
     standard_icosahedral_pair,
     sym_cusp,
+    sym_power_cuspidal,
 )
 from icosym.isobaric import _reduced, _text, _with
 from icosym.factsfile import FactsError, load_facts
@@ -106,7 +107,7 @@ def test_a_reduced_word_and_constituent_are_returned_as_they_are():
     ledger, p, _ = fresh()
     ledger.declare_character("eta", order=3)
     word = CharWord.of({"eta": 2, "chi": -5})
-    assert _reduced(ledger._rows, word) is word
+    assert _reduced(ledger._chars.rows, word) is word
     c = Constituent(SymCusp(p, 3), word)
     assert ledger._canon(c) is c
     assert ledger._canon(TRIVIAL) is TRIVIAL
@@ -551,26 +552,27 @@ def test_both_routes_show_the_reasons_of_a_text_reference(case):
     assert shown(decide_cuspidality_via_poles, p, q, ledger) == reference_poles(p, q, ledger)
 
 
-_STATE = ("characters", "bases", "base_changes", "_rows", "_apart", "_cuspidal", "_automorphic")
+_STATE = ("characters", "bases", "base_changes", "_cuspidal", "_automorphic")
 
 
 def union_find(ledger):
-    """The links, class records and false facts between classes of the
-    ledger's union-find, as values."""
+    """The links, class records (each lattice as its rows, words and owner)
+    and declared facts by the roots they concern of the ledger's
+    union-find, as values."""
     return dict(ledger._links), {
-        root: (tuple(r.members), r.rows, dict(r.apart), tuple(r.facts))
+        root: (tuple(r.members), dict(r.lattice.rows), dict(r.lattice.apart), r.lattice.owner)
         for root, r in ledger._classes.items()}, {
-        root: {other: tuple(facts) for other, facts in others.items()}
-        for root, others in ledger._unequal.items()}
+        roots: tuple(facts) for roots, facts in ledger._facts.items()}
 
 
 def ledger_state(ledger):
-    return {name: getattr(ledger, name).copy() for name in _STATE}, union_find(ledger)
+    return ({name: getattr(ledger, name).copy() for name in _STATE}, lattice(ledger),
+            union_find(ledger))
 
 
 def lattice(ledger):
     """R and D, to compare before and after a refusal."""
-    return dict(ledger._rows), dict(ledger._apart)
+    return dict(ledger._chars.rows), dict(ledger._chars.apart)
 
 
 @settings(max_examples=100, deadline=None)
@@ -645,6 +647,31 @@ def test_pole_order_reduces_each_term_once(monkeypatch):
     calls.clear()
     pole_order_pair(e, ad(q), ledger)
     assert len(calls) <= len(e.terms) + 1
+
+
+def test_pole_order_resolves_only_pairs_of_one_degree(monkeypatch):
+    """A pair of two degrees is False, which neither merges nor widens, so
+    pole_order skips it, as pole_order_pair does, and reads what comparing
+    every pair reads, a false fact between two degrees included."""
+    degrees = []
+    resolve = FactLedger._resolve
+
+    def counting(self, k1, k2):
+        degrees.append((k1.degree, k2.degree))
+        return resolve(self, k1, k2)
+
+    ledger, p, q = fresh()
+    chi = CharWord.gen("chi")
+    ledger.declare_character("chi", order=2)
+    ledger.assert_equiv(ad(p), Constituent(SymCusp(q, 3)), False)
+    e = IsobaricExpr.of([(c, 1) for c in (
+        ad(p), ad(q), ad(q).twisted(chi), Constituent(SymCusp(p, 3)), Constituent(SymCusp(q, 3)),
+        Constituent(q), TRIVIAL, character(chi))])
+    monkeypatch.setattr(FactLedger, "_resolve", counting)
+    po = pole_order(e, ledger)
+    assert degrees and all(d1 == d2 for d1, d2 in degrees)
+    monkeypatch.undo()
+    assert po == reference_pole_order(e, ledger) == PoleOrder(8, 16, po.missing)
 
 
 def test_contradictory_facts_rejected():
@@ -1189,6 +1216,56 @@ def test_a_core_declared_not_automorphic_cannot_be_declared_cuspidal():
         ledger.declare_automorphic(box, False)
 
 
+@pytest.mark.parametrize("fact_first", [True, False])
+@pytest.mark.parametrize("first,second", [
+    ("cuspidal", "not cuspidal"),
+    ("automorphic", "not automorphic"),
+    ("cuspidal", "not automorphic"),
+    ("not automorphic", "cuspidal"),
+])
+def test_cuspidality_and_automorphy_agree_across_a_class(fact_first, first, second):
+    """Twisting and equivalence keep both, so a fact joining two cores that
+    disagree is refused, and so is a declaration that makes a core of a
+    class disagree with another, in either order, naming both cores and
+    leaving the ledger as it was."""
+    ledger, p, q = fresh("general", "general")
+    x, y = SymCusp(p, 7), SymCusp(q, 7)
+
+    def declare(core, what):
+        kind = what.split()[-1]
+        getattr(ledger, f"declare_{kind}")(core, not what.startswith("not"))
+
+    steps = [lambda: declare(x, first), lambda: declare(y, second),
+             lambda: ledger.assert_equiv(Constituent(x), Constituent(y, CharWord.gen("chi")), True)]
+    if fact_first:
+        steps = steps[2:] + steps[:2]
+    for step in steps[:2]:
+        step()
+    before = ledger_state(ledger)
+    with pytest.raises(LedgerError) as err:
+        steps[2]()
+    assert "sym^7(p)" in str(err.value) and "sym^7(q)" in str(err.value)
+    assert ("would be in one class" if not fact_first else "it is in one class") in str(err.value)
+    assert ledger_state(ledger) == before
+
+
+def test_class_agreement_leaves_undeclared_cores_per_core():
+    """The refusals read the cores of a class, the answers each core alone:
+    an undeclared core in the class of a cuspidal one stays undeclared."""
+    ledger, p, q = fresh("general", "general")
+    x, y = SymCusp(p, 7), SymCusp(q, 7)
+    ledger.declare_cuspidal(x)
+    ledger.assert_equiv(Constituent(x), Constituent(y), True)
+    assert ledger.cuspidal_declared(y) is None
+    assert sym_power_cuspidal(q, 7, ledger)[0] is None
+    ledger.declare_automorphic(y)  # agrees with x, cuspidal and so automorphic
+    # derived, not declared: sym^2 of a dihedral base is not cuspidal, of an octahedral one is
+    d = ledger.declare_base("d", "dihedral", dihedral_field="E", dihedral_char="xi")
+    o = ledger.declare_base("o", "octahedral")
+    with pytest.raises(LedgerError, match=r"sym\^2\(o\) is cuspidal .* sym\^2\(d\) is not"):
+        ledger.assert_equiv(ad(d), ad(o), True)
+
+
 # -- reasons stay data until they are shown ---------------------------------
 
 
@@ -1403,7 +1480,7 @@ def test_an_order_that_fits_its_kind_is_accepted(order, kind, declared, word_kin
     ledger.declare_character("c", order=order, kind=kind)
     assert ledger.characters == {"c"}
     assert ledger.word_kind(CharWord.gen("c")) == word_kind
-    assert ledger._rows == ({"c": CharWord.gen("c", declared)} if declared else {})
+    assert ledger._chars.rows == ({"c": CharWord.gen("c", declared)} if declared else {})
 
 
 # -- words keyed before their generators' orders -------------------------------
@@ -1417,13 +1494,13 @@ def test_a_word_kind_must_agree_with_its_generators():
         ledger.declare_word_kind(CharWord.gen("c"), "non-real")
     with pytest.raises(LedgerError, match="eta cannot be declared quadratic: then eta would be 1, but eta has order 3"):
         ledger.declare_word_kind(CharWord.gen("eta"), "quadratic")
-    rows = dict(ledger._rows)
+    rows = dict(ledger._chars.rows)
     ledger.declare_word_kind(CharWord.gen("c", 5), "trivial")
     ledger.declare_word_kind(CharWord.gen("eta"), "cubic")
     ledger.declare_word_kind(CharWord.gen("eta", 2), "cubic")  # eta^2 has order 3 too
     ledger.declare_word_kind(CharWord.gen("eta", 2), "non-real")  # which non-real fits
     assert ledger.word_kind(CharWord.gen("eta", 2)) == "cubic"
-    assert ledger._rows == rows  # the orders state every one of these kinds
+    assert ledger._chars.rows == rows  # the orders state every one of these kinds
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["word", "inverse"])
@@ -1438,7 +1515,7 @@ def test_a_word_declared_non_real_and_cubic_is_cubic_in_either_order(inverse, cu
     ledger.declare_word_kind(words[0], kinds[0])
     ledger.declare_word_kind(words[inverse], kinds[1])
     assert [ledger.word_kind(w) for w in words] == ["cubic", "cubic"]
-    assert ledger._rows == {"c": CharWord.of({"c": 3, "d": 3})}
+    assert ledger._chars.rows == {"c": CharWord.of({"c": 3, "d": 3})}
     for other in ("trivial", "quadratic"):
         with pytest.raises(LedgerError, match=f"cannot be declared {other}: then "
                                               r"(c\*d|c\^2\*d\^2) would be 1, but c\*d is "):
@@ -1465,13 +1542,13 @@ def test_a_power_of_a_generator_has_the_kind_of_its_exact_order(order, exp, by_p
         ledger.declare_character("c", order=order)
     word = CharWord.gen("c", exp)
     assert ledger.word_kind(word) == expected
-    before = (set(ledger.characters), dict(ledger._rows))
+    before = (set(ledger.characters), dict(ledger._chars.rows))
     if exact in _KIND_ALLOWS[kind]:
         ledger.declare_word_kind(word, kind)
     else:
         with pytest.raises(LedgerError, match=re.escape(f"{word} cannot be declared {kind}: ")):
             ledger.declare_word_kind(word, kind)
-    assert (set(ledger.characters), dict(ledger._rows)) == before
+    assert (set(ledger.characters), dict(ledger._chars.rows)) == before
     assert ledger.word_kind(word) == expected
 
 
@@ -1576,7 +1653,7 @@ def test_an_entry_declares_its_new_generators_only_when_accepted():
     ledger.declare_self_dual(Constituent(SymCusp(p, 12), nu), True)
     # bare: the one relation on nu is the self-duality's, nu^2*omega(p)^12
     assert "nu" in ledger.characters
-    assert ledger._rows == {"nu": nu ** 2 * CharWord.gen("omega(p)", 12)}
+    assert ledger._chars.rows == {"nu": nu ** 2 * CharWord.gen("omega(p)", 12)}
 
 
 def test_a_base_companion_against_an_entry_keyed_by_it_is_refused():
@@ -1778,7 +1855,7 @@ def test_an_order_above_the_largest_supported_is_refused_at_once(order):
 def test_an_order_puts_in_d_its_quotients_by_its_primes(order, members):
     ledger = FactLedger()
     ledger.declare_character("c", order=order)
-    assert list(ledger._apart) == [CharWord.gen("c", e) for e in members]
+    assert list(ledger._chars.apart) == [CharWord.gen("c", e) for e in members]
     assert ledger.word_kind(CharWord.gen("c", order // 2 or 1)) == (
         "quadratic" if order % 2 == 0 else "trivial" if order == 1 else "non-real")
 
@@ -1789,7 +1866,7 @@ def test_d_is_kept_reduced_modulo_r():
     ledger.declare_character("d", order=4)
     ledger.assert_equiv(character(CharWord.gen("c", 3)), TRIVIAL, False)
     ledger.assert_equiv(character(CharWord.gen("c")), character(CharWord.gen("d", 2)), True)
-    assert list(ledger._apart) == [CharWord.gen("d", 2)]
+    assert list(ledger._chars.apart) == [CharWord.gen("d", 2)]
     assert ledger.equivalent(character(CharWord.gen("c", 3)), TRIVIAL) == (
         False, "their quotient d^2 is not 1: d has order 4")
 
@@ -2228,14 +2305,13 @@ def test_a_self_duality_is_read_through_the_facts():
     ledger, g, q = fresh("general", "icosahedral")
     c = Constituent(SymCusp(g, 7), CharWord.gen("nu"))
     ledger.declare_self_dual(c, False)
-    record = ledger._classes[c.core]
-    assert record.facts == [(c, dual(c), False)]
-    assert list(record.apart) == [CharWord.of({"nu": 2, "omega(p)": 7})]
+    assert ledger._facts[frozenset((c.core,))] == [(c, dual(c), False)]
+    assert list(ledger._classes[c.core].lattice.apart) == [CharWord.of({"nu": 2, "omega(p)": 7})]
     assert ledger.equivalent(dual(c), c) == (
         False, f"declared: {dual(c)} ~ {c} is False")
     assert ledger.self_dual_declared(dual(c)) is False
     ledger.declare_self_dual(Constituent(SymCusp(q, 3)), True)
-    assert ledger._rows["omega(q)"] == CharWord.gen("omega(q)", 3)
+    assert ledger._chars.rows["omega(q)"] == CharWord.gen("omega(q)", 3)
     # omega(q)^3 is 1, so sym^6(q) is self-dual too, and sym^4(q) is not known to be
     assert ledger.self_dual_declared(Constituent(SymCusp(q, 6))) is True
     assert ledger.self_dual_declared(Constituent(SymCusp(q, 4))) is None

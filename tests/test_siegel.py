@@ -32,7 +32,7 @@ from icosym.siegel import (
     siegel_scan,
 )
 from icosym.verify import galois_square_accounting, verify_rule_table
-from test_isobaric import union_find
+from test_isobaric import lattice, union_find
 
 CHI = CharWord.gen("chi")
 
@@ -474,10 +474,8 @@ def test_report_checks_the_base_before_the_ledger():
 
 
 # a ledger's declarations: every table that a declare_* or assert_* call writes, beside
-# D and the union-find
-DECLARATION_TABLES = (
-    "characters", "bases", "base_changes", "_rows", "_cuspidal", "_automorphic",
-)
+# R and D and the union-find
+DECLARATION_TABLES = ("characters", "bases", "base_changes", "_cuspidal", "_automorphic")
 
 
 def test_a_scan_over_a_ledger_without_a_tagged_base_writes_nothing():
@@ -488,9 +486,9 @@ def test_a_scan_over_a_ledger_without_a_tagged_base_writes_nothing():
         "word_kinds": [{"word": "chi*omega(pi)^6", "kind": "non-real"}],
     })
     before = ({name: getattr(ledger, name).copy() for name in DECLARATION_TABLES},
-              dict(ledger._apart), union_find(ledger))
+              lattice(ledger), union_find(ledger))
     reports = siegel_scan(0, 30, ledger=ledger)
-    assert ({name: getattr(ledger, name) for name in DECLARATION_TABLES}, ledger._apart,
+    assert ({name: getattr(ledger, name) for name in DECLARATION_TABLES}, lattice(ledger),
             union_find(ledger)) == before
     # the report is on the default pi and chi, and reads the ledger's word kind
     assert reports[12].target == "sym^12(pi)*chi"
