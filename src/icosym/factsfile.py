@@ -159,6 +159,7 @@ _SYM = re.compile(rf"^sym\^(\d+)\(({_NAME})\)$")
 _AD = re.compile(rf"^Ad\(({_NAME})\)$")
 # a name to declare, in full: what _FACTOR reads with no exponent and _AD does not
 _DECLARED = re.compile(rf"(?!Ad\({_NAME}\)$){_NAME}")
+_PUNCT = re.compile(r"[()*]")
 # the base tags that name a character
 _CHAR_TAGS = ("omega", "dihedral_char", "cubic_char", "quadratic_char", "induced_char")
 
@@ -176,21 +177,18 @@ def _name(entry: dict, key: str, where: _Where) -> str:
 
 def _split_factors(text: str, where: _Where) -> list[str]:
     parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
+    depth = start = 0
+    for match in _PUNCT.finditer(text):  # the text between top-level '*'s, each a factor
+        if (ch := match.group()) == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             _require(depth >= 0, where, "unbalanced ')' in {!r}", text)
-        if ch == "*" and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
+        elif depth == 0:
+            parts.append(text[start:match.start()].strip())
+            start = match.end()
     _require(depth == 0, where, "unbalanced '(' in {!r}", text)
-    parts.append("".join(current).strip())
+    parts.append(text[start:].strip())
     _require(all(parts), where, "empty factor in {!r}", text)
     return parts
 
@@ -300,12 +298,13 @@ def load_facts(doc: dict) -> FactLedger:
             ledger.declare_base(name, typ, **tags)
 
         # a base change once its base is declared, so a chain loads in any order
-        pending = list(_entries(doc, "base_changes"))
+        pending = [(where, entry, _str_field(entry, "of", where))
+                   for where, entry in _entries(doc, "base_changes")]
         while pending:
-            ready = [c for c in pending if _str_field(c[1], "of", c[0]) in ledger.bases]
-            for where, entry in ready or pending[:1]:  # none ready: the first is refused
+            ready = [c for c in pending if c[2] in ledger.bases]
+            for where, entry, of in ready or pending[:1]:  # none ready: the first is refused
                 ledger.declare_base_change(
-                    _lookup_base(entry["of"], ledger, where), _str_field(entry, "extension", where),
+                    _lookup_base(of, ledger, where), _str_field(entry, "extension", where),
                     _name(entry, "name", where), _str_field(entry, "type", where))
             pending = [c for c in pending if c not in ready]
 

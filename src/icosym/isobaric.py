@@ -45,7 +45,7 @@ as data until it is shown; :func:`_text` renders it.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import reduce
+from functools import lru_cache, reduce
 from math import isqrt
 from typing import TYPE_CHECKING, Union
 
@@ -398,12 +398,11 @@ def _expand_pair(c1: Constituent, c2: Constituent) -> list[Constituent]:
 _KIND_ORDERS = {"trivial": 1, "quadratic": 2, "cubic": 3, "non-real": None}
 
 
-def _declare(table: dict, key: Symbol, value: object, what: str) -> None:
-    """Record *value* for *key* in a declaration table; the same value again
-    is accepted, a different one contradicts the first."""
-    known = table.setdefault(key, value)
-    if known != value:
-        raise LedgerError(f"contradictory declarations of {what} for {key}: {known} vs {value}")
+@lru_cache(maxsize=None)
+def _primes(n: int) -> tuple[int, ...]:
+    """The primes dividing *n*, by trial division, each *n* once."""
+    return tuple(q for q in range(2, n + 1)
+                 if n % q == 0 and all(q % p for p in range(2, isqrt(q) + 1)))
 
 
 def _reduced(rows: dict[str, CharWord], word: CharWord) -> CharWord:
@@ -460,9 +459,9 @@ class _Lattice:
     """A lattice of character words, with what is known against it: its
     echelon form by pivot (:func:`_with`), the words known not to be in it,
     each reduced modulo it, with its reason, and its owner, the root of the
-    class whose self-twists it holds, or None for R and D, the words known
-    to be 1 and known not to be 1.  Rows are replaced, never changed, as it
-    grows, so a class's own lattice may start from R's."""
+    class whose self-twists it holds, or None for R and D.  Rows are replaced
+    as it grows, so a class's lattice may start from R's dict; only a new
+    generator's row, which every lattice holds, goes in place."""
 
     __slots__ = ("rows", "apart", "owner")
 
@@ -472,33 +471,36 @@ class _Lattice:
 
 
 class _Class:
-    """A class of cores of the union-find of :class:`FactLedger`, kept at its
-    root: its cores, the root first, and its lattice of self-twists, a
-    :class:`_Lattice`: R's, shared, where a core of it admits no self-twist,
-    else its own, which holds R."""
+    """A class of :class:`FactLedger`'s union-find, at its root: its cores,
+    the root first; its lattice of self-twists (R's where a core admits
+    none, else its own, holding R); its sym^2 cores by their base's type;
+    and its summary, which a join or a declaration compares in place of its
+    cores: finite-image rows and a core with them, and cuspidality and
+    automorphy as :meth:`FactLedger._standing` triples, None where unknown."""
 
-    __slots__ = ("members", "lattice")
+    __slots__ = ("members", "lattice", "adjoints", "summary")
 
-    def __init__(self, root: Core | None, lattice: _Lattice) -> None:
+    def __init__(self, root: Core, lattice: _Lattice, ledger: "FactLedger") -> None:
         self.members: list[Core] = [root]
         self.lattice = lattice
+        typ = root.base.typ if isinstance(root, SymCusp) and root.n == 2 else None
+        self.adjoints = {typ: [root]} if typ in ADJOINT_TYPES else {}
+        self.summary = ((ledger.galois_decomposition(root), root), *ledger._standing(root))
 
 
 class _Facts:
     """The declared facts within the classes at some roots, as they are when
-    it is made, and others, as one operand of a reason: text only when
-    shown, each side reduced modulo R then, the facts sorted, so the text
-    does not depend on the order of the declarations; after *prefix*, or
-    nothing where there are none.  A list of the ledger's facts is only
-    appended to, so each is kept as its length."""
+    it is made (a list of them only grows, so each is kept as its length),
+    and others, as one operand of a reason: text only when shown, each side
+    reduced modulo R then, sorted, after *prefix*, or nothing if none."""
 
     __slots__ = ("ledger", "lists", "more", "prefix")
 
     def __init__(self, ledger: "FactLedger", roots: Iterable, more: Iterable[tuple] = (),
                  prefix: str = "") -> None:
         self.ledger, self.more, self.prefix = ledger, tuple(more), prefix
-        self.lists = tuple((facts, len(facts)) for facts in (
-            ledger._facts.get(frozenset((root,)), ()) for root in roots))
+        self.lists = [(facts, len(facts)) for root in roots
+                      for facts in [ledger._facts.get(root, {}).get(root, ())]]
 
     def __str__(self) -> str:
         canon = self.ledger._canon
@@ -511,45 +513,40 @@ class FactLedger:
     """Declared structure (characters, bases) and asserted equivalences.
 
     What is known of character words is a lattice R of words known to be 1
-    and a list D of words known not to be 1, one :class:`_Lattice` record.
-    R is spanned by g^N for each g of declared order N, each word declared
-    trivial, w^2 for a quadratic word and w^3 for a cubic one, and the
-    quotient of each true fact between two characters, or between two
-    twists of a core whose declared type admits no self-twist.  D holds the
-    quotient of each such false fact, w for a quadratic or cubic word, w^2
-    for a non-real one, and g^(N/q) for each prime q dividing a declared
-    order N; each member is kept reduced modulo R.  A declaration is refused
-    exactly when it would put a member of D in R, and every answer about a
-    character is read off the two.  :attr:`characters` holds the generators'
-    names.
+    and a list D of words known not to be 1 (a :class:`_Lattice`).  R is
+    spanned by g^N for each g of declared order N, each word declared
+    trivial, w^2 and w^3 for a quadratic and a cubic word, and the quotient
+    of each true fact between two characters, or two twists of a core whose
+    type admits no self-twist; D holds the quotient of each such false
+    fact, w for a quadratic or cubic word, w^2 for a non-real one, and
+    g^(N/q) for each prime q dividing an order N, each reduced modulo R.  A
+    declaration is refused exactly when it would put a member of D in R.
+    :attr:`characters` holds the generators' names.
 
-    Other facts are equivalences between constituents, asserted true or
-    false; "lhs = rhs (x) nu" is the equivalence of ``lhs`` with ``rhs``
-    twisted by ``nu``; a self-duality is the fact ``c ~ dual(c)``.  They
-    live in a union-find with twist labels: each core of a class links to
-    its root with a label, the twist that makes the root equivalent to it,
-    and characters are the class of no core.  A true fact between two
-    classes joins them.  A fact within one class says whether the quotient
-    of its sides' twists, each times its core's label, is a self-twist:
-    where a core of the class admits none (:data:`icosym.rules.TYPE_RULES`),
-    and for characters, whether it is 1, which R and D keep; otherwise the
-    class keeps its own lattice of self-twists, which holds R, and its own
-    list of words known to be none.  The declared facts but those R and D
-    hold alone are kept in one store by the roots they concern: ``{r}`` for
-    a fact within the class at r, ``{r1, r2}`` for one between two classes,
-    re-keyed as classes join.  So equivalence is closed under chains of
-    facts and under common twists, and a key never depends on R.
-    :meth:`_forced` gives what no fact can change between two classes; a
-    declaration against any answer the facts and :meth:`_forced` give is
-    refused, naming the facts.  Cuspidality and automorphy, which twisting
-    and equivalence keep, agree across a class: a declaration or a join
-    that would make two cores of one class disagree is refused, naming
-    both, as is declaring a core's cuspidality or automorphy two ways.  The
+    Other facts are equivalences between constituents, true or false ("lhs
+    = rhs (x) nu" is ``lhs`` against ``rhs`` twisted by ``nu``; a
+    self-duality is ``c ~ dual(c)``), kept in a union-find with twist
+    labels: each core links to its class's root with the twist that makes
+    the root equivalent to it, and characters are the class of no core.  A
+    true fact between two classes joins them, relabelling the smaller and
+    comparing two class summaries (:class:`_Class`), so n facts load in
+    O(n log n) steps (R. E. Tarjan, J. ACM 22(2), 1975).  A fact within a
+    class says whether the quotient of its sides' twists, each times its
+    core's label, is a self-twist: a word of R and D where a core of the
+    class admits none (:data:`icosym.rules.TYPE_RULES`), else of the
+    class's own lattice, which holds R.  The other declared facts are kept
+    by the roots they concern, within a class also by their two cores.  So
+    equivalence is closed under chains and common twists.  :meth:`_forced`
+    gives what no fact can change between two classes; a declaration
+    against what the facts and :meth:`_forced` say is refused, naming the
+    facts.  Cuspidality and automorphy agree across a class, as twisting
+    and equivalence keep them: a declaration or a join that would break
+    that is refused, naming two cores, as is a core declared two ways.  The
     resolver's other answers are generic defaults, which a fact overturns.
     A name is either a base or a character, not both.
 
-    A ledger is written only while it is built (the ``declare_*`` and
-    ``assert_*`` methods); queries only read it, but for the memo of
+    A ledger is written only while it is built (``declare_*``,
+    ``assert_*``); queries only read it, but for the memo of
     :meth:`galois_decomposition`.  What concerns characters is checked in
     any order, the rest in the order of :func:`icosym.factsfile.load_facts`.
     Each reason stays data, a ``(template, *operands)`` tuple, until
@@ -566,7 +563,9 @@ class FactLedger:
         # each class of two cores or more, or with a lattice of its own, by its root
         self._classes: dict[Core, _Class] = {}
         # the declared facts but those R and D hold alone, by the roots they concern
-        self._facts: dict[frozenset, list[tuple]] = {}
+        # ([r][r] within a class, [r1][r2] and [r2][r1] one list), and within by cores
+        self._facts: dict[Core | None, dict[Core | None, list[tuple]]] = {}
+        self._on: dict[frozenset, list[tuple]] = {}
         self._cuspidal: dict[Core, bool] = {}
         self._automorphic: dict[Core, bool] = {}
         # per queried core: the multiplicities of its restriction
@@ -574,9 +573,8 @@ class FactLedger:
 
     # -- declarations ---------------------------------------------------
 
-    def declare_character(
-        self, name: str, order: int | None = None, kind: str | None = None
-    ) -> None:
+    def declare_character(self, name: str, order: int | None = None,
+                          kind: str | None = None) -> None:
         """Declare a character generator, bare or of an exact order N, which
         puts g^N in R and g^(N/q) in D for each prime q dividing N.  A kind
         that fixes an order (trivial, quadratic, cubic) is that order; non-real
@@ -594,25 +592,25 @@ class FactLedger:
         if kind == "non-real":  # after the order, which it fits
             self.declare_word_kind(CharWord.gen(name), kind)
 
-    def _declare_characters(self, items: Iterable[tuple[str, int | None]]) -> None:
+    def _declare_characters(self, items: list[tuple[str, int | None]]) -> None:
         """Declare each name bare or of an exact order, as
         :meth:`declare_character` says; all or, when one is refused, none."""
-        items, rows, apart = list(items), {}, {}
+        rows, apart = {}, {}
         for name, order in items:
             if name in self.bases:
                 raise LedgerError(f"{name} is declared as a base, not a character")
             if order:  # g^N in R, and g^(N/q) in D for each prime q dividing N
                 rows[name], reason = CharWord.gen(name, order), ("{} has order {}", name, order)
-                apart |= {CharWord.gen(name, order // q): reason for q in range(2, order + 1)
-                          if order % q == 0 and all(q % p for p in range(2, isqrt(q) + 1))}
-        if not rows.keys().isdisjoint(self.characters):  # an order for a known generator
+                for q in _primes(order):
+                    apart[CharWord.gen(name, order // q)] = reason
+        if rows and not rows.keys().isdisjoint(self.characters):  # an order for a known one
             what = " and ".join(f"{n} cannot have order {d}" for n, d in items if d)
             self._relate(("character {}", what), rows.values(), apart.items(), [])
         elif rows:  # new pivots, which no row or member of D meets: nothing to check
-            for lattice in self._lattices():
-                lattice.rows = {**lattice.rows, **rows}
+            for lattice in self._lattices():  # R's dict, and each that does not share it
+                lattice.rows.update(rows)
             self._chars.apart.update(apart)
-        self.characters.update(n for n, _ in items)
+        self.characters.update([name for name, _ in items])
 
     def declare_base(self, name: str, typ: str, **tags) -> BaseCusp:
         if typ not in BASE_TYPES:
@@ -636,9 +634,7 @@ class FactLedger:
         companions: list[tuple[str, int | None]] = []
         if typ == "dihedral":
             if not (base.dihedral_field and base.dihedral_char):
-                raise LedgerError(
-                    f"dihedral base {name} needs dihedral_field and dihedral_char"
-                )
+                raise LedgerError(f"dihedral base {name} needs dihedral_field and dihedral_char")
             # chi and chi o theta, the Galois conjugate the dihedral route twists by
             companions.append((base.dihedral_char, None))
             companions.append((f"{base.dihedral_char}@theta", None))
@@ -655,9 +651,7 @@ class FactLedger:
         self.bases[name] = base
         return base
 
-    def declare_base_change(
-        self, of: BaseCusp, extension: str, name: str, typ: str
-    ) -> BaseCusp:
+    def declare_base_change(self, of: BaseCusp, extension: str, name: str, typ: str) -> BaseCusp:
         """Refused when *of* already has another base change to *extension*."""
         known = self.base_changes.get((of.name, extension))
         if known is not None and known.name != name:
@@ -679,8 +673,8 @@ class FactLedger:
     def declare_cuspidal(self, core: Core, truth: bool = True) -> None:
         """Refused when the type or the finite image of a tagged base
         decides the other way, as true when the core is declared not
-        automorphic: cuspidal implies automorphic, and where a core of its
-        class would disagree (:meth:`_agree`)."""
+        automorphic: cuspidal implies automorphic, and where :meth:`_agree`
+        refuses."""
         if truth and self._automorphic.get(core) is False:
             raise LedgerError(f"{core} cannot be declared cuspidal: it is declared not automorphic")
         sym = _as_sym(core)
@@ -688,59 +682,64 @@ class FactLedger:
         what = "cuspidal" if truth else "not cuspidal"
         if derived is not None and derived != truth:
             raise LedgerError(f"{core} cannot be declared {what}: {reason}")
-        self._agree(core, what,
-                    self._standing(core, (truth, f"declared: {core} cuspidal is {truth}")))
-        _declare(self._cuspidal, core, truth, "cuspidal")
+        self._agree(core, what, self._cuspidal, truth, self._standing(core, cuspidal=truth))
 
     def declare_automorphic(self, core: Core, truth: bool = True) -> None:
-        """Refused as false where automorphy is cited for every base (2 <= n <= 4),
-        and where the core is cuspidal, which implies automorphic: cuspidal as
-        :func:`sym_power_cuspidal` reads it for a base or sym^n, as declared for
-        any other core; and where a core of its class would disagree
-        (:meth:`_agree`).  The finite image of a tagged base implies automorphy
-        only given the family generators, which a file may deny."""
+        """Refused as false where automorphy is cited for every base (2 <= n <= 4)
+        and where the core is cuspidal (:meth:`_standing`), which implies
+        automorphic, and where :meth:`_agree` refuses.  The finite image of a
+        tagged base implies automorphy only given the family generators,
+        which a file may deny."""
         sym = _as_sym(core)
         if not truth and sym is not None and sym[1] in AUTOMORPHIC:
             raise LedgerError(f"{core} cannot be declared not automorphic: {AUTOMORPHIC[sym[1]]}")
-        cuspidal = self._standing(core)[0]
-        if not truth and cuspidal[0]:
+        standing = self._standing(core, automorphic=truth)
+        if not truth and standing[0][0]:
             raise LedgerError(f"{core} cannot be declared not automorphic: "
-                              f"it is cuspidal ({cuspidal[1]})")
+                              f"it is cuspidal ({standing[0][2]})")
         what = "automorphic" if truth else "not automorphic"
-        self._agree(core, what, (cuspidal, (truth, f"declared: {core} automorphic is {truth}")))
-        _declare(self._automorphic, core, truth, "automorphic")
+        self._agree(core, what, self._automorphic, truth, standing)
 
-    def _standing(self, core: Core, cuspidal: tuple | None = None) -> tuple[tuple, tuple]:
-        """*core*'s cuspidality, *cuspidal* if given, else declared or derived
-        as :func:`sym_power_cuspidal` derives it, and its automorphy, declared
-        or implied by its cuspidality: each a (truth, reason) pair, whose
-        truth is None where neither is known."""
-        if cuspidal is None:
-            sym, declared = _as_sym(core), self._cuspidal.get(core)
-            cuspidal = sym_power_cuspidal(*sym, self) if sym else (
-                declared, f"declared: {core} cuspidal is {declared}")
-        automorphic = self._automorphic.get(core)
-        if automorphic is not None:
-            return cuspidal, (automorphic, f"declared: {core} automorphic is {automorphic}")
-        return cuspidal, (True, cuspidal[1]) if cuspidal[0] else (None, "")
+    def _standing(self, core: Core, cuspidal: bool | None = None,
+                  automorphic: bool | None = None) -> tuple[tuple, tuple]:
+        """*core*'s cuspidality, *cuspidal* if given, else as
+        :func:`sym_power_cuspidal` reads it, and its automorphy, *automorphic*
+        if given, else declared or implied by its cuspidality: (truth, core,
+        reason) triples, whose truth is None where neither is known."""
+        sym = _as_sym(core)
+        if cuspidal is None and (sym is None or sym[1] > 1):
+            cuspidal = self._cuspidal.get(core)
+        cuspidal, why = _derived_cuspidal(*sym, self) if cuspidal is None and sym else (
+            cuspidal, f"declared: {core} cuspidal is {cuspidal}")
+        automorphic = self._automorphic.get(core) if automorphic is None else automorphic
+        auto = (automorphic, f"declared: {core} automorphic is {automorphic}") if (
+            automorphic is not None) else (True, why) if cuspidal else (None, "")
+        return (cuspidal, core, why), (auto[0], core, auto[1])
 
-    def _agree(self, core: Core, what: str, standing: tuple) -> None:
-        """Refuse declaring *core* *what*, which gives it *standing* (see
-        :meth:`_standing`), where then it and a core of its class disagree."""
+    def _agree(self, core: Core, what: str, table: dict, truth: bool, standing: tuple) -> None:
+        """Declare *core* *what*, *truth* in *table*, which gives it *standing*
+        (:meth:`_standing`): refused where the table holds the other truth or
+        :func:`_discord` finds the core apart from its class's summary, which
+        takes the standing where it knew nothing or its witness is the core."""
+        if (known := table.get(core, truth)) != truth:
+            raise LedgerError(f"contradictory declarations of {what.split()[-1]} for {core}: "
+                              f"{known} vs {truth}")
         record = self._classes.get(self._find(core)[0])
-        for y in record.members if record is not None else ():
-            if y != core and (why := _discord(core, standing, y, self._standing(y))):
+        if record is not None:
+            if clash := _discord((record.summary[0], *standing), record.summary):
                 raise LedgerError(f"{core} cannot be declared {what}: it is in one class "
-                                  f"with {y}, but {_text(why)}")
+                                  f"with {clash[1]}, but {_text(clash[2])}")
+            record.summary = (record.summary[0], *(
+                mine if theirs[0] is None or theirs[1] == core else theirs
+                for mine, theirs in zip(standing, record.summary[1:])))
+        table[core] = truth
 
     def cuspidal_declared(self, core: Core) -> bool | None:
         return self._cuspidal.get(core)
 
     def automorphic_declared(self, core: Core) -> bool | None:
-        if self._automorphic.get(core) is not None:
-            return self._automorphic[core]
-        declared = self.cuspidal_declared(core)  # cuspidal implies automorphic
-        return True if declared else None
+        declared = self._automorphic.get(core)  # else cuspidal, which implies automorphic
+        return declared if declared is not None else True if self._cuspidal.get(core) else None
 
     def declare_word_kind(self, word: CharWord, kind: str) -> None:
         """Record a word's kind: trivial puts it in R, quadratic or cubic its
@@ -792,15 +791,30 @@ class FactLedger:
         """The root of *core*'s class and *core*'s label: core ~ root (x) label."""
         return self._links.get(core) or (core, _ONE)
 
-    def _record(self, root: Core | None) -> _Class:
-        """The record of the class at *root*, or a new one, not yet kept:
-        with R's lattice for characters and where the root admits no
-        self-twist, else with its own, R and no word known not to be in it."""
+    def _lattice(self, root: Core | None) -> _Lattice:
+        """The lattice of self-twists of the class at *root*: its record's,
+        else R's for characters and where the root admits no self-twist,
+        else a new one of its own, R and no word known not to be in it."""
         if (record := self._classes.get(root)) is not None:
-            return record
+            return record.lattice
         if root is None or _no_self_twist(root):
-            return _Class(root, self._chars)
-        return _Class(root, _Lattice(self._chars.rows, {}, root))
+            return self._chars
+        return _Lattice(self._chars.rows, {}, root)
+
+    def _record(self, root: Core) -> _Class:
+        """The record of the class at *root*, or a new one of the root alone, not yet kept."""
+        return self._classes.get(root) or _Class(root, self._lattice(root), self)
+
+    def _keep(self, r1: Core | None, r2: Core | None, *facts: tuple) -> list[tuple]:
+        """Keep declared facts in the list between the classes at *r1* and *r2*, which it
+        returns; within one class (the root twice), each is found by its two cores too."""
+        row = self._facts.setdefault(r1, {})
+        if (kept := row.get(r2)) is None:
+            kept = row[r2] = self._facts.setdefault(r2, {})[r1] = []
+        kept.extend(facts)
+        for fact in facts if r1 is r2 else ():
+            self._on.setdefault(frozenset((fact[0].core, fact[1].core)), []).append(fact)
+        return kept
 
     def _lattices(self) -> list[_Lattice]:
         """R's lattice, then each class's own, which holds R."""
@@ -827,21 +841,20 @@ class FactLedger:
         else:  # between the two roots (see _word)
             if names:
                 self._declare_characters([(n, None) for n in names])
-            self._facts.setdefault(frozenset((r1, r2)), []).append(fact)
+            self._keep(r1, r2, fact)
 
     def _loop(self, fact: tuple, root: Core | None, quotient: CharWord, names: list[str]) -> None:
         """A fact within the class at *root*, whose sides' twists, each times
         its core's label, have *quotient*: true, it puts the quotient in the
-        class's lattice, false, among the words known not to be in it, by
-        :meth:`_relate`.  Refused where the opposite fact is declared, where
-        a false one is already implied, and where :meth:`_relate` refuses.
-        A fact between two cores, or on a core that may have a self-twist,
-        is kept, for its reasons."""
+        class's lattice, false, among the words known not to be in it
+        (:meth:`_relate`, which may refuse), and it is kept for its reasons
+        unless R and D hold it alone.  Refused too where the opposite fact
+        is declared or a false one is already implied."""
         k1, k2, truth = fact
-        record, key = self._record(root), frozenset((root,))
-        lattice = record.lattice
+        lattice = self._lattice(root)
         own = lattice.owner is not None  # else R and D serve
-        if (known := self._declared(self._facts.get(key), k1, k2)) and known[0] != truth:
+        if (known := self._declared(self._on.get(frozenset((k1.core, k2.core))), k1, k2)) and (
+                known[0] != truth):
             first, second = sorted(map(str, (k1, k2)))
             raise LedgerError(
                 f"contradictory assertions for {first} ~ {second}: {not truth} vs {truth}")
@@ -860,58 +873,49 @@ class FactLedger:
                      ((quotient, ("declared: {} ~ {} is {}", k1, k2, truth)),) * (not truth),
                      names, lattice)
         if not one_core or (k1.core is not None and not _no_self_twist(k1.core)):
-            self._facts.setdefault(key, []).append(fact)
-        if own:
-            self._classes[root] = record
+            self._keep(root, root, fact)
+        if own and root not in self._classes:
+            self._classes[root] = _Class(root, lattice, self)
 
     def _join(self, fact: tuple, r1: Core, r2: Core, label: CharWord, names: list[str]) -> None:
-        """A true fact between the classes at *r1* and *r2*, which makes r1
-        equivalent to r2 twisted by *label*: the smaller class joins the
-        larger, each of its cores relabelled to the larger's root, and the
-        facts kept by r1 are kept by r2.  Its lattice joins theirs, R where
-        a core of either admits no self-twist, and so do the words known not
-        to be in it, with each false fact between the two and
-        :data:`icosym.rules.ADJOINT_RULE` for each two of their cores.
-        Refused where :meth:`_forced` says otherwise, where two of their
-        cores differ in finite-image row or disagree (:func:`_discord`), and
-        where then a word known not to be in the lattice would be, naming
-        the facts."""
+        """A true fact making the root *r1* equivalent to *r2* twisted by
+        *label*: the smaller class joins the larger, its cores relabelled,
+        its facts kept by the new root.  Lattices join (R where a core admits
+        no self-twist), with the words known not to be in them, each false
+        fact between the two, and :meth:`_adjoint_pairs`.  Refused where
+        :meth:`_forced` or :meth:`_clash` says so, and where then a word known
+        not to be in the lattice would be.  The larger class is never walked."""
         k1, k2, _ = fact
         if (forced := self._forced(k1, k2)) and not forced[0]:
             raise LedgerError(f"{k1} ~ {k2} cannot be declared true: {_text(forced[1])}")
-        a, b = self._record(r1), self._record(r2)
-        between = self._facts.get(frozenset((r1, r2)), [])
-        if (known := self._declared(between, k1, k2)) and not known[0]:
+        if (known := self._declared(self._facts.get(r1, {}).get(r2), k1, k2)) and not known[0]:
             first, second = sorted(map(str, (k1, k2)))
             raise LedgerError(f"contradictory assertions for {first} ~ {second}: False vs True")
+        a, b = self._record(r1), self._record(r2)
         if len(a.members) > len(b.members):
             a, b, r1, r2, label = b, a, r2, r1, label ** -1
         refusal = ("{} ~ {} cannot be declared true{}", k1, k2,
                    _Facts(self, (r1, r2), prefix=", by the declared facts "))
-        standing = {z: self._standing(z) for z in a.members + b.members}
-        for x in a.members:
-            for y in b.members:
-                if why := self._split(x, y) or _discord(x, standing[x], y, standing[y]):
-                    raise LedgerError(f"{_text(refusal)}: then {x} and {y} would be in one "
-                                      f"class, but {_text(why)}")
-        # every core's label to the root r2, once the classes are one
+        if clash := self._clash(a, b):
+            raise LedgerError(f"{_text(refusal)}: then {clash[0]} and {clash[1]} would be in one "
+                              f"class, but {_text(clash[2])}")
+        # a's cores relabelled to the root r2; b's keep theirs (a label is never falsy)
         labels = {x: _reduced(self._chars.rows, self._find(x)[1] * label) for x in a.members}
-        labels.update((y, self._find(y)[1]) for y in b.members)
         own = [record.lattice for record in (a, b) if record.lattice.owner is not None]
         lattice = own.pop() if len(own) == 2 else self._chars  # b's, which a's joins
         ones = [row for kept in own for pivot, row in kept.rows.items()
                 if row != self._chars.rows.get(pivot)]  # R holds the rest
         apart = [item for kept in own for item in kept.apart.items()]
         # each word, reduced, with its reason and the equivalence that holds where it is 1
-        new = [(_reduced(lattice.rows, _quotient(f[0].twist, labels[f[0].core], f[1].twist,
-                                                 labels[f[1].core])),
-                ("declared: {} ~ {} is {}", *f), ("{} ~ {}", *f[:2])) for f in between]
-        for x in a.members:
-            for y in b.members:
-                if rule := _adjoint_rule(x, y):
-                    ox, oy = (CharWord.gen(z.base.omega, -1) for z in (x, y))
-                    new.append((_reduced(lattice.rows, _quotient(ox, labels[x], oy, labels[y])),
-                                rule, ("Ad({}) ~ Ad({})", *rule[1:3])))
+        new = [(_reduced(lattice.rows, _quotient(
+                    f[0].twist, labels.get(f[0].core) or self._find(f[0].core)[1],
+                    f[1].twist, labels.get(f[1].core) or self._find(f[1].core)[1])),
+                ("declared: {} ~ {} is {}", *f), ("{} ~ {}", *f[:2]))
+               for f in self._facts.get(r1, {}).get(r2, ())]
+        for x, y, rule in self._adjoint_pairs(a, b):
+            ox, oy = (CharWord.gen(z.base.omega, -1) for z in (x, y))
+            new.append((_reduced(lattice.rows, _quotient(ox, labels[x], oy, self._find(y)[1])),
+                        rule, ("Ad({}) ~ Ad({})", *rule[1:3])))
         for word, reason, what in new:
             if word.is_empty():
                 raise LedgerError(f"{_text(refusal)}: then {_text(what)} would hold, "
@@ -920,26 +924,40 @@ class FactLedger:
         # the join itself, which nothing can refuse any more
         for x in a.members:
             self._links[x] = (r2, labels[x])
-        store = self._facts
-        store.setdefault(frozenset((r2,)), []).extend(
-            store.pop(frozenset((r1,)), []) + store.pop(frozenset((r1, r2)), []) + [fact])
-        for pair in [pair for pair in store if r1 in pair]:  # between r1 and a third class
-            store.setdefault(pair - {r1} | {r2}, []).extend(store.pop(pair))
+        row = self._facts.pop(r1, {})  # r1's facts: within its class, with r2, with a third
+        self._keep(r2, r2, *row.pop(r2, ()), fact).extend(row.pop(r1, ()))  # found by cores
+        self._facts[r2].pop(r1, None)
+        for other, facts in row.items():
+            del self._facts[other][r1]
+            self._keep(other, r2, *facts)
         b.members += a.members
         b.lattice = lattice
+        for typ, cores in a.adjoints.items():
+            b.adjoints.setdefault(typ, []).extend(cores)
+        b.summary = tuple([mine if mine[0] is not None else theirs
+                           for mine, theirs in zip(b.summary, a.summary)])
         self._classes.pop(r1, None)
         self._classes[r2] = b
+
+    def _clash(self, a: _Class, b: _Class) -> tuple | None:
+        """Why the classes *a* and *b* are not one: :func:`_discord` on their summaries."""
+        return _discord(a.summary, b.summary)
+
+    def _adjoint_pairs(self, a: _Class, b: _Class) -> list[tuple]:
+        """Each core x of *a* and y of *b* that :func:`_adjoint_rule` sets
+        apart, as (x, y, its reason): the sym^2 cores, by their bases' types."""
+        return [(x, y, _adjoint_rule(x, y)) for ta, xs in a.adjoints.items() for x in xs
+                for tb, ys in b.adjoints.items() if tb != ta for y in ys]
 
     def _relate(self, refusal: tuple, ones: Iterable[CharWord],
                 apart: Iterable[tuple[CharWord, tuple]], names: list[str],
                 lattice: _Lattice | None = None) -> None:
-        """Put the words *ones* in *lattice*, R's if none is given, and the
-        (word, reason) pairs *apart* among the words known not to be in it,
-        and declare the generators *names*, bare where they are new; all or
-        none.  R grows every class's own lattice with it.  Refused where a
-        name is a base's, and where then a word known not to be in a lattice
-        would be in it: as the reason tuple *refusal*, then that word and
-        why not."""
+        """Put the words *ones* in *lattice*, R's if none is given, the (word,
+        reason) pairs *apart* among the words known not to be in it, and
+        declare the generators *names*, bare where new; all or none, every
+        class's own lattice growing with R.  Refused where a name is a base's
+        and where then a word known not to be in a lattice would be: as the
+        reason tuple *refusal*, then that word and why not."""
         if taken := [n for n in names if n in self.bases]:
             raise LedgerError(f"{taken[0]} is declared as a base, not a character")
         ones, apart = list(ones), list(apart)
@@ -951,8 +969,8 @@ class FactLedger:
         for target in self._lattices() if ones and lattice.owner is None else [lattice]:
             old, known = target.rows, target.apart
             rows = reduce(_with, ones, old)
-            moved = rows != old  # then each old word is reduced anew
-            members = {} if moved else dict(known)
+            moved = rows != old  # then each old word is reduced anew, else kept as it is
+            members: dict[CharWord, tuple] = {}
             for word, reason in [*(known.items() if moved else ()),
                                  *(apart if target is lattice else ())]:
                 if (member := _reduced(rows, word)).is_empty():
@@ -960,12 +978,17 @@ class FactLedger:
                     raise LedgerError(f"{_text(refusal)}: " + (
                         f"{word} is {one}" if _reduced(old, word).is_empty() else
                         f"then {word} would be {one}, but {_text(reason)}"))
-                if (known := members.get(member)) is None or _text(reason) < _text(known):
+                kept = members.get(member, None if moved else known.get(member))
+                if kept is None or _text(reason) < _text(kept):
                     members[member] = reason  # of two, the first in text: so in any order
-            updates.append((target, rows, members))
+            updates.append((target, rows, members, moved))
         self.characters.update(names)
-        for target, rows, members in updates:
-            target.rows, target.apart = rows, members
+        for target, rows, members, moved in updates:
+            target.rows = rows
+            if moved:
+                target.apart = members
+            else:
+                target.apart.update(members)
 
     # -- equivalence resolution --------------------------------------------
 
@@ -990,28 +1013,27 @@ class FactLedger:
 
     def _known(self, k1: Constituent, k2: Constituent) -> tuple[bool, tuple] | None:
         """What the facts and :meth:`_forced` say of two reduced constituents,
-        with its reason tuple, or None: a declared fact between them, kept by
-        their roots, first.  Then, in one class: True where the quotient of
-        their twists, each times its core's label, is in the class's lattice
-        (:meth:`_record`), False where :meth:`_distinct` shows it is not.  In
-        two: False where a false fact between them says so up to a common
-        twist, else :meth:`_forced`'s answer, which is False where their
-        degrees differ."""
+        with its reason tuple, or None: a declared fact between them first.
+        In one class, True where the quotient of their twists, each times
+        its core's label, is in the class's lattice, False where
+        :meth:`_distinct` shows it is not; in two, False where a false fact
+        between them says so up to a common twist, else :meth:`_forced`."""
         x1, x2 = k1.core, k2.core
         (r1, l1), (r2, l2) = self._find(x1), self._find(x2)
-        facts = self._facts.get(frozenset((r1, r2)))
-        if known := self._declared(facts, k1, k2):
-            return known
         if r1 is not r2 and (hash(r1) != hash(r2) or r1 != r2):  # by the cached hash first
-            if facts:
+            if facts := self._facts.get(r1, {}).get(r2):
+                if known := self._declared(facts, k1, k2):
+                    return known
                 quotient = _reduced(self._chars.rows, _quotient(k1.twist, l1, k2.twist, l2))
                 if facts := [f for f in facts if self._word(f, r1) == quotient]:
                     return False, (_BY, k1, k2, False, _Facts(self, (r1, r2), facts))
             return self._forced(k1, k2)
+        if known := self._declared(self._on.get(frozenset((x1, x2))), k1, k2):
+            return known
         if hash(k1) == hash(k2) and k1 == k2:
             return True, ("structural equality",)
         one_core = x1 is x2 or (hash(x1) == hash(x2) and x1 == x2)  # then the labels cancel
-        lattice = self._record(r1).lattice
+        lattice = self._lattice(r1)
         quotient = _quotient(k1.twist, _ONE, k2.twist, _ONE) if one_core else _quotient(
             k1.twist, l1, k2.twist, l2)
         # twists of one core reduced modulo R differ where k1 and k2 do
@@ -1037,11 +1059,10 @@ class FactLedger:
             a, b, la, lb = b, a, lb, la
         return _reduced(self._chars.rows, _quotient(a.twist, la, b.twist, lb))
 
-    def _declared(self, facts: list | None, k1: Constituent,
-                  k2: Constituent) -> tuple[bool, tuple] | None:
-        """The truth of one of *facts* whose two sides, as they reduce now,
-        are *k1* and *k2*, with its reason tuple ``declared: k1 ~ k2 is
-        truth``; else None."""
+    def _declared(self, facts: list | None, k1: Constituent, k2: Constituent) -> tuple | None:
+        """The truth of one of *facts* (between the classes of *k1* and *k2*,
+        or in one class those on their cores) whose sides reduce now to k1
+        and k2, with its reason tuple ``declared: k1 ~ k2 is truth``; else None."""
         if facts:
             h1, h2, canon = hash(k1.core), hash(k2.core), self._canon
             for a, b, t in facts:  # by the cached hashes of the cores first
@@ -1052,16 +1073,16 @@ class FactLedger:
 
     def _forced(self, k1: Constituent, k2: Constituent) -> tuple[bool, tuple] | None:
         """The answer no fact can change for two reduced constituents in two
-        classes, with its reason tuple, or None: False when their degrees
-        differ, when the finite-image rows of their cores differ (a class
-        holds one of each), and when they are twisted alike from the
-        adjoints of bases of two types that :data:`icosym.rules.ADJOINT_TYPES`
-        sets apart."""
+        classes, with its reason tuple, or None: False when their degrees or
+        their cores' finite-image rows differ, and when they are twisted
+        alike from the adjoints of bases of two types that
+        :data:`icosym.rules.ADJOINT_TYPES` sets apart."""
         if (d1 := k1.degree) != (d2 := k2.degree):
             return False, ("degrees differ ({} vs {})", d1, d2)
         x1, x2 = k1.core, k2.core
-        if why := self._split(x1, x2):
-            return False, why
+        r1, r2 = self.galois_decomposition(x1), self.galois_decomposition(x2)
+        if r1 is not None and r2 is not None and r1.keys() != r2.keys():
+            return False, ("finite-image restrictions differ: {} vs {}", sorted(r1), sorted(r2))
         if type(x1) is SymCusp is type(x2) and (rule := _adjoint_rule(x1, x2)):
             p, q = x1.base, x2.base  # Ad(p) and Ad(q) twisted alike, untwisted the fast case
             if k1.twist.word == ((p.omega, -1),) and k2.twist.word == ((q.omega, -1),) or (
@@ -1070,20 +1091,10 @@ class FactLedger:
                 return False, rule
         return None
 
-    def _split(self, x: Core, y: Core) -> tuple | None:
-        """Why cores *x* and *y* lie in no one class, as a reason tuple, or
-        None: the finite-image rows of two tagged cores differ."""
-        r1, r2 = self.galois_decomposition(x), self.galois_decomposition(y)
-        if r1 is not None and r2 is not None and r1.keys() != r2.keys():
-            return "finite-image restrictions differ: {} vs {}", sorted(r1), sorted(r2)
-        return None
-
     def _distinct(self, word: CharWord, lattice: _Lattice | None = None) -> tuple | None:
         """Why a quotient of twists is not 1, or not in *lattice*, as a reason
-        tuple, or None: the lattice with it holds a word known not to be in
-        it, whose reason it gives.  A known word is reduced modulo the
-        lattice, so it can join it only where the quotient moves the row of
-        its first generator."""
+        tuple, or None: the lattice with it holds a word known not to be in it
+        (reduced, so only where the quotient moves its first generator's row)."""
         lattice = lattice or self._chars
         old = lattice.rows
         rows = _with(old, word)
@@ -1102,7 +1113,9 @@ class FactLedger:
         The memo: each queried core is restricted and decomposed once.  It is
         per ledger, not process-wide: a new document's cores equal stored
         ones without being them, so each hit would compare them field by field."""
-        if core not in self._decompositions:
+        try:
+            return self._decompositions[core]
+        except KeyError:
             cf = _restrict(core)
             mults = None
             if cf is not None:
@@ -1110,7 +1123,7 @@ class FactLedger:
 
                 mults = default_table().decompose(cf)
             self._decompositions[core] = mults
-        return self._decompositions[core]
+            return mults
 
 
 def _no_self_twist(core: Core) -> bool:
@@ -1119,15 +1132,19 @@ def _no_self_twist(core: Core) -> bool:
     return sym is not None and not TYPE_RULES[sym[0].typ][0](sym[1])
 
 
-def _discord(x: Core, sx: tuple, y: Core, sy: tuple) -> tuple | None:
-    """Why cores *x* and *y*, whose standings are *sx* and *sy* (see
-    :meth:`FactLedger._standing`), lie in no one class, as a reason tuple,
-    or None: one is cuspidal, or automorphic, and the other is not, while
-    twisting and equivalence keep both."""
-    for what, (tx, wx), (ty, wy) in zip(("cuspidal", "automorphic"), sx, sy):
+def _discord(sx: tuple, sy: tuple) -> tuple | None:
+    """Why two classes, or a core and a class, whose summaries (see
+    :class:`_Class`) are *sx* and *sy* are not one, as (x, y, reason tuple)
+    for two witnesses, or None: their finite-image rows differ, or one is
+    cuspidal, or automorphic, and the other is not, while twisting and
+    equivalence keep both."""
+    (rx, x), (ry, y) = sx[0], sy[0]
+    if rx is not None and ry is not None and rx.keys() != ry.keys():
+        return x, y, ("finite-image restrictions differ: {} vs {}", sorted(rx), sorted(ry))
+    for what, (tx, x, wx), (ty, y, wy) in zip(("cuspidal", "automorphic"), sx[1:], sy[1:]):
         if tx is not None and ty is not None and tx != ty:
             (yes, why_yes), (no, why_no) = ((x, wx), (y, wy)) if tx else ((y, wy), (x, wx))
-            return "{} is {} ({}) and {} is not ({})", yes, what, why_yes, no, why_no
+            return x, y, ("{} is {} ({}) and {} is not ({})", yes, what, why_yes, no, why_no)
     return None
 
 
@@ -1254,18 +1271,12 @@ class PoleOrder(Record):
 
 def pole_order(e: IsobaricExpr, ledger: FactLedger) -> PoleOrder:
     """Order of the edge pole of L(s, e x dual(e)): sum of squared
-    multiplicities after merging equivalent constituents.
-
-    Each term is reduced modulo the ledger's relation lattice once; the
-    comparisons on those keys give the verdicts and reasons of
-    :meth:`FactLedger.equivalent`.  A pair of two degrees is skipped, as
-    :func:`pole_order_pair` skips one: :meth:`FactLedger._forced`'s degree
-    rule makes it False, which neither merges nor widens.  Pairs the ledger
-    cannot settle widen the result to an interval: the lower end keeps them
-    distinct, the upper end merges every class connected by an undetermined
-    comparison.  Their reasons stay data until the end, where :func:`_texts`
-    makes each distinct one text once.
-    """
+    multiplicities after merging equivalent constituents, each term reduced
+    modulo the ledger's lattice once.  A pair of two degrees is skipped, as
+    :func:`pole_order_pair` skips one: it is False, which neither merges nor
+    widens.  Pairs the ledger cannot settle widen the result to an interval,
+    the lower end keeping them distinct, the upper end merging every class
+    they connect; their reasons become text once each, at the end."""
     classes: list[tuple[Constituent, int, int]] = []  # each with its total and degree
     for c, m in e.terms:
         key = ledger._canon(c)
@@ -1345,9 +1356,7 @@ def galois_pole_check(f: ClassFunction) -> int:
     via_pairing = tab.inner_product(f, f)
     via_mults = sum(m * m for m in mults.values())
     if not (via_dual == via_pairing == Qsqrt5(via_mults)):
-        raise RuntimeError(
-            f"pole-check mismatch: {via_dual} vs {via_pairing} vs {via_mults}"
-        )
+        raise RuntimeError(f"pole-check mismatch: {via_dual} vs {via_pairing} vs {via_mults}")
     return via_mults
 
 
@@ -1356,12 +1365,10 @@ def galois_pole_check(f: ClassFunction) -> int:
 
 
 def a4(p: BaseCusp) -> IsobaricExpr:
-    """The degree-5 self-dual symbol sym^4 (x) omega^-2, decomposed by type.
-
+    """The degree-5 self-dual symbol sym^4 (x) omega^-2, decomposed by type:
+    split for the solvable polyhedral types, else cuspidal and whole.
     Dihedral input is rejected (its sym^2 is already non-cuspidal, and the
-    callers handle that case separately).  For the solvable polyhedral types
-    the symbol splits; otherwise it is cuspidal and stays in one piece.
-    """
+    callers handle that case separately)."""
     if p.typ == "dihedral":
         raise ValueError(f"{p.name} is dihedral; the degree-5 lift is not used")
     if p.typ == "abstract":
@@ -1415,14 +1422,11 @@ class Verdict(Record):
 
 
 def decide_cuspidality(p: BaseCusp, p_prime: BaseCusp, ledger: FactLedger) -> Verdict:
-    """Is pi box sym^2(pi') cuspidal?  The structural route.
-
-    Dihedral ``p`` reduces to Mackey theory over its quadratic extension;
-    for non-dihedral ``p`` everything hinges on whether the two adjoint
-    symbols agree, with one extra quadratic-twist escape for octahedral
-    ``p'``.  Dihedral ``p'`` makes sym^2(p') non-cuspidal, hence the product
-    never cuspidal.
-    """
+    """Is pi box sym^2(pi') cuspidal?  The structural route: dihedral ``p``
+    reduces to Mackey theory over its quadratic extension; for non-dihedral
+    ``p`` everything hinges on whether the two adjoint symbols agree, with
+    one extra quadratic-twist escape for octahedral ``p'``.  Dihedral ``p'``
+    makes sym^2(p') non-cuspidal, hence the product never cuspidal."""
     route = "structural"
     if p.typ == "abstract":
         return _undeclared_type(route, p.name)
@@ -1479,14 +1483,11 @@ def _decide_dihedral_case(p: BaseCusp, p_prime: BaseCusp, ledger: FactLedger,
 
 
 def decide_cuspidality_via_poles(p: BaseCusp, p_prime: BaseCusp, ledger: FactLedger) -> Verdict:
-    """Is pi box sym^2(pi') cuspidal?  The pole-counting route.
-
-    Valid when both bases are non-dihedral: the self-Rankin--Selberg
-    L-function of the product factors through the two adjoints and the
-    degree-5 lift, and the product is cuspidal exactly when the edge pole
-    is simple.  A pole interval whose lower end is at least 2 decides "not
-    cuspidal" and keeps the interval.
-    """
+    """Is pi box sym^2(pi') cuspidal?  The pole-counting route, valid when
+    both bases are non-dihedral: the self-Rankin--Selberg L-function of the
+    product factors through the two adjoints and the degree-5 lift, and the
+    product is cuspidal exactly when the edge pole is simple.  A pole
+    interval whose lower end is at least 2 decides "not cuspidal"."""
     route = "pole-counting"
     for base in (p, p_prime):
         if base.typ == "dihedral":
@@ -1582,16 +1583,12 @@ def standard_icosahedral_pair() -> tuple[FactLedger, BaseCusp, BaseCusp]:
 
 
 def icosahedral_family(p: BaseCusp, p_tau: BaseCusp) -> list[tuple[str, Constituent, str]]:
-    """The nine cuspidal symbols generating the finite model's rows.
-
-    Returns (label, constituent, row) triples, each label the printed
-    constituent, in the order of :data:`icosym.rules.GENERATORS`:
-    sym^a(p) [x] sym^b(p_tau) for each generator's (a, b).  Each row is the
-    generator's row in that table, with the Galois swaps applied when ``p``
-    is tagged X''; :func:`icosym.icostruct.generator_family` checks the
-    table against the character table.  A pair not tagged X' and X'' is
-    refused.
-    """
+    """The nine cuspidal symbols generating the finite model's rows, as
+    (printed constituent, constituent, row) triples in the order of
+    :data:`icosym.rules.GENERATORS`: sym^a(p) [x] sym^b(p_tau) for each
+    generator's (a, b), its row Galois-swapped when ``p`` is tagged X''
+    (:func:`icosym.icostruct.generator_family` checks the table).  A pair
+    not tagged X' and X'' is refused."""
     from .chartab import GALOIS_SWAPS  # here: cuspidality imports this module, not chartab
 
     rows = (p.galois_row, p_tau.galois_row)

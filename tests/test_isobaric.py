@@ -44,7 +44,7 @@ from icosym.isobaric import (
     sym_cusp,
     sym_power_cuspidal,
 )
-from icosym.isobaric import _reduced, _text, _with
+from icosym.isobaric import _adjoint_rule, _discord, _reduced, _text, _with
 from icosym.factsfile import FactsError, load_facts
 from icosym.rules import BASE_TYPES, TYPE_RULES
 from icosym.siegel import siegel_report, siegel_scan
@@ -562,7 +562,8 @@ def union_find(ledger):
     return dict(ledger._links), {
         root: (tuple(r.members), dict(r.lattice.rows), dict(r.lattice.apart), r.lattice.owner)
         for root, r in ledger._classes.items()}, {
-        roots: tuple(facts) for roots, facts in ledger._facts.items()}
+        (root, other): tuple(facts) for root, row in ledger._facts.items()
+        for other, facts in row.items()}
 
 
 def ledger_state(ledger):
@@ -2223,6 +2224,223 @@ def test_the_core_answers_hold_in_every_model(doc):
             assert po.value() == sum(k * k for k in totals.values()), (doc, po)
 
 
+# -- a join compares two class summaries ---------------------------------------
+
+
+class _PairwiseLedger(FactLedger):
+    """The join's pairwise check, kept as a reference for the class
+    summaries: every core x of one class and y of the other, their
+    finite-image rows, then their standings, then the adjoint rule."""
+
+    def _clash(self, a, b):
+        for x in a.members:
+            for y in b.members:
+                if clash := _discord(*(((self.galois_decomposition(z), z), *self._standing(z))
+                                       for z in (x, y))):
+                    return clash
+        return None
+
+    def _adjoint_pairs(self, a, b):
+        return [(x, y, rule) for x in a.members for y in b.members
+                if (rule := _adjoint_rule(x, y))]
+
+
+def _masked(text: str, names) -> str:
+    """A refusal with what names a witness masked: base names, types, and
+    the word a witness pair would make 1."""
+    text = re.sub(r"then \S+ would be 1", "then # would be 1", text)
+    text = re.sub(r"\b({})\b".format("|".join(map(re.escape, names))), "#", text)
+    return re.sub(r"\b({})\b".format("|".join(BASE_TYPES)), "#", text)
+
+
+def _summaries_hold(ledger) -> None:
+    """Each class's summary is what its cores say: its rows those of each
+    tagged core, its truths those of each core that knows them, each
+    witness one of its cores, and its reason the witness's own."""
+    for record in ledger._classes.values():
+        (rows, witness), *standings = record.summary
+        tagged = {tuple(sorted(m)) for x in record.members
+                  if (m := ledger.galois_decomposition(x)) is not None}
+        assert tagged == (set() if rows is None else {tuple(sorted(rows))})
+        assert rows is None or witness in record.members
+        for k, (truth, witness, why) in enumerate(standings):
+            known = {ledger._standing(x)[k][0] for x in record.members} - {None}
+            assert known == (set() if truth is None else {truth})
+            if truth is not None:
+                assert witness in record.members and ledger._standing(witness)[k] == (
+                    truth, witness, why)
+
+
+def _replayed(steps, ledger_type):
+    """A ledger of *ledger_type* after the steps, and the refusal, if any."""
+    ledger = ledger_type()
+    try:
+        for step in steps:
+            step(ledger)
+    except LedgerError as err:
+        return ledger, str(err)
+    return ledger, None
+
+
+def _summary_join_matches_the_pairwise_one(steps, names):
+    (summary, refused), (pairwise, expected) = (
+        _replayed(steps, ledger_type) for ledger_type in (FactLedger, _PairwiseLedger))
+    assert (refused is None) == (expected is None), (refused, expected)
+    if refused is not None:
+        assert _masked(refused, names) == _masked(expected, names), (refused, expected)
+    assert ledger_state(summary) == ledger_state(pairwise)
+    _summaries_hold(summary)
+
+
+@settings(max_examples=120, deadline=None)
+@given(core_documents())
+def test_the_summary_join_refuses_what_the_pairwise_one_refuses_in_every_model_document(doc):
+    """Over the core oracle's documents, a join that compares two class
+    summaries accepts and refuses exactly the facts the pairwise check
+    does, leaves the same ledger, and names the same refusal up to its
+    witness cores."""
+    n, orders, kinds, facts, orders_last, omegas, cores = doc
+
+    def declare_bases(ledger):
+        for b in omegas:
+            ledger.declare_base(b, _ORACLE_BASES[b][0], omega=omegas[b],
+                                galois_row=_ORACLE_BASES[b][1])
+
+    def core_fact(s1, s2, truth):
+        def step(ledger):
+            (b1, w1, a1), (b2, w2, a2) = s1, s2
+            sides = [Constituent(SymCusp(ledger.bases[b], 2),
+                                 w * CharWord.gen(omegas[b], -1) if adjoint else w)
+                     for b, w, adjoint in ((b1, w1, a1), (b2, w2, a2))]
+            ledger.assert_equiv(*sides, truth)
+        return step
+
+    steps = [declare_bases,
+             *(lambda ledger, g=g, o=o: ledger.declare_character(g, order=o)
+               for g, o in orders.items()),
+             *(lambda ledger, w=w, k=k: ledger.declare_word_kind(w, k) for w, k in kinds),
+             *(lambda ledger, u=u, v=v, t=t: ledger.assert_equiv(character(u), character(v), t)
+               for u, v, t in facts),
+             *(core_fact(*fact) for fact in cores)]
+    if orders_last:
+        steps = steps[:1] + steps[1 + len(orders):] + steps[1:1 + len(orders)]
+    _summary_join_matches_the_pairwise_one(steps, list(omegas))
+
+
+# sym^2 and sym^5 of two general bases and two icosahedral ones of different rows:
+# sym^5 of a general base is cuspidal only as declared, of a tagged one by its row
+_STANDING_BASES = {"g0": ("general", None), "g1": ("general", None),
+                   "f": ("icosahedral", "X'"), "h": ("icosahedral", "X''")}
+
+
+@st.composite
+def standing_documents(draw):
+    """Declarations of cuspidality and automorphy and facts, in any order,
+    between sym^2 or sym^5 of the bases of _STANDING_BASES, each side
+    twisted by the quadratic chi or not."""
+    core = st.tuples(st.sampled_from(sorted(_STANDING_BASES)), st.sampled_from([2, 5]))
+    fact = st.tuples(st.just("fact"), core, st.booleans(), core, st.booleans(), st.booleans())
+    declaration = st.tuples(st.sampled_from(["cuspidal", "automorphic"]), core, st.booleans())
+    return draw(st.lists(st.one_of(fact, fact, declaration), max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(standing_documents())
+def test_the_summary_join_refuses_what_the_pairwise_one_refuses_as_standings_change(doc):
+    """Declarations change a class's cuspidality and automorphy between
+    joins: the summaries follow, so a join accepts and refuses as the
+    pairwise check does, and each class's summary is what its cores say."""
+    def core(ledger, name, n):
+        return SymCusp(ledger.bases[name], n)
+
+    def step(entry):
+        def run(ledger):
+            if entry[0] == "fact":
+                _, (b1, n1), t1, (b2, n2), t2, truth = entry
+                chi = CharWord.gen("chi")
+                ledger.assert_equiv(Constituent(core(ledger, b1, n1), chi if t1 else CharWord()),
+                                    Constituent(core(ledger, b2, n2), chi if t2 else CharWord()),
+                                    truth)
+            else:
+                what, (b, n), truth = entry
+                getattr(ledger, f"declare_{what}")(core(ledger, b, n), truth)
+        return run
+
+    def declare(ledger):
+        ledger.declare_character("chi", order=2)
+        for name, (typ, row) in _STANDING_BASES.items():
+            ledger.declare_base(name, typ, galois_row=row)
+
+    _summary_join_matches_the_pairwise_one([declare, *map(step, doc)], list(_STANDING_BASES))
+
+
+def _tree_document(n: int) -> dict:
+    """n general bases and n - 1 true Ad facts between them, a binary tree."""
+    return {"bases": [{"name": f"g{i}", "type": "general"} for i in range(n)],
+            "facts": [{"lhs": f"Ad(g{i})", "rhs": f"Ad(g{(i - 1) // 2})", "relation": "equiv",
+                       "truth": True} for i in range(1, n)]}
+
+
+def _chain_document(n: int) -> dict:
+    """n general bases: true Ad facts chaining the even ones, alternating
+    with false ones between each odd base and the chain."""
+    return {"bases": [{"name": f"g{i}", "type": "general"} for i in range(n)],
+            "facts": [{"lhs": f"Ad(g{k - 2 if k % 2 == 0 else k})", "rhs": f"Ad(g{k - k % 2})",
+                       "relation": "equiv", "truth": k % 2 == 0} for k in range(1, n)]}
+
+
+@pytest.mark.parametrize("document", [_tree_document, _chain_document])
+def test_a_document_loads_in_n_log_n_steps(monkeypatch, document):
+    """Union by size relabels each core O(log n) times (Tarjan 1975) and a
+    join compares two class summaries, each made once per core: over n
+    bases, the cores relabelled and the standings read grow at most as
+    n log2 n."""
+    counts = collections.Counter()
+    standing, init = FactLedger._standing, FactLedger.__init__
+
+    class Links(dict):
+        def __setitem__(self, key, value):
+            counts["relabelled"] += 1
+            super().__setitem__(key, value)
+
+    def counted(self, *args, **kwargs):
+        counts["standing"] += 1
+        return standing(self, *args, **kwargs)
+
+    def counting_links(self):
+        init(self)
+        self._links = Links()
+
+    monkeypatch.setattr(FactLedger, "_standing", counted)
+    monkeypatch.setattr(FactLedger, "__init__", counting_links)
+    for n in (500, 1000, 2000):
+        counts.clear()
+        load_facts(document(n))
+        assert 0 < counts["relabelled"] <= n * math.log2(n), (n, counts)
+        assert 0 < counts["standing"] <= n * math.log2(n), (n, counts)
+
+
+def test_a_query_in_one_class_compares_the_facts_on_its_two_cores(monkeypatch):
+    """equivalent on two cores of one class reads the declared facts on
+    those two cores, not every fact of the class: as many at n = 2000 as
+    at n = 500."""
+    compared = []
+    declared = FactLedger._declared
+
+    def counting(self, facts, k1, k2):
+        compared.append(len(facts or ()))
+        return declared(self, facts, k1, k2)
+
+    monkeypatch.setattr(FactLedger, "_declared", counting)
+    for n in (500, 1000, 2000):
+        ledger = load_facts(_tree_document(n))
+        g = ledger.bases
+        compared.clear()
+        assert ledger.equivalent(ad(g[f"g{n - 1}"]), ad(g[f"g{(n - 2) // 2}"]))[0] is True
+        assert ledger._resolve(ad(g["g1"]), ad(g[f"g{n - 1}"]))[0] is True
+        assert compared == [1, 0], (n, compared)
+
+
 # -- self-duality: the fact c ~ dual(c) ----------------------------------------
 
 
@@ -2305,7 +2523,7 @@ def test_a_self_duality_is_read_through_the_facts():
     ledger, g, q = fresh("general", "icosahedral")
     c = Constituent(SymCusp(g, 7), CharWord.gen("nu"))
     ledger.declare_self_dual(c, False)
-    assert ledger._facts[frozenset((c.core,))] == [(c, dual(c), False)]
+    assert ledger._facts[c.core][c.core] == [(c, dual(c), False)]
     assert list(ledger._classes[c.core].lattice.apart) == [CharWord.of({"nu": 2, "omega(p)": 7})]
     assert ledger.equivalent(dual(c), c) == (
         False, f"declared: {dual(c)} ~ {c} is False")
